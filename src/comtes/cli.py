@@ -214,15 +214,7 @@ def cmd_bracket(args) -> int:
 
 def cmd_paper_suite(args) -> int:
     only = set(args.only.split(",")) if args.only else None
-    results = []
-    for fn in acceptance.CRITERIA:
-        ident = fn.__name__.split("_")[1]
-        if only is not None and ident not in only:
-            continue
-        if fn is acceptance.criterion_8_property_suites:
-            results.append(fn(jobs=args.jobs, seed=args.seed))
-        else:
-            results.append(fn(jobs=args.jobs))
+    results = acceptance.run_all(seed=args.seed, jobs=args.jobs, only=only)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]

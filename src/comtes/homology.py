@@ -44,78 +44,62 @@ def dot_table(g: SelfIndexedGraph) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _stage_data(n: int):
-    """Per assignment stage s = n..1: the submasks to extend and the arrow
-    coherence checks whose lowest element is s.  Bit k encodes element k+1.
-    """
-    submasks = {s: [] for s in range(1, n + 1)}
-    for s in range(1, n + 1):
-        bits = list(range(s, n))  # bit positions for elements s+1..n
-        for mask in range(1, 1 << len(bits)):
-            sub = 0
-            for k, b in enumerate(bits):
-                if mask >> k & 1:
-                    sub |= 1 << b
-            submasks[s].append(sub)
-    checks = {s: [] for s in range(1, n + 1)}
-    for t_mask in range(1, 1 << n):
-        m = t_mask.bit_length()
-        for d in range(1, m):
-            dbit = 1 << (d - 1)
-            if t_mask & dbit:
+def _new_relations(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The cube relations F(lam).F(t) = F(t + d) of Y_n that involve element
+    1, as mask triples (lam, t, t + d).  Bit k encodes element k+1, F of a
+    set S is a_min(S) . F(S - min(S)), and for each d outside t below
+    max(t), lam is d together with the elements of t below d."""
+    out = []
+    for t in range(1, 1 << n):
+        for d in range(t.bit_length() - 1):
+            dbit = 1 << d
+            if not t & dbit and (t | dbit) & 1:
+                out.append(((t & (dbit - 1)) | dbit, t, t | dbit))
+    return tuple(out)
+
+
+def _extend(tables: list[list[int]], n: int, dot, q_quotient: bool) -> list[list[int]]:
+    """Degree-n F tables from the degree-(n-1) ones by prepending a_1.
+
+    Dropping a_1 from a valid tuple leaves a valid tuple (and a
+    non-degenerate one stays non-degenerate), so only the relations that
+    involve element 1 need checking.  The old element k is element k+1, so
+    its mask doubles; the odd masks are the new sets {1} + S, with value
+    a_1 . F(S).  Tables come out in lexicographic order of their tuples."""
+    relations = _new_relations(n)
+    out = []
+    for a, row in enumerate(dot):
+        for f in tables:
+            if q_quotient and n > 1 and f[1] == a:
                 continue
-            lam = (t_mask & (dbit - 1)) | dbit
-            td = t_mask | dbit
-            stage = (td & -td).bit_length()
-            checks[stage].append((t_mask, lam, td))
-    return submasks, checks
+            odd = [a] + [row[x] for x in f[1:]]
+            if -1 in odd:
+                continue
+            new = [0] * (2 * len(f))
+            new[0::2] = f
+            new[1::2] = odd
+            if all(dot[new[lam]][new[t]] == new[td] for lam, t, td in relations):
+                out.append(new)
+    return out
+
+
+def _tuple_bases(dot, top: int, q_quotient: bool) -> list[list[tuple[int, ...]]]:
+    """The tuple bases of C_0 .. C_top (C^Q under the quotient), built in one
+    pass: each degree extends the one below it exactly once."""
+    tables = [[0]]
+    bases = [[()]]
+    for n in range(1, top + 1):
+        tables = _extend(tables, n, dot, q_quotient)
+        bases.append([tuple(f[1 << k] for k in range(n)) for f in tables])
+    return bases
 
 
 def hom_tuples(n: int, g: SelfIndexedGraph) -> list[tuple[int, ...]]:
     """Tuples (a_1..a_n) of vertex indices that define homomorphisms
-    Y_n -> g, for an r-graph g, in lexicographic order."""
-    if n == 0:
-        return [()]
-    dot = dot_table(g)
-    nv = len(g.vertices)
-    if nv == 0:
-        return []
-    submasks, checks = _stage_data(n)
-    F: dict[int, int] = {}
-    tup = [0] * n
-    results = []
-
-    def rec(s: int):
-        if s == 0:
-            results.append(tuple(tup))
-            return
-        sbit = 1 << (s - 1)
-        for a in range(nv):
-            tup[s - 1] = a
-            added = [sbit]
-            F[sbit] = a
-            ok = True
-            row = dot[a]
-            for sub in submasks[s]:
-                prod = row[F[sub]]
-                if prod < 0:
-                    ok = False
-                    break
-                F[sbit | sub] = prod
-                added.append(sbit | sub)
-            if ok:
-                for t_mask, lam, td in checks[s]:
-                    if dot[F[lam]][F[t_mask]] != F[td]:
-                        ok = False
-                        break
-            if ok:
-                rec(s - 1)
-            for mk in added:
-                F.pop(mk, None)
-
-    rec(n)
-    results.sort()
-    return results
+    Y_n -> g, for an r-graph g, in lexicographic order.  Degree n is built
+    from degree n-1 by prepending a_1 and checking only the cube relations
+    that involve element 1."""
+    return _bases_of(g, n, False)[1][n]
 
 
 def _degenerate(t: tuple[int, ...]) -> bool:
@@ -124,11 +108,15 @@ def _degenerate(t: tuple[int, ...]) -> bool:
 
 def chain_basis(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> list[tuple[int, ...]]:
     """Ordered basis of C_n (or C_n^Q) for an r-graph."""
-    basis = hom_tuples(n, g)
+    return _bases_of(g, n, q_quotient)[1][n]
+
+
+def _bases_of(g: SelfIndexedGraph, top: int, q_quotient: bool):
+    """The dot table of g and its tuple bases of C_0 .. C_top."""
+    dot = dot_table(g)
     if q_quotient:
         _require_q_graph(g)
-        basis = [t for t in basis if not _degenerate(t)]
-    return basis
+    return dot, _tuple_bases(dot, top, q_quotient)
 
 
 def _require_q_graph(g: SelfIndexedGraph):
@@ -154,9 +142,11 @@ def boundary_image(t: tuple[int, ...], dot) -> list[tuple[int, tuple[int, ...]]]
 def boundary_matrix(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> list[list[int]]:
     """Integer matrix of the boundary C_n -> C_{n-1} over the tuple bases,
     rows indexed by C_{n-1}, columns by C_n."""
-    dot = dot_table(g)
-    bas_n = chain_basis(n, g, q_quotient)
-    bas_p = chain_basis(n - 1, g, q_quotient)
+    dot, bases = _bases_of(g, n, q_quotient)
+    return _boundary(dot, bases[n], bases[n - 1], q_quotient)
+
+
+def _boundary(dot, bas_n, bas_p, q_quotient: bool) -> list[list[int]]:
     pos = {t: i for i, t in enumerate(bas_p)}
     m = [[0] * len(bas_n) for _ in range(len(bas_p))]
     for col, t in enumerate(bas_n):
@@ -190,22 +180,18 @@ def homology_range(
 ) -> tuple[HomologyGroup, ...]:
     """H_1 .. H_max_degree with integer coefficients (H_0 is Z on every
     graph under the convention that C_0 is spanned by the unique empty
-    homomorphism, with zero boundary into it)."""
-    sizes = []
-    mats = {}
-    bases = []
-    for k in range(0, max_degree + 2):
-        if k and not bases[-1]:
-            bases.append([])
-        else:
-            bases.append(chain_basis(k, g, q_quotient))
-        sizes.append(len(bases[k]))
+    homomorphism, with zero boundary into it).
+
+    The bases of C_0 .. C_{max_degree+1} are built once, in one pass, and
+    every boundary matrix is taken over them."""
+    dot, bases = _bases_of(g, max_degree + 1, q_quotient)
+    sizes = [len(b) for b in bases]
     ranks = [0] * (max_degree + 2)
     torsions = [()] * (max_degree + 2)
     for k in range(2, max_degree + 2):
         if sizes[k] == 0 or sizes[k - 1] == 0:
             continue
-        snf = smith_normal_form(boundary_matrix(k, g, q_quotient))
+        snf = smith_normal_form(_boundary(dot, bases[k], bases[k - 1], q_quotient))
         ranks[k] = snf.rank
         torsions[k] = tuple(d for d in snf.factors if d > 1)
     out = []
@@ -275,12 +261,6 @@ def enumerate_homs(n: int, g: SelfIndexedGraph) -> list[CubeHom]:
 # Chains from flows, general boundaries, signatures
 
 
-def hom_signature(n: int, h: GraphHomomorphism):
-    cube = build_Yn(n)
-    vm = dict(h.vertex_map)
-    return (tuple(vm[v] for v in cube.graph.vertices), h.arrow_map)
-
-
 def degree2_signature(g: SelfIndexedGraph, e: int):
     """Signature of the degree-2 basis homomorphism attached to arrow e:
     Y_2's single arrow maps to e, the lone y_1 vertex to the label, the
@@ -346,10 +326,9 @@ def q2_cocycles(g: SelfIndexedGraph, group: AbelianGroup) -> Q2Cocycles:
     given finite abelian group: the kernel of the transposed boundary
     C_3^Q -> C_2^Q over each cyclic factor.  Also measures the coboundary
     subspace (image of the transposed C_1 boundary)."""
-    _require_q_graph(g)
-    basis2 = chain_basis(2, g, q_quotient=True)
-    m3 = boundary_matrix(3, g, q_quotient=True)
-    m2 = boundary_matrix(2, g, q_quotient=True)
+    dot, (_, basis1, basis2, basis3) = _bases_of(g, 3, True)
+    m3 = _boundary(dot, basis3, basis2, True)
+    m2 = _boundary(dot, basis2, basis1, True)
     n2 = len(basis2)
     bt3 = [list(col) for col in zip(*m3)] if (m3 and m3[0]) else []
     bt2 = [list(col) for col in zip(*m2)] if (m2 and m2[0]) else []

@@ -1,10 +1,10 @@
 """Exact integer matrix kernels: Smith normal form, kernels, ranks.
 
 Everything runs on Python integers, so there is no overflow; matrices are
-lists of row lists.  The sparse Smith routine is tuned for boundary
-matrices (lots of unit entries) and only reports invariant factors and
-rank; the dense variant also tracks the column transform, which is what
-kernel computations need.
+lists of row lists.  One sparse elimination serves every routine.  It is
+tuned for boundary matrices (lots of unit entries), and it records the
+column transform Q only for the kernel routines, which read their kernel
+vectors off the columns of Q.
 """
 
 from __future__ import annotations
@@ -37,14 +37,27 @@ def _divisibility_chain(ds: list[int]) -> tuple[int, ...]:
 
 
 def smith_normal_form(matrix) -> SNFResult:
-    """Invariant factors and rank of an integer matrix.
+    """Invariant factors and rank of an integer matrix."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    pivots, _ = _eliminate(matrix, ncols)
+    factors = _divisibility_chain([d for _, d in pivots])
+    return SNFResult(factors, len(factors), nrows, ncols)
+
+
+def _eliminate(matrix, ncols, track_q=False):
+    """Diagonalize M by unimodular row and column operations.
+
+    Returns the pivots as (column, d) pairs and, when ``track_q`` is set, the
+    column transform Q as the list of its columns (None otherwise): P M Q is
+    zero except for the entry d of each pivot column, for a unimodular P
+    that is not recorded.
 
     Elimination picks unit pivots first (Markowitz-style fill estimate) and
     falls back to gcd row/column combinations, so entries stay small on the
     sparse boundary matrices this library produces.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
+    q = [[int(i == j) for i in range(ncols)] for j in range(ncols)] if track_q else None
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, row in enumerate(matrix):
@@ -69,10 +82,10 @@ def smith_normal_form(matrix) -> SNFResult:
                 if not cs:
                     del cols[c]
 
-    def row_axpy(dst, src, q):
-        # row[dst] -= q * row[src]
+    def row_axpy(dst, src, k):
+        # row[dst] -= k * row[src]
         for c, v in list(rows.get(src, {}).items()):
-            set_entry(dst, c, rows.get(dst, {}).get(c, 0) - q * v)
+            set_entry(dst, c, rows.get(dst, {}).get(c, 0) - k * v)
 
     def row_combine(r1, r2, x, y, z, w):
         # (row r1, row r2) <- (x*r1 + y*r2, z*r1 + w*r2), det must be +-1
@@ -83,15 +96,21 @@ def smith_normal_form(matrix) -> SNFResult:
             set_entry(r1, c, x * a + y * b)
             set_entry(r2, c, z * a + w * b)
 
-    def col_axpy(dst, src, q):
+    def col_axpy(dst, src, k):
         for r in list(cols.get(src, set())):
-            set_entry(r, dst, rows[r].get(dst, 0) - q * rows[r][src])
+            set_entry(r, dst, rows[r].get(dst, 0) - k * rows[r][src])
+        if q is not None:
+            q[dst] = [a - k * b for a, b in zip(q[dst], q[src])]
 
     def col_combine(c1, c2, x, y, z, w):
         for r in set(cols.get(c1, set())) | set(cols.get(c2, set())):
             a, b = rows[r].get(c1, 0), rows[r].get(c2, 0)
             set_entry(r, c1, x * a + y * b)
             set_entry(r, c2, z * a + w * b)
+        if q is not None:
+            q1, q2 = q[c1], q[c2]
+            q[c1] = [x * a + y * b for a, b in zip(q1, q2)]
+            q[c2] = [z * a + w * b for a, b in zip(q1, q2)]
 
     def pick_pivot():
         best = None
@@ -106,7 +125,7 @@ def smith_normal_form(matrix) -> SNFResult:
                     best = (r, c)
         return best
 
-    diagonal = []
+    pivots = []
     while rows:
         pr, pc = pick_pivot()
         while True:
@@ -134,11 +153,9 @@ def smith_normal_form(matrix) -> SNFResult:
                     col_combine(pc, c, x, y, -(e // g), p // g)
             if len(cols.get(pc, set())) == 1 and len(rows.get(pr, {})) == 1:
                 break
-        diagonal.append(rows[pr][pc])
+        pivots.append((pc, rows[pr][pc]))
         set_entry(pr, pc, 0)
-
-    factors = _divisibility_chain(diagonal)
-    return SNFResult(factors, len(factors), nrows, ncols)
+    return pivots, q
 
 
 def _xgcd(a, b):
@@ -156,73 +173,6 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class SNFTransform:
-    diagonal: tuple[int, ...]  # first ``rank`` entries nonzero, not necessarily chained
-    rank: int
-    q: tuple[tuple[int, ...], ...]  # column transform: diag = P * M * Q
-
-    def q_column(self, j) -> list[int]:
-        return [self.q[i][j] for i in range(len(self.q))]
-
-
-def smith_with_transform(matrix, ncols=None) -> SNFTransform:
-    """Dense Smith reduction that records the column transform Q.
-
-    Row operations are applied but not recorded.  Intended for the small
-    systems behind kernel extraction (cocycle solving, flow sampling).
-    """
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    if ncols is None:
-        ncols = len(m[0]) if nrows else 0
-    q = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    t = 0
-    while True:
-        pivot = None
-        for r in range(t, nrows):
-            for c in range(t, ncols):
-                if m[r][c] and (pivot is None or abs(m[r][c]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (r, c)
-        if pivot is None:
-            break
-        pr, pc = pivot
-        m[t], m[pr] = m[pr], m[t]
-        if pc != t:
-            for row in m:
-                row[t], row[pc] = row[pc], row[t]
-            for row in q:
-                row[t], row[pc] = row[pc], row[t]
-        dirty = True
-        while dirty:
-            dirty = False
-            for r in range(t + 1, nrows):
-                if m[r][t]:
-                    qq = m[r][t] // m[t][t]
-                    for c in range(t, ncols):
-                        m[r][c] -= qq * m[t][c]
-                    if m[r][t]:
-                        m[t], m[r] = m[r], m[t]
-                        dirty = True
-            for c in range(t + 1, ncols):
-                if m[t][c]:
-                    qq = m[t][c] // m[t][t]
-                    for r in range(nrows):
-                        m[r][c] -= qq * m[r][t]
-                    for r in range(ncols):
-                        q[r][c] -= qq * q[r][t]
-                    if m[t][c]:
-                        for row in m:
-                            row[t], row[c] = row[c], row[t]
-                        for row in q:
-                            row[t], row[c] = row[c], row[t]
-                        dirty = True
-        t += 1
-    diag = [m[i][i] if i < nrows else 0 for i in range(min(nrows, ncols))]
-    diag = [d for d in diag if d]
-    return SNFTransform(tuple(abs(d) for d in diag), len(diag), tuple(tuple(r) for r in q))
-
-
 def rank(matrix) -> int:
     if not matrix or not matrix[0]:
         return 0
@@ -230,38 +180,29 @@ def rank(matrix) -> int:
 
 
 def integer_kernel_basis(matrix, ncols) -> list[list[int]]:
-    """Basis of the integer kernel {x : M x = 0}."""
-    if ncols == 0:
-        return []
-    if not matrix:
-        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    snf = smith_with_transform(matrix, ncols)
-    return [snf.q_column(j) for j in range(snf.rank, ncols)]
+    """Basis of the integer kernel {x : M x = 0}: the columns of Q at the
+    non-pivot columns."""
+    pivots, q = _eliminate(matrix, ncols, track_q=True)
+    pivot_cols = {c for c, _ in pivots}
+    return [q[j] for j in range(ncols) if j not in pivot_cols]
 
 
 def kernel_mod(matrix, ncols, modulus) -> list[tuple[list[int], int]]:
     """Generators (vector, order) of {x in (Z/m)^n : M x = 0 mod m}.
 
     The generators are independent: the kernel is the direct sum of the
-    cyclic groups they span.
+    cyclic groups they span.  A pivot (j, d) gives m / gcd(d, m) times
+    column j of Q, of order gcd(d, m); a non-pivot column j gives column j
+    of Q, of order m.  Generators of order 1 are left out.
     """
-    if ncols == 0:
-        return []
-    if not matrix:
-        matrix = [[0] * ncols]
-    snf = smith_with_transform(matrix, ncols)
+    pivots, q = _eliminate(matrix, ncols, track_q=True)
+    pivot_of = dict(pivots)
     gens = []
     for j in range(ncols):
-        if j < snf.rank:
-            g = gcd(snf.diagonal[j], modulus)
-            if g == 1:
-                continue
-            scale = modulus // g
-            vec = [(scale * v) % modulus for v in snf.q_column(j)]
-            gens.append((vec, g))
-        else:
-            vec = [v % modulus for v in snf.q_column(j)]
-            gens.append((vec, modulus))
+        order = gcd(pivot_of.get(j, 0), modulus)
+        if order > 1:
+            scale = modulus // order
+            gens.append(([(scale * v) % modulus for v in q[j]], order))
     return gens
 
 

@@ -1,5 +1,10 @@
+import importlib
+import random
+
 import pytest
 
+from comtes.census import enumerate_q_graphs, graph_from_injections, partial_injections
+from comtes.coloring import graph_homomorphisms
 from comtes.core import comte, graph, is_homomorphism
 from comtes.cubes import build_Yn
 from comtes.homology import (
@@ -68,6 +73,35 @@ class TestHomEnumeration:
         tuples = hom_tuples(3, EXHOC)
         assert tuples == sorted(tuples)
 
+    def test_matches_general_homomorphism_search(self):
+        # the general constraint search knows nothing of origin tuples, so
+        # it is an independent oracle for the degree-by-degree extension
+        rng = random.Random(5)
+        injections = partial_injections(3)
+        sample = [graph_from_injections([rng.choice(injections) for _ in range(3)]) for _ in range(60)]
+        graphs = list(enumerate_q_graphs(3)) + sample
+        for g in graphs:
+            idx = g.vertex_index()
+            for n in range(5):
+                homs = graph_homomorphisms(build_Yn(n).graph, g)
+                origins = sorted(
+                    tuple(idx[dict(h.vertex_map)[str(k)]] for k in range(1, n + 1)) for h in homs
+                )
+                assert hom_tuples(n, g) == origins, (g, n)
+
+    def test_homology_range_builds_each_basis_once(self, monkeypatch):
+        homology_module = importlib.import_module("comtes.homology")
+        built = []
+        extend = homology_module._extend
+
+        def counting(tables, n, dot, q_quotient):
+            built.append(n)
+            return extend(tables, n, dot, q_quotient)
+
+        monkeypatch.setattr(homology_module, "_extend", counting)
+        homology_range(EXHOC, 5)
+        assert built == [1, 2, 3, 4, 5, 6]
+
 
 class TestBoundary:
     def test_degree_two_formula(self):
@@ -115,6 +149,24 @@ class TestHomology:
     def test_h1_of_connected_q_graph_is_z(self):
         for g in (EXHOC, G2_BAR, G3_BAR):
             assert homology(g, 1).format() == "Z"
+
+    def test_published_quandle_homology(self):
+        # H^Q_2, H^Q_3 of R_3 and S_4: Carter, Jelsovsky, Kamada, Saito,
+        # JPAA 157 (2001); H^Q_3 of R_5: Mochizuki, JPAA 179 (2003)
+        r3 = homology_range(graph_of_rack(dihedral_quandle(3)), 3, q_quotient=True)
+        assert [h.format() for h in r3[1:]] == ["0", "Z/3"]
+        s4 = homology_range(graph_of_rack(tetrahedron_quandle()), 3, q_quotient=True)
+        assert [h.format() for h in s4[1:]] == ["Z/2", "Z/2 + Z/4"]
+        r5 = homology_range(graph_of_rack(dihedral_quandle(5)), 3, q_quotient=True)
+        assert r5[2].format() == "Z/5"
+
+    def test_rack_and_quandle_betti_numbers(self):
+        # Etingof, Grana, JPAA 177 (2003): with o orbits, the rack Betti
+        # numbers are o^n and the quandle Betti numbers o(o-1)^(n-1)
+        for x, o in ((dihedral_quandle(3), 1), (dihedral_quandle(5), 1), (tetrahedron_quandle(), 1), (trivial_quandle(2), 2)):
+            g = graph_of_rack(x)
+            assert [h.betti for h in homology_range(g, 3)] == [o**n for n in range(1, 4)]
+            assert [h.betti for h in homology_range(g, 3, q_quotient=True)] == [o * (o - 1) ** (n - 1) for n in range(1, 4)]
 
     def test_formats(self):
         from comtes.homology import HomologyGroup

@@ -3,12 +3,12 @@ import random
 from math import gcd
 
 from comtes.linalg import (
+    _eliminate,
     integer_kernel_basis,
     image_size_mod,
     kernel_mod,
     kernel_size_mod,
     smith_normal_form,
-    smith_with_transform,
 )
 
 
@@ -103,13 +103,26 @@ def test_integer_kernel():
             assert all(sum(m[i][j] * v[j] for j in range(c)) == 0 for i in range(r))
 
 
-def test_transform_diagonalizes():
+def test_transform_is_unimodular_and_diagonalizes():
     rng = random.Random(17)
     for _ in range(100):
         r, c = rng.randrange(1, 5), rng.randrange(1, 5)
         m = [[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)]
-        snf = smith_with_transform(m, c)
-        assert snf.rank == smith_normal_form(m).rank
+        pivots, q = _eliminate(m, c, track_q=True)
+        assert abs(bareiss_det([[q[j][i] for j in range(c)] for i in range(c)])) == 1
+        pivot_of = dict(pivots)
+        assert len(pivot_of) == len(pivots) == smith_normal_form(m).rank
+        mq = [[sum(m[i][k] * q[j][k] for k in range(c)) for j in range(c)] for i in range(r)]
+        for j in range(c):
+            if j not in pivot_of:
+                assert all(mq[i][j] == 0 for i in range(r))
+        # The row transform P is not recorded, so M Q = P^-1 D: each pivot
+        # column is d times a column of a unimodular matrix.  Those columns
+        # divided by d must have maximal minors with gcd 1.
+        if pivots:
+            assert all(mq[i][j] % d == 0 for j, d in pivots for i in range(r))
+            u = [[mq[i][j] // d for j, d in pivots] for i in range(r)]
+            assert minor_gcds(u) == [1] * len(pivots)
 
 
 def test_kernel_mod():
@@ -127,6 +140,20 @@ def test_kernel_mod():
             for vec, order in kernel_mod(m, c, mod):
                 assert order > 1 and mod % order == 0
                 assert all(sum(m[i][j] * vec[j] for j in range(c)) % mod == 0 for i in range(r))
+
+
+def test_kernel_size_mod_brute_force():
+    rng = random.Random(29)
+    for _ in range(60):
+        r, c = rng.randrange(1, 4), rng.randrange(1, 4)
+        m = [[rng.randrange(-4, 5) for _ in range(c)] for _ in range(r)]
+        mod = rng.choice((2, 3, 4, 6))
+        count = sum(
+            1
+            for x in itertools.product(range(mod), repeat=c)
+            if all(sum(m[i][j] * x[j] for j in range(c)) % mod == 0 for i in range(r))
+        )
+        assert kernel_size_mod(m, c, mod) == count
 
 
 def test_image_size_mod():
