@@ -150,17 +150,19 @@ def cmd_homology(args) -> int:
 
 def cmd_moves(args) -> int:
     c = _load_comte(args.comte)
-    if args.action == "enumerate":
-        pool = enumerate_moves(c, r3b_range=args.r3b_range)
+    if args.action in ("enumerate", "apply"):
+        if args.ignore_flows:
+            c = Comte(c.graph, (0,) * len(c.graph.arrows))
+        pool = enumerate_moves(c, ignore_flows=args.ignore_flows, r3b_range=args.r3b_range)
         if args.inverse:
-            pool += inverse_instances(c, flow_lo=args.flow_lo, flow_hi=args.flow_hi)
-        for i, m in enumerate(pool):
-            print(f"{i}\t{m.format()}")
-        return 0
-    if args.action == "apply":
-        pool = enumerate_moves(c, r3b_range=args.r3b_range)
-        if args.inverse:
-            pool += inverse_instances(c, flow_lo=args.flow_lo, flow_hi=args.flow_hi)
+            pool += inverse_instances(
+                c, flow_lo=args.flow_lo, flow_hi=args.flow_hi,
+                ignore_flows=args.ignore_flows, max_split_slots=args.max_split_slots,
+            )
+        if args.action == "enumerate":
+            for i, m in enumerate(pool):
+                print(f"{i}\t{m.format()}")
+            return 0
         if not 0 <= args.index < len(pool):
             raise CommandError(f"move index {args.index} out of range (0..{len(pool) - 1})")
         sys.stdout.write(encode(apply_move(c, pool[args.index])))
@@ -174,6 +176,7 @@ def cmd_moves(args) -> int:
         r3b_range=args.r3b_range,
         flow_lo=args.flow_lo,
         flow_hi=args.flow_hi,
+        max_split_slots=args.max_split_slots,
     )
     trace = equivalent_bounded(c, target, budget, ignore_flows=args.ignore_flows)
     if trace is None:
@@ -272,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     mv.add_argument("--r3b-range", type=int, default=2)
     mv.add_argument("--flow-lo", type=int, default=-1)
     mv.add_argument("--flow-hi", type=int, default=2)
-    mv.add_argument("--ignore-flows", action="store_true")
+    mv.add_argument("--max-split-slots", type=int, default=10, help="skip splits of vertices with more slots")
+    mv.add_argument("--ignore-flows", action="store_true", help="zero the flows first (bare-graph mode)")
     mv.set_defaults(fn=cmd_moves)
 
     cen = sub.add_parser("census", help="enumerate r-/q-graphs up to isomorphism")

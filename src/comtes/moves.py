@@ -101,7 +101,7 @@ def _check_arrow(c: Comte, i: int) -> Arrow:
 
 
 def _check_vertex(c: Comte, v: str) -> str:
-    if v not in set(c.graph.vertices):
+    if v not in c.graph.vertices:
         raise MoveError(f"stale site: vertex {v!r} not present")
     return v
 
@@ -493,6 +493,37 @@ _APPLY = {
     "R3b_shift": _apply_r3b,
 }
 
+# (vertex change, arrow change) of the kinds whose change is fixed
+_FIXED_SIZE_CHANGE = {
+    "R0": (-1, -1),
+    "R0inv": (1, 1),
+    "R1contract": (-1, -1),
+    "R1split": (1, 1),
+    "R1loopdel": (0, -1),
+    "R1loopadd": (0, 1),
+    "R3a_remove": (0, -1),
+    "R3a_add": (0, 1),
+    "R3b_shift": (0, 0),
+}
+
+
+def size_change(c: Comte, m: MoveInstance) -> tuple[int, int]:
+    """The (vertex, arrow) count change that applying ``m`` to ``c`` makes,
+    computed without applying it.  Meaningful only when the move applies."""
+    fixed = _FIXED_SIZE_CHANGE.get(m.kind)
+    if fixed is not None:
+        return fixed
+    if m.kind in ("R2a", "R2b"):
+        # merging two arrows identifies their merged endpoints when they differ
+        role = "t" if m.kind == "R2a" else "s"
+        e1, e2 = m.arrows
+        merged = _slot(_check_arrow(c, e1), role) != _slot(_check_arrow(c, e2), role)
+        return (-1 if merged else 0, -1)
+    if m.kind in ("R2a_split", "R2b_split"):
+        # the fresh flavor splits off a new endpoint, the parallel one does not
+        return (1 if m.flags == ("fresh",) else 0, 1)
+    raise MoveError(f"unknown move kind {m.kind!r}")
+
 
 # ---------------------------------------------------------------------------
 # Enumeration
@@ -624,13 +655,23 @@ def inverse_instances(
     valid comte and yields a valid comte.  ``ignore_flows`` zeroes the flows
     first (bare-graph mode) and collapses the flow windows to {0}.
     """
+    return _inverse_instances(c, flow_lo, flow_hi, ignore_flows, max_split_slots, new_vertices=True)
+
+
+def _inverse_instances(
+    c: Comte, flow_lo: int, flow_hi: int, ignore_flows: bool, max_split_slots: int, *, new_vertices: bool
+) -> list[MoveInstance]:
+    """The instances of ``inverse_instances``, in its order, leaving out the
+    vertex-adding ones (R0inv, R1split, fresh splits) unless ``new_vertices``."""
     if ignore_flows:
         c = _zero_flows(c)
         flow_lo, flow_hi = 0, 0
     g = c.graph
     out: list[MoveInstance] = []
+    # the vertices a vertex-adding instance (R0inv, R1split) may start from
+    growing = g.vertices if new_vertices else ()
     # inverse R0: attach a pendant vertex, either direction, any label, flow 0
-    for u in g.vertices:
+    for u in growing:
         for labelv in g.vertices:
             for flag in ("target", "source"):
                 out.append(MoveInstance("R0inv", vertices=(u, labelv), flags=(flag,)))
@@ -639,7 +680,7 @@ def inverse_instances(
         for j in range(flow_lo, flow_hi + 1):
             out.append(MoveInstance("R1loopadd", vertices=(v,), params=(j,)))
     # inverse R1 (contraction): split a vertex
-    for v in g.vertices:
+    for v in growing:
         slots = _incident_slots(g, v)
         if len(slots) > max_split_slots:
             continue
@@ -664,6 +705,8 @@ def inverse_instances(
                     out.append(
                         MoveInstance(kind, arrows=(ei,), params=(i1, i2), flags=("parallel",))
                     )
+        if not new_vertices:
+            continue  # a fresh split adds a vertex
         for kind, merge_role in (("R2a_split", "t"), ("R2b_split", "s")):
             mvert = _slot(a, merge_role)
             slots = [s for s in _incident_slots(g, mvert) if s != (ei, merge_role)]
@@ -818,15 +861,15 @@ def _apply_canonical(c: Comte, m: MoveInstance):
     return cf.comte, cf.key, inv
 
 
-def _all_instances(c: Comte, budget: SearchBudget, ignore_flows: bool):
+def _all_instances(c: Comte, budget: SearchBudget, ignore_flows: bool, vertex_room: int, arrow_room: int):
+    """Forward, then inverse instances of ``c``.  Every inverse instance adds
+    an arrow, so none is built without arrow room, and the vertex-adding ones
+    are not built without vertex room."""
     yield from enumerate_moves(c, ignore_flows=ignore_flows, r3b_range=budget.r3b_range)
-    yield from inverse_instances(
-        c,
-        flow_lo=budget.flow_lo,
-        flow_hi=budget.flow_hi,
-        ignore_flows=ignore_flows,
-        max_split_slots=budget.max_split_slots,
-    )
+    if arrow_room > 0:
+        yield from _inverse_instances(
+            c, budget.flow_lo, budget.flow_hi, ignore_flows, budget.max_split_slots, new_vertices=vertex_room > 0
+        )
 
 
 def replay_trace(c: Comte, trace: MoveTrace, *, ignore_flows: bool = False) -> Comte:
@@ -905,15 +948,16 @@ def equivalent_bounded(
         new_frontier = []
         for key in frontier[side]:
             state = visited[side][key][0]
-            for inst in _all_instances(state, budget, ignore_flows):
+            vertex_room = budget.max_vertices - len(state.graph.vertices)
+            arrow_room = budget.max_arrows - len(state.graph.arrows)
+            for inst in _all_instances(state, budget, ignore_flows, vertex_room, arrow_room):
                 try:
+                    # reject oversize children before building them
+                    dv, da = size_change(state, inst)
+                    if dv > vertex_room or da > arrow_room:
+                        continue
                     child, child_key, inv = _apply_canonical(state, inst)
                 except MoveError:
-                    continue
-                if (
-                    len(child.graph.vertices) > budget.max_vertices
-                    or len(child.graph.arrows) > budget.max_arrows
-                ):
                     continue
                 if child_key in visited[other]:
                     data = (child, key, inst, inv)

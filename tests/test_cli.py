@@ -3,7 +3,8 @@ import json
 import pytest
 
 from comtes.cli import main
-from comtes.core import canonical_key, comte, decode, encode
+from comtes.core import Comte, canonical_key, comte, decode, encode
+from comtes.moves import apply_move, enumerate_moves, inverse_instances
 
 TREFOIL = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)])
 
@@ -163,6 +164,41 @@ class TestMovesCommand:
         d.write_text(encode(comte("a", [])))
         code, out, _ = run(capsys, "moves", "search", "--comte", str(p), "--target", str(d), "--max-states", "200")
         assert code == 0 and out.startswith("unknown")
+
+    def test_ignore_flows_enumerates_and_applies_bare_graph_moves(self, capsys, tmp_path):
+        # a full square whose sides carry flow: only with flows zeroed may a
+        # side be removed, and no flow shift is listed
+        square = comte(
+            "a b t c u s r",
+            [("b", "t", "a", 0), ("c", "u", "a", 1), ("u", "s", "t", 1),
+             ("c", "r", "b", -1), ("r", "s", "a", -1), ("s", "c", "a", 0)],
+        )
+        zeroed = Comte(square.graph, (0,) * len(square.arrows))
+        p = tmp_path / "square.json"
+        p.write_text(encode(square))
+        code, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p))
+        assert code == 0 and "R3b_shift" in out and "R3a_remove" not in out
+        code, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p), "--inverse", "--ignore-flows")
+        pool = enumerate_moves(zeroed, r3b_range=2, ignore_flows=True) + inverse_instances(zeroed, ignore_flows=True)
+        assert code == 0 and out == "".join(f"{i}\t{m.format()}\n" for i, m in enumerate(pool))
+        assert "R3a_remove" in out and "R3b_shift" not in out
+        index = next(i for i, m in enumerate(pool) if m.kind == "R3a_remove")
+        code, out, _ = run(capsys, "moves", "apply", "--comte", str(p), "--index", str(index), "--ignore-flows")
+        assert code == 0 and decode(out) == apply_move(zeroed, pool[index])
+        assert set(decode(out).flows) == {0}
+
+    def test_max_split_slots(self, capsys, tmp_path, monkeypatch):
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        # each trefoil vertex has three incident slots: 2^3 subsets, 4 flag pairs
+        _, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p), "--inverse")
+        assert out.count("R1split") == 3 * 8 * 4
+        _, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p), "--inverse", "--max-split-slots", "2")
+        assert "R1split" not in out and "R0inv" in out
+        budgets = []
+        monkeypatch.setattr("comtes.cli.equivalent_bounded", lambda c1, c2, budget, **kw: budgets.append(budget))
+        run(capsys, "moves", "search", "--comte", str(p), "--target", str(p), "--max-split-slots", "3")
+        assert budgets[0].max_split_slots == 3
 
     def test_bad_index(self, capsys, tmp_path):
         p = tmp_path / "t.json"

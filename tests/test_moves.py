@@ -1,16 +1,21 @@
+import dataclasses
+
 import pytest
 
-from comtes.core import canonical_key, comte, validate
+from comtes.core import Comte, canonical_key, comte, validate
 from comtes.moves import (
+    _APPLY,
     MoveError,
     MoveInstance,
     SearchBudget,
+    _inverse_instances,
     apply_move,
     apply_move_detailed,
     enumerate_moves,
     equivalent_bounded,
     inverse_instances,
     replay_trace,
+    size_change,
 )
 from comtes.coloring import coloring_count
 from comtes.racks import tetrahedron_quandle
@@ -270,3 +275,114 @@ def test_ignore_flows_enumeration_is_bare_graph_mode():
     assert bare == expected
     assert any(m.kind == "R3a_remove" for m in bare)  # nonzero sides no longer block
     assert not any(m.kind == "R3b_shift" for m in bare)
+
+
+def _zeroed(c):
+    return Comte(c.graph, (0,) * len(c.arrows))
+
+
+class TestSizeChange:
+    """The search rejects oversize children from ``size_change`` alone, before
+    applying the move, so the declared change must be the actual one."""
+
+    def _sample(self, make_comte, ignore_flows):
+        sample = [SQUARE, SQUARE0, TREFOIL] + [make_comte(nmax=4, amax=6) for _ in range(150)]
+        return [_zeroed(c) for c in sample] if ignore_flows else sample
+
+    @pytest.mark.parametrize("ignore_flows", [False, True])
+    def test_declared_change_is_applied_change(self, make_comte, ignore_flows):
+        seen = set()
+        for c in self._sample(make_comte, ignore_flows):
+            pool = enumerate_moves(c, ignore_flows=ignore_flows, r3b_range=1) + inverse_instances(
+                c, ignore_flows=ignore_flows, max_split_slots=6
+            )
+            for m in pool:
+                try:
+                    out = apply_move(c, m)
+                except MoveError:
+                    continue
+                change = (len(out.vertices) - len(c.vertices), len(out.arrows) - len(c.arrows))
+                assert size_change(c, m) == change, (c, m)
+                seen.add((m.kind, change))
+        kinds = set(_APPLY) - ({"R3b_shift"} if ignore_flows else set())
+        assert {kind for kind, _ in seen} == kinds
+        # both R2 merges (endpoints shared or not) and both split flavors
+        assert {("R2a", (0, -1)), ("R2a", (-1, -1)), ("R2b", (0, -1)), ("R2b", (-1, -1))} <= seen
+        assert {("R2a_split", (0, 1)), ("R2a_split", (1, 1))} <= seen
+
+    @pytest.mark.parametrize("ignore_flows", [False, True])
+    def test_pruned_generation_leaves_out_only_vertex_adding_instances(self, make_comte, ignore_flows):
+        for c in self._sample(make_comte, ignore_flows):
+            full = inverse_instances(c, ignore_flows=ignore_flows, max_split_slots=6)
+            assert all(size_change(c, m)[1] == 1 for m in full), c
+            kept = _inverse_instances(c, -1, 2, ignore_flows, 6, new_vertices=False)
+            assert kept == [m for m in full if size_change(c, m)[0] == 0], c
+
+    def test_unknown_kind(self):
+        with pytest.raises(MoveError, match="unknown move kind"):
+            size_change(TREFOIL, MoveInstance("R9"))
+
+    @pytest.mark.parametrize("max_vertices, max_arrows", [(3, 5), (4, 3)])
+    def test_search_canonicalizes_no_oversize_child(self, monkeypatch, max_vertices, max_arrows):
+        # the start is over one of the bounds, so some of its children that
+        # shrink still do not fit
+        import comtes.moves
+
+        sizes = []
+        real = comtes.moves.canonical_form
+
+        def recording(c):
+            sizes.append((len(c.vertices), len(c.arrows)))
+            return real(c)
+
+        monkeypatch.setattr(comtes.moves, "canonical_form", recording)
+        looped_kink = comte(
+            "a b c d",
+            [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "d", "b", 1), ("d", "a", "d", 1), ("a", "a", "a", 0)],
+        )
+        budget = SearchBudget(max_states=300, max_vertices=max_vertices, max_arrows=max_arrows)
+        assert equivalent_bounded(looped_kink, comte("a", []), budget) is None
+        assert sizes[:2] == [(4, 5), (1, 0)]
+        assert all(v <= max_vertices and a <= max_arrows for v, a in sizes[2:])
+
+
+# The worked pair and budget of acceptance criterion 3.
+G2 = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1), ("a", "c", "b", 0)])
+G3 = comte("a b c", [("a", "b", "c", 1), ("b", "a", "c", 1), ("c", "a", "b", 0), ("a", "c", "b", 0)])
+G2G3_BUDGET = SearchBudget(
+    max_states=400000, max_vertices=4, max_arrows=6, r3b_range=1, flow_lo=0, flow_hi=1, max_split_slots=6
+)
+
+
+class TestSearchGolden:
+    """Search results recorded while the size budget was still checked after
+    each move was applied and canonicalized; checking it before must not
+    change them."""
+
+    def test_g2_g3_trace(self):
+        trace = equivalent_bounded(G2, G3, G2G3_BUDGET)
+        assert trace.format() == (
+            "R1split site=[vertices=2 moved=1t flags=old_new,old]\n"
+            "R3a_add site=[arrows=4,2,3,0] params=2\n"
+            "R3b_shift site=[arrows=5,3,4,2,0] params=-1\n"
+            "R3a_remove site=[arrows=5,3,4,2,0] params=3\n"
+            "R0 site=[arrows=3 vertices=3]\n"
+        )
+        assert canonical_key(replay_trace(G2, trace)) == canonical_key(G3)
+
+    def test_g2_g3_trace_without_vertex_room(self):
+        # no state may grow past G2's three vertices, so no vertex-adding
+        # instance is generated at all
+        trace = equivalent_bounded(G2, G3, dataclasses.replace(G2G3_BUDGET, max_vertices=3, max_states=5000))
+        assert trace.format() == (
+            "R1loopadd site=[vertices=0] params=0\n"
+            "R3a_add site=[arrows=4,0,2,1] params=3\n"
+            "R3b_shift site=[arrows=4,0,1,2,5] params=1\n"
+            "R3a_remove site=[arrows=5,0,2,1,3] params=2\n"
+            "R1loopdel site=[arrows=0]\n"
+        )
+        assert canonical_key(replay_trace(G2, trace)) == canonical_key(G3)
+
+    @pytest.mark.parametrize("limit", [dict(max_states=2000), dict(max_arrows=5, max_states=5000)])
+    def test_budget_limited_search_finds_nothing(self, limit):
+        assert equivalent_bounded(G2, G3, dataclasses.replace(G2G3_BUDGET, **limit)) is None
