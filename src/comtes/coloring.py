@@ -17,16 +17,14 @@ from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow
 
 def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
     """All vertex maps f with: every src arrow has at least one dst arrow
-    над (f(source), f(label), f(target)).  Backtracks most-constrained
+    over (f(source), f(label), f(target)).  Backtracks most-constrained
     vertices first; yields dicts in no particular order."""
     sv = list(src.vertices)
     if not sv:
         yield {}
         return
-    dst_by_sl: dict[tuple[str, str], list[int]] = {}
     dst_by_slt: dict[tuple[str, str, str], list[int]] = {}
     for j, b in enumerate(dst.arrows):
-        dst_by_sl.setdefault((b.source, b.label), []).append(j)
         dst_by_slt.setdefault((b.source, b.label, b.target), []).append(j)
     touch = {v: 0 for v in sv}
     for a in src.arrows:

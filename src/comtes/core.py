@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations, product
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ def component_index(g: SelfIndexedGraph) -> dict[str, int]:
 
 
 def quotient(g: SelfIndexedGraph, pairs) -> tuple[SelfIndexedGraph, dict[str, str]]:
-    """Identify vertices pairwise (transитively); return graph and vertex map.
+    """Identify vertices pairwise (transitively); return graph and vertex map.
 
     The representative of each class is its earliest member in vertex order.
     Arrow order is preserved; labels are rewritten through the map.
@@ -263,9 +262,12 @@ def contract_with_map(g: SelfIndexedGraph, T) -> tuple[SelfIndexedGraph, dict[st
 #
 # The canonical form of a graph (or comte) minimizes, over vertex bijections
 # onto 0..n-1, the sorted list of arrow tuples (source, target, label[, flow]).
-# Bijections are restined to respect an isomorphism-invariant color
-# partition obtained by iterated refinement, which keeps the brute-force
-# part tiny for the graph sizes this library targets.
+# Only the bijections at the leaves of an individualization-refinement tree
+# are tried: colour refinement splits the vertices by an isomorphism-invariant
+# ordered partition; while a cell has several vertices, each of them in turn
+# is given its own colour ahead of the rest of the cell and the colouring is
+# refined again.  A vertex is skipped when swapping it with one already tried
+# in that cell fixes the arrow multiset, as the two subtrees then agree.
 
 
 @dataclass(frozen=True)
@@ -283,49 +285,31 @@ class CanonicalForm:
         return Comte(self.graph, self.flows)
 
 
-def _refine_colors(n, arrs):
-    """Iterated color refinement; returns a list of color ids per vertex."""
-    colors = [0] * n
-    ncolors = 1
+def _refine_colors(n, arrs, colors):
+    """Iterated refinement of an ordered colouring; returns colour ranks per
+    vertex.  A vertex's new colour sorts first by its old one, so the new ranks
+    keep the old order."""
+    ncolors = len(set(colors))
     while True:
-        sigs = []
-        for v in range(n):
-            local = []
-            for s, t, l, f in arrs:
-                role = (s == v) * 4 + (t == v) * 2 + (l == v)
-                if role:
-                    local.append((role, colors[s], colors[t], colors[l], f))
-            local.sort()
-            sigs.append((colors[v], tuple(local)))
+        local = [[] for _ in range(n)]
+        for s, t, l, f in arrs:
+            arrow = (colors[s], colors[t], colors[l], f)
+            for v in {s, t, l}:
+                local[v].append(((s == v) * 4 + (t == v) * 2 + (l == v), arrow))
+        sigs = [(colors[v], tuple(sorted(loc))) for v, loc in enumerate(local)]
         order = sorted(set(sigs))
         rank = {sig: i for i, sig in enumerate(order)}
-        new = [rank[sigs[v]] for v in range(n)]
+        new = [rank[sig] for sig in sigs]
         if len(order) == ncolors:
             return new
         colors, ncolors = new, len(order)
 
 
-def _candidate_positions(colors):
-    """Assignments vertex -> position consistent with the color classes.
-
-    Classes are laid out in increasing color order; all orderings inside a
-    class are enumerated.
-    """
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    blocks = [classes[c] for c in sorted(classes)]
-    starts = []
-    pos = 0
-    for b in blocks:
-        starts.append(pos)
-        pos += len(b)
-    for perms in product(*[permutations(b) for b in blocks]):
-        assign = [0] * len(colors)
-        for start, perm in zip(starts, perms):
-            for off, v in enumerate(perm):
-                assign[v] = start + off
-        yield assign
+def _twins(arrs, u, v):
+    """True if swapping vertices u and v maps the arrow multiset to itself."""
+    swap = {u: v, v: u}
+    near = [a for a in arrs if a[0] in swap or a[1] in swap or a[2] in swap]
+    return sorted(near) == sorted((swap.get(s, s), swap.get(t, t), swap.get(l, l), f) for s, t, l, f in near)
 
 
 def canonical_form(obj: Comte | SelfIndexedGraph, *, with_flows: bool | None = None) -> CanonicalForm:
@@ -348,31 +332,36 @@ def canonical_form(obj: Comte | SelfIndexedGraph, *, with_flows: bool | None = N
         (idx[a.source], idx[a.target], idx[a.label], flows[i] if flows is not None else 0)
         for i, a in enumerate(g.arrows)
     ]
-    if n <= 4:
-        colors = [0] * n
-    else:
-        colors = _refine_colors(n, arrs)
-    best = None
-    best_assign = None
-    for assign in _candidate_positions(colors):
-        enc = sorted(
-            ((assign[s], assign[t], assign[l], f), i) for i, (s, t, l, f) in enumerate(arrs)
-        )
-        enc_key = tuple(e for e, _ in enc)
-        if best is None or enc_key < best:
-            best = enc_key
-            best_assign = (assign, tuple(i for _, i in enc))
-    assign, order = best_assign if best_assign is not None else ([], ())
+    best = best_assign = None
+    stack = [[0] * n]
+    while stack:
+        colors = _refine_colors(n, arrs, stack.pop())
+        sizes = [0] * n
+        for c in colors:
+            sizes[c] += 1
+        cell = next((c for c in range(n) if sizes[c] > 1), None)
+        if cell is None:
+            enc = sorted(((colors[s], colors[t], colors[l], f), i) for i, (s, t, l, f) in enumerate(arrs))
+            enc_key = tuple(e for e, _ in enc)
+            if best is None or enc_key < best:
+                best, best_assign = enc_key, (colors, tuple(i for _, i in enc))
+            continue
+        tried = []
+        for v in range(n):
+            if colors[v] == cell and not any(_twins(arrs, u, v) for u in tried):
+                tried.append(v)
+                stack.append([2 * c + (c == cell and u != v) for u, c in enumerate(colors)])
+    assign, order = best_assign
     names = tuple(str(i) for i in range(n))
     vmap = {v: names[assign[idx[v]]] for v in g.vertices}
-    new_arrows = tuple(Arrow(names[e[0]], names[e[1]], names[e[2]]) for e in (best or ()))
+    new_arrows = tuple(Arrow(names[e[0]], names[e[1]], names[e[2]]) for e in best)
     new_graph = SelfIndexedGraph(names, new_arrows)
     arrow_perm = [0] * len(order)
     for new_i, old_i in enumerate(order):
         arrow_perm[old_i] = new_i
-    new_flows = tuple(e[3] for e in (best or ())) if flows is not None else None
+    new_flows = tuple(e[3] for e in best) if flows is not None else None
     tag = b"c" if flows is not None else b"g"
-    key = tag + repr((n, best or ())).encode()
+    key = tag + repr((n, best)).encode()
     return CanonicalForm(key, vmap, tuple(arrow_perm), new_graph, new_flows)
 
 

@@ -916,14 +916,10 @@ def equivalent_bounded(
     n_states = 2
 
     def build_trace(meet_key, child_data, side):
-        # child_data: the new edge discovered from `side` into the other side
-        fwd, bwd = visited[0], visited[1]
-        if side == 0:
-            fwd = dict(fwd)
-            fwd[meet_key] = child_data
-        else:
-            bwd = dict(bwd)
-            bwd[meet_key] = child_data
+        # child_data: the new edge discovered from `side` into the other side;
+        # the search ends here, so it is recorded in place
+        visited[side][meet_key] = child_data
+        fwd, bwd = visited
         steps = []
         k = meet_key
         while True:
@@ -960,10 +956,7 @@ def equivalent_bounded(
                 except MoveError:
                     continue
                 if child_key in visited[other]:
-                    data = (child, key, inst, inv)
-                    if side == 0:
-                        return build_trace(child_key, data, 0)
-                    return build_trace(child_key, data, 1)
+                    return build_trace(child_key, (child, key, inst, inv), side)
                 if child_key not in visited[side]:
                     visited[side][child_key] = (child, key, inst, inv)
                     new_frontier.append(child_key)

@@ -332,10 +332,12 @@ def parse_cocycle(text: str) -> Cocycle2:
     for ln in lines[1:]:
         lhs, _, rhs = ln.partition("->")
         x, y = (int(v) for v in lhs.split())
-        vec = tuple(int(v) % m for v, m in zip((int(s) for s in rhs.split(",")), orders))
-        if len(vec) != len(orders):
+        if x < 0 or y < 0:
+            raise ValueError(f"negative element index in line {ln!r}")
+        residues = [int(v) for v in rhs.split(",")]
+        if len(residues) != len(orders):
             raise ValueError(f"bad A-element in line {ln!r}")
-        entries[(x, y)] = vec
+        entries[(x, y)] = tuple(r % m for r, m in zip(residues, orders))
         n = max(n, x + 1, y + 1)
     vals = tuple(
         tuple(entries.get((x, y), group.identity) for y in range(n)) for x in range(n)

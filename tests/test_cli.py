@@ -264,3 +264,12 @@ class TestStateSumHardening:
         fpath.write_text("not a cocycle\n")
         code, _, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
         assert code == 1 and "bad cocycle file" in err
+
+    @pytest.mark.parametrize("line", ["0 1 -> 1,1", "-1 0 -> 1"])
+    def test_cocycle_file_with_dropped_entries(self, capsys, tmp_path, line):
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        fpath = tmp_path / "f.cocycle"
+        fpath.write_text(f"A: 2\n{line}\n3 3 -> 0\n")
+        code, _, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
+        assert code == 1 and "bad cocycle file" in err and repr(line) in err

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from comtes import core
 from comtes.core import (
     Arrow,
     Comte,
     DecodeError,
     GraphHomomorphism,
     SelfIndexedGraph,
+    canonical_form,
     canonical_key,
     classify,
     components,
@@ -22,8 +24,10 @@ from comtes.core import (
     validate,
 )
 from comtes.invariants import abelianization_rank
+from comtes.links import comte_of_gauss, parse_gauss_code
 
-TREFOIL = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)])
+TREFOIL_ARROWS = [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)]
+TREFOIL = comte("a b c", TREFOIL_ARROWS)
 LEFT_TREFOIL = comte("a b c", [("a", "b", "c", -1), ("b", "c", "a", -1), ("c", "a", "b", -1)])
 EXHOC = graph(
     "a b c",
@@ -168,18 +172,102 @@ class TestCanonicalKey:
 
     def test_keys_separate_nonisomorphic(self, rng):
         # keys are exact: equal keys iff brute-force isomorphic
-        pool = []
+        pool = _hard_comtes()
         for _ in range(40):
-            n = rng.randrange(1, 4)
+            n = rng.randrange(1, 7)
             vs = [f"v{i}" for i in range(n)]
             arrs = [
                 (rng.choice(vs), rng.choice(vs), rng.choice(vs), rng.randrange(0, 2))
-                for _ in range(rng.randrange(0, 4))
+                for _ in range(rng.randrange(0, 7))
             ]
             pool.append(comte(vs, arrs))
-        for c1 in pool[:12]:
-            for c2 in pool[:12]:
-                assert (canonical_key(c1) == canonical_key(c2)) == brute_isomorphic(c1, c2)
+        pool += [_relabeled(c, rng) for c in pool] + [_perturbed(c, rng) for c in pool]
+        keys = [canonical_key(c) for c in pool]
+        for i, c1 in enumerate(pool):
+            for j in range(i + 1, len(pool)):
+                assert (keys[i] == keys[j]) == brute_isomorphic(c1, pool[j])
+
+    def test_maps_carry_each_arrow_onto_the_canonical_graph(self, rng):
+        pool = _hard_comtes()
+        for c in pool + [_relabeled(c, rng) for c in pool]:
+            cf = canonical_form(c)
+            vm, g = cf.vertex_map, cf.graph
+            assert sorted(vm.values()) == sorted(g.vertices)
+            assert sorted(cf.arrow_perm) == list(range(len(c.arrows)))
+            for i, (a, f) in enumerate(zip(c.arrows, c.flows)):
+                b = g.arrows[cf.arrow_perm[i]]
+                assert (b.source, b.target, b.label) == (vm[a.source], vm[a.target], vm[a.label])
+                assert cf.flows[cf.arrow_perm[i]] == f
+
+    @pytest.mark.parametrize("name", ["iso12", "iso40", "T11", "T21"])
+    def test_refinement_calls_stay_polynomial(self, monkeypatch, name):
+        # twins are pruned and one individualized vertex splits a torus
+        # knot, so no input here walks a factorial number of leaves
+        c = {
+            "iso12": comte([f"p{i}" for i in range(12)], []),
+            "iso40": comte([f"p{i}" for i in range(40)], []),
+            "T11": _torus_knot(11),
+            "T21": _torus_knot(21),
+        }[name]
+        n = len(c.vertices)
+        calls = []
+        real = core._refine_colors
+
+        def counting(*args):
+            calls.append(None)
+            assert len(calls) <= n * n, "more than n^2 refinements"
+            return real(*args)
+
+        monkeypatch.setattr(core, "_refine_colors", counting)
+        assert canonical_key(_relabeled(c, random.Random(n))) == canonical_key(c)
+
+
+def _torus_knot(n):
+    """T(2,n) from its Gauss code: 2n passages alternating over and under."""
+    return comte_of_gauss(
+        parse_gauss_code("".join(("O" if k % 2 == 0 else "U") + f"{k % n + 1}+" for k in range(2 * n)))
+    )
+
+
+def _hard_comtes():
+    """Comtes whose colour refinement leaves large cells: twins, symmetric
+    components, and a 2-cycle beside a 3-cycle, which refinement cannot
+    tell apart vertex by vertex."""
+    loops = [("a", "a", "a", 1), ("b", "b", "b", 1), ("c", "c", "c", 1), ("d", "d", "d", 0)]
+    second_trefoil = [("d", "e", "f", 1), ("e", "f", "d", 1), ("f", "d", "e", 1)]
+    second_mirror = [(s, t, l, -f) for s, t, l, f in second_trefoil]
+    cycles = [("a", "b", "a", 1), ("b", "c", "b", 1), ("c", "a", "c", 1), ("d", "e", "d", 1), ("e", "d", "e", 1)]
+    return [
+        comte("a b c d", []),
+        comte("a b c d e f", []),
+        comte("a b c d", loops),
+        comte("a b c d e", loops + [("a", "a", "a", 1), ("e", "a", "b", 0)]),
+        comte("a b c d e f", TREFOIL_ARROWS + second_trefoil),
+        comte("a b c d e f", TREFOIL_ARROWS + second_mirror),
+        comte("a b c d e", cycles),
+        _torus_knot(5),
+        _relabeled(_torus_knot(5), random.Random(5)),
+    ]
+
+
+def _relabeled(c, rng):
+    """An isomorphic copy: vertices renamed and arrows listed in a new order."""
+    names = [f"w{i}" for i in range(len(c.vertices))]
+    rng.shuffle(names)
+    m = dict(zip(c.vertices, names))
+    arrs = [(m[a.source], m[a.target], m[a.label], f) for a, f in zip(c.arrows, c.flows)]
+    rng.shuffle(arrs)
+    return comte(sorted(names), arrs)
+
+
+def _perturbed(c, rng):
+    """A copy with one arrow changed, often but not always non-isomorphic."""
+    arrs = [(a.source, a.target, a.label, f) for a, f in zip(c.arrows, c.flows)]
+    if arrs:
+        i = rng.randrange(len(arrs))
+        s, t, l, f = arrs[i]
+        arrs[i] = rng.choice([(t, s, l, f), (s, t, rng.choice(c.vertices), f), (s, t, l, 1 - f)])
+    return comte(c.vertices, arrs)
 
 
 class TestContract:

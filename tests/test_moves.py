@@ -355,18 +355,19 @@ G2G3_BUDGET = SearchBudget(
 
 
 class TestSearchGolden:
-    """Search results recorded while the size budget was still checked after
-    each move was applied and canonicalized; checking it before must not
-    change them."""
+    """Search results pinned exactly.  The two traces index arrows and
+    vertices of canonical states, so a new canonical labeling changes them;
+    the two ``None`` results were recorded while the size budget was still
+    checked after each move was applied and canonicalized."""
 
     def test_g2_g3_trace(self):
         trace = equivalent_bounded(G2, G3, G2G3_BUDGET)
         assert trace.format() == (
-            "R1split site=[vertices=2 moved=1t flags=old_new,old]\n"
-            "R3a_add site=[arrows=4,2,3,0] params=2\n"
-            "R3b_shift site=[arrows=5,3,4,2,0] params=-1\n"
-            "R3a_remove site=[arrows=5,3,4,2,0] params=3\n"
-            "R0 site=[arrows=3 vertices=3]\n"
+            "R1split site=[vertices=0 moved=2t flags=old_new,old]\n"
+            "R3a_add site=[arrows=3,2,4,1] params=2\n"
+            "R3b_shift site=[arrows=2,5,3,4,1] params=-1\n"
+            "R3a_remove site=[arrows=4,3,5,2,1] params=1\n"
+            "R0 site=[arrows=0 vertices=2]\n"
         )
         assert canonical_key(replay_trace(G2, trace)) == canonical_key(G3)
 
@@ -376,9 +377,9 @@ class TestSearchGolden:
         trace = equivalent_bounded(G2, G3, dataclasses.replace(G2G3_BUDGET, max_vertices=3, max_states=5000))
         assert trace.format() == (
             "R1loopadd site=[vertices=0] params=0\n"
-            "R3a_add site=[arrows=4,0,2,1] params=3\n"
-            "R3b_shift site=[arrows=4,0,1,2,5] params=1\n"
-            "R3a_remove site=[arrows=5,0,2,1,3] params=2\n"
+            "R3a_add site=[arrows=2,0,1,4] params=2\n"
+            "R3b_shift site=[arrows=4,2,3,1,0] params=1\n"
+            "R3a_remove site=[arrows=5,0,2,1,4] params=1\n"
             "R1loopdel site=[arrows=0]\n"
         )
         assert canonical_key(replay_trace(G2, trace)) == canonical_key(G3)

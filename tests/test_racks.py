@@ -142,6 +142,14 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             parse_cocycle("1 2 -> 1")
 
+    @pytest.mark.parametrize(
+        "orders, line", [("2", "0 1 -> 1,1"), ("2,2", "0 1 -> 1"), ("2", "-1 0 -> 1"), ("2", "0 -2 -> 1")]
+    )
+    def test_cocycle_bad_lines_rejected(self, orders, line):
+        # extra or missing residues and negative indices are errors, not dropped
+        with pytest.raises(ValueError, match="line"):
+            parse_cocycle(f"A: {orders}\n{line}\n")
+
     def test_builtins(self):
         assert builtin_rack("trivial2").n == 2
         assert builtin_rack("dihedral3").quandle
