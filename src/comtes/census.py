@@ -18,6 +18,8 @@ from .homology import HomologyGroup, homology_range
 
 def partial_injections(n: int) -> list[tuple[int, ...]]:
     """All partial injections on 0..n-1 as tuples with -1 for undefined."""
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
     out = []
 
     def rec(i, used, acc):

@@ -163,6 +163,8 @@ def cmd_moves(args) -> int:
             for i, m in enumerate(pool):
                 print(f"{i}\t{m.format()}")
             return 0
+        if not pool:
+            raise CommandError(f"move index {args.index} out of range: there are no move instances")
         if not 0 <= args.index < len(pool):
             raise CommandError(f"move index {args.index} out of range (0..{len(pool) - 1})")
         sys.stdout.write(encode(apply_move(c, pool[args.index])))
@@ -225,6 +227,16 @@ def cmd_paper_suite(args) -> int:
     return 1 if failed else 0
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="comtes", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -280,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     mv.set_defaults(fn=cmd_moves)
 
     cen = sub.add_parser("census", help="enumerate r-/q-graphs up to isomorphism")
-    cen.add_argument("--vertices", type=int, required=True)
+    cen.add_argument("--vertices", type=_non_negative_int, required=True)
     cen.add_argument("--class", dest="family", choices=["r", "q"], default="r")
     cen.add_argument("--max-degree", type=int, default=0, help="also compute homology signatures")
     cen.add_argument("--table", action="store_true", help="print the per-graph signature table")

@@ -13,14 +13,26 @@ Forward kinds
 Inverse kinds
   R0inv, R1split, R1loopadd, R2a_split, R2b_split, R3a_add
 
-The full move R3 is the composition R3b_shift (drive the doomed side's flow
-to 0) followed by R3a_remove.  Sites may share vertices freely, but arrows
-referenced as distinct must be distinct.
+The R3 square on a witness b --a--> t has corners P, Q, R, S and four
+sides, by position:
+
+  0 left    P -> Q  labeled a            P --top--> R
+  1 bottom  Q -> S  labeled t            |          |
+  2 top     P -> R  labeled b          left       right
+  3 right   R -> S  labeled a            v          v
+                                         Q -bottom-> S
+
+An R3 site lists the witness, then the sides in position order (R3a_add
+leaves out the missing one); ``params`` holds the position of the removed
+or added side, or the shift J, which adds J to left and bottom and takes it
+from top and right.  The full move R3 is the composition R3b_shift (drive
+the doomed side's flow to 0) followed by R3a_remove.  Sites may share
+vertices freely, but arrows referenced as distinct must be distinct.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .core import (
@@ -106,29 +118,73 @@ def _check_vertex(c: Comte, v: str) -> str:
     return v
 
 
-def _verify_full_square(c: Comte, idxs) -> tuple[Arrow, Arrow, Arrow, Arrow, Arrow]:
-    wi, li, bi, ti, ri = idxs
+# The R3 square of the module docstring: each side, in position order, as
+# (source corner, target corner, the slot of the witness that labels it).
+_SIDES = (
+    ("P", "Q", "l"),  # 0 left, labeled a
+    ("Q", "S", "t"),  # 1 bottom, labeled t
+    ("P", "R", "s"),  # 2 top, labeled b
+    ("R", "S", "l"),  # 3 right, labeled a
+)
+
+
+def _corners(w: Arrow, sides: dict[int, Arrow]) -> dict[str, str] | None:
+    """The corner vertices fixed by the sides ``{position: arrow}`` of a
+    square on the witness ``w``, or None when a side has the wrong label or
+    two sides disagree on a corner."""
+    corners: dict[str, str] = {}
+    for pos, side in sides.items():
+        src, tgt, role = _SIDES[pos]
+        if side.label != _slot(w, role):
+            return None
+        for corner, v in ((src, side.source), (tgt, side.target)):
+            if corners.setdefault(corner, v) != v:
+                return None
+    return corners
+
+
+def _check_full_square(c: Comte, idxs) -> None:
     if len(set(idxs)) != 5:
         raise MoveError("square arrows must be distinct")
-    w = _check_arrow(c, wi)
-    left = _check_arrow(c, li)
-    bottom = _check_arrow(c, bi)
-    top = _check_arrow(c, ti)
-    right = _check_arrow(c, ri)
-    a, b, t = w.label, w.source, w.target
-    ok = (
-        left.label == a
-        and bottom.label == t
-        and top.label == b
-        and right.label == a
-        and bottom.source == left.target
-        and top.source == left.source
-        and right.source == top.target
-        and right.target == bottom.target
-    )
-    if not ok:
+    w, *sides = (_check_arrow(c, i) for i in idxs)
+    if _corners(w, dict(enumerate(sides))) is None:
         raise MoveError("stale site: square relations do not hold")
-    return w, left, bottom, top, right
+
+
+def _drop_arrow(g: SelfIndexedGraph, flows: tuple[int, ...], ei: int) -> Comte:
+    """``g`` with its flows, less arrow ``ei`` and its flow."""
+    arrows = g.arrows[:ei] + g.arrows[ei + 1 :]
+    return Comte(SelfIndexedGraph(g.vertices, arrows), flows[:ei] + flows[ei + 1 :])
+
+
+def _incident_slots(g: SelfIndexedGraph, v: str) -> list[tuple[int, str]]:
+    slots = []
+    for j, a in enumerate(g.arrows):
+        for role in ("s", "t", "l"):
+            if _slot(a, role) == v:
+                slots.append((j, role))
+    return slots
+
+
+def _slots_after_drop(g: SelfIndexedGraph, v: str, dropped: int, skip=None) -> frozenset:
+    """The slots at ``v`` of the arrows other than ``dropped``, indexed as
+    after ``dropped`` is deleted; the slot ``skip`` is left out."""
+    return frozenset(
+        (j - (j > dropped), role) for j, role in _incident_slots(g, v) if j != dropped and (j, role) != skip
+    )
+
+
+def _split_off(c: Comte, v: str, moved, kind: str) -> tuple[str, list[Arrow]]:
+    """A fresh vertex and the arrows of ``c`` with the ``moved`` slots, each
+    of which must be at ``v``, sent to it."""
+    for j, role in moved:
+        if _slot(_check_arrow(c, j), role) != v:
+            raise MoveError(f"{kind}: slot ({j},{role}) is not attached to {v!r}")
+    w = _fresh_name(c.graph.vertices, v)
+    arrows = list(c.graph.arrows)
+    for j, role in moved:
+        arrows[j] = _with_slot(arrows[j], role, w)
+    return w, arrows
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +223,9 @@ def _apply_r0(c: Comte, m: MoveInstance) -> ApplyResult:
     if c.flows[ei] != 0:
         raise MoveError("R0: pendant arrow flow is nonzero")
     attach = a.target if a.source == p else a.source
-    arrows = tuple(x for j, x in enumerate(c.graph.arrows) if j != ei)
-    flows = tuple(f for j, f in enumerate(c.flows) if j != ei)
     verts = tuple(v for v in c.graph.vertices if v != p)
     vmap = {v: (None if v == p else v) for v in c.graph.vertices}
-    out = Comte(SelfIndexedGraph(verts, arrows), flows)
+    out = _drop_arrow(SelfIndexedGraph(verts, c.graph.arrows), c.flows, ei)
     inverse = MoveInstance(
         "R0inv",
         vertices=(attach, a.label),
@@ -206,23 +260,13 @@ def _apply_r1contract(c: Comte, m: MoveInstance) -> ApplyResult:
     q, vmap = quotient(c.graph, [(a.source, a.target)])
     kept = vmap[a.source]
     vanished = a.source if kept != a.source else a.target
-    arrows = tuple(x for j, x in enumerate(q.arrows) if j != ei)
-    flows = tuple(f for j, f in enumerate(c.flows) if j != ei)
-    out = Comte(SelfIndexedGraph(q.vertices, arrows), flows)
-    moved = []
-    for j, x in enumerate(c.graph.arrows):
-        if j == ei:
-            continue
-        nj = j - (j > ei)
-        for role in ("s", "t", "l"):
-            if _slot(x, role) == vanished:
-                moved.append((nj, role))
+    out = _drop_arrow(q, c.flows, ei)
     direction = "old_new" if a.target == vanished else "new_old"
     label_half = "new" if a.label == vanished else "old"
     inverse = MoveInstance(
         "R1split",
         vertices=(kept,),
-        moved=frozenset(moved),
+        moved=_slots_after_drop(c.graph, vanished, ei),
         flags=(direction, label_half),
     )
     return ApplyResult(out, dict(vmap), inverse)
@@ -232,13 +276,7 @@ def _apply_r1split(c: Comte, m: MoveInstance) -> ApplyResult:
     (v,) = m.vertices
     _check_vertex(c, v)
     direction, label_half = m.flags
-    for j, role in m.moved:
-        if _slot(_check_arrow(c, j), role) != v:
-            raise MoveError(f"R1split: slot ({j},{role}) is not attached to {v!r}")
-    w = _fresh_name(c.graph.vertices, v)
-    arrows = list(c.graph.arrows)
-    for j, role in m.moved:
-        arrows[j] = _with_slot(arrows[j], role, w)
+    w, arrows = _split_off(c, v, m.moved, "R1split")
     moved_out = sum(c.flows[j] for j, role in m.moved if role == "s")
     moved_in = sum(c.flows[j] for j, role in m.moved if role == "t")
     if direction == "old_new":
@@ -260,9 +298,7 @@ def _apply_r1loopdel(c: Comte, m: MoveInstance) -> ApplyResult:
     a = _check_arrow(c, ei)
     if not (a.source == a.target == a.label):
         raise MoveError("R1: arrow is not a self-labeled loop")
-    arrows = tuple(x for j, x in enumerate(c.graph.arrows) if j != ei)
-    flows = tuple(f for j, f in enumerate(c.flows) if j != ei)
-    out = Comte(SelfIndexedGraph(c.graph.vertices, arrows), flows)
+    out = _drop_arrow(c.graph, c.flows, ei)
     inverse = MoveInstance("R1loopadd", vertices=(a.source,), params=(c.flows[ei],))
     return ApplyResult(out, _identity_vmap(c.graph), inverse)
 
@@ -310,16 +346,6 @@ def _apply_r2(c: Comte, m: MoveInstance, merge_role: str) -> ApplyResult:
         )
         return ApplyResult(out, dict(vmap), inverse)
     vanished = m1 if kept != m1 else m2
-    moved = []
-    for j, x in enumerate(c.graph.arrows):
-        if j == e2:
-            continue
-        nj = j - (j > e2)
-        for role in ("s", "t", "l"):
-            if j == e1 and role == merge_role:
-                continue  # handled structurally by the split
-            if _slot(x, role) == vanished:
-                moved.append((nj, role))
     if vanished == m2:
         params = (c.flows[e1], c.flows[e2])
     else:
@@ -328,7 +354,8 @@ def _apply_r2(c: Comte, m: MoveInstance, merge_role: str) -> ApplyResult:
         f"R2{'a' if merge_role == 't' else 'b'}_split",
         arrows=(e1n,),
         params=params,
-        moved=frozenset(moved),
+        # the merged slot of e1 is handled structurally by the split
+        moved=_slots_after_drop(c.graph, vanished, e2, skip=(e1, merge_role)),
         flags=("fresh",),
     )
     return ApplyResult(out, dict(vmap), inverse)
@@ -341,54 +368,34 @@ def _apply_r2_split(c: Comte, m: MoveInstance, merge_role: str) -> ApplyResult:
     if i1 + i2 != c.flows[ei]:
         raise MoveError("R2 split: flows do not sum to the arrow's flow")
     (flavor,) = m.flags
-    kind = "R2a" if merge_role == "t" else "R2b"
+    flows = c.flows[:ei] + (i1,) + c.flows[ei + 1 :] + (i2,)
     if flavor == "parallel":
         if m.moved:
             raise MoveError("R2 split: parallel flavor moves no slots")
-        new = Arrow(a.source, a.target, a.label)
-        arrows = list(c.graph.arrows) + [new]
-        flows = list(c.flows) + [i2]
-        flows[ei] = i1
-        out = Comte(SelfIndexedGraph(c.graph.vertices, tuple(arrows)), tuple(flows))
-        inverse = MoveInstance(kind, arrows=(ei, len(c.graph.arrows)))
-        return ApplyResult(out, _identity_vmap(c.graph), inverse)
-    if flavor != "fresh":
+        out = Comte(SelfIndexedGraph(c.graph.vertices, c.graph.arrows + (a,)), flows)
+    elif flavor == "fresh":
+        mvert = _slot(a, merge_role)
+        if (ei, merge_role) in m.moved:
+            raise MoveError("R2 split: the split slot cannot be moved")
+        # the split slot stays at mvert on ei and is w on the new arrow
+        w, arrows = _split_off(c, mvert, m.moved, "R2 split")
+        g = SelfIndexedGraph(c.graph.vertices + (w,), (*arrows, _with_slot(arrows[ei], merge_role, w)))
+        out = Comte(g, flows)
+        if validate(out).conservation:
+            raise MoveError("R2 split: flow split violates conservation")
+    else:
         raise MoveError(f"R2 split: bad flavor {flavor!r}")
-    mvert = _slot(a, merge_role)
-    if (ei, merge_role) in m.moved:
-        raise MoveError("R2 split: the split slot cannot be moved")
-    for j, role in m.moved:
-        if _slot(_check_arrow(c, j), role) != mvert:
-            raise MoveError(f"R2 split: slot ({j},{role}) is not attached to {mvert!r}")
-    w = _fresh_name(c.graph.vertices, mvert)
-    arrows = list(c.graph.arrows)
-    for j, role in m.moved:
-        arrows[j] = _with_slot(arrows[j], role, w)
-    base = arrows[ei]
-    arrows[ei] = _with_slot(base, merge_role, mvert)
-    new = _with_slot(base, merge_role, w)
-    arrows.append(new)
-    flows = list(c.flows)
-    flows[ei] = i1
-    flows.append(i2)
-    g = SelfIndexedGraph(c.graph.vertices + (w,), tuple(arrows))
-    out = Comte(g, tuple(flows))
-    rep = validate(out)
-    if rep.conservation:
-        raise MoveError("R2 split: flow split violates conservation")
-    inverse = MoveInstance(kind, arrows=(ei, len(c.graph.arrows)))
+    inverse = MoveInstance("R2a" if merge_role == "t" else "R2b", arrows=(ei, len(c.graph.arrows)))
     return ApplyResult(out, _identity_vmap(c.graph), inverse)
 
 
 def _apply_r3a_remove(c: Comte, m: MoveInstance) -> ApplyResult:
-    _verify_full_square(c, m.arrows)
+    _check_full_square(c, m.arrows)
     (pos,) = m.params
     doomed = m.arrows[1 + pos]
     if c.flows[doomed] != 0:
         raise MoveError("R3a: the removed side must carry flow 0")
-    arrows = tuple(x for j, x in enumerate(c.graph.arrows) if j != doomed)
-    flows = tuple(f for j, f in enumerate(c.flows) if j != doomed)
-    out = Comte(SelfIndexedGraph(c.graph.vertices, arrows), flows)
+    out = _drop_arrow(c.graph, c.flows, doomed)
     remaining = tuple(j - (j > doomed) for k, j in enumerate(m.arrows) if k != 1 + pos)
     inverse = MoveInstance("R3a_add", arrows=remaining, params=(pos,))
     return ApplyResult(out, _identity_vmap(c.graph), inverse)
@@ -396,75 +403,25 @@ def _apply_r3a_remove(c: Comte, m: MoveInstance) -> ApplyResult:
 
 def _apply_r3a_add(c: Comte, m: MoveInstance) -> ApplyResult:
     (pos,) = m.params
-    wi = m.arrows[0]
-    w = _check_arrow(c, wi)
-    sides = [_check_arrow(c, j) for j in m.arrows[1:]]
+    w, *sides = (_check_arrow(c, j) for j in m.arrows)
     if len(set(m.arrows)) != 4:
         raise MoveError("R3a_add: arrows must be distinct")
-    a, b, t = w.label, w.source, w.target
-    new = _completing_side(pos, a, b, t, sides)
-    arrows = c.graph.arrows + (new,)
-    flows = c.flows + (0,)
-    out = Comte(SelfIndexedGraph(c.graph.vertices, arrows), flows)
-    full = list(m.arrows[1:])
-    full.insert(pos, len(c.graph.arrows))
-    inverse = MoveInstance("R3a_remove", arrows=(wi, *full), params=(pos,))
+    if pos not in range(4):
+        raise MoveError(f"R3a_add: bad side position {pos}")
+    corners = _corners(w, dict(zip((p for p in range(4) if p != pos), sides)))
+    if corners is None:
+        raise MoveError("R3a_add: stale site, three-sided square relations fail")
+    src, tgt, role = _SIDES[pos]
+    new = Arrow(corners[src], corners[tgt], _slot(w, role))
+    out = Comte(SelfIndexedGraph(c.graph.vertices, c.graph.arrows + (new,)), c.flows + (0,))
+    full = list(m.arrows)
+    full.insert(1 + pos, len(c.graph.arrows))
+    inverse = MoveInstance("R3a_remove", arrows=tuple(full), params=(pos,))
     return ApplyResult(out, _identity_vmap(c.graph), inverse)
 
 
-def _completing_side(pos, a, b, t, sides) -> Arrow:
-    """The missing square side, given the three present ones in position
-    order (positions: 0 left, 1 bottom, 2 top, 3 right)."""
-    here = dict(zip([p for p in range(4) if p != pos], sides))
-    if pos == 3:
-        left, bottom, top = here[0], here[1], here[2]
-        ok = (
-            left.label == a
-            and bottom.label == t
-            and top.label == b
-            and top.source == left.source
-            and bottom.source == left.target
-        )
-        new = Arrow(top.target, bottom.target, a)
-    elif pos == 2:
-        left, bottom, right = here[0], here[1], here[3]
-        ok = (
-            left.label == a
-            and bottom.label == t
-            and right.label == a
-            and bottom.source == left.target
-            and right.target == bottom.target
-        )
-        new = Arrow(left.source, right.source, b)
-    elif pos == 1:
-        left, top, right = here[0], here[2], here[3]
-        ok = (
-            left.label == a
-            and top.label == b
-            and right.label == a
-            and top.source == left.source
-            and right.source == top.target
-        )
-        new = Arrow(left.target, right.target, t)
-    elif pos == 0:
-        bottom, top, right = here[1], here[2], here[3]
-        ok = (
-            bottom.label == t
-            and top.label == b
-            and right.label == a
-            and right.source == top.target
-            and right.target == bottom.target
-        )
-        new = Arrow(top.source, bottom.source, a)
-    else:
-        raise MoveError(f"R3a_add: bad side position {pos}")
-    if not ok:
-        raise MoveError("R3a_add: stale site, three-sided square relations fail")
-    return new
-
-
 def _apply_r3b(c: Comte, m: MoveInstance) -> ApplyResult:
-    _verify_full_square(c, m.arrows)
+    _check_full_square(c, m.arrows)
     (j,) = m.params
     _, li, bi, ti, ri = m.arrows
     flows = list(c.flows)
@@ -529,33 +486,46 @@ def size_change(c: Comte, m: MoveInstance) -> tuple[int, int]:
 # Enumeration
 
 
-def _squares(c: Comte):
-    """All (witness, left, bottom, top, right) index tuples of full squares."""
-    g = c.graph
+# For each position, the order in which the join takes the present sides
+# of a square that lacks the side there; for one witness, R3a_add instances
+# come out in this position order.
+_JOIN_ORDER = {3: (0, 1, 2), 2: (0, 1, 3), 0: (2, 3, 1), 1: (0, 2, 3)}
+
+
+def _square_join(g: SelfIndexedGraph, orders: dict):
+    """Full or partial squares of ``g``.  ``orders`` maps a key to the
+    positions of the sides wanted, in the order the join takes them.  For
+    each witness ``wi`` in turn, then each key, this yields every
+    (wi, key, sides, corners): ``sides`` are distinct arrows, in position
+    order, that fit a square on that witness, and ``corners`` the corners
+    they fix.  A side is looked up by source and label when its source
+    corner is fixed already, by label otherwise, and must meet its target
+    corner when that is fixed."""
     by_label: dict[str, list[int]] = {}
     by_source_label: dict[tuple[str, str], list[int]] = {}
     for i, a in enumerate(g.arrows):
         by_label.setdefault(a.label, []).append(i)
         by_source_label.setdefault((a.source, a.label), []).append(i)
+
+    def extend(w, order, used, corners):
+        if len(used) > len(order):
+            yield used[1:], corners
+            return
+        src, tgt, role = _SIDES[order[len(used) - 1]]
+        label = _slot(w, role)
+        if src in corners:
+            candidates = by_source_label.get((corners[src], label), ())
+        else:
+            candidates = by_label.get(label, ())
+        for i in candidates:
+            side = g.arrows[i]
+            if i not in used and corners.get(tgt, side.target) == side.target:
+                yield from extend(w, order, used + (i,), {**corners, src: side.source, tgt: side.target})
+
     for wi, w in enumerate(g.arrows):
-        a, b, t = w.label, w.source, w.target
-        for li in by_label.get(a, ()):
-            if li == wi:
-                continue
-            left = g.arrows[li]
-            for bi in by_source_label.get((left.target, t), ()):
-                if bi in (wi, li):
-                    continue
-                bottom = g.arrows[bi]
-                for ti in by_source_label.get((left.source, b), ()):
-                    if ti in (wi, li, bi):
-                        continue
-                    top = g.arrows[ti]
-                    for ri in by_source_label.get((top.target, a), ()):
-                        if ri in (wi, li, bi, ti):
-                            continue
-                        if g.arrows[ri].target == bottom.target:
-                            yield (wi, li, bi, ti, ri)
+        for key, order in orders.items():
+            for sides, corners in extend(w, order, (wi,), {}):
+                yield wi, key, tuple(i for _, i in sorted(zip(order, sides))), corners
 
 
 def enumerate_moves(c: Comte, *, ignore_flows: bool = False, r3b_range: int = 3) -> list[MoveInstance]:
@@ -603,33 +573,21 @@ def enumerate_moves(c: Comte, *, ignore_flows: bool = False, r3b_range: int = 3)
         for idxs in grp.values():
             for e1, e2 in combinations(idxs, 2):
                 out.append(MoveInstance(kind, arrows=(e1, e2)))
-    # R3
-    seen_r3a = set()
-    seen_r3b = set()
-    for square in _squares(c):
-        sides = square[1:]
+    # R3: a square found again on another witness adds nothing
+    seen = set()
+    for wi, _, sides, _ in _square_join(g, {"full": (0, 1, 2, 3)}):
+        if sides in seen:
+            continue
+        seen.add(sides)
+        square = (wi, *sides)
         for pos in range(4):
             if c.flows[sides[pos]] == 0:
-                key = (sides, pos)
-                if key not in seen_r3a:
-                    seen_r3a.add(key)
-                    out.append(MoveInstance("R3a_remove", arrows=square, params=(pos,)))
+                out.append(MoveInstance("R3a_remove", arrows=square, params=(pos,)))
         if not ignore_flows:
-            if sides not in seen_r3b:
-                seen_r3b.add(sides)
-                for j in range(-r3b_range, r3b_range + 1):
-                    if j:
-                        out.append(MoveInstance("R3b_shift", arrows=square, params=(j,)))
+            for j in range(-r3b_range, r3b_range + 1):
+                if j:
+                    out.append(MoveInstance("R3b_shift", arrows=square, params=(j,)))
     return out
-
-
-def _incident_slots(g: SelfIndexedGraph, v: str) -> list[tuple[int, str]]:
-    slots = []
-    for j, a in enumerate(g.arrows):
-        for role in ("s", "t", "l"):
-            if _slot(a, role) == v:
-                slots.append((j, role))
-    return slots
 
 
 def _subsets(items):
@@ -645,6 +603,7 @@ def inverse_instances(
     flow_hi: int = 2,
     ignore_flows: bool = False,
     max_split_slots: int = 10,
+    new_vertices: bool = True,
 ) -> list[MoveInstance]:
     """Enumerate inverse moves with bounded nondeterminism.
 
@@ -654,15 +613,9 @@ def inverse_instances(
     falls outside the window are not emitted, so every instance applies to a
     valid comte and yields a valid comte.  ``ignore_flows`` zeroes the flows
     first (bare-graph mode) and collapses the flow windows to {0}.
+    ``new_vertices=False`` leaves out the vertex-adding instances (R0inv,
+    R1split, fresh splits) and keeps the order of the rest.
     """
-    return _inverse_instances(c, flow_lo, flow_hi, ignore_flows, max_split_slots, new_vertices=True)
-
-
-def _inverse_instances(
-    c: Comte, flow_lo: int, flow_hi: int, ignore_flows: bool, max_split_slots: int, *, new_vertices: bool
-) -> list[MoveInstance]:
-    """The instances of ``inverse_instances``, in its order, leaving out the
-    vertex-adding ones (R0inv, R1split, fresh splits) unless ``new_vertices``."""
     if ignore_flows:
         c = _zero_flows(c)
         flow_lo, flow_hi = 0, 0
@@ -730,76 +683,15 @@ def _inverse_instances(
                             flags=("fresh",),
                         )
                     )
-    # inverse R3a: insert the missing fourth side, flow 0
-    out.extend(_r3a_add_instances(c))
-    return out
-
-
-def _r3a_add_instances(c: Comte) -> list[MoveInstance]:
-    g = c.graph
-    by_label: dict[str, list[int]] = {}
-    by_source_label: dict[tuple[str, str], list[int]] = {}
-    for i, a in enumerate(g.arrows):
-        by_label.setdefault(a.label, []).append(i)
-        by_source_label.setdefault((a.source, a.label), []).append(i)
-    out = []
+    # inverse R3a: insert the missing fourth side, flow 0; the same three
+    # sides with a differently labeled new side make a different instance
     seen = set()
-    for wi, w in enumerate(g.arrows):
-        a, b, t = w.label, w.source, w.target
-        # missing right: left, bottom, top present
-        for li in by_label.get(a, ()):
-            left = g.arrows[li]
-            for bi in by_source_label.get((left.target, t), ()):
-                for ti in by_source_label.get((left.source, b), ()):
-                    idxs = (wi, li, bi, ti)
-                    if len(set(idxs)) == 4:
-                        key = (3, li, bi, ti)
-                        if key not in seen:
-                            seen.add(key)
-                            out.append(MoveInstance("R3a_add", arrows=idxs, params=(3,)))
-        # missing top: left, bottom, right present; the new side's label is
-        # the witness source, which the present sides do not determine, so
-        # it is part of the dedup key
-        for li in by_label.get(a, ()):
-            left = g.arrows[li]
-            for bi in by_source_label.get((left.target, t), ()):
-                bottom = g.arrows[bi]
-                for ri in by_label.get(a, ()):
-                    right = g.arrows[ri]
-                    if right.target == bottom.target:
-                        idxs = (wi, li, bi, ri)
-                        if len(set(idxs)) == 4:
-                            key = (2, li, bi, ri, b)
-                            if key not in seen:
-                                seen.add(key)
-                                out.append(MoveInstance("R3a_add", arrows=idxs, params=(2,)))
-        # missing left: bottom, top, right present
-        for ti in by_label.get(b, ()):
-            top = g.arrows[ti]
-            for ri in by_source_label.get((top.target, a), ()):
-                right = g.arrows[ri]
-                for bi in by_label.get(t, ()):
-                    bottom = g.arrows[bi]
-                    if bottom.target == right.target:
-                        idxs = (wi, bi, ti, ri)
-                        if len(set(idxs)) == 4:
-                            key = (0, bi, ti, ri)
-                            if key not in seen:
-                                seen.add(key)
-                                out.append(MoveInstance("R3a_add", arrows=idxs, params=(0,)))
-        # missing bottom: left, top, right present; the new side's label is
-        # the witness target, likewise undetermined by the present sides
-        for li in by_label.get(a, ()):
-            left = g.arrows[li]
-            for ti in by_source_label.get((left.source, b), ()):
-                top = g.arrows[ti]
-                for ri in by_source_label.get((top.target, a), ()):
-                    idxs = (wi, li, ti, ri)
-                    if len(set(idxs)) == 4:
-                        key = (1, li, ti, ri, t)
-                        if key not in seen:
-                            seen.add(key)
-                            out.append(MoveInstance("R3a_add", arrows=idxs, params=(1,)))
+    for wi, pos, sides, corners in _square_join(g, _JOIN_ORDER):
+        src, tgt, role = _SIDES[pos]
+        key = (pos, sides, Arrow(corners[src], corners[tgt], _slot(g.arrows[wi], role)))
+        if key not in seen:
+            seen.add(key)
+            out.append(MoveInstance("R3a_add", arrows=(wi, *sides), params=(pos,)))
     return out
 
 
@@ -849,11 +741,6 @@ def transport_instance(m: MoveInstance, vmap: dict[str, str], arrow_perm) -> Mov
     )
 
 
-def _canonical_comte(c: Comte) -> tuple[Comte, bytes]:
-    cf = canonical_form(c)
-    return cf.comte, cf.key
-
-
 def _apply_canonical(c: Comte, m: MoveInstance):
     res = apply_move_detailed(c, m)
     cf = canonical_form(res.comte)
@@ -861,14 +748,15 @@ def _apply_canonical(c: Comte, m: MoveInstance):
     return cf.comte, cf.key, inv
 
 
-def _all_instances(c: Comte, budget: SearchBudget, ignore_flows: bool, vertex_room: int, arrow_room: int):
+def _all_instances(c: Comte, budget: SearchBudget, vertex_room: int, arrow_room: int):
     """Forward, then inverse instances of ``c``.  Every inverse instance adds
     an arrow, so none is built without arrow room, and the vertex-adding ones
     are not built without vertex room."""
-    yield from enumerate_moves(c, ignore_flows=ignore_flows, r3b_range=budget.r3b_range)
+    yield from enumerate_moves(c, r3b_range=budget.r3b_range)
     if arrow_room > 0:
-        yield from _inverse_instances(
-            c, budget.flow_lo, budget.flow_hi, ignore_flows, budget.max_split_slots, new_vertices=vertex_room > 0
+        yield from inverse_instances(
+            c, flow_lo=budget.flow_lo, flow_hi=budget.flow_hi, max_split_slots=budget.max_split_slots,
+            new_vertices=vertex_room > 0,
         )
 
 
@@ -877,7 +765,8 @@ def replay_trace(c: Comte, trace: MoveTrace, *, ignore_flows: bool = False) -> C
     canonical form of the final comte is returned."""
     if ignore_flows:
         c = _zero_flows(c)
-    state, key = _canonical_comte(c)
+    cf = canonical_form(c)
+    state, key = cf.comte, cf.key
     for step in trace.steps:
         if key != step.before_key:
             raise MoveError("trace replay: state key mismatch")
@@ -898,21 +787,23 @@ def equivalent_bounded(
 
     Returns a replayable trace when one is found within the budget, else
     None.  None is *not* a proof of inequivalence: the relation is only
-    semi-decidable and the search is sound but incomplete.
+    semi-decidable and the search is sound but incomplete.  ``ignore_flows``
+    searches the bare graphs: the flows are zeroed and stay zero, since no
+    flow shift is made and every new flow is 0.
     """
     budget = budget or SearchBudget()
     if ignore_flows:
         c1, c2 = _zero_flows(c1), _zero_flows(c2)
-    start, start_key = _canonical_comte(c1)
-    goal, goal_key = _canonical_comte(c2)
-    if start_key == goal_key:
+        budget = replace(budget, r3b_range=0, flow_lo=0, flow_hi=0)
+    start, goal = canonical_form(c1), canonical_form(c2)
+    if start.key == goal.key:
         return MoveTrace(())
     # visited[side][key] = (comte, parent_key, instance_on_parent, inverse_on_self)
     visited = [
-        {start_key: (start, None, None, None)},
-        {goal_key: (goal, None, None, None)},
+        {start.key: (start.comte, None, None, None)},
+        {goal.key: (goal.comte, None, None, None)},
     ]
-    frontier = [[start_key], [goal_key]]
+    frontier = [[start.key], [goal.key]]
     n_states = 2
 
     def build_trace(meet_key, child_data, side):
@@ -946,7 +837,7 @@ def equivalent_bounded(
             state = visited[side][key][0]
             vertex_room = budget.max_vertices - len(state.graph.vertices)
             arrow_room = budget.max_arrows - len(state.graph.arrows)
-            for inst in _all_instances(state, budget, ignore_flows, vertex_room, arrow_room):
+            for inst in _all_instances(state, budget, vertex_room, arrow_room):
                 try:
                     # reject oversize children before building them
                     dv, da = size_change(state, inst)

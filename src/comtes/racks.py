@@ -325,16 +325,22 @@ def parse_cocycle(text: str) -> Cocycle2:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("A:"):
         raise ValueError("cocycle file must start with an 'A: m1,m2,...' line")
-    orders = tuple(int(v) for v in lines[0][2:].split(","))
+    try:
+        orders = tuple(int(v) for v in lines[0][2:].split(","))
+    except ValueError:
+        raise ValueError(f"bad cyclic orders in line {lines[0]!r}") from None
     group = AbelianGroup(orders)
     entries = {}
     n = 0
     for ln in lines[1:]:
         lhs, _, rhs = ln.partition("->")
-        x, y = (int(v) for v in lhs.split())
+        try:
+            x, y = (int(v) for v in lhs.split())
+            residues = [int(v) for v in rhs.split(",")]
+        except ValueError:
+            raise ValueError(f"line {ln!r} is not of the form 'x y -> r1,r2,...'") from None
         if x < 0 or y < 0:
             raise ValueError(f"negative element index in line {ln!r}")
-        residues = [int(v) for v in rhs.split(",")]
         if len(residues) != len(orders):
             raise ValueError(f"bad A-element in line {ln!r}")
         entries[(x, y)] = tuple(r % m for r, m in zip(residues, orders))

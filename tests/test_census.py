@@ -1,3 +1,5 @@
+import pytest
+
 from comtes.census import (
     burnside_class_count,
     census_row,
@@ -15,6 +17,20 @@ class TestEnumeration:
         assert [len(partial_injections(n)) for n in range(4)] == [1, 2, 7, 34]
         assert count_labeled_structures(3) == 34 ** 3 == 39304
         assert count_labeled_structures(3, q_only=True) == 7 ** 3 == 343
+
+    @pytest.mark.parametrize(
+        "count",
+        [
+            partial_injections,
+            enumerate_r_graphs,
+            enumerate_q_graphs,
+            burnside_class_count,
+            count_labeled_structures,
+        ],
+    )
+    def test_negative_vertex_count_rejected(self, count):
+        with pytest.raises(ValueError, match="non-negative"):
+            count(-1)
 
     def test_n1(self):
         assert len(enumerate_r_graphs(1)) == 1  # the self-labeled loop

@@ -200,6 +200,12 @@ class TestMovesCommand:
         run(capsys, "moves", "search", "--comte", str(p), "--target", str(p), "--max-split-slots", "3")
         assert budgets[0].max_split_slots == 3
 
+    def test_apply_with_no_instances(self, capsys, tmp_path):
+        p = tmp_path / "dot.json"
+        p.write_text(encode(comte("a", [])))
+        code, _, err = run(capsys, "moves", "apply", "--comte", str(p))
+        assert code == 1 and "there are no move instances" in err and "0..-1" not in err
+
     def test_bad_index(self, capsys, tmp_path):
         p = tmp_path / "t.json"
         p.write_text(encode(TREFOIL))
@@ -224,6 +230,13 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["census"])  # missing required --vertices
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("vertices", ["-1", "x"])
+    def test_census_bad_vertex_count_exits_2(self, capsys, vertices):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--vertices", vertices])
+        assert exc.value.code == 2
+        assert "--vertices" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -273,3 +286,11 @@ class TestStateSumHardening:
         fpath.write_text(f"A: 2\n{line}\n3 3 -> 0\n")
         code, _, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
         assert code == 1 and "bad cocycle file" in err and repr(line) in err
+
+    def test_malformed_cocycle_line_is_quoted(self, capsys, tmp_path):
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        fpath = tmp_path / "f.cocycle"
+        fpath.write_text("A: 2\n0 1 2 -> 1\n")
+        code, _, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
+        assert code == 1 and "bad cocycle file" in err and "'0 1 2 -> 1'" in err and "unpack" not in err

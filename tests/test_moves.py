@@ -1,14 +1,14 @@
 import dataclasses
+import hashlib
 
 import pytest
 
-from comtes.core import Comte, canonical_key, comte, validate
+from comtes.core import Arrow, Comte, SelfIndexedGraph, canonical_key, comte, validate
 from comtes.moves import (
     _APPLY,
     MoveError,
     MoveInstance,
     SearchBudget,
-    _inverse_instances,
     apply_move,
     apply_move_detailed,
     enumerate_moves,
@@ -103,13 +103,39 @@ class TestApply:
         assert canonical_key(back) == canonical_key(SQUARE)
 
     def test_r3a_remove_then_add(self):
-        rem = [m for m in enumerate_moves(SQUARE0) if m.kind == "R3a_remove"]
-        out = apply_move(SQUARE0, rem[0])
-        assert validate(out).ok and len(out.arrows) == 4
-        adds = [m for m in inverse_instances(out) if m.kind == "R3a_add"]
-        assert any(
-            canonical_key(apply_move(out, m)) == canonical_key(SQUARE0) for m in adds
-        )
+        # for each side position: remove that side, then the R3a_add
+        # instance at that position restores the square
+        for pos in range(4):
+            (rem,) = [m for m in enumerate_moves(SQUARE0) if m.kind == "R3a_remove" and m.params == (pos,)]
+            out = apply_move(SQUARE0, rem)
+            assert validate(out).ok and len(out.arrows) == 4
+            (add,) = [m for m in inverse_instances(out) if m.kind == "R3a_add" and m.params == (pos,)]
+            assert canonical_key(apply_move(out, add)) == canonical_key(SQUARE0), pos
+            # break one relation of the three-sided square at a time: relabel
+            # a present side, or reverse it so that it no longer meets its corners
+            arrows = list(out.graph.arrows)
+            for j in add.arrows[1:]:
+                a = arrows[j]
+                for broken in (Arrow(a.source, a.target, "c"), Arrow(a.target, a.source, a.label)):
+                    g = SelfIndexedGraph(out.graph.vertices, tuple(arrows[:j] + [broken] + arrows[j + 1:]))
+                    with pytest.raises(MoveError, match="three-sided square relations fail"):
+                        apply_move(Comte(g, out.flows), add)
+
+    def test_full_square_relations_checked(self):
+        # R3a_remove and R3b_shift check all eight relations of the square
+        arrows = list(SQUARE0.graph.arrows)
+        for j in range(1, 5):
+            a = arrows[j]
+            for broken in (Arrow(a.source, a.target, "c"), Arrow(a.target, a.source, a.label)):
+                g = SelfIndexedGraph(SQUARE0.vertices, tuple(arrows[:j] + [broken] + arrows[j + 1:]))
+                for m in (
+                    MoveInstance("R3a_remove", arrows=(0, 1, 2, 3, 4), params=(0,)),
+                    MoveInstance("R3b_shift", arrows=(0, 1, 2, 3, 4), params=(1,)),
+                ):
+                    with pytest.raises(MoveError, match="square relations do not hold"):
+                        apply_move(Comte(g, SQUARE0.flows), m)
+        with pytest.raises(MoveError, match="must be distinct"):
+            apply_move(SQUARE0, MoveInstance("R3a_remove", arrows=(0, 1, 2, 3, 3), params=(0,)))
 
     def test_stale_site_rejected(self):
         with pytest.raises(MoveError, match="arrow index 9"):
@@ -221,6 +247,21 @@ class TestSearch:
         trace = equivalent_bounded(TREFOIL, left, ignore_flows=True)
         assert trace is not None and len(trace) == 0
 
+    def test_bare_graph_search_stays_at_zero_flows(self, monkeypatch):
+        import comtes.moves
+
+        flows = set()
+        real = comtes.moves.canonical_form
+
+        def recording(c):
+            flows.update(c.flows)
+            return real(c)
+
+        monkeypatch.setattr(comtes.moves, "canonical_form", recording)
+        budget = SearchBudget(max_states=300, max_vertices=4, max_arrows=5, flow_lo=-1, flow_hi=2)
+        assert equivalent_bounded(TREFOIL, comte("a", []), budget, ignore_flows=True) is None
+        assert flows == {0}
+
     def test_trace_format(self):
         c2 = apply_move(TREFOIL, MoveInstance("R1loopadd", vertices=("a",), params=(1,)))
         trace = equivalent_bounded(TREFOIL, c2, SearchBudget(max_states=2000, max_vertices=4, max_arrows=5))
@@ -250,6 +291,31 @@ class TestR3aAddCompleteness:
             out = apply_move(c, m)
             new_labels.add(out.arrows[-1].label)
         assert {"b1", "b2"} <= new_labels
+
+
+    def test_instances_come_out_in_position_and_join_order(self):
+        # one witness with a three-sided square lacking each position in
+        # turn; the square lacking its left side has two tops and two bottoms
+        c = comte(
+            "a b t p1 q1 r1 s1 p2 q2 r2 s2 p3 p4 q3 q4 r3 s3 p5 q5 r5 s5",
+            [
+                ("b", "t", "a", 0),
+                ("p1", "q1", "a", 0), ("q1", "s1", "t", 0), ("p1", "r1", "b", 0),
+                ("p2", "q2", "a", 0), ("q2", "s2", "t", 0), ("r2", "s2", "a", 0),
+                ("p3", "r3", "b", 0), ("p4", "r3", "b", 0), ("r3", "s3", "a", 0),
+                ("q3", "s3", "t", 0), ("q4", "s3", "t", 0),
+                ("p5", "q5", "a", 0), ("p5", "r5", "b", 0), ("r5", "s5", "a", 0),
+            ],
+        )
+        assert [m.format() for m in inverse_instances(c, max_split_slots=0) if m.kind == "R3a_add"] == [
+            "R3a_add site=[arrows=0,1,2,3] params=3",
+            "R3a_add site=[arrows=0,4,5,6] params=2",
+            "R3a_add site=[arrows=0,10,7,9] params=0",
+            "R3a_add site=[arrows=0,11,7,9] params=0",
+            "R3a_add site=[arrows=0,10,8,9] params=0",
+            "R3a_add site=[arrows=0,11,8,9] params=0",
+            "R3a_add site=[arrows=0,12,13,14] params=1",
+        ]
 
 
 def test_search_is_deterministic():
@@ -315,7 +381,7 @@ class TestSizeChange:
         for c in self._sample(make_comte, ignore_flows):
             full = inverse_instances(c, ignore_flows=ignore_flows, max_split_slots=6)
             assert all(size_change(c, m)[1] == 1 for m in full), c
-            kept = _inverse_instances(c, -1, 2, ignore_flows, 6, new_vertices=False)
+            kept = inverse_instances(c, ignore_flows=ignore_flows, max_split_slots=6, new_vertices=False)
             assert kept == [m for m in full if size_change(c, m)[0] == 0], c
 
     def test_unknown_kind(self):
@@ -384,6 +450,59 @@ class TestSearchGolden:
         )
         assert canonical_key(replay_trace(G2, trace)) == canonical_key(G3)
 
+    def test_g2_g3_trace_bare_graphs(self):
+        trace = equivalent_bounded(G2, G3, G2G3_BUDGET, ignore_flows=True)
+        assert trace.format() == (
+            "R0inv site=[vertices=0,0 flags=target]\n"
+            "R3a_add site=[arrows=2,4,3,1] params=1\n"
+            "R3a_remove site=[arrows=4,1,5,0,3] params=2\n"
+            "R1contract site=[arrows=1]\n"
+        )
+        assert canonical_key(replay_trace(G2, trace, ignore_flows=True)) == canonical_key(_zeroed(G3))
+
     @pytest.mark.parametrize("limit", [dict(max_states=2000), dict(max_arrows=5, max_states=5000)])
     def test_budget_limited_search_finds_nothing(self, limit):
         assert equivalent_bounded(G2, G3, dataclasses.replace(G2G3_BUDGET, **limit)) is None
+
+
+class TestEnumerationGolden:
+    """The complete forward + inverse instance lists, in order, pinned by
+    digest; the R3 instances among them are pinned verbatim."""
+
+    CASES = {
+        "square0_without_left": (
+            lambda: apply_move(SQUARE0, MoveInstance("R3a_remove", arrows=(0, 1, 2, 3, 4), params=(0,))),
+            {
+                False: (263, "35c97b57f986c12a0bb0a502eaf16c370b00f7ba8e6ac7b637f5e5db3cfa7d57"),
+                True: (226, "3feedc41c097c4bcc31da64d15c70c784eeb7ab728060cc78dcee3fc64e0813c"),
+            },
+            ["R3a_add site=[arrows=0,1,2,3] params=0"],
+        ),
+        "g2_split": (
+            lambda: apply_move(G2, MoveInstance("R1split", vertices=("a",), moved=frozenset({(0, "s")}),
+                                                flags=("old_new", "old"))),
+            {
+                False: (452, "3f2c364146f1c828f5317dc6a7cfb455132f2eab4aac838009c240054e38e36c"),
+                True: (412, "ee2f542cba522f62a3c7ab4416f89b5f8578016e35479ebe4eb78826245ccd09"),
+            },
+            ["R3a_add site=[arrows=1,4,0,3] params=3"],
+        ),
+        "trefoil": (
+            lambda: TREFOIL,
+            {
+                False: (174, "d5c8dceefb07117b8b422523c4d19d8ae10f87e392c1e59a455bddfd728f5787"),
+                True: (147, "5caaf8bbffb969f51fd463aa305c19dd604047f9c51790899dbe4a9e9d0123e3"),
+            },
+            [],
+        ),
+    }
+
+    @pytest.mark.parametrize("ignore_flows", [False, True])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_instances_pinned(self, name, ignore_flows):
+        make, digests, r3 = self.CASES[name]
+        c = make()
+        pool = enumerate_moves(c, ignore_flows=ignore_flows) + inverse_instances(c, ignore_flows=ignore_flows)
+        text = "".join(m.format() + "\n" for m in pool)
+        assert [m.format() for m in pool if m.kind.startswith("R3")] == r3
+        assert (len(pool), hashlib.sha256(text.encode()).hexdigest()) == digests[ignore_flows]

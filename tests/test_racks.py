@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from comtes.core import classify
@@ -149,6 +151,16 @@ class TestTextFormats:
         # extra or missing residues and negative indices are errors, not dropped
         with pytest.raises(ValueError, match="line"):
             parse_cocycle(f"A: {orders}\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["0 1 ->", "0 1 2 -> 1", "0 1 1", "0 -> 1", "x 1 -> 1"])
+    def test_cocycle_malformed_line_is_quoted(self, line):
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            parse_cocycle(f"A: 2\n{line}\n")
+
+    @pytest.mark.parametrize("header", ["A: x", "A:", "A: 2,"])
+    def test_cocycle_malformed_header_is_quoted(self, header):
+        with pytest.raises(ValueError, match=re.escape(repr(header))):
+            parse_cocycle(f"{header}\n0 1 -> 1\n")
 
     def test_builtins(self):
         assert builtin_rack("trivial2").n == 2
