@@ -13,18 +13,21 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .alexander import alexander_polynomial
 from .census import SignatureCensus, enumerate_q_graphs, enumerate_r_graphs, signature_census
 from .coloring import coloring_count, state_sum
-from .core import Comte, canonical_key, comte, components, graph, validate
+from .core import Comte, canonical_key, comte, component_index, components, graph, validate
 from .homology import (
+    _degenerate,
     boundary_image,
+    boundary_matrix,
     chain_basis,
     cochain_from_cocycle2_on,
     dot_table,
     flow_to_cycle,
+    hom_tuples,
     homology,
     homology_range,
 )
@@ -33,7 +36,7 @@ from .laurent import Laurent
 from .linalg import integer_kernel_basis
 from .links import CORPUS, REIDEMEISTER_PAIRS, comte_of_diagram, comte_of_gauss, parse_gauss_code, parse_pd_code, swap_arrowtails
 from .moves import SearchBudget, apply_move_detailed, enumerate_moves, equivalent_bounded, inverse_instances, replay_trace
-from .racks import C2, Cocycle2, epsilon, format_group_ring, graph_of_rack, tetrahedron_cocycle, tetrahedron_quandle
+from .racks import C2, Cocycle2, dihedral_quandle, epsilon, format_group_ring, graph_of_rack, rack_arrow_index, tetrahedron_cocycle, tetrahedron_quandle
 from .coloring import phi_invariant
 
 DEFAULT_SEED = 20240
@@ -323,14 +326,7 @@ def suite_8a_move_invariance(seed: int, cases: int = 500) -> tuple[bool, str]:
         if coloring_count(c.graph, tetra) != coloring_count(c2.graph, tetra):
             return False, f"tetrahedron coloring count changed by {m.kind}"
         # component matching induced by the vertex map
-        cidx1 = {}
-        for i, compi in enumerate(components(c.graph)):
-            for v in compi:
-                cidx1[v] = i
-        cidx2 = {}
-        for i, compi in enumerate(components(c2.graph)):
-            for v in compi:
-                cidx2[v] = i
+        cidx1, cidx2 = component_index(c.graph), component_index(c2.graph)
         match = {}
         for v, w in res.vertex_map.items():
             if w is not None:
@@ -345,8 +341,6 @@ def suite_8a_move_invariance(seed: int, cases: int = 500) -> tuple[bool, str]:
 
 
 def _terms_of_boundary(t, dot, q_quotient):
-    from .homology import _degenerate
-
     acc = {}
     for coeff, img in boundary_image(t, dot):
         if q_quotient and _degenerate(img):
@@ -355,27 +349,29 @@ def _terms_of_boundary(t, dot, q_quotient):
     return {k: v for k, v in acc.items() if v}
 
 
-def suite_8b_boundary_squares(jobs: int = 1) -> tuple[bool, str]:
+def _dd_vanishes(t, dot, q_quotient) -> bool:
+    """True when the boundary of the boundary of the generator t is zero."""
+    acc = {}
+    for img, coeff in _terms_of_boundary(t, dot, q_quotient).items():
+        for img2, coeff2 in _terms_of_boundary(img, dot, q_quotient).items():
+            acc[img2] = acc.get(img2, 0) + coeff * coeff2
+    return not any(acc.values())
+
+
+def suite_8b_boundary_squares() -> tuple[bool, str]:
     r3, q3 = _census_graphs()
     checked = 0
     for g in list(r3) + list(q3):
         dot = dot_table(g)
         for n in range(2, 6):
             for t in chain_basis(n, g):
-                first = _terms_of_boundary(t, dot, False)
-                acc = {}
-                for img, coeff in first.items():
-                    for img2, coeff2 in _terms_of_boundary(img, dot, False).items():
-                        acc[img2] = acc.get(img2, 0) + coeff * coeff2
-                if any(acc.values()):
+                if not _dd_vanishes(t, dot, False):
                     return False, f"dd != 0 at degree {n} on {g}"
                 checked += 1
     return True, f"dd = 0 on {checked} generators across the census through degree 5"
 
 
-def suite_8c_q_quotient(jobs: int = 1) -> tuple[bool, str]:
-    from .homology import _degenerate
-
+def suite_8c_q_quotient() -> tuple[bool, str]:
     _, q3 = _census_graphs()
     checked = 0
     for g in q3:
@@ -387,37 +383,24 @@ def suite_8c_q_quotient(jobs: int = 1) -> tuple[bool, str]:
                     return False, f"boundary of a degenerate tuple leaves the subcomplex on {g}"
                 checked += 1
             for t in chain_basis(n, g, q_quotient=True):
-                first = _terms_of_boundary(t, dot, True)
-                acc = {}
-                for img, coeff in first.items():
-                    for img2, coeff2 in _terms_of_boundary(img, dot, True).items():
-                        acc[img2] = acc.get(img2, 0) + coeff * coeff2
-                if any(acc.values()):
+                if not _dd_vanishes(t, dot, True):
                     return False, f"quotient dd != 0 on {g}"
     return True, f"degenerate subcomplex closed and quotient dd = 0 on all 70 q-graphs ({checked} degenerate generators)"
 
 
 def hom_degenerates(n, g):
-    from .homology import _degenerate, hom_tuples
-
     return [t for t in hom_tuples(n, g) if _degenerate(t)]
 
 
-def suite_8d_rack_agreement(jobs: int = 1) -> tuple[bool, str]:
-    from itertools import product as iproduct
-
-    from .homology import boundary_matrix
-
-    from .racks import dihedral_quandle
-
+def suite_8d_rack_agreement() -> tuple[bool, str]:
     for x in (dihedral_quandle(3), tetrahedron_quandle()):
         g = graph_of_rack(x)
         for n in range(1, 5):
             basis = chain_basis(n, g)
             if len(basis) != x.n ** n:
                 return False, f"basis size mismatch at degree {n}"
-            direct_basis = sorted(iproduct(range(x.n), repeat=n))
-            direct_prev = sorted(iproduct(range(x.n), repeat=n - 1))
+            direct_basis = sorted(product(range(x.n), repeat=n))
+            direct_prev = sorted(product(range(x.n), repeat=n - 1))
             pos = {t: i for i, t in enumerate(direct_prev)}
             m_direct = [[0] * len(direct_basis) for _ in range(len(direct_prev))]
             for col, t in enumerate(direct_basis):
@@ -443,10 +426,10 @@ def suite_8e_coboundary_invariance(seed: int, cases: int = 500) -> tuple[bool, s
         c = random_comte(rng, nmax=4, amax=6)
         gvals = {v: rng.randrange(2) for v in gt.vertices}
         vals = []
-        for a in range(4):
+        for a in range(x.n):
             row = []
-            for b in range(4):
-                e = gt.arrows[a * 4 + b]
+            for b in range(x.n):
+                e = gt.arrows[rack_arrow_index(x, a, b)]
                 delta = (gvals[e.target] - gvals[e.source]) % 2
                 row.append(((f.value(a, b)[0] + delta) % 2,))
             vals.append(tuple(row))
@@ -513,7 +496,7 @@ def suite_8f_routes_and_swaps(seed: int, cases: int = 500) -> tuple[bool, str]:
     )
 
 
-def suite_8g_reidemeister(jobs: int = 1) -> tuple[bool, str]:
+def suite_8g_reidemeister() -> tuple[bool, str]:
     lengths = []
     for name, before, after in REIDEMEISTER_PAIRS:
         cb = comte_of_gauss(parse_gauss_code(before))
@@ -531,12 +514,12 @@ def criterion_8_property_suites(jobs: int = 1, seed: int = DEFAULT_SEED) -> Crit
     t0 = time.time()
     parts = [
         ("a", suite_8a_move_invariance(seed)),
-        ("b", suite_8b_boundary_squares(jobs)),
-        ("c", suite_8c_q_quotient(jobs)),
-        ("d", suite_8d_rack_agreement(jobs)),
+        ("b", suite_8b_boundary_squares()),
+        ("c", suite_8c_q_quotient()),
+        ("d", suite_8d_rack_agreement()),
         ("e", suite_8e_coboundary_invariance(seed)),
         ("f", suite_8f_routes_and_swaps(seed)),
-        ("g", suite_8g_reidemeister(jobs)),
+        ("g", suite_8g_reidemeister()),
     ]
     ok = all(p[1][0] for p in parts)
     detail = "; ".join(f"8{tag} {'ok' if good else 'FAIL'} ({msg})" for tag, (good, msg) in parts)

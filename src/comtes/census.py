@@ -10,9 +10,10 @@ structures and deduplicates by canonical key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
+from math import prod
 
-from .core import Arrow, SelfIndexedGraph, canonical_form, classify
+from .core import SelfIndexedGraph, canonical_form, classify, graph_from_injections
 from .homology import HomologyGroup, homology_range
 
 
@@ -35,40 +36,20 @@ def partial_injections(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def graph_from_injections(maps) -> SelfIndexedGraph:
-    """Build the r-graph with an arrow b --label--> maps[label][b] for every
-    defined value.  Vertices are 0..n-1 as strings; arrows ordered by
-    (label, source)."""
-    n = len(maps)
-    verts = tuple(str(i) for i in range(n))
-    arrows = []
-    for lab in range(n):
-        for src in range(n):
-            tgt = maps[lab][src]
-            if tgt >= 0:
-                arrows.append(Arrow(str(src), str(tgt), str(lab)))
-    return SelfIndexedGraph(verts, tuple(arrows))
+def _label_choices(n: int, q_only: bool) -> list[list[tuple[int, ...]]]:
+    """The partial injections allowed at each label: all of them, or for
+    q-graphs only those that fix the label itself."""
+    injections = partial_injections(n)
+    return [[inj for inj in injections if not q_only or inj[lab] == lab] for lab in range(n)]
 
 
 def _enumerate(n_vertices: int, q_only: bool, include_arrowless: bool) -> list[SelfIndexedGraph]:
-    injections = partial_injections(n_vertices)
     reps: dict[bytes, SelfIndexedGraph] = {}
-
-    def rec(label, acc):
-        if label == n_vertices:
-            g = graph_from_injections(acc)
-            if not include_arrowless and not g.arrows:
-                return
+    for maps in product(*_label_choices(n_vertices, q_only)):
+        g = graph_from_injections(maps)
+        if include_arrowless or g.arrows:
             cf = canonical_form(g)
-            if cf.key not in reps:
-                reps[cf.key] = cf.graph
-            return
-        for inj in injections:
-            if q_only and inj[label] != label:
-                continue
-            rec(label + 1, acc + [inj])
-
-    rec(0, [])
+            reps.setdefault(cf.key, cf.graph)
     return [reps[k] for k in sorted(reps)]
 
 
@@ -93,13 +74,7 @@ def enumerate_q_graphs(n_vertices: int, include_arrowless: bool = False) -> list
 
 
 def count_labeled_structures(n_vertices: int, q_only: bool = False) -> int:
-    injections = partial_injections(n_vertices)
-    if not q_only:
-        return len(injections) ** n_vertices
-    out = 1
-    for lab in range(n_vertices):
-        out *= sum(1 for inj in injections if inj[lab] == lab)
-    return out
+    return prod(len(c) for c in _label_choices(n_vertices, q_only))
 
 
 def burnside_class_count(n_vertices: int, q_only: bool = False) -> int:
@@ -111,7 +86,7 @@ def burnside_class_count(n_vertices: int, q_only: bool = False) -> int:
     itself after conjugating around the cycle.
     """
     n = n_vertices
-    injections = partial_injections(n)
+    choices = _label_choices(n, q_only)
     total = 0
     perms = list(permutations(range(n)))
     for perm in perms:
@@ -135,9 +110,7 @@ def burnside_class_count(n_vertices: int, q_only: bool = False) -> int:
                 x = perm[x]
             seen.update(cyc)
             cnt = 0
-            for f in injections:
-                if q_only and f[start] != start:
-                    continue
+            for f in choices[start]:
                 g = f
                 for _ in cyc:
                     g = conj(g)

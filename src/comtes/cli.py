@@ -152,7 +152,7 @@ def cmd_moves(args) -> int:
     c = _load_comte(args.comte)
     if args.action in ("enumerate", "apply"):
         if args.ignore_flows:
-            c = Comte(c.graph, (0,) * len(c.graph.arrows))
+            c = as_comte(c.graph)
         pool = enumerate_moves(c, ignore_flows=args.ignore_flows, r3b_range=args.r3b_range)
         if args.inverse:
             pool += inverse_instances(
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     inv = sub.add_parser("invariants", help="components, ranks, linking, Alexander")
     inv.add_argument("file")
-    inv.add_argument("--delta-max", type=int, default=1, help="compute Delta_0..Delta_k")
+    inv.add_argument("--delta-max", type=_non_negative_int, default=1, help="compute Delta_0..Delta_k")
     inv.add_argument("--presentations", action="store_true", help="print group/quandle presentations")
     inv.set_defaults(fn=cmd_invariants)
 
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hom = sub.add_parser("homology", help="cubical homology of an r-/q-graph")
     hom.add_argument("file")
-    hom.add_argument("--max-degree", type=int, default=5)
+    hom.add_argument("--max-degree", type=_non_negative_int, default=5)
     hom.add_argument("--q", action="store_true", help="use the quandle quotient complex")
     hom.set_defaults(fn=cmd_homology)
 
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     cen = sub.add_parser("census", help="enumerate r-/q-graphs up to isomorphism")
     cen.add_argument("--vertices", type=_non_negative_int, required=True)
     cen.add_argument("--class", dest="family", choices=["r", "q"], default="r")
-    cen.add_argument("--max-degree", type=int, default=0, help="also compute homology signatures")
+    cen.add_argument("--max-degree", type=_non_negative_int, default=0, help="also compute homology signatures")
     cen.add_argument("--table", action="store_true", help="print the per-graph signature table")
     cen.add_argument("--include-arrowless", action="store_true")
     cen.add_argument("--jobs", type=int, default=1)

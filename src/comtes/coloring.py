@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Comte, GraphHomomorphism, SelfIndexedGraph
-from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow_index, ring_add
+from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, ring_add
 
 
 def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
@@ -188,16 +188,3 @@ def state_sum(
                 total = group.add(total, group.scale(val, coeff))
         result = ring_add(result, {total: 1})
     return result
-
-
-def cochain_from_cocycle2(x: FiniteRack, f: Cocycle2, degree2_signature) -> Cochain:
-    """Reshape a quandle 2-cocycle into a degree-2 cochain on the graph of
-    the quandle.  ``degree2_signature(g, e)`` must produce the signature of
-    the basis homomorphism attached to arrow e (see homology module)."""
-    g = graph_of_rack(x)
-    values = {}
-    for a in range(x.n):
-        for b in range(x.n):
-            e = rack_arrow_index(x, a, b)
-            values[degree2_signature(g, e)] = f.value(a, b)
-    return Cochain(2, values)

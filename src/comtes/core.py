@@ -70,6 +70,21 @@ def comte(vertices, arrows=()) -> Comte:
     return Comte(SelfIndexedGraph(tuple(vertices), arrs), flows)
 
 
+def graph_from_injections(maps) -> SelfIndexedGraph:
+    """Build the r-graph with an arrow b --label--> maps[label][b] for every
+    defined value (-1 marks an undefined one).  Vertices are 0..n-1 as
+    strings; arrows ordered by (label, source)."""
+    n = len(maps)
+    verts = tuple(str(i) for i in range(n))
+    arrows = []
+    for lab in range(n):
+        for src in range(n):
+            tgt = maps[lab][src]
+            if tgt >= 0:
+                arrows.append(Arrow(str(src), str(tgt), str(lab)))
+    return SelfIndexedGraph(verts, tuple(arrows))
+
+
 def as_comte(obj: Comte | SelfIndexedGraph) -> Comte:
     """View a bare graph as a comte with zero flows; comtes pass through."""
     if isinstance(obj, Comte):

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coloring import Chain, Cochain, compose_signature, graph_homomorphisms
-from .core import Comte, GraphHomomorphism, SelfIndexedGraph
+from .core import Comte, GraphHomomorphism, SelfIndexedGraph, classify
 from .cubes import build_Yn, face_signature
 from .linalg import kernel_mod, image_size_mod, smith_normal_form
-from .racks import AbelianGroup, Cocycle2, FiniteRack
+from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow_index
 
 
 class NotRGraphError(ValueError):
@@ -120,8 +120,6 @@ def _bases_of(g: SelfIndexedGraph, top: int, q_quotient: bool):
 
 
 def _require_q_graph(g: SelfIndexedGraph):
-    from .core import classify
-
     if classify(g) != "q":
         raise ValueError("the quandle quotient needs a q-graph (self-labeled loop at every vertex)")
 
@@ -184,6 +182,8 @@ def homology_range(
 
     The bases of C_0 .. C_{max_degree+1} are built once, in one pass, and
     every boundary matrix is taken over them."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     dot, bases = _bases_of(g, max_degree + 1, q_quotient)
     sizes = [len(b) for b in bases]
     ranks = [0] * (max_degree + 2)
@@ -302,9 +302,13 @@ def chain_boundary(chain: Chain, g: SelfIndexedGraph) -> Chain:
 
 
 def cochain_from_cocycle2_on(x: FiniteRack, f: Cocycle2) -> Cochain:
-    from .coloring import cochain_from_cocycle2
-
-    return cochain_from_cocycle2(x, f, degree2_signature)
+    """Reshape a quandle 2-cocycle into a degree-2 cochain on the graph of
+    the quandle: f(a, b) sits on the basis homomorphism of the arrow with
+    label a and source b."""
+    g = graph_of_rack(x)
+    return Cochain(
+        2, {degree2_signature(g, rack_arrow_index(x, a, b)): f.value(a, b) for a in range(x.n) for b in range(x.n)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +351,6 @@ def q2_cocycles(g: SelfIndexedGraph, group: AbelianGroup) -> Q2Cocycles:
 def q2_cocycles_of_quandle(x: FiniteRack, group: AbelianGroup):
     """Cocycle solve on the graph of a quandle, also reshaped into Cocycle2
     objects (one per generator, embedded in its cyclic factor)."""
-    from .racks import graph_of_rack
-
     g = graph_of_rack(x)
     res = q2_cocycles(g, group)
     k = len(group.orders)

@@ -11,6 +11,17 @@ from __future__ import annotations
 from math import gcd as _int_gcd
 
 
+def _signed_sum(terms) -> str:
+    """Join (coefficient, body) terms, each body showing the coefficient's
+    absolute value, as "body + body - body" with the first sign attached;
+    "0" for no terms."""
+    parts = []
+    for c, body in terms:
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
 class Laurent:
     __slots__ = ("coeffs",)
 
@@ -107,9 +118,7 @@ class Laurent:
         return p
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
+        terms = []
         for e in sorted(self.coeffs, reverse=True):
             c = self.coeffs[e]
             if e == 0:
@@ -117,11 +126,8 @@ class Laurent:
             else:
                 power = "t" if e == 1 else f"t^{e}"
                 body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            terms.append((c, body))
+        return _signed_sum(terms)
 
     __repr__ = __str__
 
@@ -326,9 +332,7 @@ class MultiLaurent:
         return Laurent(out)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
+        terms = []
         for exps in sorted(self.coeffs):
             c = self.coeffs[exps]
             factors = []
@@ -343,10 +347,7 @@ class MultiLaurent:
                 body = "*".join(factors)
                 if abs(c) != 1:
                     body = f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            terms.append((c, body))
+        return _signed_sum(terms)
 
     __repr__ = __str__

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import Arrow, Comte, SelfIndexedGraph
+from .core import Comte, _UnionFind, comte
 
 
 @dataclass(frozen=True)
@@ -130,46 +130,25 @@ def comte_of_gauss(d: GaussDiagram) -> Comte:
     head_in: dict[int, str] = {}
     head_out: dict[int, str] = {}
     tail_arc: dict[int, str] = {}
+    signs: dict[int, int] = {}
     for circle in d.circles:
-        heads = [i for i, e in enumerate(circle) if e.end == "head"]
-        if not heads:
-            v = next(names)
-            vertices.append(v)
-            for e in circle:
-                tail_arc[e.chord] = v
-            continue
-        arcs = [next(names) for _ in heads]
+        arcs = [next(names) for _ in range(max(1, sum(e.end == "head" for e in circle)))]
         vertices.extend(arcs)
-        k = len(heads)
-        for j, pos in enumerate(heads):
-            head_out[circle[pos].chord] = arcs[j]
-            head_in[circle[pos].chord] = arcs[(j - 1) % k]
-        for i, e in enumerate(circle):
-            if e.end == "tail":
-                # the arc whose starting head is the last head at or before i
-                j = 0
-                for jj, pos in enumerate(heads):
-                    if pos < i:
-                        j = jj
-                if i < heads[0]:
-                    j = k - 1
-                tail_arc[e.chord] = arcs[j]
-    arrows = []
-    signs = {}
-    for circle in d.circles:
+        # arcs[j] starts at the last head passed; before the first head the
+        # circle is still on the arc that ends there, arcs[-1]
+        j = -1
         for e in circle:
+            if e.end == "head":
+                j += 1
+                head_in[e.chord], head_out[e.chord] = arcs[j - 1], arcs[j]
+            else:
+                tail_arc[e.chord] = arcs[j]
             signs[e.chord] = e.sign
+    arrows = []
     for chord in sorted(head_in):
-        b_in, c_out = head_in[chord], head_out[chord]
-        lab = tail_arc[chord]
-        if signs[chord] > 0:
-            arrows.append((b_in, c_out, lab, 1))
-        else:
-            arrows.append((c_out, b_in, lab, -1))
-    g = SelfIndexedGraph(
-        tuple(vertices), tuple(Arrow(s, t, l) for s, t, l, _ in arrows)
-    )
-    return Comte(g, tuple(f for _, _, _, f in arrows))
+        b_in, c_out, lab = head_in[chord], head_out[chord], tail_arc[chord]
+        arrows.append((b_in, c_out, lab, 1) if signs[chord] > 0 else (c_out, b_in, lab, -1))
+    return comte(vertices, arrows)
 
 
 def swap_arrowtails(d: GaussDiagram, circle: int, position: int) -> GaussDiagram:
@@ -246,48 +225,22 @@ def comte_of_diagram(d: PlanarDiagram) -> Comte:
     over-passages) are the vertices, crossings give the arrows.  Arc names
     a, b, c, ... are assigned by smallest member edge."""
     n_edges = 2 * len(d.crossings)
-    parent = {e: e for e in range(1, n_edges + 1)}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    def union(e, f):
-        re_, rf = find(e), find(f)
-        if re_ != rf:
-            parent[max(re_, rf)] = min(re_, rf)
-
-    signs = []
+    uf = _UnionFind(range(1, n_edges + 1))
     for x in d.crossings:
-        s = _pd_sign(x, n_edges)
-        signs.append(s)
-        union(x.b, x.d)
+        uf.union(x.b, x.d)
     classes: dict[int, list[int]] = {}
     for e in range(1, n_edges + 1):
-        classes.setdefault(find(e), []).append(e)
+        classes.setdefault(uf.find(e), []).append(e)
     names = _arc_names()
-    arc_name: dict[int, str] = {}
-    vertices = []
-    for root in sorted(classes):
-        nm = next(names)
-        vertices.append(nm)
-        for e in classes[root]:
-            arc_name[e] = nm
+    vertices = [next(names) for _ in classes]
+    arc_name = {e: v for v, members in zip(vertices, classes.values()) for e in members}
     arrows = []
-    flows = []
-    for x, s in zip(d.crossings, signs):
-        over = arc_name[x.b]
-        if s > 0:
-            arrows.append(Arrow(arc_name[x.a], arc_name[x.c], over))
-        else:
-            arrows.append(Arrow(arc_name[x.c], arc_name[x.a], over))
-        flows.append(s)
-    for _ in range(d.free_loops):
-        vertices.append(next(names))
-    g = SelfIndexedGraph(tuple(vertices), tuple(arrows))
-    return Comte(g, tuple(flows))
+    for x in d.crossings:
+        s = _pd_sign(x, n_edges)
+        a, c, over = arc_name[x.a], arc_name[x.c], arc_name[x.b]
+        arrows.append((a, c, over, s) if s > 0 else (c, a, over, s))
+    vertices += [next(names) for _ in range(d.free_loops)]
+    return comte(vertices, arrows)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .core import (
     Arrow,
     Comte,
     SelfIndexedGraph,
+    as_comte,
     canonical_form,
     quotient,
     validate,
@@ -88,10 +89,6 @@ def _fresh_name(vertices, stem: str) -> str:
     while cand in used:
         cand += "'"
     return cand
-
-
-def _zero_flows(c: Comte) -> Comte:
-    return Comte(c.graph, (0,) * len(c.graph.arrows))
 
 
 def _slot(a: Arrow, role: str) -> str:
@@ -176,12 +173,15 @@ def _slots_after_drop(g: SelfIndexedGraph, v: str, dropped: int, skip=None) -> f
 
 def _split_off(c: Comte, v: str, moved, kind: str) -> tuple[str, list[Arrow]]:
     """A fresh vertex and the arrows of ``c`` with the ``moved`` slots, each
-    of which must be at ``v``, sent to it."""
-    for j, role in moved:
-        if _slot(_check_arrow(c, j), role) != v:
-            raise MoveError(f"{kind}: slot ({j},{role}) is not attached to {v!r}")
-    w = _fresh_name(c.graph.vertices, v)
+    of which must be at ``v``, sent to it.  An error names the least
+    offending slot, so its text does not follow the set's iteration order."""
     arrows = list(c.graph.arrows)
+    bad = [(j, role) for j, role in moved if not 0 <= j < len(arrows) or _slot(arrows[j], role) != v]
+    if bad:
+        j, role = min(bad)
+        _check_arrow(c, j)  # a missing arrow is a stale site
+        raise MoveError(f"{kind}: slot ({j},{role}) is not attached to {v!r}")
+    w = _fresh_name(c.graph.vertices, v)
     for j, role in moved:
         arrows[j] = _with_slot(arrows[j], role, w)
     return w, arrows
@@ -538,7 +538,7 @@ def enumerate_moves(c: Comte, *, ignore_flows: bool = False, r3b_range: int = 3)
     that way apply to the zero-flow comte, not the original.
     """
     if ignore_flows:
-        c = _zero_flows(c)
+        c = as_comte(c.graph)
     g = c.graph
     out: list[MoveInstance] = []
     labels_used = {a.label for a in g.arrows}
@@ -617,7 +617,7 @@ def inverse_instances(
     R1split, fresh splits) and keeps the order of the rest.
     """
     if ignore_flows:
-        c = _zero_flows(c)
+        c = as_comte(c.graph)
         flow_lo, flow_hi = 0, 0
     g = c.graph
     out: list[MoveInstance] = []
@@ -764,7 +764,7 @@ def replay_trace(c: Comte, trace: MoveTrace, *, ignore_flows: bool = False) -> C
     """Replay a trace from ``c``, checking the recorded canonical keys; the
     canonical form of the final comte is returned."""
     if ignore_flows:
-        c = _zero_flows(c)
+        c = as_comte(c.graph)
     cf = canonical_form(c)
     state, key = cf.comte, cf.key
     for step in trace.steps:
@@ -793,7 +793,7 @@ def equivalent_bounded(
     """
     budget = budget or SearchBudget()
     if ignore_flows:
-        c1, c2 = _zero_flows(c1), _zero_flows(c2)
+        c1, c2 = as_comte(c1.graph), as_comte(c2.graph)
         budget = replace(budget, r3b_range=0, flow_lo=0, flow_hi=0)
     start, goal = canonical_form(c1), canonical_form(c2)
     if start.key == goal.key:

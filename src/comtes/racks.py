@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Arrow, SelfIndexedGraph
+from .core import SelfIndexedGraph, graph_from_injections
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,9 @@ def builtin_rack(name: str) -> FiniteRack:
 def graph_of_rack(x: FiniteRack) -> SelfIndexedGraph:
     """The self-indexed graph of a rack: one vertex per element, and for
     every pair (a, b) an arrow b --a--> a|>b.  Vertices are the decimal
-    element names; arrows are ordered by (a, b)."""
-    verts = tuple(str(i) for i in range(x.n))
-    arrows = tuple(
-        Arrow(str(b), str(x.op(a, b)), str(a)) for a in range(x.n) for b in range(x.n)
-    )
-    return SelfIndexedGraph(verts, arrows)
+    element names; arrows are ordered by (a, b).  Each row of the table is
+    a bijection, so this is the r-graph of the rows as injections."""
+    return graph_from_injections(x.table)
 
 
 def rack_arrow_index(x: FiniteRack, a: int, b: int) -> int:
@@ -299,11 +296,13 @@ def format_rack_table(x: FiniteRack) -> str:
 
 
 def parse_rack_table(text: str) -> FiniteRack:
-    """First line n, then n rows of n integers."""
+    """First line a non-negative n, then n rows of n integers."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty rack table")
     n = int(tokens[0])
+    if n < 0:
+        raise ValueError(f"element count must be non-negative, got {n}")
     if len(tokens) != 1 + n * n:
         raise ValueError(f"expected {n * n} table entries, got {len(tokens) - 1}")
     vals = [int(v) for v in tokens[1:]]

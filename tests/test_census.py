@@ -32,6 +32,14 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="non-negative"):
             count(-1)
 
+    @pytest.mark.parametrize(
+        "q_only, labeled, classes",
+        [(False, [1, 2, 49, 39304], [1, 2, 28, 6664]), (True, [1, 1, 4, 343], [1, 1, 3, 70])],
+    )
+    def test_counts_pinned(self, q_only, labeled, classes):
+        assert [count_labeled_structures(n, q_only=q_only) for n in range(4)] == labeled
+        assert [burnside_class_count(n, q_only=q_only) for n in range(4)] == classes
+
     def test_n1(self):
         assert len(enumerate_r_graphs(1)) == 1  # the self-labeled loop
         assert len(enumerate_r_graphs(1, include_arrowless=True)) == 2

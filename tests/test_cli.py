@@ -105,6 +105,15 @@ class TestColoringsAndStateSum:
         code, out, _ = run(capsys, "colorings", "--comte", str(p), "--quandle", str(rpath))
         assert code == 0 and "16 colorings" in out
 
+    def test_negative_rack_size_rejected(self, capsys, tmp_path):
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        rpath = tmp_path / "neg.rack"
+        rpath.write_text("-1 0")
+        code, out, err = run(capsys, "colorings", "--comte", str(p), "--quandle", str(rpath))
+        assert code == 1 and out == ""
+        assert "bad rack table" in err and "non-negative" in err
+
 
 class TestHomologyCommand:
     def test_exhoc(self, capsys, tmp_path):
@@ -237,6 +246,23 @@ class TestUsage:
             main(["census", "--vertices", vertices])
         assert exc.value.code == 2
         assert "--vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--vertices", "2", "--max-degree", "-2", "--table"],
+            ["homology", "G", "--max-degree", "-1"],
+            ["invariants", "G", "--delta-max", "-1"],
+        ],
+    )
+    def test_negative_degree_exits_2(self, capsys, tmp_path, argv):
+        p = tmp_path / "g.json"
+        p.write_text(encode(TREFOIL))
+        with pytest.raises(SystemExit) as exc:
+            main([str(p) if a == "G" else a for a in argv])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "must be non-negative" in out.err
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

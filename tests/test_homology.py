@@ -168,6 +168,11 @@ class TestHomology:
             assert [h.betti for h in homology_range(g, 3)] == [o**n for n in range(1, 4)]
             assert [h.betti for h in homology_range(g, 3, q_quotient=True)] == [o * (o - 1) ** (n - 1) for n in range(1, 4)]
 
+    def test_negative_max_degree_rejected(self):
+        assert homology_range(EXHOC, 0) == ()
+        with pytest.raises(ValueError, match="non-negative"):
+            homology_range(EXHOC, -1)
+
     def test_formats(self):
         from comtes.homology import HomologyGroup
 
@@ -186,6 +191,19 @@ class TestChains:
     def test_zero_flow_zero_chain(self):
         z = comte("a b x", [("a", "b", "x", 0)])
         assert flow_to_cycle(z).coeffs == ()
+
+    def test_tetrahedral_cocycle_as_cochain(self):
+        # (vertex images in Y_2 vertex order, arrow index) -> f value, in
+        # the order of the rack graph's arrows
+        want = [
+            ("000", 0, 0), ("021", 1, 0), ("032", 2, 0), ("013", 3, 0),
+            ("130", 4, 0), ("111", 5, 0), ("102", 6, 1), ("123", 7, 1),
+            ("210", 8, 0), ("231", 9, 1), ("222", 10, 0), ("203", 11, 1),
+            ("320", 12, 0), ("301", 13, 1), ("312", 14, 1), ("333", 15, 0),
+        ]
+        f = cochain_from_cocycle2_on(tetrahedron_quandle(), tetrahedron_cocycle())
+        assert f.degree == 2
+        assert list(f.values.items()) == [((tuple(vs), (e,)), (v,)) for vs, e, v in want]
 
 
 class TestQ2Cocycles:

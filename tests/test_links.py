@@ -1,6 +1,6 @@
 import pytest
 
-from comtes.core import canonical_key, components, comte, validate
+from comtes.core import canonical_key, components, comte, encode, validate
 from comtes.links import (
     CORPUS,
     REIDEMEISTER_PAIRS,
@@ -147,6 +147,64 @@ class TestCorpus:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             corpus_comte("granny")
+
+
+# The exact output (vertex names, arrow order, flows) of both constructions
+# on the corpus, the Reidemeister pairs and a PD code with free loops.
+GAUSS_PINS = {
+    "O1+U2+O3+U1+O2+U3+": ("a b c", [("a", "b", "c", 1), ("c", "a", "b", 1), ("b", "c", "a", 1)]),
+    "O1-U2-O3-U1-O2-U3-": ("a b c", [("b", "a", "c", -1), ("a", "c", "b", -1), ("c", "b", "a", -1)]),
+    "U4-O2+U3+O4-U1-O3+U2+O1-": (
+        "a b c d",
+        [("c", "b", "d", -1), ("c", "d", "a", 1), ("a", "b", "c", 1), ("a", "d", "b", -1)],
+    ),
+    "U1-O2-/O1-U2-": ("a b", [("a", "a", "b", -1), ("b", "b", "a", -1)]),
+    "O4+U1-O3-U2+/O5-U4+O6+U3-/O1-U6+O2+U5-": (
+        "a b c d e f",
+        [("a", "b", "f", -1), ("a", "b", "e", 1), ("d", "c", "a", -1),
+         ("d", "c", "b", 1), ("f", "e", "d", -1), ("f", "e", "c", 1)],
+    ),
+    "O1+U2+O3+U1+O2+U3+O4+U4+": (
+        "a b c d",
+        [("a", "b", "d", 1), ("d", "a", "b", 1), ("b", "c", "a", 1), ("c", "d", "c", 1)],
+    ),
+    "O1+O4+O5-U2+O3+U1+U4+U5-O2+U3+": (
+        "a b c d e",
+        [("a", "b", "e", 1), ("e", "a", "d", 1), ("d", "e", "a", 1), ("b", "c", "e", 1), ("d", "c", "e", -1)],
+    ),
+    "O1+O2+U2+U3+/U1+O3+": ("a b c", [("c", "c", "b", 1), ("b", "a", "b", 1), ("a", "b", "c", 1)]),
+    "O2+O3+U1+U2+/O1+U3+": ("a b c", [("b", "a", "c", 1), ("a", "b", "b", 1), ("c", "c", "b", 1)]),
+}
+
+PD_PINS = {
+    "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]": ("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)]),
+    "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]": ("a b c", [("b", "a", "c", -1), ("c", "b", "a", -1), ("a", "c", "b", -1)]),
+    "X[4,7,5,8] X[8,3,1,4] X[2,6,3,5] X[6,2,7,1]": (
+        "a b c d",
+        [("c", "b", "d", -1), ("a", "d", "b", -1), ("a", "b", "c", 1), ("c", "d", "a", 1)],
+    ),
+    "X[2,3,1,4] X[4,1,3,2]": ("a b", [("a", "a", "b", -1), ("b", "b", "a", -1)]),
+    "X[2,9,3,10] X[4,12,1,11] X[8,3,5,4] X[6,2,7,1] X[12,5,9,6] X[10,8,11,7]": (
+        "a b c d e f",
+        [("b", "a", "e", -1), ("b", "a", "f", 1), ("c", "d", "b", -1),
+         ("c", "d", "a", 1), ("e", "f", "c", -1), ("e", "f", "d", 1)],
+    ),
+    "L X[2,3,1,4] L X[4,1,3,2]": ("a b c d", [("a", "a", "b", -1), ("b", "b", "a", -1)]),
+}
+
+
+class TestConstructionPins:
+    def test_pins_cover_corpus_and_pairs(self):
+        assert {code.gauss for code in CORPUS} | {x for _, before, after in REIDEMEISTER_PAIRS for x in (before, after)} == set(GAUSS_PINS)
+        assert {code.pd for code in CORPUS} < set(PD_PINS)
+
+    @pytest.mark.parametrize("code", sorted(GAUSS_PINS))
+    def test_comte_of_gauss_bytes(self, code):
+        assert encode(comte_of_gauss(parse_gauss_code(code))) == encode(comte(*GAUSS_PINS[code]))
+
+    @pytest.mark.parametrize("code", sorted(PD_PINS))
+    def test_comte_of_diagram_bytes(self, code):
+        assert encode(comte_of_diagram(parse_pd_code(code))) == encode(comte(*PD_PINS[code]))
 
 
 class TestArrowtailSwap:

@@ -1,8 +1,13 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import comtes
 from comtes.core import Arrow, Comte, SelfIndexedGraph, canonical_key, comte, validate
 from comtes.moves import (
     _APPLY,
@@ -146,6 +151,38 @@ class TestApply:
     def test_unknown_kind(self):
         with pytest.raises(MoveError, match="unknown move kind"):
             apply_move(TREFOIL, MoveInstance("R9"))
+
+    def test_split_errors_name_the_least_offending_slot(self):
+        # the moved slots are a set, so the message must not follow its
+        # iteration order, which changes with the string hash seed
+        script = (
+            "import sys\n"
+            "from comtes.core import comte\n"
+            "from comtes.moves import MoveError, MoveInstance, apply_move\n"
+            "c = comte('a b c', [('a', 'b', 'c', 1), ('b', 'c', 'a', 1), ('c', 'a', 'b', 1)])\n"
+            "slots = frozenset((j, r) for j in range(3) for r in 'stl')\n"
+            "for m in (\n"
+            "    MoveInstance('R1split', vertices=('a',), moved=slots, flags=('old_new', 'old')),\n"
+            "    MoveInstance('R2a_split', arrows=(0,), params=(1, 0), moved=slots - {(0, 't')}, flags=('fresh',)),\n"
+            "    MoveInstance('R1split', vertices=('a',), moved=frozenset({(5, 's'), (7, 't'), (9, 'l')}),"
+            " flags=('old_new', 'old')),\n"
+            "):\n"
+            "    try:\n"
+            "        apply_move(c, m)\n"
+            "    except MoveError as e:\n"
+            "        print(e, file=sys.stderr)\n"
+        )
+        src = str(Path(comtes.__file__).resolve().parent.parent)
+        errs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1] == (
+            "R1split: slot (0,l) is not attached to 'a'\n"
+            "R2 split: slot (0,l) is not attached to 'b'\n"
+            "stale site: arrow index 5 not present\n"
+        )
 
 
 class TestInverseEnumeration:

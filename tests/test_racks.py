@@ -2,8 +2,10 @@ import re
 
 import pytest
 
+from comtes.census import graph_from_injections
 from comtes.core import classify
 from comtes.racks import (
+    BUILTIN_RACKS,
     AbelianGroup,
     C2,
     Cocycle2,
@@ -102,6 +104,13 @@ class TestGraphOfRack:
         g = graph_of_rack(FiniteRack.from_table(table))
         assert classify(g) == "r"
 
+    def test_is_the_graph_of_the_table_as_injections(self):
+        racks = [builtin_rack(name) for name in BUILTIN_RACKS]
+        for x in racks + [dihedral_quandle(5), dihedral_quandle(7), trivial_quandle(4)]:
+            g = graph_of_rack(x)
+            assert g == graph_from_injections(x.table)
+            assert [(a.label, a.source) for a in g.arrows] == [(str(a), str(b)) for a in range(x.n) for b in range(x.n)]
+
 
 class TestAbelianGroup:
     def test_ops(self):
@@ -137,6 +146,10 @@ class TestTextFormats:
             assert parse_rack_table(format_rack_table(x)) == x
         with pytest.raises(ValueError):
             parse_rack_table("2\n0 1\n")
+
+    def test_rack_table_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            parse_rack_table("-1 0")
 
     def test_cocycle_round_trip(self):
         f = tetrahedron_cocycle()

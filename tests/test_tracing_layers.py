@@ -1,0 +1,41 @@
+"""The benchmark's tracer wraps library functions by name; every name it
+lists must still exist, so that a refactor which moves or deletes one fails
+here rather than in a traced benchmark run."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import comtes
+
+TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("comtes_benchmark_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_resolves_to_a_function():
+    tracing = _load_tracing()
+    assert tracing.LAYERS
+    for mod_name, fn_name, _span in tracing.LAYERS:
+        module = importlib.import_module(f"comtes.{mod_name}")
+        assert inspect.isfunction(getattr(module, fn_name, None)), f"comtes.{mod_name}.{fn_name}"
+
+
+def test_install_wraps_each_layer_and_uninstall_restores_it():
+    tracing = _load_tracing()
+    homes = [(importlib.import_module(f"comtes.{m}"), fn) for m, fn, _ in tracing.LAYERS]
+    originals = [getattr(home, fn) for home, fn in homes]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(comtes)
+        for (home, fn), original in zip(homes, originals):
+            assert getattr(home, fn) is not original, f"{home.__name__}.{fn} was not wrapped"
+    finally:
+        tracer.uninstall()
+    assert [getattr(home, fn) for home, fn in homes] == originals
