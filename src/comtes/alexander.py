@@ -56,12 +56,52 @@ def _det(matrix: list[list[Laurent]]) -> Laurent:
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
+def _is_unit(p: Laurent) -> bool:
+    """Whether p is +-t^k, a unit of Z[t, t^-1]."""
+    return len(p.coeffs) == 1 and abs(next(iter(p.coeffs.values()))) == 1
+
+
+def _eliminate_units(matrix: list[list[Laurent]], r: int) -> tuple[list[list[Laurent]], int]:
+    """Remove unit pivots while r > 0: the residual matrix and minor size.
+
+    The pivot is the unit whose row has the fewest nonzeros, ties broken by
+    (row, column).  Clearing its column by row operations and dropping its
+    row and column turns M into M' with I_r(M) = I_{r-1}(M'), because
+    I_r(diag(u, M')) = I_{r-1}(M') for a unit u.
+    """
+    m = [row[:] for row in matrix]
+    while r > 0:
+        units = [
+            (sum(1 for x in row if x), i, j)
+            for i, row in enumerate(m)
+            for j, x in enumerate(row)
+            if _is_unit(x)
+        ]
+        if not units:
+            break
+        _, i, j = min(units)
+        pivot = m.pop(i)
+        ((e, c),) = pivot.pop(j).coeffs.items()
+        inverse = Laurent.t(-e, c)
+        for row in m:
+            f = row.pop(j) * inverse
+            if f:
+                for k, x in enumerate(pivot):
+                    if x:
+                        row[k] = row[k] - f * x
+        r -= 1
+    return m, r
+
+
 def minors_gcd(matrix: list[list[Laurent]], r: int) -> Laurent:
     """Unit-normalized gcd of all r x r minors; zero when all minors vanish.
 
-    The running gcd short-circuits to 1 as soon as it normalizes to 1.
+    Unit pivots are eliminated first, which leaves the gcd unchanged and
+    shrinks both the matrix and r.  Over the residual, the running gcd
+    short-circuits to 1 as soon as it normalizes to 1.
     """
     one = Laurent.one()
+    matrix, r = _eliminate_units(matrix, r)
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     if r == 0:

@@ -281,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     mv.add_argument("--inverse", action="store_true", help="include inverse instances")
     mv.add_argument("--index", type=int, default=0, help="instance to apply")
     mv.add_argument("--target", help="target comte document (search)")
-    mv.add_argument("--max-states", type=int, default=5000)
-    mv.add_argument("--max-vertices", type=int, default=8)
-    mv.add_argument("--max-arrows", type=int, default=12)
-    mv.add_argument("--r3b-range", type=int, default=2)
+    mv.add_argument("--max-states", type=_non_negative_int, default=5000)
+    mv.add_argument("--max-vertices", type=_non_negative_int, default=8)
+    mv.add_argument("--max-arrows", type=_non_negative_int, default=12)
+    mv.add_argument("--r3b-range", type=_non_negative_int, default=2)
     mv.add_argument("--flow-lo", type=int, default=-1)
     mv.add_argument("--flow-hi", type=int, default=2)
-    mv.add_argument("--max-split-slots", type=int, default=10, help="skip splits of vertices with more slots")
+    mv.add_argument("--max-split-slots", type=_non_negative_int, default=10, help="skip splits of vertices with more slots")
     mv.add_argument("--ignore-flows", action="store_true", help="zero the flows first (bare-graph mode)")
     mv.set_defaults(fn=cmd_moves)
 

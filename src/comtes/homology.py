@@ -202,7 +202,9 @@ def homology_range(
 
 
 def homology(g: SelfIndexedGraph, n: int, q_quotient: bool = False) -> HomologyGroup:
-    return homology_range(g, n, q_quotient)[n - 1]
+    """H_n; H_0 is Z, by the convention of ``homology_range``."""
+    groups = homology_range(g, n, q_quotient)
+    return groups[n - 1] if n else HomologyGroup(1, ())
 
 
 @dataclass(frozen=True)

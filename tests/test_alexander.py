@@ -1,6 +1,10 @@
+import random
+from itertools import combinations
+
 import pytest
 
-from comtes.acceptance import _fox_trefoil_oracle
+from comtes import alexander
+from comtes.acceptance import _fox_trefoil_oracle, random_comte, random_gauss_diagram
 from comtes.alexander import (
     alexander_polynomial,
     minors_gcd,
@@ -8,7 +12,8 @@ from comtes.alexander import (
     relation_matrix,
 )
 from comtes.core import components, graph
-from comtes.laurent import Laurent, divides
+from comtes.laurent import Laurent, divexact, divides, laurent_gcd
+from comtes.links import LinkCodeError, comte_of_gauss, parse_gauss_code
 from comtes.moves import apply_move, enumerate_moves, inverse_instances
 
 T = Laurent.t()
@@ -16,6 +21,40 @@ ONE = Laurent.one()
 
 EXAMPLE = graph("a b c", [("a", "b", "c"), ("a", "c", "b")])
 TREFOIL = graph("a b c", [("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b")])
+GRANNY = "O1+U2+O3+U1+O2+U3+O4+U5+O6+U4+O5+U6+"
+
+
+def _gauss_graph(code):
+    return comte_of_gauss(parse_gauss_code(code)).graph
+
+
+def _torus_gauss(n):
+    """T(2,n), n odd: 2n passages alternating over/under, visiting 1..n cyclically."""
+    return "".join(("O" if k % 2 == 0 else "U") + f"{k % n + 1}+" for k in range(2 * n))
+
+
+def _brute_minors_gcd(matrix, r):
+    """Reference: gcd of every r x r minor, no shortcuts."""
+    if r == 0:
+        return ONE
+    ncols = len(matrix[0]) if matrix else 0
+    acc = Laurent.zero()
+    for rows in combinations(range(len(matrix)), r):
+        for cols in combinations(range(ncols), r):
+            acc = laurent_gcd(acc, alexander._det([[matrix[i][j] for j in cols] for i in rows]))
+    return acc.unit_normalize()
+
+
+def _random_graphs(seed, count):
+    """``count`` seeded random comte graphs and ``count`` graphs of random Gauss codes."""
+    rng = random.Random(seed)
+    out = [random_comte(rng, nmax=5, amax=7).graph for _ in range(count)]
+    while len(out) < 2 * count:
+        try:
+            out.append(_gauss_graph(random_gauss_diagram(rng)))
+        except LinkCodeError:
+            continue
+    return out
 
 
 class TestRelationMatrix:
@@ -74,12 +113,44 @@ class TestAlexanderPolynomial:
             c2 = apply_move(c, m)
             assert alexander_polynomial(c.graph, 1) == alexander_polynomial(c2.graph, 1), m
 
+    def test_granny_knot(self):
+        g = _gauss_graph(GRANNY)
+        trefoil = T * T - T + ONE
+        assert alexander_polynomial(g, 1) == trefoil * trefoil
+        assert alexander_polynomial(g, 2) == trefoil
+
+    def test_relabeling_leaves_every_delta_unchanged(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            g = random_comte(rng, nmax=5, amax=7).graph
+            vs, arrs = list(g.vertices), [(a.source, a.target, a.label) for a in g.arrows]
+            rng.shuffle(vs)
+            rng.shuffle(arrs)
+            h = graph(vs, arrs)
+            for i in range(len(vs) + 1):
+                assert alexander_polynomial(g, i) == alexander_polynomial(h, i), (g, i)
+
 
 class TestMinorsGcd:
     def test_early_exit_and_zero(self):
         z = Laurent.zero()
         assert minors_gcd([[z, z], [z, z]], 1) == z
         assert minors_gcd([[ONE, z], [z, ONE]], 2) == ONE
+
+    @pytest.mark.parametrize("n", [15, 21, 31, 51])
+    def test_torus_knot_needs_few_determinants(self, monkeypatch, n):
+        calls = []
+        det = alexander._det
+        monkeypatch.setattr(alexander, "_det", lambda m: calls.append(len(m)) or det(m))
+        got = alexander_polynomial(_gauss_graph(_torus_gauss(n)), 1)
+        assert len(calls) <= 9
+        assert got == divexact(T.shift(n - 1) + ONE, T + ONE).unit_normalize()
+
+    def test_matches_brute_force_on_random_matrices(self):
+        for g in _random_graphs(2024, 500):
+            m = relation_matrix(g)
+            for r in range(len(g.vertices) + 2):
+                assert minors_gcd(m, r) == _brute_minors_gcd(m, r), (g, r)
 
 
 class TestMultivariable:

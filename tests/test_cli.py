@@ -4,6 +4,7 @@ import pytest
 
 from comtes.cli import main
 from comtes.core import Comte, canonical_key, comte, decode, encode
+from comtes.links import comte_of_gauss, parse_gauss_code
 from comtes.moves import apply_move, enumerate_moves, inverse_instances
 
 TREFOIL = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)])
@@ -173,6 +174,19 @@ class TestMovesCommand:
         d.write_text(encode(comte("a", [])))
         code, out, _ = run(capsys, "moves", "search", "--comte", str(p), "--target", str(d), "--max-states", "200")
         assert code == 0 and out.startswith("unknown")
+
+    @pytest.mark.parametrize("option", ["--max-states", "--max-vertices", "--max-arrows", "--max-split-slots", "--r3b-range"])
+    def test_negative_search_budget_exits_2(self, capsys, tmp_path, option):
+        # the R1 pair below is one move from the trefoil under the default budget
+        p = tmp_path / "kink.json"
+        p.write_text(encode(comte_of_gauss(parse_gauss_code("O1+U2+O3+U1+O2+U3+O4+U4+"))))
+        t = tmp_path / "t.json"
+        t.write_text(encode(TREFOIL))
+        with pytest.raises(SystemExit) as exc:
+            main(["moves", "search", "--comte", str(p), "--target", str(t), option, "-1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and option in out.err and "must be non-negative" in out.err
 
     def test_ignore_flows_enumerates_and_applies_bare_graph_moves(self, capsys, tmp_path):
         # a full square whose sides carry flow: only with flows zeroed may a

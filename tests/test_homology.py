@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from comtes.acceptance import EXAMPLE_QGRAPH
 from comtes.census import enumerate_q_graphs, graph_from_injections, partial_injections
 from comtes.coloring import graph_homomorphisms
 from comtes.core import comte, graph, is_homomorphism
 from comtes.cubes import build_Yn
 from comtes.homology import (
+    HomologyGroup,
     NotRGraphError,
     boundary_matrix,
     chain_basis,
@@ -173,9 +175,12 @@ class TestHomology:
         with pytest.raises(ValueError, match="non-negative"):
             homology_range(EXHOC, -1)
 
-    def test_formats(self):
-        from comtes.homology import HomologyGroup
+    def test_degree_zero_is_z_and_negative_rejected(self):
+        assert homology(EXAMPLE_QGRAPH, 0) == HomologyGroup(1, ())
+        with pytest.raises(ValueError, match="non-negative"):
+            homology(EXAMPLE_QGRAPH, -1)
 
+    def test_formats(self):
         assert HomologyGroup(0, ()).format() == "0"
         assert HomologyGroup(2, (2, 4)).format() == "Z^2 + Z/2 + Z/4"
 
