@@ -69,11 +69,16 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_invariants(args) -> int:
-    c = _load_comte(args.file)
+def _load_valid_comte(path: str) -> Comte:
+    c = _load_comte(path)
     report = validate(c)
     if not report.ok:
         raise CommandError("document is not a valid comte:\n" + report.describe())
+    return c
+
+
+def cmd_invariants(args) -> int:
+    c = _load_valid_comte(args.file)
     comps = components(c.graph)
     print(f"components: {len(comps)}")
     for i, comp in enumerate(comps):
@@ -108,7 +113,7 @@ def cmd_colorings(args) -> int:
 
 
 def cmd_statesum(args) -> int:
-    c = _load_comte(args.comte)
+    c = _load_valid_comte(args.comte)
     x = _load_rack(args.quandle)
     if not x.quandle:
         raise CommandError("state sums need a quandle")
@@ -118,7 +123,7 @@ def cmd_statesum(args) -> int:
         f = tetrahedron_cocycle()
     else:
         try:
-            f = parse_cocycle(_read(args.cocycle))
+            f = parse_cocycle(_read(args.cocycle), bound=x.n)
         except ValueError as e:
             raise CommandError(f"bad cocycle file {args.cocycle!r}: {e}") from None
     if f.n != x.n:

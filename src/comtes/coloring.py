@@ -10,6 +10,7 @@ cocycle values and flows (or chain coefficients) in the group ring Z[A].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .core import Comte, GraphHomomorphism, SelfIndexedGraph
 from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, ring_add
@@ -17,12 +18,10 @@ from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, ring_add
 
 def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
     """All vertex maps f with: every src arrow has at least one dst arrow
-    over (f(source), f(label), f(target)).  Backtracks most-constrained
-    vertices first; yields dicts in no particular order."""
+    over (f(source), f(label), f(target)).  Yields (f, cands), where
+    cands[k] lists the indices of those dst arrows for src arrow k.
+    Backtracks most-constrained vertices first; no particular order."""
     sv = list(src.vertices)
-    if not sv:
-        yield {}
-        return
     dst_by_slt: dict[tuple[str, str, str], list[int]] = {}
     for j, b in enumerate(dst.arrows):
         dst_by_slt.setdefault((b.source, b.label, b.target), []).append(j)
@@ -33,25 +32,25 @@ def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
     order = sorted(sv, key=lambda v: (-touch[v], sv.index(v)))
     pos = {v: i for i, v in enumerate(order)}
     arrows_ready = [[] for _ in sv]
-    for a in src.arrows:
+    for k, a in enumerate(src.arrows):
         stage = max(pos[a.source], pos[a.target], pos[a.label])
-        arrows_ready[stage].append(a)
+        arrows_ready[stage].append((k, a.source, a.label, a.target))
     assignment: dict[str, str] = {}
+    cands: list[list[int] | None] = [None] * len(src.arrows)
 
     def rec(i):
         if i == len(order):
-            yield dict(assignment)
+            yield dict(assignment), tuple(cands)
             return
         v = order[i]
         for w in dst.vertices:
             assignment[v] = w
-            ok = True
-            for a in arrows_ready[i]:
-                s, l, t = assignment[a.source], assignment[a.label], assignment[a.target]
-                if not dst_by_slt.get((s, l, t)):
-                    ok = False
+            for k, s, l, t in arrows_ready[i]:
+                found = dst_by_slt.get((assignment[s], assignment[l], assignment[t]))
+                if not found:
                     break
-            if ok:
+                cands[k] = found
+            else:
                 yield from rec(i + 1)
         assignment.pop(v, None)
 
@@ -61,32 +60,13 @@ def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
 def graph_homomorphisms(src: SelfIndexedGraph, dst: SelfIndexedGraph) -> list[GraphHomomorphism]:
     """All homomorphisms src -> dst, ordered by their vertex images (in
     src vertex order) and then arrow images."""
-    dst_by_slt: dict[tuple[str, str, str], list[int]] = {}
-    for j, b in enumerate(dst.arrows):
-        dst_by_slt.setdefault((b.source, b.label, b.target), []).append(j)
-    out = []
-    for vm in _vertex_maps(src, dst):
-        choices = []
-        for a in src.arrows:
-            cands = dst_by_slt.get((vm[a.source], vm[a.label], vm[a.target]), [])
-            if not cands:
-                break
-            choices.append(cands)
-        else:
-            def expand(i, acc):
-                if i == len(choices):
-                    out.append(
-                        GraphHomomorphism(
-                            tuple(sorted(vm.items())), tuple(acc)
-                        )
-                    )
-                    return
-                for j in choices[i]:
-                    expand(i + 1, acc + [j])
-
-            expand(0, [])
-    out.sort(key=lambda h: (tuple(dict(h.vertex_map)[v] for v in src.vertices), h.arrow_map))
-    return out
+    keyed = []
+    for vm, cands in _vertex_maps(src, dst):
+        images = tuple(vm[v] for v in src.vertices)
+        pairs = tuple(sorted(vm.items()))
+        keyed += (((images, am), GraphHomomorphism(pairs, am)) for am in product(*cands))
+    keyed.sort(key=lambda kh: kh[0])
+    return [h for _, h in keyed]
 
 
 def colorings(g: SelfIndexedGraph, x: FiniteRack) -> list[dict[str, int]]:
@@ -94,7 +74,7 @@ def colorings(g: SelfIndexedGraph, x: FiniteRack) -> list[dict[str, int]]:
     by the tuple of element values in vertex order."""
     target = graph_of_rack(x)
     out = []
-    for vm in _vertex_maps(g, target):
+    for vm, _ in _vertex_maps(g, target):
         # in a rack graph the arrow images are determined by the vertices,
         # so every surviving vertex map is a coloring
         out.append({v: int(w) for v, w in vm.items()})

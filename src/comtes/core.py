@@ -28,14 +28,6 @@ class SelfIndexedGraph:
     def vertex_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_arrows(self) -> int:
-        return len(self.arrows)
-
 
 @dataclass(frozen=True)
 class Comte:
@@ -394,16 +386,13 @@ class GraphHomomorphism:
     vertex_map: tuple[tuple[str, str], ...]  # sorted (vertex, image) pairs
     arrow_map: tuple[int, ...]               # arrow index -> arrow index
 
-    def vertex_dict(self) -> dict[str, str]:
-        return dict(self.vertex_map)
-
 
 def is_homomorphism(h: GraphHomomorphism, src: SelfIndexedGraph, dst: SelfIndexedGraph) -> bool:
     """Check that ``h`` commutes with source, target and label maps."""
-    vm = h.vertex_dict()
+    vm = dict(h.vertex_map)
     if set(vm) != set(src.vertices):
         return False
-    if any(img not in set(dst.vertices) for img in vm.values()):
+    if not set(dst.vertices).issuperset(vm.values()):
         return False
     if len(h.arrow_map) != len(src.arrows):
         return False

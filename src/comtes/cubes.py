@@ -79,18 +79,15 @@ def _face_word(word: Word, s: int, eps: int) -> Word:
 
 
 @lru_cache(maxsize=None)
-def face_map(n: int, s: int, eps: int) -> GraphHomomorphism:
-    """The embedding D_s^eps : Y_{n-1} -> Y_n, for 1 <= s <= n-1."""
+def face_signature(n: int, s: int, eps: int):
+    """Signature of the embedding D_s^eps : Y_{n-1} -> Y_n, for
+    1 <= s <= n-1: vertex images in Y_{n-1} vertex order, then arrow
+    images."""
     if not 1 <= s <= n - 1:
         raise ValueError(f"face index s={s} out of range for Y_{n}")
     lo = build_Yn(n - 1)
-    hi = build_Yn(n)
-    hi_vindex = {w: i for i, w in enumerate(hi.vertex_words)}
-    hi_aindex = {rec: i for i, rec in enumerate(hi.arrow_data)}
-    vm = []
-    for w in lo.vertex_words:
-        img = _face_word(w, s, eps)
-        vm.append((word_name(w), hi.graph.vertices[hi_vindex[img]]))
+    hi_aindex = {rec: i for i, rec in enumerate(build_Yn(n).arrow_data)}
+    vs = tuple(word_name(_face_word(w, s, eps)) for w in lo.vertex_words)
     am = []
     for src, d in lo.arrow_data:
         if src[-1] < s:
@@ -98,13 +95,10 @@ def face_map(n: int, s: int, eps: int) -> GraphHomomorphism:
         else:
             img = (_face_word(src, s, eps), d + 1 if d >= s else d)
         am.append(hi_aindex[img])
-    return GraphHomomorphism(tuple(sorted(vm)), tuple(am))
+    return vs, tuple(am)
 
 
-def face_signature(n: int, s: int, eps: int):
-    """Signature of D_s^eps as a homomorphism out of Y_{n-1}: vertex images
-    in Y_{n-1} vertex order, then arrow images."""
-    lo = build_Yn(n - 1)
-    f = face_map(n, s, eps)
-    vm = dict(f.vertex_map)
-    return (tuple(vm[v] for v in lo.graph.vertices), f.arrow_map)
+def face_map(n: int, s: int, eps: int) -> GraphHomomorphism:
+    """The embedding D_s^eps : Y_{n-1} -> Y_n, for 1 <= s <= n-1."""
+    vs, am = face_signature(n, s, eps)
+    return GraphHomomorphism(tuple(sorted(zip(build_Yn(n - 1).graph.vertices, vs))), am)

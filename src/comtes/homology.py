@@ -43,19 +43,24 @@ def dot_table(g: SelfIndexedGraph) -> list[list[int]]:
     return dot
 
 
+def _mask(word) -> int:
+    """The bitmask of a cube word: bit k encodes element k+1."""
+    return sum(1 << (k - 1) for k in word)
+
+
 @lru_cache(maxsize=None)
 def _new_relations(n: int) -> tuple[tuple[int, int, int], ...]:
     """The cube relations F(lam).F(t) = F(t + d) of Y_n that involve element
-    1, as mask triples (lam, t, t + d).  Bit k encodes element k+1, F of a
-    set S is a_min(S) . F(S - min(S)), and for each d outside t below
-    max(t), lam is d together with the elements of t below d."""
-    out = []
-    for t in range(1, 1 << n):
-        for d in range(t.bit_length() - 1):
-            dbit = 1 << d
-            if not t & dbit and (t | dbit) & 1:
-                out.append(((t & (dbit - 1)) | dbit, t, t | dbit))
-    return tuple(out)
+    1, as mask triples (lam, t, t + d), sorted by (t, t + d): one for each
+    arrow of Y_n, with label lam and source t, whose target contains 1."""
+    cube = build_Yn(n)
+    rels = []
+    for (src, d), lab in zip(cube.arrow_data, cube.arrow_words):
+        t = _mask(src)
+        td = t | 1 << (d - 1)
+        if td & 1:
+            rels.append((_mask(lab), t, td))
+    return tuple(sorted(rels, key=lambda r: r[1:]))
 
 
 def _extend(tables: list[list[int]], n: int, dot, q_quotient: bool) -> list[list[int]]:
@@ -83,15 +88,18 @@ def _extend(tables: list[list[int]], n: int, dot, q_quotient: bool) -> list[list
     return out
 
 
-def _tuple_bases(dot, top: int, q_quotient: bool) -> list[list[tuple[int, ...]]]:
+def _tuple_bases(dot, top: int, q_quotient: bool):
     """The tuple bases of C_0 .. C_top (C^Q under the quotient), built in one
-    pass: each degree extends the one below it exactly once."""
+    pass: each degree extends the one below it exactly once.  Also returns
+    the degree-top F tables, aligned with the top basis: F[_mask(S)] =
+    a_min(S) . F(S - min(S)) is the image of the Y_top vertex with element
+    set S."""
     tables = [[0]]
     bases = [[()]]
     for n in range(1, top + 1):
         tables = _extend(tables, n, dot, q_quotient)
         bases.append([tuple(f[1 << k] for k in range(n)) for f in tables])
-    return bases
+    return bases, tables
 
 
 def hom_tuples(n: int, g: SelfIndexedGraph) -> list[tuple[int, ...]]:
@@ -116,7 +124,9 @@ def _bases_of(g: SelfIndexedGraph, top: int, q_quotient: bool):
     dot = dot_table(g)
     if q_quotient:
         _require_q_graph(g)
-    return dot, _tuple_bases(dot, top, q_quotient)
+    # drop the F tables here, so that homology_range does not hold the
+    # largest ones through its eliminations
+    return dot, _tuple_bases(dot, top, q_quotient)[0]
 
 
 def _require_q_graph(g: SelfIndexedGraph):
@@ -217,46 +227,26 @@ class CubeHom:
     hom: GraphHomomorphism
 
 
-def _hom_from_tuple(n: int, g: SelfIndexedGraph, t: tuple[int, ...]) -> GraphHomomorphism:
-    cube = build_Yn(n)
-    dot = dot_table(g)
-    by_sl = {}
-    for j, a in enumerate(g.arrows):
-        by_sl[(a.label, a.source)] = j
-    values: dict[tuple[int, ...], int] = {}
-
-    # F(j1..jr) = a_{j1} . F(j2..jr), innermost first
-    def val(word) -> int:
-        if word in values:
-            return values[word]
-        if len(word) == 1:
-            v = t[word[0] - 1]
-        else:
-            v = dot[t[word[0] - 1]][val(word[1:])]
-        values[word] = v
-        return v
-
-    vm = tuple(
-        (name, g.vertices[val(w)]) for name, w in zip(cube.graph.vertices, cube.vertex_words)
-    )
-    am = []
-    for (src, d), lab in zip(cube.arrow_data, cube.arrow_words):
-        am.append(by_sl[(g.vertices[val(lab)], g.vertices[val(src)])])
-    return GraphHomomorphism(tuple(sorted(vm)), tuple(am))
-
-
 def enumerate_homs(n: int, g: SelfIndexedGraph) -> list[CubeHom]:
-    """All homomorphisms Y_n -> g in a deterministic order: the fast
-    origin-tuple path for r-graphs, a full constraint search otherwise."""
+    """All homomorphisms Y_n -> g in a deterministic order: read off the F
+    tables of the origin tuples for r-graphs, a full constraint search
+    otherwise."""
+    cube = build_Yn(n)
     try:
-        tuples = hom_tuples(n, g)
+        dot = dot_table(g)
     except NotRGraphError:
-        cube = build_Yn(n)
         return [CubeHom(n, None, h) for h in graph_homomorphisms(cube.graph, g)]
-    return [
-        CubeHom(n, tuple(g.vertices[i] for i in t), _hom_from_tuple(n, g, t))
-        for t in tuples
-    ]
+    bases, tables = _tuple_bases(dot, n, False)
+    idx = g.vertex_index()
+    by_sl = {(idx[a.label], idx[a.source]): j for j, a in enumerate(g.arrows)}
+    vertex_masks = [_mask(w) for w in cube.vertex_words]
+    arrow_masks = [(_mask(lab), _mask(src)) for (src, _), lab in zip(cube.arrow_data, cube.arrow_words)]
+    out = []
+    for t, f in zip(bases[n], tables):
+        vm = tuple(sorted(zip(cube.graph.vertices, (g.vertices[f[m]] for m in vertex_masks))))
+        am = tuple(by_sl[f[lam], f[src]] for lam, src in arrow_masks)
+        out.append(CubeHom(n, tuple(g.vertices[i] for i in t), GraphHomomorphism(vm, am)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -173,12 +173,6 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def rank(matrix) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return smith_normal_form(matrix).rank
-
-
 def integer_kernel_basis(matrix, ncols) -> list[list[int]]:
     """Basis of the integer kernel {x : M x = 0}: the columns of Q at the
     non-pivot columns."""

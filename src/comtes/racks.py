@@ -8,8 +8,11 @@ ring elements are sparse multiplicity maps keyed by A-elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from .core import SelfIndexedGraph, graph_from_injections
+from .laurent import _signed_sum
 
 
 @dataclass(frozen=True)
@@ -156,21 +159,10 @@ class AbelianGroup:
         return tuple((x * k) % m for x, m in zip(a, self.orders))
 
     def elements(self):
-        def rec(i):
-            if i == len(self.orders):
-                yield ()
-                return
-            for rest in rec(i + 1):
-                for v in range(self.orders[i]):
-                    yield (v,) + rest
-
-        return sorted(rec(0))
+        return list(product(*(range(m) for m in self.orders)))
 
     def order(self) -> int:
-        out = 1
-        for m in self.orders:
-            out *= m
-        return out
+        return prod(self.orders)
 
 
 C2 = AbelianGroup((2,))
@@ -197,8 +189,6 @@ def format_group_ring(r: dict, group: AbelianGroup) -> str:
     Generators of the cyclic factors are named s for a single factor and
     s1, s2, ... otherwise.
     """
-    if not r:
-        return "0"
     k = len(group.orders)
     names = ["s"] if k == 1 else [f"s{i + 1}" for i in range(k)]
 
@@ -211,23 +201,16 @@ def format_group_ring(r: dict, group: AbelianGroup) -> str:
                 factors.append(f"{names[i]}^{e}")
         return "*".join(factors)
 
-    parts = []
+    terms = []
     for g in sorted(r):
         n = r[g]
         body = elt(g)
         if not body:
-            term = str(n)
-        elif n == 1:
-            term = body
-        elif n == -1:
-            term = f"-{body}"
-        else:
-            term = f"{n}*{body}"
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+            body = str(abs(n))
+        elif abs(n) != 1:
+            body = f"{abs(n)}*{body}"
+        terms.append((n, body))
+    return _signed_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +301,12 @@ def format_cocycle(f: Cocycle2) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_cocycle(text: str) -> Cocycle2:
+def parse_cocycle(text: str, bound: int | None = None) -> Cocycle2:
     """Header ``A: m1,m2,...`` then lines ``x y -> a`` with the A-element as
-    comma-separated residues.  Missing pairs default to the identity."""
+    comma-separated residues.  Missing pairs default to the identity.  The
+    element count is one more than the largest index; when ``bound`` is
+    given, an index at or above it is an error, raised before any table is
+    built."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("A:"):
         raise ValueError("cocycle file must start with an 'A: m1,m2,...' line")
@@ -340,6 +326,8 @@ def parse_cocycle(text: str) -> Cocycle2:
             raise ValueError(f"line {ln!r} is not of the form 'x y -> r1,r2,...'") from None
         if x < 0 or y < 0:
             raise ValueError(f"negative element index in line {ln!r}")
+        if bound is not None and max(x, y) >= bound:
+            raise ValueError(f"element index {max(x, y)} out of range for {bound} elements in line {ln!r}")
         if len(residues) != len(orders):
             raise ValueError(f"bad A-element in line {ln!r}")
         entries[(x, y)] = tuple(r % m for r, m in zip(residues, orders))

@@ -327,6 +327,25 @@ class TestStateSumHardening:
         code, _, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
         assert code == 1 and "bad cocycle file" in err and repr(line) in err
 
+    def test_non_conserved_flows_rejected(self, capsys, tmp_path):
+        # the same document is rejected by validate and invariants
+        bad = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 2)])
+        p = tmp_path / "bad.json"
+        p.write_text(encode(bad))
+        code, out, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", "builtin")
+        assert code == 1 and out == "" and "not a valid comte" in err
+        for argv in (("validate", str(p)), ("invariants", str(p))):
+            assert run(capsys, *argv)[0] == 1
+
+    @pytest.mark.parametrize("line", ["0 4 -> 1", "4 0 -> 1", "0 1000000000 -> 1"])
+    def test_cocycle_index_at_or_above_quandle_size_rejected(self, capsys, tmp_path, line):
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        fpath = tmp_path / "f.cocycle"
+        fpath.write_text(f"A: 2\n{line}\n")
+        code, _, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
+        assert code == 1 and "bad cocycle file" in err and repr(line) in err
+
     def test_malformed_cocycle_line_is_quoted(self, capsys, tmp_path):
         p = tmp_path / "t.json"
         p.write_text(encode(TREFOIL))

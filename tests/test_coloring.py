@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +11,8 @@ from comtes.coloring import (
     phi_invariant,
     state_sum,
 )
-from comtes.core import comte, graph, is_homomorphism
+from comtes.census import enumerate_q_graphs
+from comtes.core import GraphHomomorphism, SelfIndexedGraph, comte, graph, is_homomorphism
 from comtes.homology import cochain_from_cocycle2_on, flow_to_cycle
 from comtes.racks import (
     C2,
@@ -34,6 +36,25 @@ def brute_colorings(g, x):
         if all(x.op(cmap[a.label], cmap[a.source]) == cmap[a.target] for a in g.arrows):
             out.append(cmap)
     return out
+
+
+def brute_homomorphisms(src, dst):
+    """Every vertex map times every arrow map, kept when it is a
+    homomorphism, in the order that graph_homomorphisms promises."""
+    found = []
+    for images in itertools.product(dst.vertices, repeat=len(src.vertices)):
+        vm = tuple(sorted(zip(src.vertices, images)))
+        for am in itertools.product(range(len(dst.arrows)), repeat=len(src.arrows)):
+            h = GraphHomomorphism(vm, am)
+            if is_homomorphism(h, src, dst):
+                found.append(((images, am), h))
+    found.sort(key=lambda kh: kh[0])
+    return [h for _, h in found]
+
+
+def random_graph(rng, n_vertices, n_arrows, prefix):
+    vs = [f"{prefix}{i}" for i in range(n_vertices)]
+    return graph(vs, [(rng.choice(vs), rng.choice(vs), rng.choice(vs)) for _ in range(n_arrows)])
 
 
 class TestColorings:
@@ -80,6 +101,28 @@ class TestHomomorphisms:
         dst = graph("a", [("a", "a", "a"), ("a", "a", "a")])
         homs = graph_homomorphisms(src, dst)
         assert len(homs) == 2  # the loop can map to either parallel arrow
+
+    def test_matches_brute_force_in_order(self):
+        rng = random.Random(8)
+        racks = [graph_of_rack(x) for x in (trivial_quandle(1), trivial_quandle(2), dihedral_quandle(3))]
+        qgraphs = list(enumerate_q_graphs(2)) + [g for g in enumerate_q_graphs(3) if len(g.arrows) <= 6]
+        nonempty = 0
+        for i in range(200):
+            if i % 3 == 0:
+                dst = rng.choice(racks)
+            elif i % 3 == 1:
+                dst = rng.choice(qgraphs)
+            else:
+                # a random target with at least one pair of parallel arrows
+                dst = random_graph(rng, rng.randint(1, 3), rng.randint(1, 3), "d")
+                dst = SelfIndexedGraph(dst.vertices, dst.arrows + (rng.choice(dst.arrows),))
+            src = random_graph(rng, rng.randint(1, 3), rng.randint(0, 3), "x")
+            homs = graph_homomorphisms(src, dst)
+            assert homs == brute_homomorphisms(src, dst), (src, dst)
+            nonempty += bool(homs)
+        assert nonempty > 100
+        empty = graph([])
+        assert graph_homomorphisms(empty, racks[1]) == brute_homomorphisms(empty, racks[1])
 
 
 class TestPhi:

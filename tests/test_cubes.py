@@ -1,5 +1,7 @@
+import pytest
+
 from comtes.core import is_homomorphism, validate_graph
-from comtes.cubes import build_Yn, face_map, word_name
+from comtes.cubes import build_Yn, face_map, face_signature, word_name
 
 
 class TestCubeConstruction:
@@ -60,6 +62,22 @@ class TestFaces:
                     images = [w for _, w in h.vertex_map]
                     assert len(set(images)) == len(images)
                     assert len(set(h.arrow_map)) == len(h.arrow_map)
+
+
+    def test_signature_is_face_map_in_vertex_order(self):
+        for n in range(2, 7):
+            lo = build_Yn(n - 1).graph
+            for s in range(1, n):
+                for eps in (0, 1):
+                    h = face_map(n, s, eps)
+                    vm = dict(h.vertex_map)
+                    assert face_signature(n, s, eps) == (tuple(vm[v] for v in lo.vertices), h.arrow_map)
+
+    @pytest.mark.parametrize("n, s", [(3, 0), (3, 3), (1, 1)])
+    def test_face_index_out_of_range(self, n, s):
+        for fn in (face_map, face_signature):
+            with pytest.raises(ValueError, match="out of range"):
+                fn(n, s, 0)
 
 
 def test_word_name():

@@ -104,6 +104,50 @@ class TestHomEnumeration:
         homology_range(EXHOC, 5)
         assert built == [1, 2, 3, 4, 5, 6]
 
+    def test_enumerate_homs_are_the_searched_homs(self):
+        # on r-graphs enumerate_homs reads homs off the origin tuples; the
+        # general search over Y_n is an independent oracle for them
+        rng = random.Random(21)
+        injections = partial_injections(3)
+        sample = [graph_from_injections([rng.choice(injections) for _ in range(3)]) for _ in range(30)]
+        racks = [graph_of_rack(x) for x in (trivial_quandle(2), dihedral_quandle(3), tetrahedron_quandle())]
+        for g in list(enumerate_q_graphs(3)) + sample + racks:
+            idx = g.vertex_index()
+            for n in range(5):
+                homs = enumerate_homs(n, g)
+                searched = graph_homomorphisms(build_Yn(n).graph, g)
+                assert len(homs) == len(searched) and {ch.hom for ch in homs} == set(searched), (g, n)
+                assert [tuple(idx[v] for v in ch.tuple_form) for ch in homs] == hom_tuples(n, g), (g, n)
+
+    def test_enumerate_homs_builds_one_dot_table(self, monkeypatch):
+        # the attribute comtes.homology is the re-exported function, so
+        # patch the module itself
+        homology_module = importlib.import_module("comtes.homology")
+        calls = []
+        dot_table = homology_module.dot_table
+
+        def counting(g):
+            calls.append(g)
+            return dot_table(g)
+
+        monkeypatch.setattr(homology_module, "dot_table", counting)
+        homs = enumerate_homs(4, graph_of_rack(tetrahedron_quandle()))
+        assert len(homs) == 256 and len(calls) == 1
+
+    def test_new_relations_match_the_bitmask_formula(self):
+        def formula(n):
+            out = []
+            for t in range(1, 1 << n):
+                for d in range(t.bit_length() - 1):
+                    dbit = 1 << d
+                    if not t & dbit and (t | dbit) & 1:
+                        out.append(((t & (dbit - 1)) | dbit, t, t | dbit))
+            return tuple(out)
+
+        homology_module = importlib.import_module("comtes.homology")
+        for n in range(9):
+            assert homology_module._new_relations(n) == formula(n), n
+
 
 class TestBoundary:
     def test_degree_two_formula(self):

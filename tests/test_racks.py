@@ -170,6 +170,19 @@ class TestTextFormats:
         with pytest.raises(ValueError, match=re.escape(repr(line))):
             parse_cocycle(f"A: 2\n{line}\n")
 
+    def test_cocycle_index_bound(self):
+        # the bound is checked line by line, before a table is built, so a
+        # huge index costs no more than a small one
+        line = "0 1000000000 -> 1"
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            parse_cocycle(f"A: 2\n1 2 -> 1\n{line}\n", bound=4)
+        with pytest.raises(ValueError, match="out of range"):
+            parse_cocycle("A: 2\n4 0 -> 1\n", bound=4)
+        f = tetrahedron_cocycle()
+        assert parse_cocycle(format_cocycle(f), bound=4) == f
+        # the element count is still inferred from the entries
+        assert parse_cocycle("A: 2\n0 2 -> 1\n", bound=4).n == 3
+
     @pytest.mark.parametrize("header", ["A: x", "A:", "A: 2,"])
     def test_cocycle_malformed_header_is_quoted(self, header):
         with pytest.raises(ValueError, match=re.escape(repr(header))):
