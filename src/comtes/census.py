@@ -9,6 +9,7 @@ structures and deduplicates by canonical key.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import prod
@@ -173,7 +174,11 @@ class SignatureCensus:
 
 def signature_census(graphs, max_degree: int = 5, jobs: int = 1) -> SignatureCensus:
     """Homology signatures (degrees 1..max_degree) for a family of census
-    representatives; deterministic row order by canonical key."""
+    representatives, by at most ``jobs`` processes and no more than the CPUs;
+    deterministic row order by canonical key."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         from multiprocessing import Pool
 

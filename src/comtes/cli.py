@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import acceptance
@@ -32,9 +33,11 @@ class CommandError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CommandError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise CommandError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _load_comte(path: str) -> Comte:
@@ -155,15 +158,15 @@ def cmd_homology(args) -> int:
 
 def cmd_moves(args) -> int:
     c = _load_comte(args.comte)
+    target = _load_comte(args.target) if args.action == "search" else None
+    if args.ignore_flows:  # bare-graph mode, as comtes.moves defines it
+        c = as_comte(c.graph)
+        target = target and as_comte(target.graph)
+        args.r3b_range = args.flow_lo = args.flow_hi = 0
     if args.action in ("enumerate", "apply"):
-        if args.ignore_flows:
-            c = as_comte(c.graph)
-        pool = enumerate_moves(c, ignore_flows=args.ignore_flows, r3b_range=args.r3b_range)
+        pool = enumerate_moves(c, r3b_range=args.r3b_range)
         if args.inverse:
-            pool += inverse_instances(
-                c, flow_lo=args.flow_lo, flow_hi=args.flow_hi,
-                ignore_flows=args.ignore_flows, max_split_slots=args.max_split_slots,
-            )
+            pool += inverse_instances(c, flow_lo=args.flow_lo, flow_hi=args.flow_hi, max_split_slots=args.max_split_slots)
         if args.action == "enumerate":
             for i, m in enumerate(pool):
                 print(f"{i}\t{m.format()}")
@@ -175,7 +178,6 @@ def cmd_moves(args) -> int:
         sys.stdout.write(encode(apply_move(c, pool[args.index])))
         return 0
     # search
-    target = _load_comte(args.target)
     budget = SearchBudget(
         max_states=args.max_states,
         max_vertices=args.max_vertices,
@@ -185,7 +187,7 @@ def cmd_moves(args) -> int:
         flow_hi=args.flow_hi,
         max_split_slots=args.max_split_slots,
     )
-    trace = equivalent_bounded(c, target, budget, ignore_flows=args.ignore_flows)
+    trace = equivalent_bounded(c, target, budget)
     if trace is None:
         print("unknown (no trace within budget; not a proof of inequivalence)")
         return 0
@@ -232,14 +234,18 @@ def cmd_paper_suite(args) -> int:
     return 1 if failed else 0
 
 
-def _non_negative_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be {'positive' if low else 'non-negative'}, got {value}")
     return value
+
+
+_non_negative_int = partial(_int_at_least, 0)
+_positive_int = partial(_int_at_least, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--max-degree", type=_non_negative_int, default=0, help="also compute homology signatures")
     cen.add_argument("--table", action="store_true", help="print the per-graph signature table")
     cen.add_argument("--include-arrowless", action="store_true")
-    cen.add_argument("--jobs", type=int, default=1)
+    cen.add_argument("--jobs", type=_positive_int, default=1)
     cen.set_defaults(fn=cmd_census)
 
     br = sub.add_parser("bracket", help="semi-virtual bracket expansion")
@@ -312,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("paper-suite", help="run the acceptance criteria")
     ps.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    ps.add_argument("--jobs", type=int, default=1)
+    ps.add_argument("--jobs", type=_positive_int, default=1)
     ps.add_argument("--only", default="", help="comma-separated criterion ids, e.g. 1,4,5")
     ps.set_defaults(fn=cmd_paper_suite)
 

@@ -319,20 +319,16 @@ def _twins(arrs, u, v):
     return sorted(near) == sorted((swap.get(s, s), swap.get(t, t), swap.get(l, l), f) for s, t, l, f in near)
 
 
-def canonical_form(obj: Comte | SelfIndexedGraph, *, with_flows: bool | None = None) -> CanonicalForm:
+def canonical_form(obj: Comte | SelfIndexedGraph) -> CanonicalForm:
     """Canonical form of a graph or comte, exact under isomorphism.
 
-    For comtes, isomorphisms preserve flows unless ``with_flows=False`` is
-    passed, which canonicalizes the underlying graph alone.
+    Isomorphisms of comtes preserve flows; pass ``c.graph`` to canonicalize
+    the underlying graph alone.
     """
     if isinstance(obj, Comte):
-        g = obj.graph
-        flows = obj.flows if (with_flows is None or with_flows) else None
+        g, flows = obj.graph, obj.flows
     else:
-        g = obj
-        flows = None
-        if with_flows:
-            raise ValueError("bare graphs carry no flows")
+        g, flows = obj, None
     n = len(g.vertices)
     idx = g.vertex_index()
     arrs = [
@@ -372,9 +368,9 @@ def canonical_form(obj: Comte | SelfIndexedGraph, *, with_flows: bool | None = N
     return CanonicalForm(key, vmap, tuple(arrow_perm), new_graph, new_flows)
 
 
-def canonical_key(obj: Comte | SelfIndexedGraph, *, with_flows: bool | None = None) -> bytes:
+def canonical_key(obj: Comte | SelfIndexedGraph) -> bytes:
     """Deterministic byte key, equal for two objects iff they are isomorphic."""
-    return canonical_form(obj, with_flows=with_flows).key
+    return canonical_form(obj).key
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +432,8 @@ def decode(text: str) -> Comte | SelfIndexedGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DecodeError(f"line {e.lineno}: {e.msg}") from None
+    except RecursionError:
+        raise DecodeError("nesting too deep") from None
     if not isinstance(doc, dict):
         raise DecodeError("top level must be an object")
     if "vertices" not in doc:

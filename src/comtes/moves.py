@@ -28,18 +28,20 @@ or added side, or the shift J, which adds J to left and bottom and takes it
 from top and right.  The full move R3 is the composition R3b_shift (drive
 the doomed side's flow to 0) followed by R3a_remove.  Sites may share
 vertices freely, but arrows referenced as distinct must be distinct.
+
+Bare-graph mode is the zero-flow comte ``as_comte(g)`` under ``r3b_range=0``
+and the flow window ``flow_lo=flow_hi=0``, where no move creates a flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
     Arrow,
     Comte,
     SelfIndexedGraph,
-    as_comte,
     canonical_form,
     quotient,
     validate,
@@ -528,17 +530,12 @@ def _square_join(g: SelfIndexedGraph, orders: dict):
                 yield wi, key, tuple(i for _, i in sorted(zip(order, sides))), corners
 
 
-def enumerate_moves(c: Comte, *, ignore_flows: bool = False, r3b_range: int = 3) -> list[MoveInstance]:
+def enumerate_moves(c: Comte, *, r3b_range: int = 3) -> list[MoveInstance]:
     """Complete list of applicable forward move instances.
 
     R3b instances are emitted for shifts J in +-``r3b_range`` (the family is
-    infinite; the window is a search parameter).  ``ignore_flows`` treats the
-    input as a bare self-indexed graph: flows are zeroed, which frees every
-    flow-zero side condition, and R3b is not emitted.  Instances enumerated
-    that way apply to the zero-flow comte, not the original.
+    infinite; the window is a search parameter).
     """
-    if ignore_flows:
-        c = as_comte(c.graph)
     g = c.graph
     out: list[MoveInstance] = []
     labels_used = {a.label for a in g.arrows}
@@ -583,10 +580,9 @@ def enumerate_moves(c: Comte, *, ignore_flows: bool = False, r3b_range: int = 3)
         for pos in range(4):
             if c.flows[sides[pos]] == 0:
                 out.append(MoveInstance("R3a_remove", arrows=square, params=(pos,)))
-        if not ignore_flows:
-            for j in range(-r3b_range, r3b_range + 1):
-                if j:
-                    out.append(MoveInstance("R3b_shift", arrows=square, params=(j,)))
+        for j in range(-r3b_range, r3b_range + 1):
+            if j:
+                out.append(MoveInstance("R3b_shift", arrows=square, params=(j,)))
     return out
 
 
@@ -601,7 +597,6 @@ def inverse_instances(
     *,
     flow_lo: int = -1,
     flow_hi: int = 2,
-    ignore_flows: bool = False,
     max_split_slots: int = 10,
     new_vertices: bool = True,
 ) -> list[MoveInstance]:
@@ -611,14 +606,10 @@ def inverse_instances(
     (skipped when k exceeds ``max_split_slots``).  Flow splits I1 + I2 = I
     range over [flow_lo, flow_hi]; splits whose conservation-forced flow
     falls outside the window are not emitted, so every instance applies to a
-    valid comte and yields a valid comte.  ``ignore_flows`` zeroes the flows
-    first (bare-graph mode) and collapses the flow windows to {0}.
-    ``new_vertices=False`` leaves out the vertex-adding instances (R0inv,
-    R1split, fresh splits) and keeps the order of the rest.
+    valid comte and yields a valid comte.  ``new_vertices=False`` leaves out
+    the vertex-adding instances (R0inv, R1split, fresh splits) and keeps the
+    order of the rest.
     """
-    if ignore_flows:
-        c = as_comte(c.graph)
-        flow_lo, flow_hi = 0, 0
     g = c.graph
     out: list[MoveInstance] = []
     # the vertices a vertex-adding instance (R0inv, R1split) may start from
@@ -760,11 +751,9 @@ def _all_instances(c: Comte, budget: SearchBudget, vertex_room: int, arrow_room:
         )
 
 
-def replay_trace(c: Comte, trace: MoveTrace, *, ignore_flows: bool = False) -> Comte:
+def replay_trace(c: Comte, trace: MoveTrace) -> Comte:
     """Replay a trace from ``c``, checking the recorded canonical keys; the
     canonical form of the final comte is returned."""
-    if ignore_flows:
-        c = as_comte(c.graph)
     cf = canonical_form(c)
     state, key = cf.comte, cf.key
     for step in trace.steps:
@@ -776,25 +765,14 @@ def replay_trace(c: Comte, trace: MoveTrace, *, ignore_flows: bool = False) -> C
     return state
 
 
-def equivalent_bounded(
-    c1: Comte,
-    c2: Comte,
-    budget: SearchBudget | None = None,
-    *,
-    ignore_flows: bool = False,
-) -> MoveTrace | None:
+def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None) -> MoveTrace | None:
     """Bidirectional breadth-first search for a move sequence c1 -> c2.
 
     Returns a replayable trace when one is found within the budget, else
     None.  None is *not* a proof of inequivalence: the relation is only
-    semi-decidable and the search is sound but incomplete.  ``ignore_flows``
-    searches the bare graphs: the flows are zeroed and stay zero, since no
-    flow shift is made and every new flow is 0.
+    semi-decidable and the search is sound but incomplete.
     """
     budget = budget or SearchBudget()
-    if ignore_flows:
-        c1, c2 = as_comte(c1.graph), as_comte(c2.graph)
-        budget = replace(budget, r3b_range=0, flow_lo=0, flow_hi=0)
     start, goal = canonical_form(c1), canonical_form(c2)
     if start.key == goal.key:
         return MoveTrace(())

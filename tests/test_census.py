@@ -89,6 +89,37 @@ class TestSignatures:
         assert c1.table() == c2.table()
         assert c1.distinct_counts() == c2.distinct_counts()
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_must_be_positive(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            signature_census(enumerate_q_graphs(1), max_degree=2, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [(10**9, 3, 3), (2, 3, 2), (5, None, None), (1, 3, None)])
+    def test_pool_never_has_more_workers_than_cpus(self, monkeypatch, jobs, cpus, workers):
+        # a fake pool records its size and runs the rows serially, so no
+        # worker process is started
+        made = []
+
+        class FakePool:
+            def __init__(self, processes):
+                made.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, args, chunksize=1):
+                return [fn(*a) for a in args]
+
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        fam = enumerate_q_graphs(2)
+        cens = signature_census(fam, max_degree=2, jobs=jobs)
+        assert made == ([] if workers is None else [workers])
+        assert cens.table() == signature_census(fam, max_degree=2).table()
+
 
 class TestThreeVertexInvariants:
     def test_n3_burnside_matches_canonical_enumeration(self):

@@ -202,13 +202,38 @@ class TestMovesCommand:
         code, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p))
         assert code == 0 and "R3b_shift" in out and "R3a_remove" not in out
         code, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p), "--inverse", "--ignore-flows")
-        pool = enumerate_moves(zeroed, r3b_range=2, ignore_flows=True) + inverse_instances(zeroed, ignore_flows=True)
+        pool = enumerate_moves(zeroed, r3b_range=0) + inverse_instances(zeroed, flow_lo=0, flow_hi=0)
         assert code == 0 and out == "".join(f"{i}\t{m.format()}\n" for i, m in enumerate(pool))
         assert "R3a_remove" in out and "R3b_shift" not in out
         index = next(i for i, m in enumerate(pool) if m.kind == "R3a_remove")
         code, out, _ = run(capsys, "moves", "apply", "--comte", str(p), "--index", str(index), "--ignore-flows")
         assert code == 0 and decode(out) == apply_move(zeroed, pool[index])
         assert set(decode(out).flows) == {0}
+
+    def test_ignore_flows_search(self, capsys, tmp_path):
+        # G2 -> G3 under the budget of acceptance criterion 3, as bare graphs
+        # (the trace of TestSearchGolden::test_g2_g3_trace_bare_graphs)
+        g2 = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1), ("a", "c", "b", 0)])
+        g3 = comte("a b c", [("a", "b", "c", 1), ("b", "a", "c", 1), ("c", "a", "b", 0), ("a", "c", "b", 0)])
+        p, q = tmp_path / "g2.json", tmp_path / "g3.json"
+        p.write_text(encode(g2))
+        q.write_text(encode(g3))
+        budget = ["--max-states", "400000", "--max-vertices", "4", "--max-arrows", "6", "--r3b-range", "1",
+                  "--flow-lo", "0", "--flow-hi", "1", "--max-split-slots", "6"]
+        code, out, _ = run(capsys, "moves", "search", "--comte", str(p), "--target", str(q), "--ignore-flows", *budget)
+        assert code == 0 and out == (
+            "equivalent (4 moves)\n"
+            "R0inv site=[vertices=0,0 flags=target]\n"
+            "R3a_add site=[arrows=2,4,3,1] params=1\n"
+            "R3a_remove site=[arrows=4,1,5,0,3] params=2\n"
+            "R1contract site=[arrows=1]\n"
+        )
+        # the mirror trefoils are one graph
+        left = comte("a b c", [("a", "b", "c", -1), ("b", "c", "a", -1), ("c", "a", "b", -1)])
+        p.write_text(encode(TREFOIL))
+        q.write_text(encode(left))
+        code, out, _ = run(capsys, "moves", "search", "--comte", str(p), "--target", str(q), "--ignore-flows")
+        assert code == 0 and out == "equivalent (0 moves)\n"
 
     def test_max_split_slots(self, capsys, tmp_path, monkeypatch):
         p = tmp_path / "t.json"
@@ -289,6 +314,37 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["moves", "search", "--comte", str(p)])
         assert exc.value.code == 2
+
+
+class TestUndecodableFiles:
+    """A file that is not UTF-8 text is reported, not raised."""
+
+    @pytest.mark.parametrize("kind", ["validate", "colorings", "statesum"])
+    def test_binary_file_exits_1(self, capsys, tmp_path, kind):
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        b = tmp_path / "bin.json"
+        b.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x62, 0x61, 0x64]))
+        argv = {
+            "validate": ["validate", str(b)],
+            "colorings": ["colorings", "--comte", str(p), "--quandle", str(b)],
+            "statesum": ["statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(b)],
+        }[kind]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: cannot read {b}: not UTF-8 text\n"
+        assert "Traceback" not in err
+
+
+class TestJobsOption:
+    @pytest.mark.parametrize("argv", [["census", "--vertices", "1", "--max-degree", "1"], ["paper-suite", "--only", "6"]])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_exits_2(self, capsys, argv, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", jobs])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--jobs" in out.err and "must be positive" in out.err
 
 
 class TestPaperSuiteCommand:

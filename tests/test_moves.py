@@ -281,7 +281,7 @@ class TestSearch:
 
     def test_graph_mode_relates_mirror_trefoils(self):
         left = comte("a b c", [("a", "b", "c", -1), ("b", "c", "a", -1), ("c", "a", "b", -1)])
-        trace = equivalent_bounded(TREFOIL, left, ignore_flows=True)
+        trace = equivalent_bounded(_zeroed(TREFOIL), _zeroed(left), dataclasses.replace(SearchBudget(), **BARE))
         assert trace is not None and len(trace) == 0
 
     def test_bare_graph_search_stays_at_zero_flows(self, monkeypatch):
@@ -296,7 +296,7 @@ class TestSearch:
 
         monkeypatch.setattr(comtes.moves, "canonical_form", recording)
         budget = SearchBudget(max_states=300, max_vertices=4, max_arrows=5, flow_lo=-1, flow_hi=2)
-        assert equivalent_bounded(TREFOIL, comte("a", []), budget, ignore_flows=True) is None
+        assert equivalent_bounded(_zeroed(TREFOIL), comte("a", []), dataclasses.replace(budget, **BARE)) is None
         assert flows == {0}
 
     def test_trace_format(self):
@@ -365,12 +365,12 @@ def test_search_is_deterministic():
 
 
 def test_ignore_flows_enumeration_is_bare_graph_mode():
-    # with flows ignored, enumeration equals enumeration of the zeroed comte
+    # in bare-graph mode, enumeration equals enumeration of the zeroed comte
     # minus the flow-shift family
     c = comte("a b t c u s r",
               [("b", "t", "a", 0), ("c", "u", "a", 1), ("u", "s", "t", 1),
                ("c", "r", "b", -1), ("r", "s", "a", -1), ("s", "c", "a", 0)])
-    bare = enumerate_moves(c, ignore_flows=True)
+    bare = enumerate_moves(_zeroed(c), r3b_range=0)
     zeroed = comte("a b t c u s r",
                    [("b", "t", "a", 0), ("c", "u", "a", 0), ("u", "s", "t", 0),
                     ("c", "r", "b", 0), ("r", "s", "a", 0), ("s", "c", "a", 0)])
@@ -382,6 +382,10 @@ def test_ignore_flows_enumeration_is_bare_graph_mode():
 
 def _zeroed(c):
     return Comte(c.graph, (0,) * len(c.arrows))
+
+
+# bare-graph mode, as the moves module defines it: no flow shift, new flows 0
+BARE = dict(r3b_range=0, flow_lo=0, flow_hi=0)
 
 
 class TestSizeChange:
@@ -396,8 +400,9 @@ class TestSizeChange:
     def test_declared_change_is_applied_change(self, make_comte, ignore_flows):
         seen = set()
         for c in self._sample(make_comte, ignore_flows):
-            pool = enumerate_moves(c, ignore_flows=ignore_flows, r3b_range=1) + inverse_instances(
-                c, ignore_flows=ignore_flows, max_split_slots=6
+            window = dict(flow_lo=0, flow_hi=0) if ignore_flows else {}
+            pool = enumerate_moves(c, r3b_range=0 if ignore_flows else 1) + inverse_instances(
+                c, **window, max_split_slots=6
             )
             for m in pool:
                 try:
@@ -416,9 +421,10 @@ class TestSizeChange:
     @pytest.mark.parametrize("ignore_flows", [False, True])
     def test_pruned_generation_leaves_out_only_vertex_adding_instances(self, make_comte, ignore_flows):
         for c in self._sample(make_comte, ignore_flows):
-            full = inverse_instances(c, ignore_flows=ignore_flows, max_split_slots=6)
+            window = dict(flow_lo=0, flow_hi=0) if ignore_flows else {}
+            full = inverse_instances(c, **window, max_split_slots=6)
             assert all(size_change(c, m)[1] == 1 for m in full), c
-            kept = inverse_instances(c, ignore_flows=ignore_flows, max_split_slots=6, new_vertices=False)
+            kept = inverse_instances(c, **window, max_split_slots=6, new_vertices=False)
             assert kept == [m for m in full if size_change(c, m)[0] == 0], c
 
     def test_unknown_kind(self):
@@ -488,14 +494,14 @@ class TestSearchGolden:
         assert canonical_key(replay_trace(G2, trace)) == canonical_key(G3)
 
     def test_g2_g3_trace_bare_graphs(self):
-        trace = equivalent_bounded(G2, G3, G2G3_BUDGET, ignore_flows=True)
+        trace = equivalent_bounded(_zeroed(G2), _zeroed(G3), dataclasses.replace(G2G3_BUDGET, **BARE))
         assert trace.format() == (
             "R0inv site=[vertices=0,0 flags=target]\n"
             "R3a_add site=[arrows=2,4,3,1] params=1\n"
             "R3a_remove site=[arrows=4,1,5,0,3] params=2\n"
             "R1contract site=[arrows=1]\n"
         )
-        assert canonical_key(replay_trace(G2, trace, ignore_flows=True)) == canonical_key(_zeroed(G3))
+        assert canonical_key(replay_trace(_zeroed(G2), trace)) == canonical_key(_zeroed(G3))
 
     @pytest.mark.parametrize("limit", [dict(max_states=2000), dict(max_arrows=5, max_states=5000)])
     def test_budget_limited_search_finds_nothing(self, limit):
@@ -538,8 +544,9 @@ class TestEnumerationGolden:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_instances_pinned(self, name, ignore_flows):
         make, digests, r3 = self.CASES[name]
-        c = make()
-        pool = enumerate_moves(c, ignore_flows=ignore_flows) + inverse_instances(c, ignore_flows=ignore_flows)
+        c = _zeroed(make()) if ignore_flows else make()
+        window = dict(flow_lo=0, flow_hi=0) if ignore_flows else {}
+        pool = enumerate_moves(c, r3b_range=0 if ignore_flows else 3) + inverse_instances(c, **window)
         text = "".join(m.format() + "\n" for m in pool)
         assert [m.format() for m in pool if m.kind.startswith("R3")] == r3
         assert (len(pool), hashlib.sha256(text.encode()).hexdigest()) == digests[ignore_flows]

@@ -1,0 +1,27 @@
+"""Every top-level import in the package is used by its module."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "comtes"
+
+
+def _imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_no_unused_top_level_import():
+    files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert files
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for line, name in _imported_names(tree) if name not in used]
+    assert not unused, unused
