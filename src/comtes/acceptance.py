@@ -9,6 +9,7 @@ run randomized batteries with a fixed default seed.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass
@@ -99,7 +100,7 @@ def _census_signatures(jobs: int = 1) -> tuple[SignatureCensus, SignatureCensus]
     return signature_census(r3, 5, jobs=jobs), signature_census(q3, 5, jobs=jobs)
 
 
-def criterion_1_census_counts(jobs: int = 1) -> CriterionResult:
+def criterion_1_census_counts() -> CriterionResult:
     t0 = time.time()
     r3, q3 = _census_graphs()
     complete = enumerate_r_graphs(3, include_arrowless=True)
@@ -111,7 +112,7 @@ def criterion_1_census_counts(jobs: int = 1) -> CriterionResult:
     return _result("1", "census counts", t0, ok, detail)
 
 
-def criterion_2_example_homology(jobs: int = 1) -> CriterionResult:
+def criterion_2_example_homology() -> CriterionResult:
     t0 = time.time()
     hs = homology_range(EXAMPLE_QGRAPH, 5)
     got = [h.format() for h in hs]
@@ -124,7 +125,7 @@ G2G3_BUDGET = SearchBudget(
 )
 
 
-def criterion_3_noninvariance_pair(jobs: int = 1) -> CriterionResult:
+def criterion_3_noninvariance_pair() -> CriterionResult:
     t0 = time.time()
     h2 = homology(G2_BAR, 3)
     h3 = homology(G3_BAR, 3)
@@ -141,7 +142,7 @@ def criterion_3_noninvariance_pair(jobs: int = 1) -> CriterionResult:
     return _result("3", "homology non-invariance + move relation", t0, ok, detail)
 
 
-def criterion_4_state_sums(jobs: int = 1) -> CriterionResult:
+def criterion_4_state_sums() -> CriterionResult:
     t0 = time.time()
     x = tetrahedron_quandle()
     f = tetrahedron_cocycle()
@@ -223,7 +224,7 @@ def _fox_trefoil_oracle() -> bool:
     return nonzero > 0
 
 
-def criterion_5_alexander(jobs: int = 1) -> CriterionResult:
+def criterion_5_alexander() -> CriterionResult:
     t0 = time.time()
     g23 = graph("a b c", [("a", "b", "c"), ("a", "c", "b")])
     d_example = alexander_polynomial(g23, 1)
@@ -239,7 +240,7 @@ def criterion_5_alexander(jobs: int = 1) -> CriterionResult:
     return _result("5", "Alexander polynomials", t0, ok, detail)
 
 
-def criterion_6_linking(jobs: int = 1) -> CriterionResult:
+def criterion_6_linking() -> CriterionResult:
     t0 = time.time()
     lk = linking_matrix(LINKING_EXAMPLE)
     want = {(i, j): 0 for i in range(3) for j in range(3) if i != j}
@@ -510,7 +511,7 @@ def suite_8g_reidemeister() -> tuple[bool, str]:
     return True, "traces found for all bundled pairs (" + ", ".join(lengths) + ")"
 
 
-def criterion_8_property_suites(jobs: int = 1, seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_8_property_suites(seed: int = DEFAULT_SEED) -> CriterionResult:
     t0 = time.time()
     parts = [
         ("a", suite_8a_move_invariance(seed)),
@@ -539,13 +540,13 @@ CRITERIA = [
 
 
 def run_all(seed: int = DEFAULT_SEED, jobs: int = 1, only=None):
-    """Run the criteria in order, or only those whose ids are in ``only``."""
+    """Run the criteria in order, or only those whose ids are in ``only``.
+    Each criterion is passed those of ``seed`` and ``jobs`` that it takes."""
+    given = {"seed": seed, "jobs": jobs}
     results = []
     for fn in CRITERIA:
         if only is not None and fn.__name__.split("_")[1] not in only:
             continue
-        if fn is criterion_8_property_suites:
-            results.append(fn(jobs=jobs, seed=seed))
-        else:
-            results.append(fn(jobs=jobs))
+        takes = inspect.signature(fn).parameters
+        results.append(fn(**{k: v for k, v in given.items() if k in takes}))
     return results

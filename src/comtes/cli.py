@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -126,13 +127,9 @@ def cmd_statesum(args) -> int:
         f = tetrahedron_cocycle()
     else:
         try:
-            f = parse_cocycle(_read(args.cocycle), bound=x.n)
+            f = parse_cocycle(_read(args.cocycle), x.n)
         except ValueError as e:
             raise CommandError(f"bad cocycle file {args.cocycle!r}: {e}") from None
-    if f.n != x.n:
-        raise CommandError(
-            f"cocycle is on {f.n} elements but the quandle has {x.n}"
-        )
     witness = check_cocycle(x, f)
     if witness is not None:
         raise CommandError(f"not a 2-cocycle: {witness}")
@@ -178,15 +175,7 @@ def cmd_moves(args) -> int:
         sys.stdout.write(encode(apply_move(c, pool[args.index])))
         return 0
     # search
-    budget = SearchBudget(
-        max_states=args.max_states,
-        max_vertices=args.max_vertices,
-        max_arrows=args.max_arrows,
-        r3b_range=args.r3b_range,
-        flow_lo=args.flow_lo,
-        flow_hi=args.flow_hi,
-        max_split_slots=args.max_split_slots,
-    )
+    budget = SearchBudget(**{f.name: getattr(args, f.name) for f in fields(SearchBudget)})
     trace = equivalent_bounded(c, target, budget)
     if trace is None:
         print("unknown (no trace within budget; not a proof of inequivalence)")
@@ -292,13 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     mv.add_argument("--inverse", action="store_true", help="include inverse instances")
     mv.add_argument("--index", type=int, default=0, help="instance to apply")
     mv.add_argument("--target", help="target comte document (search)")
-    mv.add_argument("--max-states", type=_non_negative_int, default=5000)
-    mv.add_argument("--max-vertices", type=_non_negative_int, default=8)
-    mv.add_argument("--max-arrows", type=_non_negative_int, default=12)
-    mv.add_argument("--r3b-range", type=_non_negative_int, default=2)
-    mv.add_argument("--flow-lo", type=int, default=-1)
-    mv.add_argument("--flow-hi", type=int, default=2)
-    mv.add_argument("--max-split-slots", type=_non_negative_int, default=10, help="skip splits of vertices with more slots")
+    mv.add_argument("--max-states", type=_non_negative_int, default=SearchBudget.max_states)
+    mv.add_argument("--max-vertices", type=_non_negative_int, default=SearchBudget.max_vertices)
+    mv.add_argument("--max-arrows", type=_non_negative_int, default=SearchBudget.max_arrows)
+    mv.add_argument("--r3b-range", type=_non_negative_int, default=SearchBudget.r3b_range)
+    mv.add_argument("--flow-lo", type=int, default=SearchBudget.flow_lo)
+    mv.add_argument("--flow-hi", type=int, default=SearchBudget.flow_hi)
+    mv.add_argument("--max-split-slots", type=_non_negative_int, default=SearchBudget.max_split_slots,
+                    help="skip splits of vertices with more slots")
     mv.add_argument("--ignore-flows", action="store_true", help="zero the flows first (bare-graph mode)")
     mv.set_defaults(fn=cmd_moves)
 
@@ -328,8 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "moves" and args.action == "search" and not args.target:
-        parser.error("moves search requires --target")
+    if getattr(args, "command", None) == "moves":
+        if args.action == "search" and not args.target:
+            parser.error("moves search requires --target")
+        if args.flow_lo > args.flow_hi:
+            parser.error(f"empty flow window: --flow-lo {args.flow_lo} > --flow-hi {args.flow_hi}")
     try:
         return args.fn(args)
     except (CommandError, LinkCodeError, MoveError, DecodeError) as e:

@@ -58,15 +58,13 @@ def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
 
 
 def graph_homomorphisms(src: SelfIndexedGraph, dst: SelfIndexedGraph) -> list[GraphHomomorphism]:
-    """All homomorphisms src -> dst, ordered by their vertex images (in
-    src vertex order) and then arrow images."""
-    keyed = []
-    for vm, cands in _vertex_maps(src, dst):
-        images = tuple(vm[v] for v in src.vertices)
-        pairs = tuple(sorted(vm.items()))
-        keyed += (((images, am), GraphHomomorphism(pairs, am)) for am in product(*cands))
-    keyed.sort(key=lambda kh: kh[0])
-    return [h for _, h in keyed]
+    """All homomorphisms src -> dst, in sorted order: by their vertex
+    images and then their arrow images."""
+    return sorted(
+        GraphHomomorphism(tuple(vm[v] for v in src.vertices), am)
+        for vm, cands in _vertex_maps(src, dst)
+        for am in product(*cands)
+    )
 
 
 def colorings(g: SelfIndexedGraph, x: FiniteRack) -> list[dict[str, int]]:
@@ -110,17 +108,13 @@ def phi_invariant(c: Comte, x: FiniteRack, f: Cocycle2) -> dict:
 # Chains, cochains and the general state sum
 #
 # A degree-n chain on G assigns integers to homomorphisms Y_n -> G; a
-# degree-n cochain on G assigns A-elements to them.  Homs are keyed by
-# their signature: the tuple of vertex images (in Y_n vertex order)
-# followed by the tuple of arrow images.
-
-Signature = tuple[tuple[str, ...], tuple[int, ...]]
+# degree-n cochain on G assigns A-elements to them.
 
 
 @dataclass(frozen=True)
 class Chain:
     degree: int
-    coeffs: tuple[tuple[Signature, int], ...]
+    coeffs: tuple[tuple[GraphHomomorphism, int], ...]
 
     @staticmethod
     def from_dict(degree: int, d: dict) -> "Chain":
@@ -133,13 +127,15 @@ class Chain:
 @dataclass(frozen=True)
 class Cochain:
     degree: int
-    values: dict  # Signature -> A element; missing keys read as identity
+    values: dict  # GraphHomomorphism -> A element; missing keys read as identity
 
 
-def compose_signature(sig: Signature, hom: GraphHomomorphism) -> Signature:
-    vm = dict(hom.vertex_map)
-    vs, ars = sig
-    return (tuple(vm[v] for v in vs), tuple(hom.arrow_map[j] for j in ars))
+def compose(h: GraphHomomorphism, k: GraphHomomorphism, mid: SelfIndexedGraph) -> GraphHomomorphism:
+    """k after h, for h into mid and k out of mid."""
+    img = dict(zip(mid.vertices, k.vertex_images))
+    return GraphHomomorphism(
+        tuple(img[v] for v in h.vertex_images), tuple(k.arrow_map[j] for j in h.arrow_map)
+    )
 
 
 def state_sum(
@@ -162,8 +158,8 @@ def state_sum(
     result: dict = {}
     for sigma in graph_homomorphisms(gsrc, gtgt):
         total = group.identity
-        for sig, coeff in chain.coeffs:
-            val = cochain.values.get(compose_signature(sig, sigma))
+        for h, coeff in chain.coeffs:
+            val = cochain.values.get(compose(h, sigma, gsrc))
             if val is not None:
                 total = group.add(total, group.scale(val, coeff))
         result = ring_add(result, {total: 1})

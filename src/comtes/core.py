@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -377,21 +378,21 @@ def canonical_key(obj: Comte | SelfIndexedGraph) -> bytes:
 # Homomorphisms
 
 
-@dataclass(frozen=True)
-class GraphHomomorphism:
-    vertex_map: tuple[tuple[str, str], ...]  # sorted (vertex, image) pairs
-    arrow_map: tuple[int, ...]               # arrow index -> arrow index
+class GraphHomomorphism(NamedTuple):
+    """A homomorphism src -> dst, positional on both sides: it equals,
+    hashes and sorts as the plain tuple (vertex images, arrow images)."""
+
+    vertex_images: tuple[str, ...]  # image of src.vertices[i]
+    arrow_map: tuple[int, ...]      # image of src.arrows[k], as a dst arrow index
 
 
 def is_homomorphism(h: GraphHomomorphism, src: SelfIndexedGraph, dst: SelfIndexedGraph) -> bool:
     """Check that ``h`` commutes with source, target and label maps."""
-    vm = dict(h.vertex_map)
-    if set(vm) != set(src.vertices):
+    if len(h.vertex_images) != len(src.vertices) or len(h.arrow_map) != len(src.arrows):
         return False
-    if not set(dst.vertices).issuperset(vm.values()):
+    if not set(dst.vertices).issuperset(h.vertex_images):
         return False
-    if len(h.arrow_map) != len(src.arrows):
-        return False
+    vm = dict(zip(src.vertices, h.vertex_images))
     for a, j in zip(src.arrows, h.arrow_map):
         if not 0 <= j < len(dst.arrows):
             return False

@@ -79,10 +79,8 @@ def _face_word(word: Word, s: int, eps: int) -> Word:
 
 
 @lru_cache(maxsize=None)
-def face_signature(n: int, s: int, eps: int):
-    """Signature of the embedding D_s^eps : Y_{n-1} -> Y_n, for
-    1 <= s <= n-1: vertex images in Y_{n-1} vertex order, then arrow
-    images."""
+def face_map(n: int, s: int, eps: int) -> GraphHomomorphism:
+    """The embedding D_s^eps : Y_{n-1} -> Y_n, for 1 <= s <= n-1."""
     if not 1 <= s <= n - 1:
         raise ValueError(f"face index s={s} out of range for Y_{n}")
     lo = build_Yn(n - 1)
@@ -95,10 +93,4 @@ def face_signature(n: int, s: int, eps: int):
         else:
             img = (_face_word(src, s, eps), d + 1 if d >= s else d)
         am.append(hi_aindex[img])
-    return vs, tuple(am)
-
-
-def face_map(n: int, s: int, eps: int) -> GraphHomomorphism:
-    """The embedding D_s^eps : Y_{n-1} -> Y_n, for 1 <= s <= n-1."""
-    vs, am = face_signature(n, s, eps)
-    return GraphHomomorphism(tuple(sorted(zip(build_Yn(n - 1).graph.vertices, vs))), am)
+    return GraphHomomorphism(vs, tuple(am))

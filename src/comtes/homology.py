@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coloring import Chain, Cochain, compose_signature, graph_homomorphisms
+from .coloring import Chain, Cochain, compose, graph_homomorphisms
 from .core import Comte, GraphHomomorphism, SelfIndexedGraph, classify
-from .cubes import build_Yn, face_signature
+from .cubes import build_Yn, face_map
 from .linalg import kernel_mod, image_size_mod, smith_normal_form
 from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow_index
 
@@ -217,50 +217,41 @@ def homology(g: SelfIndexedGraph, n: int, q_quotient: bool = False) -> HomologyG
     return groups[n - 1] if n else HomologyGroup(1, ())
 
 
-@dataclass(frozen=True)
-class CubeHom:
-    """A homomorphism Y_n -> g; for r-graph targets the origin-image tuple
-    determines it and is carried alongside the full assignment."""
-
-    degree: int
-    tuple_form: tuple[str, ...] | None
-    hom: GraphHomomorphism
-
-
-def enumerate_homs(n: int, g: SelfIndexedGraph) -> list[CubeHom]:
+def enumerate_homs(n: int, g: SelfIndexedGraph) -> list[GraphHomomorphism]:
     """All homomorphisms Y_n -> g in a deterministic order: read off the F
-    tables of the origin tuples for r-graphs, a full constraint search
+    tables for r-graphs, in lexicographic order of the origin tuples (the
+    images of the Y_n vertices "1".."n"); a full constraint search
     otherwise."""
     cube = build_Yn(n)
     try:
         dot = dot_table(g)
     except NotRGraphError:
-        return [CubeHom(n, None, h) for h in graph_homomorphisms(cube.graph, g)]
-    bases, tables = _tuple_bases(dot, n, False)
+        return graph_homomorphisms(cube.graph, g)
+    _, tables = _tuple_bases(dot, n, False)
     idx = g.vertex_index()
     by_sl = {(idx[a.label], idx[a.source]): j for j, a in enumerate(g.arrows)}
     vertex_masks = [_mask(w) for w in cube.vertex_words]
     arrow_masks = [(_mask(lab), _mask(src)) for (src, _), lab in zip(cube.arrow_data, cube.arrow_words)]
-    out = []
-    for t, f in zip(bases[n], tables):
-        vm = tuple(sorted(zip(cube.graph.vertices, (g.vertices[f[m]] for m in vertex_masks))))
-        am = tuple(by_sl[f[lam], f[src]] for lam, src in arrow_masks)
-        out.append(CubeHom(n, tuple(g.vertices[i] for i in t), GraphHomomorphism(vm, am)))
-    return out
+    return [
+        GraphHomomorphism(
+            tuple(g.vertices[f[m]] for m in vertex_masks), tuple(by_sl[f[lam], f[src]] for lam, src in arrow_masks)
+        )
+        for f in tables
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Chains from flows, general boundaries, signatures
+# Chains from flows and general boundaries
 
 
-def degree2_signature(g: SelfIndexedGraph, e: int):
-    """Signature of the degree-2 basis homomorphism attached to arrow e:
+def degree2_signature(g: SelfIndexedGraph, e: int) -> GraphHomomorphism:
+    """The degree-2 basis homomorphism Y_2 -> g attached to arrow e:
     Y_2's single arrow maps to e, the lone y_1 vertex to the label, the
     y_2 origin to the source and the far y_2 vertex to the target."""
     a = g.arrows[e]
     cube = build_Yn(2)
     img = {(1,): a.label, (2,): a.source, (1, 2): a.target}
-    return (tuple(img[w] for w in cube.vertex_words), (e,))
+    return GraphHomomorphism(tuple(img[w] for w in cube.vertex_words), (e,))
 
 
 def flow_to_cycle(c: Comte) -> Chain:
@@ -278,17 +269,13 @@ def chain_boundary(chain: Chain, g: SelfIndexedGraph) -> Chain:
     """Boundary of a chain on any graph, computed by composing each
     homomorphism with the face embeddings of Y_{degree}."""
     n = chain.degree
-    cube = build_Yn(n)
+    cube = build_Yn(n).graph
     out: dict = {}
-    for sig, coeff in chain.coeffs:
-        vs, ars = sig
-        vm = tuple(sorted(zip(cube.graph.vertices, vs)))
-        sigma = GraphHomomorphism(vm, ars)
+    for sigma, coeff in chain.coeffs:
         for s in range(1, n):
             sign = -1 if s % 2 else 1
             for eps, fsign in ((0, sign), (1, -sign)):
-                fsig = face_signature(n, s, eps)
-                key = compose_signature(fsig, sigma)
+                key = compose(face_map(n, s, eps), sigma, cube)
                 out[key] = out.get(key, 0) + fsign * coeff
     return Chain.from_dict(n - 1, out)
 

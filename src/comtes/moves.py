@@ -604,12 +604,14 @@ def inverse_instances(
 
     Vertex splits enumerate all 2^k reassignments of the k incident slots
     (skipped when k exceeds ``max_split_slots``).  Flow splits I1 + I2 = I
-    range over [flow_lo, flow_hi]; splits whose conservation-forced flow
-    falls outside the window are not emitted, so every instance applies to a
-    valid comte and yields a valid comte.  ``new_vertices=False`` leaves out
+    range over [flow_lo, flow_hi]; an empty window (flow_lo > flow_hi) is a
+    ValueError.  Splits whose conservation-forced flow falls outside the
+    window are not emitted, so every instance applies to a valid comte and
+    yields a valid comte.  ``new_vertices=False`` leaves out
     the vertex-adding instances (R0inv, R1split, fresh splits) and keeps the
     order of the rest.
     """
+    _check_flow_window(flow_lo, flow_hi)
     g = c.graph
     out: list[MoveInstance] = []
     # the vertices a vertex-adding instance (R0inv, R1split) may start from
@@ -699,6 +701,14 @@ class SearchBudget:
     flow_lo: int = -1
     flow_hi: int = 2
     max_split_slots: int = 10
+
+    def __post_init__(self):
+        _check_flow_window(self.flow_lo, self.flow_hi)
+
+
+def _check_flow_window(flow_lo: int, flow_hi: int):
+    if flow_lo > flow_hi:
+        raise ValueError(f"empty flow window: flow_lo={flow_lo} > flow_hi={flow_hi}")
 
 
 @dataclass(frozen=True)

@@ -301,12 +301,11 @@ def format_cocycle(f: Cocycle2) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_cocycle(text: str, bound: int | None = None) -> Cocycle2:
+def parse_cocycle(text: str, n: int) -> Cocycle2:
     """Header ``A: m1,m2,...`` then lines ``x y -> a`` with the A-element as
-    comma-separated residues.  Missing pairs default to the identity.  The
-    element count is one more than the largest index; when ``bound`` is
-    given, an index at or above it is an error, raised before any table is
-    built."""
+    comma-separated residues, for a cocycle on ``n`` elements.  Missing
+    pairs default to the identity.  An index at or above ``n`` is an error,
+    raised before any table is built."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("A:"):
         raise ValueError("cocycle file must start with an 'A: m1,m2,...' line")
@@ -316,7 +315,6 @@ def parse_cocycle(text: str, bound: int | None = None) -> Cocycle2:
         raise ValueError(f"bad cyclic orders in line {lines[0]!r}") from None
     group = AbelianGroup(orders)
     entries = {}
-    n = 0
     for ln in lines[1:]:
         lhs, _, rhs = ln.partition("->")
         try:
@@ -326,12 +324,11 @@ def parse_cocycle(text: str, bound: int | None = None) -> Cocycle2:
             raise ValueError(f"line {ln!r} is not of the form 'x y -> r1,r2,...'") from None
         if x < 0 or y < 0:
             raise ValueError(f"negative element index in line {ln!r}")
-        if bound is not None and max(x, y) >= bound:
-            raise ValueError(f"element index {max(x, y)} out of range for {bound} elements in line {ln!r}")
+        if max(x, y) >= n:
+            raise ValueError(f"element index {max(x, y)} out of range for {n} elements in line {ln!r}")
         if len(residues) != len(orders):
             raise ValueError(f"bad A-element in line {ln!r}")
         entries[(x, y)] = tuple(r % m for r, m in zip(residues, orders))
-        n = max(n, x + 1, y + 1)
     vals = tuple(
         tuple(entries.get((x, y), group.identity) for y in range(n)) for x in range(n)
     )

@@ -96,6 +96,17 @@ class TestColoringsAndStateSum:
         code, out, _ = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
         assert code == 0 and out.splitlines()[0] == "4 + 12*s"
 
+    @pytest.mark.parametrize("text", ["A: 2\n", "A: 2\n0 1 -> 0\n"])
+    def test_statesum_trivial_cocycle_file(self, capsys, tmp_path, text):
+        # missing pairs are the identity, so neither file is too small for
+        # the 4-element quandle
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        fpath = tmp_path / "zero.cocycle"
+        fpath.write_text(text)
+        code, out, _ = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
+        assert code == 0 and out.splitlines() == ["16", "colorings: 16"]
+
     def test_rack_table_file(self, capsys, tmp_path):
         from comtes.racks import format_rack_table, tetrahedron_quandle
 
@@ -187,6 +198,16 @@ class TestMovesCommand:
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == "" and option in out.err and "must be non-negative" in out.err
+
+    @pytest.mark.parametrize("action", ["enumerate", "apply", "search"])
+    def test_empty_flow_window_exits_2(self, capsys, tmp_path, action):
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        with pytest.raises(SystemExit) as exc:
+            main(["moves", action, "--comte", str(p), "--target", str(p), "--inverse", "--flow-lo", "3", "--flow-hi", "-2"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "empty flow window" in out.err
 
     def test_ignore_flows_enumerates_and_applies_bare_graph_moves(self, capsys, tmp_path):
         # a full square whose sides carry flow: only with flows zeroed may a
@@ -361,10 +382,12 @@ class TestStateSumHardening:
 
         p = tmp_path / "t.json"
         p.write_text(encode(TREFOIL))
-        fpath = tmp_path / "f3.cocycle"
-        fpath.write_text(format_cocycle(constant_cocycle(3, C2)))
+        # a file for a larger quandle names an index the quandle lacks; one
+        # for a smaller quandle is the cocycle extended by the identity
+        fpath = tmp_path / "f5.cocycle"
+        fpath.write_text(format_cocycle(constant_cocycle(5, C2)))
         code, _, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
-        assert code == 1 and "3 elements" in err
+        assert code == 1 and "out of range for 4 elements" in err
 
     def test_garbage_cocycle_file(self, capsys, tmp_path):
         p = tmp_path / "t.json"

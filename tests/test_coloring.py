@@ -43,13 +43,11 @@ def brute_homomorphisms(src, dst):
     homomorphism, in the order that graph_homomorphisms promises."""
     found = []
     for images in itertools.product(dst.vertices, repeat=len(src.vertices)):
-        vm = tuple(sorted(zip(src.vertices, images)))
         for am in itertools.product(range(len(dst.arrows)), repeat=len(src.arrows)):
-            h = GraphHomomorphism(vm, am)
+            h = GraphHomomorphism(images, am)
             if is_homomorphism(h, src, dst):
-                found.append(((images, am), h))
-    found.sort(key=lambda kh: kh[0])
-    return [h for _, h in found]
+                found.append(h)
+    return sorted(found, key=lambda h: (h.vertex_images, h.arrow_map))
 
 
 def random_graph(rng, n_vertices, n_arrows, prefix):

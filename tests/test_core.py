@@ -342,10 +342,15 @@ class TestDocuments:
 class TestHomomorphism:
     def test_commuting_check(self):
         g1 = graph("x", [("x", "x", "x")])
-        h = GraphHomomorphism((("x", "a"),), (0,))
+        h = GraphHomomorphism(("a",), (0,))
         assert is_homomorphism(h, g1, EXHOC)
-        h_bad = GraphHomomorphism((("x", "a"),), (5,))
+        h_bad = GraphHomomorphism(("a",), (5,))
         assert not is_homomorphism(h_bad, g1, EXHOC)
+
+    def test_vertex_images_of_wrong_length_rejected(self):
+        g1 = graph("x", [("x", "x", "x")])
+        assert not is_homomorphism(GraphHomomorphism((), (0,)), g1, EXHOC)
+        assert not is_homomorphism(GraphHomomorphism(("a", "b"), (0,)), g1, EXHOC)
 
 
 class TestDocumentTypeHardening:

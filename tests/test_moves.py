@@ -200,6 +200,16 @@ class TestInverseEnumeration:
         )
         assert pairs == [(-1, 2), (0, 1), (1, 0), (2, -1)]
 
+    def test_empty_flow_window_rejected(self):
+        # a one-value window is allowed; an empty one would silently drop
+        # every flow-carrying inverse move
+        assert inverse_instances(TREFOIL, flow_lo=1, flow_hi=1)
+        assert SearchBudget(flow_lo=1, flow_hi=1).flow_lo == 1
+        with pytest.raises(ValueError, match="empty flow window"):
+            inverse_instances(TREFOIL, flow_lo=3, flow_hi=-2)
+        with pytest.raises(ValueError, match="empty flow window"):
+            SearchBudget(flow_lo=3, flow_hi=-2)
+
     def test_g2_reaches_r3a_completion_after_a_split(self):
         # the move relation between the trefoil-with-chord comtes starts with
         # a vertex split that creates a three-sided square

@@ -153,9 +153,9 @@ class TestTextFormats:
 
     def test_cocycle_round_trip(self):
         f = tetrahedron_cocycle()
-        assert parse_cocycle(format_cocycle(f)) == f
+        assert parse_cocycle(format_cocycle(f), 4) == f
         with pytest.raises(ValueError):
-            parse_cocycle("1 2 -> 1")
+            parse_cocycle("1 2 -> 1", 4)
 
     @pytest.mark.parametrize(
         "orders, line", [("2", "0 1 -> 1,1"), ("2,2", "0 1 -> 1"), ("2", "-1 0 -> 1"), ("2", "0 -2 -> 1")]
@@ -163,30 +163,31 @@ class TestTextFormats:
     def test_cocycle_bad_lines_rejected(self, orders, line):
         # extra or missing residues and negative indices are errors, not dropped
         with pytest.raises(ValueError, match="line"):
-            parse_cocycle(f"A: {orders}\n{line}\n")
+            parse_cocycle(f"A: {orders}\n{line}\n", 2)
 
     @pytest.mark.parametrize("line", ["0 1 ->", "0 1 2 -> 1", "0 1 1", "0 -> 1", "x 1 -> 1"])
     def test_cocycle_malformed_line_is_quoted(self, line):
         with pytest.raises(ValueError, match=re.escape(repr(line))):
-            parse_cocycle(f"A: 2\n{line}\n")
+            parse_cocycle(f"A: 2\n{line}\n", 2)
 
     def test_cocycle_index_bound(self):
         # the bound is checked line by line, before a table is built, so a
         # huge index costs no more than a small one
         line = "0 1000000000 -> 1"
         with pytest.raises(ValueError, match=re.escape(repr(line))):
-            parse_cocycle(f"A: 2\n1 2 -> 1\n{line}\n", bound=4)
+            parse_cocycle(f"A: 2\n1 2 -> 1\n{line}\n", 4)
         with pytest.raises(ValueError, match="out of range"):
-            parse_cocycle("A: 2\n4 0 -> 1\n", bound=4)
+            parse_cocycle("A: 2\n4 0 -> 1\n", 4)
         f = tetrahedron_cocycle()
-        assert parse_cocycle(format_cocycle(f), bound=4) == f
-        # the element count is still inferred from the entries
-        assert parse_cocycle("A: 2\n0 2 -> 1\n", bound=4).n == 3
+        assert parse_cocycle(format_cocycle(f), 4) == f
+        # the element count is the one given, not the largest index plus one
+        assert parse_cocycle("A: 2\n0 2 -> 1\n", 4).n == 4
+        assert parse_cocycle("A: 2\n", 4).n == 4
 
     @pytest.mark.parametrize("header", ["A: x", "A:", "A: 2,"])
     def test_cocycle_malformed_header_is_quoted(self, header):
         with pytest.raises(ValueError, match=re.escape(repr(header))):
-            parse_cocycle(f"{header}\n0 1 -> 1\n")
+            parse_cocycle(f"{header}\n0 1 -> 1\n", 2)
 
     def test_builtins(self):
         assert builtin_rack("trivial2").n == 2
