@@ -136,19 +136,13 @@ def alexander_polynomial(g: SelfIndexedGraph, i: int) -> Laurent:
     return minors_gcd(relation_matrix(g), r)
 
 
-def multivariable_relation_matrix(
-    g: SelfIndexedGraph, *, label_sign: int = 1
-) -> list[list[MultiLaurent]]:
+def multivariable_relation_matrix(g: SelfIndexedGraph) -> list[list[MultiLaurent]]:
     """Relation matrix over Z[t_1^+-, ..., t_n^+-], n = number of components.
 
     An arrow b --a--> c, with the label a in component i and the source and
-    target in component j, contributes t_i at b, -1 at c and
-    ``label_sign * (1 - t_j)`` at a.  The default ``label_sign=1``
-    specializes (all t_k := t) to the one-variable matrix; ``label_sign=-1``
-    is the alternative sign convention, kept behind this switch.
+    target in component j, contributes t_i at b, -1 at c and 1 - t_j at a,
+    so that it specializes (all t_k := t) to the one-variable matrix.
     """
-    if label_sign not in (1, -1):
-        raise ValueError("label_sign must be +1 or -1")
     comps = components(g)
     cidx = component_index(g)
     n = len(comps)
@@ -161,7 +155,7 @@ def multivariable_relation_matrix(
         row = [MultiLaurent.zero(n)] * nv
         row[vidx[a.source]] = row[vidx[a.source]] + MultiLaurent.var(n, i)
         row[vidx[a.target]] = row[vidx[a.target]] + MultiLaurent.const(n, -1)
-        lab = MultiLaurent.const(n, label_sign) - MultiLaurent.var(n, j, label_sign)
+        lab = MultiLaurent.const(n, 1) - MultiLaurent.var(n, j)
         row[vidx[a.label]] = row[vidx[a.label]] + lab
         rows.append(row)
     return rows

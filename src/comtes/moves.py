@@ -592,12 +592,31 @@ def _subsets(items):
         yield frozenset(items[k] for k in range(n) if mask >> k & 1)
 
 
+@dataclass(frozen=True)
+class SearchBudget:
+    max_states: int = 5000
+    max_vertices: int = 8
+    max_arrows: int = 12
+    r3b_range: int = 2
+    flow_lo: int = -1
+    flow_hi: int = 2
+    max_split_slots: int = 10
+
+    def __post_init__(self):
+        _check_flow_window(self.flow_lo, self.flow_hi)
+
+
+def _check_flow_window(flow_lo: int, flow_hi: int):
+    if flow_lo > flow_hi:
+        raise ValueError(f"empty flow window: flow_lo={flow_lo} > flow_hi={flow_hi}")
+
+
 def inverse_instances(
     c: Comte,
     *,
-    flow_lo: int = -1,
-    flow_hi: int = 2,
-    max_split_slots: int = 10,
+    flow_lo: int = SearchBudget.flow_lo,
+    flow_hi: int = SearchBudget.flow_hi,
+    max_split_slots: int = SearchBudget.max_split_slots,
     new_vertices: bool = True,
 ) -> list[MoveInstance]:
     """Enumerate inverse moves with bounded nondeterminism.
@@ -690,25 +709,6 @@ def inverse_instances(
 
 # ---------------------------------------------------------------------------
 # Bounded equivalence search
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    max_states: int = 5000
-    max_vertices: int = 8
-    max_arrows: int = 12
-    r3b_range: int = 2
-    flow_lo: int = -1
-    flow_hi: int = 2
-    max_split_slots: int = 10
-
-    def __post_init__(self):
-        _check_flow_window(self.flow_lo, self.flow_hi)
-
-
-def _check_flow_window(flow_lo: int, flow_hi: int):
-    if flow_lo > flow_hi:
-        raise ValueError(f"empty flow window: flow_lo={flow_lo} > flow_hi={flow_hi}")
 
 
 @dataclass(frozen=True)

@@ -170,10 +170,3 @@ class TestMultivariable:
         from comtes.laurent import MultiLaurent
 
         assert mv[0][0] == MultiLaurent.var(3, 1)
-
-    def test_sign_switch(self):
-        plus = multivariable_relation_matrix(TREFOIL, label_sign=1)
-        minus = multivariable_relation_matrix(TREFOIL, label_sign=-1)
-        assert plus != minus
-        with pytest.raises(ValueError):
-            multivariable_relation_matrix(TREFOIL, label_sign=2)

@@ -1,6 +1,12 @@
+import functools
+import itertools
+
 import pytest
 
+from comtes import census
 from comtes.census import (
+    _label_choices,
+    _least_codes,
     burnside_class_count,
     census_row,
     count_labeled_structures,
@@ -9,7 +15,21 @@ from comtes.census import (
     partial_injections,
     signature_census,
 )
-from comtes.core import canonical_key, classify, graph, validate_graph
+from comtes.core import canonical_form, canonical_key, classify, graph, graph_from_injections, validate_graph
+
+
+@functools.cache
+def reference_census(n, q_only):
+    """The census before orderly generation: canonicalize every labeled
+    structure and keep the first graph met under each key, sorted by key.
+    Returns the complete enumeration (include_arrowless=True); the arrow
+    count is the same across a class, so leaving out the arrowless
+    structures leaves out exactly the arrowless class."""
+    reps = {}
+    for maps in itertools.product(*_label_choices(n, q_only)):
+        cf = canonical_form(graph_from_injections(maps))
+        reps.setdefault(cf.key, cf.graph)
+    return [reps[k] for k in sorted(reps)]
 
 
 class TestEnumeration:
@@ -60,6 +80,40 @@ class TestEnumeration:
             assert classify(g) in ("r", "q")
         for g in enumerate_q_graphs(2):
             assert classify(g) == "q"
+
+
+class TestOrderlyGeneration:
+    @pytest.mark.parametrize("include_arrowless", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("enumerate_graphs, q_only", [(enumerate_r_graphs, False), (enumerate_q_graphs, True)])
+    def test_matches_canonicalizing_every_structure(self, monkeypatch, enumerate_graphs, q_only, n, include_arrowless):
+        want = reference_census(n, q_only)
+        if not include_arrowless:
+            want = [g for g in want if g.arrows]
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return canonical_form(g)
+
+        monkeypatch.setattr(census, "canonical_form", counting)
+        assert enumerate_graphs(n, include_arrowless=include_arrowless) == want
+        # one canonical form per class returned
+        assert len(calls) == len(want)
+
+    @pytest.mark.parametrize("n, q_only", [(0, False), (1, False), (2, False), (1, True), (2, True), (3, True)])
+    def test_keeps_the_first_structure_of_each_class(self, n, q_only):
+        choices = _label_choices(n, q_only)
+        first = {}
+        for code in itertools.product(*(range(len(c)) for c in choices)):
+            g = graph_from_injections([c[i] for c, i in zip(choices, code)])
+            first.setdefault(canonical_key(g), code)
+        assert list(_least_codes(choices)) == sorted(first.values())
+
+    def test_four_vertex_q_graph_walk_meets_every_class_once(self):
+        # counts the least codes without canonicalizing any of them
+        walked = sum(1 for _ in _least_codes(_label_choices(4, q_only=True)))
+        assert walked == burnside_class_count(4, q_only=True) == 56185
 
 
 class TestSignatures:

@@ -74,12 +74,12 @@ class TestColorings:
                 assert {v: x for v in g.vertices} in cols
 
     def test_matches_brute_force(self, make_comte):
-        for x in (trivial_quandle(2), dihedral_quandle(3), tetrahedron_quandle()):
-            for _ in range(25):
-                g = make_comte(nmax=4, amax=6).graph
-                assert sorted(colorings(g, x), key=lambda c: sorted(c.items())) == sorted(
-                    brute_colorings(g, x), key=lambda c: sorted(c.items())
-                )
+        # both lists come in vertex order: colorings sorts by the values in
+        # vertex order, and brute_colorings walks the assignments in that order
+        census = enumerate_q_graphs(2) + enumerate_q_graphs(3)
+        for x in (trivial_quandle(2), dihedral_quandle(3), tetrahedron_quandle(), dihedral_quandle(5)):
+            for g in [make_comte(nmax=4, amax=6).graph for _ in range(25)] + census:
+                assert colorings(g, x) == brute_colorings(g, x), (g, x.n)
 
 
 class TestHomomorphisms:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -209,6 +210,12 @@ class TestInverseEnumeration:
             inverse_instances(TREFOIL, flow_lo=3, flow_hi=-2)
         with pytest.raises(ValueError, match="empty flow window"):
             SearchBudget(flow_lo=3, flow_hi=-2)
+
+    def test_defaults_are_the_search_budget_defaults(self):
+        # inverse_instances(c) and a search under SearchBudget() walk the same window
+        params = inspect.signature(inverse_instances).parameters
+        for name in ("flow_lo", "flow_hi", "max_split_slots"):
+            assert params[name].default == getattr(SearchBudget(), name), name
 
     def test_g2_reaches_r3a_completion_after_a_split(self):
         # the move relation between the trefoil-with-chord comtes starts with

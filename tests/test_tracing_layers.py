@@ -39,3 +39,19 @@ def test_install_wraps_each_layer_and_uninstall_restores_it():
     finally:
         tracer.uninstall()
     assert [getattr(home, fn) for home, fn in homes] == originals
+
+
+def test_traced_census_counts_one_canonical_form_per_class():
+    # the census counters read zero if the census stops calling
+    # canonical_form through the name the tracer wraps
+    census = importlib.import_module("comtes.census")
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install(comtes)
+        census.enumerate_r_graphs(2)
+        census.enumerate_q_graphs(2)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["census.enumerate.classes"] == 27 + 3
+    assert metrics["census.enumerate.canonicalized"] == metrics["census.enumerate.classes"]
