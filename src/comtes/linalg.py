@@ -1,10 +1,11 @@
 """Exact integer matrix kernels: Smith normal form, kernels, ranks.
 
 Everything runs on Python integers, so there is no overflow; matrices are
-lists of row lists.  One sparse elimination serves every routine.  It is
-tuned for boundary matrices (lots of unit entries), and it records the
-column transform Q only for the kernel routines, which read their kernel
-vectors off the columns of Q.
+lists of equally long row lists.  One sparse elimination serves every
+routine.  Its pivot is a smallest entry, from the shortest column, so a
+pivot costs the columns plus the entries of short ones, not every
+nonzero.  It records the column transform Q only for the kernel routines,
+which read their kernel vectors (the basis this pivot order yields) off Q.
 """
 
 from __future__ import annotations
@@ -53,14 +54,17 @@ def _eliminate(matrix, ncols, track_q=False):
     zero except for the entry d of each pivot column, for a unimodular P
     that is not recorded.
 
-    Elimination picks unit pivots first (Markowitz-style fill estimate) and
-    falls back to gcd row/column combinations, so entries stay small on the
-    sparse boundary matrices this library produces.
+    Each pivot is the least (|entry|, column length, row length, column,
+    row), so units in short columns go first and fill stays low on sparse
+    boundary matrices; gcd row/column combinations handle the rest.  Raises
+    ``ValueError`` when a row's length is not ``ncols``.
     """
     q = [[int(i == j) for i in range(ncols)] for j in range(ncols)] if track_q else None
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise ValueError(f"row {r} has {len(row)} entries, expected {ncols}")
         d = {c: v for c, v in enumerate(row) if v}
         if d:
             rows[r] = d
@@ -113,17 +117,17 @@ def _eliminate(matrix, ncols, track_q=False):
             q[c2] = [z * a + w * b for a, b in zip(q1, q2)]
 
     def pick_pivot():
-        best = None
-        best_score = None
-        for r, rowd in rows.items():
-            rfill = len(rowd) - 1
-            for c, v in rowd.items():
-                av = abs(v)
-                score = (av != 1, av, rfill * (len(cols[c]) - 1), r, c)
-                if best_score is None or score < best_score:
-                    best_score = score
-                    best = (r, c)
-        return best
+        # Once a unit is held, no entry of a longer column can beat it.
+        best = (float("inf"),)
+        for c, cs in cols.items():
+            n = len(cs)
+            if best[0] == 1 and n > best[1]:
+                continue
+            for r in cs:
+                score = (abs(rows[r][c]), n, len(rows[r]), c, r)
+                if score < best:
+                    best = score
+        return best[4], best[3]
 
     pivots = []
     while rows:
@@ -202,8 +206,6 @@ def kernel_mod(matrix, ncols, modulus) -> list[tuple[list[int], int]]:
 
 def image_size_mod(matrix, modulus) -> int:
     """Order of the column span of M inside (Z/m)^rows."""
-    if not matrix or not matrix[0]:
-        return 1
     snf = smith_normal_form(matrix)
     size = 1
     for d in snf.factors:

@@ -1,5 +1,6 @@
 import importlib
 import random
+from math import gcd, prod
 
 import pytest
 
@@ -210,6 +211,20 @@ class TestHomology:
         r5 = homology_range(graph_of_rack(dihedral_quandle(5)), 3, q_quotient=True)
         assert r5[2].format() == "Z/5"
 
+    @pytest.mark.parametrize("p, top", [(3, 8), (5, 4)])
+    def test_dihedral_quandle_homology_is_delayed_fibonacci(self, p, top):
+        # H^Q_1(R_p) = Z and H^Q_n(R_p) = (Z/p)^(f_n) for n >= 2, with
+        # f_n = f_(n-1) + f_(n-3), f_1 = f_2 = 0, f_3 = 1: conjectured by
+        # Niebrzydowski, Przytycki, "Homology of dihedral quandles", JPAA
+        # 213 (2009); proved by Nosaka, "On quandle homology groups of
+        # Alexander quandles of prime order", Trans. AMS 365 (2013)
+        f = [None, 0, 0, 1]
+        while len(f) <= top:
+            f.append(f[-1] + f[-3])
+        hs = homology_range(graph_of_rack(dihedral_quandle(p)), top, q_quotient=True)
+        assert hs[0] == HomologyGroup(1, ())
+        assert hs[1:] == tuple(HomologyGroup(0, (p,) * f[n]) for n in range(2, top + 1))
+
     def test_rack_and_quandle_betti_numbers(self):
         # Etingof, Grana, JPAA 177 (2003): with o orbits, the rack Betti
         # numbers are o^n and the quandle Betti numbers o(o-1)^(n-1)
@@ -299,6 +314,25 @@ class TestQ2Cocycles:
     def test_trivial_quandle_trivial_h2q(self):
         res, _ = q2_cocycles_of_quandle(trivial_quandle(1), C2)
         assert res.cocycle_space_size == res.coboundary_space_size == 1
+
+    def test_cohomology_size_is_universal_coefficients(self):
+        # Z^2 / B^2 with Z/m values is Hom(H^Q_2, Z/m) + Ext(H^Q_1, Z/m);
+        # for Z^b + sum Z/d these have m^b prod gcd(d, m) and prod gcd(d, m)
+        # elements.  The generators of a quandle's cocycles are cocycles.
+        racks = (dihedral_quandle(3), dihedral_quandle(5), tetrahedron_quandle())
+        graphs = [graph_of_rack(x) for x in racks] + enumerate_q_graphs(3)
+        for g in graphs:
+            h1, h2 = homology_range(g, 2, q_quotient=True)
+            for m in (2, 3, 5):
+                res = q2_cocycles(g, AbelianGroup((m,)))
+                hom = m**h2.betti * prod(gcd(d, m) for d in h2.torsion)
+                ext = prod(gcd(d, m) for d in h1.torsion)
+                assert res.cocycle_space_size == res.coboundary_space_size * hom * ext, (g, m)
+        for x in racks:
+            for m in (2, 3, 5):
+                _, cocs = q2_cocycles_of_quandle(x, AbelianGroup((m,)))
+                for f in cocs:
+                    assert check_cocycle(x, f) is None, (x, m, f)
 
     def test_product_group(self):
         res = q2_cocycles(graph_of_rack(dihedral_quandle(3)), AbelianGroup((2, 3)))

@@ -2,6 +2,9 @@ import itertools
 import random
 from math import gcd
 
+import pytest
+
+from comtes.homology import boundary_matrix
 from comtes.linalg import (
     _eliminate,
     integer_kernel_basis,
@@ -10,6 +13,7 @@ from comtes.linalg import (
     kernel_size_mod,
     smith_normal_form,
 )
+from comtes.racks import dihedral_quandle, graph_of_rack, tetrahedron_quandle
 
 
 def bareiss_det(sub):
@@ -47,6 +51,38 @@ def minor_gcds(m):
     return out
 
 
+def assert_factors_match_minor_gcds(m):
+    fs = smith_normal_form(m).factors
+    oracle = minor_gcds(m)
+    assert len(fs) == len(oracle), m
+    prod = 1
+    for k, d in enumerate(fs):
+        prod *= d
+        assert prod == oracle[k], m
+
+
+def sparse_unit_matrix(rng, r, c):
+    return [[rng.choice((0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3)) for _ in range(c)] for _ in range(r)]
+
+
+def scrambled(rng, m):
+    """M with rows and columns permuted, then random unimodular row
+    operations: the same invariant factors, other column lengths, so
+    another pivot sequence."""
+    r, c = len(m), len(m[0])
+    rows, cols = rng.sample(range(r), r), rng.sample(range(c), c)
+    out = [[m[i][j] for j in cols] for i in rows]
+    for _ in range(r if r > 1 else 0):
+        i, j = rng.sample(range(r), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        out[i] = [a + k * b for a, b in zip(out[i], out[j])]
+    return out
+
+
+def transposed(m):
+    return [list(col) for col in zip(*m)]
+
+
 def test_frozen_examples():
     assert smith_normal_form([[2, 4], [6, 8]]).factors == (2, 4)
     assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).factors == (1, 1, 1)
@@ -67,14 +103,39 @@ def test_factors_match_minor_gcd_oracle():
     rng = random.Random(7)
     for _ in range(250):
         r, c = rng.randrange(1, 6), rng.randrange(1, 6)
-        m = [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)]
+        assert_factors_match_minor_gcds([[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)])
+
+
+def test_pivot_order_on_sparse_unit_matrices():
+    # Pivots are picked by entry size and column and row length; the
+    # factors must not depend on that order.  Small matrices against the
+    # minor oracle, larger ones against scrambled and transposed copies.
+    rng = random.Random(31)
+    for _ in range(300):
+        assert_factors_match_minor_gcds(sparse_unit_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 7)))
+    for _ in range(60):
+        m = sparse_unit_matrix(rng, rng.randrange(1, 21), rng.randrange(1, 41))
         fs = smith_normal_form(m).factors
-        oracle = minor_gcds(m)
-        assert len(fs) == len(oracle)
-        prod = 1
-        for k, d in enumerate(fs):
-            prod *= d
-            assert prod == oracle[k]
+        assert smith_normal_form(scrambled(rng, m)).factors == fs, m
+        assert smith_normal_form(transposed(m)).factors == fs, m
+
+
+@pytest.mark.parametrize(
+    "x, plain, quotient",
+    [(dihedral_quandle(3), 5, 5), (dihedral_quandle(5), 3, 4), (tetrahedron_quandle(), 4, 5)],
+    ids=["R3", "R5", "S4"],
+)
+def test_pivot_order_on_rack_boundary_matrices(x, plain, quotient):
+    # every boundary matrix that homology_range reads up to the benchmark's
+    # plain and quotient degrees
+    rng = random.Random(37)
+    g = graph_of_rack(x)
+    for q, top in ((False, plain), (True, quotient)):
+        for n in range(2, top + 2):
+            m = boundary_matrix(n, g, q_quotient=q)
+            fs = smith_normal_form(m).factors
+            assert smith_normal_form(scrambled(rng, m)).factors == fs, (q, n)
+            assert smith_normal_form(transposed(m)).factors == fs, (q, n)
 
 
 def test_invariance_under_permutations():
@@ -156,7 +217,22 @@ def test_kernel_size_mod_brute_force():
         assert kernel_size_mod(m, c, mod) == count
 
 
+def test_ragged_rows_rejected():
+    with pytest.raises(ValueError, match="row 1 has 2 entries, expected 1"):
+        smith_normal_form([[1], [2, 3]])
+    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
+        smith_normal_form([[0, 0], [0]])
+    with pytest.raises(ValueError, match="row 0 has 3 entries, expected 2"):
+        integer_kernel_basis([[1, 2, 3]], 2)
+    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
+        kernel_mod([[1, 2], [3]], 2, 5)
+    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 0"):
+        image_size_mod([[], [1]], 3)
+
+
 def test_image_size_mod():
+    assert image_size_mod([], 4) == 1
+    assert image_size_mod([[], []], 4) == 1
     assert image_size_mod([[2]], 4) == 2
     assert image_size_mod([[1]], 4) == 4
     assert image_size_mod([[0]], 4) == 1
