@@ -13,28 +13,62 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import Comte, GraphHomomorphism, SelfIndexedGraph
-from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, ring_add
+from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack
 
 
 def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
     """All vertex maps f with: every src arrow has at least one dst arrow
     over (f(source), f(label), f(target)).  Yields (f, cands), where
     cands[k] lists the indices of those dst arrows for src arrow k.
-    Backtracks most-constrained vertices first; no particular order."""
+
+    Backtracks over the src vertices in a greedy order fixed before the
+    search.  The next vertex is the least by: minus the arrows it completes
+    (all their other ends placed), minus the arrows it shares with a placed
+    vertex, minus its touch count (the arrow ends at it), then its position
+    in src.vertices.  An arrow is checked as soon as its last end is
+    placed, so into a rack graph, where c = b |> a fixes one vertex from
+    the two others, only the free vertices branch.  The order of the
+    yields is not part of the contract."""
     sv = list(src.vertices)
     dst_by_slt: dict[tuple[str, str, str], list[int]] = {}
     for j, b in enumerate(dst.arrows):
         dst_by_slt.setdefault((b.source, b.label, b.target), []).append(j)
-    touch = {v: 0 for v in sv}
-    for a in src.arrows:
-        for v in (a.source, a.target, a.label):
-            touch[v] += 1
-    order = sorted(sv, key=lambda v: (-touch[v], sv.index(v)))
-    pos = {v: i for i, v in enumerate(order)}
-    arrows_ready = [[] for _ in sv]
+    index = {v: i for i, v in enumerate(sv)}
+    touch = [0] * len(sv)
+    completes = [0] * len(sv)
+    shares = [0] * len(sv)
+    ends = []  # the distinct vertex indices of each src arrow
+    incident: list[list[int]] = [[] for _ in sv]  # arrows at each vertex, once each
     for k, a in enumerate(src.arrows):
-        stage = max(pos[a.source], pos[a.target], pos[a.label])
-        arrows_ready[stage].append((k, a.source, a.label, a.target))
+        e = {index[a.source], index[a.target], index[a.label]}
+        for v in (a.source, a.target, a.label):
+            touch[index[v]] += 1
+        for j in e:
+            incident[j].append(k)
+            completes[j] += len(e) == 1
+        ends.append(e)
+
+    def key(i):
+        return (-completes[i], -shares[i], -touch[i], i)
+
+    order: list[str] = []
+    arrows_ready: list[list[tuple[int, str, str, str]]] = []
+    unplaced = set(range(len(sv)))
+    while unplaced:
+        i = min(unplaced, key=key)
+        unplaced.remove(i)
+        order.append(sv[i])
+        ready = []
+        for k in incident[i]:
+            open_ends = [j for j in ends[k] if j in unplaced]
+            if not open_ends:
+                a = src.arrows[k]
+                ready.append((k, a.source, a.label, a.target))
+            first_end = len(open_ends) == len(ends[k]) - 1
+            for j in open_ends:
+                shares[j] += first_end
+                completes[j] += len(open_ends) == 1
+        arrows_ready.append(ready)
     assignment: dict[str, str] = {}
     cands: list[list[int] | None] = [None] * len(src.arrows)
 
@@ -68,20 +102,18 @@ def graph_homomorphisms(src: SelfIndexedGraph, dst: SelfIndexedGraph) -> list[Gr
 
 
 def colorings(g: SelfIndexedGraph, x: FiniteRack) -> list[dict[str, int]]:
-    """All colorings of g by the rack x, as vertex -> element maps, sorted
-    by the tuple of element values in vertex order."""
+    """All colorings of g by the rack x, as vertex -> element maps with
+    their keys in vertex order, sorted by the tuple of element values."""
     target = graph_of_rack(x)
-    out = []
-    for vm, _ in _vertex_maps(g, target):
-        # in a rack graph the arrow images are determined by the vertices,
-        # so every surviving vertex map is a coloring
-        out.append({v: int(w) for v, w in vm.items()})
-    out.sort(key=lambda c: tuple(c[v] for v in g.vertices))
+    # in a rack graph the arrow images are determined by the vertices, so
+    # every surviving vertex map is a coloring
+    out = [{v: int(vm[v]) for v in g.vertices} for vm, _ in _vertex_maps(g, target)]
+    out.sort(key=lambda c: tuple(c.values()))
     return out
 
 
 def coloring_count(g: SelfIndexedGraph, x: FiniteRack) -> int:
-    return len(colorings(g, x))
+    return sum(1 for _ in _vertex_maps(g, graph_of_rack(x)))
 
 
 def phi_invariant(c: Comte, x: FiniteRack, f: Cocycle2) -> dict:
@@ -100,7 +132,7 @@ def phi_invariant(c: Comte, x: FiniteRack, f: Cocycle2) -> dict:
         total = group.identity
         for a, flow in zip(c.graph.arrows, c.flows):
             total = group.add(total, group.scale(f.value(col[a.label], col[a.source]), flow))
-        result = ring_add(result, {total: 1})
+        result[total] = result.get(total, 0) + 1
     return result
 
 
@@ -162,5 +194,5 @@ def state_sum(
             val = cochain.values.get(compose(h, sigma, gsrc))
             if val is not None:
                 total = group.add(total, group.scale(val, coeff))
-        result = ring_add(result, {total: 1})
+        result[total] = result.get(total, 0) + 1
     return result

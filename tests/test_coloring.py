@@ -1,10 +1,13 @@
 import itertools
 import random
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
 from comtes.coloring import (
     Chain,
+    _vertex_maps,
     colorings,
     coloring_count,
     graph_homomorphisms,
@@ -14,6 +17,7 @@ from comtes.coloring import (
 from comtes.census import enumerate_q_graphs
 from comtes.core import GraphHomomorphism, SelfIndexedGraph, comte, graph, is_homomorphism
 from comtes.homology import cochain_from_cocycle2_on, flow_to_cycle
+from comtes.links import comte_of_gauss, parse_gauss_code
 from comtes.racks import (
     C2,
     dihedral_quandle,
@@ -148,6 +152,75 @@ class TestPhi:
         cyc = FiniteRack.from_table([[(y + 1) % 3 for y in range(3)] for _ in range(3)])
         with pytest.raises(ValueError):
             phi_invariant(G1, cyc, tetrahedron_cocycle())
+
+
+TORUS_N = (3, 5, 9, 15, 21, 31, 51)
+
+
+def _torus_knot(n):
+    """T(2,n) from its Gauss code: 2n passages alternating over and under."""
+    return comte_of_gauss(
+        parse_gauss_code("".join(("O" if k % 2 == 0 else "U") + f"{k % n + 1}+" for k in range(2 * n)))
+    )
+
+
+def _relabeled(c, rng):
+    """An isomorphic copy with seeded arc names, arc order and arrow order."""
+    names = [f"x{i}" for i in rng.sample(range(10 * len(c.vertices) + 10), len(c.vertices))]
+    rename = dict(zip(c.vertices, names))
+    rng.shuffle(names)
+    arrs = [(rename[a.source], rename[a.target], rename[a.label], f) for a, f in zip(c.arrows, c.flows)]
+    rng.shuffle(arrs)
+    return comte(names, arrs)
+
+
+def _torus_diagrams():
+    """Each T(2,n) of TORUS_N as built, then under two seeded relabelings."""
+    for n in TORUS_N:
+        c = _torus_knot(n)
+        yield n, c
+        for seed in (1, 2):
+            yield n, _relabeled(c, random.Random(100 * n + seed))
+
+
+class _CountingVertices:
+    """A target's vertex sequence that counts every value handed out."""
+
+    def __init__(self, vertices):
+        self.vertices = vertices
+        self.tried = 0
+
+    def __iter__(self):
+        for w in self.vertices:
+            self.tried += 1
+            yield w
+
+
+class TestTorusKnots:
+    def test_published_counts(self):
+        # R_p colourings of T(2,n) number p*gcd(n, p); tetrahedral ones 16
+        # when 3 divides n and 4 otherwise (Przytycki 1998)
+        r3, r5, tetra = dihedral_quandle(3), dihedral_quandle(5), tetrahedron_quandle()
+        f = tetrahedron_cocycle()
+        for n, c in _torus_diagrams():
+            assert coloring_count(c.graph, r3) == 3 * gcd(n, 3), n
+            assert len(colorings(c.graph, r5)) == 5 * gcd(n, 5), n
+            tetra_count = 16 if n % 3 == 0 else 4
+            assert coloring_count(c.graph, tetra) == tetra_count, n
+            assert epsilon(phi_invariant(c, tetra, f)) == tetra_count, n
+
+    def test_work_stays_below_x_squared_n(self):
+        # every iterating call of the search tries all |X| values, and each
+        # call after the first follows a partial assignment that passed its
+        # arrow checks; complete assignments are yielded and do not iterate
+        for x in (dihedral_quandle(3), dihedral_quandle(5), tetrahedron_quandle()):
+            rack_graph = graph_of_rack(x)
+            for n, c in _torus_diagrams():
+                values = _CountingVertices(rack_graph.vertices)
+                target = SimpleNamespace(vertices=values, arrows=rack_graph.arrows)
+                complete = sum(1 for _ in _vertex_maps(c.graph, target))
+                passing = values.tried // x.n - 1 + complete
+                assert passing < x.n**2 * n, (x.n, n, passing)
 
 
 class TestStateSum:
