@@ -71,24 +71,29 @@ def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
         arrows_ready.append(ready)
     assignment: dict[str, str] = {}
     cands: list[list[int] | None] = [None] * len(src.arrows)
-
-    def rec(i):
+    # one iterator over dst.vertices per depth, on an explicit stack, so
+    # the depth is not bounded by the recursion limit
+    stack = [iter(dst.vertices)]
+    while stack:
+        i = len(stack) - 1
         if i == len(order):
             yield dict(assignment), tuple(cands)
-            return
+            stack.pop()
+            continue
         v = order[i]
-        for w in dst.vertices:
-            assignment[v] = w
-            for k, s, l, t in arrows_ready[i]:
-                found = dst_by_slt.get((assignment[s], assignment[l], assignment[t]))
-                if not found:
-                    break
-                cands[k] = found
-            else:
-                yield from rec(i + 1)
-        assignment.pop(v, None)
-
-    yield from rec(0)
+        w = next(stack[i], None)
+        if w is None:
+            assignment.pop(v, None)
+            stack.pop()
+            continue
+        assignment[v] = w
+        for k, s, l, t in arrows_ready[i]:
+            found = dst_by_slt.get((assignment[s], assignment[l], assignment[t]))
+            if not found:
+                break
+            cands[k] = found
+        else:
+            stack.append(iter(dst.vertices))
 
 
 def graph_homomorphisms(src: SelfIndexedGraph, dst: SelfIndexedGraph) -> list[GraphHomomorphism]:

@@ -134,35 +134,37 @@ def _require_q_graph(g: SelfIndexedGraph):
         raise ValueError("the quandle quotient needs a q-graph (self-labeled loop at every vertex)")
 
 
-def boundary_image(t: tuple[int, ...], dot) -> list[tuple[int, tuple[int, ...]]]:
-    """List of (coefficient, tuple) terms of the boundary of one generator."""
-    n = len(t)
-    terms = []
-    for s in range(1, n):
+def boundary_terms(t: tuple[int, ...], dot, q_quotient: bool) -> dict[tuple[int, ...], int]:
+    """The boundary of one generator as {face tuple: coefficient}, without
+    zero coefficients; under the quotient, degenerate faces are left out."""
+    terms: dict[tuple[int, ...], int] = {}
+    for s in range(1, len(t)):
         sign = -1 if s % 2 else 1
+        act = dot[t[s - 1]]
         d0 = t[: s - 1] + t[s:]
-        acts = t[: s - 1] + tuple(dot[t[s - 1]][x] for x in t[s:])
-        terms.append((sign, d0))
-        terms.append((-sign, acts))
-    return terms
+        acts = t[: s - 1] + tuple([act[x] for x in t[s:]])
+        terms[d0] = terms.get(d0, 0) + sign
+        terms[acts] = terms.get(acts, 0) - sign
+    return {face: coeff for face, coeff in terms.items() if coeff and not (q_quotient and _degenerate(face))}
 
 
 def boundary_matrix(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> list[list[int]]:
     """Integer matrix of the boundary C_n -> C_{n-1} over the tuple bases,
-    rows indexed by C_{n-1}, columns by C_n."""
+    rows indexed by C_{n-1}, columns by C_n, as a dense list of lists."""
     dot, bases = _bases_of(g, n, q_quotient)
-    return _boundary(dot, bases[n], bases[n - 1], q_quotient)
+    cols = range(len(bases[n]))
+    return [[row.get(c, 0) for c in cols] for row in _boundary(dot, bases[n], bases[n - 1], q_quotient)]
 
 
-def _boundary(dot, bas_n, bas_p, q_quotient: bool) -> list[list[int]]:
+def _boundary(dot, bas_n, bas_p, q_quotient: bool) -> list[dict[int, int]]:
+    """The sparse rows of the boundary C_n -> C_{n-1}: one per element of
+    bas_p, as {column in bas_n: coefficient}."""
     pos = {t: i for i, t in enumerate(bas_p)}
-    m = [[0] * len(bas_n) for _ in range(len(bas_p))]
+    rows: list[dict[int, int]] = [{} for _ in bas_p]
     for col, t in enumerate(bas_n):
-        for coeff, img in boundary_image(t, dot):
-            if q_quotient and _degenerate(img):
-                continue
-            m[pos[img]][col] += coeff
-    return m
+        for face, coeff in boundary_terms(t, dot, q_quotient).items():
+            rows[pos[face]][col] = coeff
+    return rows
 
 
 @dataclass(frozen=True)
@@ -310,20 +312,20 @@ def q2_cocycles(g: SelfIndexedGraph, group: AbelianGroup) -> Q2Cocycles:
     C_3^Q -> C_2^Q over each cyclic factor.  Also measures the coboundary
     subspace (image of the transposed C_1 boundary)."""
     dot, (_, basis1, basis2, basis3) = _bases_of(g, 3, True)
-    m3 = _boundary(dot, basis3, basis2, True)
-    m2 = _boundary(dot, basis2, basis1, True)
-    n2 = len(basis2)
-    bt3 = [list(col) for col in zip(*m3)] if (m3 and m3[0]) else []
-    bt2 = [list(col) for col in zip(*m2)] if (m2 and m2[0]) else []
+    pos1 = {t: i for i, t in enumerate(basis1)}
+    pos2 = {t: i for i, t in enumerate(basis2)}
+    # the transposed boundaries, one row per generator of C_3 or C_2
+    bt3 = [{pos2[f]: c for f, c in boundary_terms(t, dot, True).items()} for t in basis3]
+    bt2 = [{pos1[f]: c for f, c in boundary_terms(t, dot, True).items()} for t in basis2]
     gens = []
     csize = 1
     bsize = 1
     for m in group.orders:
-        ker = kernel_mod(bt3, n2, m)
+        ker = kernel_mod(bt3, len(basis2), m)
         gens.append(tuple((tuple(v), order) for v, order in ker))
         for _, order in ker:
             csize *= order
-        bsize *= image_size_mod(bt2, m) if bt2 else 1
+        bsize *= image_size_mod(bt2, m)
     return Q2Cocycles(tuple(basis2), group, tuple(gens), csize, bsize)
 
 

@@ -59,20 +59,9 @@ def abelianization_rank(g: SelfIndexedGraph) -> int:
     b = c, so the rank equals the number of components.  Computed honestly
     by integer reduction of the relation matrix, not by counting components.
     """
-    n = len(g.vertices)
-    if n == 0:
-        return 0
     idx = g.vertex_index()
-    rows = []
-    for a in g.arrows:
-        row = [0] * n
-        row[idx[a.source]] += 1
-        row[idx[a.target]] -= 1
-        if any(row):
-            rows.append(row)
-    if not rows:
-        return n
-    return n - smith_normal_form(rows).rank
+    rows = [{idx[a.source]: 1, idx[a.target]: -1} for a in g.arrows if a.source != a.target]
+    return len(g.vertices) - smith_normal_form(rows).rank
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Exact integer matrix kernels: Smith normal form, kernels, ranks.
 
-Everything runs on Python integers, so there is no overflow; matrices are
-lists of equally long row lists.  One sparse elimination serves every
-routine.  Its pivot is a smallest entry, from the shortest column, so a
-pivot costs the columns plus the entries of short ones, not every
+Everything runs on Python integers, so there is no overflow.  A matrix is
+a list of sparse rows, each a ``{column: value}`` dict; zero entries are
+ignored and the rows are never changed.  One sparse elimination serves
+every routine.  Its pivot is a smallest entry, from the shortest column,
+so a pivot costs the columns plus the entries of short ones, not every
 nonzero.  It records the column transform Q only for the kernel routines,
 which read their kernel vectors (the basis this pivot order yields) off Q.
+They take the column count, which sizes Q, and reject a column outside it
+with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from math import gcd
 class SNFResult:
     factors: tuple[int, ...]  # invariant factors d1 | d2 | ..., all > 0
     rank: int
-    nrows: int
-    ncols: int
 
 
 def _divisibility_chain(ds: list[int]) -> tuple[int, ...]:
@@ -39,34 +40,33 @@ def _divisibility_chain(ds: list[int]) -> tuple[int, ...]:
 
 def smith_normal_form(matrix) -> SNFResult:
     """Invariant factors and rank of an integer matrix."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    pivots, _ = _eliminate(matrix, ncols)
+    pivots, _ = _eliminate(matrix)
     factors = _divisibility_chain([d for _, d in pivots])
-    return SNFResult(factors, len(factors), nrows, ncols)
+    return SNFResult(factors, len(factors))
 
 
-def _eliminate(matrix, ncols, track_q=False):
+def _eliminate(matrix, ncols=None):
     """Diagonalize M by unimodular row and column operations.
 
-    Returns the pivots as (column, d) pairs and, when ``track_q`` is set, the
-    column transform Q as the list of its columns (None otherwise): P M Q is
-    zero except for the entry d of each pivot column, for a unimodular P
-    that is not recorded.
+    Returns the pivots as (column, d) pairs and, when ``ncols`` is given,
+    the ``ncols`` x ``ncols`` column transform Q as the list of its columns
+    (None otherwise): P M Q is zero except for the entry d of each pivot
+    column, for a unimodular P that is not recorded.  With ``ncols``, a
+    column index outside ``range(ncols)`` is a ``ValueError``.
 
-    Each pivot is the least (|entry|, column length, row length, column,
-    row), so units in short columns go first and fill stays low on sparse
-    boundary matrices; gcd row/column combinations handle the rest.  Raises
-    ``ValueError`` when a row's length is not ``ncols``.
+    Each row is copied in column order, without its zero entries.  Each
+    pivot is the least (|entry|, column length, row length, column, row),
+    so units in short columns go first and fill stays low on sparse
+    boundary matrices; gcd row/column combinations handle the rest.
     """
-    q = [[int(i == j) for i in range(ncols)] for j in range(ncols)] if track_q else None
+    q = None if ncols is None else [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, row in enumerate(matrix):
-        if len(row) != ncols:
-            raise ValueError(f"row {r} has {len(row)} entries, expected {ncols}")
-        d = {c: v for c, v in enumerate(row) if v}
+        d = {c: row[c] for c in sorted(row) if row[c]}
         if d:
+            if ncols is not None and not (0 <= min(d) and max(d) < ncols):
+                raise ValueError(f"row {r} has a column outside range({ncols})")
             rows[r] = d
             for c in d:
                 cols.setdefault(c, set()).add(r)
@@ -180,7 +180,7 @@ def _xgcd(a, b):
 def integer_kernel_basis(matrix, ncols) -> list[list[int]]:
     """Basis of the integer kernel {x : M x = 0}: the columns of Q at the
     non-pivot columns."""
-    pivots, q = _eliminate(matrix, ncols, track_q=True)
+    pivots, q = _eliminate(matrix, ncols)
     pivot_cols = {c for c, _ in pivots}
     return [q[j] for j in range(ncols) if j not in pivot_cols]
 
@@ -193,7 +193,7 @@ def kernel_mod(matrix, ncols, modulus) -> list[tuple[list[int], int]]:
     column j of Q, of order gcd(d, m); a non-pivot column j gives column j
     of Q, of order m.  Generators of order 1 are left out.
     """
-    pivots, q = _eliminate(matrix, ncols, track_q=True)
+    pivots, q = _eliminate(matrix, ncols)
     pivot_of = dict(pivots)
     gens = []
     for j in range(ncols):

@@ -530,7 +530,26 @@ def _square_join(g: SelfIndexedGraph, orders: dict):
                 yield wi, key, tuple(i for _, i in sorted(zip(order, sides))), corners
 
 
-def enumerate_moves(c: Comte, *, r3b_range: int = 3) -> list[MoveInstance]:
+@dataclass(frozen=True)
+class SearchBudget:
+    max_states: int = 5000
+    max_vertices: int = 8
+    max_arrows: int = 12
+    r3b_range: int = 2
+    flow_lo: int = -1
+    flow_hi: int = 2
+    max_split_slots: int = 10
+
+    def __post_init__(self):
+        _check_flow_window(self.flow_lo, self.flow_hi)
+
+
+def _check_flow_window(flow_lo: int, flow_hi: int):
+    if flow_lo > flow_hi:
+        raise ValueError(f"empty flow window: flow_lo={flow_lo} > flow_hi={flow_hi}")
+
+
+def enumerate_moves(c: Comte, *, r3b_range: int = SearchBudget.r3b_range) -> list[MoveInstance]:
     """Complete list of applicable forward move instances.
 
     R3b instances are emitted for shifts J in +-``r3b_range`` (the family is
@@ -590,25 +609,6 @@ def _subsets(items):
     n = len(items)
     for mask in range(1 << n):
         yield frozenset(items[k] for k in range(n) if mask >> k & 1)
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    max_states: int = 5000
-    max_vertices: int = 8
-    max_arrows: int = 12
-    r3b_range: int = 2
-    flow_lo: int = -1
-    flow_hi: int = 2
-    max_split_slots: int = 10
-
-    def __post_init__(self):
-        _check_flow_window(self.flow_lo, self.flow_hi)
-
-
-def _check_flow_window(flow_lo: int, flow_hi: int):
-    if flow_lo > flow_hi:
-        raise ValueError(f"empty flow window: flow_lo={flow_lo} > flow_hi={flow_hi}")
 
 
 def inverse_instances(

@@ -223,6 +223,13 @@ class TestTorusKnots:
                 assert passing < x.n**2 * n, (x.n, n, passing)
 
 
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # one search level per source vertex, held on an explicit stack
+        isolated = graph([f"v{i}" for i in range(1000)])
+        assert len(colorings(isolated, trivial_quandle(1))) == 1
+        assert len(colorings(_torus_knot(1001).graph, dihedral_quandle(5))) == 5
+
+
 class TestStateSum:
     def test_degree_two_reduction_to_phi(self, make_comte):
         x = tetrahedron_quandle()

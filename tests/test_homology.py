@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 from math import gcd, prod
 
 import pytest
@@ -224,6 +225,20 @@ class TestHomology:
         hs = homology_range(graph_of_rack(dihedral_quandle(p)), top, q_quotient=True)
         assert hs[0] == HomologyGroup(1, ())
         assert hs[1:] == tuple(HomologyGroup(0, (p,) * f[n]) for n in range(2, top + 1))
+
+    def test_boundary_matrices_are_built_sparse(self):
+        # under tracemalloc, R_5 quandle homology through degree 4 peaks at
+        # 9.45 MiB when each boundary matrix is built dense and scanned into
+        # row dicts, and at 6.59 MiB when it is built as row dicts
+        g = graph_of_rack(dihedral_quandle(5))
+        tracemalloc.start()
+        try:
+            hs = homology_range(g, 4, q_quotient=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [h.format() for h in hs] == ["Z", "0", "Z/5", "Z/5"]
+        assert peak < 8 * 2**20, peak
 
     def test_rack_and_quandle_betti_numbers(self):
         # Etingof, Grana, JPAA 177 (2003): with o orbits, the rack Betti

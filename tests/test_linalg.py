@@ -16,6 +16,11 @@ from comtes.linalg import (
 from comtes.racks import dihedral_quandle, graph_of_rack, tetrahedron_quandle
 
 
+def sparse(m):
+    """The sparse rows, {column: value}, of a dense matrix."""
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
+
+
 def bareiss_det(sub):
     a = [row[:] for row in sub]
     sign, prev, n = 1, 1, len(a)
@@ -52,7 +57,7 @@ def minor_gcds(m):
 
 
 def assert_factors_match_minor_gcds(m):
-    fs = smith_normal_form(m).factors
+    fs = smith_normal_form(sparse(m)).factors
     oracle = minor_gcds(m)
     assert len(fs) == len(oracle), m
     prod = 1
@@ -84,9 +89,9 @@ def transposed(m):
 
 
 def test_frozen_examples():
-    assert smith_normal_form([[2, 4], [6, 8]]).factors == (2, 4)
-    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).factors == (1, 1, 1)
-    assert smith_normal_form([[0, 0], [0, 0]]).factors == ()
+    assert smith_normal_form(sparse([[2, 4], [6, 8]])).factors == (2, 4)
+    assert smith_normal_form(sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).factors == (1, 1, 1)
+    assert smith_normal_form(sparse([[0, 0], [0, 0]])).factors == ()
 
 
 def test_divisibility_chain():
@@ -94,7 +99,7 @@ def test_divisibility_chain():
     for _ in range(200):
         r, c = rng.randrange(1, 6), rng.randrange(1, 6)
         m = [[rng.randrange(-8, 9) for _ in range(c)] for _ in range(r)]
-        fs = smith_normal_form(m).factors
+        fs = smith_normal_form(sparse(m)).factors
         for i in range(len(fs) - 1):
             assert fs[i + 1] % fs[i] == 0
 
@@ -115,9 +120,9 @@ def test_pivot_order_on_sparse_unit_matrices():
         assert_factors_match_minor_gcds(sparse_unit_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 7)))
     for _ in range(60):
         m = sparse_unit_matrix(rng, rng.randrange(1, 21), rng.randrange(1, 41))
-        fs = smith_normal_form(m).factors
-        assert smith_normal_form(scrambled(rng, m)).factors == fs, m
-        assert smith_normal_form(transposed(m)).factors == fs, m
+        fs = smith_normal_form(sparse(m)).factors
+        assert smith_normal_form(sparse(scrambled(rng, m))).factors == fs, m
+        assert smith_normal_form(sparse(transposed(m))).factors == fs, m
 
 
 @pytest.mark.parametrize(
@@ -133,9 +138,9 @@ def test_pivot_order_on_rack_boundary_matrices(x, plain, quotient):
     for q, top in ((False, plain), (True, quotient)):
         for n in range(2, top + 2):
             m = boundary_matrix(n, g, q_quotient=q)
-            fs = smith_normal_form(m).factors
-            assert smith_normal_form(scrambled(rng, m)).factors == fs, (q, n)
-            assert smith_normal_form(transposed(m)).factors == fs, (q, n)
+            fs = smith_normal_form(sparse(m)).factors
+            assert smith_normal_form(sparse(scrambled(rng, m))).factors == fs, (q, n)
+            assert smith_normal_form(sparse(transposed(m))).factors == fs, (q, n)
 
 
 def test_invariance_under_permutations():
@@ -143,13 +148,13 @@ def test_invariance_under_permutations():
     for _ in range(100):
         r, c = rng.randrange(1, 6), rng.randrange(1, 6)
         m = [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)]
-        fs = smith_normal_form(m).factors
+        fs = smith_normal_form(sparse(m)).factors
         rows = list(range(r))
         cols = list(range(c))
         rng.shuffle(rows)
         rng.shuffle(cols)
         m2 = [[m[i][j] for j in cols] for i in rows]
-        assert smith_normal_form(m2).factors == fs
+        assert smith_normal_form(sparse(m2)).factors == fs
 
 
 def test_integer_kernel():
@@ -157,8 +162,8 @@ def test_integer_kernel():
     for _ in range(150):
         r, c = rng.randrange(1, 5), rng.randrange(1, 6)
         m = [[rng.randrange(-4, 5) for _ in range(c)] for _ in range(r)]
-        basis = integer_kernel_basis(m, c)
-        snf = smith_normal_form(m)
+        basis = integer_kernel_basis(sparse(m), c)
+        snf = smith_normal_form(sparse(m))
         assert len(basis) == c - snf.rank
         for v in basis:
             assert all(sum(m[i][j] * v[j] for j in range(c)) == 0 for i in range(r))
@@ -169,10 +174,10 @@ def test_transform_is_unimodular_and_diagonalizes():
     for _ in range(100):
         r, c = rng.randrange(1, 5), rng.randrange(1, 5)
         m = [[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)]
-        pivots, q = _eliminate(m, c, track_q=True)
+        pivots, q = _eliminate(sparse(m), c)
         assert abs(bareiss_det([[q[j][i] for j in range(c)] for i in range(c)])) == 1
         pivot_of = dict(pivots)
-        assert len(pivot_of) == len(pivots) == smith_normal_form(m).rank
+        assert len(pivot_of) == len(pivots) == smith_normal_form(sparse(m)).rank
         mq = [[sum(m[i][k] * q[j][k] for k in range(c)) for j in range(c)] for i in range(r)]
         for j in range(c):
             if j not in pivot_of:
@@ -187,18 +192,18 @@ def test_transform_is_unimodular_and_diagonalizes():
 
 
 def test_kernel_mod():
-    gens = kernel_mod([[2, 0], [0, 3]], 2, 6)
+    gens = kernel_mod(sparse([[2, 0], [0, 3]]), 2, 6)
     assert sorted(order for _, order in gens) == [2, 3]
-    assert kernel_size_mod([[2, 0], [0, 3]], 2, 6) == 6
+    assert kernel_size_mod(sparse([[2, 0], [0, 3]]), 2, 6) == 6
     # 0 matrix: everything is in the kernel
-    assert kernel_size_mod([[0, 0]], 2, 4) == 16
+    assert kernel_size_mod(sparse([[0, 0]]), 2, 4) == 16
     # each generator really lies in the kernel
     rng = random.Random(19)
     for _ in range(80):
         r, c = rng.randrange(1, 4), rng.randrange(1, 5)
         m = [[rng.randrange(-4, 5) for _ in range(c)] for _ in range(r)]
         for mod in (2, 3, 4, 6):
-            for vec, order in kernel_mod(m, c, mod):
+            for vec, order in kernel_mod(sparse(m), c, mod):
                 assert order > 1 and mod % order == 0
                 assert all(sum(m[i][j] * vec[j] for j in range(c)) % mod == 0 for i in range(r))
 
@@ -214,28 +219,57 @@ def test_kernel_size_mod_brute_force():
             for x in itertools.product(range(mod), repeat=c)
             if all(sum(m[i][j] * x[j] for j in range(c)) % mod == 0 for i in range(r))
         )
-        assert kernel_size_mod(m, c, mod) == count
+        assert kernel_size_mod(sparse(m), c, mod) == count
 
 
-def test_ragged_rows_rejected():
-    with pytest.raises(ValueError, match="row 1 has 2 entries, expected 1"):
-        smith_normal_form([[1], [2, 3]])
-    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
-        smith_normal_form([[0, 0], [0]])
-    with pytest.raises(ValueError, match="row 0 has 3 entries, expected 2"):
-        integer_kernel_basis([[1, 2, 3]], 2)
-    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
-        kernel_mod([[1, 2], [3]], 2, 5)
-    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 0"):
-        image_size_mod([[], [1]], 3)
+def test_stored_zero_entries_are_ignored():
+    rng = random.Random(41)
+    for _ in range(60):
+        r, c = rng.randrange(1, 5), rng.randrange(1, 6)
+        m = [[rng.randrange(-3, 4) for _ in range(c)] for _ in range(r)]
+        # every entry stored, zeros included
+        full = [dict(enumerate(row)) for row in m]
+        assert smith_normal_form(full) == smith_normal_form(sparse(m))
+        assert integer_kernel_basis(full, c) == integer_kernel_basis(sparse(m), c)
+        assert kernel_mod(full, c, 6) == kernel_mod(sparse(m), c, 6)
+        assert image_size_mod(full, 4) == image_size_mod(sparse(m), 4)
+    # a zero stored past the last column is no entry either
+    assert integer_kernel_basis([{0: 1, 5: 0}], 2) == [[0, 1]]
+
+
+def test_input_rows_are_not_mutated():
+    # q2_cocycles eliminates one matrix once per factor of the group
+    rng = random.Random(43)
+    for _ in range(60):
+        r, c = rng.randrange(1, 5), rng.randrange(1, 6)
+        rows = [{j: rng.randrange(-3, 4) for j in range(c) if rng.random() < 0.6} for _ in range(r)]
+        before = [dict(row) for row in rows]
+        first = kernel_mod(rows, c, 6)
+        assert rows == before
+        assert kernel_mod(rows, c, 6) == first
+        smith_normal_form(rows)
+        integer_kernel_basis(rows, c)
+        image_size_mod(rows, 4)
+        assert rows == before
+
+
+def test_column_outside_ncols_rejected():
+    with pytest.raises(ValueError, match="outside range"):
+        integer_kernel_basis([{0: 1}, {2: 3}], 2)
+    with pytest.raises(ValueError, match="outside range"):
+        kernel_mod([{1: 2, 3: 1}], 3, 5)
+    with pytest.raises(ValueError, match="outside range"):
+        integer_kernel_basis([{-1: 1}], 2)
+    with pytest.raises(ValueError, match="outside range"):
+        kernel_mod([{0: 1}], 0, 5)
 
 
 def test_image_size_mod():
-    assert image_size_mod([], 4) == 1
-    assert image_size_mod([[], []], 4) == 1
-    assert image_size_mod([[2]], 4) == 2
-    assert image_size_mod([[1]], 4) == 4
-    assert image_size_mod([[0]], 4) == 1
+    assert image_size_mod(sparse([]), 4) == 1
+    assert image_size_mod(sparse([[], []]), 4) == 1
+    assert image_size_mod(sparse([[2]]), 4) == 2
+    assert image_size_mod(sparse([[1]]), 4) == 4
+    assert image_size_mod(sparse([[0]]), 4) == 1
     # brute-force cross-check on small matrices
     rng = random.Random(23)
     for _ in range(60):
@@ -246,4 +280,4 @@ def test_image_size_mod():
         for coeffs in itertools.product(range(mod), repeat=c):
             v = tuple(sum(m[i][j] * coeffs[j] for j in range(c)) % mod for i in range(r))
             span.add(v)
-        assert image_size_mod(m, mod) == len(span)
+        assert image_size_mod(sparse(m), mod) == len(span)

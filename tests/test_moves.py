@@ -212,10 +212,15 @@ class TestInverseEnumeration:
             SearchBudget(flow_lo=3, flow_hi=-2)
 
     def test_defaults_are_the_search_budget_defaults(self):
-        # inverse_instances(c) and a search under SearchBudget() walk the same window
-        params = inspect.signature(inverse_instances).parameters
-        for name in ("flow_lo", "flow_hi", "max_split_slots"):
-            assert params[name].default == getattr(SearchBudget(), name), name
+        # enumerate_moves(c), inverse_instances(c) and a search under
+        # SearchBudget() walk the same window
+        for fn, names in (
+            (enumerate_moves, ("r3b_range",)),
+            (inverse_instances, ("flow_lo", "flow_hi", "max_split_slots")),
+        ):
+            params = inspect.signature(fn).parameters
+            for name in names:
+                assert params[name].default == getattr(SearchBudget(), name), (fn.__name__, name)
 
     def test_g2_reaches_r3a_completion_after_a_split(self):
         # the move relation between the trefoil-with-chord comtes starts with

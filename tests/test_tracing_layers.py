@@ -55,3 +55,24 @@ def test_traced_census_counts_one_canonical_form_per_class():
     metrics = tracer.layer_metrics()
     assert metrics["census.enumerate.classes"] == 27 + 3
     assert metrics["census.enumerate.canonicalized"] == metrics["census.enumerate.classes"]
+
+
+def test_traced_homology_counts_one_smith_form_per_boundary_matrix():
+    # the linalg counters read zero if homology stops calling
+    # smith_normal_form through the name the tracer wraps
+    # a three-vertex census q-graph; its quotient bases run out at degree
+    # 4, so homology_range skips the empty matrices there
+    g = importlib.import_module("comtes.acceptance").EXAMPLE_QGRAPH
+    homology = importlib.import_module("comtes.homology")
+    top = 4
+    for q in (False, True):
+        sizes = [len(homology.chain_basis(n, g, q_quotient=q)) for n in range(top + 2)]
+        nonempty = sum(1 for k in range(2, top + 2) if sizes[k] and sizes[k - 1])
+        assert nonempty
+        tracer = _load_tracing().Tracer()
+        try:
+            tracer.install(comtes)
+            homology.homology_range(g, top, q_quotient=q)
+        finally:
+            tracer.uninstall()
+        assert tracer.layer_metrics()["linalg.smith_normal_form.calls"] == nonempty, q
