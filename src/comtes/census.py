@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import prod
 
-from .core import SelfIndexedGraph, canonical_form, classify, graph_from_injections
+from .core import SelfIndexedGraph, canonical_form, canonical_key, classify, graph_from_injections
 from .homology import HomologyGroup, homology_range
 
 
@@ -201,7 +201,7 @@ def census_row(g: SelfIndexedGraph, max_degree: int) -> CensusRow:
     kind = classify(g)
     plain = homology_range(g, max_degree)
     quot = homology_range(g, max_degree, q_quotient=True) if kind == "q" else None
-    return CensusRow(canonical_form(g).key, g, kind, plain, quot)
+    return CensusRow(canonical_key(g), g, kind, plain, quot)
 
 
 def _sig_str(groups) -> str:

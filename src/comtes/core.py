@@ -276,6 +276,15 @@ def contract_with_map(g: SelfIndexedGraph, T) -> tuple[SelfIndexedGraph, dict[st
 # is given its own colour ahead of the rest of the cell and the colouring is
 # refined again.  A vertex is skipped when swapping it with one already tried
 # in that cell fixes the arrow multiset, as the two subtrees then agree.
+# Refinement stops as soon as every vertex has its own colour, since a
+# discrete colouring cannot split further.
+#
+# Canonicalization has two steps.  The labeling step (``canonical_labeling``)
+# runs the tree search and yields the byte key with the winning bijection;
+# the build step (``build_canonical_form``) turns that labeling into named
+# vertices, arrows, flows and the maps from the input.  ``canonical_key``
+# runs the first step only, ``canonical_form`` both, and the move search
+# builds a child only when its key is new.
 
 
 @dataclass(frozen=True)
@@ -293,11 +302,23 @@ class CanonicalForm:
         return Comte(self.graph, self.flows)
 
 
+class CanonicalLabeling(NamedTuple):
+    """The outcome of the labeling step, in vertex and arrow indices."""
+
+    key: bytes
+    vertex_ranks: list[int]           # input vertex index -> canonical index
+    arrow_order: tuple[int, ...]      # canonical arrow index -> input index
+    arrows: tuple[tuple[int, int, int, int], ...]  # canonical (source, target, label, flow)
+
+
 def _refine_colors(n, arrs, colors):
     """Iterated refinement of an ordered colouring; returns colour ranks per
     vertex.  A vertex's new colour sorts first by its old one, so the new ranks
-    keep the old order."""
+    keep the old order.  A discrete colouring is returned as its ranks."""
     ncolors = len(set(colors))
+    if ncolors == n:
+        rank = {c: i for i, c in enumerate(sorted(colors))}
+        return [rank[c] for c in colors]
     while True:
         local = [[] for _ in range(n)]
         for s, t, l, f in arrs:
@@ -308,7 +329,7 @@ def _refine_colors(n, arrs, colors):
         order = sorted(set(sigs))
         rank = {sig: i for i, sig in enumerate(order)}
         new = [rank[sig] for sig in sigs]
-        if len(order) == ncolors:
+        if len(order) == ncolors or len(order) == n:
             return new
         colors, ncolors = new, len(order)
 
@@ -320,12 +341,10 @@ def _twins(arrs, u, v):
     return sorted(near) == sorted((swap.get(s, s), swap.get(t, t), swap.get(l, l), f) for s, t, l, f in near)
 
 
-def canonical_form(obj: Comte | SelfIndexedGraph) -> CanonicalForm:
-    """Canonical form of a graph or comte, exact under isomorphism.
-
-    Isomorphisms of comtes preserve flows; pass ``c.graph`` to canonicalize
-    the underlying graph alone.
-    """
+def canonical_labeling(obj: Comte | SelfIndexedGraph) -> CanonicalLabeling:
+    """The labeling step of canonicalization: the key and the bijection
+    that yields it, without building any named object.  Flows count for a
+    comte and are read as 0 for a bare graph."""
     if isinstance(obj, Comte):
         g, flows = obj.graph, obj.flows
     else:
@@ -355,23 +374,38 @@ def canonical_form(obj: Comte | SelfIndexedGraph) -> CanonicalForm:
             if colors[v] == cell and not any(_twins(arrs, u, v) for u in tried):
                 tried.append(v)
                 stack.append([2 * c + (c == cell and u != v) for u, c in enumerate(colors)])
-    assign, order = best_assign
-    names = tuple(str(i) for i in range(n))
-    vmap = {v: names[assign[idx[v]]] for v in g.vertices}
-    new_arrows = tuple(Arrow(names[e[0]], names[e[1]], names[e[2]]) for e in best)
-    new_graph = SelfIndexedGraph(names, new_arrows)
-    arrow_perm = [0] * len(order)
-    for new_i, old_i in enumerate(order):
-        arrow_perm[old_i] = new_i
-    new_flows = tuple(e[3] for e in best) if flows is not None else None
     tag = b"c" if flows is not None else b"g"
-    key = tag + repr((n, best)).encode()
-    return CanonicalForm(key, vmap, tuple(arrow_perm), new_graph, new_flows)
+    return CanonicalLabeling(tag + repr((n, best)).encode(), *best_assign, best)
+
+
+def build_canonical_form(obj: Comte | SelfIndexedGraph, lab: CanonicalLabeling) -> CanonicalForm:
+    """The build step: the canonical form of ``obj`` under its labeling
+    ``lab``, which must be ``canonical_labeling(obj)``."""
+    g = obj.graph if isinstance(obj, Comte) else obj
+    names = tuple(str(i) for i in range(len(g.vertices)))
+    vmap = {v: names[r] for v, r in zip(g.vertices, lab.vertex_ranks)}
+    new_graph = SelfIndexedGraph(names, tuple(Arrow(names[s], names[t], names[l]) for s, t, l, _ in lab.arrows))
+    arrow_perm = [0] * len(lab.arrow_order)
+    for new_i, old_i in enumerate(lab.arrow_order):
+        arrow_perm[old_i] = new_i
+    new_flows = tuple(e[3] for e in lab.arrows) if isinstance(obj, Comte) else None
+    return CanonicalForm(lab.key, vmap, tuple(arrow_perm), new_graph, new_flows)
+
+
+def canonical_form(obj: Comte | SelfIndexedGraph) -> CanonicalForm:
+    """Canonical form of a graph or comte, exact under isomorphism: the
+    labeling step, then the build step.
+
+    Isomorphisms of comtes preserve flows; pass ``c.graph`` to canonicalize
+    the underlying graph alone.
+    """
+    return build_canonical_form(obj, canonical_labeling(obj))
 
 
 def canonical_key(obj: Comte | SelfIndexedGraph) -> bytes:
-    """Deterministic byte key, equal for two objects iff they are isomorphic."""
-    return canonical_form(obj).key
+    """Deterministic byte key, equal for two objects iff they are isomorphic.
+    Runs the labeling step alone."""
+    return canonical_labeling(obj).key
 
 
 # ---------------------------------------------------------------------------

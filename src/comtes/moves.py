@@ -42,7 +42,9 @@ from .core import (
     Arrow,
     Comte,
     SelfIndexedGraph,
+    build_canonical_form,
     canonical_form,
+    canonical_labeling,
     quotient,
     validate,
 )
@@ -742,13 +744,6 @@ def transport_instance(m: MoveInstance, vmap: dict[str, str], arrow_perm) -> Mov
     )
 
 
-def _apply_canonical(c: Comte, m: MoveInstance):
-    res = apply_move_detailed(c, m)
-    cf = canonical_form(res.comte)
-    inv = transport_instance(res.inverse, cf.vertex_map, cf.arrow_perm)
-    return cf.comte, cf.key, inv
-
-
 def _all_instances(c: Comte, budget: SearchBudget, vertex_room: int, arrow_room: int):
     """Forward, then inverse instances of ``c``.  Every inverse instance adds
     an arrow, so none is built without arrow room, and the vertex-adding ones
@@ -769,9 +764,10 @@ def replay_trace(c: Comte, trace: MoveTrace) -> Comte:
     for step in trace.steps:
         if key != step.before_key:
             raise MoveError("trace replay: state key mismatch")
-        state, key, _ = _apply_canonical(state, step.instance)
-        if key != step.after_key:
+        cf = canonical_form(apply_move(state, step.instance))
+        if cf.key != step.after_key:
             raise MoveError("trace replay: step produced an unexpected state")
+        state, key = cf.comte, cf.key
     return state
 
 
@@ -827,17 +823,24 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
             arrow_room = budget.max_arrows - len(state.graph.arrows)
             for inst in _all_instances(state, budget, vertex_room, arrow_room):
                 try:
-                    # reject oversize children before building them
+                    # reject oversize children before applying the move
                     dv, da = size_change(state, inst)
                     if dv > vertex_room or da > arrow_room:
                         continue
-                    child, child_key, inv = _apply_canonical(state, inst)
+                    res = apply_move_detailed(state, inst)
                 except MoveError:
                     continue
-                if child_key in visited[other]:
-                    return build_trace(child_key, (child, key, inst, inv), side)
-                if child_key not in visited[side]:
-                    visited[side][child_key] = (child, key, inst, inv)
+                # every child is labeled; only a new state or the meeting
+                # state is built
+                lab = canonical_labeling(res.comte)
+                child_key = lab.key
+                meet = child_key in visited[other]
+                if meet or child_key not in visited[side]:
+                    cf = build_canonical_form(res.comte, lab)
+                    inv = transport_instance(res.inverse, cf.vertex_map, cf.arrow_perm)
+                    if meet:
+                        return build_trace(child_key, (cf.comte, key, inst, inv), side)
+                    visited[side][child_key] = (cf.comte, key, inst, inv)
                     new_frontier.append(child_key)
                     n_states += 1
                     if n_states >= budget.max_states:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -23,6 +24,7 @@ from comtes.core import (
     is_homomorphism,
     validate,
 )
+from comtes.acceptance import random_comte
 from comtes.invariants import abelianization_rank
 from comtes.links import comte_of_gauss, parse_gauss_code
 
@@ -217,6 +219,71 @@ class TestCanonicalKey:
 
         monkeypatch.setattr(core, "_refine_colors", counting)
         assert canonical_key(_relabeled(c, random.Random(n))) == canonical_key(c)
+
+
+def _refine_colors_reference(n, arrs, colors):
+    """The refinement loop without the discrete stop: it runs until a round
+    splits no colour."""
+    ncolors = len(set(colors))
+    while True:
+        local = [[] for _ in range(n)]
+        for s, t, l, f in arrs:
+            arrow = (colors[s], colors[t], colors[l], f)
+            for v in {s, t, l}:
+                local[v].append(((s == v) * 4 + (t == v) * 2 + (l == v), arrow))
+        sigs = [(colors[v], tuple(sorted(loc))) for v, loc in enumerate(local)]
+        order = sorted(set(sigs))
+        rank = {sig: i for i, sig in enumerate(order)}
+        new = [rank[sig] for sig in sigs]
+        if len(order) == ncolors:
+            return new
+        colors, ncolors = new, len(order)
+
+
+def _index_arrows(c):
+    idx = c.graph.vertex_index()
+    return [(idx[a.source], idx[a.target], idx[a.label], f) for a, f in zip(c.arrows, c.flows)]
+
+
+def _seeded_pool():
+    """150 seeded random comtes, each followed by its bare graph."""
+    pool = []
+    for seed in range(150):
+        c = random_comte(random.Random(seed), nmax=6, amax=9)
+        pool += [c, c.graph]
+    return pool
+
+
+class TestLabelingStep:
+    def test_refinement_matches_the_loop_without_the_discrete_stop(self, rng):
+        pool = _hard_comtes() + [random_comte(random.Random(seed), nmax=7, amax=10) for seed in range(200)]
+        pool += [_relabeled(c, rng) for c in pool]
+        checked = 0
+        for c in pool:
+            n, arrs = len(c.vertices), _index_arrows(c)
+            refined = _refine_colors_reference(n, arrs, [0] * n)
+            starts = [[0] * n, [rng.randrange(3) for _ in range(n)], rng.sample(range(3 * n), n)]
+            for cell in set(refined):
+                # each vertex of a cell individualized, as the leaf search does
+                starts += [
+                    [2 * k + (k == cell and u != v) for u, k in enumerate(refined)]
+                    for v in range(n) if refined[v] == cell
+                ]
+            for colors in starts:
+                assert core._refine_colors(n, arrs, list(colors)) == _refine_colors_reference(n, arrs, colors)
+                checked += 1
+        assert checked > 2000
+
+    def test_key_is_the_key_of_the_form(self, rng):
+        pool = _seeded_pool() + _hard_comtes()
+        pool += [_relabeled(c, rng) for c in _hard_comtes()] + [c.graph for c in _hard_comtes()]
+        for x in pool:
+            assert canonical_key(x) == canonical_form(x).key
+
+    def test_keys_pinned(self):
+        # recorded before the labeling and build steps were split
+        keys = b"\n".join(canonical_key(x) for x in _seeded_pool())
+        assert hashlib.sha256(keys).hexdigest() == "a4743d1e8b715221dc40c8dbb206ac93288b35f7108206657d8cb0a46ea41984"
 
 
 def _torus_knot(n):

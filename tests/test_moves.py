@@ -27,6 +27,7 @@ from comtes.coloring import coloring_count
 from comtes.racks import tetrahedron_quandle
 
 TREFOIL = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)])
+FIGURE_EIGHT = comte("a b c d", [("a", "d", "c", 1), ("c", "d", "b", -1), ("c", "b", "a", 1), ("a", "b", "d", -1)])
 
 # A comte containing a witness arrow plus a full square, conserved flows:
 # witness b --a--> t, square left c->u (a), bottom u->s (t), top c->r (b),
@@ -310,16 +311,72 @@ class TestSearch:
         import comtes.moves
 
         flows = set()
-        real = comtes.moves.canonical_form
 
-        def recording(c):
-            flows.update(c.flows)
-            return real(c)
+        def recording(real):
+            def record(c):
+                flows.update(c.flows)
+                return real(c)
 
-        monkeypatch.setattr(comtes.moves, "canonical_form", recording)
+            return record
+
+        # the ends go through canonical_form, every child through canonical_labeling
+        for name in ("canonical_form", "canonical_labeling"):
+            monkeypatch.setattr(comtes.moves, name, recording(getattr(comtes.moves, name)))
         budget = SearchBudget(max_states=300, max_vertices=4, max_arrows=5, flow_lo=-1, flow_hi=2)
         assert equivalent_bounded(_zeroed(TREFOIL), comte("a", []), dataclasses.replace(budget, **BARE)) is None
         assert flows == {0}
+
+    @pytest.mark.parametrize("name", ["figure_eight", "looped_trefoil"])
+    def test_each_kept_state_is_built_once(self, monkeypatch, name):
+        # counted from outside: one labeling per child that fits the budget,
+        # one build per state kept, plus one for the meeting state
+        import comtes.moves
+
+        target = {
+            "figure_eight": FIGURE_EIGHT,
+            "looped_trefoil": apply_move(TREFOIL, MoveInstance("R1loopadd", vertices=("a",), params=(1,))),
+        }[name]
+        ends, labeled, built, children = [], [], [], []
+        real_form = comtes.moves.canonical_form
+        real_label = comtes.moves.canonical_labeling
+        real_build = comtes.moves.build_canonical_form
+        real_apply = comtes.moves.apply_move_detailed
+
+        def form(c):
+            cf = real_form(c)
+            ends.append(cf.key)
+            return cf
+
+        def label(c):
+            lab = real_label(c)
+            labeled.append(lab.key)
+            return lab
+
+        def build(c, lab):
+            built.append(lab.key)
+            return real_build(c, lab)
+
+        def apply(c, m):
+            res = real_apply(c, m)
+            children.append(res)
+            return res
+
+        for attr, fn in (("canonical_form", form), ("canonical_labeling", label),
+                         ("build_canonical_form", build), ("apply_move_detailed", apply)):
+            monkeypatch.setattr(comtes.moves, attr, fn)
+        budget = SearchBudget(max_states=2000)
+        trace = equivalent_bounded(TREFOIL, target, budget)
+        found = trace is not None
+        assert found == (name == "looped_trefoil")
+        assert len(labeled) == len(children)
+        # a new key is kept the first time it is labeled, or it meets the
+        # other side and ends the search; no key is kept on both sides
+        kept = set(labeled) - set(ends)
+        assert len(built) == len(kept) + found
+        assert set(built) <= kept | set(ends)
+        if not found:
+            assert len(kept) + len(ends) == budget.max_states
+            assert len(built) < len(labeled) / 2
 
     def test_trace_format(self):
         c2 = apply_move(TREFOIL, MoveInstance("R1loopadd", vertices=("a",), params=(1,)))
@@ -460,13 +517,17 @@ class TestSizeChange:
         import comtes.moves
 
         sizes = []
-        real = comtes.moves.canonical_form
 
-        def recording(c):
-            sizes.append((len(c.vertices), len(c.arrows)))
-            return real(c)
+        def recording(real):
+            def record(c):
+                sizes.append((len(c.vertices), len(c.arrows)))
+                return real(c)
 
-        monkeypatch.setattr(comtes.moves, "canonical_form", recording)
+            return record
+
+        # the ends go through canonical_form, every child through canonical_labeling
+        for name in ("canonical_form", "canonical_labeling"):
+            monkeypatch.setattr(comtes.moves, name, recording(getattr(comtes.moves, name)))
         looped_kink = comte(
             "a b c d",
             [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "d", "b", 1), ("d", "a", "d", 1), ("a", "a", "a", 0)],
