@@ -306,10 +306,11 @@ def _matched_linking(lk1, lk2, comp_match):
 def suite_8a_move_invariance(seed: int, cases: int = 500) -> tuple[bool, str]:
     rng = random.Random(seed)
     tetra = tetrahedron_quandle()
+    budget = SearchBudget(max_split_slots=6)
     done = 0
     while done < cases:
         c = random_comte(rng)
-        pool = enumerate_moves(c, r3b_range=2) + inverse_instances(c, max_split_slots=6)
+        pool = enumerate_moves(c, budget) + inverse_instances(c, budget)
         if not pool:
             continue
         m = pool[rng.randrange(len(pool))]

@@ -160,10 +160,11 @@ def cmd_moves(args) -> int:
         c = as_comte(c.graph)
         target = target and as_comte(target.graph)
         args.r3b_range = args.flow_lo = args.flow_hi = 0
+    budget = SearchBudget(**{f.name: getattr(args, f.name) for f in fields(SearchBudget)})
     if args.action in ("enumerate", "apply"):
-        pool = enumerate_moves(c, r3b_range=args.r3b_range)
+        pool = enumerate_moves(c, budget)
         if args.inverse:
-            pool += inverse_instances(c, flow_lo=args.flow_lo, flow_hi=args.flow_hi, max_split_slots=args.max_split_slots)
+            pool += inverse_instances(c, budget)
         if args.action == "enumerate":
             for i, m in enumerate(pool):
                 print(f"{i}\t{m.format()}")
@@ -175,7 +176,6 @@ def cmd_moves(args) -> int:
         sys.stdout.write(encode(apply_move(c, pool[args.index])))
         return 0
     # search
-    budget = SearchBudget(**{f.name: getattr(args, f.name) for f in fields(SearchBudget)})
     trace = equivalent_bounded(c, target, budget)
     if trace is None:
         print("unknown (no trace within budget; not a proof of inequivalence)")
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "moves":
         if args.action == "search" and not args.target:
             parser.error("moves search requires --target")
-        if args.flow_lo > args.flow_hi:
+        if args.flow_lo > args.flow_hi and not args.ignore_flows:  # bare-graph mode ignores the window
             parser.error(f"empty flow window: --flow-lo {args.flow_lo} > --flow-hi {args.flow_hi}")
     try:
         return args.fn(args)

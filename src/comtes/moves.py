@@ -29,13 +29,15 @@ from top and right.  The full move R3 is the composition R3b_shift (drive
 the doomed side's flow to 0) followed by R3a_remove.  Sites may share
 vertices freely, but arrows referenced as distinct must be distinct.
 
-Bare-graph mode is the zero-flow comte ``as_comte(g)`` under ``r3b_range=0``
-and the flow window ``flow_lo=flow_hi=0``, where no move creates a flow.
+Bare-graph mode is the zero-flow comte ``as_comte(g)`` under
+``SearchBudget(r3b_range=0, flow_lo=0, flow_hi=0)``, where no move creates a
+flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .core import (
@@ -454,38 +456,6 @@ _APPLY = {
     "R3b_shift": _apply_r3b,
 }
 
-# (vertex change, arrow change) of the kinds whose change is fixed
-_FIXED_SIZE_CHANGE = {
-    "R0": (-1, -1),
-    "R0inv": (1, 1),
-    "R1contract": (-1, -1),
-    "R1split": (1, 1),
-    "R1loopdel": (0, -1),
-    "R1loopadd": (0, 1),
-    "R3a_remove": (0, -1),
-    "R3a_add": (0, 1),
-    "R3b_shift": (0, 0),
-}
-
-
-def size_change(c: Comte, m: MoveInstance) -> tuple[int, int]:
-    """The (vertex, arrow) count change that applying ``m`` to ``c`` makes,
-    computed without applying it.  Meaningful only when the move applies."""
-    fixed = _FIXED_SIZE_CHANGE.get(m.kind)
-    if fixed is not None:
-        return fixed
-    if m.kind in ("R2a", "R2b"):
-        # merging two arrows identifies their merged endpoints when they differ
-        role = "t" if m.kind == "R2a" else "s"
-        e1, e2 = m.arrows
-        merged = _slot(_check_arrow(c, e1), role) != _slot(_check_arrow(c, e2), role)
-        return (-1 if merged else 0, -1)
-    if m.kind in ("R2a_split", "R2b_split"):
-        # the fresh flavor splits off a new endpoint, the parallel one does not
-        return (1 if m.flags == ("fresh",) else 0, 1)
-    raise MoveError(f"unknown move kind {m.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -543,19 +513,15 @@ class SearchBudget:
     max_split_slots: int = 10
 
     def __post_init__(self):
-        _check_flow_window(self.flow_lo, self.flow_hi)
+        if self.flow_lo > self.flow_hi:
+            raise ValueError(f"empty flow window: flow_lo={self.flow_lo} > flow_hi={self.flow_hi}")
 
 
-def _check_flow_window(flow_lo: int, flow_hi: int):
-    if flow_lo > flow_hi:
-        raise ValueError(f"empty flow window: flow_lo={flow_lo} > flow_hi={flow_hi}")
-
-
-def enumerate_moves(c: Comte, *, r3b_range: int = SearchBudget.r3b_range) -> list[MoveInstance]:
+def enumerate_moves(c: Comte, budget: SearchBudget = SearchBudget()) -> list[MoveInstance]:
     """Complete list of applicable forward move instances.
 
-    R3b instances are emitted for shifts J in +-``r3b_range`` (the family is
-    infinite; the window is a search parameter).
+    R3b instances are emitted for shifts J in +-``budget.r3b_range`` (the
+    family is infinite; the window is a search parameter).
     """
     g = c.graph
     out: list[MoveInstance] = []
@@ -601,7 +567,7 @@ def enumerate_moves(c: Comte, *, r3b_range: int = SearchBudget.r3b_range) -> lis
         for pos in range(4):
             if c.flows[sides[pos]] == 0:
                 out.append(MoveInstance("R3a_remove", arrows=square, params=(pos,)))
-        for j in range(-r3b_range, r3b_range + 1):
+        for j in range(-budget.r3b_range, budget.r3b_range + 1):
             if j:
                 out.append(MoveInstance("R3b_shift", arrows=square, params=(j,)))
     return out
@@ -614,25 +580,20 @@ def _subsets(items):
 
 
 def inverse_instances(
-    c: Comte,
-    *,
-    flow_lo: int = SearchBudget.flow_lo,
-    flow_hi: int = SearchBudget.flow_hi,
-    max_split_slots: int = SearchBudget.max_split_slots,
-    new_vertices: bool = True,
+    c: Comte, budget: SearchBudget = SearchBudget(), *, new_vertices: bool = True
 ) -> list[MoveInstance]:
     """Enumerate inverse moves with bounded nondeterminism.
 
     Vertex splits enumerate all 2^k reassignments of the k incident slots
-    (skipped when k exceeds ``max_split_slots``).  Flow splits I1 + I2 = I
-    range over [flow_lo, flow_hi]; an empty window (flow_lo > flow_hi) is a
-    ValueError.  Splits whose conservation-forced flow falls outside the
-    window are not emitted, so every instance applies to a valid comte and
-    yields a valid comte.  ``new_vertices=False`` leaves out
+    (skipped when k exceeds ``budget.max_split_slots``).  Flow splits
+    I1 + I2 = I range over [``budget.flow_lo``, ``budget.flow_hi``].  Splits
+    whose conservation-forced flow falls outside the window are not
+    emitted, so every instance applies to a valid comte and yields a valid
+    comte.  Each instance adds one arrow.  ``new_vertices=False`` leaves out
     the vertex-adding instances (R0inv, R1split, fresh splits) and keeps the
     order of the rest.
     """
-    _check_flow_window(flow_lo, flow_hi)
+    flow_lo, flow_hi, max_split_slots = budget.flow_lo, budget.flow_hi, budget.max_split_slots
     g = c.graph
     out: list[MoveInstance] = []
     # the vertices a vertex-adding instance (R0inv, R1split) may start from
@@ -744,18 +705,6 @@ def transport_instance(m: MoveInstance, vmap: dict[str, str], arrow_perm) -> Mov
     )
 
 
-def _all_instances(c: Comte, budget: SearchBudget, vertex_room: int, arrow_room: int):
-    """Forward, then inverse instances of ``c``.  Every inverse instance adds
-    an arrow, so none is built without arrow room, and the vertex-adding ones
-    are not built without vertex room."""
-    yield from enumerate_moves(c, r3b_range=budget.r3b_range)
-    if arrow_room > 0:
-        yield from inverse_instances(
-            c, flow_lo=budget.flow_lo, flow_hi=budget.flow_hi, max_split_slots=budget.max_split_slots,
-            new_vertices=vertex_room > 0,
-        )
-
-
 def replay_trace(c: Comte, trace: MoveTrace) -> Comte:
     """Replay a trace from ``c``, checking the recorded canonical keys; the
     canonical form of the final comte is returned."""
@@ -819,33 +768,36 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
         new_frontier = []
         for key in frontier[side]:
             state = visited[side][key][0]
-            vertex_room = budget.max_vertices - len(state.graph.vertices)
-            arrow_room = budget.max_arrows - len(state.graph.arrows)
-            for inst in _all_instances(state, budget, vertex_room, arrow_room):
-                try:
-                    # reject oversize children before applying the move
-                    dv, da = size_change(state, inst)
-                    if dv > vertex_room or da > arrow_room:
+            # no forward move grows a state and each inverse one adds an
+            # arrow, so inverse instances are generated only with arrow room
+            # and vertex-adding ones only with vertex room; then only an end
+            # state beyond the budget has children that do not fit
+            enumerators = [enumerate_moves]
+            if len(state.graph.arrows) < budget.max_arrows:
+                new_vertices = len(state.graph.vertices) < budget.max_vertices
+                enumerators.append(partial(inverse_instances, new_vertices=new_vertices))
+            for enumerator in enumerators:
+                for inst in enumerator(state, budget):
+                    try:
+                        res = apply_move_detailed(state, inst)
+                    except MoveError:
                         continue
-                    res = apply_move_detailed(state, inst)
-                except MoveError:
-                    continue
-                # every child is labeled; only a new state or the meeting
-                # state is built
-                lab = canonical_labeling(res.comte)
-                child_key = lab.key
-                meet = child_key in visited[other]
-                if meet or child_key not in visited[side]:
-                    cf = build_canonical_form(res.comte, lab)
-                    inv = transport_instance(res.inverse, cf.vertex_map, cf.arrow_perm)
-                    if meet:
-                        return build_trace(child_key, (cf.comte, key, inst, inv), side)
-                    visited[side][child_key] = (cf.comte, key, inst, inv)
-                    new_frontier.append(child_key)
-                    n_states += 1
-                    if n_states >= budget.max_states:
-                        break
-            if n_states >= budget.max_states:
-                break
+                    if len(res.comte.vertices) > budget.max_vertices or len(res.comte.arrows) > budget.max_arrows:
+                        continue
+                    # every child is labeled; only a new state or the meeting
+                    # state is built
+                    lab = canonical_labeling(res.comte)
+                    child_key = lab.key
+                    meet = child_key in visited[other]
+                    if meet or child_key not in visited[side]:
+                        cf = build_canonical_form(res.comte, lab)
+                        inv = transport_instance(res.inverse, cf.vertex_map, cf.arrow_perm)
+                        if meet:
+                            return build_trace(child_key, (cf.comte, key, inst, inv), side)
+                        visited[side][child_key] = (cf.comte, key, inst, inv)
+                        new_frontier.append(child_key)
+                        n_states += 1
+                        if n_states >= budget.max_states:
+                            return None
         frontier[side] = new_frontier
     return None

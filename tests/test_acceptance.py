@@ -4,8 +4,6 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the pass/fail lines,
 or ``comtes paper-suite`` for the same checks from the command line.
 """
 
-import pytest
-
 from comtes import acceptance
 
 

@@ -14,7 +14,7 @@ from comtes.alexander import (
 from comtes.core import components, graph
 from comtes.laurent import Laurent, divexact, divides, laurent_gcd
 from comtes.links import LinkCodeError, comte_of_gauss, parse_gauss_code
-from comtes.moves import apply_move, enumerate_moves, inverse_instances
+from comtes.moves import SearchBudget, apply_move, enumerate_moves, inverse_instances
 
 T = Laurent.t()
 ONE = Laurent.one()
@@ -104,9 +104,10 @@ class TestAlexanderPolynomial:
                 assert val in (-1, 1)
 
     def test_invariance_under_moves(self, make_comte, rng):
+        budget = SearchBudget(r3b_range=1, max_split_slots=6)
         for _ in range(80):
             c = make_comte(nmax=4, amax=6)
-            pool = enumerate_moves(c, r3b_range=1) + inverse_instances(c, max_split_slots=6)
+            pool = enumerate_moves(c, budget) + inverse_instances(c, budget)
             if not pool:
                 continue
             m = pool[rng.randrange(len(pool))]

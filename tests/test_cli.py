@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
+from comtes.acceptance import G2, G2G3_BUDGET, G3
 from comtes.cli import main
 from comtes.core import Comte, canonical_key, comte, decode, encode
 from comtes.links import comte_of_gauss, parse_gauss_code
-from comtes.moves import apply_move, enumerate_moves, inverse_instances
+from comtes.moves import SearchBudget, apply_move, enumerate_moves, inverse_instances
 
 TREFOIL = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)])
 
@@ -209,6 +211,16 @@ class TestMovesCommand:
         out = capsys.readouterr()
         assert out.out == "" and "empty flow window" in out.err
 
+    @pytest.mark.parametrize("action", ["enumerate", "apply", "search"])
+    def test_ignore_flows_ignores_an_empty_flow_window(self, capsys, tmp_path, action):
+        # bare-graph mode sets the flow window to 0..0, whatever was passed
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        argv = ["moves", action, "--comte", str(p), "--target", str(p), "--inverse", "--ignore-flows"]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0 and plain[1]
+        assert run(capsys, *argv, "--flow-lo", "3", "--flow-hi", "1") == plain
+
     def test_ignore_flows_enumerates_and_applies_bare_graph_moves(self, capsys, tmp_path):
         # a full square whose sides carry flow: only with flows zeroed may a
         # side be removed, and no flow shift is listed
@@ -223,7 +235,8 @@ class TestMovesCommand:
         code, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p))
         assert code == 0 and "R3b_shift" in out and "R3a_remove" not in out
         code, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p), "--inverse", "--ignore-flows")
-        pool = enumerate_moves(zeroed, r3b_range=0) + inverse_instances(zeroed, flow_lo=0, flow_hi=0)
+        bare = SearchBudget(r3b_range=0, flow_lo=0, flow_hi=0)
+        pool = enumerate_moves(zeroed, bare) + inverse_instances(zeroed, bare)
         assert code == 0 and out == "".join(f"{i}\t{m.format()}\n" for i, m in enumerate(pool))
         assert "R3a_remove" in out and "R3b_shift" not in out
         index = next(i for i, m in enumerate(pool) if m.kind == "R3a_remove")
@@ -234,13 +247,11 @@ class TestMovesCommand:
     def test_ignore_flows_search(self, capsys, tmp_path):
         # G2 -> G3 under the budget of acceptance criterion 3, as bare graphs
         # (the trace of TestSearchGolden::test_g2_g3_trace_bare_graphs)
-        g2 = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1), ("a", "c", "b", 0)])
-        g3 = comte("a b c", [("a", "b", "c", 1), ("b", "a", "c", 1), ("c", "a", "b", 0), ("a", "c", "b", 0)])
         p, q = tmp_path / "g2.json", tmp_path / "g3.json"
-        p.write_text(encode(g2))
-        q.write_text(encode(g3))
-        budget = ["--max-states", "400000", "--max-vertices", "4", "--max-arrows", "6", "--r3b-range", "1",
-                  "--flow-lo", "0", "--flow-hi", "1", "--max-split-slots", "6"]
+        p.write_text(encode(G2))
+        q.write_text(encode(G3))
+        budget = [arg for f in dataclasses.fields(G2G3_BUDGET)
+                  for arg in (f"--{f.name.replace('_', '-')}", str(getattr(G2G3_BUDGET, f.name)))]
         code, out, _ = run(capsys, "moves", "search", "--comte", str(p), "--target", str(q), "--ignore-flows", *budget)
         assert code == 0 and out == (
             "equivalent (4 moves)\n"

@@ -259,13 +259,14 @@ class TestStateSum:
 
 class TestMoveInvariance:
     def test_phi_invariant_under_all_moves_for_quandle_target(self, make_comte, rng):
-        from comtes.moves import apply_move, enumerate_moves, inverse_instances
+        from comtes.moves import SearchBudget, apply_move, enumerate_moves, inverse_instances
 
         x = tetrahedron_quandle()
         f = tetrahedron_cocycle()
+        budget = SearchBudget(r3b_range=1, max_split_slots=6)
         for _ in range(60):
             c = make_comte(nmax=4, amax=5)
-            pool = enumerate_moves(c, r3b_range=1) + inverse_instances(c, max_split_slots=6)
+            pool = enumerate_moves(c, budget) + inverse_instances(c, budget)
             if not pool:
                 continue
             m = pool[rng.randrange(len(pool))]
@@ -301,16 +302,17 @@ class TestMoveInvariance:
 
     def test_state_sum_invariant_under_r1_r2_for_q_graph_target(self, make_comte, rng):
         from comtes.homology import flow_to_cycle
-        from comtes.moves import apply_move, enumerate_moves, inverse_instances
+        from comtes.moves import SearchBudget, apply_move, enumerate_moves, inverse_instances
 
         target, cochain = self._exhoc_cochain()
         r12 = {"R1contract", "R1loopdel", "R2a", "R2b", "R1split", "R1loopadd", "R2a_split", "R2b_split"}
+        budget = SearchBudget(r3b_range=1, max_split_slots=5)
         checked = 0
         for _ in range(40):
             c = make_comte(nmax=4, amax=5)
             pool = [
                 m
-                for m in enumerate_moves(c, r3b_range=1) + inverse_instances(c, max_split_slots=5)
+                for m in enumerate_moves(c, budget) + inverse_instances(c, budget)
                 if m.kind in r12
             ]
             if not pool:

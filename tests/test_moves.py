@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import comtes
+from comtes.acceptance import G2, G2G3_BUDGET, G3
 from comtes.core import Arrow, Comte, SelfIndexedGraph, canonical_key, comte, validate
 from comtes.moves import (
-    _APPLY,
     MoveError,
     MoveInstance,
     SearchBudget,
@@ -21,7 +21,6 @@ from comtes.moves import (
     equivalent_bounded,
     inverse_instances,
     replay_trace,
-    size_change,
 )
 from comtes.coloring import coloring_count
 from comtes.racks import tetrahedron_quandle
@@ -78,7 +77,7 @@ class TestEnumerate:
         assert len(ms) == 1
 
     def test_r3b_window(self):
-        ms = [m for m in enumerate_moves(SQUARE, r3b_range=3) if m.kind == "R3b_shift"]
+        ms = [m for m in enumerate_moves(SQUARE, SearchBudget(r3b_range=3)) if m.kind == "R3b_shift"]
         assert sorted(m.params[0] for m in ms) == [-3, -2, -1, 1, 2, 3]
 
     def test_r3a_remove_requires_zero_flow(self):
@@ -99,7 +98,7 @@ class TestApply:
         assert len(out.vertices) == 1 and validate(out).ok
 
     def test_r3b_shift_pattern_and_inverse(self):
-        m = [x for x in enumerate_moves(SQUARE, r3b_range=2) if x.kind == "R3b_shift" and x.params == (2,)][0]
+        m = [x for x in enumerate_moves(SQUARE, SearchBudget(r3b_range=2)) if x.kind == "R3b_shift" and x.params == (2,)][0]
         out = apply_move(SQUARE, m)
         _, li, bi, ti, ri = m.arrows
         assert out.flows[li] == SQUARE.flows[li] + 2
@@ -197,7 +196,7 @@ class TestInverseEnumeration:
         c = comte("a b x", [("a", "b", "x", 1), ("b", "a", "x", 1)])
         pairs = sorted(
             m.params
-            for m in inverse_instances(c, flow_lo=-1, flow_hi=2)
+            for m in inverse_instances(c, SearchBudget(flow_lo=-1, flow_hi=2))
             if m.kind == "R2a_split" and m.arrows == (0,) and m.flags == ("parallel",)
         )
         assert pairs == [(-1, 2), (0, 1), (1, 0), (2, -1)]
@@ -205,42 +204,37 @@ class TestInverseEnumeration:
     def test_empty_flow_window_rejected(self):
         # a one-value window is allowed; an empty one would silently drop
         # every flow-carrying inverse move
-        assert inverse_instances(TREFOIL, flow_lo=1, flow_hi=1)
-        assert SearchBudget(flow_lo=1, flow_hi=1).flow_lo == 1
-        with pytest.raises(ValueError, match="empty flow window"):
-            inverse_instances(TREFOIL, flow_lo=3, flow_hi=-2)
+        assert inverse_instances(TREFOIL, SearchBudget(flow_lo=1, flow_hi=1))
         with pytest.raises(ValueError, match="empty flow window"):
             SearchBudget(flow_lo=3, flow_hi=-2)
 
-    def test_defaults_are_the_search_budget_defaults(self):
-        # enumerate_moves(c), inverse_instances(c) and a search under
-        # SearchBudget() walk the same window
-        for fn, names in (
-            (enumerate_moves, ("r3b_range",)),
-            (inverse_instances, ("flow_lo", "flow_hi", "max_split_slots")),
-        ):
+    def test_enumerators_declare_no_window(self):
+        # the windows live in SearchBudget alone, so enumerate_moves(c),
+        # inverse_instances(c) and a search under SearchBudget() walk the same
+        windows = {f.name for f in dataclasses.fields(SearchBudget)}
+        for fn in (enumerate_moves, inverse_instances):
             params = inspect.signature(fn).parameters
-            for name in names:
-                assert params[name].default == getattr(SearchBudget(), name), (fn.__name__, name)
+            assert not windows & set(params), fn.__name__
+            assert params["budget"].default == SearchBudget(), fn.__name__
 
     def test_g2_reaches_r3a_completion_after_a_split(self):
         # the move relation between the trefoil-with-chord comtes starts with
         # a vertex split that creates a three-sided square
-        g2 = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1), ("a", "c", "b", 0)])
-        assert not [m for m in inverse_instances(g2) if m.kind == "R3a_add"]
-        splits = [m for m in inverse_instances(g2, max_split_slots=6) if m.kind == "R1split"]
+        assert not [m for m in inverse_instances(G2) if m.kind == "R3a_add"]
+        splits = [m for m in inverse_instances(G2, SearchBudget(max_split_slots=6)) if m.kind == "R1split"]
         assert any(
-            any(m.kind == "R3a_add" for m in inverse_instances(apply_move(g2, s)))
+            any(m.kind == "R3a_add" for m in inverse_instances(apply_move(G2, s)))
             for s in splits
         )
 
 
 class TestRandomizedBattery:
     def test_validity_and_inversion(self, make_comte, rng):
+        budget = SearchBudget(max_split_slots=7)
         checked = 0
         for _ in range(120):
             c = make_comte(nmax=4, amax=6)
-            pool = enumerate_moves(c, r3b_range=2) + inverse_instances(c, max_split_slots=7)
+            pool = enumerate_moves(c, budget) + inverse_instances(c, budget)
             for m in pool:
                 res = apply_move_detailed(c, m)
                 assert validate(res.comte).ok, (c, m)
@@ -252,11 +246,10 @@ class TestRandomizedBattery:
     def test_random_move_walk_stays_valid(self, rng):
         # a long walk of mixed forward/inverse moves never breaks conservation
         c = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)])
+        budget = SearchBudget(r3b_range=1, flow_lo=-1, flow_hi=1, max_split_slots=5)
         steps = 0
         while steps < 1000:
-            pool = enumerate_moves(c, r3b_range=1) + inverse_instances(
-                c, flow_lo=-1, flow_hi=1, max_split_slots=5
-            )
+            pool = enumerate_moves(c, budget) + inverse_instances(c, budget)
             candidates = [m for m in pool] if len(c.vertices) <= 5 and len(c.arrows) <= 8 else [
                 m for m in pool if m.kind in ("R0", "R1contract", "R1loopdel", "R2a", "R2b", "R3a_remove")
             ]
@@ -271,9 +264,10 @@ class TestRandomizedBattery:
         from comtes.racks import dihedral_quandle, trivial_quandle
 
         battery = (trivial_quandle(2), trivial_quandle(3), dihedral_quandle(3), tetrahedron_quandle())
+        budget = SearchBudget(r3b_range=1, max_split_slots=6)
         for _ in range(100):
             c = make_comte(nmax=4, amax=6)
-            pool = enumerate_moves(c, r3b_range=1) + inverse_instances(c, max_split_slots=6)
+            pool = enumerate_moves(c, budget) + inverse_instances(c, budget)
             if not pool:
                 continue
             m = pool[rng.randrange(len(pool))]
@@ -326,15 +320,22 @@ class TestSearch:
         assert equivalent_bounded(_zeroed(TREFOIL), comte("a", []), dataclasses.replace(budget, **BARE)) is None
         assert flows == {0}
 
-    @pytest.mark.parametrize("name", ["figure_eight", "looped_trefoil"])
+    @pytest.mark.parametrize("name", ["figure_eight", "looped_trefoil", "g2_g3", "g2_g3_without_vertex_room"])
     def test_each_kept_state_is_built_once(self, monkeypatch, name):
-        # counted from outside: one labeling per child that fits the budget,
-        # one build per state kept, plus one for the meeting state
+        # counted from outside: one labeling per successful apply, since every
+        # child of a state within the budget fits, one build per state kept,
+        # plus one for the meeting state
         import comtes.moves
 
-        target = {
-            "figure_eight": FIGURE_EIGHT,
-            "looped_trefoil": apply_move(TREFOIL, MoveInstance("R1loopadd", vertices=("a",), params=(1,))),
+        start, target, budget = {
+            "figure_eight": (TREFOIL, FIGURE_EIGHT, SearchBudget(max_states=2000)),
+            "looped_trefoil": (
+                TREFOIL,
+                apply_move(TREFOIL, MoveInstance("R1loopadd", vertices=("a",), params=(1,))),
+                SearchBudget(max_states=2000),
+            ),
+            "g2_g3": (G2, G3, G2G3_BUDGET),
+            "g2_g3_without_vertex_room": (G2, G3, dataclasses.replace(G2G3_BUDGET, max_vertices=3, max_states=5000)),
         }[name]
         ends, labeled, built, children = [], [], [], []
         real_form = comtes.moves.canonical_form
@@ -364,10 +365,9 @@ class TestSearch:
         for attr, fn in (("canonical_form", form), ("canonical_labeling", label),
                          ("build_canonical_form", build), ("apply_move_detailed", apply)):
             monkeypatch.setattr(comtes.moves, attr, fn)
-        budget = SearchBudget(max_states=2000)
-        trace = equivalent_bounded(TREFOIL, target, budget)
+        trace = equivalent_bounded(start, target, budget)
         found = trace is not None
-        assert found == (name == "looped_trefoil")
+        assert found == (name != "figure_eight")
         assert len(labeled) == len(children)
         # a new key is kept the first time it is labeled, or it meets the
         # other side and ends the search; no key is kept on both sides
@@ -423,7 +423,7 @@ class TestR3aAddCompleteness:
                 ("p5", "q5", "a", 0), ("p5", "r5", "b", 0), ("r5", "s5", "a", 0),
             ],
         )
-        assert [m.format() for m in inverse_instances(c, max_split_slots=0) if m.kind == "R3a_add"] == [
+        assert [m.format() for m in inverse_instances(c, SearchBudget(max_split_slots=0)) if m.kind == "R3a_add"] == [
             "R3a_add site=[arrows=0,1,2,3] params=3",
             "R3a_add site=[arrows=0,4,5,6] params=2",
             "R3a_add site=[arrows=0,10,7,9] params=0",
@@ -435,11 +435,10 @@ class TestR3aAddCompleteness:
 
 
 def test_search_is_deterministic():
-    g2 = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1), ("a", "c", "b", 0)])
-    c2 = apply_move(g2, MoveInstance("R1loopadd", vertices=("b",), params=(0,)))
+    c2 = apply_move(G2, MoveInstance("R1loopadd", vertices=("b",), params=(0,)))
     budget = SearchBudget(max_states=2000, max_vertices=4, max_arrows=6)
-    t1 = equivalent_bounded(g2, c2, budget)
-    t2 = equivalent_bounded(g2, c2, budget)
+    t1 = equivalent_bounded(G2, c2, budget)
+    t2 = equivalent_bounded(G2, c2, budget)
     assert t1 is not None and t1.format() == t2.format()
 
 
@@ -449,7 +448,7 @@ def test_ignore_flows_enumeration_is_bare_graph_mode():
     c = comte("a b t c u s r",
               [("b", "t", "a", 0), ("c", "u", "a", 1), ("u", "s", "t", 1),
                ("c", "r", "b", -1), ("r", "s", "a", -1), ("s", "c", "a", 0)])
-    bare = enumerate_moves(_zeroed(c), r3b_range=0)
+    bare = enumerate_moves(_zeroed(c), SearchBudget(**BARE))
     zeroed = comte("a b t c u s r",
                    [("b", "t", "a", 0), ("c", "u", "a", 0), ("u", "s", "t", 0),
                     ("c", "r", "b", 0), ("r", "s", "a", 0), ("s", "c", "a", 0)])
@@ -468,47 +467,55 @@ BARE = dict(r3b_range=0, flow_lo=0, flow_hi=0)
 
 
 class TestSizeChange:
-    """The search rejects oversize children from ``size_change`` alone, before
-    applying the move, so the declared change must be the actual one."""
+    """The search generates inverse instances only where there is arrow
+    room, and vertex-adding ones only where there is vertex room, so every
+    child of a state within the budget fits.  These checks apply each
+    instance and read the change it makes."""
 
     def _sample(self, make_comte, ignore_flows):
         sample = [SQUARE, SQUARE0, TREFOIL] + [make_comte(nmax=4, amax=6) for _ in range(150)]
-        return [_zeroed(c) for c in sample] if ignore_flows else sample
+        budget = SearchBudget(**BARE, max_split_slots=6) if ignore_flows else SearchBudget(r3b_range=1, max_split_slots=6)
+        return [(_zeroed(c) if ignore_flows else c, budget) for c in sample]
+
+    @staticmethod
+    def _change(c, m):
+        out = apply_move(c, m)
+        return len(out.vertices) - len(c.vertices), len(out.arrows) - len(c.arrows)
 
     @pytest.mark.parametrize("ignore_flows", [False, True])
-    def test_declared_change_is_applied_change(self, make_comte, ignore_flows):
+    def test_forward_instances_never_grow(self, make_comte, ignore_flows):
         seen = set()
-        for c in self._sample(make_comte, ignore_flows):
-            window = dict(flow_lo=0, flow_hi=0) if ignore_flows else {}
-            pool = enumerate_moves(c, r3b_range=0 if ignore_flows else 1) + inverse_instances(
-                c, **window, max_split_slots=6
-            )
-            for m in pool:
+        for c, budget in self._sample(make_comte, ignore_flows):
+            for m in enumerate_moves(c, budget):
                 try:
-                    out = apply_move(c, m)
+                    dv, da = self._change(c, m)
                 except MoveError:
                     continue
-                change = (len(out.vertices) - len(c.vertices), len(out.arrows) - len(c.arrows))
-                assert size_change(c, m) == change, (c, m)
-                seen.add((m.kind, change))
-        kinds = set(_APPLY) - ({"R3b_shift"} if ignore_flows else set())
-        assert {kind for kind, _ in seen} == kinds
-        # both R2 merges (endpoints shared or not) and both split flavors
-        assert {("R2a", (0, -1)), ("R2a", (-1, -1)), ("R2b", (0, -1)), ("R2b", (-1, -1))} <= seen
-        assert {("R2a_split", (0, 1)), ("R2a_split", (1, 1))} <= seen
+                assert dv <= 0 and da <= 0, (c, m)
+                seen.add((m.kind, dv))
+        forward = {"R0", "R1contract", "R1loopdel", "R2a", "R2b", "R3a_remove", "R3b_shift"}
+        assert {kind for kind, _ in seen} == forward - ({"R3b_shift"} if ignore_flows else set())
+        # both R2 merges, with the merged endpoints shared or not
+        assert {("R2a", 0), ("R2a", -1), ("R2b", 0), ("R2b", -1)} <= seen
+
+    @pytest.mark.parametrize("ignore_flows", [False, True])
+    def test_each_inverse_instance_adds_one_arrow(self, make_comte, ignore_flows):
+        seen = set()
+        for c, budget in self._sample(make_comte, ignore_flows):
+            for m in inverse_instances(c, budget):
+                dv, da = self._change(c, m)
+                assert da == 1, (c, m)
+                seen.add((m.kind, dv))
+        assert {kind for kind, _ in seen} == {"R0inv", "R1split", "R1loopadd", "R2a_split", "R2b_split", "R3a_add"}
+        # both split flavors, parallel and fresh
+        assert {("R2a_split", 0), ("R2a_split", 1), ("R2b_split", 0), ("R2b_split", 1)} <= seen
 
     @pytest.mark.parametrize("ignore_flows", [False, True])
     def test_pruned_generation_leaves_out_only_vertex_adding_instances(self, make_comte, ignore_flows):
-        for c in self._sample(make_comte, ignore_flows):
-            window = dict(flow_lo=0, flow_hi=0) if ignore_flows else {}
-            full = inverse_instances(c, **window, max_split_slots=6)
-            assert all(size_change(c, m)[1] == 1 for m in full), c
-            kept = inverse_instances(c, **window, max_split_slots=6, new_vertices=False)
-            assert kept == [m for m in full if size_change(c, m)[0] == 0], c
-
-    def test_unknown_kind(self):
-        with pytest.raises(MoveError, match="unknown move kind"):
-            size_change(TREFOIL, MoveInstance("R9"))
+        for c, budget in self._sample(make_comte, ignore_flows):
+            full = inverse_instances(c, budget)
+            kept = inverse_instances(c, budget, new_vertices=False)
+            assert kept == [m for m in full if self._change(c, m)[0] == 0], c
 
     @pytest.mark.parametrize("max_vertices, max_arrows", [(3, 5), (4, 3)])
     def test_search_canonicalizes_no_oversize_child(self, monkeypatch, max_vertices, max_arrows):
@@ -536,14 +543,6 @@ class TestSizeChange:
         assert equivalent_bounded(looped_kink, comte("a", []), budget) is None
         assert sizes[:2] == [(4, 5), (1, 0)]
         assert all(v <= max_vertices and a <= max_arrows for v, a in sizes[2:])
-
-
-# The worked pair and budget of acceptance criterion 3.
-G2 = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1), ("a", "c", "b", 0)])
-G3 = comte("a b c", [("a", "b", "c", 1), ("b", "a", "c", 1), ("c", "a", "b", 0), ("a", "c", "b", 0)])
-G2G3_BUDGET = SearchBudget(
-    max_states=400000, max_vertices=4, max_arrows=6, r3b_range=1, flow_lo=0, flow_hi=1, max_split_slots=6
-)
 
 
 class TestSearchGolden:
@@ -628,8 +627,8 @@ class TestEnumerationGolden:
     def test_instances_pinned(self, name, ignore_flows):
         make, digests, r3 = self.CASES[name]
         c = _zeroed(make()) if ignore_flows else make()
-        window = dict(flow_lo=0, flow_hi=0) if ignore_flows else {}
-        pool = enumerate_moves(c, r3b_range=0 if ignore_flows else 3) + inverse_instances(c, **window)
+        budget = SearchBudget(**BARE) if ignore_flows else SearchBudget(r3b_range=3)
+        pool = enumerate_moves(c, budget) + inverse_instances(c, budget)
         text = "".join(m.format() + "\n" for m in pool)
         assert [m.format() for m in pool if m.kind.startswith("R3")] == r3
         assert (len(pool), hashlib.sha256(text.encode()).hexdigest()) == digests[ignore_flows]

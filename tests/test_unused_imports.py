@@ -1,9 +1,10 @@
-"""Every top-level import in the package is used by its module."""
+"""Every top-level import in the package and in its tests is used by its
+module."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "comtes"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imported_names(tree):
@@ -17,11 +18,12 @@ def _imported_names(tree):
 
 
 def test_no_unused_top_level_import():
-    files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert files
+    package = sorted(p for p in (ROOT / "src" / "comtes").glob("*.py") if p.name != "__init__.py")
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert package and tests
     unused = []
-    for path in files:
+    for path in package + tests:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line}: {name}" for line, name in _imported_names(tree) if name not in used]
+        unused += [f"{path.parent.name}/{path.name}:{line}: {name}" for line, name in _imported_names(tree) if name not in used]
     assert not unused, unused
