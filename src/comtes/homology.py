@@ -156,14 +156,17 @@ def boundary_matrix(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> li
     return [[row.get(c, 0) for c in cols] for row in _boundary(dot, bases[n], bases[n - 1], q_quotient)]
 
 
-def _boundary(dot, bas_n, bas_p, q_quotient: bool) -> list[dict[int, int]]:
+def _boundary(dot, bas_n, bas_p, q_quotient: bool, cleared=frozenset()) -> list[dict[int, int]]:
     """The sparse rows of the boundary C_n -> C_{n-1}: one per element of
-    bas_p, as {column in bas_n: coefficient}."""
+    bas_p, as {column in bas_n: coefficient}.  The rows whose positions are
+    in ``cleared`` are left empty."""
     pos = {t: i for i, t in enumerate(bas_p)}
     rows: list[dict[int, int]] = [{} for _ in bas_p]
     for col, t in enumerate(bas_n):
         for face, coeff in boundary_terms(t, dot, q_quotient).items():
-            rows[pos[face]][col] = coeff
+            r = pos[face]
+            if r not in cleared:
+                rows[r][col] = coeff
     return rows
 
 
@@ -193,19 +196,32 @@ def homology_range(
     homomorphism, with zero boundary into it).
 
     The bases of C_0 .. C_{max_degree+1} are built once, in one pass, and
-    every boundary matrix is taken over them."""
+    every boundary matrix is taken over them, in rising degree, with
+    clearing: the rows of d_{k+1} at the ``unit_columns`` of d_k (its
+    leading pivots picked as a unit) are left out.  This is exact over Z.
+    Leaving those coordinates out is injective on Z_k = ker d_k and maps
+    it onto a saturated sublattice (see ``SNFResult``), and B_k lies in
+    Z_k, so the cleared d_{k+1} has the rank of d_{k+1} and its cokernel
+    the same torsion.  Only pivots picked as a unit may clear: d_k = [2 3]
+    ends with the unit pivot 1 at column 0 after a gcd step, and with
+    d_{k+1} = (3, -2)^T clearing row 0 would give H_k = Z/2 instead of 0.
+    Persistent homology calls this step clearing, or the twist (Chen &
+    Kerber, EuroCG 2011), over a field."""
     if max_degree < 0:
         raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     dot, bases = _bases_of(g, max_degree + 1, q_quotient)
     sizes = [len(b) for b in bases]
     ranks = [0] * (max_degree + 2)
     torsions = [()] * (max_degree + 2)
+    cleared = frozenset()
     for k in range(2, max_degree + 2):
         if sizes[k] == 0 or sizes[k - 1] == 0:
+            cleared = frozenset()
             continue
-        snf = smith_normal_form(_boundary(dot, bases[k], bases[k - 1], q_quotient))
+        snf = smith_normal_form(_boundary(dot, bases[k], bases[k - 1], q_quotient, cleared))
         ranks[k] = snf.rank
         torsions[k] = tuple(d for d in snf.factors if d > 1)
+        cleared = frozenset(snf.unit_columns)
     out = []
     for k in range(1, max_degree + 1):
         betti = sizes[k] - ranks[k] - ranks[k + 1]

@@ -19,8 +19,25 @@ from math import gcd
 
 @dataclass(frozen=True)
 class SNFResult:
+    """Invariant factors and rank, plus the unit-pivot columns.
+
+    ``unit_columns`` are the columns of the leading pivots that were picked
+    as a unit (±1), before the first pivot picked as a non-unit, in pick
+    order.  Each such pivot is cleared by row operations, and by column
+    operations that touch its own row alone, so on the kernel every
+    coordinate in ``unit_columns`` is an integer combination of the others:
+    leaving those coordinates out is injective on ker M and maps it onto a
+    saturated sublattice.  Homology uses this to leave the matching rows
+    out of the next boundary matrix ("clearing").  A pivot that gcd column
+    operations turn into a unit after a non-unit pick does not count: M =
+    [2 3] ends with the pivot 1 at column 0, but ker M is spanned by (3,
+    -2), and leaving coordinate 0 out maps it onto 2Z, which is not
+    saturated.  With the next boundary (3, -2)^T, H = 0 would read Z/2.
+    """
+
     factors: tuple[int, ...]  # invariant factors d1 | d2 | ..., all > 0
     rank: int
+    unit_columns: tuple[int, ...] = ()
 
 
 def _divisibility_chain(ds: list[int]) -> tuple[int, ...]:
@@ -39,20 +56,29 @@ def _divisibility_chain(ds: list[int]) -> tuple[int, ...]:
 
 
 def smith_normal_form(matrix) -> SNFResult:
-    """Invariant factors and rank of an integer matrix."""
-    pivots, _ = _eliminate(matrix)
+    """Invariant factors, rank and unit-pivot columns of an integer matrix."""
+    pivots, _, units = _eliminate(matrix)
     factors = _divisibility_chain([d for _, d in pivots])
-    return SNFResult(factors, len(factors))
+    return SNFResult(factors, len(factors), tuple(c for c, _ in pivots[:units]))
 
 
 def _eliminate(matrix, ncols=None):
     """Diagonalize M by unimodular row and column operations.
 
-    Returns the pivots as (column, d) pairs and, when ``ncols`` is given,
-    the ``ncols`` x ``ncols`` column transform Q as the list of its columns
-    (None otherwise): P M Q is zero except for the entry d of each pivot
-    column, for a unimodular P that is not recorded.  With ``ncols``, a
-    column index outside ``range(ncols)`` is a ``ValueError``.
+    Returns the pivots as (column, d) pairs in pick order; when ``ncols``
+    is given, the ``ncols`` x ``ncols`` column transform Q as the list of
+    its columns (None otherwise); and the number of leading pivots that
+    were picked as a unit.  P M Q is zero except for the entry d of each
+    pivot column, for a unimodular P that is not recorded.  With
+    ``ncols``, a column index outside ``range(ncols)`` is a ``ValueError``.
+
+    A pivot picked as a unit is cleared by row operations alone, then by
+    column operations that change only its own row, so while every pick so
+    far was a unit, ker M is the kernel of the remaining rows and columns
+    with each pivot coordinate a fixed integer combination of the rest.
+    The count records the pick, not the final value d: gcd combinations
+    can turn a non-unit pick into 1 (M = [2 3] ends as the pivot (0, 1)),
+    and clearing on such a pivot is wrong (see ``SNFResult``).
 
     Each row is copied in column order, without its zero entries.  Each
     pivot is the least (|entry|, column length, row length, column, row),
@@ -130,8 +156,11 @@ def _eliminate(matrix, ncols=None):
         return best[4], best[3]
 
     pivots = []
+    units = 0
     while rows:
         pr, pc = pick_pivot()
+        if units == len(pivots) and abs(rows[pr][pc]) == 1:
+            units += 1
         while True:
             # clear the pivot column
             for r in list(cols.get(pc, set())):
@@ -159,7 +188,7 @@ def _eliminate(matrix, ncols=None):
                 break
         pivots.append((pc, rows[pr][pc]))
         set_entry(pr, pc, 0)
-    return pivots, q
+    return pivots, q, units
 
 
 def _xgcd(a, b):
@@ -180,7 +209,7 @@ def _xgcd(a, b):
 def integer_kernel_basis(matrix, ncols) -> list[list[int]]:
     """Basis of the integer kernel {x : M x = 0}: the columns of Q at the
     non-pivot columns."""
-    pivots, q = _eliminate(matrix, ncols)
+    pivots, q, _ = _eliminate(matrix, ncols)
     pivot_cols = {c for c, _ in pivots}
     return [q[j] for j in range(ncols) if j not in pivot_cols]
 
@@ -193,7 +222,7 @@ def kernel_mod(matrix, ncols, modulus) -> list[tuple[list[int], int]]:
     column j of Q, of order gcd(d, m); a non-pivot column j gives column j
     of Q, of order m.  Generators of order 1 are left out.
     """
-    pivots, q = _eliminate(matrix, ncols)
+    pivots, q, _ = _eliminate(matrix, ncols)
     pivot_of = dict(pivots)
     gens = []
     for j in range(ncols):

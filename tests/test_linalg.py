@@ -6,6 +6,7 @@ import pytest
 
 from comtes.homology import boundary_matrix
 from comtes.linalg import (
+    SNFResult,
     _eliminate,
     integer_kernel_basis,
     image_size_mod,
@@ -174,7 +175,7 @@ def test_transform_is_unimodular_and_diagonalizes():
     for _ in range(100):
         r, c = rng.randrange(1, 5), rng.randrange(1, 5)
         m = [[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)]
-        pivots, q = _eliminate(sparse(m), c)
+        pivots, q, _ = _eliminate(sparse(m), c)
         assert abs(bareiss_det([[q[j][i] for j in range(c)] for i in range(c)])) == 1
         pivot_of = dict(pivots)
         assert len(pivot_of) == len(pivots) == smith_normal_form(sparse(m)).rank
@@ -281,3 +282,77 @@ def test_image_size_mod():
             v = tuple(sum(m[i][j] * coeffs[j] for j in range(c)) % mod for i in range(r))
             span.add(v)
         assert image_size_mod(sparse(m), mod) == len(span)
+
+
+def test_unit_made_by_a_gcd_step_is_not_a_unit_column():
+    # the pick is 2; the gcd column step leaves the pivot 1 at column 0, but
+    # ker [2 3] is spanned by (3, -2), whose coordinate 0 is not an integer
+    # combination of coordinate 1
+    pivots, _, units = _eliminate([{0: 2, 1: 3}])
+    assert pivots == [(0, 1)] and units == 0
+    snf = smith_normal_form([{0: 2, 1: 3}])
+    assert snf.factors == (1,)
+    assert snf.unit_columns == ()
+
+
+def test_all_unit_picks_are_the_unit_columns():
+    assert smith_normal_form([{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}, {2: 1}]).unit_columns == (0, 1, 2)
+    # the incidence matrix of a graph is totally unimodular, so every pick
+    # is a unit, and the unit columns are the edges of a spanning forest
+    rng = random.Random(41)
+    for _ in range(100):
+        nv = rng.randrange(1, 9)
+        edges = [tuple(rng.sample(range(nv), 2)) for _ in range(rng.randrange(0, 12))] if nv > 1 else []
+        m = [{} for _ in range(nv)]
+        for j, (u, v) in enumerate(edges):
+            m[u][j], m[v][j] = 1, -1
+        snf = smith_normal_form(m)
+        pivots, _, units = _eliminate(m)
+        assert units == len(pivots) == snf.rank
+        assert snf.unit_columns == tuple(c for c, _ in pivots)
+        parent = list(range(nv))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for j in snf.unit_columns:
+            u, v = map(find, edges[j])
+            assert u != v, (edges, snf.unit_columns)
+            parent[u] = v
+        assert len({find(x) for x in range(nv)}) + snf.rank == nv
+
+
+def test_unit_pick_after_a_non_unit_pick_is_not_a_unit_column():
+    # a unit block, then [[2, 3], [3, 5]] (determinant 1): its first pick is
+    # 2, and the unit left after the gcd steps is picked too late to count
+    m = [{0: 1}, {1: 2, 2: 3}, {1: 3, 2: 5}]
+    pivots, _, units = _eliminate(m)
+    assert [abs(d) for _, d in pivots] == [1, 1, 1] and units == 1
+    snf = smith_normal_form(m)
+    assert snf.factors == (1, 1, 1)
+    assert snf.unit_columns == (0,)
+
+
+def test_clearing_keeps_rank_and_torsion():
+    # for N with M N = 0, leaving out the rows of N at the unit columns of M
+    # keeps the rank of N and the torsion of its cokernel on ker M
+    rng = random.Random(43)
+    for _ in range(400):
+        r, c = rng.randrange(1, 5), rng.randrange(2, 6)
+        m = [[rng.choice((0, 0, 1, -1, 2, 3, -3)) for _ in range(c)] for _ in range(r)]
+        kernel = integer_kernel_basis(sparse(m), c)
+        if not kernel:
+            continue
+        mix = [[rng.randrange(-3, 4) for _ in kernel] for _ in range(rng.randrange(1, 4))]
+        n = [[sum(a * v[i] for a, v in zip(col, kernel)) for col in mix] for i in range(c)]
+        unit = set(smith_normal_form(sparse(m)).unit_columns)
+        full = smith_normal_form(sparse(n))
+        cleared = smith_normal_form(sparse([row for i, row in enumerate(n) if i not in unit]))
+        assert cleared.rank == full.rank, (m, n)
+        assert [d for d in cleared.factors if d > 1] == [d for d in full.factors if d > 1], (m, n)
+
+
+def test_snf_result_constructs_without_unit_columns():
+    assert SNFResult((1, 2), 2) == SNFResult((1, 2), 2, ())
