@@ -530,13 +530,23 @@ CRITERIA = [
 ]
 
 
+class UnknownCriterionError(ValueError):
+    """Raised by ``run_all`` for criterion ids that name no criterion."""
+
+
 def run_all(seed: int = DEFAULT_SEED, jobs: int = 1, only=None):
-    """Run the criteria in order, or only those whose ids are in ``only``.
-    Each criterion is passed those of ``seed`` and ``jobs`` that it takes."""
+    """Run the criteria in order, or only those whose ids are in ``only``;
+    an id that names no criterion is an ``UnknownCriterionError``, raised
+    before any criterion runs.  Each criterion is passed those of ``seed``
+    and ``jobs`` that it takes."""
+    ids = [fn.__name__.split("_")[1] for fn in CRITERIA]
+    unknown = sorted(set(only or ()) - set(ids))
+    if unknown:
+        raise UnknownCriterionError(f"unknown criterion id(s): {', '.join(map(repr, unknown))} (ids are {', '.join(ids)})")
     given = {"seed": seed, "jobs": jobs}
     results = []
-    for fn in CRITERIA:
-        if only is not None and fn.__name__.split("_")[1] not in only:
+    for fn, fid in zip(CRITERIA, ids):
+        if only is not None and fid not in only:
             continue
         takes = inspect.signature(fn).parameters
         results.append(fn(**{k: v for k, v in given.items() if k in takes}))

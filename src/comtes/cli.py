@@ -154,8 +154,10 @@ def cmd_homology(args) -> int:
 
 
 def cmd_moves(args) -> int:
-    c = _load_comte(args.comte)
-    target = _load_comte(args.target) if args.action == "search" else None
+    # the move rules hold on comtes; zeroed flows always conserve
+    load = _load_comte if args.ignore_flows else _load_valid_comte
+    c = load(args.comte)
+    target = load(args.target) if args.action == "search" else None
     if args.ignore_flows:  # bare-graph mode, as comtes.moves defines it
         c = as_comte(c.graph)
         target = target and as_comte(target.graph)
@@ -325,6 +327,8 @@ def main(argv=None) -> int:
             parser.error(f"empty flow window: --flow-lo {args.flow_lo} > --flow-hi {args.flow_hi}")
     try:
         return args.fn(args)
+    except acceptance.UnknownCriterionError as e:
+        parser.error(str(e))
     except (CommandError, LinkCodeError, MoveError, DecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

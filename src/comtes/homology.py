@@ -49,18 +49,17 @@ def _mask(word) -> int:
 
 
 @lru_cache(maxsize=None)
-def _new_relations(n: int) -> tuple[tuple[int, int, int], ...]:
-    """The cube relations F(lam).F(t) = F(t + d) of Y_n that involve element
-    1, as mask triples (lam, t, t + d), sorted by (t, t + d): one for each
-    arrow of Y_n, with label lam and source t, whose target contains 1."""
-    cube = build_Yn(n)
-    rels = []
-    for (src, d), lab in zip(cube.arrow_data, cube.arrow_words):
-        t = _mask(src)
-        td = t | 1 << (d - 1)
-        if td & 1:
-            rels.append((_mask(lab), t, td))
-    return tuple(sorted(rels, key=lambda r: r[1:]))
+def _cube_relations(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The cube relations F(lam).F(t) = F(t + d) of Y_n, as mask triples
+    (lam, t, t + d) sorted by (t, t + d): one for each arrow of Y_n, with
+    source t, direction d below the largest element of t and label lam,
+    the elements of t below d, then d."""
+    return tuple(
+        ((t & (1 << d) - 1) | 1 << d, t, t | 1 << d)
+        for t in range(1, 1 << n)
+        for d in range(t.bit_length() - 1)
+        if not t >> d & 1
+    )
 
 
 def _extend(tables: list[list[int]], n: int, dot, q_quotient: bool) -> list[list[int]]:
@@ -70,21 +69,24 @@ def _extend(tables: list[list[int]], n: int, dot, q_quotient: bool) -> list[list
     non-degenerate one stays non-degenerate), so only the relations that
     involve element 1 need checking.  The old element k is element k+1, so
     its mask doubles; the odd masks are the new sets {1} + S, with value
-    a_1 . F(S).  Tables come out in lexicographic order of their tuples."""
-    relations = _new_relations(n)
+    a_1 . F(S).  A relation whose source lacks 1 but whose target has it
+    reads a_1 . F(S) = F({1} + S), which holds by that construction.  The
+    others have 1 in their label, source and target: they are the
+    relations of Y_(n-1) read on the odd half, so only those are checked.
+    Tables come out in lexicographic order of their tuples."""
+    relations = _cube_relations(n - 1)
     out = []
     for a, row in enumerate(dot):
         for f in tables:
             if q_quotient and n > 1 and f[1] == a:
                 continue
             odd = [a] + [row[x] for x in f[1:]]
-            if -1 in odd:
+            if -1 in odd or not all(dot[odd[lam]][odd[t]] == odd[td] for lam, t, td in relations):
                 continue
             new = [0] * (2 * len(f))
             new[0::2] = f
             new[1::2] = odd
-            if all(dot[new[lam]][new[t]] == new[td] for lam, t, td in relations):
-                out.append(new)
+            out.append(new)
     return out
 
 

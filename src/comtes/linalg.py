@@ -41,17 +41,18 @@ class SNFResult:
 
 
 def _divisibility_chain(ds: list[int]) -> tuple[int, ...]:
-    ds = sorted(abs(d) for d in ds)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if ds[j] % ds[i] != 0:
-                    g = gcd(ds[i], ds[j])
-                    ds[i], ds[j] = g, ds[i] * ds[j] // g
-                    changed = True
-        ds.sort()
+    """The invariant factors d_1 | d_2 | ... with the prime powers of the
+    nonzero ``ds``.  Once step i has replaced each later d_j by lcm(d_i, d_j)
+    and d_i by their gcd, d_i divides every later entry, and later steps
+    keep that, since gcds and lcms of multiples of d_i are multiples of it."""
+    ds = [abs(d) for d in ds]
+    for i in range(len(ds)):
+        if ds[i] == 1:
+            continue  # a unit divides every entry
+        for j in range(i + 1, len(ds)):
+            if ds[j] % ds[i]:
+                g = gcd(ds[i], ds[j])
+                ds[i], ds[j] = g, ds[i] * ds[j] // g
     return tuple(ds)
 
 

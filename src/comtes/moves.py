@@ -13,6 +13,21 @@ Forward kinds
 Inverse kinds
   R0inv, R1split, R1loopadd, R2a_split, R2b_split, R3a_add
 
+A vertex split (R1split, or a "fresh" R2 split) sends the ``moved`` slots at
+a vertex v to a fresh vertex w and adds one arrow.  Let F be the net flow
+those slots carried off v: the flows of the arrows whose source moves less
+those whose target moves.  The split conserves at w exactly when the new
+arrow carries F if it points into w (R1split old_new, R2a_split), -F if it
+points out of w (R1split new_old, R2b_split).  Only w and v change balance,
+by amounts that sum to zero, so on a comte this is all of conservation.
+
+An R2 merge identifies one slot (the merge role) of two arrows that share
+the label and the other end; its inverse splits it:
+
+  merge role   merge   split       shared end
+  t (target)   R2a     R2a_split   s (source)
+  s (source)   R2b     R2b_split   t (target)
+
 The R3 square on a witness b --a--> t has corners P, Q, R, S and four
 sides, by position:
 
@@ -40,16 +55,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
-from .core import (
-    Arrow,
-    Comte,
-    SelfIndexedGraph,
-    build_canonical_form,
-    canonical_form,
-    canonical_labeling,
-    quotient,
-    validate,
-)
+from .core import Arrow, Comte, SelfIndexedGraph, build_canonical_form, canonical_form, canonical_labeling, quotient
 
 class MoveError(ValueError):
     """Raised when a move instance does not apply to the given comte."""
@@ -177,6 +183,50 @@ def _slots_after_drop(g: SelfIndexedGraph, v: str, dropped: int, skip=None) -> f
     )
 
 
+def _moved_flow(c: Comte, moved) -> int:
+    """The net flow F that the ``moved`` slots carry off their vertex (see
+    the module docstring)."""
+    return sum(c.flows[j] * ((role == "s") - (role == "t")) for j, role in moved)
+
+
+def _r2_split_flow(c: Comte, moved, merge_role: str) -> int:
+    """The flow that conservation forces on the new arrow of a fresh R2
+    split, whose ``merge_role`` slot is the fresh vertex."""
+    flow = _moved_flow(c, moved)
+    return flow if merge_role == "t" else -flow
+
+
+def _r0_site_error(c: Comte, ei: int, p: str) -> str | None:
+    """Why arrow ``ei`` and vertex ``p`` are not an R0 site, or None when
+    they are."""
+    a = c.graph.arrows[ei]
+    if (a.source == p) + (a.target == p) != 1 or a.label == p:
+        return "R0: arrow is not a pendant arrow at the vertex"
+    if any(x.label == p for x in c.graph.arrows):
+        return "R0: vertex labels an arrow"
+    if any(j != ei and p in (x.source, x.target) for j, x in enumerate(c.graph.arrows)):
+        return "R0: vertex has valence > 1"
+    if c.flows[ei] != 0:
+        return "R0: pendant arrow flow is nonzero"
+    return None
+
+
+def _r1_kind(a: Arrow) -> str | None:
+    """The R1 move that removes ``a``, if any: a self-labeled loop is
+    deleted, an arrow between two vertices labeled by one of them is
+    contracted."""
+    if a.source == a.target == a.label:
+        return "R1loopdel"
+    if a.source != a.target and a.label in (a.source, a.target):
+        return "R1contract"
+    return None
+
+
+# The R2 roles of the module docstring: merge role -> (merge kind, split
+# kind, shared end).
+_R2 = {"t": ("R2a", "R2a_split", "s"), "s": ("R2b", "R2b_split", "t")}
+
+
 def _split_off(c: Comte, v: str, moved, kind: str) -> tuple[str, list[Arrow]]:
     """A fresh vertex and the arrows of ``c`` with the ``moved`` slots, each
     of which must be at ``v``, sent to it.  An error names the least
@@ -218,16 +268,9 @@ def _apply_r0(c: Comte, m: MoveInstance) -> ApplyResult:
     (p,) = m.vertices
     a = _check_arrow(c, ei)
     _check_vertex(c, p)
-    roles_at_p = (a.source == p) + (a.target == p)
-    if roles_at_p != 1 or a.label == p:
-        raise MoveError("R0: arrow is not a pendant arrow at the vertex")
-    if any(x.label == p for x in c.graph.arrows):
-        raise MoveError("R0: vertex labels an arrow")
-    for j, x in enumerate(c.graph.arrows):
-        if j != ei and (x.source == p or x.target == p):
-            raise MoveError("R0: vertex has valence > 1")
-    if c.flows[ei] != 0:
-        raise MoveError("R0: pendant arrow flow is nonzero")
+    error = _r0_site_error(c, ei, p)
+    if error:
+        raise MoveError(error)
     attach = a.target if a.source == p else a.source
     verts = tuple(v for v in c.graph.vertices if v != p)
     vmap = {v: (None if v == p else v) for v in c.graph.vertices}
@@ -261,7 +304,7 @@ def _apply_r0inv(c: Comte, m: MoveInstance) -> ApplyResult:
 def _apply_r1contract(c: Comte, m: MoveInstance) -> ApplyResult:
     (ei,) = m.arrows
     a = _check_arrow(c, ei)
-    if a.source == a.target or a.label not in (a.source, a.target):
+    if _r1_kind(a) != "R1contract":
         raise MoveError("R1: arrow is not contractible")
     q, vmap = quotient(c.graph, [(a.source, a.target)])
     kept = vmap[a.source]
@@ -283,14 +326,12 @@ def _apply_r1split(c: Comte, m: MoveInstance) -> ApplyResult:
     _check_vertex(c, v)
     direction, label_half = m.flags
     w, arrows = _split_off(c, v, m.moved, "R1split")
-    moved_out = sum(c.flows[j] for j, role in m.moved if role == "s")
-    moved_in = sum(c.flows[j] for j, role in m.moved if role == "t")
+    flow = _moved_flow(c, m.moved)
     if direction == "old_new":
         new = Arrow(v, w, v if label_half == "old" else w)
-        flow = moved_out - moved_in
     elif direction == "new_old":
         new = Arrow(w, v, v if label_half == "old" else w)
-        flow = moved_in - moved_out
+        flow = -flow
     else:
         raise MoveError(f"R1split: bad direction flag {direction!r}")
     g = SelfIndexedGraph(c.graph.vertices + (w,), tuple(arrows) + (new,))
@@ -302,7 +343,7 @@ def _apply_r1split(c: Comte, m: MoveInstance) -> ApplyResult:
 def _apply_r1loopdel(c: Comte, m: MoveInstance) -> ApplyResult:
     (ei,) = m.arrows
     a = _check_arrow(c, ei)
-    if not (a.source == a.target == a.label):
+    if _r1_kind(a) != "R1loopdel":
         raise MoveError("R1: arrow is not a self-labeled loop")
     out = _drop_arrow(c.graph, c.flows, ei)
     inverse = MoveInstance("R1loopadd", vertices=(a.source,), params=(c.flows[ei],))
@@ -325,45 +366,24 @@ def _apply_r2(c: Comte, m: MoveInstance, merge_role: str) -> ApplyResult:
     a2 = _check_arrow(c, e2)
     if e1 == e2:
         raise MoveError("R2: arrows must be distinct")
-    same_role = "s" if merge_role == "t" else "t"
-    if _slot(a1, same_role) != _slot(a2, same_role) or a1.label != a2.label:
+    _, split_kind, shared = _R2[merge_role]
+    if _slot(a1, shared) != _slot(a2, shared) or a1.label != a2.label:
         raise MoveError("R2: arrows do not share the required source/target and label")
     m1, m2 = _slot(a1, merge_role), _slot(a2, merge_role)
     q, vmap = quotient(c.graph, [(m1, m2)])
-    arrows = []
-    flows = []
-    for j, x in enumerate(q.arrows):
-        if j == e2:
-            continue
-        f = c.flows[j]
-        if j == e1:
-            f += c.flows[e2]
-        arrows.append(x)
-        flows.append(f)
-    out = Comte(SelfIndexedGraph(q.vertices, tuple(arrows)), tuple(flows))
-    kept = vmap[m1]
-    e1n = e1 - (e1 > e2)
+    flows = list(c.flows)
+    flows[e1] += flows[e2]
+    out = _drop_arrow(q, tuple(flows), e2)
+    params = (c.flows[e1], c.flows[e2])
     if m1 == m2:
-        inverse = MoveInstance(
-            f"R2{'a' if merge_role == 't' else 'b'}_split",
-            arrows=(e1n,),
-            params=(c.flows[e1], c.flows[e2]),
-            flags=("parallel",),
-        )
-        return ApplyResult(out, dict(vmap), inverse)
-    vanished = m1 if kept != m1 else m2
-    if vanished == m2:
-        params = (c.flows[e1], c.flows[e2])
+        moved, flavor = frozenset(), "parallel"
     else:
-        params = (c.flows[e2], c.flows[e1])
-    inverse = MoveInstance(
-        f"R2{'a' if merge_role == 't' else 'b'}_split",
-        arrows=(e1n,),
-        params=params,
+        vanished = m2 if vmap[m1] == m1 else m1
+        if vanished == m1:
+            params = params[::-1]
         # the merged slot of e1 is handled structurally by the split
-        moved=_slots_after_drop(c.graph, vanished, e2, skip=(e1, merge_role)),
-        flags=("fresh",),
-    )
+        moved, flavor = _slots_after_drop(c.graph, vanished, e2, skip=(e1, merge_role)), "fresh"
+    inverse = MoveInstance(split_kind, arrows=(e1 - (e1 > e2),), params=params, moved=moved, flags=(flavor,))
     return ApplyResult(out, dict(vmap), inverse)
 
 
@@ -380,18 +400,17 @@ def _apply_r2_split(c: Comte, m: MoveInstance, merge_role: str) -> ApplyResult:
             raise MoveError("R2 split: parallel flavor moves no slots")
         out = Comte(SelfIndexedGraph(c.graph.vertices, c.graph.arrows + (a,)), flows)
     elif flavor == "fresh":
-        mvert = _slot(a, merge_role)
         if (ei, merge_role) in m.moved:
             raise MoveError("R2 split: the split slot cannot be moved")
-        # the split slot stays at mvert on ei and is w on the new arrow
-        w, arrows = _split_off(c, mvert, m.moved, "R2 split")
+        # the split slot stays where it is on ei and is w on the new arrow
+        w, arrows = _split_off(c, _slot(a, merge_role), m.moved, "R2 split")
+        if i2 != _r2_split_flow(c, m.moved, merge_role):
+            raise MoveError("R2 split: flow split violates conservation")
         g = SelfIndexedGraph(c.graph.vertices + (w,), (*arrows, _with_slot(arrows[ei], merge_role, w)))
         out = Comte(g, flows)
-        if validate(out).conservation:
-            raise MoveError("R2 split: flow split violates conservation")
     else:
         raise MoveError(f"R2 split: bad flavor {flavor!r}")
-    inverse = MoveInstance("R2a" if merge_role == "t" else "R2b", arrows=(ei, len(c.graph.arrows)))
+    inverse = MoveInstance(_R2[merge_role][0], arrows=(ei, len(c.graph.arrows)))
     return ApplyResult(out, _identity_vmap(c.graph), inverse)
 
 
@@ -447,10 +466,8 @@ _APPLY = {
     "R1split": _apply_r1split,
     "R1loopdel": _apply_r1loopdel,
     "R1loopadd": _apply_r1loopadd,
-    "R2a": lambda c, m: _apply_r2(c, m, "t"),
-    "R2b": lambda c, m: _apply_r2(c, m, "s"),
-    "R2a_split": lambda c, m: _apply_r2_split(c, m, "t"),
-    "R2b_split": lambda c, m: _apply_r2_split(c, m, "s"),
+    **{kind: partial(_apply_r2, merge_role=role) for role, (kind, _, _) in _R2.items()},
+    **{split_kind: partial(_apply_r2_split, merge_role=role) for role, (_, split_kind, _) in _R2.items()},
     "R3a_remove": _apply_r3a_remove,
     "R3a_add": _apply_r3a_add,
     "R3b_shift": _apply_r3b,
@@ -525,36 +542,22 @@ def enumerate_moves(c: Comte, budget: SearchBudget = SearchBudget()) -> list[Mov
     """
     g = c.graph
     out: list[MoveInstance] = []
-    labels_used = {a.label for a in g.arrows}
-    # R0
+    # R0: the one arrow at p, if it is a site
     for p in g.vertices:
-        if p in labels_used:
-            continue
-        slots = [
-            (i, a) for i, a in enumerate(g.arrows) if a.source == p or a.target == p
-        ]
-        if len(slots) != 1:
-            continue
-        i, a = slots[0]
-        if a.source == p and a.target == p:
-            continue
-        if c.flows[i] != 0:
-            continue
-        out.append(MoveInstance("R0", arrows=(i,), vertices=(p,)))
+        i = next((i for i, a in enumerate(g.arrows) if p in (a.source, a.target)), None)
+        if i is not None and _r0_site_error(c, i, p) is None:
+            out.append(MoveInstance("R0", arrows=(i,), vertices=(p,)))
     # R1
     for i, a in enumerate(g.arrows):
-        if a.source == a.target == a.label:
-            out.append(MoveInstance("R1loopdel", arrows=(i,)))
-        elif a.source != a.target and a.label in (a.source, a.target):
-            out.append(MoveInstance("R1contract", arrows=(i,)))
-    # R2
-    groups_a: dict[tuple[str, str], list[int]] = {}
-    groups_b: dict[tuple[str, str], list[int]] = {}
-    for i, a in enumerate(g.arrows):
-        groups_a.setdefault((a.source, a.label), []).append(i)
-        groups_b.setdefault((a.target, a.label), []).append(i)
-    for grp, kind in ((groups_a, "R2a"), (groups_b, "R2b")):
-        for idxs in grp.values():
+        kind = _r1_kind(a)
+        if kind:
+            out.append(MoveInstance(kind, arrows=(i,)))
+    # R2: arrows grouped by shared end and label
+    for kind, _, shared in _R2.values():
+        groups: dict[tuple[str, str], list[int]] = {}
+        for i, a in enumerate(g.arrows):
+            groups.setdefault((_slot(a, shared), a.label), []).append(i)
+        for idxs in groups.values():
             for e1, e2 in combinations(idxs, 2):
                 out.append(MoveInstance(kind, arrows=(e1, e2)))
     # R3: a square found again on another witness adds nothing
@@ -573,10 +576,14 @@ def enumerate_moves(c: Comte, budget: SearchBudget = SearchBudget()) -> list[Mov
     return out
 
 
-def _subsets(items):
-    n = len(items)
-    for mask in range(1 << n):
-        yield frozenset(items[k] for k in range(n) if mask >> k & 1)
+def _split_sets(g: SelfIndexedGraph, v: str, budget: SearchBudget, keep=None):
+    """The slot sets that a split of ``v`` may move: every subset of the
+    slots at ``v`` other than ``keep``, or none when there are more than
+    ``budget.max_split_slots`` of them."""
+    slots = [s for s in _incident_slots(g, v) if s != keep]
+    if len(slots) <= budget.max_split_slots:
+        for mask in range(1 << len(slots)):
+            yield frozenset(s for k, s in enumerate(slots) if mask >> k & 1)
 
 
 def inverse_instances(
@@ -593,7 +600,7 @@ def inverse_instances(
     the vertex-adding instances (R0inv, R1split, fresh splits) and keeps the
     order of the rest.
     """
-    flow_lo, flow_hi, max_split_slots = budget.flow_lo, budget.flow_hi, budget.max_split_slots
+    flow_lo, flow_hi = budget.flow_lo, budget.flow_hi
     g = c.graph
     out: list[MoveInstance] = []
     # the vertices a vertex-adding instance (R0inv, R1split) may start from
@@ -609,55 +616,26 @@ def inverse_instances(
             out.append(MoveInstance("R1loopadd", vertices=(v,), params=(j,)))
     # inverse R1 (contraction): split a vertex
     for v in growing:
-        slots = _incident_slots(g, v)
-        if len(slots) > max_split_slots:
-            continue
-        for moved in _subsets(slots):
+        for moved in _split_sets(g, v, budget):
             for direction in ("old_new", "new_old"):
                 for label_half in ("old", "new"):
-                    out.append(
-                        MoveInstance(
-                            "R1split",
-                            vertices=(v,),
-                            moved=moved,
-                            flags=(direction, label_half),
-                        )
-                    )
+                    out.append(MoveInstance("R1split", vertices=(v,), moved=moved, flags=(direction, label_half)))
     # inverse R2: split one arrow into two
     for ei, a in enumerate(g.arrows):
         flow = c.flows[ei]
         for i1 in range(flow_lo, flow_hi + 1):
             i2 = flow - i1
             if flow_lo <= i2 <= flow_hi:
-                for kind in ("R2a_split", "R2b_split"):
-                    out.append(
-                        MoveInstance(kind, arrows=(ei,), params=(i1, i2), flags=("parallel",))
-                    )
+                for _, kind, _ in _R2.values():
+                    out.append(MoveInstance(kind, arrows=(ei,), params=(i1, i2), flags=("parallel",)))
         if not new_vertices:
             continue  # a fresh split adds a vertex
-        for kind, merge_role in (("R2a_split", "t"), ("R2b_split", "s")):
-            mvert = _slot(a, merge_role)
-            slots = [s for s in _incident_slots(g, mvert) if s != (ei, merge_role)]
-            if len(slots) > max_split_slots:
-                continue
-            for moved in _subsets(slots):
-                moved_out = sum(c.flows[j] for j, r in moved if r == "s" and j != ei)
-                moved_in = sum(c.flows[j] for j, r in moved if r == "t" and j != ei)
-                if merge_role == "t":
-                    i2 = moved_out - moved_in + (flow if (ei, "s") in moved else 0)
-                else:
-                    i2 = moved_in - moved_out + (flow if (ei, "t") in moved else 0)
+        for merge_role, (_, kind, _) in _R2.items():
+            for moved in _split_sets(g, _slot(a, merge_role), budget, keep=(ei, merge_role)):
+                i2 = _r2_split_flow(c, moved, merge_role)
                 i1 = flow - i2
                 if flow_lo <= i1 <= flow_hi and flow_lo <= i2 <= flow_hi:
-                    out.append(
-                        MoveInstance(
-                            kind,
-                            arrows=(ei,),
-                            params=(i1, i2),
-                            moved=moved,
-                            flags=("fresh",),
-                        )
-                    )
+                    out.append(MoveInstance(kind, arrows=(ei,), params=(i1, i2), moved=moved, flags=("fresh",)))
     # inverse R3a: insert the missing fourth side, flow 0; the same three
     # sides with a differently labeled new side make a different instance
     seen = set()

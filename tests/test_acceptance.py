@@ -4,6 +4,8 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the pass/fail lines,
 or ``comtes paper-suite`` for the same checks from the command line.
 """
 
+import pytest
+
 from comtes import acceptance
 
 
@@ -85,3 +87,16 @@ def test_criterion_8g_reidemeister():
     ok, msg = acceptance.suite_8g_reidemeister()
     print("\n[%s] 8g %s" % ("PASS" if ok else "FAIL", msg))
     assert ok, msg
+
+
+@pytest.mark.parametrize("only", [{"9"}, {"6", "x"}])
+def test_unknown_criterion_id_rejected_before_any_run(monkeypatch, only):
+    ran = []
+
+    def criterion_6_spy():
+        ran.append(6)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [criterion_6_spy])
+    with pytest.raises(ValueError, match="unknown criterion id"):
+        acceptance.run_all(only=only)
+    assert not ran

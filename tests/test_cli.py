@@ -280,6 +280,30 @@ class TestMovesCommand:
         run(capsys, "moves", "search", "--comte", str(p), "--target", str(p), "--max-split-slots", "3")
         assert budgets[0].max_split_slots == 3
 
+    @pytest.mark.parametrize("action", ["enumerate", "apply", "search"])
+    def test_non_conserved_flows_rejected(self, capsys, tmp_path, action):
+        # a -> b with flow 1 conserves at neither end; the move rules hold
+        # only on comtes, so each action reports the validate failure
+        bad, good = tmp_path / "bad.json", tmp_path / "t.json"
+        bad.write_text(encode(comte("a b", [("a", "b", "a", 1)])))
+        good.write_text(encode(TREFOIL))
+        code, out, err = run(capsys, "moves", action, "--comte", str(bad), "--target", str(good), "--inverse")
+        assert code == 1 and out == "" and "not a valid comte" in err and "outgoing 1 != incoming 0" in err
+        if action == "search":
+            code, out, err = run(capsys, "moves", action, "--comte", str(good), "--target", str(bad))
+            assert code == 1 and out == "" and "not a valid comte" in err
+
+    def test_ignore_flows_accepts_non_conserved_flows(self, capsys, tmp_path):
+        # bare-graph mode zeroes the flows, so the run is that on the graph
+        bad = comte("a b", [("a", "b", "a", 1), ("b", "b", "a", 2)])
+        p, q = tmp_path / "bad.json", tmp_path / "bare.json"
+        p.write_text(encode(bad))
+        q.write_text(encode(bad.graph))
+        for action in ("enumerate", "apply"):
+            argv = ("moves", action, "--inverse", "--ignore-flows", "--index", "2")
+            code, out, _ = run(capsys, *argv, "--comte", str(p))
+            assert code == 0 and out and (code, out) == run(capsys, *argv, "--comte", str(q))[:2]
+
     def test_apply_with_no_instances(self, capsys, tmp_path):
         p = tmp_path / "dot.json"
         p.write_text(encode(comte("a", [])))
@@ -385,6 +409,14 @@ class TestPaperSuiteCommand:
         assert code == 0
         assert out.count("[PASS]") == 3
         assert "3/3 criteria passed" in out
+
+    @pytest.mark.parametrize("only, named", [("9", "'9'"), ("6,x", "'x'")])
+    def test_unknown_id_exits_2(self, capsys, only, named):
+        with pytest.raises(SystemExit) as exc:
+            main(["paper-suite", "--only", only])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"unknown criterion id(s): {named}" in out.err
 
 
 class TestStateSumHardening:

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 import tracemalloc
 from math import gcd, prod
@@ -141,19 +142,52 @@ class TestHomEnumeration:
         homs = enumerate_homs(4, graph_of_rack(tetrahedron_quandle()))
         assert len(homs) == 256 and len(calls) == 1
 
-    def test_new_relations_match_the_bitmask_formula(self):
-        def formula(n):
-            out = []
-            for t in range(1, 1 << n):
-                for d in range(t.bit_length() - 1):
-                    dbit = 1 << d
-                    if not t & dbit and (t | dbit) & 1:
-                        out.append(((t & (dbit - 1)) | dbit, t, t | dbit))
-            return tuple(out)
-
+    def test_cube_relations_are_the_arrows_of_the_cube(self):
+        # the code's bitmask relations against the word-built Y_m
         homology_module = importlib.import_module("comtes.homology")
-        for n in range(9):
-            assert homology_module._new_relations(n) == formula(n), n
+        for m in range(9):
+            cube = build_Yn(m)
+            words = []
+            for (src, d), lab in zip(cube.arrow_data, cube.arrow_words):
+                t = sum(1 << (k - 1) for k in src)
+                words.append((sum(1 << (k - 1) for k in lab), t, t | 1 << (d - 1)))
+            assert homology_module._cube_relations(m) == tuple(sorted(words, key=lambda r: r[1:])), m
+
+    def test_tuple_bases_match_a_brute_force_over_all_relations(self):
+        # every tuple is tried, and every relation of Y_n is checked on its
+        # full F table, F(S) = a_min(S) . F(S - min(S))
+        homology_module = importlib.import_module("comtes.homology")
+
+        def brute(dot, n, q_quotient):
+            relations = [
+                (sum(1 << (k - 1) for k in lab), sum(1 << (k - 1) for k in src), sum(1 << (k - 1) for k in src) | 1 << (d - 1))
+                for (src, d), lab in zip(build_Yn(n).arrow_data, build_Yn(n).arrow_words)
+            ]
+            tables = []
+            for t in itertools.product(range(len(dot)), repeat=n):
+                if q_quotient and any(t[i] == t[i + 1] for i in range(n - 1)):
+                    continue
+                f = [0] * (1 << n)
+                for mask in range(1, 1 << n):
+                    low = (mask & -mask).bit_length() - 1
+                    rest = mask & (mask - 1)
+                    f[mask] = t[low] if not rest else dot[t[low]][f[rest]] if f[rest] != -1 else -1
+                if -1 not in f[1:] and all(dot[f[lam]][f[s]] == f[td] for lam, s, td in relations):
+                    tables.append(f)
+            return tables
+
+        rng = random.Random(29)
+        injections = partial_injections(3)
+        cases = [(graph_from_injections([rng.choice(injections) for _ in range(3)]), False) for _ in range(40)]
+        for x in (dihedral_quandle(3), dihedral_quandle(5), tetrahedron_quandle()):
+            cases += [(graph_of_rack(x), False), (graph_of_rack(x), True)]
+        for g, q in cases:
+            dot = dot_table(g)
+            for top in range(6):
+                bases, tables = homology_module._tuple_bases(dot, top, q)
+                expect = brute(dot, top, q)
+                assert tables == expect, (g, top, q)
+                assert bases[top] == [tuple(f[1 << k] for k in range(top)) for f in expect], (g, top, q)
 
 
 class TestBoundary:

@@ -1,12 +1,13 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from comtes.homology import boundary_matrix
 from comtes.linalg import (
     SNFResult,
+    _divisibility_chain,
     _eliminate,
     integer_kernel_basis,
     image_size_mod,
@@ -103,6 +104,34 @@ def test_divisibility_chain():
         fs = smith_normal_form(sparse(m)).factors
         for i in range(len(fs) - 1):
             assert fs[i + 1] % fs[i] == 0
+
+
+def fixpoint_divisibility_chain(ds):
+    """The gcd/lcm fixpoint loop, repeated over sorted entries until no
+    pair changes."""
+    ds = sorted(abs(d) for d in ds)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                if ds[j] % ds[i] != 0:
+                    g = gcd(ds[i], ds[j])
+                    ds[i], ds[j] = g, ds[i] * ds[j] // g
+                    changed = True
+        ds.sort()
+    return tuple(ds)
+
+
+def test_one_pass_divisibility_chain_matches_the_fixpoint_loop():
+    # entries are products of repeated small prime powers, with signs and
+    # units, so that many pairs need a gcd/lcm swap
+    rng = random.Random(41)
+    pool = [1, -1, 2, 4, 8, 3, 9, 27, 5, 25, 7]
+    for _ in range(3000):
+        ds = [prod(rng.choice(pool) for _ in range(rng.randrange(1, 4))) for _ in range(rng.randrange(0, 8))]
+        assert _divisibility_chain(ds) == fixpoint_divisibility_chain(ds), ds
+    assert _divisibility_chain([-12, 18, 1, -1, 8]) == (1, 1, 2, 12, 72)
 
 
 def test_factors_match_minor_gcd_oracle():

@@ -243,6 +243,27 @@ class TestRandomizedBattery:
                 checked += 1
         assert checked >= 1000
 
+    def test_fresh_split_flows_are_forced_by_conservation(self, make_comte):
+        # of all flow splits I1 + I2 = I of a fresh R2 split, exactly the one
+        # that conservation forces applies, and its result is a comte
+        budget = SearchBudget(flow_lo=-6, flow_hi=6, max_split_slots=5)
+        checked = 0
+        for _ in range(80):
+            c = make_comte(nmax=4, amax=5)
+            for m in inverse_instances(c, budget):
+                if m.flags != ("fresh",):
+                    continue
+                flow = c.flows[m.arrows[0]]
+                for i1 in range(-8, 9):
+                    other = dataclasses.replace(m, params=(i1, flow - i1))
+                    if other.params == m.params:
+                        assert validate(apply_move(c, other)).ok, (c, other)
+                        checked += 1
+                    else:
+                        with pytest.raises(MoveError, match="violates conservation"):
+                            apply_move(c, other)
+        assert checked >= 200
+
     def test_random_move_walk_stays_valid(self, rng):
         # a long walk of mixed forward/inverse moves never breaks conservation
         c = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)])

@@ -1,5 +1,5 @@
 """Every top-level import in the package and in its tests is used by its
-module."""
+module, and every module-level private name of the package is used in it."""
 
 import ast
 from pathlib import Path
@@ -27,3 +27,45 @@ def test_no_unused_top_level_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.parent.name}/{path.name}:{line}: {name}" for line, name in _imported_names(tree) if name not in used]
     assert not unused, unused
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node, name
+
+
+def _referenced_name(node):
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_no_orphaned_private_helper():
+    # a module-level private function, class or assignment of the package
+    # is referenced somewhere in the package outside its own definition
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in sorted((ROOT / "src" / "comtes").glob("*.py"))}
+    assert trees
+    references = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            references.setdefault(_referenced_name(node), []).append(node)
+    orphans = []
+    for path, tree in trees.items():
+        for definition, name in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(id(node) in inside for node in references.get(name, ())):
+                orphans.append(f"{path.name}:{definition.lineno}: {name}")
+    assert not orphans, orphans
