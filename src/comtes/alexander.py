@@ -9,26 +9,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import SelfIndexedGraph, component_index, components
+from .core import SelfIndexedGraph, component_index
 from .laurent import Laurent, MultiLaurent, divexact, laurent_gcd
 
 
 def relation_matrix(g: SelfIndexedGraph) -> list[list[Laurent]]:
-    """One row per arrow, one column per vertex (in vertex order).
-
-    An arrow b --a--> c contributes t at b, -1 at c and 1-t at a; entries
-    accumulate when those vertices coincide.
-    """
-    idx = g.vertex_index()
-    n = len(g.vertices)
-    rows = []
-    for a in g.arrows:
-        row = [Laurent.zero()] * n
-        row[idx[a.source]] = row[idx[a.source]] + Laurent.t()
-        row[idx[a.target]] = row[idx[a.target]] + Laurent.const(-1)
-        row[idx[a.label]] = row[idx[a.label]] + (Laurent.one() - Laurent.t())
-        rows.append(row)
-    return rows
+    """One row per arrow, one column per vertex (in vertex order): the
+    specialization t_k := t of ``multivariable_relation_matrix``."""
+    return [[p.specialize() for p in row] for row in multivariable_relation_matrix(g)]
 
 
 def _det(matrix: list[list[Laurent]]) -> Laurent:
@@ -140,22 +128,20 @@ def multivariable_relation_matrix(g: SelfIndexedGraph) -> list[list[MultiLaurent
     """Relation matrix over Z[t_1^+-, ..., t_n^+-], n = number of components.
 
     An arrow b --a--> c, with the label a in component i and the source and
-    target in component j, contributes t_i at b, -1 at c and 1 - t_j at a,
-    so that it specializes (all t_k := t) to the one-variable matrix.
+    target in component j, contributes t_i at b, -1 at c and 1 - t_j at a;
+    entries accumulate when those vertices coincide.
     """
-    comps = components(g)
     cidx = component_index(g)
-    n = len(comps)
+    n = len(set(cidx.values()))
     vidx = g.vertex_index()
-    nv = len(g.vertices)
     rows = []
     for a in g.arrows:
-        i = cidx[a.label]
-        j = cidx[a.source]
-        row = [MultiLaurent.zero(n)] * nv
-        row[vidx[a.source]] = row[vidx[a.source]] + MultiLaurent.var(n, i)
-        row[vidx[a.target]] = row[vidx[a.target]] + MultiLaurent.const(n, -1)
-        lab = MultiLaurent.const(n, 1) - MultiLaurent.var(n, j)
-        row[vidx[a.label]] = row[vidx[a.label]] + lab
+        row = [MultiLaurent.zero(n)] * len(g.vertices)
+        for v, entry in (
+            (a.source, MultiLaurent.var(n, cidx[a.label])),
+            (a.target, MultiLaurent.const(n, -1)),
+            (a.label, MultiLaurent.const(n, 1) - MultiLaurent.var(n, cidx[a.source])),
+        ):
+            row[vidx[v]] = row[vidx[v]] + entry
         rows.append(row)
     return rows

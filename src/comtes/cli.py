@@ -140,14 +140,11 @@ def cmd_statesum(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    c = _load_comte(args.file)
-    g = c.graph
-    kind = classify(g)
-    if kind == "general":
-        raise CommandError("homology needs an r-graph (or q-graph) input")
-    if args.q and kind != "q":
-        raise CommandError("the q-quotient needs a q-graph input")
-    hs = homology_range(g, args.max_degree, q_quotient=args.q)
+    g = _load_comte(args.file).graph
+    try:  # the homology module decides its own domain
+        hs = homology_range(g, args.max_degree, q_quotient=args.q)
+    except ValueError as e:
+        raise CommandError(str(e)) from None
     for n, h in enumerate(hs, start=1):
         print(f"H_{n} = {h.format()}")
     return 0
@@ -271,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--cocycle", required=True, help='"builtin" or a cocycle file')
     ss.set_defaults(fn=cmd_statesum)
 
-    hom = sub.add_parser("homology", help="cubical homology of an r-/q-graph")
+    hom = sub.add_parser("homology", help="cubical homology (no two arrows share label and source)")
     hom.add_argument("file")
     hom.add_argument("--max-degree", type=_non_negative_int, default=5)
     hom.add_argument("--q", action="store_true", help="use the quandle quotient complex")

@@ -191,6 +191,14 @@ class _UnionFind:
         if rx != ry:
             self.parent[ry] = rx
 
+    def classes(self) -> list[list]:
+        """The classes, each listing its members in item order, ordered by
+        their first member."""
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
+
 
 def components(g: SelfIndexedGraph) -> tuple[tuple[str, ...], ...]:
     """Partition of the vertices generated by source ~ target per arrow.
@@ -202,12 +210,7 @@ def components(g: SelfIndexedGraph) -> tuple[tuple[str, ...], ...]:
     uf = _UnionFind(g.vertices)
     for a in g.arrows:
         uf.union(a.source, a.target)
-    idx = g.vertex_index()
-    classes: dict[str, list[str]] = {}
-    for v in g.vertices:
-        classes.setdefault(uf.find(v), []).append(v)
-    comps = sorted(classes.values(), key=lambda c: idx[c[0]])
-    return tuple(tuple(c) for c in comps)
+    return tuple(tuple(c) for c in uf.classes())
 
 
 def component_index(g: SelfIndexedGraph) -> dict[str, int]:
@@ -232,16 +235,7 @@ def quotient(g: SelfIndexedGraph, pairs) -> tuple[SelfIndexedGraph, dict[str, st
     uf = _UnionFind(g.vertices)
     for x, y in pairs:
         uf.union(x, y)
-    idx = g.vertex_index()
-    rep: dict[str, str] = {}
-    members: dict[str, list[str]] = {}
-    for v in g.vertices:
-        members.setdefault(uf.find(v), []).append(v)
-    vmap = {}
-    for group in members.values():
-        r = min(group, key=lambda v: idx[v])
-        for v in group:
-            vmap[v] = r
+    vmap = {v: group[0] for group in uf.classes() for v in group}
     new_vertices = tuple(v for v in g.vertices if vmap[v] == v)
     new_arrows = tuple(Arrow(vmap[a.source], vmap[a.target], vmap[a.label]) for a in g.arrows)
     return SelfIndexedGraph(new_vertices, new_arrows), vmap

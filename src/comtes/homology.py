@@ -2,13 +2,16 @@
 
 The degree-n chain group of G is free abelian on the homomorphisms
 Y_n -> G, with boundary taken by alternating sums over the faces D_s^0,
-D_s^1.  For an r-graph target a homomorphism is determined by the images
-(a_1, ..., a_n) of the cube origins, and the boundary becomes
+D_s^1.  The homology routines take any G in which every arrow has a
+distinct (label, source) pair; this domain holds the r-graphs, which
+also need distinct (label, target) pairs, and a graph outside it raises
+``NotRGraphError``.  On this domain a homomorphism is determined by the
+images (a_1, ..., a_n) of the cube origins, and the boundary becomes
 
   d<a_1..a_n> = sum_s (-1)^s (<..drop a_s..> - <.., a_s.a_{s+1}, .., a_s.a_n>)
 
 where a.b is the target of the arrow with label a and source b.  The
-q-quotient (for q-graphs) kills tuples with equal adjacent entries.
+q-quotient needs a q-graph and kills tuples with equal adjacent entries.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ class NotRGraphError(ValueError):
 
 def dot_table(g: SelfIndexedGraph) -> list[list[int]]:
     """dot[label][source] = target vertex index, or -1 when there is no such
-    arrow.  Only r-graphs admit this table."""
+    arrow.  Only graphs of the module's domain admit this table."""
     idx = g.vertex_index()
     nv = len(g.vertices)
     dot = [[-1] * nv for _ in range(nv)]
@@ -106,7 +109,7 @@ def _tuple_bases(dot, top: int, q_quotient: bool):
 
 def hom_tuples(n: int, g: SelfIndexedGraph) -> list[tuple[int, ...]]:
     """Tuples (a_1..a_n) of vertex indices that define homomorphisms
-    Y_n -> g, for an r-graph g, in lexicographic order.  Degree n is built
+    Y_n -> g, in lexicographic order.  Degree n is built
     from degree n-1 by prepending a_1 and checking only the cube relations
     that involve element 1."""
     return _bases_of(g, n, False)[1][n]
@@ -117,7 +120,7 @@ def _degenerate(t: tuple[int, ...]) -> bool:
 
 
 def chain_basis(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> list[tuple[int, ...]]:
-    """Ordered basis of C_n (or C_n^Q) for an r-graph."""
+    """Ordered basis of C_n (or C_n^Q)."""
     return _bases_of(g, n, q_quotient)[1][n]
 
 
@@ -239,9 +242,9 @@ def homology(g: SelfIndexedGraph, n: int, q_quotient: bool = False) -> HomologyG
 
 def enumerate_homs(n: int, g: SelfIndexedGraph) -> list[GraphHomomorphism]:
     """All homomorphisms Y_n -> g in a deterministic order: read off the F
-    tables for r-graphs, in lexicographic order of the origin tuples (the
-    images of the Y_n vertices "1".."n"); a full constraint search
-    otherwise."""
+    tables on the module's domain, in lexicographic order of the origin
+    tuples (the images of the Y_n vertices "1".."n"); a full constraint
+    search otherwise."""
     cube = build_Yn(n)
     try:
         dot = dot_table(g)

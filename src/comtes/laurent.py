@@ -4,6 +4,10 @@ Values are dicts exponent -> coefficient with no zero entries; exponents
 may be negative.  Results that are only defined up to units (+- t^k) are
 normalized by ``unit_normalize``: zero valuation, positive leading
 coefficient.
+
+``divexact`` is long division that must be exact at every step.
+``laurent_gcd`` multiplies the integer gcd of the contents by the gcd of
+the primitive parts, which the primitive remainder sequence gives.
 """
 
 from __future__ import annotations
@@ -101,12 +105,6 @@ class Laurent:
     def evaluate_at_1(self) -> int:
         return sum(self.coeffs.values())
 
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs.values():
-            g = _int_gcd(g, abs(c))
-        return g
-
     def unit_normalize(self) -> "Laurent":
         """Canonical representative of the orbit under multiplication by
         +- t^k: valuation zero, positive leading coefficient; 0 maps to 0."""
@@ -145,36 +143,25 @@ def _from_poly(coeffs) -> Laurent:
     return Laurent({e: c for e, c in enumerate(coeffs)})
 
 
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Long division in Z[t]; only meaningful when each step divides."""
-    num = list(num)
-    dn = len(den) - 1
-    lc = den[-1]
-    if len(num) - 1 < dn:
-        return [0], num
-    quot = [0] * (len(num) - dn)
-    for k in range(len(num) - 1 - dn, -1, -1):
-        head = num[k + dn]
-        if head % lc != 0:
-            raise ArithmeticError("division is not exact")
-        q = head // lc
-        quot[k] = q
-        if q:
-            for i, d in enumerate(den):
-                num[k + i] -= q * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 def divexact(p: Laurent, d: Laurent) -> Laurent:
-    """Exact quotient p / d; raises ArithmeticError when d does not divide p."""
+    """Exact quotient p / d by long division; raises ArithmeticError as
+    soon as the leading coefficient of d does not divide a step's head
+    coefficient, or on a nonzero remainder."""
     if not d:
         raise ZeroDivisionError("division by zero polynomial")
     if not p:
         return Laurent()
-    quot, rem = _poly_divmod(_to_poly(p), _to_poly(d))
-    if any(rem):
+    num, den = _to_poly(p), _to_poly(d)
+    dn, lc = len(den) - 1, den[-1]
+    quot = [0] * (len(num) - dn)
+    for k in range(len(quot) - 1, -1, -1):
+        q, r = divmod(num[k + dn], lc)
+        if r:
+            raise ArithmeticError("division is not exact")
+        quot[k] = q
+        for i, c in enumerate(den):
+            num[k + i] -= q * c
+    if any(num):
         raise ArithmeticError("division is not exact")
     return _from_poly(quot).shift(p.valuation() - d.valuation())
 
@@ -211,60 +198,35 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _primitive(p: list[int]) -> list[int]:
-    g = 0
-    for c in p:
-        g = _int_gcd(g, abs(c))
-    if g == 0:
-        return [0]
-    out = [c // g for c in p]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return out
-
-
-def _subresultant_prim_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Gcd of two primitive nonzero polynomials via the subresultant
-    remainder sequence (keeps intermediate coefficients small without
-    rational arithmetic)."""
-    if len(a) - 1 < len(b) - 1:
-        a, b = b, a
-    g = h = 1
-    while True:
-        if len(b) - 1 == 0:
-            return [1]
-        delta = (len(a) - 1) - (len(b) - 1)
-        r = _prem(a, b)
-        if r == [0]:
-            return _primitive(b)
-        denom = g * h ** delta
-        a = b
-        b = []
-        for c in r:
-            q, rem = divmod(c, denom)
-            if rem:
-                raise ArithmeticError("subresultant division is not exact")
-            b.append(q)
-        g = a[-1]
-        if delta > 0:
-            h = g ** delta // h ** (delta - 1)
+def _primitive(p: list[int]) -> tuple[int, list[int]]:
+    """The content of p (the gcd of its coefficients) and its primitive
+    part, p over the content, with a positive leading coefficient;
+    (0, [0]) for zero."""
+    g = _int_gcd(*p)
+    if not g:
+        return 0, [0]
+    if p[-1] < 0:
+        g = -g
+    return abs(g), [c // g for c in p]
 
 
 def laurent_gcd(p: Laurent, q: Laurent) -> Laurent:
     """A greatest common divisor in Z[t, t^-1], unit-normalized.
 
-    Split each argument into integer content and primitive part (after
-    dividing out the t-valuation), take the integer gcd of contents and the
-    subresultant gcd of primitive parts, and recombine.
+    After the t-valuations are divided out, the gcd is the integer gcd of
+    the contents times the gcd of the primitive parts, which the primitive
+    remainder sequence gives: a, b <- b, pp(prem(a, b)) until b is zero
+    (Knuth, TAOCP Vol. 2, 4.6.1, Algorithm E).  When deg a < deg b the
+    first step only swaps them.
     """
     if not p:
         return q.unit_normalize()
     if not q:
         return p.unit_normalize()
-    pa, pb = _to_poly(p), _to_poly(q)
-    content = _int_gcd(p.content(), q.content())
-    prim = _subresultant_prim_gcd(_primitive(pa), _primitive(pb))
-    return (Laurent.const(content) * _from_poly(prim)).unit_normalize()
+    (ca, a), (cb, b) = _primitive(_to_poly(p)), _primitive(_to_poly(q))
+    while b != [0]:
+        a, b = b, _primitive(_prem(a, b))[1]
+    return (Laurent.const(_int_gcd(ca, cb)) * _from_poly(a)).unit_normalize()
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +242,11 @@ class MultiLaurent:
         cleaned = {}
         if coeffs:
             for exps, c in coeffs.items():
+                exps = tuple(exps)
+                if len(exps) != nvars:
+                    raise ValueError(f"exponent tuple {exps} does not have {nvars} entries")
                 if c:
-                    cleaned[tuple(exps)] = int(c)
+                    cleaned[exps] = int(c)
         self.coeffs = cleaned
 
     @staticmethod

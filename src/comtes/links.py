@@ -228,12 +228,10 @@ def comte_of_diagram(d: PlanarDiagram) -> Comte:
     uf = _UnionFind(range(1, n_edges + 1))
     for x in d.crossings:
         uf.union(x.b, x.d)
-    classes: dict[int, list[int]] = {}
-    for e in range(1, n_edges + 1):
-        classes.setdefault(uf.find(e), []).append(e)
+    classes = uf.classes()
     names = _arc_names()
     vertices = [next(names) for _ in classes]
-    arc_name = {e: v for v, members in zip(vertices, classes.values()) for e in members}
+    arc_name = {e: v for v, members in zip(vertices, classes) for e in members}
     arrows = []
     for x in d.crossings:
         s = _pd_sign(x, n_edges)

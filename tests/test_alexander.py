@@ -155,13 +155,19 @@ class TestMinorsGcd:
 
 
 class TestMultivariable:
-    def test_specializes_to_single_variable(self, make_comte):
-        for _ in range(60):
-            g = make_comte(nmax=4, amax=6).graph
-            mv = multivariable_relation_matrix(g)
-            single = relation_matrix(g)
-            for row_mv, row_s in zip(mv, single):
-                assert [p.specialize() for p in row_mv] == row_s
+    def test_specializes_to_single_variable(self):
+        """``relation_matrix`` is built as the specialization of the
+        multivariable matrix; check it against the one-variable rule itself:
+        t at the source, -1 at the target, 1-t at the label, accumulated."""
+        for g in _random_graphs(1919, 150):
+            idx = g.vertex_index()
+            want = []
+            for a in g.arrows:
+                row = [Laurent.zero()] * len(g.vertices)
+                for v, entry in ((a.source, T), (a.target, -ONE), (a.label, ONE - T)):
+                    row[idx[v]] = row[idx[v]] + entry
+                want.append(row)
+            assert relation_matrix(g) == want, g
 
     def test_three_component_transcription(self):
         g = graph("a b c d", [("a", "b", "c"), ("b", "a", "c")])

@@ -1,12 +1,18 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import comtes
 from comtes.acceptance import G2, G2G3_BUDGET, G3
 from comtes.cli import main
-from comtes.core import Comte, canonical_key, comte, decode, encode
-from comtes.links import comte_of_gauss, parse_gauss_code
+from comtes.core import Comte, canonical_key, classify, comte, decode, encode, graph
+from comtes.homology import homology_range
+from comtes.links import CORPUS, REIDEMEISTER_PAIRS, comte_of_gauss, parse_gauss_code
 from comtes.moves import SearchBudget, apply_move, enumerate_moves, inverse_instances
 
 TREFOIL = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)])
@@ -131,8 +137,6 @@ class TestColoringsAndStateSum:
 
 class TestHomologyCommand:
     def test_exhoc(self, capsys, tmp_path):
-        from comtes.core import graph
-
         exhoc = graph(
             "a b c",
             [("a", "a", "a"), ("b", "b", "b"), ("c", "c", "c"), ("b", "b", "a"),
@@ -143,6 +147,33 @@ class TestHomologyCommand:
         code, out, _ = run(capsys, "homology", str(p), "--max-degree", "5")
         assert code == 0
         assert out.splitlines() == ["H_1 = Z", "H_2 = Z^2", "H_3 = Z^4", "H_4 = Z^7", "H_5 = Z^11"]
+
+
+    def test_graph_with_distinct_label_source_pairs(self, capsys, tmp_path):
+        # two arrows labeled b end at c, so this is no r-graph, but no two
+        # arrows share (label, source): the homology domain
+        g = graph("a b c", [("a", "c", "b"), ("b", "c", "b"), ("c", "c", "c")])
+        assert classify(g) == "general"
+        p = tmp_path / "g.json"
+        p.write_text(encode(g))
+        code, out, _ = run(capsys, "homology", str(p), "--max-degree", "3")
+        assert code == 0
+        assert out.splitlines() == [f"H_{n} = {h.format()}" for n, h in enumerate(homology_range(g, 3), start=1)]
+        assert out.splitlines() == ["H_1 = Z", "H_2 = Z", "H_3 = Z"]
+
+    def test_shared_label_and_source_exits_1(self, capsys, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_text(encode(graph("a b c", [("a", "b", "c"), ("a", "c", "c")])))
+        code, out, err = run(capsys, "homology", str(p))
+        assert code == 1 and out == ""
+        assert "share source 'a' and label 'c'" in err
+
+    def test_quotient_of_a_non_q_graph_exits_1(self, capsys, tmp_path):
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        code, out, err = run(capsys, "homology", str(p), "--max-degree", "2", "--q")
+        assert code == 1 and out == ""
+        assert "needs a q-graph" in err
 
 
 class TestCensusCommand:
@@ -475,3 +506,36 @@ class TestStateSumHardening:
         fpath.write_text("A: 2\n0 1 2 -> 1\n")
         code, _, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
         assert code == 1 and "bad cocycle file" in err and "'0 1 2 -> 1'" in err and "unpack" not in err
+
+
+class TestHashSeedIndependence:
+    def test_stdout_is_the_same_under_two_hash_seeds(self, tmp_path):
+        """Identical invocations print identical bytes, whatever the string
+        hash seed of the process."""
+        docs = {"G2": G2, "trefoil": TREFOIL, "three": comte_of_gauss(parse_gauss_code(CORPUS[-1].gauss))}
+        pairs = {name: (before, after) for name, before, after in REIDEMEISTER_PAIRS}
+        for i, code in enumerate(pairs["r2"]):
+            docs[f"r2_{i}"] = comte_of_gauss(parse_gauss_code(code))
+        path = {}
+        for name, c in docs.items():
+            path[name] = tmp_path / f"{name}.json"
+            path[name].write_text(encode(c))
+        commands = [
+            ["moves", "enumerate", "--inverse", "--comte", path["G2"]],
+            ["moves", "search", "--comte", path["r2_0"], "--target", path["r2_1"]],
+            ["census", "--vertices", "2", "--class", "q", "--max-degree", "3", "--table"],
+            ["bracket", "--graph", path["trefoil"], "--semivirtual", "0,1,2"],
+            ["invariants", path["three"], "--delta-max", "2", "--presentations"],
+        ]
+        src = str(Path(comtes.__file__).resolve().parent.parent)
+        for argv in commands:
+            outs = []
+            for seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "comtes.cli", *map(str, argv)],
+                    env=env, capture_output=True, timeout=120,
+                )
+                assert proc.returncode == 0, (argv, proc.stderr)
+                outs.append(proc.stdout)
+            assert outs[0] == outs[1] and outs[0], argv

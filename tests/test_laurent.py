@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -59,7 +60,134 @@ class TestDivision:
             assert divexact(a * b, b) == a
 
 
+def _long_division_reference(p, d):
+    """The long division that ``divexact`` replaced: divide step by step
+    (raising at an inexact step), then reject a nonzero remainder."""
+    num = [p.coeffs.get(e, 0) for e in range(p.valuation(), p.degree() + 1)]
+    den = [d.coeffs.get(e, 0) for e in range(d.valuation(), d.degree() + 1)]
+    dn, lc = len(den) - 1, den[-1]
+    if len(num) - 1 < dn:
+        quot, rem = [0], num
+    else:
+        quot = [0] * (len(num) - dn)
+        for k in range(len(num) - 1 - dn, -1, -1):
+            head = num[k + dn]
+            if head % lc != 0:
+                raise ArithmeticError("division is not exact")
+            quot[k] = head // lc
+            for i, c in enumerate(den):
+                num[k + i] -= quot[k] * c
+        rem = num
+    if any(rem):
+        raise ArithmeticError("division is not exact")
+    return Laurent({e: c for e, c in enumerate(quot)}).shift(p.valuation() - d.valuation())
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ArithmeticError:
+        return ArithmeticError
+
+
+class TestDivisionDifferential:
+    def test_divexact_matches_the_long_division_reference(self):
+        rng = random.Random(19)
+        cases = [
+            (Laurent.const(6), Laurent.const(3)),
+            (Laurent.const(6), Laurent.const(4)),
+            (Laurent({-3: 2, -1: 4}), Laurent({-5: 2})),
+            (Laurent({-2: 1}), T - ONE),
+            (T * T * T - ONE, T * T - ONE),
+        ]
+        for _ in range(3000):
+            d = rand_poly(rng) or ONE
+            a = rand_poly(rng)
+            # exact cases: products, with a small perturbation some of the time
+            p = a * d if rng.random() < 0.6 else a
+            if rng.random() < 0.2:
+                p = p + Laurent.t(rng.randrange(-4, 5), rng.choice((-1, 1)))
+            cases.append((p, d))
+        raised = exact = 0
+        for p, d in cases:
+            got = _outcome(divexact, p, d)
+            want = _outcome(_long_division_reference, p, d) if p else Laurent.zero()
+            assert got == want, (p, d)
+            raised += got is ArithmeticError
+            exact += got is not ArithmeticError
+        assert raised > 500 and exact > 500
+
+    def test_zero_and_division_by_zero(self):
+        assert divexact(Laurent.zero(), T - ONE) == Laurent.zero()
+        with pytest.raises(ZeroDivisionError):
+            divexact(T, Laurent.zero())
+        with pytest.raises(ArithmeticError):
+            divexact(ONE, T - ONE)  # degree too small: nonzero remainder
+
+
+def _subresultant_gcd_reference(p, q):
+    """The subresultant gcd that ``laurent_gcd`` replaced: integer gcd of
+    the contents times the subresultant-sequence gcd of the primitive parts."""
+
+    def poly(x):
+        return [x.coeffs.get(e, 0) for e in range(x.valuation(), x.degree() + 1)]
+
+    def primitive(a):
+        g = 0
+        for c in a:
+            g = math.gcd(g, abs(c))
+        out = [c // g for c in a]
+        return [-c for c in out] if out[-1] < 0 else out
+
+    def prem(a, b):
+        db, lc, r = len(b) - 1, b[-1], list(a)
+        for e in range(len(a) - 1 - db, -1, -1):
+            head = r[e + db]
+            r = [lc * c for c in r]
+            for i, c in enumerate(b):
+                r[e + i] -= head * c
+        while len(r) > 1 and r[-1] == 0:
+            r.pop()
+        return r
+
+    if not p:
+        return q.unit_normalize()
+    if not q:
+        return p.unit_normalize()
+    a, b = primitive(poly(p)), primitive(poly(q))
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = prem(a, b)
+        if r == [0]:
+            break
+        denom = g * h**delta
+        assert all(c % denom == 0 for c in r)
+        a, b = b, [c // denom for c in r]
+        g = a[-1]
+        if delta > 0:
+            h = g**delta // h ** (delta - 1)
+    else:
+        b = [1]
+    content = math.gcd(math.gcd(*p.coeffs.values()), math.gcd(*q.coeffs.values()))
+    return (Laurent.const(content) * Laurent({e: c for e, c in enumerate(primitive(b))})).unit_normalize()
+
+
 class TestGcd:
+    def test_matches_the_subresultant_reference(self):
+        rng = random.Random(1919)
+        shared = 0
+        for k in range(6000):
+            a, b = rand_poly(rng, 5), rand_poly(rng, 5)
+            if k % 2:
+                common = rand_poly(rng, 4)
+                a, b = a * common, b * common
+                shared += bool(common)
+            assert laurent_gcd(a, b) == _subresultant_gcd_reference(a, b), (a, b)
+        assert shared > 2000
+
     def test_examples(self):
         assert laurent_gcd(T * T - T, T - ONE) == T - ONE
         assert laurent_gcd(Laurent({1: 2}), Laurent({3: 3})) == ONE
@@ -98,6 +226,13 @@ class TestMultiLaurent:
     def test_str(self):
         p = MultiLaurent.var(2, 0) + MultiLaurent.const(2, -1)
         assert str(p) == "-1 + t1"
+
+    def test_exponent_tuples_must_have_one_entry_per_variable(self):
+        with pytest.raises(ValueError, match="2 entries"):
+            MultiLaurent(2, {(1,): 1})
+        with pytest.raises(ValueError):
+            MultiLaurent(1, {(0, 0): 0})
+        assert MultiLaurent(2, {(1, 0): 1}) == MultiLaurent.var(2, 0)
 
     def test_add_neg(self):
         p = MultiLaurent.var(2, 1)
