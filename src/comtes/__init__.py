@@ -74,14 +74,13 @@ from .racks import (
     tetrahedron_quandle,
     trivial_quandle,
 )
-from .coloring import Chain, Cochain, colorings, graph_homomorphisms, phi_invariant, state_sum
+from .coloring import Chain, Cochain, colorings, flow_to_cycle, graph_homomorphisms, phi_invariant, state_sum
 from .cubes import build_Yn, face_map
 from .homology import (
     HomologyGroup,
     boundary_matrix,
     chain_basis,
     enumerate_homs,
-    flow_to_cycle,
     homology,
     homology_range,
     q2_cocycles,

@@ -1,10 +1,15 @@
-"""Colorings, graph homomorphisms, and the cocycle state sums.
+"""Colorings, graph homomorphisms, the chain layer and the state sums.
 
 A coloring of a self-indexed graph by a quandle X sends vertices to
 elements so that C(label) |> C(source) = C(target) at every arrow; it is
 the same thing as a graph homomorphism into the self-indexed graph of X.
-The state sums below weight colorings (or general homomorphisms) by
-cocycle values and flows (or chain coefficients) in the group ring Z[A].
+
+This module owns the chain layer: chains and cochains on homomorphisms
+Y_n -> G, the cycle of a flow, the cochain of a quandle 2-cocycle, the
+chain boundary, and the state sum, which weights homomorphisms by chain
+coefficients and pulled-back cochain values in the group ring Z[A].  The
+quandle cocycle invariant Phi is its degree-2 specialization.
+``comtes.homology`` owns the tuple complex and the cocycle solve.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import Comte, GraphHomomorphism, SelfIndexedGraph
-from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack
+from .cubes import build_Yn, face_map
+from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow_index
 
 
 def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
@@ -121,28 +127,8 @@ def coloring_count(g: SelfIndexedGraph, x: FiniteRack) -> int:
     return sum(1 for _ in _vertex_maps(g, graph_of_rack(x)))
 
 
-def phi_invariant(c: Comte, x: FiniteRack, f: Cocycle2) -> dict:
-    """The cocycle state sum over colorings, in the group ring Z[A]:
-    each coloring C contributes the product over arrows b --a,I--> c of
-    f(C(a), C(b))^I.  Requires a quandle and a 2-cocycle on it; the
-    augmentation of the result is the number of colorings.
-    """
-    if not x.quandle:
-        raise ValueError("phi_invariant requires a quandle")
-    if f.n != x.n:
-        raise ValueError("cocycle size does not match the quandle")
-    group = f.group
-    result: dict = {}
-    for col in colorings(c.graph, x):
-        total = group.identity
-        for a, flow in zip(c.graph.arrows, c.flows):
-            total = group.add(total, group.scale(f.value(col[a.label], col[a.source]), flow))
-        result[total] = result.get(total, 0) + 1
-    return result
-
-
 # ---------------------------------------------------------------------------
-# Chains, cochains and the general state sum
+# Chains, cochains, their constructors and the state sums
 #
 # A degree-n chain on G assigns integers to homomorphisms Y_n -> G; a
 # degree-n cochain on G assigns A-elements to them.
@@ -175,6 +161,52 @@ def compose(h: GraphHomomorphism, k: GraphHomomorphism, mid: SelfIndexedGraph) -
     )
 
 
+def degree2_signature(g: SelfIndexedGraph, e: int) -> GraphHomomorphism:
+    """The degree-2 basis homomorphism Y_2 -> g attached to arrow e:
+    Y_2's single arrow maps to e, the lone y_1 vertex to the label, the
+    y_2 origin to the source and the far y_2 vertex to the target."""
+    a = g.arrows[e]
+    cube = build_Yn(2)
+    img = {(1,): a.label, (2,): a.source, (1, 2): a.target}
+    return GraphHomomorphism(tuple(img[w] for w in cube.vertex_words), (e,))
+
+
+def flow_to_cycle(c: Comte) -> Chain:
+    """A flow is the same thing as a degree-2 chain assigning I(e) to the
+    basis homomorphism of arrow e; it is a cycle exactly when the flow is
+    conserved."""
+    coeffs = {}
+    for e, f in enumerate(c.flows):
+        if f:
+            coeffs[degree2_signature(c.graph, e)] = f
+    return Chain.from_dict(2, coeffs)
+
+
+def chain_boundary(chain: Chain, g: SelfIndexedGraph) -> Chain:
+    """Boundary of a chain on any graph, computed by composing each
+    homomorphism with the face embeddings of Y_{degree}."""
+    n = chain.degree
+    cube = build_Yn(n).graph
+    out: dict = {}
+    for sigma, coeff in chain.coeffs:
+        for s in range(1, n):
+            sign = -1 if s % 2 else 1
+            for eps, fsign in ((0, sign), (1, -sign)):
+                key = compose(face_map(n, s, eps), sigma, cube)
+                out[key] = out.get(key, 0) + fsign * coeff
+    return Chain.from_dict(n - 1, out)
+
+
+def cochain_from_cocycle2_on(x: FiniteRack, f: Cocycle2) -> Cochain:
+    """Reshape a quandle 2-cocycle into a degree-2 cochain on the graph of
+    the quandle: f(a, b) sits on the basis homomorphism of the arrow with
+    label a and source b."""
+    g = graph_of_rack(x)
+    return Cochain(
+        2, {degree2_signature(g, rack_arrow_index(x, a, b)): f.value(a, b) for a in range(x.n) for b in range(x.n)}
+    )
+
+
 def state_sum(
     gsrc: SelfIndexedGraph,
     chain: Chain,
@@ -185,8 +217,8 @@ def state_sum(
     """Sum over homomorphisms sigma: gsrc -> gtgt of the integral of the
     chain against the pulled-back cochain, as an element of Z[A].
 
-    For a degree-2 chain coming from a comte's flow, a quandle-graph target
-    and a quandle 2-cocycle, this equals ``phi_invariant``.
+    For the cycle of a comte's flow, a quandle-graph target and the
+    cochain of a quandle 2-cocycle, this is ``phi_invariant``.
     """
     if chain.degree != cochain.degree:
         raise ValueError(
@@ -201,3 +233,20 @@ def state_sum(
                 total = group.add(total, group.scale(val, coeff))
         result[total] = result.get(total, 0) + 1
     return result
+
+
+def phi_invariant(c: Comte, x: FiniteRack, f: Cocycle2) -> dict:
+    """The cocycle state sum over colorings, in the group ring Z[A]:
+    each coloring C contributes the product over arrows b --a,I--> c of
+    f(C(a), C(b))^I.  Requires a quandle and a 2-cocycle on it; the
+    augmentation of the result is the number of colorings.
+
+    This is the degree-2 specialization of ``state_sum``: the colorings
+    are the homomorphisms into the graph of x, and pairing the flow cycle
+    with the pulled-back cochain of f gives each coloring its weight.
+    """
+    if not x.quandle:
+        raise ValueError("phi_invariant requires a quandle")
+    if f.n != x.n:
+        raise ValueError("cocycle size does not match the quandle")
+    return state_sum(c.graph, flow_to_cycle(c), graph_of_rack(x), cochain_from_cocycle2_on(x, f), f.group)

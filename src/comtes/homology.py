@@ -12,6 +12,11 @@ images (a_1, ..., a_n) of the cube origins, and the boundary becomes
 
 where a.b is the target of the arrow with label a and source b.  The
 q-quotient needs a q-graph and kills tuples with equal adjacent entries.
+
+This module owns the tuple complex, the homomorphisms Y_n -> G and the
+degree-2 q-cocycles.  The chain layer (chains and cochains on
+homomorphisms, the cycle of a flow, the cochain of a quandle 2-cocycle,
+the chain boundary and the state sums) lives in ``comtes.coloring``.
 """
 
 from __future__ import annotations
@@ -19,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coloring import Chain, Cochain, compose, graph_homomorphisms
-from .core import Comte, GraphHomomorphism, SelfIndexedGraph, classify
-from .cubes import build_Yn, face_map
+from .coloring import graph_homomorphisms
+from .core import GraphHomomorphism, SelfIndexedGraph, classify
+from .cubes import build_Yn
 from .linalg import kernel_mod, image_size_mod, smith_normal_form
-from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow_index
+from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack
 
 
 class NotRGraphError(ValueError):
@@ -261,56 +266,6 @@ def enumerate_homs(n: int, g: SelfIndexedGraph) -> list[GraphHomomorphism]:
         )
         for f in tables
     ]
-
-
-# ---------------------------------------------------------------------------
-# Chains from flows and general boundaries
-
-
-def degree2_signature(g: SelfIndexedGraph, e: int) -> GraphHomomorphism:
-    """The degree-2 basis homomorphism Y_2 -> g attached to arrow e:
-    Y_2's single arrow maps to e, the lone y_1 vertex to the label, the
-    y_2 origin to the source and the far y_2 vertex to the target."""
-    a = g.arrows[e]
-    cube = build_Yn(2)
-    img = {(1,): a.label, (2,): a.source, (1, 2): a.target}
-    return GraphHomomorphism(tuple(img[w] for w in cube.vertex_words), (e,))
-
-
-def flow_to_cycle(c: Comte) -> Chain:
-    """A flow is the same thing as a degree-2 chain assigning I(e) to the
-    basis homomorphism of arrow e; it is a cycle exactly when the flow is
-    conserved."""
-    coeffs = {}
-    for e, f in enumerate(c.flows):
-        if f:
-            coeffs[degree2_signature(c.graph, e)] = f
-    return Chain.from_dict(2, coeffs)
-
-
-def chain_boundary(chain: Chain, g: SelfIndexedGraph) -> Chain:
-    """Boundary of a chain on any graph, computed by composing each
-    homomorphism with the face embeddings of Y_{degree}."""
-    n = chain.degree
-    cube = build_Yn(n).graph
-    out: dict = {}
-    for sigma, coeff in chain.coeffs:
-        for s in range(1, n):
-            sign = -1 if s % 2 else 1
-            for eps, fsign in ((0, sign), (1, -sign)):
-                key = compose(face_map(n, s, eps), sigma, cube)
-                out[key] = out.get(key, 0) + fsign * coeff
-    return Chain.from_dict(n - 1, out)
-
-
-def cochain_from_cocycle2_on(x: FiniteRack, f: Cocycle2) -> Cochain:
-    """Reshape a quandle 2-cocycle into a degree-2 cochain on the graph of
-    the quandle: f(a, b) sits on the basis homomorphism of the arrow with
-    label a and source b."""
-    g = graph_of_rack(x)
-    return Cochain(
-        2, {degree2_signature(g, rack_arrow_index(x, a, b)): f.value(a, b) for a in range(x.n) for b in range(x.n)}
-    )
 
 
 # ---------------------------------------------------------------------------

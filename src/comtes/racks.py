@@ -73,48 +73,34 @@ def dihedral_quandle(n: int) -> FiniteRack:
 
 # The 4-element quandle on the vertices of a tetrahedron: each element acts
 # by the rotation fixing it.  Concretely it is the affine quandle over the
-# field with four elements, x |> y = (1 + w) x + w y, under the element
-# order (0, 1, w, 1 + w).  GF(4) elements are encoded as bit pairs p + q*w
-# with w^2 = w + 1.
-
-_F4_OF_ID = ((0, 0), (1, 0), (0, 1), (1, 1))
-_ID_OF_F4 = {e: i for i, e in enumerate(_F4_OF_ID)}
+# field with four elements, x |> y = (1 + w) x + w y, where element i is
+# the bit pair (i & 1) + (i >> 1) w, with w^2 = w + 1; addition is XOR.
 
 
-def _f4_add(a, b):
-    return (a[0] ^ b[0], a[1] ^ b[1])
-
-
-def _f4_mul(a, b):
-    p, q = a
-    r, s = b
-    return (p * r ^ q * s, p * s ^ q * r ^ q * s)
+def _f4_mul(a: int, b: int) -> int:
+    p, q = a & 1, a >> 1
+    r, s = b & 1, b >> 1
+    return (p * r ^ q * s) | (p * s ^ q * r ^ q * s) << 1
 
 
 def tetrahedron_quandle() -> FiniteRack:
-    w = _F4_OF_ID[2]
-    one_w = _F4_OF_ID[3]
-    table = []
-    for x in range(4):
-        row = []
-        for y in range(4):
-            val = _f4_add(_f4_mul(one_w, _F4_OF_ID[x]), _f4_mul(w, _F4_OF_ID[y]))
-            row.append(_ID_OF_F4[val])
-        table.append(row)
-    return FiniteRack.from_table(table)
+    return FiniteRack.from_table([[_f4_mul(3, x) ^ _f4_mul(2, y) for y in range(4)] for x in range(4)])
 
 
-BUILTIN_RACKS = ("trivial1", "trivial2", "trivial3", "dihedral3", "tetrahedron")
+BUILTIN_RACKS = {
+    "trivial1": trivial_quandle(1),
+    "trivial2": trivial_quandle(2),
+    "trivial3": trivial_quandle(3),
+    "dihedral3": dihedral_quandle(3),
+    "tetrahedron": tetrahedron_quandle(),
+}
 
 
 def builtin_rack(name: str) -> FiniteRack:
-    if name.startswith("trivial"):
-        return trivial_quandle(int(name[len("trivial"):]))
-    if name == "dihedral3":
-        return dihedral_quandle(3)
-    if name == "tetrahedron":
-        return tetrahedron_quandle()
-    raise ValueError(f"unknown builtin rack {name!r}")
+    try:
+        return BUILTIN_RACKS[name]
+    except KeyError:
+        raise ValueError(f"unknown builtin rack {name!r}") from None
 
 
 def graph_of_rack(x: FiniteRack) -> SelfIndexedGraph:
@@ -234,9 +220,12 @@ class Cocycle2:
 
 
 def check_cocycle(rack: FiniteRack, f: Cocycle2) -> str | None:
-    """None when f is a quandle 2-cocycle, else a witness description."""
-    g = f.group
+    """None when f is a quandle 2-cocycle, else a witness description.
+    Raises ValueError when f and the rack differ in size."""
     n = rack.n
+    if f.n != n:
+        raise ValueError(f"cocycle size {f.n} does not match the rack size {n}")
+    g = f.group
     for x in range(n):
         if f.value(x, x) != g.identity:
             return f"f({x},{x}) is not the identity"

@@ -7,19 +7,25 @@ import pytest
 
 from comtes.coloring import (
     Chain,
+    Cochain,
     _vertex_maps,
+    cochain_from_cocycle2_on,
     colorings,
     coloring_count,
+    degree2_signature,
+    flow_to_cycle,
     graph_homomorphisms,
     phi_invariant,
     state_sum,
 )
 from comtes.census import enumerate_q_graphs
 from comtes.core import GraphHomomorphism, SelfIndexedGraph, comte, graph, is_homomorphism
-from comtes.homology import cochain_from_cocycle2_on, flow_to_cycle
-from comtes.links import comte_of_gauss, parse_gauss_code
+from comtes.homology import q2_cocycles, q2_cocycles_of_quandle
+from comtes.links import CORPUS, comte_of_gauss, parse_gauss_code
 from comtes.racks import (
     C2,
+    AbelianGroup,
+    Cocycle2,
     dihedral_quandle,
     epsilon,
     graph_of_rack,
@@ -52,6 +58,19 @@ def brute_homomorphisms(src, dst):
             if is_homomorphism(h, src, dst):
                 found.append(h)
     return sorted(found, key=lambda h: (h.vertex_images, h.arrow_map))
+
+
+def loop_phi(c, x, f):
+    """Phi summed over colorings directly: each coloring C weighs in with
+    the sum over arrows of I * f(C(label), C(source)) in A."""
+    group = f.group
+    result = {}
+    for col in colorings(c.graph, x):
+        total = group.identity
+        for a, flow in zip(c.graph.arrows, c.flows):
+            total = group.add(total, group.scale(f.value(col[a.label], col[a.source]), flow))
+        result[total] = result.get(total, 0) + 1
+    return result
 
 
 def random_graph(rng, n_vertices, n_arrows, prefix):
@@ -231,16 +250,30 @@ class TestTorusKnots:
 
 
 class TestStateSum:
-    def test_degree_two_reduction_to_phi(self, make_comte):
-        x = tetrahedron_quandle()
-        f = tetrahedron_cocycle()
-        gt = graph_of_rack(x)
-        fc = cochain_from_cocycle2_on(x, f)
-        for c in (G1, G2, G3):
-            assert state_sum(c.graph, flow_to_cycle(c), gt, fc, C2) == phi_invariant(c, x, f)
-        for _ in range(15):
-            c = make_comte(nmax=4, amax=5)
-            assert state_sum(c.graph, flow_to_cycle(c), gt, fc, C2) == phi_invariant(c, x, f)
+    def test_degree_two_reduction_to_phi(self, make_comte, rng):
+        # phi_invariant is the state sum of the flow cycle; it agrees with
+        # the direct sum over colorings of the f(C(label), C(source))^I.
+        # Phi of a cocycle is trivial on most small comtes, so random
+        # tables, which phi_invariant takes as they are, weigh the
+        # colorings of every comte
+        comtes = [make_comte() for _ in range(200)]
+        comtes += [comte_of_gauss(parse_gauss_code(code.gauss)) for code in CORPUS]
+        comtes += [_torus_knot(n) for n in range(3, 16, 2)]
+        tetra, r3 = tetrahedron_quandle(), dihedral_quandle(3)
+        z3, z5 = AbelianGroup((3,)), AbelianGroup((5,))
+        cases = [(tetra, tetrahedron_cocycle())]
+        cases += [(tetra, f) for f in q2_cocycles_of_quandle(tetra, C2)[1]]
+        cases += [(r3, f) for f in q2_cocycles_of_quandle(r3, z3)[1]]
+        for x in (tetra, r3):
+            table = tuple(tuple((rng.randrange(5),) for _ in range(x.n)) for _ in range(x.n))
+            cases.append((x, Cocycle2(z5, table)))
+        weighted = 0
+        for x, f in cases:
+            for c in comtes:
+                want = loop_phi(c, x, f)
+                assert phi_invariant(c, x, f) == want, (c, x.n, f)
+                weighted += len(want) > 1
+        assert weighted > 200
 
     def test_zero_chain_counts_homomorphisms(self):
         x = tetrahedron_quandle()
@@ -273,8 +306,6 @@ class TestMoveInvariance:
             assert phi_invariant(apply_move(c, m), x, f) == phi_invariant(c, x, f), m
 
     def _exhoc_cochain(self):
-        from comtes.homology import degree2_signature, q2_cocycles
-
         exhoc = graph(
             "a b c",
             [("a", "a", "a"), ("b", "b", "b"), ("c", "c", "c"), ("b", "b", "a"),
@@ -296,12 +327,9 @@ class TestMoveInvariance:
             key = (idx[a.label], idx[a.source])
             comp = vec[pos[key]] % 2 if key in pos else 0
             values[degree2_signature(exhoc, e)] = (comp,)
-        from comtes.coloring import Cochain
-
         return exhoc, Cochain(2, values)
 
     def test_state_sum_invariant_under_r1_r2_for_q_graph_target(self, make_comte, rng):
-        from comtes.homology import flow_to_cycle
         from comtes.moves import SearchBudget, apply_move, enumerate_moves, inverse_instances
 
         target, cochain = self._exhoc_cochain()
@@ -328,7 +356,6 @@ class TestMoveInvariance:
     def test_r0_can_change_state_sum_for_mere_q_graph_targets(self):
         # the pair (source, label) = (b, c) carries no arrow in this target,
         # so attaching a pendant arrow kills one homomorphism
-        from comtes.homology import flow_to_cycle
         from comtes.moves import MoveInstance, apply_move
         from comtes.racks import epsilon
 

@@ -8,7 +8,16 @@ import pytest
 
 from comtes.acceptance import EXAMPLE_QGRAPH
 from comtes.census import enumerate_q_graphs, graph_from_injections, partial_injections
-from comtes.coloring import compose, graph_homomorphisms
+from comtes.coloring import (
+    Chain,
+    Cochain,
+    chain_boundary,
+    cochain_from_cocycle2_on,
+    compose,
+    flow_to_cycle,
+    graph_homomorphisms,
+    state_sum,
+)
 from comtes.core import comte, graph, is_homomorphism
 from comtes.cubes import build_Yn, face_map
 from comtes.homology import (
@@ -16,12 +25,9 @@ from comtes.homology import (
     NotRGraphError,
     boundary_matrix,
     chain_basis,
-    chain_boundary,
-    cochain_from_cocycle2_on,
     cocycle_vector,
     dot_table,
     enumerate_homs,
-    flow_to_cycle,
     homology,
     homology_range,
     hom_tuples,
@@ -440,8 +446,6 @@ class TestPairingIdentity:
     def test_degree_three_boundary_coboundary_adjunction(self, rng):
         """state_sum(dJ, f) == state_sum(J, d*f) for degree-3 chains J on a
         small source and 2-cochains f on the tetrahedron quandle graph."""
-        from comtes.coloring import Chain, Cochain, state_sum
-
         src = EXHOC
         x = tetrahedron_quandle()
         gt = graph_of_rack(x)

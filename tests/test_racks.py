@@ -66,10 +66,21 @@ class TestTetrahedron:
                 orbit.add(cur)
             assert cur == others[0] and len(orbit) == 3
 
+    def test_table_is_pinned(self):
+        assert tetrahedron_quandle().table == ((0, 2, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0), (2, 0, 1, 3))
+
     def test_cocycle_is_a_cocycle(self):
         x = tetrahedron_quandle()
         f = tetrahedron_cocycle()
         assert check_cocycle(x, f) is None
+
+    def test_larger_cocycle_than_rack_is_an_error(self):
+        with pytest.raises(ValueError, match="cocycle size 4 does not match the rack size 3"):
+            check_cocycle(dihedral_quandle(3), tetrahedron_cocycle())
+
+    def test_smaller_cocycle_than_rack_is_an_error(self):
+        with pytest.raises(ValueError, match="cocycle size 3 does not match the rack size 4"):
+            check_cocycle(tetrahedron_quandle(), constant_cocycle(3, C2))
 
     def test_cocycle_values(self):
         f = tetrahedron_cocycle()
@@ -193,8 +204,11 @@ class TestTextFormats:
         assert builtin_rack("trivial2").n == 2
         assert builtin_rack("dihedral3").quandle
         assert builtin_rack("tetrahedron").n == 4
-        with pytest.raises(ValueError):
-            builtin_rack("nope")
+        catalogue = [trivial_quandle(1), trivial_quandle(2), trivial_quandle(3), dihedral_quandle(3), tetrahedron_quandle()]
+        assert [builtin_rack(name) for name in BUILTIN_RACKS] == catalogue
+        for name in ("nope", "trivial-1", "trivial0", "trivial12", "trivialx"):
+            with pytest.raises(ValueError, match="unknown builtin rack"):
+                builtin_rack(name)
 
     def test_constant_cocycle(self):
         f = constant_cocycle(3, C2)

@@ -1,5 +1,7 @@
 """Every top-level import in the package and in its tests is used by its
-module, and every module-level private name of the package is used in it."""
+module, each package module is imported by one statement per file, no
+package module is imported inside a function of the package, and every
+module-level private name of the package is used in it."""
 
 import ast
 from pathlib import Path
@@ -27,6 +29,45 @@ def test_no_unused_top_level_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.parent.name}/{path.name}:{line}: {name}" for line, name in _imported_names(tree) if name not in used]
     assert not unused, unused
+
+
+def _package_module(node):
+    """The package module that an import statement reads from, or None."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            return f"comtes.{node.module}" if node.module else "comtes"
+        name = node.module
+    elif isinstance(node, ast.Import):
+        name = node.names[0].name
+    else:
+        return None
+    return name if name == "comtes" or name.startswith("comtes.") else None
+
+
+def test_one_import_statement_per_package_module():
+    files = sorted((ROOT / "src" / "comtes").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    repeated = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        first = {}
+        for node in tree.body:
+            module = _package_module(node)
+            if module is None:
+                continue
+            if module in first:
+                repeated.append(f"{path.parent.name}/{path.name}:{node.lineno}: {module} (also line {first[module]})")
+            first.setdefault(module, node.lineno)
+    assert not repeated, repeated
+
+
+def test_no_package_import_inside_a_package_function():
+    lazy = set()
+    for path in sorted((ROOT / "src" / "comtes").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                lazy |= {f"{path.name}:{node.lineno}: {_package_module(node)}" for node in ast.walk(fn) if _package_module(node)}
+    assert not lazy, sorted(lazy)
 
 
 def _private_definitions(tree):
