@@ -155,10 +155,15 @@ class Cochain:
 
 def compose(h: GraphHomomorphism, k: GraphHomomorphism, mid: SelfIndexedGraph) -> GraphHomomorphism:
     """k after h, for h into mid and k out of mid."""
+    return _after(k, mid)(h)
+
+
+def _after(k: GraphHomomorphism, mid: SelfIndexedGraph):
+    """The map h -> k after h on homomorphisms h into mid, with the vertex
+    images of k looked up in one dict built once."""
     img = dict(zip(mid.vertices, k.vertex_images))
-    return GraphHomomorphism(
-        tuple(img[v] for v in h.vertex_images), tuple(k.arrow_map[j] for j in h.arrow_map)
-    )
+    arrows = k.arrow_map
+    return lambda h: GraphHomomorphism(tuple(img[v] for v in h.vertex_images), tuple(arrows[j] for j in h.arrow_map))
 
 
 def degree2_signature(g: SelfIndexedGraph, e: int) -> GraphHomomorphism:
@@ -189,10 +194,11 @@ def chain_boundary(chain: Chain, g: SelfIndexedGraph) -> Chain:
     cube = build_Yn(n).graph
     out: dict = {}
     for sigma, coeff in chain.coeffs:
+        after_sigma = _after(sigma, cube)
         for s in range(1, n):
             sign = -1 if s % 2 else 1
             for eps, fsign in ((0, sign), (1, -sign)):
-                key = compose(face_map(n, s, eps), sigma, cube)
+                key = after_sigma(face_map(n, s, eps))
                 out[key] = out.get(key, 0) + fsign * coeff
     return Chain.from_dict(n - 1, out)
 
@@ -227,8 +233,9 @@ def state_sum(
     result: dict = {}
     for sigma in graph_homomorphisms(gsrc, gtgt):
         total = group.identity
+        after_sigma = _after(sigma, gsrc)
         for h, coeff in chain.coeffs:
-            val = cochain.values.get(compose(h, sigma, gsrc))
+            val = cochain.values.get(after_sigma(h))
             if val is not None:
                 total = group.add(total, group.scale(val, coeff))
         result[total] = result.get(total, 0) + 1

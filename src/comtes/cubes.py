@@ -39,6 +39,8 @@ class CubeGraph:
 @lru_cache(maxsize=None)
 def build_Yn(n: int) -> CubeGraph:
     """Y_n = y_1 + ... + y_n with labels and self-indexed structure."""
+    if n < 0:
+        raise ValueError(f"cube degree must be non-negative, got {n}")
     vwords: list[Word] = []
     for m in range(1, n + 1):
         layer = []

@@ -13,6 +13,20 @@ images (a_1, ..., a_n) of the cube origins, and the boundary becomes
 where a.b is the target of the arrow with label a and source b.  The
 q-quotient needs a q-graph and kills tuples with equal adjacent entries.
 
+The complex works on integer codes: the tuple (a_1, ..., a_n) is the
+base-V number with digits a_1 .. a_n, a_1 most significant, for V
+vertices, so numeric order is lexicographic order.  A tuple is valid when
+its F table, F(S) = a_min(S) . F(S - min(S)) on the vertex sets S of Y_n,
+is defined and satisfies every cube relation.  Prepending a to a valid
+tuple gives a valid tuple exactly when a is defined on D, the vertices of
+the F table, and distributes over P, the pairs (x, y) that the relations
+read as x.y.  So the graph gets two masks per label a: ``nodom`` (the
+vertices that a is not defined on) and ``bad`` (the pairs x.y, as bit
+x*V + y, over which a does not distribute), and a extends a tuple with
+masks (D, P) iff D & nodom and P & bad are both zero.  Each code also
+records its acted tail, the code of (a_1.a_2, ..., a_1.a_n); with it each
+boundary face of a code is one arithmetic step.
+
 This module owns the tuple complex, the homomorphisms Y_n -> G and the
 degree-2 q-cocycles.  The chain layer (chains and cochains on
 homomorphisms, the cycle of a flow, the cochain of a quandle 2-cocycle,
@@ -22,7 +36,6 @@ the chain boundary and the state sums) lives in ``comtes.coloring``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .coloring import graph_homomorphisms
 from .core import GraphHomomorphism, SelfIndexedGraph, classify
@@ -51,73 +64,106 @@ def dot_table(g: SelfIndexedGraph) -> list[list[int]]:
     return dot
 
 
-def _mask(word) -> int:
-    """The bitmask of a cube word: bit k encodes element k+1."""
-    return sum(1 << (k - 1) for k in word)
+def _distributivity_masks(dot) -> list[tuple[int, int]]:
+    """Per label a, the pair (nodom, bad): nodom has bit x for each vertex
+    x that a is not defined on, and bad has bit x*V + y for each defined
+    x.y over which a does not distribute, a.(x.y) != (a.x).(a.y).  The
+    defined x.y are the arrows, so this takes O(V E)."""
+    nv = len(dot)
+    arrows = [(x, y, xy) for x, row in enumerate(dot) for y, xy in enumerate(row) if xy != -1]
+    masks = []
+    for row in dot:
+        nodom = sum(1 << x for x, ax in enumerate(row) if ax == -1)
+        bad = 0
+        for x, y, xy in arrows:
+            ax, ay = row[x], row[y]
+            if ax == -1 or ay == -1 or row[xy] == -1 or dot[ax][ay] != row[xy]:
+                bad |= 1 << (x * nv + y)
+        masks.append((nodom, bad))
+    return masks
 
 
-@lru_cache(maxsize=None)
-def _cube_relations(n: int) -> tuple[tuple[int, int, int], ...]:
-    """The cube relations F(lam).F(t) = F(t + d) of Y_n, as mask triples
-    (lam, t, t + d) sorted by (t, t + d): one for each arrow of Y_n, with
-    source t, direction d below the largest element of t and label lam,
-    the elements of t below d, then d."""
-    return tuple(
-        ((t & (1 << d) - 1) | 1 << d, t, t | 1 << d)
-        for t in range(1, 1 << n)
-        for d in range(t.bit_length() - 1)
-        if not t >> d & 1
-    )
-
-
-def _extend(tables: list[list[int]], n: int, dot, q_quotient: bool) -> list[list[int]]:
-    """Degree-n F tables from the degree-(n-1) ones by prepending a_1.
-
-    Dropping a_1 from a valid tuple leaves a valid tuple (and a
-    non-degenerate one stays non-degenerate), so only the relations that
-    involve element 1 need checking.  The old element k is element k+1, so
-    its mask doubles; the odd masks are the new sets {1} + S, with value
-    a_1 . F(S).  A relation whose source lacks 1 but whose target has it
-    reads a_1 . F(S) = F({1} + S), which holds by that construction.  The
-    others have 1 in their label, source and target: they are the
-    relations of Y_(n-1) read on the odd half, so only those are checked.
-    Tables come out in lexicographic order of their tuples."""
-    relations = _cube_relations(n - 1)
-    out = []
-    for a, row in enumerate(dot):
-        for f in tables:
-            if q_quotient and n > 1 and f[1] == a:
-                continue
-            odd = [a] + [row[x] for x in f[1:]]
-            if -1 in odd or not all(dot[odd[lam]][odd[t]] == odd[td] for lam, t, td in relations):
-                continue
-            new = [0] * (2 * len(f))
-            new[0::2] = f
-            new[1::2] = odd
-            out.append(new)
+def _image(mask: int, step) -> int:
+    """The mask of the bits step(k) over the set bits k of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << step(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def _tuple_bases(dot, top: int, q_quotient: bool):
-    """The tuple bases of C_0 .. C_top (C^Q under the quotient), built in one
-    pass: each degree extends the one below it exactly once.  Also returns
-    the degree-top F tables, aligned with the top basis: F[_mask(S)] =
-    a_min(S) . F(S - min(S)) is the image of the Y_top vertex with element
-    set S."""
-    tables = [[0]]
-    bases = [[()]]
+def _extend(states, n: int, dot, masks, memo, acted: dict[int, int], q_quotient: bool):
+    """The degree-n states (code, D, P) from the degree-(n-1) ones by
+    prepending a_1, in numeric order of their codes, and the acted tail of
+    each new code.
+
+    Dropping a_1 from a valid tuple leaves a valid tuple, so only the
+    relations that involve element 1 need checking.  Those whose source
+    lacks 1 read a_1 . F(S) = F({1} + S), which defines the odd half once
+    a_1 is defined on D (the cross relations, with pairs {a_1} x D).  The
+    others are the old relations on the odd half, (a_1.x).(a_1.y) =
+    a_1.(x.y) for (x, y) in P.  So the new D is D + {a_1} + a_1(D) and the
+    new P is P + (a_1 x a_1)(P) + {a_1} x D.  The acted tail of (a_1, t)
+    is that of its prefix (a valid tuple of degree n-1) followed by
+    a_1 . (the last entry of t)."""
+    nv = len(dot)
+    place = nv ** (n - 1)
+    # under the quotient, the place of the old first entry, which a_1 may not equal
+    first = place // nv if q_quotient and n > 1 else 0
+    out = []
+    tails = {}
+    for a, row in enumerate(dot):
+        nodom, bad = masks[a]
+        images, pair_images = memo[a]
+        lead = a * place
+        cross = a * nv
+        for code, d, p in states:
+            if d & nodom or p & bad or (first and code // first == a):
+                continue
+            ad = images.get(d)
+            if ad is None:
+                ad = images[d] = _image(d, row.__getitem__)
+            ap = pair_images.get(p)
+            if ap is None:
+                ap = pair_images[p] = _image(p, lambda k: row[k // nv] * nv + row[k % nv])
+            new = lead + code
+            out.append((new, d | 1 << a | ad, p | ap | d << cross))
+            tails[new] = acted[new // nv] * nv + row[code % nv] if n > 1 else 0
+    return out, tails
+
+
+def _tuple_codes(dot, top: int, q_quotient: bool):
+    """The bases of C_0 .. C_top (C^Q under the quotient) as lists of codes
+    in numeric order, and per degree the dict from each code to its acted
+    tail, built in one pass: each degree extends the one below it exactly
+    once."""
+    masks = _distributivity_masks(dot)
+    memo = [({}, {}) for _ in dot]
+    states = [(0, 0, 0)]
+    codes = [[0]]
+    acted = [{0: 0}]
     for n in range(1, top + 1):
-        tables = _extend(tables, n, dot, q_quotient)
-        bases.append([tuple(f[1 << k] for k in range(n)) for f in tables])
-    return bases, tables
+        states, tails = _extend(states, n, dot, masks, memo, acted[-1], q_quotient)
+        codes.append([code for code, _, _ in states])
+        acted.append(tails)
+    return codes, acted
+
+
+def _decode(code: int, n: int, nv: int) -> tuple[int, ...]:
+    return tuple(code // nv**k % nv for k in reversed(range(n)))
+
+
+def _basis_tuples(n: int, g: SelfIndexedGraph, q_quotient: bool) -> list[tuple[int, ...]]:
+    nv, codes, _ = _bases_of(g, n, q_quotient)
+    return [_decode(code, n, nv) for code in codes[n]]
 
 
 def hom_tuples(n: int, g: SelfIndexedGraph) -> list[tuple[int, ...]]:
     """Tuples (a_1..a_n) of vertex indices that define homomorphisms
-    Y_n -> g, in lexicographic order.  Degree n is built
-    from degree n-1 by prepending a_1 and checking only the cube relations
-    that involve element 1."""
-    return _bases_of(g, n, False)[1][n]
+    Y_n -> g, in lexicographic order.  Degree n is built from degree n-1
+    by prepending a_1, under the two mask tests of ``_extend``."""
+    return _basis_tuples(n, g, False)
 
 
 def _degenerate(t: tuple[int, ...]) -> bool:
@@ -126,17 +172,18 @@ def _degenerate(t: tuple[int, ...]) -> bool:
 
 def chain_basis(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> list[tuple[int, ...]]:
     """Ordered basis of C_n (or C_n^Q)."""
-    return _bases_of(g, n, q_quotient)[1][n]
+    return _basis_tuples(n, g, q_quotient)
 
 
 def _bases_of(g: SelfIndexedGraph, top: int, q_quotient: bool):
-    """The dot table of g and its tuple bases of C_0 .. C_top."""
+    """The vertex count of g, its code bases of C_0 .. C_top and their
+    acted tails."""
+    if top < 0:
+        raise ValueError(f"degree must be non-negative, got {top}")
     dot = dot_table(g)
     if q_quotient:
         _require_q_graph(g)
-    # drop the F tables here, so that homology_range does not hold the
-    # largest ones through its eliminations
-    return dot, _tuple_bases(dot, top, q_quotient)[0]
+    return (len(dot), *_tuple_codes(dot, top, q_quotient))
 
 
 def _require_q_graph(g: SelfIndexedGraph):
@@ -146,7 +193,9 @@ def _require_q_graph(g: SelfIndexedGraph):
 
 def boundary_terms(t: tuple[int, ...], dot, q_quotient: bool) -> dict[tuple[int, ...], int]:
     """The boundary of one generator as {face tuple: coefficient}, without
-    zero coefficients; under the quotient, degenerate faces are left out."""
+    zero coefficients; under the quotient, degenerate faces are left out.
+    This is the per-tuple formula; the matrices are built on codes by
+    ``_boundary``."""
     terms: dict[tuple[int, ...], int] = {}
     for s in range(1, len(t)):
         sign = -1 if s % 2 else 1
@@ -160,22 +209,39 @@ def boundary_terms(t: tuple[int, ...], dot, q_quotient: bool) -> dict[tuple[int,
 
 def boundary_matrix(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> list[list[int]]:
     """Integer matrix of the boundary C_n -> C_{n-1} over the tuple bases,
-    rows indexed by C_{n-1}, columns by C_n, as a dense list of lists."""
-    dot, bases = _bases_of(g, n, q_quotient)
-    cols = range(len(bases[n]))
-    return [[row.get(c, 0) for c in cols] for row in _boundary(dot, bases[n], bases[n - 1], q_quotient)]
+    rows indexed by C_{n-1}, columns by C_n, as a dense list of lists.
+    C_{-1} = 0, so the matrix of d_0 has no rows."""
+    nv, codes, acted = _bases_of(g, n, q_quotient)
+    if n == 0:
+        return []
+    cols = range(len(codes[n]))
+    return [[row.get(c, 0) for c in cols] for row in _boundary(nv, codes, acted, n)]
 
 
-def _boundary(dot, bas_n, bas_p, q_quotient: bool, cleared=frozenset()) -> list[dict[int, int]]:
-    """The sparse rows of the boundary C_n -> C_{n-1}: one per element of
-    bas_p, as {column in bas_n: coefficient}.  The rows whose positions are
-    in ``cleared`` are left empty."""
-    pos = {t: i for i, t in enumerate(bas_p)}
-    rows: list[dict[int, int]] = [{} for _ in bas_p]
-    for col, t in enumerate(bas_n):
-        for face, coeff in boundary_terms(t, dot, q_quotient).items():
-            r = pos[face]
-            if r not in cleared:
+def _boundary(nv: int, codes, acted, n: int, cleared=frozenset()) -> list[dict[int, int]]:
+    """The sparse rows of the boundary C_n -> C_{n-1}: one per code of
+    degree n-1, as {column in degree n: coefficient}.  The rows whose
+    positions are in ``cleared`` are left empty.
+
+    With L = n - s entries after a_s and prefix = t // V^(L+1), the faces
+    of the code t at s are prefix V^L + t mod V^L (drop a_s) and
+    prefix V^L + the acted tail of t mod V^(L+1) (act by a_s).  Under the
+    quotient the faces missing from the basis are exactly the degenerate
+    ones, and they are left out."""
+    pos = {code: i for i, code in enumerate(codes[n - 1])}
+    rows: list[dict[int, int]] = [{} for _ in codes[n - 1]]
+    faces = [(-1 if s % 2 else 1, nv ** (n - s), nv ** (n - s + 1), acted[n - s + 1]) for s in range(1, n)]
+    for col, t in enumerate(codes[n]):
+        terms: dict[int, int] = {}
+        for sign, low, high, tails in faces:
+            prefix = t // high * low
+            d0 = prefix + t % low
+            acts = prefix + tails[t % high]
+            terms[d0] = terms.get(d0, 0) + sign
+            terms[acts] = terms.get(acts, 0) - sign
+        for face, coeff in terms.items():
+            r = pos.get(face)
+            if coeff and r is not None and r not in cleared:
                 rows[r][col] = coeff
     return rows
 
@@ -219,8 +285,8 @@ def homology_range(
     Kerber, EuroCG 2011), over a field."""
     if max_degree < 0:
         raise ValueError(f"max_degree must be non-negative, got {max_degree}")
-    dot, bases = _bases_of(g, max_degree + 1, q_quotient)
-    sizes = [len(b) for b in bases]
+    nv, codes, acted = _bases_of(g, max_degree + 1, q_quotient)
+    sizes = [len(b) for b in codes]
     ranks = [0] * (max_degree + 2)
     torsions = [()] * (max_degree + 2)
     cleared = frozenset()
@@ -228,7 +294,7 @@ def homology_range(
         if sizes[k] == 0 or sizes[k - 1] == 0:
             cleared = frozenset()
             continue
-        snf = smith_normal_form(_boundary(dot, bases[k], bases[k - 1], q_quotient, cleared))
+        snf = smith_normal_form(_boundary(nv, codes, acted, k, cleared))
         ranks[k] = snf.rank
         torsions[k] = tuple(d for d in snf.factors if d > 1)
         cleared = frozenset(snf.unit_columns)
@@ -246,26 +312,29 @@ def homology(g: SelfIndexedGraph, n: int, q_quotient: bool = False) -> HomologyG
 
 
 def enumerate_homs(n: int, g: SelfIndexedGraph) -> list[GraphHomomorphism]:
-    """All homomorphisms Y_n -> g in a deterministic order: read off the F
-    tables on the module's domain, in lexicographic order of the origin
-    tuples (the images of the Y_n vertices "1".."n"); a full constraint
-    search otherwise."""
+    """All homomorphisms Y_n -> g in a deterministic order: on the module's
+    domain, in lexicographic order of the origin tuples (the images of the
+    Y_n vertices "1".."n"), each with its F table rebuilt from the tuple as
+    F(S) = a_min(S) . F(S - min(S)); a full constraint search otherwise."""
     cube = build_Yn(n)
     try:
         dot = dot_table(g)
     except NotRGraphError:
         return graph_homomorphisms(cube.graph, g)
-    _, tables = _tuple_bases(dot, n, False)
+    codes, _ = _tuple_codes(dot, n, False)
+    words = sorted(cube.vertex_words, key=len)  # S - min(S) before S
     idx = g.vertex_index()
     by_sl = {(idx[a.label], idx[a.source]): j for j, a in enumerate(g.arrows)}
-    vertex_masks = [_mask(w) for w in cube.vertex_words]
-    arrow_masks = [(_mask(lab), _mask(src)) for (src, _), lab in zip(cube.arrow_data, cube.arrow_words)]
-    return [
-        GraphHomomorphism(
-            tuple(g.vertices[f[m]] for m in vertex_masks), tuple(by_sl[f[lam], f[src]] for lam, src in arrow_masks)
-        )
-        for f in tables
-    ]
+    homs = []
+    for code in codes[n]:
+        t = _decode(code, n, len(dot))
+        f: dict[tuple[int, ...], int] = {}
+        for w in words:
+            f[w] = dot[t[w[0] - 1]][f[w[1:]]] if w[1:] else t[w[0] - 1]
+        vertex_images = tuple(g.vertices[f[w]] for w in cube.vertex_words)
+        arrow_map = tuple(by_sl[f[lab], f[src]] for (src, _), lab in zip(cube.arrow_data, cube.arrow_words))
+        homs.append(GraphHomomorphism(vertex_images, arrow_map))
+    return homs
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +356,11 @@ def q2_cocycles(g: SelfIndexedGraph, group: AbelianGroup) -> Q2Cocycles:
     given finite abelian group: the kernel of the transposed boundary
     C_3^Q -> C_2^Q over each cyclic factor.  Also measures the coboundary
     subspace (image of the transposed C_1 boundary)."""
-    dot, (_, basis1, basis2, basis3) = _bases_of(g, 3, True)
-    pos1 = {t: i for i, t in enumerate(basis1)}
-    pos2 = {t: i for i, t in enumerate(basis2)}
+    nv, codes, acted = _bases_of(g, 3, True)
+    basis2 = [_decode(code, 2, nv) for code in codes[2]]
     # the transposed boundaries, one row per generator of C_3 or C_2
-    bt3 = [{pos2[f]: c for f, c in boundary_terms(t, dot, True).items()} for t in basis3]
-    bt2 = [{pos1[f]: c for f, c in boundary_terms(t, dot, True).items()} for t in basis2]
+    bt3 = _transpose(_boundary(nv, codes, acted, 3), len(codes[3]))
+    bt2 = _transpose(_boundary(nv, codes, acted, 2), len(codes[2]))
     gens = []
     csize = 1
     bsize = 1
@@ -303,6 +371,14 @@ def q2_cocycles(g: SelfIndexedGraph, group: AbelianGroup) -> Q2Cocycles:
             csize *= order
         bsize *= image_size_mod(bt2, m)
     return Q2Cocycles(tuple(basis2), group, tuple(gens), csize, bsize)
+
+
+def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    out: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][r] = v
+    return out
 
 
 def q2_cocycles_of_quandle(x: FiniteRack, group: AbelianGroup):

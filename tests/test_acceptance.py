@@ -4,6 +4,8 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the pass/fail lines,
 or ``comtes paper-suite`` for the same checks from the command line.
 """
 
+import hashlib
+
 import pytest
 
 from comtes import acceptance
@@ -45,6 +47,13 @@ def test_criterion_6_linking():
 
 def test_criterion_7_signature_census():
     _check(acceptance.criterion_7_signature_census())
+
+
+def test_census_signature_tables_are_pinned():
+    # read from the cache that criterion 7 fills
+    rcensus, qcensus = acceptance._census_signatures()
+    digest = hashlib.sha256((rcensus.table() + qcensus.table()).encode()).hexdigest()
+    assert digest == "e756ad3260290bae4861bd25ba49f338ea4f150776327648b6143a0d9182c089"
 
 
 def test_criterion_8a_move_invariance():

@@ -16,6 +16,10 @@ class TestCubeConstruction:
         labels = sorted(lab for (src, _), lab in zip(y.arrow_data, y.arrow_words) if src[-1] == 3)
         assert labels == [(1,), (1,), (1, 2), (2,)]
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            build_Yn(-1)
+
     def test_cube_sizes(self):
         for n in range(1, 7):
             y = build_Yn(n)

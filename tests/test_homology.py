@@ -24,6 +24,7 @@ from comtes.homology import (
     HomologyGroup,
     NotRGraphError,
     boundary_matrix,
+    boundary_terms,
     chain_basis,
     cocycle_vector,
     dot_table,
@@ -35,6 +36,7 @@ from comtes.homology import (
     q2_cocycles_of_quandle,
 )
 from comtes.linalg import smith_normal_form
+from comtes.links import comte_of_gauss, parse_gauss_code
 from comtes.racks import C2, AbelianGroup, check_cocycle, dihedral_quandle, graph_of_rack, tetrahedron_cocycle, tetrahedron_quandle, trivial_quandle
 
 EXHOC = graph(
@@ -110,9 +112,9 @@ class TestHomEnumeration:
         built = []
         extend = homology_module._extend
 
-        def counting(tables, n, dot, q_quotient):
+        def counting(states, n, *rest):
             built.append(n)
-            return extend(tables, n, dot, q_quotient)
+            return extend(states, n, *rest)
 
         monkeypatch.setattr(homology_module, "_extend", counting)
         homology_range(EXHOC, 5)
@@ -148,28 +150,18 @@ class TestHomEnumeration:
         homs = enumerate_homs(4, graph_of_rack(tetrahedron_quandle()))
         assert len(homs) == 256 and len(calls) == 1
 
-    def test_cube_relations_are_the_arrows_of_the_cube(self):
-        # the code's bitmask relations against the word-built Y_m
-        homology_module = importlib.import_module("comtes.homology")
-        for m in range(9):
-            cube = build_Yn(m)
-            words = []
-            for (src, d), lab in zip(cube.arrow_data, cube.arrow_words):
-                t = sum(1 << (k - 1) for k in src)
-                words.append((sum(1 << (k - 1) for k in lab), t, t | 1 << (d - 1)))
-            assert homology_module._cube_relations(m) == tuple(sorted(words, key=lambda r: r[1:])), m
-
     def test_tuple_bases_match_a_brute_force_over_all_relations(self):
-        # every tuple is tried, and every relation of Y_n is checked on its
-        # full F table, F(S) = a_min(S) . F(S - min(S))
-        homology_module = importlib.import_module("comtes.homology")
+        # every tuple is tried, and every relation of Y_n, read off the
+        # word-built cube, is checked on its full F table,
+        # F(S) = a_min(S) . F(S - min(S)); the decoded code bases must be
+        # exactly the tuples that pass, in lexicographic order
 
         def brute(dot, n, q_quotient):
             relations = [
                 (sum(1 << (k - 1) for k in lab), sum(1 << (k - 1) for k in src), sum(1 << (k - 1) for k in src) | 1 << (d - 1))
                 for (src, d), lab in zip(build_Yn(n).arrow_data, build_Yn(n).arrow_words)
             ]
-            tables = []
+            tuples = []
             for t in itertools.product(range(len(dot)), repeat=n):
                 if q_quotient and any(t[i] == t[i + 1] for i in range(n - 1)):
                     continue
@@ -179,21 +171,64 @@ class TestHomEnumeration:
                     rest = mask & (mask - 1)
                     f[mask] = t[low] if not rest else dot[t[low]][f[rest]] if f[rest] != -1 else -1
                 if -1 not in f[1:] and all(dot[f[lam]][f[s]] == f[td] for lam, s, td in relations):
-                    tables.append(f)
-            return tables
+                    tuples.append(t)
+            return tuples
 
         rng = random.Random(29)
         injections = partial_injections(3)
         cases = [(graph_from_injections([rng.choice(injections) for _ in range(3)]), False) for _ in range(40)]
         for x in (dihedral_quandle(3), dihedral_quandle(5), tetrahedron_quandle()):
             cases += [(graph_of_rack(x), False), (graph_of_rack(x), True)]
+        # no r-graph: two arrows labeled b end at c
+        cases.append((graph("a b c", [("a", "c", "b"), ("b", "c", "b"), ("c", "c", "c"), ("b", "a", "a")]), False))
         for g, q in cases:
             dot = dot_table(g)
             for top in range(6):
-                bases, tables = homology_module._tuple_bases(dot, top, q)
-                expect = brute(dot, top, q)
-                assert tables == expect, (g, top, q)
-                assert bases[top] == [tuple(f[1 << k] for k in range(top)) for f in expect], (g, top, q)
+                assert chain_basis(top, g, q) == brute(dot, top, q), (g, top, q)
+
+    def test_boundary_rows_match_the_per_tuple_formula(self):
+        # the face arithmetic on codes against boundary_terms on tuples:
+        # the same rows, entries and entry order that Smith elimination reads
+        homology_module = importlib.import_module("comtes.homology")
+        rng = random.Random(43)
+        injections = partial_injections(3)
+        cases = [(g, q) for g in enumerate_q_graphs(3) for q in (False, True)]
+        cases += [(graph_from_injections([rng.choice(injections) for _ in range(3)]), False) for _ in range(300)]
+        for x in (dihedral_quandle(3), dihedral_quandle(5), tetrahedron_quandle()):
+            cases += [(graph_of_rack(x), False), (graph_of_rack(x), True)]
+        for g, q in cases:
+            dot = dot_table(g)
+            nv, codes, acted = homology_module._bases_of(g, 6, q)
+            bases = [chain_basis(n, g, q) for n in range(7)]
+            for n in range(1, 7):
+                pos = {t: i for i, t in enumerate(bases[n - 1])}
+                expect = [{} for _ in pos]
+                for col, t in enumerate(bases[n]):
+                    for face, coeff in boundary_terms(t, dot, q).items():
+                        expect[pos[face]][col] = coeff
+                rows = homology_module._boundary(nv, codes, acted, n)
+                assert [list(r.items()) for r in rows] == [list(r.items()) for r in expect], (g, n, q)
+
+    def test_large_vertex_counts(self):
+        # codes of T(2,51) reach 51^5, and R_12 has 144 pairs per mask
+        knot = comte_of_gauss(parse_gauss_code("".join(("O" if k % 2 == 0 else "U") + f"{k % 51 + 1}+" for k in range(102))))
+        assert [h.format() for h in homology_range(knot.graph, 4)] == ["Z", "Z", "0", "0"]
+        r12 = graph_of_rack(dihedral_quandle(12))
+        assert [h.format() for h in homology_range(r12, 2)] == ["Z^2", "Z^4 + Z/2 + Z/2"]
+
+    @pytest.mark.parametrize(
+        "fn, n",
+        [(enumerate_homs, -1), (chain_basis, -1), (hom_tuples, -1), (hom_tuples, -2), (boundary_matrix, -1)],
+        ids=["enumerate_homs", "chain_basis", "hom_tuples", "hom_tuples_-2", "boundary_matrix"],
+    )
+    def test_negative_degree_rejected(self, fn, n):
+        with pytest.raises(ValueError, match="non-negative"):
+            fn(n, EXHOC)
+
+    def test_degree_zero_boundary_has_no_rows(self):
+        # C_-1 = 0
+        assert boundary_matrix(0, EXHOC) == []
+        assert boundary_matrix(1, EXHOC) == [[0, 0, 0]]
 
 
 class TestBoundary:
@@ -322,12 +357,14 @@ class TestHomology:
 def uncleared_homology_range(g, top, q_quotient=False):
     """homology_range without clearing: the Smith form of every full
     boundary matrix."""
-    homology_module = importlib.import_module("comtes.homology")
-    dot, bases = homology_module._bases_of(g, top + 1, q_quotient)
-    snfs = {k: smith_normal_form(homology_module._boundary(dot, bases[k], bases[k - 1], q_quotient)) for k in range(2, top + 2)}
+    sizes = [len(chain_basis(k, g, q_quotient)) for k in range(top + 2)]
+    snfs = {
+        k: smith_normal_form([{c: v for c, v in enumerate(row) if v} for row in boundary_matrix(k, g, q_quotient)])
+        for k in range(2, top + 2)
+    }
     rank = {k: snf.rank for k, snf in snfs.items()}
     return tuple(
-        HomologyGroup(len(bases[k]) - rank.get(k, 0) - rank[k + 1], tuple(d for d in snfs[k + 1].factors if d > 1))
+        HomologyGroup(sizes[k] - rank.get(k, 0) - rank[k + 1], tuple(d for d in snfs[k + 1].factors if d > 1))
         for k in range(1, top + 1)
     )
 
