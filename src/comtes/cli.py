@@ -3,13 +3,14 @@
 Subcommands: import, validate, invariants, colorings, statesum, homology,
 moves (enumerate/apply/search), census, bracket, paper-suite.  Exit codes:
 0 success, 1 computation-level failure (including an invalid document under
-``validate``), 2 usage error.  Identical invocations produce identical
-stdout.
+``validate``, and a stdout that its reader closed early), 2 usage error.
+Identical invocations produce identical stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from functools import partial
@@ -323,7 +324,14 @@ def main(argv=None) -> int:
         if args.flow_lo > args.flow_hi and not args.ignore_flows:  # bare-graph mode ignores the window
             parser.error(f"empty flow window: --flow-lo {args.flow_lo} > --flow-hi {args.flow_hi}")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, and point stdout at devnull
+        # so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except acceptance.UnknownCriterionError as e:
         parser.error(str(e))
     except (CommandError, LinkCodeError, MoveError, DecodeError) as e:

@@ -20,6 +20,10 @@ those whose target moves.  The split conserves at w exactly when the new
 arrow carries F if it points into w (R1split old_new, R2a_split), -F if it
 points out of w (R1split new_old, R2b_split).  Only w and v change balance,
 by amounts that sum to zero, so on a comte this is all of conservation.
+Moving the complement of the ``moved`` slots instead, with the flags
+mirrored, gives the same comte once v and w swap names (a fresh R2 split
+swaps the two copies of the arrow and their flows), so only the splits
+that keep the last slot at v are enumerated.
 
 An R2 merge identifies one slot (the merge role) of two arrows that share
 the label and the other end; its inverse splits it:
@@ -27,6 +31,10 @@ the label and the other end; its inverse splits it:
   merge role   merge   split       shared end
   t (target)   R2a     R2a_split   s (source)
   s (source)   R2b     R2b_split   t (target)
+
+A "parallel" split moves no slot: it copies the arrow.  Its R2a and R2b
+forms coincide, and the flow splits (I1, I2) and (I2, I1) differ only by
+which copy is which, so only R2a_split with I1 <= I2 is enumerated.
 
 The R3 square on a witness b --a--> t has corners P, Q, R, S and four
 sides, by position:
@@ -530,6 +538,10 @@ class SearchBudget:
     max_split_slots: int = 10
 
     def __post_init__(self):
+        for name in ("max_states", "max_vertices", "max_arrows", "r3b_range", "max_split_slots"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.flow_lo > self.flow_hi:
             raise ValueError(f"empty flow window: flow_lo={self.flow_lo} > flow_hi={self.flow_hi}")
 
@@ -577,12 +589,13 @@ def enumerate_moves(c: Comte, budget: SearchBudget = SearchBudget()) -> list[Mov
 
 
 def _split_sets(g: SelfIndexedGraph, v: str, budget: SearchBudget, keep=None):
-    """The slot sets that a split of ``v`` may move: every subset of the
-    slots at ``v`` other than ``keep``, or none when there are more than
+    """The slot sets that a split of ``v`` may move: of the slots at ``v``
+    other than ``keep``, every subset that leaves the last one at ``v``
+    (its complement is the mirror split), or none when there are more than
     ``budget.max_split_slots`` of them."""
     slots = [s for s in _incident_slots(g, v) if s != keep]
     if len(slots) <= budget.max_split_slots:
-        for mask in range(1 << len(slots)):
+        for mask in range(1 << max(len(slots) - 1, 0)):
             yield frozenset(s for k, s in enumerate(slots) if mask >> k & 1)
 
 
@@ -591,9 +604,13 @@ def inverse_instances(
 ) -> list[MoveInstance]:
     """Enumerate inverse moves with bounded nondeterminism.
 
-    Vertex splits enumerate all 2^k reassignments of the k incident slots
-    (skipped when k exceeds ``budget.max_split_slots``).  Flow splits
-    I1 + I2 = I range over [``budget.flow_lo``, ``budget.flow_hi``].  Splits
+    Each inverse split is listed once per outcome (see the module
+    docstring).  Vertex splits enumerate the 2^(k-1) reassignments of the k
+    incident slots that keep the last slot at the vertex, as moving the
+    complement gives the same comte (skipped when k exceeds
+    ``budget.max_split_slots``).  Flow splits I1 + I2 = I range over
+    [``budget.flow_lo``, ``budget.flow_hi``]; a parallel split, which
+    copies the arrow, is listed as R2a_split alone with I1 <= I2.  Splits
     whose conservation-forced flow falls outside the window are not
     emitted, so every instance applies to a valid comte and yields a valid
     comte.  Each instance adds one arrow.  ``new_vertices=False`` leaves out
@@ -623,11 +640,12 @@ def inverse_instances(
     # inverse R2: split one arrow into two
     for ei, a in enumerate(g.arrows):
         flow = c.flows[ei]
+        # a parallel split copies the arrow, so R2b_split and the swapped
+        # flows (i2, i1) give the same comte
         for i1 in range(flow_lo, flow_hi + 1):
             i2 = flow - i1
-            if flow_lo <= i2 <= flow_hi:
-                for _, kind, _ in _R2.values():
-                    out.append(MoveInstance(kind, arrows=(ei,), params=(i1, i2), flags=("parallel",)))
+            if i1 <= i2 <= flow_hi:
+                out.append(MoveInstance("R2a_split", arrows=(ei,), params=(i1, i2), flags=("parallel",)))
         if not new_vertices:
             continue  # a fresh split adds a vertex
         for merge_role, (_, kind, _) in _R2.items():

@@ -301,9 +301,10 @@ class TestMovesCommand:
     def test_max_split_slots(self, capsys, tmp_path, monkeypatch):
         p = tmp_path / "t.json"
         p.write_text(encode(TREFOIL))
-        # each trefoil vertex has three incident slots: 2^3 subsets, 4 flag pairs
+        # each trefoil vertex has three incident slots: the 2^2 subsets that
+        # keep the last one at the vertex, 4 flag pairs
         _, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p), "--inverse")
-        assert out.count("R1split") == 3 * 8 * 4
+        assert out.count("R1split") == 3 * 4 * 4
         _, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p), "--inverse", "--max-split-slots", "2")
         assert "R1split" not in out and "R0inv" in out
         budgets = []
@@ -539,3 +540,29 @@ class TestHashSeedIndependence:
                 assert proc.returncode == 0, (argv, proc.stderr)
                 outs.append(proc.stdout)
             assert outs[0] == outs[1] and outs[0], argv
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--class", "r", "--vertices", "3", "--max-degree", "2", "--table"],
+            ["moves", "enumerate", "--comte", "C", "--inverse", "--max-split-slots", "12"],
+        ],
+    )
+    def test_reader_that_closes_stdout_ends_the_command_quietly(self, tmp_path, argv):
+        # the reader takes one line and closes the pipe; the command has far
+        # more to write than the pipe holds, so a later write must fail
+        p = tmp_path / "bouquet.json"
+        p.write_text(encode(comte("a", [("a", "a", "a", 0)] * 4)))
+        env = dict(os.environ, PYTHONPATH=str(Path(comtes.__file__).resolve().parent.parent))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "comtes.cli", *(str(p) if a == "C" else a for a in argv)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert first and (code, err) == (1, b"")

@@ -12,9 +12,16 @@ import comtes
 from comtes.acceptance import G2, G2G3_BUDGET, G3
 from comtes.core import Arrow, Comte, SelfIndexedGraph, canonical_key, comte, validate
 from comtes.moves import (
+    _JOIN_ORDER,
+    _R2,
+    _SIDES,
     MoveError,
     MoveInstance,
     SearchBudget,
+    _incident_slots,
+    _r2_split_flow,
+    _slot,
+    _square_join,
     apply_move,
     apply_move_detailed,
     enumerate_moves,
@@ -193,13 +200,12 @@ class TestInverseEnumeration:
         assert len(invs) == 2
 
     def test_flow_split_window(self):
+        # a parallel split copies the arrow, so it is listed as R2a_split
+        # alone, with its flows in rising order
         c = comte("a b x", [("a", "b", "x", 1), ("b", "a", "x", 1)])
-        pairs = sorted(
-            m.params
-            for m in inverse_instances(c, SearchBudget(flow_lo=-1, flow_hi=2))
-            if m.kind == "R2a_split" and m.arrows == (0,) and m.flags == ("parallel",)
-        )
-        assert pairs == [(-1, 2), (0, 1), (1, 0), (2, -1)]
+        parallel = [m for m in inverse_instances(c, SearchBudget(flow_lo=-1, flow_hi=2)) if m.flags == ("parallel",)]
+        assert {m.kind for m in parallel} == {"R2a_split"}
+        assert sorted(m.params for m in parallel if m.arrows == (0,)) == [(-1, 2), (0, 1)]
 
     def test_empty_flow_window_rejected(self):
         # a one-value window is allowed; an empty one would silently drop
@@ -207,6 +213,13 @@ class TestInverseEnumeration:
         assert inverse_instances(TREFOIL, SearchBudget(flow_lo=1, flow_hi=1))
         with pytest.raises(ValueError, match="empty flow window"):
             SearchBudget(flow_lo=3, flow_hi=-2)
+
+    @pytest.mark.parametrize("field", ["max_states", "max_vertices", "max_arrows", "r3b_range", "max_split_slots"])
+    def test_negative_window_rejected(self, field):
+        # a negative window would leave the search nothing to do
+        assert getattr(SearchBudget(**{field: 0}), field) == 0
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1$"):
+            SearchBudget(**{field: -1})
 
     def test_enumerators_declare_no_window(self):
         # the windows live in SearchBudget alone, so enumerate_moves(c),
@@ -397,13 +410,41 @@ class TestSearch:
         assert set(built) <= kept | set(ends)
         if not found:
             assert len(kept) + len(ends) == budget.max_states
-            assert len(built) < len(labeled) / 2
+            assert len(built) == 1998
 
     def test_trace_format(self):
         c2 = apply_move(TREFOIL, MoveInstance("R1loopadd", vertices=("a",), params=(1,)))
         trace = equivalent_bounded(TREFOIL, c2, SearchBudget(max_states=2000, max_vertices=4, max_arrows=5))
         text = trace.format()
         assert "site=" in text and text.endswith("\n")
+
+
+def test_exploration_is_pinned(monkeypatch):
+    # every state that three searches build, in order, and every trace step:
+    # G2 -> G3 with flows and as bare graphs, and trefoil -> figure eight
+    # until the state budget runs out
+    import comtes.moves
+
+    built = []
+    digest = hashlib.sha256()
+    real_build = comtes.moves.build_canonical_form
+
+    def build(c, lab):
+        built.append(lab.key)
+        digest.update(lab.key)
+        return real_build(c, lab)
+
+    monkeypatch.setattr(comtes.moves, "build_canonical_form", build)
+    for start, target, budget in (
+        (G2, G3, G2G3_BUDGET),
+        (_zeroed(G2), _zeroed(G3), dataclasses.replace(G2G3_BUDGET, **BARE)),
+        (TREFOIL, FIGURE_EIGHT, SearchBudget(max_states=10000)),
+    ):
+        trace = equivalent_bounded(start, target, budget)
+        for step in trace.steps if trace else ():
+            digest.update(step.instance.format().encode() + step.before_key + step.after_key)
+        digest.update(b"found" if trace is not None else b"none")
+    assert (len(built), digest.hexdigest()) == (16008, "6d43c09746766127ae97a9d9b2387262c3f87d359351b87dca121a60cdab0b8c")
 
 
 class TestR3aAddCompleteness:
@@ -528,8 +569,10 @@ class TestSizeChange:
                 assert da == 1, (c, m)
                 seen.add((m.kind, dv))
         assert {kind for kind, _ in seen} == {"R0inv", "R1split", "R1loopadd", "R2a_split", "R2b_split", "R3a_add"}
-        # both split flavors, parallel and fresh
-        assert {("R2a_split", 0), ("R2a_split", 1), ("R2b_split", 0), ("R2b_split", 1)} <= seen
+        # both split flavors, parallel and fresh; a parallel split is listed
+        # as R2a_split alone, so R2b_split always adds a vertex
+        assert {("R2a_split", 0), ("R2a_split", 1), ("R2b_split", 1)} <= seen
+        assert ("R2b_split", 0) not in seen
 
     @pytest.mark.parametrize("ignore_flows", [False, True])
     def test_pruned_generation_leaves_out_only_vertex_adding_instances(self, make_comte, ignore_flows):
@@ -619,8 +662,8 @@ class TestEnumerationGolden:
         "square0_without_left": (
             lambda: apply_move(SQUARE0, MoveInstance("R3a_remove", arrows=(0, 1, 2, 3, 4), params=(0,))),
             {
-                False: (263, "35c97b57f986c12a0bb0a502eaf16c370b00f7ba8e6ac7b637f5e5db3cfa7d57"),
-                True: (226, "3feedc41c097c4bcc31da64d15c70c784eeb7ab728060cc78dcee3fc64e0813c"),
+                False: (193, "866d785e155e6cd61092fc9d3eeed9a4b5c948bcff397db2fd6c653ea5e71f1d"),
+                True: (168, "332b6c5b76360001015794f076c9b5047a6017c0325653d48bb3586b43a3edb8"),
             },
             ["R3a_add site=[arrows=0,1,2,3] params=0"],
         ),
@@ -628,16 +671,16 @@ class TestEnumerationGolden:
             lambda: apply_move(G2, MoveInstance("R1split", vertices=("a",), moved=frozenset({(0, "s")}),
                                                 flags=("old_new", "old"))),
             {
-                False: (452, "3f2c364146f1c828f5317dc6a7cfb455132f2eab4aac838009c240054e38e36c"),
-                True: (412, "ee2f542cba522f62a3c7ab4416f89b5f8578016e35479ebe4eb78826245ccd09"),
+                False: (242, "3791a3e73c889c23c515c721f3d885ceca85c471c403ea24aec5a13c7a36344a"),
+                True: (225, "451ab76e059d305dee5b090f7029c29bb3fd42c143d4856077985282b74ddabe"),
             },
             ["R3a_add site=[arrows=1,4,0,3] params=3"],
         ),
         "trefoil": (
             lambda: TREFOIL,
             {
-                False: (174, "d5c8dceefb07117b8b422523c4d19d8ae10f87e392c1e59a455bddfd728f5787"),
-                True: (147, "5caaf8bbffb969f51fd463aa305c19dd604047f9c51790899dbe4a9e9d0123e3"),
+                False: (96, "fb6f9a610afb5bbf64ee48849d94062118e1dfb88d3b07a19027d224aee4b55f"),
+                True: (84, "0accd7a3c04eef6d686350f4534d7653f747b01aeebd934118ed0e3240f5f6d7"),
             },
             [],
         ),
@@ -653,3 +696,139 @@ class TestEnumerationGolden:
         text = "".join(m.format() + "\n" for m in pool)
         assert [m.format() for m in pool if m.kind.startswith("R3")] == r3
         assert (len(pool), hashlib.sha256(text.encode()).hexdigest()) == digests[ignore_flows]
+
+
+def _inverse_instances_with_mirrors(c, budget):
+    """``inverse_instances(c, budget)`` as it was before each inverse split
+    was listed once per outcome: every subset of the slots at a split
+    vertex, and both R2 forms and both flow orders of a parallel split."""
+
+    def split_sets(g, v, keep=None):
+        slots = [s for s in _incident_slots(g, v) if s != keep]
+        if len(slots) <= budget.max_split_slots:
+            for mask in range(1 << len(slots)):
+                yield frozenset(s for k, s in enumerate(slots) if mask >> k & 1)
+
+    flow_lo, flow_hi = budget.flow_lo, budget.flow_hi
+    g = c.graph
+    out = []
+    for u in g.vertices:
+        for labelv in g.vertices:
+            for flag in ("target", "source"):
+                out.append(MoveInstance("R0inv", vertices=(u, labelv), flags=(flag,)))
+    for v in g.vertices:
+        for j in range(flow_lo, flow_hi + 1):
+            out.append(MoveInstance("R1loopadd", vertices=(v,), params=(j,)))
+    for v in g.vertices:
+        for moved in split_sets(g, v):
+            for direction in ("old_new", "new_old"):
+                for label_half in ("old", "new"):
+                    out.append(MoveInstance("R1split", vertices=(v,), moved=moved, flags=(direction, label_half)))
+    for ei, a in enumerate(g.arrows):
+        flow = c.flows[ei]
+        for i1 in range(flow_lo, flow_hi + 1):
+            i2 = flow - i1
+            if flow_lo <= i2 <= flow_hi:
+                for _, kind, _ in _R2.values():
+                    out.append(MoveInstance(kind, arrows=(ei,), params=(i1, i2), flags=("parallel",)))
+        for merge_role, (_, kind, _) in _R2.items():
+            for moved in split_sets(g, _slot(a, merge_role), keep=(ei, merge_role)):
+                i2 = _r2_split_flow(c, moved, merge_role)
+                i1 = flow - i2
+                if flow_lo <= i1 <= flow_hi and flow_lo <= i2 <= flow_hi:
+                    out.append(MoveInstance(kind, arrows=(ei,), params=(i1, i2), moved=moved, flags=("fresh",)))
+    seen = set()
+    for wi, pos, sides, corners in _square_join(g, _JOIN_ORDER):
+        src, tgt, role = _SIDES[pos]
+        key = (pos, sides, Arrow(corners[src], corners[tgt], _slot(g.arrows[wi], role)))
+        if key not in seen:
+            seen.add(key)
+            out.append(MoveInstance("R3a_add", arrows=(wi, *sides), params=(pos,)))
+    return out
+
+
+_FLIP = {"old_new": "new_old", "new_old": "old_new", "old": "new", "new": "old"}
+
+
+def _mirror(c, m, slots):
+    """The split that gives the same comte as ``m`` by the other route: the
+    complementary slots with mirrored flags, or a parallel split as R2a_split
+    with its flows in rising order.  ``slots`` maps each vertex of ``c`` to
+    the set of its slots."""
+    if m.kind == "R1split":
+        (v,) = m.vertices
+        return dataclasses.replace(m, moved=slots[v] - m.moved, flags=tuple(_FLIP[f] for f in m.flags))
+    if m.flags == ("parallel",):
+        return MoveInstance("R2a_split", arrows=m.arrows, params=tuple(sorted(m.params)), flags=m.flags)
+    (ei,) = m.arrows
+    merge_role = "t" if m.kind == "R2a_split" else "s"
+    rest = slots[_slot(c.graph.arrows[ei], merge_role)] - m.moved - {(ei, merge_role)}
+    return dataclasses.replace(m, moved=rest, params=m.params[::-1])
+
+
+class TestEachSplitOncePerOutcome:
+    """``inverse_instances`` against the list that held each split together
+    with its mirror: the new list is an ordered subsequence of the old one,
+    reaches the same children, keeps the first instance that reaches each
+    child (so a search labels, keeps and traces the same states), and drops
+    only instances whose kept mirror gives the same comte."""
+
+    BUDGETS = (
+        ("default", SearchBudget()),
+        ("wide", SearchBudget(flow_lo=-2, flow_hi=3, max_split_slots=7)),
+        ("bare", SearchBudget(**BARE)),
+    )
+
+    def test_copy_is_the_list_with_mirrors(self):
+        # the copy gives the complete lists that TestEnumerationGolden pinned
+        # before each split was listed once per outcome
+        before = {
+            "square0_without_left": {
+                False: (263, "35c97b57f986c12a0bb0a502eaf16c370b00f7ba8e6ac7b637f5e5db3cfa7d57"),
+                True: (226, "3feedc41c097c4bcc31da64d15c70c784eeb7ab728060cc78dcee3fc64e0813c"),
+            },
+            "g2_split": {
+                False: (452, "3f2c364146f1c828f5317dc6a7cfb455132f2eab4aac838009c240054e38e36c"),
+                True: (412, "ee2f542cba522f62a3c7ab4416f89b5f8578016e35479ebe4eb78826245ccd09"),
+            },
+            "trefoil": {
+                False: (174, "d5c8dceefb07117b8b422523c4d19d8ae10f87e392c1e59a455bddfd728f5787"),
+                True: (147, "5caaf8bbffb969f51fd463aa305c19dd604047f9c51790899dbe4a9e9d0123e3"),
+            },
+        }
+        for name, digests in before.items():
+            for ignore_flows, digest in digests.items():
+                c = TestEnumerationGolden.CASES[name][0]()
+                c = _zeroed(c) if ignore_flows else c
+                budget = SearchBudget(**BARE) if ignore_flows else SearchBudget(r3b_range=3)
+                pool = enumerate_moves(c, budget) + _inverse_instances_with_mirrors(c, budget)
+                text = "".join(m.format() + "\n" for m in pool)
+                assert (len(pool), hashlib.sha256(text.encode()).hexdigest()) == digest, (name, ignore_flows)
+
+    def test_against_the_list_with_mirrors(self, make_comte):
+        dropped = set()
+        for i in range(600):
+            name, budget = self.BUDGETS[i % 3]
+            c = make_comte(nmax=4, amax=6)
+            if name == "bare":
+                c = _zeroed(c)
+            old = _inverse_instances_with_mirrors(c, budget)
+            new = inverse_instances(c, budget)
+            keys = {m: canonical_key(apply_move(c, m)) for m in old}
+            assert len(keys) == len(old)
+            position = iter(old)
+            assert all(m in position for m in new), (name, c)  # an ordered subsequence
+            assert {keys[m] for m in new} == set(keys.values()), (name, c)
+            first = {}
+            for m in old:
+                first.setdefault(keys[m], m)
+            kept = set(new)
+            assert kept >= set(first.values()), (name, c)
+            slots = {v: frozenset(_incident_slots(c.graph, v)) for v in c.graph.vertices}
+            for m in old:
+                if m not in kept:
+                    mirror = _mirror(c, m, slots)
+                    assert mirror in kept and keys[mirror] == keys[m], (name, c, m)
+                    dropped.add((m.kind, m.flags[0]))
+        assert dropped == {("R1split", "old_new"), ("R1split", "new_old"), ("R2a_split", "parallel"),
+                           ("R2b_split", "parallel"), ("R2a_split", "fresh"), ("R2b_split", "fresh")}
