@@ -278,7 +278,8 @@ def contract_with_map(g: SelfIndexedGraph, T) -> tuple[SelfIndexedGraph, dict[st
 # the build step (``build_canonical_form``) turns that labeling into named
 # vertices, arrows, flows and the maps from the input.  ``canonical_key``
 # runs the first step only, ``canonical_form`` both, and the move search
-# builds a child only when its key is new.
+# labels every child but builds a state only when it expands it or walks
+# it on the trace.
 
 
 @dataclass(frozen=True)
@@ -308,7 +309,11 @@ class CanonicalLabeling(NamedTuple):
 def _refine_colors(n, arrs, colors):
     """Iterated refinement of an ordered colouring; returns colour ranks per
     vertex.  A vertex's new colour sorts first by its old one, so the new ranks
-    keep the old order.  A discrete colouring is returned as its ranks."""
+    keep the old order.  A discrete colouring is returned as its ranks.
+
+    Each arrow gives each of its ends one entry (role, cs, ct, cl, f): the
+    role has bit 4 when the vertex is the source, 2 the target, 1 the label,
+    and cs, ct, cl are the colours of the three ends."""
     ncolors = len(set(colors))
     if ncolors == n:
         rank = {c: i for i, c in enumerate(sorted(colors))}
@@ -316,10 +321,24 @@ def _refine_colors(n, arrs, colors):
     while True:
         local = [[] for _ in range(n)]
         for s, t, l, f in arrs:
-            arrow = (colors[s], colors[t], colors[l], f)
-            for v in {s, t, l}:
-                local[v].append(((s == v) * 4 + (t == v) * 2 + (l == v), arrow))
-        sigs = [(colors[v], tuple(sorted(loc))) for v, loc in enumerate(local)]
+            cs, ct, cl = colors[s], colors[t], colors[l]
+            if s == t:
+                if s == l:
+                    local[s].append((7, cs, ct, cl, f))
+                else:
+                    local[s].append((6, cs, ct, cl, f))
+                    local[l].append((1, cs, ct, cl, f))
+            elif s == l:
+                local[s].append((5, cs, ct, cl, f))
+                local[t].append((2, cs, ct, cl, f))
+            elif t == l:
+                local[s].append((4, cs, ct, cl, f))
+                local[t].append((3, cs, ct, cl, f))
+            else:
+                local[s].append((4, cs, ct, cl, f))
+                local[t].append((2, cs, ct, cl, f))
+                local[l].append((1, cs, ct, cl, f))
+        sigs = [(colors[v], *sorted(loc)) for v, loc in enumerate(local)]
         order = sorted(set(sigs))
         rank = {sig: i for i, sig in enumerate(order)}
         new = [rank[sig] for sig in sigs]

@@ -36,6 +36,13 @@ A "parallel" split moves no slot: it copies the arrow.  Its R2a and R2b
 forms coincide, and the flow splits (I1, I2) and (I2, I1) differ only by
 which copy is which, so only R2a_split with I1 <= I2 is enumerated.
 
+A vertex split that moves no slot adds a pendant arrow with flow 0, and
+two kinds of it are R0inv under another name: an R1split with the label on
+the old half is R0inv(v, v, target) (old_new) or R0inv(v, v, source)
+(new_old), and a fresh R2 split is R0inv at the shared end, labeled as the
+split arrow.  R0inv is listed first, so these splits are not enumerated;
+``apply_move`` still applies them.
+
 The R3 square on a witness b --a--> t has corners P, Q, R, S and four
 sides, by position:
 
@@ -59,7 +66,7 @@ flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations
 
@@ -538,10 +545,12 @@ class SearchBudget:
     max_split_slots: int = 10
 
     def __post_init__(self):
-        for name in ("max_states", "max_vertices", "max_arrows", "r3b_range", "max_split_slots"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if value < 0 and f.name not in ("flow_lo", "flow_hi"):
+                raise ValueError(f"{f.name} must be non-negative, got {value}")
         if self.flow_lo > self.flow_hi:
             raise ValueError(f"empty flow window: flow_lo={self.flow_lo} > flow_hi={self.flow_hi}")
 
@@ -610,12 +619,15 @@ def inverse_instances(
     complement gives the same comte (skipped when k exceeds
     ``budget.max_split_slots``).  Flow splits I1 + I2 = I range over
     [``budget.flow_lo``, ``budget.flow_hi``]; a parallel split, which
-    copies the arrow, is listed as R2a_split alone with I1 <= I2.  Splits
-    whose conservation-forced flow falls outside the window are not
-    emitted, so every instance applies to a valid comte and yields a valid
-    comte.  Each instance adds one arrow.  ``new_vertices=False`` leaves out
-    the vertex-adding instances (R0inv, R1split, fresh splits) and keeps the
-    order of the rest.
+    copies the arrow, is listed as R2a_split alone with I1 <= I2.  A split
+    that moves no slot and only attaches a pendant arrow that an earlier
+    R0inv instance attaches is left out: an R1split with the label on the
+    old half, and every fresh R2 split.  Splits whose conservation-forced
+    flow falls outside the window are not emitted, so every instance
+    applies to a valid comte and yields a valid comte.  Each instance adds
+    one arrow.  ``new_vertices=False`` leaves out the vertex-adding
+    instances (R0inv, R1split, fresh splits) and keeps the order of the
+    rest.
     """
     flow_lo, flow_hi = budget.flow_lo, budget.flow_hi
     g = c.graph
@@ -635,7 +647,8 @@ def inverse_instances(
     for v in growing:
         for moved in _split_sets(g, v, budget):
             for direction in ("old_new", "new_old"):
-                for label_half in ("old", "new"):
+                # moving no slot, with the label on the old half, is R0inv(v, v)
+                for label_half in ("old", "new") if moved else ("new",):
                     out.append(MoveInstance("R1split", vertices=(v,), moved=moved, flags=(direction, label_half)))
     # inverse R2: split one arrow into two
     for ei, a in enumerate(g.arrows):
@@ -650,6 +663,8 @@ def inverse_instances(
             continue  # a fresh split adds a vertex
         for merge_role, (_, kind, _) in _R2.items():
             for moved in _split_sets(g, _slot(a, merge_role), budget, keep=(ei, merge_role)):
+                if not moved:
+                    continue  # R0inv at the shared end, labeled a.label
                 i2 = _r2_split_flow(c, moved, merge_role)
                 i1 = flow - i2
                 if flow_lo <= i1 <= flow_hi and flow_lo <= i2 <= flow_hi:
@@ -727,23 +742,37 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
     start, goal = canonical_form(c1), canonical_form(c2)
     if start.key == goal.key:
         return MoveTrace(())
-    # visited[side][key] = (comte, parent_key, instance_on_parent, inverse_on_self)
+    # visited[side][key] = (comte, labeling, parent_key, instance_on_parent,
+    # inverse_on_comte).  A kept child is stored as applied, with its
+    # labeling; ``built`` replaces it by its canonical comte, with the
+    # inverse transported onto that and the labeling None, once the state
+    # is expanded or the trace reads its inverse.
     visited = [
-        {start.key: (start.comte, None, None, None)},
-        {goal.key: (goal.comte, None, None, None)},
+        {start.key: (start.comte, None, None, None, None)},
+        {goal.key: (goal.comte, None, None, None, None)},
     ]
     frontier = [[start.key], [goal.key]]
     n_states = 2
 
+    def built(side, key):
+        entry = comte_, lab, parent, inst, inv = visited[side][key]
+        if lab is not None:
+            cf = build_canonical_form(comte_, lab)
+            entry = cf.comte, None, parent, inst, transport_instance(inv, cf.vertex_map, cf.arrow_perm)
+            visited[side][key] = entry
+        return entry
+
     def build_trace(meet_key, child_data, side):
         # child_data: the new edge discovered from `side` into the other side;
-        # the search ends here, so it is recorded in place
+        # the search ends here, so it is recorded in place.  The forward half
+        # reads only instances on parents, which were built to be expanded;
+        # the backward half reads each state's inverse, so it builds the
+        # meeting state
         visited[side][meet_key] = child_data
-        fwd, bwd = visited
         steps = []
         k = meet_key
         while True:
-            comte_, parent, inst, _inv = fwd[k]
+            _, _, parent, inst, _ = visited[0][k]
             if parent is None:
                 break
             steps.append(TraceStep(inst, parent, k))
@@ -751,7 +780,7 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
         steps.reverse()
         k = meet_key
         while True:
-            comte_, parent, _inst, inv = bwd[k]
+            _, _, parent, _, inv = built(1, k)
             if parent is None:
                 break
             steps.append(TraceStep(inv, k, parent))
@@ -763,7 +792,7 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
         other = 1 - side
         new_frontier = []
         for key in frontier[side]:
-            state = visited[side][key][0]
+            state = built(side, key)[0]
             # no forward move grows a state and each inverse one adds an
             # arrow, so inverse instances are generated only with arrow room
             # and vertex-adding ones only with vertex room; then only an end
@@ -780,17 +809,14 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
                         continue
                     if len(res.comte.vertices) > budget.max_vertices or len(res.comte.arrows) > budget.max_arrows:
                         continue
-                    # every child is labeled; only a new state or the meeting
-                    # state is built
+                    # every child is labeled; a new one is kept unbuilt
                     lab = canonical_labeling(res.comte)
                     child_key = lab.key
-                    meet = child_key in visited[other]
-                    if meet or child_key not in visited[side]:
-                        cf = build_canonical_form(res.comte, lab)
-                        inv = transport_instance(res.inverse, cf.vertex_map, cf.arrow_perm)
-                        if meet:
-                            return build_trace(child_key, (cf.comte, key, inst, inv), side)
-                        visited[side][child_key] = (cf.comte, key, inst, inv)
+                    child = (res.comte, lab, key, inst, res.inverse)
+                    if child_key in visited[other]:
+                        return build_trace(child_key, child, side)
+                    if child_key not in visited[side]:
+                        visited[side][child_key] = child
                         new_frontier.append(child_key)
                         n_states += 1
                         if n_states >= budget.max_states:

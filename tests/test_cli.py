@@ -302,9 +302,11 @@ class TestMovesCommand:
         p = tmp_path / "t.json"
         p.write_text(encode(TREFOIL))
         # each trefoil vertex has three incident slots: the 2^2 subsets that
-        # keep the last one at the vertex, 4 flag pairs
+        # keep the last one at the vertex, 4 flag pairs, less the 2 that move
+        # no slot and label the old half (R0inv)
         _, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p), "--inverse")
-        assert out.count("R1split") == 3 * 4 * 4
+        assert out.count("R1split") == 3 * (4 * 4 - 2)
+        assert len(out.splitlines()) == 84
         _, out, _ = run(capsys, "moves", "enumerate", "--comte", str(p), "--inverse", "--max-split-slots", "2")
         assert "R1split" not in out and "R0inv" in out
         budgets = []

@@ -223,7 +223,10 @@ class TestCanonicalKey:
 
 def _refine_colors_reference(n, arrs, colors):
     """The refinement loop without the discrete stop: it runs until a round
-    splits no colour."""
+    splits no colour.  It keeps the signatures of the refinement before the
+    flat entries, (colour, tuple of (role, arrow colours)), with the roles
+    read off the set {s, t, l} of each arrow, so comparing ranks with it is
+    also a differential test of that rewrite."""
     ncolors = len(set(colors))
     while True:
         local = [[] for _ in range(n)]
@@ -273,6 +276,27 @@ class TestLabelingStep:
                 assert core._refine_colors(n, arrs, list(colors)) == _refine_colors_reference(n, arrs, colors)
                 checked += 1
         assert checked > 2000
+
+    def test_refinement_matches_the_reference_on_a_search(self, monkeypatch):
+        # every refinement input of a 2,000-state trefoil -> figure-eight
+        # search between seeded relabelings of the two
+        from comtes.moves import SearchBudget, equivalent_bounded
+
+        inputs = []
+        real = core._refine_colors
+
+        def recording(n, arrs, colors):
+            inputs.append((n, arrs, list(colors)))
+            return real(n, arrs, colors)
+
+        monkeypatch.setattr(core, "_refine_colors", recording)
+        rng = random.Random(2000)
+        figure_eight = comte("a b c d", [("a", "d", "c", 1), ("c", "d", "b", -1), ("c", "b", "a", 1), ("a", "b", "d", -1)])
+        ends = _relabeled(TREFOIL, rng), _relabeled(figure_eight, rng)
+        assert equivalent_bounded(*ends, SearchBudget(max_states=2000)) is None
+        assert len(inputs) > 3000
+        for n, arrs, colors in inputs:
+            assert real(n, arrs, colors) == _refine_colors_reference(n, arrs, colors)
 
     def test_key_is_the_key_of_the_form(self, rng):
         pool = _seeded_pool() + _hard_comtes()

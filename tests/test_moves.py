@@ -221,6 +221,14 @@ class TestInverseEnumeration:
         with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1$"):
             SearchBudget(**{field: -1})
 
+    @pytest.mark.parametrize("value", [0.5, None, True])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SearchBudget)])
+    def test_non_integer_field_rejected(self, field, value):
+        # a float used to be accepted and then fail inside the search, and
+        # None failed in the range check with an unrelated TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            SearchBudget(**{field: value})
+
     def test_enumerators_declare_no_window(self):
         # the windows live in SearchBudget alone, so enumerate_moves(c),
         # inverse_instances(c) and a search under SearchBudget() walk the same
@@ -357,8 +365,8 @@ class TestSearch:
     @pytest.mark.parametrize("name", ["figure_eight", "looped_trefoil", "g2_g3", "g2_g3_without_vertex_room"])
     def test_each_kept_state_is_built_once(self, monkeypatch, name):
         # counted from outside: one labeling per successful apply, since every
-        # child of a state within the budget fits, one build per state kept,
-        # plus one for the meeting state
+        # child of a state within the budget fits; a kept state is built at
+        # most once, when it is expanded or when the trace reads its inverse
         import comtes.moves
 
         start, target, budget = {
@@ -371,11 +379,12 @@ class TestSearch:
             "g2_g3": (G2, G3, G2G3_BUDGET),
             "g2_g3_without_vertex_room": (G2, G3, dataclasses.replace(G2G3_BUDGET, max_vertices=3, max_states=5000)),
         }[name]
-        ends, labeled, built, children = [], [], [], []
+        ends, labeled, built, children, expanded = [], [], [], [], []
         real_form = comtes.moves.canonical_form
         real_label = comtes.moves.canonical_labeling
         real_build = comtes.moves.build_canonical_form
         real_apply = comtes.moves.apply_move_detailed
+        real_enumerate = comtes.moves.enumerate_moves
 
         def form(c):
             cf = real_form(c)
@@ -396,21 +405,30 @@ class TestSearch:
             children.append(res)
             return res
 
-        for attr, fn in (("canonical_form", form), ("canonical_labeling", label),
-                         ("build_canonical_form", build), ("apply_move_detailed", apply)):
+        def enumerate_(c, budget):
+            # each expansion enumerates the forward moves once
+            expanded.append(real_label(c).key)
+            return real_enumerate(c, budget)
+
+        for attr, fn in (("canonical_form", form), ("canonical_labeling", label), ("build_canonical_form", build),
+                         ("apply_move_detailed", apply), ("enumerate_moves", enumerate_)):
             monkeypatch.setattr(comtes.moves, attr, fn)
         trace = equivalent_bounded(start, target, budget)
         found = trace is not None
         assert found == (name != "figure_eight")
         assert len(labeled) == len(children)
-        # a new key is kept the first time it is labeled, or it meets the
-        # other side and ends the search; no key is kept on both sides
-        kept = set(labeled) - set(ends)
-        assert len(built) == len(kept) + found
-        assert set(built) <= kept | set(ends)
+        on_trace = {k for step in trace.steps for k in (step.before_key, step.after_key)} if found else set()
+        # the ends are canonical from the start; every other state is built
+        # once, and only when it is expanded or on the trace, where only the
+        # meeting state may be built without being expanded
+        assert len(set(expanded)) == len(expanded)
+        assert len(set(built)) == len(built)
+        assert set(expanded) - set(ends) <= set(built) <= (set(expanded) | on_trace) - set(ends)
+        assert len(set(built) - set(expanded)) <= found
         if not found:
+            kept = set(labeled) - set(ends)
             assert len(kept) + len(ends) == budget.max_states
-            assert len(built) == 1998
+            assert len(built) == 17
 
     def test_trace_format(self):
         c2 = apply_move(TREFOIL, MoveInstance("R1loopadd", vertices=("a",), params=(1,)))
@@ -420,31 +438,38 @@ class TestSearch:
 
 
 def test_exploration_is_pinned(monkeypatch):
-    # every state that three searches build, in order, and every trace step:
-    # G2 -> G3 with flows and as bare graphs, and trefoil -> figure eight
-    # until the state budget runs out
+    # every key that three searches label, in the order each is first
+    # labeled in its search, and every trace step: G2 -> G3 with flows and
+    # as bare graphs, and trefoil -> figure eight until the state budget
+    # runs out
     import comtes.moves
 
-    built = []
+    seen = set()
     digest = hashlib.sha256()
-    real_build = comtes.moves.build_canonical_form
+    real_label = comtes.moves.canonical_labeling
+    first = 0
 
-    def build(c, lab):
-        built.append(lab.key)
-        digest.update(lab.key)
-        return real_build(c, lab)
+    def label(c):
+        nonlocal first
+        lab = real_label(c)
+        if lab.key not in seen:
+            seen.add(lab.key)
+            first += 1
+            digest.update(lab.key)
+        return lab
 
-    monkeypatch.setattr(comtes.moves, "build_canonical_form", build)
+    monkeypatch.setattr(comtes.moves, "canonical_labeling", label)
     for start, target, budget in (
         (G2, G3, G2G3_BUDGET),
         (_zeroed(G2), _zeroed(G3), dataclasses.replace(G2G3_BUDGET, **BARE)),
         (TREFOIL, FIGURE_EIGHT, SearchBudget(max_states=10000)),
     ):
+        seen.clear()
         trace = equivalent_bounded(start, target, budget)
         for step in trace.steps if trace else ():
             digest.update(step.instance.format().encode() + step.before_key + step.after_key)
         digest.update(b"found" if trace is not None else b"none")
-    assert (len(built), digest.hexdigest()) == (16008, "6d43c09746766127ae97a9d9b2387262c3f87d359351b87dca121a60cdab0b8c")
+    assert (first, digest.hexdigest()) == (16012, "c001ded4ffa74ca097ad1490d6db43c1d1ee7dd70a2b9a76ae421d177f20ccb4")
 
 
 class TestR3aAddCompleteness:
@@ -662,8 +687,8 @@ class TestEnumerationGolden:
         "square0_without_left": (
             lambda: apply_move(SQUARE0, MoveInstance("R3a_remove", arrows=(0, 1, 2, 3, 4), params=(0,))),
             {
-                False: (193, "866d785e155e6cd61092fc9d3eeed9a4b5c948bcff397db2fd6c653ea5e71f1d"),
-                True: (168, "332b6c5b76360001015794f076c9b5047a6017c0325653d48bb3586b43a3edb8"),
+                False: (171, "0e6d4053297de4c2f629d8aafa1f5a5503e7f7b6890b772e92ed388e50ab5c08"),
+                True: (146, "6de1b74ca6e83625a591196299587b189b96602c745c2626152b88b75c0819d9"),
             },
             ["R3a_add site=[arrows=0,1,2,3] params=0"],
         ),
@@ -671,16 +696,16 @@ class TestEnumerationGolden:
             lambda: apply_move(G2, MoveInstance("R1split", vertices=("a",), moved=frozenset({(0, "s")}),
                                                 flags=("old_new", "old"))),
             {
-                False: (242, "3791a3e73c889c23c515c721f3d885ceca85c471c403ea24aec5a13c7a36344a"),
-                True: (225, "451ab76e059d305dee5b090f7029c29bb3fd42c143d4856077985282b74ddabe"),
+                False: (224, "beeb9bbdc080514211d9e3ebc61857e0a24d4ebf0d972e1c7a4f0b49bab50724"),
+                True: (207, "c4bb2072bfaa4d6c0736bb2dd630ce969df4466a7d5859e349957e6e196f3870"),
             },
             ["R3a_add site=[arrows=1,4,0,3] params=3"],
         ),
         "trefoil": (
             lambda: TREFOIL,
             {
-                False: (96, "fb6f9a610afb5bbf64ee48849d94062118e1dfb88d3b07a19027d224aee4b55f"),
-                True: (84, "0accd7a3c04eef6d686350f4534d7653f747b01aeebd934118ed0e3240f5f6d7"),
+                False: (84, "33a474c7c657012c430bc15ab6c7a20949bb573598c522561bd64102a480c247"),
+                True: (72, "99dd44cf5fad125499e74543073e36b249f344db44a79a2b71cb328ea9f5e4d3"),
             },
             [],
         ),
@@ -766,12 +791,33 @@ def _mirror(c, m, slots):
     return dataclasses.replace(m, moved=rest, params=m.params[::-1])
 
 
+def _pendant_r0inv(c, m):
+    """The R0inv instance that attaches the same pendant arrow as ``m``, when
+    ``m`` is a split that moves no slot and labels the new arrow by an old
+    vertex (an R1split with the label on the old half, or a fresh R2 split);
+    else None."""
+    if m.moved:
+        return None
+    if m.kind == "R1split" and m.flags[1] == "old":
+        (v,) = m.vertices
+        return MoveInstance("R0inv", vertices=(v, v), flags=("target" if m.flags[0] == "old_new" else "source",))
+    if m.flags == ("fresh",):
+        merge_role = "t" if m.kind == "R2a_split" else "s"
+        a = c.graph.arrows[m.arrows[0]]
+        shared = _R2[merge_role][2]
+        return MoveInstance("R0inv", vertices=(_slot(a, shared), a.label),
+                            flags=("target" if merge_role == "t" else "source",))
+    return None
+
+
 class TestEachSplitOncePerOutcome:
     """``inverse_instances`` against the list that held each split together
     with its mirror: the new list is an ordered subsequence of the old one,
     reaches the same children, keeps the first instance that reaches each
     child (so a search labels, keeps and traces the same states), and drops
-    only instances whose kept mirror gives the same comte."""
+    only instances whose kept mirror gives the same comte, and splits that
+    move no slot (or are the mirror of one) whose comte an R0inv listed
+    earlier gives."""
 
     BUDGETS = (
         ("default", SearchBudget()),
@@ -826,9 +872,20 @@ class TestEachSplitOncePerOutcome:
             assert kept >= set(first.values()), (name, c)
             slots = {v: frozenset(_incident_slots(c.graph, v)) for v in c.graph.vertices}
             for m in old:
-                if m not in kept:
-                    mirror = _mirror(c, m, slots)
-                    assert mirror in kept and keys[mirror] == keys[m], (name, c, m)
-                    dropped.add((m.kind, m.flags[0]))
-        assert dropped == {("R1split", "old_new"), ("R1split", "new_old"), ("R2a_split", "parallel"),
-                           ("R2b_split", "parallel"), ("R2a_split", "fresh"), ("R2b_split", "fresh")}
+                if m in kept:
+                    continue
+                mirror = _mirror(c, m, slots)
+                if mirror in kept:
+                    assert keys[mirror] == keys[m], (name, c, m)
+                    dropped.add(("mirror", m.kind, m.flags[0]))
+                    continue
+                # a split that moves no slot, or the mirror of one
+                r0inv = _pendant_r0inv(c, m) or _pendant_r0inv(c, mirror)
+                assert r0inv in kept and keys[r0inv] == keys[m], (name, c, m)
+                assert old.index(r0inv) < old.index(m), (name, c, m)
+                dropped.add(("mirror of no slot" if m.moved else "no slot", m.kind, m.flags[0]))
+        kinds = {("R1split", "old_new"), ("R1split", "new_old"), ("R2a_split", "fresh"), ("R2b_split", "fresh")}
+        assert dropped == (
+            {("mirror", kind, flag) for kind, flag in kinds | {("R2a_split", "parallel"), ("R2b_split", "parallel")}}
+            | {(reason, kind, flag) for reason in ("no slot", "mirror of no slot") for kind, flag in kinds}
+        )
