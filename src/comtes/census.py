@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import permutations
-from math import prod
 
 from .core import SelfIndexedGraph, canonical_form, canonical_key, classify, graph_from_injections
 from .homology import HomologyGroup, homology_range
@@ -146,46 +145,6 @@ def enumerate_q_graphs(n_vertices: int, include_arrowless: bool = False) -> list
     structures) took 10 s of processor time and 132 MiB peak memory on a
     2-vCPU virtual machine with Python 3.11."""
     return _enumerate(n_vertices, q_only=True, include_arrowless=include_arrowless)
-
-
-def count_labeled_structures(n_vertices: int, q_only: bool = False) -> int:
-    return prod(len(c) for c in _label_choices(n_vertices, q_only))
-
-
-def burnside_class_count(n_vertices: int, q_only: bool = False) -> int:
-    """Isomorphism class count by Burnside's lemma, an independent check of
-    the canonical-form enumeration.
-
-    A permutation fixes a labeled structure iff along each of its cycles
-    the injection at the starting label determines the rest and returns to
-    itself after conjugating around the cycle.
-    """
-    n = n_vertices
-    choices = _label_choices(n, q_only)
-    total = 0
-    perms = list(permutations(range(n)))
-    for perm in perms:
-        seen = set()
-        fixed = 1
-        for start in range(n):
-            if start in seen:
-                continue
-            cyc = [start]
-            x = perm[start]
-            while x != start:
-                cyc.append(x)
-                x = perm[x]
-            seen.update(cyc)
-            cnt = 0
-            for f in choices[start]:
-                g = f
-                for _ in cyc:
-                    g = _conjugate(g, perm)
-                if g == f:
-                    cnt += 1
-            fixed *= cnt
-        total += fixed
-    return total // len(perms)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ elements so that C(label) |> C(source) = C(target) at every arrow; it is
 the same thing as a graph homomorphism into the self-indexed graph of X.
 
 This module owns the chain layer: chains and cochains on homomorphisms
-Y_n -> G, the cycle of a flow, the cochain of a quandle 2-cocycle, the
-chain boundary, and the state sum, which weights homomorphisms by chain
-coefficients and pulled-back cochain values in the group ring Z[A].  The
-quandle cocycle invariant Phi is its degree-2 specialization.
+Y_n -> G, the cycle of a flow, the cochain of a quandle 2-cocycle, and
+the state sum, which weights homomorphisms by chain coefficients and
+pulled-back cochain values in the group ring Z[A].  The quandle cocycle
+invariant Phi is its degree-2 specialization.
 ``comtes.homology`` owns the tuple complex and the cocycle solve.
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import Comte, GraphHomomorphism, SelfIndexedGraph
-from .cubes import build_Yn, face_map
+from .cubes import build_Yn
 from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow_index
 
 
@@ -153,11 +153,6 @@ class Cochain:
     values: dict  # GraphHomomorphism -> A element; missing keys read as identity
 
 
-def compose(h: GraphHomomorphism, k: GraphHomomorphism, mid: SelfIndexedGraph) -> GraphHomomorphism:
-    """k after h, for h into mid and k out of mid."""
-    return _after(k, mid)(h)
-
-
 def _after(k: GraphHomomorphism, mid: SelfIndexedGraph):
     """The map h -> k after h on homomorphisms h into mid, with the vertex
     images of k looked up in one dict built once."""
@@ -185,22 +180,6 @@ def flow_to_cycle(c: Comte) -> Chain:
         if f:
             coeffs[degree2_signature(c.graph, e)] = f
     return Chain.from_dict(2, coeffs)
-
-
-def chain_boundary(chain: Chain, g: SelfIndexedGraph) -> Chain:
-    """Boundary of a chain on any graph, computed by composing each
-    homomorphism with the face embeddings of Y_{degree}."""
-    n = chain.degree
-    cube = build_Yn(n).graph
-    out: dict = {}
-    for sigma, coeff in chain.coeffs:
-        after_sigma = _after(sigma, cube)
-        for s in range(1, n):
-            sign = -1 if s % 2 else 1
-            for eps, fsign in ((0, sign), (1, -sign)):
-                key = after_sigma(face_map(n, s, eps))
-                out[key] = out.get(key, 0) + fsign * coeff
-    return Chain.from_dict(n - 1, out)
 
 
 def cochain_from_cocycle2_on(x: FiniteRack, f: Cocycle2) -> Cochain:

@@ -59,7 +59,10 @@ def comte(vertices, arrows=()) -> Comte:
     if isinstance(vertices, str):
         vertices = vertices.split()
     arrs = tuple(Arrow(s, t, l) for s, t, l, _ in arrows)
-    flows = tuple(int(f) for _, _, _, f in arrows)
+    flows = tuple(f for _, _, _, f in arrows)
+    for i, f in enumerate(flows):
+        if isinstance(f, bool) or not isinstance(f, int):
+            raise ValueError(f"arrows[{i}].flow: not an integer: {f!r}")
     return Comte(SelfIndexedGraph(tuple(vertices), arrs), flows)
 
 
@@ -431,22 +434,6 @@ class GraphHomomorphism(NamedTuple):
 
     vertex_images: tuple[str, ...]  # image of src.vertices[i]
     arrow_map: tuple[int, ...]      # image of src.arrows[k], as a dst arrow index
-
-
-def is_homomorphism(h: GraphHomomorphism, src: SelfIndexedGraph, dst: SelfIndexedGraph) -> bool:
-    """Check that ``h`` commutes with source, target and label maps."""
-    if len(h.vertex_images) != len(src.vertices) or len(h.arrow_map) != len(src.arrows):
-        return False
-    if not set(dst.vertices).issuperset(h.vertex_images):
-        return False
-    vm = dict(zip(src.vertices, h.vertex_images))
-    for a, j in zip(src.arrows, h.arrow_map):
-        if not 0 <= j < len(dst.arrows):
-            return False
-        b = dst.arrows[j]
-        if vm[a.source] != b.source or vm[a.target] != b.target or vm[a.label] != b.label:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

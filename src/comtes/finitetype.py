@@ -23,6 +23,8 @@ class SemiVirtualGraph:
 
     def __post_init__(self):
         for i in self.semivirtual:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise ValueError(f"semi-virtual arrow index {i!r} is not an integer")
             if not 0 <= i < len(self.graph.arrows):
                 raise ValueError(f"semi-virtual arrow index {i} out of range")
 

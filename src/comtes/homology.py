@@ -29,8 +29,8 @@ boundary face of a code is one arithmetic step.
 
 This module owns the tuple complex, the homomorphisms Y_n -> G and the
 degree-2 q-cocycles.  The chain layer (chains and cochains on
-homomorphisms, the cycle of a flow, the cochain of a quandle 2-cocycle,
-the chain boundary and the state sums) lives in ``comtes.coloring``.
+homomorphisms, the cycle of a flow, the cochain of a quandle 2-cocycle
+and the state sums) lives in ``comtes.coloring``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .coloring import graph_homomorphisms
 from .core import GraphHomomorphism, SelfIndexedGraph, classify
 from .cubes import build_Yn
 from .linalg import kernel_mod, image_size_mod, smith_normal_form
-from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack
+from .racks import AbelianGroup
 
 
 class NotRGraphError(ValueError):
@@ -379,26 +379,3 @@ def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
         for c, v in row.items():
             out[c][r] = v
     return out
-
-
-def q2_cocycles_of_quandle(x: FiniteRack, group: AbelianGroup):
-    """Cocycle solve on the graph of a quandle, also reshaped into Cocycle2
-    objects (one per generator, embedded in its cyclic factor)."""
-    g = graph_of_rack(x)
-    res = q2_cocycles(g, group)
-    k = len(group.orders)
-    cocycles = []
-    for fi, factor_gens in enumerate(res.generators):
-        for vec, _order in factor_gens:
-            vals = [[group.identity] * x.n for _ in range(x.n)]
-            for pos, (a, b) in enumerate(res.basis):
-                elt = [0] * k
-                elt[fi] = vec[pos] % group.orders[fi]
-                vals[a][b] = tuple(elt)
-            cocycles.append(Cocycle2(group, tuple(tuple(r) for r in vals)))
-    return res, cocycles
-
-
-def cocycle_vector(f: Cocycle2, basis, factor: int) -> list[int]:
-    """Project a Cocycle2 to its vector over a C_2^Q basis in one factor."""
-    return [f.value(a, b)[factor] for a, b in basis]

@@ -1,9 +1,9 @@
 """Exact integer Laurent polynomials in one variable t, plus a gcd.
 
 Values are dicts exponent -> coefficient with no zero entries; exponents
-may be negative.  Results that are only defined up to units (+- t^k) are
-normalized by ``unit_normalize``: zero valuation, positive leading
-coefficient.
+may be negative.  Both are ``int``: a float or a ``bool`` is a TypeError.
+Results that are only defined up to units (+- t^k) are normalized by
+``unit_normalize``: zero valuation, positive leading coefficient.
 
 ``divexact`` is long division that must be exact at every step.
 ``laurent_gcd`` multiplies the integer gcd of the contents by the gcd of
@@ -33,8 +33,10 @@ class Laurent:
         cleaned = {}
         if coeffs:
             for e, c in coeffs.items():
+                if type(e) is not int or type(c) is not int:
+                    raise TypeError(f"exponent and coefficient must be integers, got {e!r}: {c!r}")
                 if c:
-                    cleaned[int(e)] = int(c)
+                    cleaned[e] = c
         self.coeffs = cleaned
 
     @staticmethod
@@ -166,18 +168,6 @@ def divexact(p: Laurent, d: Laurent) -> Laurent:
     return _from_poly(quot).shift(p.valuation() - d.valuation())
 
 
-def divides(d: Laurent, p: Laurent) -> bool:
-    if not d:
-        return not p
-    if not p:
-        return True
-    try:
-        divexact(p, d)
-        return True
-    except ArithmeticError:
-        return False
-
-
 def _prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced mod b.
 
@@ -245,8 +235,10 @@ class MultiLaurent:
                 exps = tuple(exps)
                 if len(exps) != nvars:
                     raise ValueError(f"exponent tuple {exps} does not have {nvars} entries")
+                if type(c) is not int or any(type(e) is not int for e in exps):
+                    raise TypeError(f"exponents and coefficient must be integers, got {exps!r}: {c!r}")
                 if c:
-                    cleaned[exps] = int(c)
+                    cleaned[exps] = c
         self.coeffs = cleaned
 
     @staticmethod

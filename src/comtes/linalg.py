@@ -241,10 +241,3 @@ def image_size_mod(matrix, modulus) -> int:
     for d in snf.factors:
         size *= modulus // gcd(d, modulus)
     return size
-
-
-def kernel_size_mod(matrix, ncols, modulus) -> int:
-    total = 1
-    for _, order in kernel_mod(matrix, ncols, modulus):
-        total *= order
-    return total

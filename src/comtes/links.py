@@ -155,10 +155,9 @@ def swap_arrowtails(d: GaussDiagram, circle: int, position: int) -> GaussDiagram
     """Exchange two adjacent tail endpoints (positions ``position`` and
     ``position + 1`` cyclically on the given circle).  The comte of the
     result coincides with the comte of the input."""
-    try:
-        circ = d.circles[circle]
-    except IndexError:
-        raise LinkCodeError(f"no circle {circle}") from None
+    if not 0 <= circle < len(d.circles):
+        raise LinkCodeError(f"no circle {circle}")
+    circ = d.circles[circle]
     if not circ:
         raise LinkCodeError("empty circle")
     i = position % len(circ)
@@ -267,13 +266,6 @@ CORPUS = (
         "X[2,9,3,10] X[4,12,1,11] X[8,3,5,4] X[6,2,7,1] X[12,5,9,6] X[10,8,11,7]",
     ),
 )
-
-
-def corpus_comte(name: str) -> Comte:
-    for code in CORPUS:
-        if code.name == name:
-            return comte_of_gauss(parse_gauss_code(code.gauss))
-    raise KeyError(name)
 
 
 # Pairs of Gauss codes related by a single oriented Reidemeister move: the

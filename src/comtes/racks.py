@@ -154,15 +154,6 @@ class AbelianGroup:
 C2 = AbelianGroup((2,))
 
 
-def ring_add(r1: dict, r2: dict) -> dict:
-    out = dict(r1)
-    for g, n in r2.items():
-        out[g] = out.get(g, 0) + n
-        if not out[g]:
-            del out[g]
-    return out
-
-
 def epsilon(r: dict) -> int:
     """Augmentation: the sum of multiplicities (= number of contributing
     colorings for the state-sum invariants)."""
@@ -253,18 +244,8 @@ def tetrahedron_cocycle() -> Cocycle2:
     return Cocycle2(C2, tuple(vals))
 
 
-def constant_cocycle(n: int, group: AbelianGroup) -> Cocycle2:
-    return Cocycle2(group, tuple(tuple(group.identity for _ in range(n)) for _ in range(n)))
-
-
 # ---------------------------------------------------------------------------
 # Text formats
-
-
-def format_rack_table(x: FiniteRack) -> str:
-    lines = [str(x.n)]
-    lines += [" ".join(str(v) for v in row) for row in x.table]
-    return "\n".join(lines) + "\n"
 
 
 def parse_rack_table(text: str) -> FiniteRack:
@@ -280,14 +261,6 @@ def parse_rack_table(text: str) -> FiniteRack:
     vals = [int(v) for v in tokens[1:]]
     table = [vals[i * n : (i + 1) * n] for i in range(n)]
     return FiniteRack.from_table(table)
-
-
-def format_cocycle(f: Cocycle2) -> str:
-    lines = ["A: " + ",".join(str(m) for m in f.group.orders)]
-    for x in range(f.n):
-        for y in range(f.n):
-            lines.append(f"{x} {y} -> " + ",".join(str(v) for v in f.value(x, y)))
-    return "\n".join(lines) + "\n"
 
 
 def parse_cocycle(text: str, n: int) -> Cocycle2:

@@ -12,9 +12,10 @@ from comtes.alexander import (
     relation_matrix,
 )
 from comtes.core import components, graph
-from comtes.laurent import Laurent, divexact, divides, laurent_gcd
+from comtes.laurent import Laurent, divexact, laurent_gcd
 from comtes.links import LinkCodeError, comte_of_gauss, parse_gauss_code
 from comtes.moves import SearchBudget, apply_move, enumerate_moves, inverse_instances
+from reference import divides
 
 T = Laurent.t()
 ONE = Laurent.one()

@@ -7,15 +7,14 @@ from comtes import census
 from comtes.census import (
     _label_choices,
     _least_codes,
-    burnside_class_count,
     census_row,
-    count_labeled_structures,
     enumerate_q_graphs,
     enumerate_r_graphs,
     partial_injections,
     signature_census,
 )
 from comtes.core import canonical_form, canonical_key, classify, graph, graph_from_injections, validate_graph
+from reference import burnside_class_count, count_labeled_structures
 
 
 @functools.cache

@@ -95,7 +95,8 @@ class TestColoringsAndStateSum:
         assert out.splitlines() == ["4 + 12*s", "colorings: 16"]
 
     def test_statesum_cocycle_file(self, capsys, tmp_path):
-        from comtes.racks import format_cocycle, tetrahedron_cocycle
+        from comtes.racks import tetrahedron_cocycle
+        from reference import format_cocycle
 
         p = tmp_path / "t.json"
         p.write_text(encode(TREFOIL))
@@ -116,7 +117,8 @@ class TestColoringsAndStateSum:
         assert code == 0 and out.splitlines() == ["16", "colorings: 16"]
 
     def test_rack_table_file(self, capsys, tmp_path):
-        from comtes.racks import format_rack_table, tetrahedron_quandle
+        from comtes.racks import tetrahedron_quandle
+        from reference import format_rack_table
 
         p = tmp_path / "t.json"
         p.write_text(encode(TREFOIL))
@@ -455,14 +457,15 @@ class TestPaperSuiteCommand:
 
 class TestStateSumHardening:
     def test_cocycle_size_mismatch(self, capsys, tmp_path):
-        from comtes.racks import constant_cocycle, C2, format_cocycle
+        from comtes.racks import C2, Cocycle2
+        from reference import format_cocycle
 
         p = tmp_path / "t.json"
         p.write_text(encode(TREFOIL))
         # a file for a larger quandle names an index the quandle lacks; one
         # for a smaller quandle is the cocycle extended by the identity
         fpath = tmp_path / "f5.cocycle"
-        fpath.write_text(format_cocycle(constant_cocycle(5, C2)))
+        fpath.write_text(format_cocycle(Cocycle2(C2, ((C2.identity,) * 5,) * 5)))
         code, _, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
         assert code == 1 and "out of range for 4 elements" in err
 

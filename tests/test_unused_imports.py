@@ -1,9 +1,11 @@
 """Every top-level import in the package and in its tests is used by its
 module, each package module is imported by one statement per file, no
-package module is imported inside a function of the package, and every
-module-level private name of the package is used in it."""
+package module is imported inside a function of the package, every
+module-level private name of the package is used in it, and every
+module-level public name is used in it or named in README."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,7 +72,9 @@ def test_no_package_import_inside_a_package_function():
     assert not lazy, sorted(lazy)
 
 
-def _private_definitions(tree):
+def _definitions(tree):
+    """(node, name) for each module-level function, class or assignment
+    other than a dunder name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -80,7 +84,7 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield node, name
 
 
@@ -94,9 +98,11 @@ def _referenced_name(node):
     return None
 
 
-def test_no_orphaned_private_helper():
-    # a module-level private function, class or assignment of the package
-    # is referenced somewhere in the package outside its own definition
+def _orphans():
+    """(place, name) for each module-level name of the package that nothing
+    in the package references outside its own definition; an import in
+    ``__init__`` and an attribute use such as ``acceptance.run_all`` count
+    as references."""
     trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in sorted((ROOT / "src" / "comtes").glob("*.py"))}
     assert trees
     references = {}
@@ -105,8 +111,26 @@ def test_no_orphaned_private_helper():
             references.setdefault(_referenced_name(node), []).append(node)
     orphans = []
     for path, tree in trees.items():
-        for definition, name in _private_definitions(tree):
+        for definition, name in _definitions(tree):
             inside = {id(node) for node in ast.walk(definition)}
             if all(id(node) in inside for node in references.get(name, ())):
-                orphans.append(f"{path.name}:{definition.lineno}: {name}")
+                orphans.append((f"{path.name}:{definition.lineno}: {name}", name))
+    return orphans
+
+
+def test_no_orphaned_private_helper():
+    # a module-level private function, class or assignment of the package
+    # is referenced somewhere in the package outside its own definition
+    orphans = [where for where, name in _orphans() if name.startswith("_")]
+    assert not orphans, orphans
+
+
+def test_no_public_name_that_only_the_tests_use():
+    # a public one is referenced in the package, or README names it in
+    # backticks as part of the documented interface; test-only oracles
+    # live in tests/reference.py
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"```(.*?)```|`([^`]*)`", readme, flags=re.S)
+    documented = {word for span in spans for word in re.findall(r"\w+", "".join(span))}
+    orphans = [where for where, name in _orphans() if not name.startswith("_") and name not in documented]
     assert not orphans, orphans
