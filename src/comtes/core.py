@@ -58,6 +58,7 @@ def comte(vertices, arrows=()) -> Comte:
     """Build a comte from vertex names and (source, target, label, flow) tuples."""
     if isinstance(vertices, str):
         vertices = vertices.split()
+    arrows = tuple(arrows)  # read once: a generator would give no flows
     arrs = tuple(Arrow(s, t, l) for s, t, l, _ in arrows)
     flows = tuple(f for _, _, _, f in arrows)
     for i, f in enumerate(flows):

@@ -1,14 +1,17 @@
 """Exact integer matrix kernels: Smith normal form, kernels, ranks.
 
 Everything runs on Python integers, so there is no overflow.  A matrix is
-a list of sparse rows, each a ``{column: value}`` dict; zero entries are
-ignored and the rows are never changed.  One sparse elimination serves
-every routine.  Its pivot is a smallest entry, from the shortest column,
-so a pivot costs the columns plus the entries of short ones, not every
-nonzero.  It records the column transform Q only for the kernel routines,
+a list of sparse rows, each a ``{column: value}`` dict of ``int`` values
+(a float or a ``bool`` is a ``TypeError``); zero entries are ignored and
+the rows are never changed.  One sparse elimination serves every routine.
+Its pivot is a smallest entry, from the shortest column.  The columns are
+kept in buckets by length, so a pick reads the entries of the shortest
+columns that hold a unit, not every nonzero.  A unit pivot is retired by
+row operations alone: its column is cleared, then its row is dropped.  The
+elimination records the column transform Q only for the kernel routines,
 which read their kernel vectors (the basis this pivot order yields) off Q.
 They take the column count, which sizes Q, and reject a column outside it
-with a ``ValueError``.
+with a ``ValueError``; the routines mod m reject m < 1 the same way.
 """
 
 from __future__ import annotations
@@ -73,50 +76,97 @@ def _eliminate(matrix, ncols=None):
     pivot column, for a unimodular P that is not recorded.  With
     ``ncols``, a column index outside ``range(ncols)`` is a ``ValueError``.
 
-    A pivot picked as a unit is cleared by row operations alone, then by
-    column operations that change only its own row, so while every pick so
-    far was a unit, ker M is the kernel of the remaining rows and columns
-    with each pivot coordinate a fixed integer combination of the rest.
-    The count records the pick, not the final value d: gcd combinations
-    can turn a non-unit pick into 1 (M = [2 3] ends as the pivot (0, 1)),
-    and clearing on such a pivot is wrong (see ``SNFResult``).
+    A pivot picked as a unit is retired by row operations alone: they
+    clear its column, and the column operations that would then clear its
+    row change that row only, so the row is dropped and only Q records
+    them.  So while every pick so far was a unit, ker M is the kernel of
+    the remaining rows and columns with each pivot coordinate a fixed
+    integer combination of the rest.  The count records the pick, not the
+    final value d: gcd combinations can turn a non-unit pick into 1 (M =
+    [2 3] ends as the pivot (0, 1)), and clearing on such a pivot is wrong
+    (see ``SNFResult``).  A non-unit pick is cleared by gcd row and column
+    combinations until its row and column hold it alone.
 
-    Each row is copied in column order, without its zero entries.  Each
+    Each row is copied in column order, without its zero entries; an entry
+    that is not an ``int`` (or is a ``bool``) is a ``TypeError``.  Each
     pivot is the least (|entry|, column length, row length, column, row),
     so units in short columns go first and fill stays low on sparse
-    boundary matrices; gcd row/column combinations handle the rest.
+    boundary matrices.  The columns are kept in buckets by length, and a
+    pick reads the buckets in rising length up to the first that holds a
+    unit; only when no unit is left does it read every entry.
     """
     q = None if ncols is None else [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, row in enumerate(matrix):
-        d = {c: row[c] for c in sorted(row) if row[c]}
+        d = {}
+        for c in sorted(row):
+            v = row[c]
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"entry ({r}, {c}) is not an integer: {v!r}")
+            if v:
+                d[c] = v
         if d:
             if ncols is not None and not (0 <= min(d) and max(d) < ncols):
                 raise ValueError(f"row {r} has a column outside range({ncols})")
             rows[r] = d
             for c in d:
                 cols.setdefault(c, set()).add(r)
+    # The column-length index: by_length[n] holds the columns of length n
+    # as of the last rebucket(); each column that gains or loses a row is
+    # noted in resized and moved once before the next pick.
+    by_length: dict[int, set[int]] = {}
+    length_of: dict[int, int] = {}
+    resized = set(cols)
+
+    def rebucket():
+        for c in resized:
+            old, new = length_of.get(c, 0), len(cols.get(c, ()))
+            if old != new:
+                if old:
+                    by_length[old].discard(c)
+                if new:
+                    by_length.setdefault(new, set()).add(c)
+                length_of[c] = new
+        resized.clear()
 
     def set_entry(r, c, v):
         if v:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
+            resized.add(c)
         else:
             rd = rows.get(r)
             if rd and c in rd:
                 del rd[c]
                 if not rd:
                     del rows[r]
-                cs = cols[c]
-                cs.discard(r)
-                if not cs:
-                    del cols[c]
+                drop(r, c)
+
+    def drop(r, c):
+        # row r leaves column c
+        cs = cols[c]
+        cs.discard(r)
+        resized.add(c)
+        if not cs:
+            del cols[c]
 
     def row_axpy(dst, src, k):
-        # row[dst] -= k * row[src]
-        for c, v in list(rows.get(src, {}).items()):
-            set_entry(dst, c, rows.get(dst, {}).get(c, 0) - k * v)
+        # row[dst] -= k * row[src], for two rows that hold entries; the
+        # columns of src hold src, so none of them empties
+        rd = rows[dst]
+        for c, v in rows[src].items():
+            w = rd.get(c, 0) - k * v
+            if w:
+                if c not in rd:
+                    cols[c].add(dst)
+                    resized.add(c)
+                rd[c] = w
+            elif c in rd:
+                del rd[c]
+                drop(dst, c)
+        if not rd:
+            del rows[dst]
 
     def row_combine(r1, r2, x, y, z, w):
         # (row r1, row r2) <- (x*r1 + y*r2, z*r1 + w*r2), det must be +-1
@@ -144,24 +194,46 @@ def _eliminate(matrix, ncols=None):
             q[c2] = [z * a + w * b for a, b in zip(q1, q2)]
 
     def pick_pivot():
-        # Once a unit is held, no entry of a longer column can beat it.
-        best = (float("inf"),)
-        for c, cs in cols.items():
-            n = len(cs)
-            if best[0] == 1 and n > best[1]:
-                continue
-            for r in cs:
-                score = (abs(rows[r][c]), n, len(rows[r]), c, r)
-                if score < best:
-                    best = score
-        return best[4], best[3]
+        # The least (|entry|, column length, row length, column, row): a
+        # unit beats every larger entry, so it is the unit of least (row
+        # length, column, row) in the shortest columns that hold one, and
+        # the least entry overall only when no unit is left.
+        rebucket()
+        for n in sorted(by_length):
+            best = None
+            for c in by_length[n]:
+                for r in cols[c]:
+                    rd = rows[r]
+                    v = rd[c]
+                    if (v == 1 or v == -1) and (best is None or (len(rd), c, r) < best):
+                        best = (len(rd), c, r)
+            if best:
+                return best[2], best[1]
+        _, _, _, c, r = min((abs(rows[r][c]), len(cs), len(rows[r]), c, r) for c, cs in cols.items() for r in cs)
+        return r, c
 
     pivots = []
     units = 0
     while rows:
         pr, pc = pick_pivot()
-        if units == len(pivots) and abs(rows[pr][pc]) == 1:
-            units += 1
+        p = rows[pr][pc]
+        if p == 1 or p == -1:
+            if units == len(pivots):
+                units += 1
+            # Row operations clear the column.  The column operations that
+            # would then clear the row change no other row, so the row is
+            # dropped and Q alone records them.
+            for r in list(cols[pc]):
+                if r != pr:
+                    row_axpy(r, pr, rows[r][pc] * p)
+            row = rows.pop(pr)
+            for c, e in row.items():
+                drop(pr, c)
+                if q is not None and c != pc:
+                    k = e * p
+                    q[c] = [a - k * b for a, b in zip(q[c], q[pc])]
+            pivots.append((pc, p))
+            continue
         while True:
             # clear the pivot column
             for r in list(cols.get(pc, set())):
@@ -223,6 +295,7 @@ def kernel_mod(matrix, ncols, modulus) -> list[tuple[list[int], int]]:
     column j of Q, of order gcd(d, m); a non-pivot column j gives column j
     of Q, of order m.  Generators of order 1 are left out.
     """
+    _check_modulus(modulus)
     pivots, q, _ = _eliminate(matrix, ncols)
     pivot_of = dict(pivots)
     gens = []
@@ -236,8 +309,14 @@ def kernel_mod(matrix, ncols, modulus) -> list[tuple[list[int], int]]:
 
 def image_size_mod(matrix, modulus) -> int:
     """Order of the column span of M inside (Z/m)^rows."""
+    _check_modulus(modulus)
     snf = smith_normal_form(matrix)
     size = 1
     for d in snf.factors:
         size *= modulus // gcd(d, modulus)
     return size
+
+
+def _check_modulus(modulus):
+    if modulus < 1:
+        raise ValueError(f"modulus must be at least 1, got {modulus}")

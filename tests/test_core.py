@@ -418,6 +418,12 @@ class TestDocuments:
         with pytest.raises(ValueError, match=r"arrows\[1\]\.flow: not an integer"):
             comte("a", [("a", "a", "a", 0), ("a", "a", "a", flow)])
 
+    def test_comte_reads_a_generator_once(self):
+        arrows = [("a", "a", "a", 1), ("a", "a", "a", -2)]
+        c = comte("a", (x for x in arrows))
+        assert c == comte("a", arrows)
+        assert c.flows == (1, -2)
+
     def test_mixed_flow_presence(self):
         bad = (
             '{"vertices": ["a"], "arrows": ['

@@ -329,6 +329,13 @@ class TestHomology:
         assert [h.format() for h in hs] == ["Z", "0", "Z/5", "Z/5", "Z/5"]
         assert peak < 8 * 2**20, peak
 
+    def test_r5_quandle_homology_through_degree_six(self):
+        # f_6 = 2; the cleared d_7 has 20,480 columns, and its Smith
+        # elimination carries the run (about 10 s on a 2-vCPU machine;
+        # tracemalloc would triple that, so memory is not bounded here)
+        hs = homology_range(graph_of_rack(dihedral_quandle(5)), 6, q_quotient=True)
+        assert [h.format() for h in hs] == ["Z", "0", "Z/5", "Z/5", "Z/5", "Z/5 + Z/5"]
+
     def test_rack_and_quandle_betti_numbers(self):
         # Etingof, Grana, JPAA 177 (2003): with o orbits, the rack Betti
         # numbers are o^n and the quandle Betti numbers o(o-1)^(n-1)

@@ -1,10 +1,12 @@
+import hashlib
+import importlib
 import itertools
 import random
 from math import gcd, prod
 
 import pytest
 
-from comtes.homology import boundary_matrix
+from comtes.homology import boundary_matrix, homology_range
 from comtes.linalg import (
     SNFResult,
     _divisibility_chain,
@@ -172,6 +174,37 @@ def test_pivot_order_on_rack_boundary_matrices(x, plain, quotient):
             assert smith_normal_form(sparse(transposed(m))).factors == fs, (q, n)
 
 
+def test_pivots_are_pinned(monkeypatch):
+    # One SHA-256 over the pivots, the unit count and Q of _eliminate: on
+    # seeded sparse matrices with entries +-1, +-2, +-3 (so some picks are
+    # not units), with and without ncols, and on every cleared boundary
+    # matrix that homology_range eliminates for the benchmark's racks and
+    # degrees.  The pivot rule fixes every factor, homology table and
+    # kernel vector, so a faster pick must leave this digest unchanged.
+    h = hashlib.sha256()
+    rng = random.Random(53)
+    for _ in range(300):
+        r, c = rng.randrange(1, 13), rng.randrange(1, 16)
+        m = sparse(sparse_unit_matrix(rng, r, c))
+        for ncols in (None, c):
+            h.update(repr(_eliminate(m, ncols)).encode())
+    eliminated = []
+
+    def recording(m):
+        eliminated.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(importlib.import_module("comtes.homology"), "smith_normal_form", recording)
+    for x, plain, quotient in ((dihedral_quandle(3), 5, 5), (dihedral_quandle(5), 3, 4), (tetrahedron_quandle(), 4, 5)):
+        g = graph_of_rack(x)
+        homology_range(g, plain)
+        homology_range(g, quotient, q_quotient=True)
+    assert len(eliminated) == 26
+    for m in eliminated:
+        h.update(repr(_eliminate(m)).encode())
+    assert h.hexdigest() == "821891aa887f103a38bec7bb9d5d0fa28de409c7e304d7314eb4051be8cd5ffd"
+
+
 def test_invariance_under_permutations():
     rng = random.Random(11)
     for _ in range(100):
@@ -291,6 +324,23 @@ def test_column_outside_ncols_rejected():
         integer_kernel_basis([{-1: 1}], 2)
     with pytest.raises(ValueError, match="outside range"):
         kernel_mod([{0: 1}], 0, 5)
+
+
+@pytest.mark.parametrize("entry", [2.0, 0.0, 1.5, True, False, "3", None])
+def test_non_integer_entry_rejected(entry):
+    row = {0: 1, 2: entry}
+    with pytest.raises(TypeError, match=r"entry \(1, 2\) is not an integer"):
+        smith_normal_form([{0: 3}, row])
+    with pytest.raises(TypeError, match=r"entry \(1, 2\) is not an integer"):
+        integer_kernel_basis([{0: 3}, row], 3)
+
+
+@pytest.mark.parametrize("modulus", [0, -1, -4])
+def test_modulus_below_one_rejected(modulus):
+    with pytest.raises(ValueError, match="modulus must be at least 1"):
+        kernel_mod([{0: 2}], 1, modulus)
+    with pytest.raises(ValueError, match="modulus must be at least 1"):
+        image_size_mod([{0: 2}], modulus)
 
 
 def test_image_size_mod():
