@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import SelfIndexedGraph, component_index
+from .core import Comte, SelfIndexedGraph, component_index
 from .laurent import Laurent, MultiLaurent, divexact, laurent_gcd
 
 
@@ -106,12 +106,15 @@ def minors_gcd(matrix: list[list[Laurent]], r: int) -> Laurent:
     return acc.unit_normalize()
 
 
-def alexander_polynomial(g: SelfIndexedGraph, i: int) -> Laurent:
+def alexander_polynomial(g: Comte | SelfIndexedGraph, i: int) -> Laurent:
     """Delta_i: gcd of the rank (#V - i) minors of the relation matrix.
 
     Conventions: Delta_i = 1 when #V - i <= 0, and Delta_i = 0 when
     #V - i >= #E + 1.  The result is unit-normalized, so equality is exact.
+    A comte's Delta_i is that of its graph; the flows do not enter.
     """
+    if isinstance(g, Comte):
+        g = g.graph
     if i < 0:
         raise ValueError("index must be nonnegative")
     nv = len(g.vertices)

@@ -44,27 +44,33 @@ class Comte:
         return self.graph.arrows
 
 
+def _vertex_names(vertices) -> tuple[str, ...]:
+    names = tuple(vertices.split() if isinstance(vertices, str) else vertices)
+    if len(set(names)) != len(names):
+        raise ValueError("'vertices' contains a duplicate")
+    return names
+
+
 def graph(vertices, arrows=()) -> SelfIndexedGraph:
     """Build a graph from vertex names and (source, target, label) triples.
 
-    ``vertices`` may be an iterable of names or a whitespace-separated string.
+    ``vertices`` may be an iterable of names or a whitespace-separated
+    string; a repeated name is a ``ValueError``.
     """
-    if isinstance(vertices, str):
-        vertices = vertices.split()
-    return SelfIndexedGraph(tuple(vertices), tuple(Arrow(s, t, l) for s, t, l in arrows))
+    return SelfIndexedGraph(_vertex_names(vertices), tuple(Arrow(s, t, l) for s, t, l in arrows))
 
 
 def comte(vertices, arrows=()) -> Comte:
-    """Build a comte from vertex names and (source, target, label, flow) tuples."""
-    if isinstance(vertices, str):
-        vertices = vertices.split()
+    """Build a comte from vertex names, as ``graph`` takes them, and
+    (source, target, label, flow) tuples."""
+    vertices = _vertex_names(vertices)
     arrows = tuple(arrows)  # read once: a generator would give no flows
     arrs = tuple(Arrow(s, t, l) for s, t, l, _ in arrows)
     flows = tuple(f for _, _, _, f in arrows)
     for i, f in enumerate(flows):
         if isinstance(f, bool) or not isinstance(f, int):
             raise ValueError(f"arrows[{i}].flow: not an integer: {f!r}")
-    return Comte(SelfIndexedGraph(tuple(vertices), arrs), flows)
+    return Comte(SelfIndexedGraph(vertices, arrs), flows)
 
 
 def graph_from_injections(maps) -> SelfIndexedGraph:

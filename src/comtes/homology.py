@@ -279,8 +279,8 @@ def homology_range(
     it onto a saturated sublattice (see ``SNFResult``), and B_k lies in
     Z_k, so the cleared d_{k+1} has the rank of d_{k+1} and its cokernel
     the same torsion.  Only pivots picked as a unit may clear: d_k = [2 3]
-    ends with the unit pivot 1 at column 0 after a gcd step, and with
-    d_{k+1} = (3, -2)^T clearing row 0 would give H_k = Z/2 instead of 0.
+    picks 2 and ends with the unit pivot 1 at column 1, and with d_{k+1} =
+    (3, -2)^T clearing row 1 would give H_k = Z/3 instead of 0.
     Persistent homology calls this step clearing, or the twist (Chen &
     Kerber, EuroCG 2011), over a field."""
     if max_degree < 0:

@@ -2,16 +2,20 @@
 
 Everything runs on Python integers, so there is no overflow.  A matrix is
 a list of sparse rows, each a ``{column: value}`` dict of ``int`` values
-(a float or a ``bool`` is a ``TypeError``); zero entries are ignored and
-the rows are never changed.  One sparse elimination serves every routine.
-Its pivot is a smallest entry, from the shortest column.  The columns are
-kept in buckets by length, so a pick reads the entries of the shortest
-columns that hold a unit, not every nonzero.  A unit pivot is retired by
-row operations alone: its column is cleared, then its row is dropped.  The
-elimination records the column transform Q only for the kernel routines,
-which read their kernel vectors (the basis this pivot order yields) off Q.
-They take the column count, which sizes Q, and reject a column outside it
-with a ``ValueError``; the routines mod m reject m < 1 the same way.
+keyed by ``int`` columns (a float or a ``bool`` is a ``TypeError``, a
+negative column a ``ValueError``); zero entries are ignored and the rows
+are never changed.  One sparse elimination serves every routine.  Its
+pivot is a smallest entry, from the shortest column.  The columns are kept
+in buckets by length, so a pick reads the entries of the shortest columns
+that hold a unit, not every nonzero.  A unit pivot is retired by row
+operations alone: its column is cleared, then its row is dropped.  A
+non-unit pivot reduces its column and row by floor division, and the least
+remainder left becomes the next pivot.  The elimination records the column
+transform Q only for the kernel routines, which read their kernel vectors
+(the basis this pivot order yields) off Q.  They take the column count,
+which sizes Q, and reject a column outside it with a ``ValueError``; the
+routines mod m reject an m that is not an ``int`` with a ``TypeError`` and
+m < 1 with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ class SNFResult:
     coordinate in ``unit_columns`` is an integer combination of the others:
     leaving those coordinates out is injective on ker M and maps it onto a
     saturated sublattice.  Homology uses this to leave the matching rows
-    out of the next boundary matrix ("clearing").  A pivot that gcd column
-    operations turn into a unit after a non-unit pick does not count: M =
-    [2 3] ends with the pivot 1 at column 0, but ker M is spanned by (3,
-    -2), and leaving coordinate 0 out maps it onto 2Z, which is not
-    saturated.  With the next boundary (3, -2)^T, H = 0 would read Z/2.
+    out of the next boundary matrix ("clearing").  A unit left by column
+    steps after a non-unit pick does not count: M = [2 3] picks 2 and ends
+    with the pivot 1 at column 1, but ker M is spanned by (3, -2), and
+    leaving coordinate 1 out maps it onto 3Z, which is not saturated.
+    With the next boundary (3, -2)^T, H = 0 would read Z/3.
     """
 
     factors: tuple[int, ...]  # invariant factors d1 | d2 | ..., all > 0
@@ -81,16 +85,21 @@ def _eliminate(matrix, ncols=None):
     row change that row only, so the row is dropped and only Q records
     them.  So while every pick so far was a unit, ker M is the kernel of
     the remaining rows and columns with each pivot coordinate a fixed
-    integer combination of the rest.  The count records the pick, not the
-    final value d: gcd combinations can turn a non-unit pick into 1 (M =
-    [2 3] ends as the pivot (0, 1)), and clearing on such a pivot is wrong
-    (see ``SNFResult``).  A non-unit pick is cleared by gcd row and column
-    combinations until its row and column hold it alone.
+    integer combination of the rest.  A non-unit pivot p reduces each
+    other entry e of its column by a row operation, and of its row by a
+    column operation, by e // p.  The least (|entry|, column, row) of the
+    remainders left, each smaller than |p|, is the next pivot, a unit or
+    not; with none left, p is recorded.  The count stops at the first
+    non-unit pick: M = [2 3] ends as the unit pivot (1, 1), and clearing
+    on it is wrong (see ``SNFResult``).  Least-remainder pivoting kept the
+    entries small on the random matrices measured (Havas & Majewski, J.
+    Symb. Comput. 24, 1997), but has no general polynomial bound.
 
-    Each row is copied in column order, without its zero entries; an entry
-    that is not an ``int`` (or is a ``bool``) is a ``TypeError``.  Each
-    pivot is the least (|entry|, column length, row length, column, row),
-    so units in short columns go first and fill stays low on sparse
+    Each row is copied in column order, without its zero entries; a
+    column or an entry that is not an ``int`` (or is a ``bool``) is a
+    ``TypeError``, and a negative column a ``ValueError``.  Each pick from
+    the matrix is the least (|entry|, column length, row length, column,
+    row), so units in short columns go first and fill stays low on sparse
     boundary matrices.  The columns are kept in buckets by length, and a
     pick reads the buckets in rising length up to the first that holds a
     unit; only when no unit is left does it read every entry.
@@ -100,6 +109,9 @@ def _eliminate(matrix, ncols=None):
     cols: dict[int, set[int]] = {}
     for r, row in enumerate(matrix):
         d = {}
+        for c in row:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise TypeError(f"row {r} has a column that is not an integer: {c!r}")
         for c in sorted(row):
             v = row[c]
             if isinstance(v, bool) or not isinstance(v, int):
@@ -109,6 +121,8 @@ def _eliminate(matrix, ncols=None):
         if d:
             if ncols is not None and not (0 <= min(d) and max(d) < ncols):
                 raise ValueError(f"row {r} has a column outside range({ncols})")
+            if min(d) < 0:
+                raise ValueError(f"row {r} has a negative column: {min(d)}")
             rows[r] = d
             for c in d:
                 cols.setdefault(c, set()).add(r)
@@ -129,19 +143,6 @@ def _eliminate(matrix, ncols=None):
                     by_length.setdefault(new, set()).add(c)
                 length_of[c] = new
         resized.clear()
-
-    def set_entry(r, c, v):
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
-            resized.add(c)
-        else:
-            rd = rows.get(r)
-            if rd and c in rd:
-                del rd[c]
-                if not rd:
-                    del rows[r]
-                drop(r, c)
 
     def drop(r, c):
         # row r leaves column c
@@ -168,30 +169,22 @@ def _eliminate(matrix, ncols=None):
         if not rd:
             del rows[dst]
 
-    def row_combine(r1, r2, x, y, z, w):
-        # (row r1, row r2) <- (x*r1 + y*r2, z*r1 + w*r2), det must be +-1
-        r1d = dict(rows.get(r1, {}))
-        r2d = dict(rows.get(r2, {}))
-        for c in set(r1d) | set(r2d):
-            a, b = r1d.get(c, 0), r2d.get(c, 0)
-            set_entry(r1, c, x * a + y * b)
-            set_entry(r2, c, z * a + w * b)
-
     def col_axpy(dst, src, k):
-        for r in list(cols.get(src, set())):
-            set_entry(r, dst, rows[r].get(dst, 0) - k * rows[r][src])
+        # column[dst] -= k * column[src]; the rows of src hold src, so
+        # none of them empties
+        for r in cols[src]:
+            rd = rows[r]
+            w = rd.get(dst, 0) - k * rd[src]
+            if w:
+                if dst not in rd:
+                    cols.setdefault(dst, set()).add(r)
+                    resized.add(dst)
+                rd[dst] = w
+            elif dst in rd:
+                del rd[dst]
+                drop(r, dst)
         if q is not None:
             q[dst] = [a - k * b for a, b in zip(q[dst], q[src])]
-
-    def col_combine(c1, c2, x, y, z, w):
-        for r in set(cols.get(c1, set())) | set(cols.get(c2, set())):
-            a, b = rows[r].get(c1, 0), rows[r].get(c2, 0)
-            set_entry(r, c1, x * a + y * b)
-            set_entry(r, c2, z * a + w * b)
-        if q is not None:
-            q1, q2 = q[c1], q[c2]
-            q[c1] = [x * a + y * b for a, b in zip(q1, q2)]
-            q[c2] = [z * a + w * b for a, b in zip(q1, q2)]
 
     def pick_pivot():
         # The least (|entry|, column length, row length, column, row): a
@@ -214,69 +207,41 @@ def _eliminate(matrix, ncols=None):
 
     pivots = []
     units = 0
+    counting = True  # until the first non-unit pick
     while rows:
         pr, pc = pick_pivot()
-        p = rows[pr][pc]
-        if p == 1 or p == -1:
-            if units == len(pivots):
-                units += 1
-            # Row operations clear the column.  The column operations that
-            # would then clear the row change no other row, so the row is
-            # dropped and Q alone records them.
-            for r in list(cols[pc]):
-                if r != pr:
-                    row_axpy(r, pr, rows[r][pc] * p)
-            row = rows.pop(pr)
-            for c, e in row.items():
-                drop(pr, c)
-                if q is not None and c != pc:
-                    k = e * p
-                    q[c] = [a - k * b for a, b in zip(q[c], q[pc])]
-            pivots.append((pc, p))
-            continue
         while True:
-            # clear the pivot column
-            for r in list(cols.get(pc, set())):
-                if r == pr:
-                    continue
-                p = rows[pr][pc]
-                e = rows[r][pc]
-                if e % p == 0:
-                    row_axpy(r, pr, e // p)
-                else:
-                    g, x, y = _xgcd(p, e)
-                    row_combine(pr, r, x, y, -(e // g), p // g)
-            # clear the pivot row
-            for c in list(rows.get(pr, {})):
-                if c == pc:
-                    continue
-                p = rows[pr][pc]
-                e = rows[pr][c]
-                if e % p == 0:
-                    col_axpy(c, pc, e // p)
-                else:
-                    g, x, y = _xgcd(p, e)
-                    col_combine(pc, c, x, y, -(e // g), p // g)
-            if len(cols.get(pc, set())) == 1 and len(rows.get(pr, {})) == 1:
+            p = rows[pr][pc]
+            if p == 1 or p == -1:
+                if counting:
+                    units += 1
+                for r in list(cols[pc]):
+                    if r != pr:
+                        row_axpy(r, pr, rows[r][pc] * p)
                 break
-        pivots.append((pc, rows[pr][pc]))
-        set_entry(pr, pc, 0)
+            counting = False
+            for r in list(cols[pc]):
+                if r != pr and (k := rows[r][pc] // p):
+                    row_axpy(r, pr, k)
+            for c in list(rows[pr]):
+                if c != pc and (k := rows[pr][c] // p):
+                    col_axpy(c, pc, k)
+            rest = [(abs(rows[r][pc]), pc, r) for r in cols[pc] if r != pr]
+            rest += [(abs(e), c, pr) for c, e in rows[pr].items() if c != pc]
+            if not rest:
+                break
+            _, pc, pr = min(rest)
+        # The column of p is cleared.  A non-unit p is alone in its row; the
+        # column operations that would clear a unit's row change no other
+        # row.  So the row is dropped and Q alone records them.
+        row = rows.pop(pr)
+        for c, e in row.items():
+            drop(pr, c)
+            if q is not None and c != pc:
+                k = e * p
+                q[c] = [a - k * b for a, b in zip(q[c], q[pc])]
+        pivots.append((pc, p))
     return pivots, q, units
-
-
-def _xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) = x*a + y*b."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def integer_kernel_basis(matrix, ncols) -> list[list[int]]:
@@ -318,5 +283,7 @@ def image_size_mod(matrix, modulus) -> int:
 
 
 def _check_modulus(modulus):
+    if isinstance(modulus, bool) or not isinstance(modulus, int):
+        raise TypeError(f"modulus must be an integer, got {modulus!r}")
     if modulus < 1:
         raise ValueError(f"modulus must be at least 1, got {modulus}")

@@ -62,12 +62,16 @@ class FiniteRack:
 
 
 def trivial_quandle(n: int) -> FiniteRack:
-    """x |> y = y."""
+    """x |> y = y, on n >= 0 elements."""
+    if n < 0:
+        raise ValueError(f"trivial_quandle needs n >= 0, got {n}")
     return FiniteRack.from_table([[y for y in range(n)] for _ in range(n)])
 
 
 def dihedral_quandle(n: int) -> FiniteRack:
-    """x |> y = 2x - y mod n."""
+    """x |> y = 2x - y mod n, on n >= 1 elements."""
+    if n < 1:
+        raise ValueError(f"dihedral_quandle needs n >= 1, got {n}")
     return FiniteRack.from_table([[(2 * x - y) % n for y in range(n)] for x in range(n)])
 
 
@@ -128,8 +132,11 @@ class AbelianGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        if any(m < 1 for m in self.orders):
-            raise ValueError("cyclic orders must be positive")
+        for m in self.orders:
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise TypeError(f"cyclic orders must be integers, got {m!r}")
+            if m < 1:
+                raise ValueError("cyclic orders must be positive")
 
     @property
     def identity(self) -> tuple[int, ...]:

@@ -79,6 +79,12 @@ class TestAlexanderPolynomial:
         assert alexander_polynomial(TREFOIL, 1) == T * T - T + ONE
         assert _fox_trefoil_oracle()
 
+    def test_comte_reads_its_graph(self):
+        c = comte_of_gauss(parse_gauss_code(GRANNY))
+        for i in range(4):
+            assert alexander_polynomial(c, i) == alexander_polynomial(c.graph, i)
+        assert alexander_polynomial(c, 1) == (T * T - T + ONE) * (T * T - T + ONE)
+
     def test_conventions(self):
         # i >= #V gives 1
         assert alexander_polynomial(EXAMPLE, 3) == ONE

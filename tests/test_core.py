@@ -441,6 +441,15 @@ class TestDocuments:
         with pytest.raises(DecodeError, match="duplicate"):
             decode('{"vertices": ["a", "a"], "arrows": []}')
 
+    def test_builders_reject_a_duplicate_vertex(self):
+        # the rule and wording of decode
+        with pytest.raises(ValueError, match="'vertices' contains a duplicate"):
+            graph(["a", "a"], [("a", "a", "a")])
+        with pytest.raises(ValueError, match="'vertices' contains a duplicate"):
+            graph("a b a")
+        with pytest.raises(ValueError, match="'vertices' contains a duplicate"):
+            comte(("a", "a"), [("a", "a", "a", 1)])
+
 
 class TestHomomorphism:
     def test_commuting_check(self):

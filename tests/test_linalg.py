@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import itertools
 import random
+import time
 from math import gcd, prod
 
 import pytest
@@ -142,6 +143,14 @@ def test_factors_match_minor_gcd_oracle():
         assert_factors_match_minor_gcds([[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)])
 
 
+def test_factors_match_minor_gcd_oracle_without_units():
+    # every pick is a non-unit, so every pivot comes from the reduction
+    rng = random.Random(47)
+    for _ in range(250):
+        r, c = rng.randrange(1, 6), rng.randrange(1, 6)
+        assert_factors_match_minor_gcds([[rng.choice((2, -2, 3, -3)) for _ in range(c)] for _ in range(r)])
+
+
 def test_pivot_order_on_sparse_unit_matrices():
     # Pivots are picked by entry size and column and row length; the
     # factors must not depend on that order.  Small matrices against the
@@ -174,12 +183,10 @@ def test_pivot_order_on_rack_boundary_matrices(x, plain, quotient):
             assert smith_normal_form(sparse(transposed(m))).factors == fs, (q, n)
 
 
-def test_pivots_are_pinned(monkeypatch):
-    # One SHA-256 over the pivots, the unit count and Q of _eliminate: on
+def test_pivots_are_pinned():
+    # One SHA-256 over the pivots, the unit count and Q of _eliminate on
     # seeded sparse matrices with entries +-1, +-2, +-3 (so some picks are
-    # not units), with and without ncols, and on every cleared boundary
-    # matrix that homology_range eliminates for the benchmark's racks and
-    # degrees.  The pivot rule fixes every factor, homology table and
+    # not units), with and without ncols.  The pivot rule fixes every
     # kernel vector, so a faster pick must leave this digest unchanged.
     h = hashlib.sha256()
     rng = random.Random(53)
@@ -188,6 +195,13 @@ def test_pivots_are_pinned(monkeypatch):
         m = sparse(sparse_unit_matrix(rng, r, c))
         for ncols in (None, c):
             h.update(repr(_eliminate(m, ncols)).encode())
+    assert h.hexdigest() == "1375715a92d16414a7474990968f0439c0194a152c522a5bb85c42dd5e61c8c3"
+
+
+def test_rack_pivots_are_pinned(monkeypatch):
+    # One SHA-256 over the pivots and the unit count of _eliminate on every
+    # cleared boundary matrix that homology_range eliminates for the
+    # benchmark's racks and degrees, which fix every homology table.
     eliminated = []
 
     def recording(m):
@@ -200,9 +214,23 @@ def test_pivots_are_pinned(monkeypatch):
         homology_range(g, plain)
         homology_range(g, quotient, q_quotient=True)
     assert len(eliminated) == 26
+    h = hashlib.sha256()
     for m in eliminated:
         h.update(repr(_eliminate(m)).encode())
-    assert h.hexdigest() == "821891aa887f103a38bec7bb9d5d0fa28de409c7e304d7314eb4051be8cd5ffd"
+    assert h.hexdigest() == "acc4329b4ae51371afe5599181b109f66ec91936019b9a1e16ece8a19a6f0a71"
+
+
+@pytest.mark.parametrize("n, seed", [(44, 44003), (60, 60000)])
+def test_non_unit_matrices_stay_fast(n, seed):
+    # Random matrices with no unit entry, where the gcd loop this
+    # elimination replaced let the entries grow past 30 s; the factor
+    # product must be |det|.
+    rng = random.Random(seed)
+    m = [{j: rng.choice((2, -2, 3, -3)) for j in range(n) if rng.random() < 0.5} for _ in range(n)]
+    start = time.process_time()
+    factors = smith_normal_form(m).factors
+    assert time.process_time() - start < 1.0
+    assert prod(factors) == abs(bareiss_det([[row.get(j, 0) for j in range(n)] for row in m])) > 0
 
 
 def test_invariance_under_permutations():
@@ -335,6 +363,29 @@ def test_non_integer_entry_rejected(entry):
         integer_kernel_basis([{0: 3}, row], 3)
 
 
+@pytest.mark.parametrize("column", [0.5, 1.0, True, False, "a", None])
+def test_non_integer_column_rejected(column):
+    row = {column: 1, 0: 2}
+    with pytest.raises(TypeError, match=r"row 1 has a column that is not an integer"):
+        smith_normal_form([{0: 3}, row])
+    with pytest.raises(TypeError, match=r"row 1 has a column that is not an integer"):
+        integer_kernel_basis([{0: 3}, row], 3)
+
+
+def test_negative_column_rejected():
+    with pytest.raises(ValueError, match="row 1 has a negative column: -1"):
+        smith_normal_form([{0: 3}, {-1: 1, 0: 2}])
+    assert smith_normal_form([{-1: 0, 0: 2}]).factors == (2,)
+
+
+@pytest.mark.parametrize("modulus", [True, 2.0, 2.5, "2", None])
+def test_non_integer_modulus_rejected(modulus):
+    with pytest.raises(TypeError, match="modulus must be an integer"):
+        kernel_mod([{0: 2}], 1, modulus)
+    with pytest.raises(TypeError, match="modulus must be an integer"):
+        image_size_mod([{0: 2}], modulus)
+
+
 @pytest.mark.parametrize("modulus", [0, -1, -4])
 def test_modulus_below_one_rejected(modulus):
     with pytest.raises(ValueError, match="modulus must be at least 1"):
@@ -363,11 +414,11 @@ def test_image_size_mod():
 
 
 def test_unit_made_by_a_gcd_step_is_not_a_unit_column():
-    # the pick is 2; the gcd column step leaves the pivot 1 at column 0, but
-    # ker [2 3] is spanned by (3, -2), whose coordinate 0 is not an integer
-    # combination of coordinate 1
+    # the pick is 2; the column step 3 - 2 leaves the pivot 1 at column 1,
+    # but ker [2 3] is spanned by (3, -2), whose coordinate 1 is not an
+    # integer combination of coordinate 0
     pivots, _, units = _eliminate([{0: 2, 1: 3}])
-    assert pivots == [(0, 1)] and units == 0
+    assert pivots == [(1, 1)] and units == 0
     snf = smith_normal_form([{0: 2, 1: 3}])
     assert snf.factors == (1,)
     assert snf.unit_columns == ()
@@ -404,7 +455,7 @@ def test_all_unit_picks_are_the_unit_columns():
 
 def test_unit_pick_after_a_non_unit_pick_is_not_a_unit_column():
     # a unit block, then [[2, 3], [3, 5]] (determinant 1): its first pick is
-    # 2, and the unit left after the gcd steps is picked too late to count
+    # 2, and the unit left after the reduction is picked too late to count
     m = [{0: 1}, {1: 2, 2: 3}, {1: 3, 2: 5}]
     pivots, _, units = _eliminate(m)
     assert [abs(d) for _, d in pivots] == [1, 1, 1] and units == 1

@@ -133,6 +133,24 @@ class TestAbelianGroup:
         with pytest.raises(ValueError):
             AbelianGroup((0,))
 
+    @pytest.mark.parametrize("order", [2.0, True, "2", None])
+    def test_non_integer_order(self, order):
+        with pytest.raises(TypeError, match="cyclic orders must be integers"):
+            AbelianGroup((3, order))
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_dihedral_needs_an_element(self, n):
+        with pytest.raises(ValueError, match="dihedral_quandle needs n >= 1"):
+            dihedral_quandle(n)
+
+    def test_trivial_needs_a_size(self):
+        with pytest.raises(ValueError, match="trivial_quandle needs n >= 0"):
+            trivial_quandle(-1)
+        assert trivial_quandle(0).n == 0 == parse_rack_table("0").n
+        assert dihedral_quandle(1).n == 1
+
 
 class TestGroupRing:
     def test_epsilon(self):
