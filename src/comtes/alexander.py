@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import Comte, SelfIndexedGraph, component_index
+from .core import Comte, SelfIndexedGraph, _dangling, _require_int, component_index, validate_graph
 from .laurent import Laurent, MultiLaurent, divexact, laurent_gcd
 
 
@@ -115,9 +115,11 @@ def alexander_polynomial(g: Comte | SelfIndexedGraph, i: int) -> Laurent:
     """
     if isinstance(g, Comte):
         g = g.graph
-    if i < 0:
-        raise ValueError("index must be nonnegative")
-    nv = len(g.vertices)
+    _require_int(i, "index", 0)
+    # the conventions below answer without a lookup, so check the names here
+    if not validate_graph(g).ok:
+        raise _dangling(g)
+    nv = len(g.vertex_index())  # which rejects a duplicate name
     ne = len(g.arrows)
     r = nv - i
     if r <= 0:

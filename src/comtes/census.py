@@ -16,14 +16,13 @@ import os
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import SelfIndexedGraph, canonical_form, canonical_key, classify, graph_from_injections
+from .core import SelfIndexedGraph, _require_int, canonical_form, canonical_key, classify, graph_from_injections
 from .homology import HomologyGroup, homology_range
 
 
 def partial_injections(n: int) -> list[tuple[int, ...]]:
     """All partial injections on 0..n-1 as tuples with -1 for undefined."""
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
+    _require_int(n, "vertex count", 0)
     out = []
 
     def rec(i, used, acc):
@@ -201,9 +200,8 @@ def signature_census(graphs, max_degree: int = 5, jobs: int = 1) -> SignatureCen
     """Homology signatures (degrees 1..max_degree) for a family of census
     representatives, by at most ``jobs`` processes and no more than the CPUs;
     deterministic row order by canonical key."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
+    _require_int(max_degree, "max_degree", 0)
+    jobs = min(_require_int(jobs, "jobs", 1), os.cpu_count() or 1)
     if jobs > 1:
         from multiprocessing import Pool
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Comte, GraphHomomorphism, SelfIndexedGraph
+from .core import Comte, GraphHomomorphism, SelfIndexedGraph, _dangling
 from .cubes import build_Yn
 from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow_index
 
@@ -39,14 +39,17 @@ def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
     dst_by_slt: dict[tuple[str, str, str], list[int]] = {}
     for j, b in enumerate(dst.arrows):
         dst_by_slt.setdefault((b.source, b.label, b.target), []).append(j)
-    index = {v: i for i, v in enumerate(sv)}
+    index = src.vertex_index()
     touch = [0] * len(sv)
     completes = [0] * len(sv)
     shares = [0] * len(sv)
     ends = []  # the distinct vertex indices of each src arrow
     incident: list[list[int]] = [[] for _ in sv]  # arrows at each vertex, once each
     for k, a in enumerate(src.arrows):
-        e = {index[a.source], index[a.target], index[a.label]}
+        try:
+            e = {index[a.source], index[a.target], index[a.label]}
+        except KeyError as err:
+            raise _dangling(src) from err
         for v in (a.source, a.target, a.label):
             touch[index[v]] += 1
         for j in e:

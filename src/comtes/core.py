@@ -27,7 +27,10 @@ class SelfIndexedGraph:
     arrows: tuple[Arrow, ...]
 
     def vertex_index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+        idx = {v: i for i, v in enumerate(self.vertices)}
+        if len(idx) != len(self.vertices):
+            raise ValueError("'vertices' contains a duplicate")
+        return idx
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,17 @@ class Comte:
     @property
     def arrows(self) -> tuple[Arrow, ...]:
         return self.graph.arrows
+
+
+def _require_int(value, what: str, low: int | None = None) -> int:
+    """``value`` itself, once it is an ``int`` and not a ``bool`` (else a
+    ``TypeError``) and, when ``low`` is 0 or 1, at least ``low`` (else a
+    ``ValueError``).  ``what`` names the argument in the message."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be {'positive' if low else 'non-negative'}, got {value}")
+    return value
 
 
 def _vertex_names(vertices) -> tuple[str, ...]:
@@ -66,10 +80,7 @@ def comte(vertices, arrows=()) -> Comte:
     vertices = _vertex_names(vertices)
     arrows = tuple(arrows)  # read once: a generator would give no flows
     arrs = tuple(Arrow(s, t, l) for s, t, l, _ in arrows)
-    flows = tuple(f for _, _, _, f in arrows)
-    for i, f in enumerate(flows):
-        if isinstance(f, bool) or not isinstance(f, int):
-            raise ValueError(f"arrows[{i}].flow: not an integer: {f!r}")
+    flows = tuple(_require_int(f, f"arrows[{i}].flow") for i, (_, _, _, f) in enumerate(arrows))
     return Comte(SelfIndexedGraph(vertices, arrs), flows)
 
 
@@ -132,6 +143,13 @@ def validate_graph(g: SelfIndexedGraph) -> ValidationReport:
             if name not in vs:
                 dangling.append((i, fld, name))
     return ValidationReport(tuple(dangling), ())
+
+
+def _dangling(g: SelfIndexedGraph) -> ValueError:
+    """The error for a graph whose arrows name a vertex it lacks, naming
+    each such arrow and field; the routines that look names up raise it
+    from their ``KeyError``."""
+    return ValueError(validate_graph(g).describe())
 
 
 def validate(c: Comte) -> ValidationReport:
@@ -217,9 +235,12 @@ def components(g: SelfIndexedGraph) -> tuple[tuple[str, ...], ...]:
     their earliest vertex in the graph's vertex order; each class lists its
     members in vertex order.
     """
-    uf = _UnionFind(g.vertices)
-    for a in g.arrows:
-        uf.union(a.source, a.target)
+    uf = _UnionFind(g.vertex_index())  # which rejects a duplicate name
+    try:
+        for a in g.arrows:
+            uf.union(a.source, a.target)
+    except KeyError as e:
+        raise _dangling(g) from e
     return tuple(tuple(c) for c in uf.classes())
 
 
@@ -242,12 +263,17 @@ def quotient(g: SelfIndexedGraph, pairs) -> tuple[SelfIndexedGraph, dict[str, st
     The representative of each class is its earliest member in vertex order.
     Arrow order is preserved; labels are rewritten through the map.
     """
-    uf = _UnionFind(g.vertices)
-    for x, y in pairs:
-        uf.union(x, y)
-    vmap = {v: group[0] for group in uf.classes() for v in group}
+    uf = _UnionFind(g.vertex_index())  # which rejects a duplicate name
+    try:
+        for x, y in pairs:
+            uf.union(x, y)
+        vmap = {v: group[0] for group in uf.classes() for v in group}
+        new_arrows = tuple(Arrow(vmap[a.source], vmap[a.target], vmap[a.label]) for a in g.arrows)
+    except KeyError as e:
+        if validate_graph(g).ok:
+            raise ValueError(f"{e.args[0]!r} is not a vertex") from e
+        raise _dangling(g) from e
     new_vertices = tuple(v for v in g.vertices if vmap[v] == v)
-    new_arrows = tuple(Arrow(vmap[a.source], vmap[a.target], vmap[a.label]) for a in g.arrows)
     return SelfIndexedGraph(new_vertices, new_arrows), vmap
 
 
@@ -262,7 +288,7 @@ def contract(g: SelfIndexedGraph, T) -> SelfIndexedGraph:
 def contract_with_map(g: SelfIndexedGraph, T) -> tuple[SelfIndexedGraph, dict[str, str]]:
     T = set(T)
     for i in T:
-        if not 0 <= i < len(g.arrows):
+        if not 0 <= _require_int(i, "arrow index") < len(g.arrows):
             raise IndexError(f"arrow index {i} out of range")
     q, vmap = quotient(g, [(g.arrows[i].source, g.arrows[i].target) for i in T])
     kept = tuple(a for i, a in enumerate(q.arrows) if i not in T)
@@ -374,10 +400,13 @@ def canonical_labeling(obj: Comte | SelfIndexedGraph) -> CanonicalLabeling:
         g, flows = obj, None
     n = len(g.vertices)
     idx = g.vertex_index()
-    arrs = [
-        (idx[a.source], idx[a.target], idx[a.label], flows[i] if flows is not None else 0)
-        for i, a in enumerate(g.arrows)
-    ]
+    try:
+        arrs = [
+            (idx[a.source], idx[a.target], idx[a.label], flows[i] if flows is not None else 0)
+            for i, a in enumerate(g.arrows)
+        ]
+    except KeyError as e:
+        raise _dangling(g) from e
     best = best_assign = None
     stack = [[0] * n]
     while stack:

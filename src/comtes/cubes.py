@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Arrow, GraphHomomorphism, SelfIndexedGraph
+from .core import Arrow, GraphHomomorphism, SelfIndexedGraph, _require_int
 
 Word = tuple[int, ...]
 
@@ -36,11 +36,10 @@ class CubeGraph:
     arrow_words: tuple[Word, ...]             # label word per arrow
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 miss the entry of 1
 def build_Yn(n: int) -> CubeGraph:
     """Y_n = y_1 + ... + y_n with labels and self-indexed structure."""
-    if n < 0:
-        raise ValueError(f"cube degree must be non-negative, got {n}")
+    _require_int(n, "cube degree", 0)
     vwords: list[Word] = []
     for m in range(1, n + 1):
         layer = []
@@ -80,10 +79,12 @@ def _face_word(word: Word, s: int, eps: int) -> Word:
     return shifted
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def face_map(n: int, s: int, eps: int) -> GraphHomomorphism:
     """The embedding D_s^eps : Y_{n-1} -> Y_n, for 1 <= s <= n-1."""
-    if not 1 <= s <= n - 1:
+    if _require_int(eps, "face side") not in (0, 1):
+        raise ValueError(f"face side eps={eps} is not 0 or 1")
+    if not 1 <= _require_int(s, "face index") <= _require_int(n, "cube degree") - 1:
         raise ValueError(f"face index s={s} out of range for Y_{n}")
     lo = build_Yn(n - 1)
     hi_aindex = {rec: i for i, rec in enumerate(build_Yn(n).arrow_data)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import SelfIndexedGraph, canonical_form, contract
+from .core import SelfIndexedGraph, _require_int, canonical_form, contract
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,7 @@ class SemiVirtualGraph:
 
     def __post_init__(self):
         for i in self.semivirtual:
-            if isinstance(i, bool) or not isinstance(i, int):
-                raise ValueError(f"semi-virtual arrow index {i!r} is not an integer")
-            if not 0 <= i < len(self.graph.arrows):
+            if not 0 <= _require_int(i, "semi-virtual arrow index") < len(self.graph.arrows):
                 raise ValueError(f"semi-virtual arrow index {i} out of range")
 
 
@@ -134,6 +132,7 @@ def is_degree_at_most(nu, n: int, family, zero=0) -> DegreeReport:
     A pass certifies degree < n over this family only; the class of all
     self-indexed graphs is infinite, so no global claim is made.
     """
+    _require_int(n, "semi-virtual arrow count", 0)
     for gs in family:
         if len(gs.semivirtual) != n:
             raise ValueError("family member does not have n semi-virtual arrows")

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import graph_homomorphisms
-from .core import GraphHomomorphism, SelfIndexedGraph, classify
+from .core import GraphHomomorphism, SelfIndexedGraph, _dangling, _require_int, classify
 from .cubes import build_Yn
 from .linalg import kernel_mod, image_size_mod, smith_normal_form
 from .racks import AbelianGroup
@@ -55,7 +55,10 @@ def dot_table(g: SelfIndexedGraph) -> list[list[int]]:
     nv = len(g.vertices)
     dot = [[-1] * nv for _ in range(nv)]
     for a in g.arrows:
-        li, si, ti = idx[a.label], idx[a.source], idx[a.target]
+        try:
+            li, si, ti = idx[a.label], idx[a.source], idx[a.target]
+        except KeyError as e:
+            raise _dangling(g) from e
         if dot[li][si] != -1:
             raise NotRGraphError(
                 f"two arrows share source {a.source!r} and label {a.label!r}"
@@ -178,8 +181,7 @@ def chain_basis(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> list[t
 def _bases_of(g: SelfIndexedGraph, top: int, q_quotient: bool):
     """The vertex count of g, its code bases of C_0 .. C_top and their
     acted tails."""
-    if top < 0:
-        raise ValueError(f"degree must be non-negative, got {top}")
+    _require_int(top, "degree", 0)
     dot = dot_table(g)
     if q_quotient:
         _require_q_graph(g)
@@ -210,7 +212,9 @@ def boundary_terms(t: tuple[int, ...], dot, q_quotient: bool) -> dict[tuple[int,
 def boundary_matrix(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> list[list[int]]:
     """Integer matrix of the boundary C_n -> C_{n-1} over the tuple bases,
     rows indexed by C_{n-1}, columns by C_n, as a dense list of lists.
-    C_{-1} = 0, so the matrix of d_0 has no rows."""
+    C_{-1} = 0, so the matrix of d_0 has no rows.  The dense rows are not
+    an input for ``smith_normal_form``, which takes ``{column: value}``
+    dicts and rejects a list row with a ``TypeError``."""
     nv, codes, acted = _bases_of(g, n, q_quotient)
     if n == 0:
         return []
@@ -283,8 +287,7 @@ def homology_range(
     (3, -2)^T clearing row 1 would give H_k = Z/3 instead of 0.
     Persistent homology calls this step clearing, or the twist (Chen &
     Kerber, EuroCG 2011), over a field."""
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
+    _require_int(max_degree, "max_degree", 0)
     nv, codes, acted = _bases_of(g, max_degree + 1, q_quotient)
     sizes = [len(b) for b in codes]
     ranks = [0] * (max_degree + 2)

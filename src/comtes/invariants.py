@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Comte, SelfIndexedGraph, component_index, components
+from .core import Comte, SelfIndexedGraph, _dangling, component_index, components
 from .linalg import smith_normal_form
 
 
@@ -60,7 +60,10 @@ def abelianization_rank(g: SelfIndexedGraph) -> int:
     by integer reduction of the relation matrix, not by counting components.
     """
     idx = g.vertex_index()
-    rows = [{idx[a.source]: 1, idx[a.target]: -1} for a in g.arrows if a.source != a.target]
+    try:
+        rows = [{idx[a.source]: 1, idx[a.target]: -1} for a in g.arrows if a.source != a.target]
+    except KeyError as e:
+        raise _dangling(g) from e
     return len(g.vertices) - smith_normal_form(rows).rank
 
 

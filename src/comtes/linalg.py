@@ -2,9 +2,10 @@
 
 Everything runs on Python integers, so there is no overflow.  A matrix is
 a list of sparse rows, each a ``{column: value}`` dict of ``int`` values
-keyed by ``int`` columns (a float or a ``bool`` is a ``TypeError``, a
-negative column a ``ValueError``); zero entries are ignored and the rows
-are never changed.  One sparse elimination serves every routine.  Its
+keyed by ``int`` columns (a row of another type, a dense list included,
+or a float or a ``bool`` is a ``TypeError``, a negative column a
+``ValueError``); zero entries are ignored and the rows are never
+changed.  One sparse elimination serves every routine.  Its
 pivot is a smallest entry, from the shortest column.  The columns are kept
 in buckets by length, so a pick reads the entries of the shortest columns
 that hold a unit, not every nonzero.  A unit pivot is retired by row
@@ -14,14 +15,17 @@ remainder left becomes the next pivot.  The elimination records the column
 transform Q only for the kernel routines, which read their kernel vectors
 (the basis this pivot order yields) off Q.  They take the column count,
 which sizes Q, and reject a column outside it with a ``ValueError``; the
-routines mod m reject an m that is not an ``int`` with a ``TypeError`` and
-m < 1 with a ``ValueError``.
+routines mod m reject a modulus that is not an ``int``, or is a ``bool``,
+with a ``TypeError`` and one below 1 with a ``ValueError`` ("modulus must
+be positive").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+from .core import _require_int
 
 
 @dataclass(frozen=True)
@@ -95,9 +99,10 @@ def _eliminate(matrix, ncols=None):
     entries small on the random matrices measured (Havas & Majewski, J.
     Symb. Comput. 24, 1997), but has no general polynomial bound.
 
-    Each row is copied in column order, without its zero entries; a
-    column or an entry that is not an ``int`` (or is a ``bool``) is a
-    ``TypeError``, and a negative column a ``ValueError``.  Each pick from
+    Each row is copied in column order, without its zero entries; a row
+    that is not a ``dict``, or a column or an entry that is not an
+    ``int`` (or is a ``bool``), is a ``TypeError``, and a negative column
+    a ``ValueError``.  Each pick from
     the matrix is the least (|entry|, column length, row length, column,
     row), so units in short columns go first and fill stays low on sparse
     boundary matrices.  The columns are kept in buckets by length, and a
@@ -108,6 +113,8 @@ def _eliminate(matrix, ncols=None):
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for r, row in enumerate(matrix):
+        if not isinstance(row, dict):
+            raise TypeError(f"row {r} is not a {{column: value}} dict: {type(row).__name__}")
         d = {}
         for c in row:
             if isinstance(c, bool) or not isinstance(c, int):
@@ -247,7 +254,7 @@ def _eliminate(matrix, ncols=None):
 def integer_kernel_basis(matrix, ncols) -> list[list[int]]:
     """Basis of the integer kernel {x : M x = 0}: the columns of Q at the
     non-pivot columns."""
-    pivots, q, _ = _eliminate(matrix, ncols)
+    pivots, q, _ = _eliminate(matrix, _require_int(ncols, "ncols", 0))
     pivot_cols = {c for c, _ in pivots}
     return [q[j] for j in range(ncols) if j not in pivot_cols]
 
@@ -260,8 +267,8 @@ def kernel_mod(matrix, ncols, modulus) -> list[tuple[list[int], int]]:
     column j of Q, of order gcd(d, m); a non-pivot column j gives column j
     of Q, of order m.  Generators of order 1 are left out.
     """
-    _check_modulus(modulus)
-    pivots, q, _ = _eliminate(matrix, ncols)
+    _require_int(modulus, "modulus", 1)
+    pivots, q, _ = _eliminate(matrix, _require_int(ncols, "ncols", 0))
     pivot_of = dict(pivots)
     gens = []
     for j in range(ncols):
@@ -274,16 +281,9 @@ def kernel_mod(matrix, ncols, modulus) -> list[tuple[list[int], int]]:
 
 def image_size_mod(matrix, modulus) -> int:
     """Order of the column span of M inside (Z/m)^rows."""
-    _check_modulus(modulus)
+    _require_int(modulus, "modulus", 1)
     snf = smith_normal_form(matrix)
     size = 1
     for d in snf.factors:
         size *= modulus // gcd(d, modulus)
     return size
-
-
-def _check_modulus(modulus):
-    if isinstance(modulus, bool) or not isinstance(modulus, int):
-        raise TypeError(f"modulus must be an integer, got {modulus!r}")
-    if modulus < 1:
-        raise ValueError(f"modulus must be at least 1, got {modulus}")

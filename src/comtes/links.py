@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import Comte, _UnionFind, comte
+from .core import Comte, _UnionFind, _require_int, comte
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,12 @@ def swap_arrowtails(d: GaussDiagram, circle: int, position: int) -> GaussDiagram
     """Exchange two adjacent tail endpoints (positions ``position`` and
     ``position + 1`` cyclically on the given circle).  The comte of the
     result coincides with the comte of the input."""
-    if not 0 <= circle < len(d.circles):
+    if not 0 <= _require_int(circle, "circle") < len(d.circles):
         raise LinkCodeError(f"no circle {circle}")
     circ = d.circles[circle]
     if not circ:
         raise LinkCodeError("empty circle")
-    i = position % len(circ)
+    i = _require_int(position, "position") % len(circ)
     j = (position + 1) % len(circ)
     if circ[i].end != "tail" or circ[j].end != "tail":
         raise LinkCodeError(

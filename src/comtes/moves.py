@@ -70,7 +70,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations
 
-from .core import Arrow, Comte, SelfIndexedGraph, build_canonical_form, canonical_form, canonical_labeling, quotient
+from .core import Arrow, Comte, SelfIndexedGraph, _require_int, build_canonical_form, canonical_form, canonical_labeling, quotient
 
 class MoveError(ValueError):
     """Raised when a move instance does not apply to the given comte."""
@@ -546,11 +546,7 @@ class SearchBudget:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if value < 0 and f.name not in ("flow_lo", "flow_hi"):
-                raise ValueError(f"{f.name} must be non-negative, got {value}")
+            _require_int(getattr(self, f.name), f.name, None if f.name in ("flow_lo", "flow_hi") else 0)
         if self.flow_lo > self.flow_hi:
             raise ValueError(f"empty flow window: flow_lo={self.flow_lo} > flow_hi={self.flow_hi}")
 

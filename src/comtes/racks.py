@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .core import SelfIndexedGraph, graph_from_injections
+from .core import SelfIndexedGraph, _require_int, graph_from_injections
 from .laurent import _signed_sum
 
 
@@ -63,15 +63,13 @@ class FiniteRack:
 
 def trivial_quandle(n: int) -> FiniteRack:
     """x |> y = y, on n >= 0 elements."""
-    if n < 0:
-        raise ValueError(f"trivial_quandle needs n >= 0, got {n}")
+    _require_int(n, "element count", 0)
     return FiniteRack.from_table([[y for y in range(n)] for _ in range(n)])
 
 
 def dihedral_quandle(n: int) -> FiniteRack:
     """x |> y = 2x - y mod n, on n >= 1 elements."""
-    if n < 1:
-        raise ValueError(f"dihedral_quandle needs n >= 1, got {n}")
+    _require_int(n, "element count", 1)
     return FiniteRack.from_table([[(2 * x - y) % n for y in range(n)] for x in range(n)])
 
 
@@ -133,10 +131,7 @@ class AbelianGroup:
 
     def __post_init__(self):
         for m in self.orders:
-            if isinstance(m, bool) or not isinstance(m, int):
-                raise TypeError(f"cyclic orders must be integers, got {m!r}")
-            if m < 1:
-                raise ValueError("cyclic orders must be positive")
+            _require_int(m, "cyclic order", 1)
 
     @property
     def identity(self) -> tuple[int, ...]:
@@ -260,9 +255,7 @@ def parse_rack_table(text: str) -> FiniteRack:
     tokens = text.split()
     if not tokens:
         raise ValueError("empty rack table")
-    n = int(tokens[0])
-    if n < 0:
-        raise ValueError(f"element count must be non-negative, got {n}")
+    n = _require_int(int(tokens[0]), "element count", 0)
     if len(tokens) != 1 + n * n:
         raise ValueError(f"expected {n * n} table entries, got {len(tokens) - 1}")
     vals = [int(v) for v in tokens[1:]]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -414,8 +415,8 @@ class TestDocuments:
 
     @pytest.mark.parametrize("flow", [1.7, 1.0, "3", True, None])
     def test_comte_rejects_a_non_integer_flow(self, flow):
-        # the same rule and wording as decode: no truncation, no parsing
-        with pytest.raises(ValueError, match=r"arrows\[1\]\.flow: not an integer"):
+        # the rule of decode, no truncation and no parsing, as a TypeError
+        with pytest.raises(TypeError, match=rf"^arrows\[1\]\.flow must be an integer, got {re.escape(repr(flow))}$"):
             comte("a", [("a", "a", "a", 0), ("a", "a", "a", flow)])
 
     def test_comte_reads_a_generator_once(self):

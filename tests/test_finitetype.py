@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from comtes.census import enumerate_r_graphs
@@ -79,7 +81,7 @@ class TestBracket:
     @pytest.mark.parametrize("index", [0.0, True, "0"])
     def test_non_integer_index(self, index):
         # 0.0 and True equal arrow indices but are not ones
-        with pytest.raises(ValueError, match="not an integer"):
+        with pytest.raises(TypeError, match=rf"^semi-virtual arrow index must be an integer, got {re.escape(repr(index))}$"):
             SemiVirtualGraph(G, frozenset({index}))
 
 

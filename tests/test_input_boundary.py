@@ -1,0 +1,182 @@
+"""One sweep over the input boundary of the exported API.
+
+Every exported function or constructor that takes a count, degree,
+index, modulus or order is fed ``True``, ``1.0``, ``2.5``, ``"2"``,
+``None`` and -1.  A non-integer (a ``bool`` included) raises a
+``TypeError`` that names the argument.  -1 raises a ``ValueError`` that
+names the bound where the argument has a lower bound of 0 or 1, the
+range error of its entry where the bound depends on the other
+arguments, and is accepted where it is a flow or a cyclic position.
+
+Every exported function that takes a graph is fed one with an arrow to a
+missing vertex and one with a repeated vertex name, built with
+``SelfIndexedGraph`` directly, and raises a ``ValueError``.  The
+exceptions are the routines that only report, serialize or list the
+names (``validate_graph``, ``encode``, ``classify`` and the two
+presentations), which return their result.
+
+The value records that the library builds itself (``MoveInstance``,
+``Chain``, ``Cochain``, ``FiniteRack``, ``Comte``) are not swept.
+"""
+
+import dataclasses
+import inspect
+import re
+
+import pytest
+
+import comtes
+from comtes.census import partial_injections
+from comtes.core import SelfIndexedGraph, as_comte, graph
+from comtes.homology import hom_tuples
+from comtes.linalg import image_size_mod, integer_kernel_basis, kernel_mod
+
+G = graph("a b", [("a", "b", "a"), ("b", "a", "b")])
+# positions 3 and 0 of its circle are two tails, so position -1 is valid
+DIAGRAM = comtes.parse_gauss_code("O1+U2+U1+O2+")
+
+# what -1 gives: a ValueError naming the lower bound, the range error of
+# the entry (a ValueError, an IndexError for an arrow index), or a result
+NON_NEGATIVE, POSITIVE, RANGE, INDEX, VALID = "non-negative", "positive", ValueError, IndexError, None
+
+# (exported name, call with the value, name in the message, what -1 gives)
+INTEGER_ARGUMENTS = [
+    ("comte", lambda x: comtes.comte("a", [("a", "a", "a", x)]), "arrows[0].flow", VALID),
+    ("contract", lambda x: comtes.contract(G, [x]), "arrow index", INDEX),
+    *[
+        ("SearchBudget", lambda x, f=f.name: comtes.SearchBudget(**{f: x}), f.name,
+         VALID if f.name in ("flow_lo", "flow_hi") else NON_NEGATIVE)
+        for f in dataclasses.fields(comtes.SearchBudget)
+    ],
+    ("SemiVirtualGraph", lambda x: comtes.SemiVirtualGraph(G, frozenset({x})), "semi-virtual arrow index", RANGE),
+    ("is_degree_at_most", lambda x: comtes.is_degree_at_most({}, x, []), "semi-virtual arrow count", NON_NEGATIVE),
+    ("AbelianGroup", lambda x: comtes.AbelianGroup((3, x)), "cyclic order", POSITIVE),
+    ("trivial_quandle", lambda x: comtes.trivial_quandle(x), "element count", NON_NEGATIVE),
+    ("dihedral_quandle", lambda x: comtes.dihedral_quandle(x), "element count", POSITIVE),
+    ("kernel_mod", lambda x: kernel_mod([{0: 2}], 1, x), "modulus", POSITIVE),
+    ("kernel_mod", lambda x: kernel_mod([{0: 2}], x, 4), "ncols", NON_NEGATIVE),
+    ("integer_kernel_basis", lambda x: integer_kernel_basis([{0: 2}], x), "ncols", NON_NEGATIVE),
+    ("image_size_mod", lambda x: image_size_mod([{0: 2}], x), "modulus", POSITIVE),
+    ("homology_range", lambda x: comtes.homology_range(G, x), "max_degree", NON_NEGATIVE),
+    ("homology", lambda x: comtes.homology(G, x), "max_degree", NON_NEGATIVE),
+    ("hom_tuples", lambda x: hom_tuples(x, G), "degree", NON_NEGATIVE),
+    ("chain_basis", lambda x: comtes.chain_basis(x, G), "degree", NON_NEGATIVE),
+    ("boundary_matrix", lambda x: comtes.boundary_matrix(x, G), "degree", NON_NEGATIVE),
+    ("enumerate_homs", lambda x: comtes.enumerate_homs(x, G), "cube degree", NON_NEGATIVE),
+    ("build_Yn", lambda x: comtes.build_Yn(x), "cube degree", NON_NEGATIVE),
+    ("face_map", lambda x: comtes.face_map(x, 1, 1), "cube degree", RANGE),
+    ("face_map", lambda x: comtes.face_map(2, x, 1), "face index", RANGE),
+    ("face_map", lambda x: comtes.face_map(2, 1, x), "face side", RANGE),
+    ("partial_injections", lambda x: partial_injections(x), "vertex count", NON_NEGATIVE),
+    ("enumerate_r_graphs", lambda x: comtes.enumerate_r_graphs(x), "vertex count", NON_NEGATIVE),
+    ("enumerate_q_graphs", lambda x: comtes.enumerate_q_graphs(x), "vertex count", NON_NEGATIVE),
+    ("signature_census", lambda x: comtes.signature_census([], x), "max_degree", NON_NEGATIVE),
+    ("signature_census", lambda x: comtes.signature_census([], 1, x), "jobs", POSITIVE),
+    ("alexander_polynomial", lambda x: comtes.alexander_polynomial(G, x), "index", NON_NEGATIVE),
+    ("swap_arrowtails", lambda x: comtes.swap_arrowtails(DIAGRAM, x, 0), "circle", RANGE),
+    ("swap_arrowtails", lambda x: comtes.swap_arrowtails(DIAGRAM, 0, x), "position", VALID),
+]
+INTEGER_IDS = [f"{name}-{what}" for name, _, what, _ in INTEGER_ARGUMENTS]
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 2.5, "2", None], ids=repr)
+@pytest.mark.parametrize("name, call, what, below", INTEGER_ARGUMENTS, ids=INTEGER_IDS)
+def test_non_integer_is_a_type_error(name, call, what, below, value):
+    with pytest.raises(TypeError, match=f"^{re.escape(what)} must be an integer, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("name, call, what, below", INTEGER_ARGUMENTS, ids=INTEGER_IDS)
+def test_minus_one(name, call, what, below):
+    if below is VALID:
+        call(-1)
+    elif isinstance(below, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} must be {below}, got -1$"):
+            call(-1)
+    else:
+        with pytest.raises(below):
+            call(-1)
+
+
+def test_true_is_not_read_as_one():
+    # each of these used to answer as if given 1
+    g = graph("a", [("a", "a", "a")])
+    for call in (
+        lambda: comtes.face_map(2, True, 1),
+        lambda: comtes.contract(g, [True]),
+        lambda: comtes.homology_range(g, True),
+        lambda: comtes.enumerate_r_graphs(True),
+    ):
+        with pytest.raises(TypeError, match="must be an integer, got True"):
+            call()
+
+
+DANGLING = graph("a", [("a", "b", "a")])
+DUPLICATE = SelfIndexedGraph(("a", "a"), ())
+
+# (exported name, call with the graph)
+GRAPH_ARGUMENTS = [
+    ("canonical_key", comtes.canonical_key),
+    ("canonical_form", comtes.canonical_form),
+    ("components", comtes.components),
+    ("contract", lambda g: comtes.contract(g, [])),
+    ("quotient", lambda g: comtes.quotient(g, [])),
+    ("abelianization_rank", comtes.abelianization_rank),
+    ("alexander_polynomial", lambda g: comtes.alexander_polynomial(g, 0)),
+    ("alexander_polynomial", lambda g: comtes.alexander_polynomial(g, 5)),  # Delta_5 = 1 by convention
+    ("relation_matrix", comtes.relation_matrix),
+    ("multivariable_relation_matrix", comtes.multivariable_relation_matrix),
+    ("colorings", lambda g: comtes.colorings(g, comtes.dihedral_quandle(3))),
+    ("graph_homomorphisms", lambda g: comtes.graph_homomorphisms(g, G)),
+    ("state_sum", lambda g: comtes.state_sum(g, comtes.Chain(2, ()), G, comtes.Cochain(2, {}), comtes.C2)),
+    ("phi_invariant", lambda g: comtes.phi_invariant(as_comte(g), comtes.tetrahedron_quandle(), comtes.tetrahedron_cocycle())),
+    ("linking_matrix", lambda g: comtes.linking_matrix(as_comte(g))),
+    ("equivalent_bounded", lambda g: comtes.equivalent_bounded(as_comte(g), as_comte(G))),
+    ("homology_range", lambda g: comtes.homology_range(g, 1)),
+    ("homology", lambda g: comtes.homology(g, 0)),
+    ("chain_basis", lambda g: comtes.chain_basis(0, g)),
+    ("boundary_matrix", lambda g: comtes.boundary_matrix(0, g)),
+    ("enumerate_homs", lambda g: comtes.enumerate_homs(0, g)),
+    ("q2_cocycles", lambda g: comtes.q2_cocycles(g, comtes.C2)),
+    ("bracket", lambda g: comtes.bracket(comtes.SemiVirtualGraph(g, frozenset()))),
+    ("signature_census", lambda g: comtes.signature_census([g], 1)),
+]
+# routines that report, serialize or list the names and return a result
+NAME_READERS = ["validate_graph", "encode", "classify", "group_presentation", "quandle_presentation"]
+
+
+@pytest.mark.parametrize("name, call", GRAPH_ARGUMENTS, ids=[n for n, _ in GRAPH_ARGUMENTS])
+def test_dangling_arrow_is_a_value_error(name, call):
+    with pytest.raises(ValueError, match=r"^arrow 0: target 'b' is not a vertex$"):
+        call(DANGLING)
+
+
+@pytest.mark.parametrize("name, call", GRAPH_ARGUMENTS, ids=[n for n, _ in GRAPH_ARGUMENTS])
+def test_duplicate_vertex_is_a_value_error(name, call):
+    with pytest.raises(ValueError, match="^'vertices' contains a duplicate$"):
+        call(DUPLICATE)
+
+
+@pytest.mark.parametrize("name", NAME_READERS)
+def test_name_readers_return(name):
+    for g in (DANGLING, DUPLICATE):
+        getattr(comtes, name)(g)
+    assert comtes.validate_graph(DANGLING).dangling == ((0, "target", "b"),)
+
+
+def test_quotient_names_a_missing_pair_vertex():
+    with pytest.raises(ValueError, match="^'c' is not a vertex$"):
+        comtes.quotient(G, [("a", "c")])
+
+
+def _exported_functions_taking(annotation):
+    for name, obj in vars(comtes).items():
+        if inspect.isfunction(obj) or inspect.isfunction(getattr(obj, "__wrapped__", None)):
+            if any(annotation in str(p.annotation) for p in inspect.signature(obj).parameters.values()):
+                yield name
+
+
+def test_sweeps_cover_every_exported_function():
+    assert set(_exported_functions_taking("int")) <= {name for name, *_ in INTEGER_ARGUMENTS}
+    assert set(_exported_functions_taking("SelfIndexedGraph")) <= {name for name, _ in GRAPH_ARGUMENTS} | set(NAME_READERS)
+

@@ -378,6 +378,15 @@ def test_negative_column_rejected():
     assert smith_normal_form([{-1: 0, 0: 2}]).factors == (2,)
 
 
+def test_dense_rows_are_rejected():
+    # a list row used to be read as its values: [[0, 1, 1], [0, 0, 1]] gave
+    # rank 1, and [[3, 7]] an IndexError
+    for matrix in ([[0, 1, 1], [0, 0, 1]], [[3, 7]]):
+        with pytest.raises(TypeError, match=r"^row 0 is not a \{column: value\} dict: list$"):
+            smith_normal_form(matrix)
+    assert smith_normal_form([{1: 1, 2: 1}, {2: 1}]).rank == 2
+
+
 @pytest.mark.parametrize("modulus", [True, 2.0, 2.5, "2", None])
 def test_non_integer_modulus_rejected(modulus):
     with pytest.raises(TypeError, match="modulus must be an integer"):
@@ -388,9 +397,9 @@ def test_non_integer_modulus_rejected(modulus):
 
 @pytest.mark.parametrize("modulus", [0, -1, -4])
 def test_modulus_below_one_rejected(modulus):
-    with pytest.raises(ValueError, match="modulus must be at least 1"):
+    with pytest.raises(ValueError, match=f"^modulus must be positive, got {modulus}$"):
         kernel_mod([{0: 2}], 1, modulus)
-    with pytest.raises(ValueError, match="modulus must be at least 1"):
+    with pytest.raises(ValueError, match=f"^modulus must be positive, got {modulus}$"):
         image_size_mod([{0: 2}], modulus)
 
 

@@ -226,7 +226,7 @@ class TestInverseEnumeration:
     def test_non_integer_field_rejected(self, field, value):
         # a float used to be accepted and then fail inside the search, and
         # None failed in the range check with an unrelated TypeError
-        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
             SearchBudget(**{field: value})
 
     def test_enumerators_declare_no_window(self):

@@ -135,18 +135,18 @@ class TestAbelianGroup:
 
     @pytest.mark.parametrize("order", [2.0, True, "2", None])
     def test_non_integer_order(self, order):
-        with pytest.raises(TypeError, match="cyclic orders must be integers"):
+        with pytest.raises(TypeError, match=f"^cyclic order must be an integer, got {re.escape(repr(order))}$"):
             AbelianGroup((3, order))
 
 
 class TestConstructors:
     @pytest.mark.parametrize("n", [0, -3])
     def test_dihedral_needs_an_element(self, n):
-        with pytest.raises(ValueError, match="dihedral_quandle needs n >= 1"):
+        with pytest.raises(ValueError, match=f"^element count must be positive, got {n}$"):
             dihedral_quandle(n)
 
     def test_trivial_needs_a_size(self):
-        with pytest.raises(ValueError, match="trivial_quandle needs n >= 0"):
+        with pytest.raises(ValueError, match="^element count must be non-negative, got -1$"):
             trivial_quandle(-1)
         assert trivial_quandle(0).n == 0 == parse_rack_table("0").n
         assert dihedral_quandle(1).n == 1

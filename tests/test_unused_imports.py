@@ -1,8 +1,10 @@
 """Every top-level import in the package and in its tests is used by its
 module, each package module is imported by one statement per file, no
 package module is imported inside a function of the package, every
-module-level private name of the package is used in it, and every
-module-level public name is used in it or named in README."""
+module-level private name of the package is used in it, every
+module-level public name is used in it or named in README, and no
+``isinstance(x, bool)`` check sits outside ``core._require_int``,
+``core.decode`` and ``linalg._eliminate``."""
 
 import ast
 import re
@@ -134,3 +136,28 @@ def test_no_public_name_that_only_the_tests_use():
     documented = {word for span in spans for word in re.findall(r"\w+", "".join(span))}
     orphans = [where for where, name in _orphans() if not name.startswith("_") and name not in documented]
     assert not orphans, orphans
+
+
+def _bool_checks(tree):
+    """(function, line) for each ``isinstance(x, bool)`` call, the bool
+    alone or in a tuple, with the top-level function that holds it."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                kinds = node.args[1:]
+                if kinds and isinstance(kinds[0], ast.Tuple):
+                    kinds = kinds[0].elts
+                if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                    yield getattr(top, "name", None), node.lineno
+
+
+def test_integer_checks_live_in_one_helper():
+    # an integer argument is checked by core._require_int; only decode
+    # (which raises DecodeError) and the entry loop of linalg._eliminate
+    # check inline
+    allowed = {("core.py", "_require_int"), ("core.py", "decode"), ("linalg.py", "_eliminate")}
+    found = []
+    for path in sorted((ROOT / "src" / "comtes").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}: {fn}" for fn, line in _bool_checks(tree) if (path.name, fn) not in allowed]
+    assert not found, found
