@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Comte, GraphHomomorphism, SelfIndexedGraph, _dangling
+from .core import Comte, GraphHomomorphism, SelfIndexedGraph, _dangling, _index_form
 from .cubes import build_Yn
 from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow_index
 
@@ -178,6 +178,7 @@ def flow_to_cycle(c: Comte) -> Chain:
     """A flow is the same thing as a degree-2 chain assigning I(e) to the
     basis homomorphism of arrow e; it is a cycle exactly when the flow is
     conserved."""
+    _index_form(c.graph)  # which rejects a dangling arrow or a repeated name
     coeffs = {}
     for e, f in enumerate(c.flows):
         if f:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     source: str
     target: str
@@ -341,6 +341,13 @@ class CanonicalLabeling(NamedTuple):
     arrow_order: tuple[int, ...]      # canonical arrow index -> input index
     arrows: tuple[tuple[int, int, int, int], ...]  # canonical (source, target, label, flow)
 
+    def arrow_perm(self) -> list[int]:
+        """Input arrow index -> canonical index."""
+        perm = [0] * len(self.arrow_order)
+        for new_i, old_i in enumerate(self.arrow_order):
+            perm[old_i] = new_i
+        return perm
+
 
 def _refine_colors(n, arrs, colors):
     """Iterated refinement of an ordered colouring; returns colour ranks per
@@ -390,23 +397,35 @@ def _twins(arrs, u, v):
     return sorted(near) == sorted((swap.get(s, s), swap.get(t, t), swap.get(l, l), f) for s, t, l, f in near)
 
 
+def _index_form(g: SelfIndexedGraph) -> tuple[dict[str, int], tuple[tuple[int, int, int], ...]]:
+    """The vertex index of ``g`` and its arrows as (source, target, label)
+    index triples; a repeated vertex name or an arrow to a missing vertex
+    is a ``ValueError``."""
+    idx = g.vertex_index()
+    try:
+        return idx, tuple([(idx[a.source], idx[a.target], idx[a.label]) for a in g.arrows])
+    except KeyError as e:
+        raise _dangling(g) from e
+
+
 def canonical_labeling(obj: Comte | SelfIndexedGraph) -> CanonicalLabeling:
     """The labeling step of canonicalization: the key and the bijection
     that yields it, without building any named object.  Flows count for a
     comte and are read as 0 for a bare graph."""
     if isinstance(obj, Comte):
-        g, flows = obj.graph, obj.flows
+        g, flows, tag = obj.graph, obj.flows, b"c"
     else:
-        g, flows = obj, None
-    n = len(g.vertices)
-    idx = g.vertex_index()
-    try:
-        arrs = [
-            (idx[a.source], idx[a.target], idx[a.label], flows[i] if flows is not None else 0)
-            for i, a in enumerate(g.arrows)
-        ]
-    except KeyError as e:
-        raise _dangling(g) from e
+        g, tag = obj, b"g"
+        flows = (0,) * len(g.arrows)
+    arrs = _index_form(g)[1]
+    return _canonical_labeling(len(g.vertices), [(s, t, l, f) for (s, t, l), f in zip(arrs, flows, strict=True)], tag)
+
+
+def _canonical_labeling(n: int, arrs: list[tuple[int, int, int, int]], tag: bytes) -> CanonicalLabeling:
+    """``canonical_labeling`` of ``n`` vertices 0..n-1 and the arrows
+    ``arrs``, (source, target, label, flow) index tuples; ``tag`` starts
+    the key (b"c" for a comte, b"g" for a bare graph)."""
+    m = len(arrs)
     best = best_assign = None
     stack = [[0] * n]
     while stack:
@@ -416,32 +435,36 @@ def canonical_labeling(obj: Comte | SelfIndexedGraph) -> CanonicalLabeling:
             sizes[c] += 1
         cell = next((c for c in range(n) if sizes[c] > 1), None)
         if cell is None:
-            enc = sorted(((colors[s], colors[t], colors[l], f), i) for i, (s, t, l, f) in enumerate(arrs))
-            enc_key = tuple(e for e, _ in enc)
+            # a stable sort, so equal arrows keep their input order
+            enc = [(colors[s], colors[t], colors[l], f) for s, t, l, f in arrs]
+            order = sorted(range(m), key=enc.__getitem__)
+            enc_key = tuple([enc[i] for i in order])
             if best is None or enc_key < best:
-                best, best_assign = enc_key, (colors, tuple(i for _, i in enc))
+                best, best_assign = enc_key, (colors, tuple(order))
             continue
         tried = []
         for v in range(n):
             if colors[v] == cell and not any(_twins(arrs, u, v) for u in tried):
                 tried.append(v)
                 stack.append([2 * c + (c == cell and u != v) for u, c in enumerate(colors)])
-    tag = b"c" if flows is not None else b"g"
     return CanonicalLabeling(tag + repr((n, best)).encode(), *best_assign, best)
+
+
+def _labeled_graph(lab: CanonicalLabeling) -> SelfIndexedGraph:
+    """The canonical graph that ``lab`` labels: vertices "0".."n-1" and the
+    canonical arrows, in order."""
+    names = tuple(str(i) for i in range(len(lab.vertex_ranks)))
+    return SelfIndexedGraph(names, tuple(Arrow(names[s], names[t], names[l]) for s, t, l, _ in lab.arrows))
 
 
 def build_canonical_form(obj: Comte | SelfIndexedGraph, lab: CanonicalLabeling) -> CanonicalForm:
     """The build step: the canonical form of ``obj`` under its labeling
     ``lab``, which must be ``canonical_labeling(obj)``."""
     g = obj.graph if isinstance(obj, Comte) else obj
-    names = tuple(str(i) for i in range(len(g.vertices)))
-    vmap = {v: names[r] for v, r in zip(g.vertices, lab.vertex_ranks)}
-    new_graph = SelfIndexedGraph(names, tuple(Arrow(names[s], names[t], names[l]) for s, t, l, _ in lab.arrows))
-    arrow_perm = [0] * len(lab.arrow_order)
-    for new_i, old_i in enumerate(lab.arrow_order):
-        arrow_perm[old_i] = new_i
+    new_graph = _labeled_graph(lab)
+    vmap = {v: new_graph.vertices[r] for v, r in zip(g.vertices, lab.vertex_ranks)}
     new_flows = tuple(e[3] for e in lab.arrows) if isinstance(obj, Comte) else None
-    return CanonicalForm(lab.key, vmap, tuple(arrow_perm), new_graph, new_flows)
+    return CanonicalForm(lab.key, vmap, tuple(lab.arrow_perm()), new_graph, new_flows)
 
 
 def canonical_form(obj: Comte | SelfIndexedGraph) -> CanonicalForm:

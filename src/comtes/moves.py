@@ -59,6 +59,13 @@ from top and right.  The full move R3 is the composition R3b_shift (drive
 the doomed side's flow to 0) followed by R3a_remove.  Sites may share
 vertices freely, but arrows referenced as distinct must be distinct.
 
+Each move rule has one implementation, on index states (n, arrows, flows)
+with vertices 0..n-1 and (source, target, label) index arrows.  A fresh
+vertex comes last; R0 drops its vertex, and a merge keeps the earlier one
+and shifts the later ones down, as ``core.quotient`` does.  ``apply_move``
+names the result: a fresh vertex after the one it splits off (``w`` for
+R0inv) with primes added.  The search labels each child unnamed.
+
 Bare-graph mode is the zero-flow comte ``as_comte(g)`` under
 ``SearchBudget(r3b_range=0, flow_lo=0, flow_hi=0)``, where no move creates a
 flow.
@@ -70,7 +77,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations
 
-from .core import Arrow, Comte, SelfIndexedGraph, _require_int, build_canonical_form, canonical_form, canonical_labeling, quotient
+from .core import Arrow, Comte, SelfIndexedGraph, _canonical_labeling, _index_form, _labeled_graph, _require_int, canonical_form
 
 class MoveError(ValueError):
     """Raised when a move instance does not apply to the given comte."""
@@ -118,28 +125,28 @@ def _fresh_name(vertices, stem: str) -> str:
     return cand
 
 
-def _slot(a: Arrow, role: str) -> str:
-    return a.source if role == "s" else a.target if role == "t" else a.label
+_POSITION = {"s": 0, "t": 1}  # of a slot in an index arrow; any other role is the label
 
 
-def _with_slot(a: Arrow, role: str, value: str) -> Arrow:
-    if role == "s":
-        return Arrow(value, a.target, a.label)
-    if role == "t":
-        return Arrow(a.source, value, a.label)
-    return Arrow(a.source, a.target, value)
+def _slot(a: tuple[int, int, int], role: str) -> int:
+    return a[_POSITION.get(role, 2)]
 
 
-def _check_arrow(c: Comte, i: int) -> Arrow:
-    if not 0 <= i < len(c.graph.arrows):
+def _with_slot(a: tuple[int, int, int], role: str, value: int) -> tuple[int, int, int]:
+    k = _POSITION.get(role, 2)
+    return a[:k] + (value,) + a[k + 1 :]
+
+
+def _check_arrow(arrs, i: int) -> tuple[int, int, int]:
+    if not 0 <= i < len(arrs):
         raise MoveError(f"stale site: arrow index {i} not present")
-    return c.graph.arrows[i]
+    return arrs[i]
 
 
-def _check_vertex(c: Comte, v: str) -> str:
-    if v not in c.graph.vertices:
+def _check_vertex(idx: dict[str, int], v: str) -> int:
+    if v not in idx:
         raise MoveError(f"stale site: vertex {v!r} not present")
-    return v
+    return idx[v]
 
 
 # The R3 square of the module docstring: each side, in position order, as
@@ -152,87 +159,89 @@ _SIDES = (
 )
 
 
-def _corners(w: Arrow, sides: dict[int, Arrow]) -> dict[str, str] | None:
+def _corners(w, sides: dict) -> dict[str, int] | None:
     """The corner vertices fixed by the sides ``{position: arrow}`` of a
     square on the witness ``w``, or None when a side has the wrong label or
     two sides disagree on a corner."""
-    corners: dict[str, str] = {}
-    for pos, side in sides.items():
+    corners: dict[str, int] = {}
+    for pos, (s, t, l) in sides.items():
         src, tgt, role = _SIDES[pos]
-        if side.label != _slot(w, role):
+        if l != _slot(w, role):
             return None
-        for corner, v in ((src, side.source), (tgt, side.target)):
+        for corner, v in ((src, s), (tgt, t)):
             if corners.setdefault(corner, v) != v:
                 return None
     return corners
 
 
-def _check_full_square(c: Comte, idxs) -> None:
+def _check_full_square(arrs, idxs) -> None:
     if len(set(idxs)) != 5:
         raise MoveError("square arrows must be distinct")
-    w, *sides = (_check_arrow(c, i) for i in idxs)
+    w, *sides = (_check_arrow(arrs, i) for i in idxs)
     if _corners(w, dict(enumerate(sides))) is None:
         raise MoveError("stale site: square relations do not hold")
 
 
-def _drop_arrow(g: SelfIndexedGraph, flows: tuple[int, ...], ei: int) -> Comte:
-    """``g`` with its flows, less arrow ``ei`` and its flow."""
-    arrows = g.arrows[:ei] + g.arrows[ei + 1 :]
-    return Comte(SelfIndexedGraph(g.vertices, arrows), flows[:ei] + flows[ei + 1 :])
+def _merge(arrs, n: int, gone: int, into: int | None):
+    """``arrs`` with vertex ``gone`` merged into ``into`` < ``gone``, or
+    deleted when ``into`` is None, the later ones shifted down; and the
+    vertex map, old index -> new index or None."""
+    vmap = tuple(v if v < gone else into if v == gone else v - 1 for v in range(n))
+    return tuple((vmap[s], vmap[t], vmap[l]) for s, t, l in arrs), vmap
 
 
-def _incident_slots(g: SelfIndexedGraph, v: str) -> list[tuple[int, str]]:
+def _incident_slots(arrs, v: int) -> list[tuple[int, str]]:
     slots = []
-    for j, a in enumerate(g.arrows):
-        for role in ("s", "t", "l"):
-            if _slot(a, role) == v:
+    for j, a in enumerate(arrs):
+        for role, x in zip("stl", a):
+            if x == v:
                 slots.append((j, role))
     return slots
 
 
-def _slots_after_drop(g: SelfIndexedGraph, v: str, dropped: int, skip=None) -> frozenset:
+def _slots_after_drop(arrs, v: int, dropped: int, skip=None) -> frozenset:
     """The slots at ``v`` of the arrows other than ``dropped``, indexed as
     after ``dropped`` is deleted; the slot ``skip`` is left out."""
     return frozenset(
-        (j - (j > dropped), role) for j, role in _incident_slots(g, v) if j != dropped and (j, role) != skip
+        (j - (j > dropped), role) for j, role in _incident_slots(arrs, v) if j != dropped and (j, role) != skip
     )
 
 
-def _moved_flow(c: Comte, moved) -> int:
+def _moved_flow(flows, moved) -> int:
     """The net flow F that the ``moved`` slots carry off their vertex (see
     the module docstring)."""
-    return sum(c.flows[j] * ((role == "s") - (role == "t")) for j, role in moved)
+    return sum(flows[j] * ((role == "s") - (role == "t")) for j, role in moved)
 
 
-def _r2_split_flow(c: Comte, moved, merge_role: str) -> int:
+def _r2_split_flow(flows, moved, merge_role: str) -> int:
     """The flow that conservation forces on the new arrow of a fresh R2
     split, whose ``merge_role`` slot is the fresh vertex."""
-    flow = _moved_flow(c, moved)
+    flow = _moved_flow(flows, moved)
     return flow if merge_role == "t" else -flow
 
 
-def _r0_site_error(c: Comte, ei: int, p: str) -> str | None:
+def _r0_site_error(arrs, flows, ei: int, p: int) -> str | None:
     """Why arrow ``ei`` and vertex ``p`` are not an R0 site, or None when
     they are."""
-    a = c.graph.arrows[ei]
-    if (a.source == p) + (a.target == p) != 1 or a.label == p:
+    s, t, l = arrs[ei]
+    if (s == p) + (t == p) != 1 or l == p:
         return "R0: arrow is not a pendant arrow at the vertex"
-    if any(x.label == p for x in c.graph.arrows):
+    if any(x[2] == p for x in arrs):
         return "R0: vertex labels an arrow"
-    if any(j != ei and p in (x.source, x.target) for j, x in enumerate(c.graph.arrows)):
+    if any(j != ei and p in x[:2] for j, x in enumerate(arrs)):
         return "R0: vertex has valence > 1"
-    if c.flows[ei] != 0:
+    if flows[ei] != 0:
         return "R0: pendant arrow flow is nonzero"
     return None
 
 
-def _r1_kind(a: Arrow) -> str | None:
+def _r1_kind(a) -> str | None:
     """The R1 move that removes ``a``, if any: a self-labeled loop is
     deleted, an arrow between two vertices labeled by one of them is
     contracted."""
-    if a.source == a.target == a.label:
+    if a[0] == a[1] == a[2]:
         return "R1loopdel"
-    if a.source != a.target and a.label in (a.source, a.target):
+    if a[0] != a[1] and a[2] in a[:2]:
         return "R1contract"
     return None
 
@@ -242,20 +251,20 @@ def _r1_kind(a: Arrow) -> str | None:
 _R2 = {"t": ("R2a", "R2a_split", "s"), "s": ("R2b", "R2b_split", "t")}
 
 
-def _split_off(c: Comte, v: str, moved, kind: str) -> tuple[str, list[Arrow]]:
-    """A fresh vertex and the arrows of ``c`` with the ``moved`` slots, each
-    of which must be at ``v``, sent to it.  An error names the least
-    offending slot, so its text does not follow the set's iteration order."""
-    arrows = list(c.graph.arrows)
-    bad = [(j, role) for j, role in moved if not 0 <= j < len(arrows) or _slot(arrows[j], role) != v]
+def _split_off(arrs, names, v: int, moved, kind: str) -> list:
+    """The arrows with the ``moved`` slots, each at ``v``, sent to the fresh
+    vertex ``len(names)``.  An error names the least offending slot, so its
+    text does not follow the set's iteration order."""
+    arrs = list(arrs)
+    bad = [(j, role) for j, role in moved if not 0 <= j < len(arrs) or _slot(arrs[j], role) != v]
     if bad:
         j, role = min(bad)
-        _check_arrow(c, j)  # a missing arrow is a stale site
-        raise MoveError(f"{kind}: slot ({j},{role}) is not attached to {v!r}")
-    w = _fresh_name(c.graph.vertices, v)
+        _check_arrow(arrs, j)  # a missing arrow is a stale site
+        raise MoveError(f"{kind}: slot ({j},{role}) is not attached to {names[v]!r}")
+    w = len(names)
     for j, role in moved:
-        arrows[j] = _with_slot(arrows[j], role, w)
-    return w, arrows
+        arrs[j] = _with_slot(arrs[j], role, w)
+    return arrs
 
 
 # ---------------------------------------------------------------------------
@@ -268,182 +277,192 @@ def apply_move(c: Comte, m: MoveInstance) -> Comte:
 
 
 def apply_move_detailed(c: Comte, m: MoveInstance) -> ApplyResult:
-    handler = _APPLY.get(m.kind)
-    if handler is None:
+    for i in (*m.arrows, *(j for j, _ in m.moved)):
+        _require_int(i, "arrow index")
+    for p in m.params:
+        _require_int(p, "move parameter")
+    g = c.graph
+    idx, arrs = _index_form(g)
+    (n, new_arrs, flows), inverse, vmap, stem = _apply_rule((len(g.vertices), arrs, c.flows), m, g.vertices, idx)
+    known = {}
+    if vmap is None:  # no vertex moves, so an arrow that the move left alone keeps its object
+        vmap, known = range(len(g.vertices)), dict(zip(arrs, g.arrows))
+    names = [None] * n  # the old vertices keep their names; a fresh one comes last
+    for v, j in zip(g.vertices, vmap):
+        if j is not None and names[j] is None:
+            names[j] = v
+    if n > len(g.vertices):
+        names[-1] = _fresh_name(g.vertices, "w" if stem is None else g.vertices[stem])
+    arrows = tuple([known.get(a) or Arrow(names[a[0]], names[a[1]], names[a[2]]) for a in new_arrs])
+    vertex_map = {v: None if j is None else names[j] for v, j in zip(g.vertices, vmap)}
+    return ApplyResult(Comte(SelfIndexedGraph(tuple(names), arrows), flows), vertex_map, _named_instance(inverse, names))
+
+
+def _named_instance(fields_, vertex_names, arrow_perm=None) -> MoveInstance:
+    """The instance with the fields ``fields_``, its vertex indices named by
+    ``vertex_names`` and its arrow indices sent through ``arrow_perm``."""
+    kind, arrows, vertices, params, moved, flags = fields_
+    if arrow_perm is not None:
+        arrows = tuple(arrow_perm[i] for i in arrows)
+        moved = frozenset((arrow_perm[j], role) for j, role in moved)
+    return MoveInstance(kind, arrows, tuple([vertex_names[v] for v in vertices]), params, moved, flags)
+
+
+def _apply_rule(state, m: MoveInstance, names, idx):
+    """Apply ``m`` to an index state, looking its vertex names up in ``idx``.
+    Returns the new state; the inverse as its ``MoveInstance`` fields, with
+    the new state's vertex indices; the vertex map (old index -> new index
+    or None) when a vertex goes, else None; and the stem of a fresh vertex's
+    name, None for "w"."""
+    rule = _APPLY.get(m.kind)
+    if rule is None:
         raise MoveError(f"unknown move kind {m.kind!r}")
-    return handler(c, m)
+    return rule(*state, m, names, idx)
 
 
-def _identity_vmap(g: SelfIndexedGraph) -> dict[str, str | None]:
-    return {v: v for v in g.vertices}
-
-
-def _apply_r0(c: Comte, m: MoveInstance) -> ApplyResult:
+def _apply_r0(n, arrs, flows, m, names, idx):
     (ei,) = m.arrows
     (p,) = m.vertices
-    a = _check_arrow(c, ei)
-    _check_vertex(c, p)
-    error = _r0_site_error(c, ei, p)
+    a = _check_arrow(arrs, ei)
+    p = _check_vertex(idx, p)
+    error = _r0_site_error(arrs, flows, ei, p)
     if error:
         raise MoveError(error)
-    attach = a.target if a.source == p else a.source
-    verts = tuple(v for v in c.graph.vertices if v != p)
-    vmap = {v: (None if v == p else v) for v in c.graph.vertices}
-    out = _drop_arrow(SelfIndexedGraph(verts, c.graph.arrows), c.flows, ei)
-    inverse = MoveInstance(
-        "R0inv",
-        vertices=(attach, a.label),
-        flags=("target" if a.target == p else "source",),
-    )
-    return ApplyResult(out, vmap, inverse)
+    new, vmap = _merge(arrs[:ei] + arrs[ei + 1 :], n, p, None)
+    attach = a[1] if a[0] == p else a[0]
+    inverse = ("R0inv", (), (vmap[attach], vmap[a[2]]), (), frozenset(), ("target" if a[1] == p else "source",))
+    return (n - 1, new, flows[:ei] + flows[ei + 1 :]), inverse, vmap, None
 
 
-def _apply_r0inv(c: Comte, m: MoveInstance) -> ApplyResult:
+def _apply_r0inv(n, arrs, flows, m, names, idx):
     attach, labelv = m.vertices
-    _check_vertex(c, attach)
-    _check_vertex(c, labelv)
+    attach = _check_vertex(idx, attach)
+    labelv = _check_vertex(idx, labelv)
     (flag,) = m.flags
-    p = _fresh_name(c.graph.vertices, "w")
     if flag == "target":
-        new = Arrow(attach, p, labelv)
+        new = (attach, n, labelv)
     elif flag == "source":
-        new = Arrow(p, attach, labelv)
+        new = (n, attach, labelv)
     else:
         raise MoveError(f"R0inv: bad direction flag {flag!r}")
-    g = SelfIndexedGraph(c.graph.vertices + (p,), c.graph.arrows + (new,))
-    out = Comte(g, c.flows + (0,))
-    inverse = MoveInstance("R0", arrows=(len(c.graph.arrows),), vertices=(p,))
-    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+    return (n + 1, arrs + (new,), flows + (0,)), ("R0", (len(arrs),), (n,), (), frozenset(), ()), None, None
 
 
-def _apply_r1contract(c: Comte, m: MoveInstance) -> ApplyResult:
+def _apply_r1contract(n, arrs, flows, m, names, idx):
     (ei,) = m.arrows
-    a = _check_arrow(c, ei)
+    a = _check_arrow(arrs, ei)
     if _r1_kind(a) != "R1contract":
         raise MoveError("R1: arrow is not contractible")
-    q, vmap = quotient(c.graph, [(a.source, a.target)])
-    kept = vmap[a.source]
-    vanished = a.source if kept != a.source else a.target
-    out = _drop_arrow(q, c.flows, ei)
-    direction = "old_new" if a.target == vanished else "new_old"
-    label_half = "new" if a.label == vanished else "old"
-    inverse = MoveInstance(
-        "R1split",
-        vertices=(kept,),
-        moved=_slots_after_drop(c.graph, vanished, ei),
-        flags=(direction, label_half),
-    )
-    return ApplyResult(out, dict(vmap), inverse)
+    kept, vanished = sorted(a[:2])
+    new, vmap = _merge(arrs[:ei] + arrs[ei + 1 :], n, vanished, kept)
+    direction = "old_new" if a[1] == vanished else "new_old"
+    label_half = "new" if a[2] == vanished else "old"
+    inverse = ("R1split", (), (kept,), (), _slots_after_drop(arrs, vanished, ei), (direction, label_half))
+    return (n - 1, new, flows[:ei] + flows[ei + 1 :]), inverse, vmap, None
 
 
-def _apply_r1split(c: Comte, m: MoveInstance) -> ApplyResult:
+def _apply_r1split(n, arrs, flows, m, names, idx):
     (v,) = m.vertices
-    _check_vertex(c, v)
+    v = _check_vertex(idx, v)
     direction, label_half = m.flags
-    w, arrows = _split_off(c, v, m.moved, "R1split")
-    flow = _moved_flow(c, m.moved)
+    arrows = _split_off(arrs, names, v, m.moved, "R1split")
+    flow = _moved_flow(flows, m.moved)
     if direction == "old_new":
-        new = Arrow(v, w, v if label_half == "old" else w)
+        new = (v, n, v if label_half == "old" else n)
     elif direction == "new_old":
-        new = Arrow(w, v, v if label_half == "old" else w)
+        new = (n, v, v if label_half == "old" else n)
         flow = -flow
     else:
         raise MoveError(f"R1split: bad direction flag {direction!r}")
-    g = SelfIndexedGraph(c.graph.vertices + (w,), tuple(arrows) + (new,))
-    out = Comte(g, c.flows + (flow,))
-    inverse = MoveInstance("R1contract", arrows=(len(c.graph.arrows),))
-    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+    return (n + 1, (*arrows, new), flows + (flow,)), ("R1contract", (len(arrs),), (), (), frozenset(), ()), None, v
 
 
-def _apply_r1loopdel(c: Comte, m: MoveInstance) -> ApplyResult:
+def _apply_r1loopdel(n, arrs, flows, m, names, idx):
     (ei,) = m.arrows
-    a = _check_arrow(c, ei)
+    a = _check_arrow(arrs, ei)
     if _r1_kind(a) != "R1loopdel":
         raise MoveError("R1: arrow is not a self-labeled loop")
-    out = _drop_arrow(c.graph, c.flows, ei)
-    inverse = MoveInstance("R1loopadd", vertices=(a.source,), params=(c.flows[ei],))
-    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+    inverse = ("R1loopadd", (), (a[0],), (flows[ei],), frozenset(), ())
+    return (n, arrs[:ei] + arrs[ei + 1 :], flows[:ei] + flows[ei + 1 :]), inverse, None, None
 
 
-def _apply_r1loopadd(c: Comte, m: MoveInstance) -> ApplyResult:
+def _apply_r1loopadd(n, arrs, flows, m, names, idx):
     (v,) = m.vertices
-    _check_vertex(c, v)
+    v = _check_vertex(idx, v)
     (flow,) = m.params
-    g = SelfIndexedGraph(c.graph.vertices, c.graph.arrows + (Arrow(v, v, v),))
-    out = Comte(g, c.flows + (flow,))
-    inverse = MoveInstance("R1loopdel", arrows=(len(c.graph.arrows),))
-    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+    return (n, arrs + ((v, v, v),), flows + (flow,)), ("R1loopdel", (len(arrs),), (), (), frozenset(), ()), None, None
 
 
-def _apply_r2(c: Comte, m: MoveInstance, merge_role: str) -> ApplyResult:
+def _apply_r2(n, arrs, flows, m, names, idx, merge_role: str):
     e1, e2 = m.arrows
-    a1 = _check_arrow(c, e1)
-    a2 = _check_arrow(c, e2)
+    a1 = _check_arrow(arrs, e1)
+    a2 = _check_arrow(arrs, e2)
     if e1 == e2:
         raise MoveError("R2: arrows must be distinct")
     _, split_kind, shared = _R2[merge_role]
-    if _slot(a1, shared) != _slot(a2, shared) or a1.label != a2.label:
+    if _slot(a1, shared) != _slot(a2, shared) or a1[2] != a2[2]:
         raise MoveError("R2: arrows do not share the required source/target and label")
     m1, m2 = _slot(a1, merge_role), _slot(a2, merge_role)
-    q, vmap = quotient(c.graph, [(m1, m2)])
-    flows = list(c.flows)
-    flows[e1] += flows[e2]
-    out = _drop_arrow(q, tuple(flows), e2)
-    params = (c.flows[e1], c.flows[e2])
+    new_flows = list(flows)
+    new_flows[e1] += flows[e2]
+    del new_flows[e2]
+    arrows = arrs[:e2] + arrs[e2 + 1 :]
+    params = (flows[e1], flows[e2])
     if m1 == m2:
-        moved, flavor = frozenset(), "parallel"
+        vmap, moved, flavor = None, frozenset(), "parallel"
     else:
-        vanished = m2 if vmap[m1] == m1 else m1
+        vanished = max(m1, m2)
         if vanished == m1:
             params = params[::-1]
+        arrows, vmap = _merge(arrows, n, vanished, min(m1, m2))
+        n -= 1
         # the merged slot of e1 is handled structurally by the split
-        moved, flavor = _slots_after_drop(c.graph, vanished, e2, skip=(e1, merge_role)), "fresh"
-    inverse = MoveInstance(split_kind, arrows=(e1 - (e1 > e2),), params=params, moved=moved, flags=(flavor,))
-    return ApplyResult(out, dict(vmap), inverse)
+        moved, flavor = _slots_after_drop(arrs, vanished, e2, skip=(e1, merge_role)), "fresh"
+    inverse = (split_kind, (e1 - (e1 > e2),), (), params, moved, (flavor,))
+    return (n, arrows, tuple(new_flows)), inverse, vmap, None
 
 
-def _apply_r2_split(c: Comte, m: MoveInstance, merge_role: str) -> ApplyResult:
+def _apply_r2_split(n, arrs, flows, m, names, idx, merge_role: str):
     (ei,) = m.arrows
-    a = _check_arrow(c, ei)
+    a = _check_arrow(arrs, ei)
     i1, i2 = m.params
-    if i1 + i2 != c.flows[ei]:
+    if i1 + i2 != flows[ei]:
         raise MoveError("R2 split: flows do not sum to the arrow's flow")
     (flavor,) = m.flags
-    flows = c.flows[:ei] + (i1,) + c.flows[ei + 1 :] + (i2,)
+    new_flows = flows[:ei] + (i1,) + flows[ei + 1 :] + (i2,)
     if flavor == "parallel":
         if m.moved:
             raise MoveError("R2 split: parallel flavor moves no slots")
-        out = Comte(SelfIndexedGraph(c.graph.vertices, c.graph.arrows + (a,)), flows)
+        out, stem = (n, arrs + (a,), new_flows), None
     elif flavor == "fresh":
         if (ei, merge_role) in m.moved:
             raise MoveError("R2 split: the split slot cannot be moved")
-        # the split slot stays where it is on ei and is w on the new arrow
-        w, arrows = _split_off(c, _slot(a, merge_role), m.moved, "R2 split")
-        if i2 != _r2_split_flow(c, m.moved, merge_role):
+        # the split slot stays where it is on ei and is the fresh vertex on
+        # the new arrow
+        stem = _slot(a, merge_role)
+        arrows = _split_off(arrs, names, stem, m.moved, "R2 split")
+        if i2 != _r2_split_flow(flows, m.moved, merge_role):
             raise MoveError("R2 split: flow split violates conservation")
-        g = SelfIndexedGraph(c.graph.vertices + (w,), (*arrows, _with_slot(arrows[ei], merge_role, w)))
-        out = Comte(g, flows)
+        out = (n + 1, (*arrows, _with_slot(arrows[ei], merge_role, n)), new_flows)
     else:
         raise MoveError(f"R2 split: bad flavor {flavor!r}")
-    inverse = MoveInstance(_R2[merge_role][0], arrows=(ei, len(c.graph.arrows)))
-    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+    return out, (_R2[merge_role][0], (ei, len(arrs)), (), (), frozenset(), ()), None, stem
 
 
-def _apply_r3a_remove(c: Comte, m: MoveInstance) -> ApplyResult:
-    _check_full_square(c, m.arrows)
+def _apply_r3a_remove(n, arrs, flows, m, names, idx):
+    _check_full_square(arrs, m.arrows)
     (pos,) = m.params
     doomed = m.arrows[1 + pos]
-    if c.flows[doomed] != 0:
+    if flows[doomed] != 0:
         raise MoveError("R3a: the removed side must carry flow 0")
-    out = _drop_arrow(c.graph, c.flows, doomed)
     remaining = tuple(j - (j > doomed) for k, j in enumerate(m.arrows) if k != 1 + pos)
-    inverse = MoveInstance("R3a_add", arrows=remaining, params=(pos,))
-    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+    inverse = ("R3a_add", remaining, (), (pos,), frozenset(), ())
+    return (n, arrs[:doomed] + arrs[doomed + 1 :], flows[:doomed] + flows[doomed + 1 :]), inverse, None, None
 
 
-def _apply_r3a_add(c: Comte, m: MoveInstance) -> ApplyResult:
+def _apply_r3a_add(n, arrs, flows, m, names, idx):
     (pos,) = m.params
-    w, *sides = (_check_arrow(c, j) for j in m.arrows)
+    w, *sides = (_check_arrow(arrs, j) for j in m.arrows)
     if len(set(m.arrows)) != 4:
         raise MoveError("R3a_add: arrows must be distinct")
     if pos not in range(4):
@@ -452,26 +471,15 @@ def _apply_r3a_add(c: Comte, m: MoveInstance) -> ApplyResult:
     if corners is None:
         raise MoveError("R3a_add: stale site, three-sided square relations fail")
     src, tgt, role = _SIDES[pos]
-    new = Arrow(corners[src], corners[tgt], _slot(w, role))
-    out = Comte(SelfIndexedGraph(c.graph.vertices, c.graph.arrows + (new,)), c.flows + (0,))
-    full = list(m.arrows)
-    full.insert(1 + pos, len(c.graph.arrows))
-    inverse = MoveInstance("R3a_remove", arrows=tuple(full), params=(pos,))
-    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+    inverse = ("R3a_remove", (*m.arrows[: 1 + pos], len(arrs), *m.arrows[1 + pos :]), (), (pos,), frozenset(), ())
+    return (n, arrs + ((corners[src], corners[tgt], _slot(w, role)),), flows + (0,)), inverse, None, None
 
 
-def _apply_r3b(c: Comte, m: MoveInstance) -> ApplyResult:
-    _check_full_square(c, m.arrows)
+def _apply_r3b(n, arrs, flows, m, names, idx):
+    _check_full_square(arrs, m.arrows)
     (j,) = m.params
-    _, li, bi, ti, ri = m.arrows
-    flows = list(c.flows)
-    flows[li] += j
-    flows[bi] += j
-    flows[ti] -= j
-    flows[ri] -= j
-    out = Comte(c.graph, tuple(flows))
-    inverse = MoveInstance("R3b_shift", arrows=m.arrows, params=(-j,))
-    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+    shift = dict(zip(m.arrows[1:], (j, j, -j, -j)))  # left and bottom gain J, top and right lose it
+    return (n, arrs, tuple(f + shift.get(k, 0) for k, f in enumerate(flows))), ("R3b_shift", m.arrows, (), (-j,), frozenset(), ()), None, None
 
 
 _APPLY = {
@@ -498,20 +506,20 @@ _APPLY = {
 _JOIN_ORDER = {3: (0, 1, 2), 2: (0, 1, 3), 0: (2, 3, 1), 1: (0, 2, 3)}
 
 
-def _square_join(g: SelfIndexedGraph, orders: dict):
-    """Full or partial squares of ``g``.  ``orders`` maps a key to the
-    positions of the sides wanted, in the order the join takes them.  For
-    each witness ``wi`` in turn, then each key, this yields every
+def _square_join(arrs, orders: dict):
+    """Full or partial squares of the index arrows ``arrs``.  ``orders``
+    maps a key to the positions of the sides wanted, in the order the join
+    takes them.  For each witness ``wi`` in turn, then each key, this yields every
     (wi, key, sides, corners): ``sides`` are distinct arrows, in position
     order, that fit a square on that witness, and ``corners`` the corners
     they fix.  A side is looked up by source and label when its source
     corner is fixed already, by label otherwise, and must meet its target
     corner when that is fixed."""
-    by_label: dict[str, list[int]] = {}
-    by_source_label: dict[tuple[str, str], list[int]] = {}
-    for i, a in enumerate(g.arrows):
-        by_label.setdefault(a.label, []).append(i)
-        by_source_label.setdefault((a.source, a.label), []).append(i)
+    by_label: dict[int, list[int]] = {}
+    by_source_label: dict[tuple[int, int], list[int]] = {}
+    for i, (s, _, l) in enumerate(arrs):
+        by_label.setdefault(l, []).append(i)
+        by_source_label.setdefault((s, l), []).append(i)
 
     def extend(w, order, used, corners):
         if len(used) > len(order):
@@ -524,11 +532,11 @@ def _square_join(g: SelfIndexedGraph, orders: dict):
         else:
             candidates = by_label.get(label, ())
         for i in candidates:
-            side = g.arrows[i]
-            if i not in used and corners.get(tgt, side.target) == side.target:
-                yield from extend(w, order, used + (i,), {**corners, src: side.source, tgt: side.target})
+            s, t, _ = arrs[i]
+            if i not in used and corners.get(tgt, t) == t:
+                yield from extend(w, order, used + (i,), {**corners, src: s, tgt: t})
 
-    for wi, w in enumerate(g.arrows):
+    for wi, w in enumerate(arrs):
         for key, order in orders.items():
             for sides, corners in extend(w, order, (wi,), {}):
                 yield wi, key, tuple(i for _, i in sorted(zip(order, sides))), corners
@@ -557,35 +565,35 @@ def enumerate_moves(c: Comte, budget: SearchBudget = SearchBudget()) -> list[Mov
     R3b instances are emitted for shifts J in +-``budget.r3b_range`` (the
     family is infinite; the window is a search parameter).
     """
-    g = c.graph
+    names, flows, arrs = c.graph.vertices, c.flows, _index_form(c.graph)[1]
     out: list[MoveInstance] = []
     # R0: the one arrow at p, if it is a site
-    for p in g.vertices:
-        i = next((i for i, a in enumerate(g.arrows) if p in (a.source, a.target)), None)
-        if i is not None and _r0_site_error(c, i, p) is None:
-            out.append(MoveInstance("R0", arrows=(i,), vertices=(p,)))
+    for p, name in enumerate(names):
+        i = next((i for i, a in enumerate(arrs) if p in a[:2]), None)
+        if i is not None and _r0_site_error(arrs, flows, i, p) is None:
+            out.append(MoveInstance("R0", arrows=(i,), vertices=(name,)))
     # R1
-    for i, a in enumerate(g.arrows):
+    for i, a in enumerate(arrs):
         kind = _r1_kind(a)
         if kind:
             out.append(MoveInstance(kind, arrows=(i,)))
     # R2: arrows grouped by shared end and label
     for kind, _, shared in _R2.values():
-        groups: dict[tuple[str, str], list[int]] = {}
-        for i, a in enumerate(g.arrows):
-            groups.setdefault((_slot(a, shared), a.label), []).append(i)
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, a in enumerate(arrs):
+            groups.setdefault((_slot(a, shared), a[2]), []).append(i)
         for idxs in groups.values():
             for e1, e2 in combinations(idxs, 2):
                 out.append(MoveInstance(kind, arrows=(e1, e2)))
     # R3: a square found again on another witness adds nothing
     seen = set()
-    for wi, _, sides, _ in _square_join(g, {"full": (0, 1, 2, 3)}):
+    for wi, _, sides, _ in _square_join(arrs, {"full": (0, 1, 2, 3)}):
         if sides in seen:
             continue
         seen.add(sides)
         square = (wi, *sides)
         for pos in range(4):
-            if c.flows[sides[pos]] == 0:
+            if flows[sides[pos]] == 0:
                 out.append(MoveInstance("R3a_remove", arrows=square, params=(pos,)))
         for j in range(-budget.r3b_range, budget.r3b_range + 1):
             if j:
@@ -593,12 +601,12 @@ def enumerate_moves(c: Comte, budget: SearchBudget = SearchBudget()) -> list[Mov
     return out
 
 
-def _split_sets(g: SelfIndexedGraph, v: str, budget: SearchBudget, keep=None):
+def _split_sets(arrs, v: int, budget: SearchBudget, keep=None):
     """The slot sets that a split of ``v`` may move: of the slots at ``v``
     other than ``keep``, every subset that leaves the last one at ``v``
     (its complement is the mirror split), or none when there are more than
     ``budget.max_split_slots`` of them."""
-    slots = [s for s in _incident_slots(g, v) if s != keep]
+    slots = [s for s in _incident_slots(arrs, v) if s != keep]
     if len(slots) <= budget.max_split_slots:
         for mask in range(1 << max(len(slots) - 1, 0)):
             yield frozenset(s for k, s in enumerate(slots) if mask >> k & 1)
@@ -626,29 +634,29 @@ def inverse_instances(
     rest.
     """
     flow_lo, flow_hi = budget.flow_lo, budget.flow_hi
-    g = c.graph
+    names, flows, arrs = c.graph.vertices, c.flows, _index_form(c.graph)[1]
     out: list[MoveInstance] = []
     # the vertices a vertex-adding instance (R0inv, R1split) may start from
-    growing = g.vertices if new_vertices else ()
+    growing = names if new_vertices else ()
     # inverse R0: attach a pendant vertex, either direction, any label, flow 0
     for u in growing:
-        for labelv in g.vertices:
+        for labelv in names:
             for flag in ("target", "source"):
                 out.append(MoveInstance("R0inv", vertices=(u, labelv), flags=(flag,)))
     # inverse R1 (loop deletion): add a self-labeled loop with any flow in range
-    for v in g.vertices:
+    for v in names:
         for j in range(flow_lo, flow_hi + 1):
             out.append(MoveInstance("R1loopadd", vertices=(v,), params=(j,)))
     # inverse R1 (contraction): split a vertex
-    for v in growing:
-        for moved in _split_sets(g, v, budget):
+    for v, name in enumerate(growing):
+        for moved in _split_sets(arrs, v, budget):
             for direction in ("old_new", "new_old"):
                 # moving no slot, with the label on the old half, is R0inv(v, v)
                 for label_half in ("old", "new") if moved else ("new",):
-                    out.append(MoveInstance("R1split", vertices=(v,), moved=moved, flags=(direction, label_half)))
+                    out.append(MoveInstance("R1split", vertices=(name,), moved=moved, flags=(direction, label_half)))
     # inverse R2: split one arrow into two
-    for ei, a in enumerate(g.arrows):
-        flow = c.flows[ei]
+    for ei, a in enumerate(arrs):
+        flow = flows[ei]
         # a parallel split copies the arrow, so R2b_split and the swapped
         # flows (i2, i1) give the same comte
         for i1 in range(flow_lo, flow_hi + 1):
@@ -658,19 +666,19 @@ def inverse_instances(
         if not new_vertices:
             continue  # a fresh split adds a vertex
         for merge_role, (_, kind, _) in _R2.items():
-            for moved in _split_sets(g, _slot(a, merge_role), budget, keep=(ei, merge_role)):
+            for moved in _split_sets(arrs, _slot(a, merge_role), budget, keep=(ei, merge_role)):
                 if not moved:
-                    continue  # R0inv at the shared end, labeled a.label
-                i2 = _r2_split_flow(c, moved, merge_role)
+                    continue  # R0inv at the shared end, labeled as the arrow
+                i2 = _r2_split_flow(flows, moved, merge_role)
                 i1 = flow - i2
                 if flow_lo <= i1 <= flow_hi and flow_lo <= i2 <= flow_hi:
                     out.append(MoveInstance(kind, arrows=(ei,), params=(i1, i2), moved=moved, flags=("fresh",)))
     # inverse R3a: insert the missing fourth side, flow 0; the same three
     # sides with a differently labeled new side make a different instance
     seen = set()
-    for wi, pos, sides, corners in _square_join(g, _JOIN_ORDER):
+    for wi, pos, sides, corners in _square_join(arrs, _JOIN_ORDER):
         src, tgt, role = _SIDES[pos]
-        key = (pos, sides, Arrow(corners[src], corners[tgt], _slot(g.arrows[wi], role)))
+        key = (pos, sides, (corners[src], corners[tgt], _slot(arrs[wi], role)))
         if key not in seen:
             seen.add(key)
             out.append(MoveInstance("R3a_add", arrows=(wi, *sides), params=(pos,)))
@@ -697,19 +705,6 @@ class MoveTrace:
 
     def format(self) -> str:
         return "".join(step.instance.format() + "\n" for step in self.steps)
-
-
-def transport_instance(m: MoveInstance, vmap: dict[str, str], arrow_perm) -> MoveInstance:
-    """Rewrite an instance's site through a vertex renaming and arrow
-    reindexing (as produced by canonicalization)."""
-    return MoveInstance(
-        m.kind,
-        arrows=tuple(arrow_perm[i] for i in m.arrows),
-        vertices=tuple(vmap[v] for v in m.vertices),
-        params=m.params,
-        moved=frozenset((arrow_perm[j], r) for j, r in m.moved),
-        flags=m.flags,
-    )
 
 
 def replay_trace(c: Comte, trace: MoveTrace) -> Comte:
@@ -739,10 +734,10 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
     if start.key == goal.key:
         return MoveTrace(())
     # visited[side][key] = (comte, labeling, parent_key, instance_on_parent,
-    # inverse_on_comte).  A kept child is stored as applied, with its
-    # labeling; ``built`` replaces it by its canonical comte, with the
-    # inverse transported onto that and the labeling None, once the state
-    # is expanded or the trace reads its inverse.
+    # inverse_on_comte).  A kept child is stored unbuilt: no comte, its
+    # labeling (whose arrows are its canonical index state) and its inverse
+    # in index form; ``built`` names it and its inverse, with the labeling
+    # None, once the state is expanded or the trace reads its inverse.
     visited = [
         {start.key: (start.comte, None, None, None, None)},
         {goal.key: (goal.comte, None, None, None, None)},
@@ -751,10 +746,11 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
     n_states = 2
 
     def built(side, key):
-        entry = comte_, lab, parent, inst, inv = visited[side][key]
+        entry = _, lab, parent, inst, inv = visited[side][key]
         if lab is not None:
-            cf = build_canonical_form(comte_, lab)
-            entry = cf.comte, None, parent, inst, transport_instance(inv, cf.vertex_map, cf.arrow_perm)
+            g = _labeled_graph(lab)
+            inv = _named_instance(inv, [g.vertices[r] for r in lab.vertex_ranks], lab.arrow_perm())
+            entry = Comte(g, tuple(e[3] for e in lab.arrows)), None, parent, inst, inv
             visited[side][key] = entry
         return entry
 
@@ -789,30 +785,32 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
         new_frontier = []
         for key in frontier[side]:
             state = built(side, key)[0]
+            idx, arrs = _index_form(state.graph)
+            index_state = (len(idx), arrs, state.flows)
             # no forward move grows a state and each inverse one adds an
             # arrow, so inverse instances are generated only with arrow room
             # and vertex-adding ones only with vertex room; then only an end
             # state beyond the budget has children that do not fit
             enumerators = [enumerate_moves]
-            if len(state.graph.arrows) < budget.max_arrows:
-                new_vertices = len(state.graph.vertices) < budget.max_vertices
+            if len(arrs) < budget.max_arrows:
+                new_vertices = len(idx) < budget.max_vertices
                 enumerators.append(partial(inverse_instances, new_vertices=new_vertices))
             for enumerator in enumerators:
                 for inst in enumerator(state, budget):
                     try:
-                        res = apply_move_detailed(state, inst)
+                        (n, child_arrs, flows), inv, _, _ = _apply_rule(index_state, inst, state.vertices, idx)
                     except MoveError:
                         continue
-                    if len(res.comte.vertices) > budget.max_vertices or len(res.comte.arrows) > budget.max_arrows:
+                    if n > budget.max_vertices or len(child_arrs) > budget.max_arrows:
                         continue
                     # every child is labeled; a new one is kept unbuilt
-                    lab = canonical_labeling(res.comte)
+                    lab = _canonical_labeling(n, [(s, t, l, f) for (s, t, l), f in zip(child_arrs, flows)], b"c")
                     child_key = lab.key
-                    child = (res.comte, lab, key, inst, res.inverse)
+                    entry = (None, lab, key, inst, inv)
                     if child_key in visited[other]:
-                        return build_trace(child_key, child, side)
+                        return build_trace(child_key, entry, side)
                     if child_key not in visited[side]:
-                        visited[side][child_key] = child
+                        visited[side][child_key] = entry
                         new_frontier.append(child_key)
                         n_states += 1
                         if n_states >= budget.max_states:

@@ -3,20 +3,24 @@
 Each one is an independent or inverse computation: a class count by
 Burnside's lemma, a homomorphism check, the boundary of a chain by face
 composition, the cocycle solve reshaped into ``Cocycle2`` objects, exact
-divisibility of Laurent polynomials, and the writers that match
-``parse_rack_table`` and ``parse_cocycle``.  The package does not need
-them, so they live with the tests.
+divisibility of Laurent polynomials, the writers that match
+``parse_rack_table`` and ``parse_cocycle``, and the move rules written on
+vertex names and ``Arrow`` objects, as ``comtes.moves`` applied them before
+its rules moved to index states.  The package does not need them, so they
+live with the tests.
 """
 
+from functools import partial
 from itertools import permutations
 from math import prod
 
 from comtes.census import _conjugate, _label_choices
 from comtes.coloring import Chain, _after
-from comtes.core import GraphHomomorphism, SelfIndexedGraph
+from comtes.core import Arrow, Comte, GraphHomomorphism, SelfIndexedGraph, quotient
 from comtes.cubes import build_Yn, face_map
 from comtes.homology import q2_cocycles
 from comtes.laurent import Laurent, divexact
+from comtes.moves import _R2, _SIDES, ApplyResult, MoveError, MoveInstance
 from comtes.racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack
 
 
@@ -134,3 +138,363 @@ def format_cocycle(f: Cocycle2) -> str:
         for y in range(f.n):
             lines.append(f"{x} {y} -> " + ",".join(str(v) for v in f.value(x, y)))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The move rules on named comtes.  ``named_apply_move_detailed`` is the
+# named ``apply_move_detailed``; the side and role tables are the package's.
+
+
+def _fresh_name(vertices, stem: str) -> str:
+    used = set(vertices)
+    cand = stem + "'"
+    while cand in used:
+        cand += "'"
+    return cand
+
+
+def _slot(a: Arrow, role: str) -> str:
+    return a.source if role == "s" else a.target if role == "t" else a.label
+
+
+def _with_slot(a: Arrow, role: str, value: str) -> Arrow:
+    if role == "s":
+        return Arrow(value, a.target, a.label)
+    if role == "t":
+        return Arrow(a.source, value, a.label)
+    return Arrow(a.source, a.target, value)
+
+
+def _check_arrow(c: Comte, i: int) -> Arrow:
+    if not 0 <= i < len(c.graph.arrows):
+        raise MoveError(f"stale site: arrow index {i} not present")
+    return c.graph.arrows[i]
+
+
+def _check_vertex(c: Comte, v: str) -> str:
+    if v not in c.graph.vertices:
+        raise MoveError(f"stale site: vertex {v!r} not present")
+    return v
+
+
+def _corners(w: Arrow, sides: dict[int, Arrow]) -> dict[str, str] | None:
+    """The corner vertices fixed by the sides ``{position: arrow}`` of a
+    square on the witness ``w``, or None when a side has the wrong label or
+    two sides disagree on a corner."""
+    corners: dict[str, str] = {}
+    for pos, side in sides.items():
+        src, tgt, role = _SIDES[pos]
+        if side.label != _slot(w, role):
+            return None
+        for corner, v in ((src, side.source), (tgt, side.target)):
+            if corners.setdefault(corner, v) != v:
+                return None
+    return corners
+
+
+def _check_full_square(c: Comte, idxs) -> None:
+    if len(set(idxs)) != 5:
+        raise MoveError("square arrows must be distinct")
+    w, *sides = (_check_arrow(c, i) for i in idxs)
+    if _corners(w, dict(enumerate(sides))) is None:
+        raise MoveError("stale site: square relations do not hold")
+
+
+def _drop_arrow(g: SelfIndexedGraph, flows: tuple[int, ...], ei: int) -> Comte:
+    """``g`` with its flows, less arrow ``ei`` and its flow."""
+    arrows = g.arrows[:ei] + g.arrows[ei + 1 :]
+    return Comte(SelfIndexedGraph(g.vertices, arrows), flows[:ei] + flows[ei + 1 :])
+
+
+def _incident_slots(g: SelfIndexedGraph, v: str) -> list[tuple[int, str]]:
+    slots = []
+    for j, a in enumerate(g.arrows):
+        for role in ("s", "t", "l"):
+            if _slot(a, role) == v:
+                slots.append((j, role))
+    return slots
+
+
+def _slots_after_drop(g: SelfIndexedGraph, v: str, dropped: int, skip=None) -> frozenset:
+    """The slots at ``v`` of the arrows other than ``dropped``, indexed as
+    after ``dropped`` is deleted; the slot ``skip`` is left out."""
+    return frozenset(
+        (j - (j > dropped), role) for j, role in _incident_slots(g, v) if j != dropped and (j, role) != skip
+    )
+
+
+def _moved_flow(c: Comte, moved) -> int:
+    """The net flow F that the ``moved`` slots carry off their vertex (see
+    the module docstring)."""
+    return sum(c.flows[j] * ((role == "s") - (role == "t")) for j, role in moved)
+
+
+def _r2_split_flow(c: Comte, moved, merge_role: str) -> int:
+    """The flow that conservation forces on the new arrow of a fresh R2
+    split, whose ``merge_role`` slot is the fresh vertex."""
+    flow = _moved_flow(c, moved)
+    return flow if merge_role == "t" else -flow
+
+
+def _r0_site_error(c: Comte, ei: int, p: str) -> str | None:
+    """Why arrow ``ei`` and vertex ``p`` are not an R0 site, or None when
+    they are."""
+    a = c.graph.arrows[ei]
+    if (a.source == p) + (a.target == p) != 1 or a.label == p:
+        return "R0: arrow is not a pendant arrow at the vertex"
+    if any(x.label == p for x in c.graph.arrows):
+        return "R0: vertex labels an arrow"
+    if any(j != ei and p in (x.source, x.target) for j, x in enumerate(c.graph.arrows)):
+        return "R0: vertex has valence > 1"
+    if c.flows[ei] != 0:
+        return "R0: pendant arrow flow is nonzero"
+    return None
+
+
+def _r1_kind(a: Arrow) -> str | None:
+    """The R1 move that removes ``a``, if any: a self-labeled loop is
+    deleted, an arrow between two vertices labeled by one of them is
+    contracted."""
+    if a.source == a.target == a.label:
+        return "R1loopdel"
+    if a.source != a.target and a.label in (a.source, a.target):
+        return "R1contract"
+    return None
+
+
+def _split_off(c: Comte, v: str, moved, kind: str) -> tuple[str, list[Arrow]]:
+    """A fresh vertex and the arrows of ``c`` with the ``moved`` slots, each
+    of which must be at ``v``, sent to it.  An error names the least
+    offending slot, so its text does not follow the set's iteration order."""
+    arrows = list(c.graph.arrows)
+    bad = [(j, role) for j, role in moved if not 0 <= j < len(arrows) or _slot(arrows[j], role) != v]
+    if bad:
+        j, role = min(bad)
+        _check_arrow(c, j)  # a missing arrow is a stale site
+        raise MoveError(f"{kind}: slot ({j},{role}) is not attached to {v!r}")
+    w = _fresh_name(c.graph.vertices, v)
+    for j, role in moved:
+        arrows[j] = _with_slot(arrows[j], role, w)
+    return w, arrows
+
+
+def named_apply_move_detailed(c: Comte, m: MoveInstance) -> ApplyResult:
+    handler = _APPLY.get(m.kind)
+    if handler is None:
+        raise MoveError(f"unknown move kind {m.kind!r}")
+    return handler(c, m)
+
+
+def _identity_vmap(g: SelfIndexedGraph) -> dict[str, str | None]:
+    return {v: v for v in g.vertices}
+
+
+def _apply_r0(c: Comte, m: MoveInstance) -> ApplyResult:
+    (ei,) = m.arrows
+    (p,) = m.vertices
+    a = _check_arrow(c, ei)
+    _check_vertex(c, p)
+    error = _r0_site_error(c, ei, p)
+    if error:
+        raise MoveError(error)
+    attach = a.target if a.source == p else a.source
+    verts = tuple(v for v in c.graph.vertices if v != p)
+    vmap = {v: (None if v == p else v) for v in c.graph.vertices}
+    out = _drop_arrow(SelfIndexedGraph(verts, c.graph.arrows), c.flows, ei)
+    inverse = MoveInstance(
+        "R0inv",
+        vertices=(attach, a.label),
+        flags=("target" if a.target == p else "source",),
+    )
+    return ApplyResult(out, vmap, inverse)
+
+
+def _apply_r0inv(c: Comte, m: MoveInstance) -> ApplyResult:
+    attach, labelv = m.vertices
+    _check_vertex(c, attach)
+    _check_vertex(c, labelv)
+    (flag,) = m.flags
+    p = _fresh_name(c.graph.vertices, "w")
+    if flag == "target":
+        new = Arrow(attach, p, labelv)
+    elif flag == "source":
+        new = Arrow(p, attach, labelv)
+    else:
+        raise MoveError(f"R0inv: bad direction flag {flag!r}")
+    g = SelfIndexedGraph(c.graph.vertices + (p,), c.graph.arrows + (new,))
+    out = Comte(g, c.flows + (0,))
+    inverse = MoveInstance("R0", arrows=(len(c.graph.arrows),), vertices=(p,))
+    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+
+
+def _apply_r1contract(c: Comte, m: MoveInstance) -> ApplyResult:
+    (ei,) = m.arrows
+    a = _check_arrow(c, ei)
+    if _r1_kind(a) != "R1contract":
+        raise MoveError("R1: arrow is not contractible")
+    q, vmap = quotient(c.graph, [(a.source, a.target)])
+    kept = vmap[a.source]
+    vanished = a.source if kept != a.source else a.target
+    out = _drop_arrow(q, c.flows, ei)
+    direction = "old_new" if a.target == vanished else "new_old"
+    label_half = "new" if a.label == vanished else "old"
+    inverse = MoveInstance(
+        "R1split",
+        vertices=(kept,),
+        moved=_slots_after_drop(c.graph, vanished, ei),
+        flags=(direction, label_half),
+    )
+    return ApplyResult(out, dict(vmap), inverse)
+
+
+def _apply_r1split(c: Comte, m: MoveInstance) -> ApplyResult:
+    (v,) = m.vertices
+    _check_vertex(c, v)
+    direction, label_half = m.flags
+    w, arrows = _split_off(c, v, m.moved, "R1split")
+    flow = _moved_flow(c, m.moved)
+    if direction == "old_new":
+        new = Arrow(v, w, v if label_half == "old" else w)
+    elif direction == "new_old":
+        new = Arrow(w, v, v if label_half == "old" else w)
+        flow = -flow
+    else:
+        raise MoveError(f"R1split: bad direction flag {direction!r}")
+    g = SelfIndexedGraph(c.graph.vertices + (w,), tuple(arrows) + (new,))
+    out = Comte(g, c.flows + (flow,))
+    inverse = MoveInstance("R1contract", arrows=(len(c.graph.arrows),))
+    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+
+
+def _apply_r1loopdel(c: Comte, m: MoveInstance) -> ApplyResult:
+    (ei,) = m.arrows
+    a = _check_arrow(c, ei)
+    if _r1_kind(a) != "R1loopdel":
+        raise MoveError("R1: arrow is not a self-labeled loop")
+    out = _drop_arrow(c.graph, c.flows, ei)
+    inverse = MoveInstance("R1loopadd", vertices=(a.source,), params=(c.flows[ei],))
+    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+
+
+def _apply_r1loopadd(c: Comte, m: MoveInstance) -> ApplyResult:
+    (v,) = m.vertices
+    _check_vertex(c, v)
+    (flow,) = m.params
+    g = SelfIndexedGraph(c.graph.vertices, c.graph.arrows + (Arrow(v, v, v),))
+    out = Comte(g, c.flows + (flow,))
+    inverse = MoveInstance("R1loopdel", arrows=(len(c.graph.arrows),))
+    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+
+
+def _apply_r2(c: Comte, m: MoveInstance, merge_role: str) -> ApplyResult:
+    e1, e2 = m.arrows
+    a1 = _check_arrow(c, e1)
+    a2 = _check_arrow(c, e2)
+    if e1 == e2:
+        raise MoveError("R2: arrows must be distinct")
+    _, split_kind, shared = _R2[merge_role]
+    if _slot(a1, shared) != _slot(a2, shared) or a1.label != a2.label:
+        raise MoveError("R2: arrows do not share the required source/target and label")
+    m1, m2 = _slot(a1, merge_role), _slot(a2, merge_role)
+    q, vmap = quotient(c.graph, [(m1, m2)])
+    flows = list(c.flows)
+    flows[e1] += flows[e2]
+    out = _drop_arrow(q, tuple(flows), e2)
+    params = (c.flows[e1], c.flows[e2])
+    if m1 == m2:
+        moved, flavor = frozenset(), "parallel"
+    else:
+        vanished = m2 if vmap[m1] == m1 else m1
+        if vanished == m1:
+            params = params[::-1]
+        # the merged slot of e1 is handled structurally by the split
+        moved, flavor = _slots_after_drop(c.graph, vanished, e2, skip=(e1, merge_role)), "fresh"
+    inverse = MoveInstance(split_kind, arrows=(e1 - (e1 > e2),), params=params, moved=moved, flags=(flavor,))
+    return ApplyResult(out, dict(vmap), inverse)
+
+
+def _apply_r2_split(c: Comte, m: MoveInstance, merge_role: str) -> ApplyResult:
+    (ei,) = m.arrows
+    a = _check_arrow(c, ei)
+    i1, i2 = m.params
+    if i1 + i2 != c.flows[ei]:
+        raise MoveError("R2 split: flows do not sum to the arrow's flow")
+    (flavor,) = m.flags
+    flows = c.flows[:ei] + (i1,) + c.flows[ei + 1 :] + (i2,)
+    if flavor == "parallel":
+        if m.moved:
+            raise MoveError("R2 split: parallel flavor moves no slots")
+        out = Comte(SelfIndexedGraph(c.graph.vertices, c.graph.arrows + (a,)), flows)
+    elif flavor == "fresh":
+        if (ei, merge_role) in m.moved:
+            raise MoveError("R2 split: the split slot cannot be moved")
+        # the split slot stays where it is on ei and is w on the new arrow
+        w, arrows = _split_off(c, _slot(a, merge_role), m.moved, "R2 split")
+        if i2 != _r2_split_flow(c, m.moved, merge_role):
+            raise MoveError("R2 split: flow split violates conservation")
+        g = SelfIndexedGraph(c.graph.vertices + (w,), (*arrows, _with_slot(arrows[ei], merge_role, w)))
+        out = Comte(g, flows)
+    else:
+        raise MoveError(f"R2 split: bad flavor {flavor!r}")
+    inverse = MoveInstance(_R2[merge_role][0], arrows=(ei, len(c.graph.arrows)))
+    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+
+
+def _apply_r3a_remove(c: Comte, m: MoveInstance) -> ApplyResult:
+    _check_full_square(c, m.arrows)
+    (pos,) = m.params
+    doomed = m.arrows[1 + pos]
+    if c.flows[doomed] != 0:
+        raise MoveError("R3a: the removed side must carry flow 0")
+    out = _drop_arrow(c.graph, c.flows, doomed)
+    remaining = tuple(j - (j > doomed) for k, j in enumerate(m.arrows) if k != 1 + pos)
+    inverse = MoveInstance("R3a_add", arrows=remaining, params=(pos,))
+    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+
+
+def _apply_r3a_add(c: Comte, m: MoveInstance) -> ApplyResult:
+    (pos,) = m.params
+    w, *sides = (_check_arrow(c, j) for j in m.arrows)
+    if len(set(m.arrows)) != 4:
+        raise MoveError("R3a_add: arrows must be distinct")
+    if pos not in range(4):
+        raise MoveError(f"R3a_add: bad side position {pos}")
+    corners = _corners(w, dict(zip((p for p in range(4) if p != pos), sides)))
+    if corners is None:
+        raise MoveError("R3a_add: stale site, three-sided square relations fail")
+    src, tgt, role = _SIDES[pos]
+    new = Arrow(corners[src], corners[tgt], _slot(w, role))
+    out = Comte(SelfIndexedGraph(c.graph.vertices, c.graph.arrows + (new,)), c.flows + (0,))
+    full = list(m.arrows)
+    full.insert(1 + pos, len(c.graph.arrows))
+    inverse = MoveInstance("R3a_remove", arrows=tuple(full), params=(pos,))
+    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+
+
+def _apply_r3b(c: Comte, m: MoveInstance) -> ApplyResult:
+    _check_full_square(c, m.arrows)
+    (j,) = m.params
+    _, li, bi, ti, ri = m.arrows
+    flows = list(c.flows)
+    flows[li] += j
+    flows[bi] += j
+    flows[ti] -= j
+    flows[ri] -= j
+    out = Comte(c.graph, tuple(flows))
+    inverse = MoveInstance("R3b_shift", arrows=m.arrows, params=(-j,))
+    return ApplyResult(out, _identity_vmap(c.graph), inverse)
+
+
+_APPLY = {
+    "R0": _apply_r0,
+    "R0inv": _apply_r0inv,
+    "R1contract": _apply_r1contract,
+    "R1split": _apply_r1split,
+    "R1loopdel": _apply_r1loopdel,
+    "R1loopadd": _apply_r1loopadd,
+    **{kind: partial(_apply_r2, merge_role=role) for role, (kind, _, _) in _R2.items()},
+    **{split_kind: partial(_apply_r2_split, merge_role=role) for role, (_, split_kind, _) in _R2.items()},
+    "R3a_remove": _apply_r3a_remove,
+    "R3a_add": _apply_r3a_add,
+    "R3b_shift": _apply_r3b,
+}

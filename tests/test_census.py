@@ -1,5 +1,6 @@
 import functools
 import itertools
+import pickle
 
 import pytest
 
@@ -141,6 +142,14 @@ class TestSignatures:
         c2 = signature_census(fam, max_degree=3, jobs=2)
         assert c1.table() == c2.table()
         assert c1.distinct_counts() == c2.distinct_counts()
+
+    def test_q3_census_is_the_same_with_two_jobs(self):
+        # the workers receive the graphs and send the rows back by pickle
+        fam = enumerate_q_graphs(3)
+        assert len(fam) == 70
+        row = census_row(fam[-1], 2)
+        assert pickle.loads(pickle.dumps(row)) == row
+        assert signature_census(fam, 3, jobs=2) == signature_census(fam, 3, jobs=1)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_must_be_positive(self, jobs):

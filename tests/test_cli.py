@@ -353,6 +353,100 @@ class TestMovesCommand:
         assert code == 1 and "out of range" in err
 
 
+# malformed comte documents, each with a piece of the message it must give
+MALFORMED_DOCUMENTS = {
+    "not_json": ("{", "line 1"),
+    "top_level_list": ("[]", "top level must be an object"),
+    "no_arrows": ('{"vertices": ["a"]}', "missing field 'arrows'"),
+    "vertices_not_strings": ('{"vertices": [1], "arrows": []}', "'vertices' must be a list of strings"),
+    "dangling_arrow": ('{"vertices": ["a"], "arrows": [{"source": "a", "target": "b", "label": "a", "flow": 0}]}',
+                       "unknown vertex 'b'"),
+    "duplicate_vertex": ('{"vertices": ["a", "a"], "arrows": []}', "'vertices' contains a duplicate"),
+    "float_flow": ('{"vertices": ["a"], "arrows": [{"source": "a", "target": "a", "label": "a", "flow": 1.5}]}',
+                   "not an integer: 1.5"),
+    "bool_flow": ('{"vertices": ["a"], "arrows": [{"source": "a", "target": "a", "label": "a", "flow": true}]}',
+                  "not an integer: True"),
+    "some_flows": ('{"vertices": ["a"], "arrows": [{"source": "a", "target": "a", "label": "a", "flow": 0},'
+                   ' {"source": "a", "target": "a", "label": "a"}]}', "flow present on some arrows but not all"),
+    "not_conserved": ('{"vertices": ["a", "b"], "arrows": [{"source": "a", "target": "b", "label": "a", "flow": 1}]}',
+                      "outgoing 1 != incoming 0"),
+    "deep_nesting": ("[" * 100000, "nesting too deep"),
+    "not_utf8": (b"\xff\xfe\x00bad", "not UTF-8 text"),
+}
+
+
+class TestMovesCommandInputs:
+    """``comtes moves`` on malformed documents and options: each ends with
+    exit 1 (a bad document or instance index) or 2 (a usage error) and a
+    message on stderr, never a traceback."""
+
+    @staticmethod
+    def _run(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        return code, out.out, out.err
+
+    @pytest.fixture
+    def trefoil(self, tmp_path):
+        p = tmp_path / "trefoil.json"
+        p.write_text(encode(TREFOIL))
+        return str(p)
+
+    @pytest.mark.parametrize("action, role", [("enumerate", "comte"), ("apply", "comte"), ("search", "comte"),
+                                              ("search", "target")])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+    def test_malformed_document(self, capsys, tmp_path, trefoil, name, action, role):
+        text, message = MALFORMED_DOCUMENTS[name]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+        files = {"comte": str(bad), "target": trefoil} if role == "comte" else {"comte": trefoil, "target": str(bad)}
+        argv = ["moves", action, "--comte", files["comte"]]
+        if action == "search":
+            argv += ["--target", files["target"], "--max-states", "50"]
+        code, out, err = self._run(capsys, argv)
+        assert code == 1 and out == "" and err.startswith("error: ") and message in err, err
+
+    @pytest.mark.parametrize("action", ["enumerate", "apply", "search"])
+    @pytest.mark.parametrize("path", ["missing.json", "."])
+    def test_unreadable_document(self, capsys, tmp_path, trefoil, action, path):
+        argv = ["moves", action, "--comte", str(tmp_path / path), "--target", trefoil]
+        code, out, err = self._run(capsys, argv)
+        assert code == 1 and out == "" and err.startswith("error: cannot read"), err
+
+    @pytest.mark.parametrize("index, code, message", [
+        ("-1", 1, "move index -1 out of range (0.."),
+        ("84", 1, "move index 84 out of range (0..83)"),
+        (str(10**30), 1, "out of range"),
+        ("x", 2, "invalid int value: 'x'"),
+        ("1.5", 2, "invalid int value: '1.5'"),
+        ("", 2, "invalid int value: ''"),
+    ])
+    def test_bad_index(self, capsys, trefoil, index, code, message):
+        got, out, err = self._run(capsys, ["moves", "apply", "--comte", trefoil, "--inverse", "--index", index])
+        assert got == code and out == "" and message in err, err
+
+    @pytest.mark.parametrize("action", ["enumerate", "apply", "search"])
+    @pytest.mark.parametrize("options, message", [
+        (["--max-states", "-1"], "must be non-negative, got -1"),
+        (["--max-states", "x"], "invalid int value: 'x'"),
+        (["--max-vertices", "2.5"], "invalid int value: '2.5'"),
+        (["--max-arrows", "-3"], "must be non-negative, got -3"),
+        (["--r3b-range", "two"], "invalid int value: 'two'"),
+        (["--max-split-slots", "-1"], "must be non-negative, got -1"),
+        (["--flow-lo", "x"], "invalid int value: 'x'"),
+        (["--flow-hi", "1e3"], "invalid int value: '1e3'"),
+        (["--flow-lo", "3", "--flow-hi", "1"], "empty flow window: --flow-lo 3 > --flow-hi 1"),
+    ])
+    def test_bad_budget_option(self, capsys, trefoil, action, options, message):
+        argv = ["moves", action, "--comte", trefoil, "--target", trefoil, *options]
+        code, out, err = self._run(capsys, argv)
+        assert code == 2 and out == "" and message in err, err
+
+
 class TestBracketCommand:
     def test_output(self, capsys, tmp_path):
         p = tmp_path / "t.json"

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
 import re
 
@@ -14,6 +16,7 @@ from comtes.core import (
     SelfIndexedGraph,
     canonical_form,
     canonical_key,
+    canonical_labeling,
     classify,
     components,
     comte,
@@ -258,7 +261,30 @@ def _seeded_pool():
     return pool
 
 
+class TestRecords:
+    def test_arrow_is_slotted_and_frozen(self):
+        a = Arrow("a", "b", "c")
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.source = "x"
+
+    def test_records_survive_pickling(self):
+        # the census with jobs > 1 sends graphs to its workers by pickle
+        c = comte("a b", [("a", "b", "a", 1), ("b", "a", "b", 1)])
+        assert pickle.loads(pickle.dumps(c.arrows[0])) == c.arrows[0]
+        for obj in (c.graph, c):
+            copy = pickle.loads(pickle.dumps(obj))
+            assert copy == obj and canonical_key(copy) == canonical_key(obj)
+
+
 class TestLabelingStep:
+    def test_equal_arrows_keep_their_input_order(self):
+        # the leaf sort is stable, so copies of an arrow are ordered by index
+        g = graph("a b", [("b", "a", "a"), ("a", "b", "a"), ("b", "a", "a"), ("a", "b", "a")])
+        lab = canonical_labeling(g)
+        copies = [[i for i in lab.arrow_order if g.arrows[i] == a] for a in set(g.arrows)]
+        assert all(c == sorted(c) for c in copies) and sorted(map(len, copies)) == [2, 2]
+
     def test_refinement_matches_the_loop_without_the_discrete_stop(self, rng):
         pool = _hard_comtes() + [random_comte(random.Random(seed), nmax=7, amax=10) for seed in range(200)]
         pool += [_relabeled(c, rng) for c in pool]

@@ -15,8 +15,10 @@ exceptions are the routines that only report, serialize or list the
 names (``validate_graph``, ``encode``, ``classify`` and the two
 presentations), which return their result.
 
-The value records that the library builds itself (``MoveInstance``,
-``Chain``, ``Cochain``, ``FiniteRack``, ``Comte``) are not swept.
+``apply_move`` checks the arrow indices and the parameters of its
+``MoveInstance`` the same way.  The other value records that the library
+builds itself (``Chain``, ``Cochain``, ``FiniteRack``, ``Comte``) are not
+swept.
 """
 
 import dataclasses
@@ -30,8 +32,10 @@ from comtes.census import partial_injections
 from comtes.core import SelfIndexedGraph, as_comte, graph
 from comtes.homology import hom_tuples
 from comtes.linalg import image_size_mod, integer_kernel_basis, kernel_mod
+from comtes.moves import MoveError
 
 G = graph("a b", [("a", "b", "a"), ("b", "a", "b")])
+C = comtes.comte("a b", [("a", "b", "a", 1), ("b", "a", "b", 1)])
 # positions 3 and 0 of its circle are two tails, so position -1 is valid
 DIAGRAM = comtes.parse_gauss_code("O1+U2+U1+O2+")
 
@@ -75,6 +79,14 @@ INTEGER_ARGUMENTS = [
     ("alexander_polynomial", lambda x: comtes.alexander_polynomial(G, x), "index", NON_NEGATIVE),
     ("swap_arrowtails", lambda x: comtes.swap_arrowtails(DIAGRAM, x, 0), "circle", RANGE),
     ("swap_arrowtails", lambda x: comtes.swap_arrowtails(DIAGRAM, 0, x), "position", VALID),
+    # arrow -1 is not present, a stale site
+    ("apply_move", lambda x: comtes.apply_move(C, comtes.MoveInstance("R1contract", arrows=(x,))), "arrow index", MoveError),
+    ("apply_move", lambda x: comtes.apply_move(C, comtes.MoveInstance(
+        "R1split", vertices=("a",), moved=frozenset({(0, "s"), (x, "t")}), flags=("old_new", "new"))), "arrow index", MoveError),
+    ("apply_move", lambda x: comtes.apply_move(C, comtes.MoveInstance("R1loopadd", vertices=("a",), params=(x,))),
+     "move parameter", VALID),
+    ("apply_move", lambda x: comtes.apply_move(C, comtes.MoveInstance("R2a_split", arrows=(0,), params=(2, x),
+                                                                      flags=("parallel",))), "move parameter", VALID),
 ]
 INTEGER_IDS = [f"{name}-{what}" for name, _, what, _ in INTEGER_ARGUMENTS]
 
@@ -106,6 +118,7 @@ def test_true_is_not_read_as_one():
         lambda: comtes.contract(g, [True]),
         lambda: comtes.homology_range(g, True),
         lambda: comtes.enumerate_r_graphs(True),
+        lambda: comtes.apply_move(C, comtes.MoveInstance("R1contract", arrows=(True,))),
     ):
         with pytest.raises(TypeError, match="must be an integer, got True"):
             call()
@@ -140,6 +153,10 @@ GRAPH_ARGUMENTS = [
     ("q2_cocycles", lambda g: comtes.q2_cocycles(g, comtes.C2)),
     ("bracket", lambda g: comtes.bracket(comtes.SemiVirtualGraph(g, frozenset()))),
     ("signature_census", lambda g: comtes.signature_census([g], 1)),
+    ("enumerate_moves", lambda g: comtes.enumerate_moves(as_comte(g))),
+    ("inverse_instances", lambda g: comtes.inverse_instances(as_comte(g))),
+    ("apply_move", lambda g: comtes.apply_move(as_comte(g), comtes.MoveInstance("R0inv", vertices=("a", "a"), flags=("target",)))),
+    ("flow_to_cycle", lambda g: comtes.flow_to_cycle(as_comte(g))),
 ]
 # routines that report, serialize or list the names and return a result
 NAME_READERS = ["validate_graph", "encode", "classify", "group_presentation", "quandle_presentation"]
@@ -162,6 +179,12 @@ def test_name_readers_return(name):
     for g in (DANGLING, DUPLICATE):
         getattr(comtes, name)(g)
     assert comtes.validate_graph(DANGLING).dangling == ((0, "target", "b"),)
+
+
+def test_a_float_flow_is_not_added():
+    # R1loopadd used to give the new loop the flow 1.5
+    with pytest.raises(TypeError, match=r"^move parameter must be an integer, got 1\.5$"):
+        comtes.apply_move(C, comtes.MoveInstance("R1loopadd", vertices=("a",), params=(1.5,)))
 
 
 def test_quotient_names_a_missing_pair_vertex():

@@ -2,15 +2,17 @@ import dataclasses
 import hashlib
 import inspect
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import comtes
 from comtes.acceptance import G2, G2G3_BUDGET, G3
-from comtes.core import Arrow, Comte, SelfIndexedGraph, canonical_key, comte, validate
+from comtes.core import Arrow, Comte, SelfIndexedGraph, _canonical_labeling, _index_form, canonical_key, comte, validate
 from comtes.moves import (
     _JOIN_ORDER,
     _R2,
@@ -18,9 +20,7 @@ from comtes.moves import (
     MoveError,
     MoveInstance,
     SearchBudget,
-    _incident_slots,
-    _r2_split_flow,
-    _slot,
+    _apply_rule,
     _square_join,
     apply_move,
     apply_move_detailed,
@@ -31,6 +31,7 @@ from comtes.moves import (
 )
 from comtes.coloring import coloring_count
 from comtes.racks import tetrahedron_quandle
+from reference import _incident_slots, _r2_split_flow, _slot, named_apply_move_detailed
 
 TREFOIL = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)])
 FIGURE_EIGHT = comte("a b c d", [("a", "d", "c", 1), ("c", "d", "b", -1), ("c", "b", "a", 1), ("a", "b", "d", -1)])
@@ -318,6 +319,45 @@ class TestRandomizedBattery:
                 assert coloring_count(c.graph, x) == coloring_count(c2.graph, x), (m, x.n)
 
 
+def _outcome(apply, c, m):
+    try:
+        return apply(c, m)
+    except Exception as e:  # the error itself is compared
+        return type(e).__name__, str(e)
+
+
+class TestAgainstTheNamedRules:
+    """``apply_move_detailed``, which names an index rule's result, against
+    the rules on named comtes that it replaced (``tests/reference.py``)."""
+
+    # fresh names are the split vertex or "w" with primes added, so some
+    # comtes hold such names already
+    RENAMES = ({}, {"v0": "w'", "v1": "v2'"}, {"v0": "v0'", "v2": "w"})
+
+    def test_every_instance_gives_the_named_result(self, make_comte):
+        budgets = (SearchBudget(r3b_range=1, max_split_slots=6), SearchBudget(**BARE, max_split_slots=6))
+        pool = []
+        for i in range(240):
+            c = make_comte(nmax=4, amax=6)
+            rename = self.RENAMES[i % 3]
+            g = comte([rename.get(v, v) for v in c.vertices],
+                      [(*(rename.get(v, v) for v in (a.source, a.target, a.label)), f) for a, f in zip(c.arrows, c.flows)])
+            pool.append(_zeroed(g) if i % 4 == 3 else g)
+        outcomes = Counter()
+        for k, c in enumerate(pool):
+            budget = budgets[k % 4 == 3]
+            own = enumerate_moves(c, budget) + inverse_instances(c, budget)
+            other = pool[k - 1]  # instances of another comte, applied to this one
+            cross = enumerate_moves(other, budget) + inverse_instances(other, budget)
+            for m in own + cross:
+                got, want = _outcome(apply_move_detailed, c, m), _outcome(named_apply_move_detailed, c, m)
+                assert got == want, (c, m)
+                outcomes[re.sub(r"\d+|'.*'", "_", want[1]) if isinstance(want, tuple) else "applied"] += 1
+        assert outcomes.pop("applied") > 20000 and sum(outcomes.values()) > 5000
+        # the cross-applied instances meet most of the site checks
+        assert len(outcomes) >= 20, sorted(outcomes)
+
+
 class TestSearch:
     def test_self_is_equivalent_with_empty_trace(self):
         trace = equivalent_bounded(TREFOIL, TREFOIL)
@@ -347,17 +387,21 @@ class TestSearch:
         import comtes.moves
 
         flows = set()
+        real_form = comtes.moves.canonical_form
+        real_label = comtes.moves._canonical_labeling
 
-        def recording(real):
-            def record(c):
-                flows.update(c.flows)
-                return real(c)
+        def form(c):
+            flows.update(c.flows)
+            return real_form(c)
 
-            return record
+        def label(n, arrs, tag):
+            flows.update(f for *_, f in arrs)
+            return real_label(n, arrs, tag)
 
-        # the ends go through canonical_form, every child through canonical_labeling
-        for name in ("canonical_form", "canonical_labeling"):
-            monkeypatch.setattr(comtes.moves, name, recording(getattr(comtes.moves, name)))
+        # the ends go through canonical_form, every child through the index
+        # labeling core
+        monkeypatch.setattr(comtes.moves, "canonical_form", form)
+        monkeypatch.setattr(comtes.moves, "_canonical_labeling", label)
         budget = SearchBudget(max_states=300, max_vertices=4, max_arrows=5, flow_lo=-1, flow_hi=2)
         assert equivalent_bounded(_zeroed(TREFOIL), comte("a", []), dataclasses.replace(budget, **BARE)) is None
         assert flows == {0}
@@ -381,9 +425,9 @@ class TestSearch:
         }[name]
         ends, labeled, built, children, expanded = [], [], [], [], []
         real_form = comtes.moves.canonical_form
-        real_label = comtes.moves.canonical_labeling
-        real_build = comtes.moves.build_canonical_form
-        real_apply = comtes.moves.apply_move_detailed
+        real_label = comtes.moves._canonical_labeling
+        real_build = comtes.moves._labeled_graph
+        real_apply = comtes.moves._apply_rule
         real_enumerate = comtes.moves.enumerate_moves
 
         def form(c):
@@ -391,27 +435,27 @@ class TestSearch:
             ends.append(cf.key)
             return cf
 
-        def label(c):
-            lab = real_label(c)
+        def label(n, arrs, tag):
+            lab = real_label(n, arrs, tag)
             labeled.append(lab.key)
             return lab
 
-        def build(c, lab):
+        def build(lab):
             built.append(lab.key)
-            return real_build(c, lab)
+            return real_build(lab)
 
-        def apply(c, m):
-            res = real_apply(c, m)
+        def apply(state, m, names, idx):
+            res = real_apply(state, m, names, idx)
             children.append(res)
             return res
 
         def enumerate_(c, budget):
             # each expansion enumerates the forward moves once
-            expanded.append(real_label(c).key)
+            expanded.append(canonical_key(c))
             return real_enumerate(c, budget)
 
-        for attr, fn in (("canonical_form", form), ("canonical_labeling", label), ("build_canonical_form", build),
-                         ("apply_move_detailed", apply), ("enumerate_moves", enumerate_)):
+        for attr, fn in (("canonical_form", form), ("_canonical_labeling", label), ("_labeled_graph", build),
+                         ("_apply_rule", apply), ("enumerate_moves", enumerate_)):
             monkeypatch.setattr(comtes.moves, attr, fn)
         trace = equivalent_bounded(start, target, budget)
         found = trace is not None
@@ -446,19 +490,19 @@ def test_exploration_is_pinned(monkeypatch):
 
     seen = set()
     digest = hashlib.sha256()
-    real_label = comtes.moves.canonical_labeling
+    real_label = comtes.moves._canonical_labeling
     first = 0
 
-    def label(c):
+    def label(n, arrs, tag):
         nonlocal first
-        lab = real_label(c)
+        lab = real_label(n, arrs, tag)
         if lab.key not in seen:
             seen.add(lab.key)
             first += 1
             digest.update(lab.key)
         return lab
 
-    monkeypatch.setattr(comtes.moves, "canonical_labeling", label)
+    monkeypatch.setattr(comtes.moves, "_canonical_labeling", label)
     for start, target, budget in (
         (G2, G3, G2G3_BUDGET),
         (_zeroed(G2), _zeroed(G3), dataclasses.replace(G2G3_BUDGET, **BARE)),
@@ -613,17 +657,21 @@ class TestSizeChange:
         import comtes.moves
 
         sizes = []
+        real_form = comtes.moves.canonical_form
+        real_label = comtes.moves._canonical_labeling
 
-        def recording(real):
-            def record(c):
-                sizes.append((len(c.vertices), len(c.arrows)))
-                return real(c)
+        def form(c):
+            sizes.append((len(c.vertices), len(c.arrows)))
+            return real_form(c)
 
-            return record
+        def label(n, arrs, tag):
+            sizes.append((n, len(arrs)))
+            return real_label(n, arrs, tag)
 
-        # the ends go through canonical_form, every child through canonical_labeling
-        for name in ("canonical_form", "canonical_labeling"):
-            monkeypatch.setattr(comtes.moves, name, recording(getattr(comtes.moves, name)))
+        # the ends go through canonical_form, every child through the index
+        # labeling core
+        monkeypatch.setattr(comtes.moves, "canonical_form", form)
+        monkeypatch.setattr(comtes.moves, "_canonical_labeling", label)
         looped_kink = comte(
             "a b c d",
             [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "d", "b", 1), ("d", "a", "d", 1), ("a", "a", "a", 0)],
@@ -763,9 +811,10 @@ def _inverse_instances_with_mirrors(c, budget):
                 if flow_lo <= i1 <= flow_hi and flow_lo <= i2 <= flow_hi:
                     out.append(MoveInstance(kind, arrows=(ei,), params=(i1, i2), moved=moved, flags=("fresh",)))
     seen = set()
-    for wi, pos, sides, corners in _square_join(g, _JOIN_ORDER):
+    names = g.vertices
+    for wi, pos, sides, corners in _square_join(_index_form(g)[1], _JOIN_ORDER):
         src, tgt, role = _SIDES[pos]
-        key = (pos, sides, Arrow(corners[src], corners[tgt], _slot(g.arrows[wi], role)))
+        key = (pos, sides, Arrow(names[corners[src]], names[corners[tgt]], _slot(g.arrows[wi], role)))
         if key not in seen:
             seen.add(key)
             out.append(MoveInstance("R3a_add", arrows=(wi, *sides), params=(pos,)))
@@ -860,7 +909,14 @@ class TestEachSplitOncePerOutcome:
                 c = _zeroed(c)
             old = _inverse_instances_with_mirrors(c, budget)
             new = inverse_instances(c, budget)
-            keys = {m: canonical_key(apply_move(c, m)) for m in old}
+            # each child is applied and labeled on index states, as the search does
+            names = c.graph.vertices
+            idx, arrs = _index_form(c.graph)
+            children = (_apply_rule((len(names), arrs, c.flows), m, names, idx)[0] for m in old)
+            keys = {
+                m: _canonical_labeling(n, [(*a, f) for a, f in zip(arrows, flows)], b"c").key
+                for m, (n, arrows, flows) in zip(old, children)
+            }
             assert len(keys) == len(old)
             position = iter(old)
             assert all(m in position for m in new), (name, c)  # an ordered subsequence
