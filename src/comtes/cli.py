@@ -78,7 +78,7 @@ def _load_valid_comte(path: str) -> Comte:
     c = _load_comte(path)
     report = validate(c)
     if not report.ok:
-        raise CommandError("document is not a valid comte:\n" + report.describe())
+        raise CommandError(f"{path}: document is not a valid comte:\n" + report.describe())
     return c
 
 

@@ -21,7 +21,7 @@ class Arrow:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelfIndexedGraph:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
@@ -33,7 +33,7 @@ class SelfIndexedGraph:
         return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comte:
     graph: SelfIndexedGraph
     flows: tuple[int, ...]
@@ -450,31 +450,47 @@ def _canonical_labeling(n: int, arrs: list[tuple[int, int, int, int]], tag: byte
     return CanonicalLabeling(tag + repr((n, best)).encode(), *best_assign, best)
 
 
-def _labeled_graph(lab: CanonicalLabeling) -> SelfIndexedGraph:
+def _labeled_graph(lab: CanonicalLabeling, shared: dict | None = None) -> SelfIndexedGraph:
     """The canonical graph that ``lab`` labels: vertices "0".."n-1" and the
-    canonical arrows, in order."""
-    names = tuple(str(i) for i in range(len(lab.vertex_ranks)))
-    return SelfIndexedGraph(names, tuple(Arrow(names[s], names[t], names[l]) for s, t, l, _ in lab.arrows))
+    canonical arrows, in order.  Graphs built with one ``shared`` dict share
+    their equal parts: the dict keeps the names tuple under the vertex
+    count and one ``Arrow`` under each (source, target, label)."""
+    if shared is None:
+        shared = {}
+    n = len(lab.vertex_ranks)
+    names = shared.get(n)
+    if names is None:
+        names = shared[n] = tuple(str(i) for i in range(n))
+    arrows = []
+    for s, t, l, _ in lab.arrows:
+        a = shared.get((s, t, l))
+        if a is None:
+            a = shared[s, t, l] = Arrow(names[s], names[t], names[l])
+        arrows.append(a)
+    return SelfIndexedGraph(names, tuple(arrows))
 
 
-def build_canonical_form(obj: Comte | SelfIndexedGraph, lab: CanonicalLabeling) -> CanonicalForm:
+def build_canonical_form(obj: Comte | SelfIndexedGraph, lab: CanonicalLabeling, shared: dict | None = None) -> CanonicalForm:
     """The build step: the canonical form of ``obj`` under its labeling
-    ``lab``, which must be ``canonical_labeling(obj)``."""
+    ``lab``, which must be ``canonical_labeling(obj)``; ``shared`` as for
+    ``canonical_form``."""
     g = obj.graph if isinstance(obj, Comte) else obj
-    new_graph = _labeled_graph(lab)
+    new_graph = _labeled_graph(lab, shared)
     vmap = {v: new_graph.vertices[r] for v, r in zip(g.vertices, lab.vertex_ranks)}
     new_flows = tuple(e[3] for e in lab.arrows) if isinstance(obj, Comte) else None
     return CanonicalForm(lab.key, vmap, tuple(lab.arrow_perm()), new_graph, new_flows)
 
 
-def canonical_form(obj: Comte | SelfIndexedGraph) -> CanonicalForm:
+def canonical_form(obj: Comte | SelfIndexedGraph, shared: dict | None = None) -> CanonicalForm:
     """Canonical form of a graph or comte, exact under isomorphism: the
     labeling step, then the build step.
 
     Isomorphisms of comtes preserve flows; pass ``c.graph`` to canonicalize
-    the underlying graph alone.
+    the underlying graph alone.  Calls that pass one ``shared`` dict, empty
+    at first and written only by these calls, share one vertex-name tuple
+    per vertex count and one ``Arrow`` per canonical (source, target, label).
     """
-    return build_canonical_form(obj, canonical_labeling(obj))
+    return build_canonical_form(obj, canonical_labeling(obj), shared)
 
 
 def canonical_key(obj: Comte | SelfIndexedGraph) -> bytes:

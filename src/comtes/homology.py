@@ -250,7 +250,7 @@ def _boundary(nv: int, codes, acted, n: int, cleared=frozenset()) -> list[dict[i
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomologyGroup:
     betti: int
     torsion: tuple[int, ...]

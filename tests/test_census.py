@@ -92,9 +92,9 @@ class TestOrderlyGeneration:
             want = [g for g in want if g.arrows]
         calls = []
 
-        def counting(g):
+        def counting(g, shared=None):
             calls.append(g)
-            return canonical_form(g)
+            return canonical_form(g, shared)
 
         monkeypatch.setattr(census, "canonical_form", counting)
         assert enumerate_graphs(n, include_arrowless=include_arrowless) == want
@@ -109,6 +109,13 @@ class TestOrderlyGeneration:
             g = graph_from_injections([c[i] for c, i in zip(choices, code)])
             first.setdefault(canonical_key(g), code)
         assert list(_least_codes(choices)) == sorted(first.values())
+
+    def test_representatives_share_their_names_and_arrows(self):
+        # 27 canonical (source, target, label) triples on three vertices
+        reps = enumerate_r_graphs(3)
+        assert len({id(a) for g in reps for a in g.arrows}) == 27
+        assert len({id(g.vertices) for g in reps}) == 1
+        assert reps[0].vertices == ("0", "1", "2")
 
     def test_four_vertex_q_graph_walk_meets_every_class_once(self):
         # counts the least codes without canonicalizing any of them
@@ -150,6 +157,13 @@ class TestSignatures:
         row = census_row(fam[-1], 2)
         assert pickle.loads(pickle.dumps(row)) == row
         assert signature_census(fam, 3, jobs=2) == signature_census(fam, 3, jobs=1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_share_one_tuple_per_signature(self, jobs):
+        rows = signature_census(enumerate_q_graphs(3), 5, jobs=jobs).rows
+        for field in ("plain", "quotient"):
+            sigs = [getattr(r, field) for r in rows]
+            assert len({id(s) for s in sigs}) == len(set(sigs)) < len(rows)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_must_be_positive(self, jobs):

@@ -410,6 +410,14 @@ class TestMovesCommandInputs:
         code, out, err = self._run(capsys, argv)
         assert code == 1 and out == "" and err.startswith("error: ") and message in err, err
 
+    @pytest.mark.parametrize("role", ["comte", "target"])
+    def test_an_invalid_document_is_named(self, capsys, tmp_path, trefoil, role):
+        bad = tmp_path / "bad.json"
+        bad.write_text(MALFORMED_DOCUMENTS["not_conserved"][0])
+        files = {"comte": trefoil, "target": trefoil, role: str(bad)}
+        code, out, err = self._run(capsys, ["moves", "search", "--comte", files["comte"], "--target", files["target"]])
+        assert code == 1 and out == "" and err.startswith(f"error: {bad}: document is not a valid comte:\n"), err
+
     @pytest.mark.parametrize("action", ["enumerate", "apply", "search"])
     @pytest.mark.parametrize("path", ["missing.json", "."])
     def test_unreadable_document(self, capsys, tmp_path, trefoil, action, path):
@@ -445,6 +453,52 @@ class TestMovesCommandInputs:
         argv = ["moves", action, "--comte", trefoil, "--target", trefoil, *options]
         code, out, err = self._run(capsys, argv)
         assert code == 2 and out == "" and message in err, err
+
+
+class TestDocumentCommandInputs:
+    """The other commands that read a comte document, on the documents of
+    ``MALFORMED_DOCUMENTS``: each ends with exit 1 and an error on stderr,
+    never a traceback.  The non-conserved document decodes to a valid
+    graph that is not a comte: ``validate`` reports it on stdout, the two
+    commands that need a comte reject it, and the three that read the graph
+    alone run on it as on its bare graph."""
+
+    COMMANDS = {
+        "validate": ["validate", "DOC"],
+        "invariants": ["invariants", "DOC"],
+        "colorings": ["colorings", "--comte", "DOC", "--quandle", "dihedral3"],
+        "statesum": ["statesum", "--comte", "DOC", "--quandle", "tetrahedron", "--cocycle", "builtin"],
+        "homology": ["homology", "DOC", "--max-degree", "2"],
+        "bracket": ["bracket", "--graph", "DOC"],
+    }
+
+    @classmethod
+    def _run(cls, capsys, command, path):
+        return TestMovesCommandInputs._run(capsys, [str(path) if a == "DOC" else a for a in cls.COMMANDS[command]])
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("name", sorted(set(MALFORMED_DOCUMENTS) - {"not_conserved"}))
+    def test_malformed_document(self, capsys, tmp_path, name, command):
+        text, message = MALFORMED_DOCUMENTS[name]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code, out, err = self._run(capsys, command, bad)
+        assert code == 1 and out == "" and err.startswith("error: ") and str(bad) in err and message in err, err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_conserved_document(self, capsys, tmp_path, command):
+        text, message = MALFORMED_DOCUMENTS["not_conserved"]
+        bad, bare = tmp_path / "bad.json", tmp_path / "bare.json"
+        bad.write_text(text)
+        bare.write_text(encode(decode(text).graph))
+        code, out, err = self._run(capsys, command, bad)
+        if command == "validate":
+            assert code == 1 and err == "" and message in out
+        elif command in ("invariants", "statesum"):
+            assert code == 1 and out == "" and err.startswith(f"error: {bad}: document is not a valid comte:"), err
+            assert message in err
+        else:
+            assert (code, out, err) == self._run(capsys, command, bare) and code == 0 and out
 
 
 class TestBracketCommand:

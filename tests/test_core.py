@@ -28,6 +28,7 @@ from comtes.core import (
     validate,
 )
 from comtes.acceptance import random_comte
+from comtes.census import census_row
 from comtes.invariants import abelianization_rank
 from comtes.links import comte_of_gauss, parse_gauss_code
 from reference import is_homomorphism
@@ -273,8 +274,18 @@ class TestRecords:
         c = comte("a b", [("a", "b", "a", 1), ("b", "a", "b", 1)])
         assert pickle.loads(pickle.dumps(c.arrows[0])) == c.arrows[0]
         for obj in (c.graph, c):
+            assert not hasattr(obj, "__dict__")
             copy = pickle.loads(pickle.dumps(obj))
             assert copy == obj and canonical_key(copy) == canonical_key(obj)
+
+    def test_census_records_are_slotted(self):
+        # and the workers send the rows back by pickle
+        row = census_row(graph("a", [("a", "a", "a")]), 2)
+        for obj in (row, row.plain[0]):
+            assert not hasattr(obj, "__dict__")
+            assert pickle.loads(pickle.dumps(obj)) == obj
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, dataclasses.fields(obj)[0].name, None)
 
 
 class TestLabelingStep:
