@@ -115,7 +115,9 @@ def _least_codes(choices):
 
 def _enumerate(n_vertices: int, q_only: bool, include_arrowless: bool) -> list[SelfIndexedGraph]:
     """The canonical graph of each least code, sorted by key.  The graphs
-    share one names tuple and one ``Arrow`` per canonical triple."""
+    share one names tuple and one ``Arrow`` per canonical triple, and each
+    holds its key, which ``census_row`` reads back without labeling it
+    again."""
     choices = _label_choices(n_vertices, q_only)
     reps: dict[bytes, SelfIndexedGraph] = {}
     shared: dict = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Comte, GraphHomomorphism, SelfIndexedGraph, _dangling, _index_form
+from .core import Comte, GraphHomomorphism, SelfIndexedGraph, _dangling, _index_form, _require_int
 from .cubes import build_Yn
 from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow_index
 
@@ -207,8 +207,14 @@ def state_sum(
     chain against the pulled-back cochain, as an element of Z[A].
 
     For the cycle of a comte's flow, a quandle-graph target and the
-    cochain of a quandle 2-cocycle, this is ``phi_invariant``.
+    cochain of a quandle 2-cocycle, this is ``phi_invariant``.  The two
+    degrees and every chain coefficient must be integers, the degrees
+    non-negative.
     """
+    _require_int(chain.degree, "chain degree", 0)
+    _require_int(cochain.degree, "cochain degree", 0)
+    for _, coeff in chain.coeffs:
+        _require_int(coeff, "chain coefficient")
     if chain.degree != cochain.degree:
         raise ValueError(
             f"degree mismatch: chain has degree {chain.degree}, cochain {cochain.degree}"

@@ -25,6 +25,10 @@ class Arrow:
 class SelfIndexedGraph:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+    # the bare-graph canonical key, set only on a graph that
+    # ``_labeled_graph`` builds, so that ``canonical_key`` need not label it
+    # again; not compared, hashed or shown, and not a constructor argument
+    _key: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def vertex_index(self) -> dict[str, int]:
         idx = {v: i for i, v in enumerate(self.vertices)}
@@ -214,10 +218,12 @@ class _UnionFind:
             x = p[x]
         return x
 
-    def union(self, x, y):
+    def union(self, x, y) -> bool:
+        """Merge the classes of x and y; True if they were distinct."""
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[ry] = rx
+        return rx != ry
 
     def classes(self) -> list[list]:
         """The classes, each listing its members in item order, ordered by
@@ -454,7 +460,9 @@ def _labeled_graph(lab: CanonicalLabeling, shared: dict | None = None) -> SelfIn
     """The canonical graph that ``lab`` labels: vertices "0".."n-1" and the
     canonical arrows, in order.  Graphs built with one ``shared`` dict share
     their equal parts: the dict keeps the names tuple under the vertex
-    count and one ``Arrow`` under each (source, target, label)."""
+    count and one ``Arrow`` under each (source, target, label).  The graph
+    of a bare-graph labeling keeps its key, which ``canonical_key`` then
+    returns; a comte's key does not key its bare graph."""
     if shared is None:
         shared = {}
     n = len(lab.vertex_ranks)
@@ -467,7 +475,10 @@ def _labeled_graph(lab: CanonicalLabeling, shared: dict | None = None) -> SelfIn
         if a is None:
             a = shared[s, t, l] = Arrow(names[s], names[t], names[l])
         arrows.append(a)
-    return SelfIndexedGraph(names, tuple(arrows))
+    g = SelfIndexedGraph(names, tuple(arrows))
+    if lab.key.startswith(b"g"):
+        object.__setattr__(g, "_key", lab.key)
+    return g
 
 
 def build_canonical_form(obj: Comte | SelfIndexedGraph, lab: CanonicalLabeling, shared: dict | None = None) -> CanonicalForm:
@@ -495,7 +506,10 @@ def canonical_form(obj: Comte | SelfIndexedGraph, shared: dict | None = None) ->
 
 def canonical_key(obj: Comte | SelfIndexedGraph) -> bytes:
     """Deterministic byte key, equal for two objects iff they are isomorphic.
-    Runs the labeling step alone."""
+    Runs the labeling step alone, unless ``obj`` is a canonical graph that
+    already holds its key."""
+    if isinstance(obj, SelfIndexedGraph) and obj._key is not None:
+        return obj._key
     return canonical_labeling(obj).key
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import graph_homomorphisms
-from .core import GraphHomomorphism, SelfIndexedGraph, _dangling, _require_int, classify
+from .core import GraphHomomorphism, SelfIndexedGraph, _dangling, _require_int, _UnionFind, classify
 from .cubes import build_Yn
 from .linalg import kernel_mod, image_size_mod, smith_normal_form
 from .racks import AbelianGroup
@@ -275,17 +275,24 @@ def homology_range(
     graph under the convention that C_0 is spanned by the unique empty
     homomorphism, with zero boundary into it).
 
-    The bases of C_0 .. C_{max_degree+1} are built once, in one pass, and
-    every boundary matrix is taken over them, in rising degree, with
-    clearing: the rows of d_{k+1} at the ``unit_columns`` of d_k (its
-    leading pivots picked as a unit) are left out.  This is exact over Z.
-    Leaving those coordinates out is injective on Z_k = ker d_k and maps
-    it onto a saturated sublattice (see ``SNFResult``), and B_k lies in
-    Z_k, so the cleared d_{k+1} has the rank of d_{k+1} and its cokernel
-    the same torsion.  Only pivots picked as a unit may clear: d_k = [2 3]
-    picks 2 and ends with the unit pivot 1 at column 1, and with d_{k+1} =
-    (3, -2)^T clearing row 1 would give H_k = Z/3 instead of 0.
-    Persistent homology calls this step clearing, or the twist (Chen &
+    The bases of C_0 .. C_{max_degree+1} are built once, in one pass.  d_2
+    is never eliminated: the column of (a, x) is -e_x + e_{a.x}, so d_2 is
+    the incidence matrix of the arrows x -> a.x, whose rank is the size of
+    a spanning forest and which has no torsion (``_spanning_forest``).
+    d_3, d_4, ... are taken in rising degree with clearing: the rows of
+    d_{k+1} at a clearing set of d_k are left out, the forest's columns for
+    k = 2 and the ``unit_columns`` of d_k (its leading pivots picked as a
+    unit) above.  This is exact over Z.  Leaving those coordinates out is
+    injective on Z_k = ker d_k and maps it onto a saturated sublattice, and
+    B_k lies in Z_k, so the cleared d_{k+1} has the rank of d_{k+1} and its
+    cokernel the same torsion.  For the forest, a cycle is fixed by its
+    coordinates off the forest, and each vector on them extends to a cycle
+    (a sum of fundamental cycles), so Z_2 maps onto all of Z^{off forest};
+    the q-quotient only drops the degenerate (a, a), zero columns.  For
+    the units, see ``SNFResult``.  Only pivots picked as a unit may clear:
+    d_k = [2 3] picks 2 and ends with the unit pivot 1 at column 1, and
+    with d_{k+1} = (3, -2)^T clearing row 1 would give H_k = Z/3 instead of
+    0.  Persistent homology calls this step clearing, or the twist (Chen &
     Kerber, EuroCG 2011), over a field."""
     _require_int(max_degree, "max_degree", 0)
     nv, codes, acted = _bases_of(g, max_degree + 1, q_quotient)
@@ -293,7 +300,10 @@ def homology_range(
     ranks = [0] * (max_degree + 2)
     torsions = [()] * (max_degree + 2)
     cleared = frozenset()
-    for k in range(2, max_degree + 2):
+    if max_degree:
+        cleared = _spanning_forest(nv, codes[2], acted[2])
+        ranks[2] = len(cleared)
+    for k in range(3, max_degree + 2):
         if sizes[k] == 0 or sizes[k - 1] == 0:
             cleared = frozenset()
             continue
@@ -306,6 +316,15 @@ def homology_range(
         betti = sizes[k] - ranks[k] - ranks[k + 1]
         out.append(HomologyGroup(betti, torsions[k + 1]))
     return tuple(out)
+
+
+def _spanning_forest(nv: int, codes2: list[int], tails2: dict[int, int]) -> frozenset[int]:
+    """The positions in ``codes2`` of a spanning forest of the arrows
+    x -> a.x, one per code (a, x), taken greedily in basis order: the
+    columns of a basis of the column space of d_2.  A loop, a.x = x, gives
+    a zero column and is never taken."""
+    uf = _UnionFind(range(nv))
+    return frozenset([col for col, code in enumerate(codes2) if uf.union(code % nv, tails2[code])])
 
 
 def homology(g: SelfIndexedGraph, n: int, q_quotient: bool = False) -> HomologyGroup:

@@ -28,7 +28,7 @@ from comtes.core import (
     validate,
 )
 from comtes.acceptance import random_comte
-from comtes.census import census_row
+from comtes.census import census_row, enumerate_q_graphs, enumerate_r_graphs
 from comtes.invariants import abelianization_rank
 from comtes.links import comte_of_gauss, parse_gauss_code
 from reference import is_homomorphism
@@ -286,6 +286,40 @@ class TestRecords:
             assert pickle.loads(pickle.dumps(obj)) == obj
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, dataclasses.fields(obj)[0].name, None)
+
+
+class TestHeldKey:
+    """A canonical graph built from a bare-graph labeling holds its key, so
+    ``canonical_key`` of a census representative labels nothing."""
+
+    def test_census_representatives_hold_their_keys(self, monkeypatch):
+        reps = enumerate_r_graphs(3) + enumerate_q_graphs(3)
+        keys = [canonical_labeling(g).key for g in reps]
+        calls = []
+        real = core.canonical_labeling
+        monkeypatch.setattr(core, "canonical_labeling", lambda obj: calls.append(obj) or real(obj))
+        assert [canonical_key(g) for g in reps] == keys
+        assert not calls
+
+    def test_a_rebuilt_graph_is_the_same_graph_without_the_key(self):
+        for g in enumerate_q_graphs(3)[::4]:
+            rebuilt = SelfIndexedGraph(g.vertices, g.arrows)
+            assert g._key is not None and rebuilt._key is None
+            assert rebuilt == g and hash(rebuilt) == hash(g) and repr(rebuilt) == repr(g)
+            assert canonical_key(rebuilt) == canonical_key(g)
+        assert SelfIndexedGraph.__match_args__ == ("vertices", "arrows")
+        with pytest.raises(TypeError):
+            SelfIndexedGraph((), (), b"g")
+
+    def test_a_comte_key_does_not_key_its_graph(self):
+        form = canonical_form(TREFOIL)
+        assert form.key.startswith(b"c") and form.graph._key is None
+        assert canonical_key(form.graph) == canonical_key(TREFOIL.graph) != form.key
+
+    def test_the_key_survives_pickling(self):
+        g = canonical_form(EXHOC).graph
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy._key == g._key == canonical_key(EXHOC)
 
 
 class TestLabelingStep:

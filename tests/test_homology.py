@@ -7,7 +7,7 @@ from math import gcd, prod
 import pytest
 
 from comtes.acceptance import EXAMPLE_QGRAPH
-from comtes.census import enumerate_q_graphs, graph_from_injections, partial_injections
+from comtes.census import enumerate_q_graphs, enumerate_r_graphs, graph_from_injections, partial_injections
 from comtes.coloring import (
     Chain,
     Cochain,
@@ -17,7 +17,7 @@ from comtes.coloring import (
     graph_homomorphisms,
     state_sum,
 )
-from comtes.core import comte, graph
+from comtes.core import comte, components, graph
 from comtes.cubes import build_Yn, face_map
 from comtes.homology import (
     HomologyGroup,
@@ -391,6 +391,48 @@ class TestClearing:
         for x in (dihedral_quandle(3), dihedral_quandle(5), tetrahedron_quandle()):
             g = graph_of_rack(x)
             assert homology_range(g, 4, q_quotient=q) == uncleared_homology_range(g, 4, q_quotient=q)
+
+    def test_seeded_four_vertex_r_graphs_match_the_uncleared_forms(self):
+        # forests of several trees, a vertex that no arrow meets, and d_2
+        # with zero columns only (loops only)
+        rng = random.Random(29)
+        injections = partial_injections(4)
+        pools = [
+            injections,
+            [inj for inj in injections if inj[3] == -1 and 3 not in inj],
+            [inj for inj in injections if all(t == -1 or t // 2 == b // 2 for b, t in enumerate(inj))],
+            [inj for inj in injections if all(t in (-1, b) for b, t in enumerate(inj))],
+        ]
+        trees = []
+        for i in range(120):
+            g = graph_from_injections([rng.choice(pools[i % 4]) for _ in range(4)])
+            trees.append(sum(1 for comp in components(g) if len(comp) > 1))
+            assert homology_range(g, 3) == uncleared_homology_range(g, 3), g
+        assert trees.count(0) >= 30 and trees.count(2) >= 10
+
+
+class TestSpanningForest:
+    """homology_range reads d_2 off a spanning forest of the arrows
+    x -> a.x, which needs each column of d_2 to be empty or -1 at x and +1
+    at a.x."""
+
+    def test_every_column_of_d2_is_an_arrow_or_empty(self):
+        r3, q3 = enumerate_r_graphs(3), enumerate_q_graphs(3)
+        racks = [graph_of_rack(x) for x in (dihedral_quandle(3), dihedral_quandle(5), tetrahedron_quandle())]
+        for g, q in [(g, False) for g in r3 + q3 + racks] + [(g, True) for g in q3 + racks]:
+            dot = dot_table(g)
+            m = boundary_matrix(2, g, q)
+            assert chain_basis(1, g, q) == [(x,) for x in range(len(dot))]
+            for col, (a, x) in enumerate(chain_basis(2, g, q)):
+                column = {row: m[row][col] for row in range(len(m)) if m[row][col]}
+                assert column == ({} if dot[a][x] == x else {x: -1, dot[a][x]: 1}), (g, q, a, x)
+
+    def test_h1_counts_the_components_on_the_three_vertex_censuses(self):
+        for g in enumerate_r_graphs(3):
+            assert homology_range(g, 1) == (HomologyGroup(len(components(g)), ()),), g
+        for g in enumerate_q_graphs(3):
+            want = (HomologyGroup(len(components(g)), ()),)
+            assert homology_range(g, 1) == homology_range(g, 1, q_quotient=True) == want, g
 
 
 class TestChains:

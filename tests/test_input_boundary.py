@@ -16,9 +16,10 @@ names (``validate_graph``, ``encode``, ``classify`` and the two
 presentations), which return their result.
 
 ``apply_move`` checks the arrow indices and the parameters of its
-``MoveInstance`` the same way.  The other value records that the library
-builds itself (``Chain``, ``Cochain``, ``FiniteRack``, ``Comte``) are not
-swept.
+``MoveInstance`` the same way, and ``state_sum`` the degrees of its
+``Chain`` and ``Cochain`` and every chain coefficient.  The other value
+records that the library builds itself (``FiniteRack``, ``Comte``) are
+not swept.
 """
 
 import dataclasses
@@ -29,6 +30,7 @@ import pytest
 
 import comtes
 from comtes.census import partial_injections
+from comtes.coloring import cochain_from_cocycle2_on
 from comtes.core import SelfIndexedGraph, as_comte, graph
 from comtes.homology import hom_tuples
 from comtes.linalg import image_size_mod, integer_kernel_basis, kernel_mod
@@ -36,6 +38,8 @@ from comtes.moves import MoveError
 
 G = graph("a b", [("a", "b", "a"), ("b", "a", "b")])
 C = comtes.comte("a b", [("a", "b", "a", 1), ("b", "a", "b", 1)])
+# a homomorphism Y_2 -> G, to carry a chain coefficient
+H2 = comtes.flow_to_cycle(C).coeffs[0][0]
 # positions 3 and 0 of its circle are two tails, so position -1 is valid
 DIAGRAM = comtes.parse_gauss_code("O1+U2+U1+O2+")
 
@@ -71,6 +75,12 @@ INTEGER_ARGUMENTS = [
     ("face_map", lambda x: comtes.face_map(x, 1, 1), "cube degree", RANGE),
     ("face_map", lambda x: comtes.face_map(2, x, 1), "face index", RANGE),
     ("face_map", lambda x: comtes.face_map(2, 1, x), "face side", RANGE),
+    ("state_sum", lambda x: comtes.state_sum(G, comtes.Chain(x, ()), G, comtes.Cochain(2, {}), comtes.C2),
+     "chain degree", NON_NEGATIVE),
+    ("state_sum", lambda x: comtes.state_sum(G, comtes.Chain(2, ()), G, comtes.Cochain(x, {}), comtes.C2),
+     "cochain degree", NON_NEGATIVE),
+    ("state_sum", lambda x: comtes.state_sum(G, comtes.Chain(2, ((H2, x),)), G, comtes.Cochain(2, {}), comtes.C2),
+     "chain coefficient", VALID),
     ("partial_injections", lambda x: partial_injections(x), "vertex count", NON_NEGATIVE),
     ("enumerate_r_graphs", lambda x: comtes.enumerate_r_graphs(x), "vertex count", NON_NEGATIVE),
     ("enumerate_q_graphs", lambda x: comtes.enumerate_q_graphs(x), "vertex count", NON_NEGATIVE),
@@ -185,6 +195,17 @@ def test_a_float_flow_is_not_added():
     # R1loopadd used to give the new loop the flow 1.5
     with pytest.raises(TypeError, match=r"^move parameter must be an integer, got 1\.5$"):
         comtes.apply_move(C, comtes.MoveInstance("R1loopadd", vertices=("a",), params=(1.5,)))
+
+
+def test_a_float_coefficient_is_not_summed():
+    # the trefoil's cycle with coefficient 1.5 used to give
+    # {(0.0,): 4, (1.5,): 9, (0.5,): 3} against the tetrahedral cocycle
+    tre = comtes.comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1)])
+    chain = comtes.Chain(2, tuple((h, 1.5) for h, _ in comtes.flow_to_cycle(tre).coeffs))
+    s4, f = comtes.tetrahedron_quandle(), comtes.tetrahedron_cocycle()
+    cochain = cochain_from_cocycle2_on(s4, f)
+    with pytest.raises(TypeError, match=r"^chain coefficient must be an integer, got 1\.5$"):
+        comtes.state_sum(tre.graph, chain, comtes.graph_of_rack(s4), cochain, f.group)
 
 
 def test_quotient_names_a_missing_pair_vertex():
