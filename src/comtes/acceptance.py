@@ -19,7 +19,7 @@ from itertools import combinations, product
 from .alexander import alexander_polynomial
 from .census import SignatureCensus, enumerate_q_graphs, enumerate_r_graphs, signature_census
 from .coloring import coloring_count, phi_invariant
-from .core import Comte, canonical_key, comte, component_index, components, graph, validate
+from .core import Comte, _index_form, canonical_key, comte, component_index, components, graph, validate
 from .homology import (
     _degenerate,
     boundary_matrix,
@@ -277,12 +277,11 @@ def random_comte(rng: random.Random, nmax: int = 5, amax: int = 7) -> Comte:
     na = rng.randrange(0, amax + 1)
     arrs = [(rng.choice(vs), rng.choice(vs), rng.choice(vs)) for _ in range(na)]
     g = graph(vs, arrs)
-    idx = g.vertex_index()
     inc = [{} for _ in range(n)]
-    for j, a in enumerate(g.arrows):
-        if a.source != a.target:
-            inc[idx[a.source]][j] = 1
-            inc[idx[a.target]][j] = -1
+    for j, (s, t, _) in enumerate(_index_form(g)[1]):
+        if s != t:
+            inc[s][j] = 1
+            inc[t][j] = -1
     flows = [0] * na
     for vec in integer_kernel_basis(inc, na):
         coef = rng.randrange(-2, 3)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import Comte, SelfIndexedGraph, _dangling, _require_int, component_index, validate_graph
+from .core import Comte, SelfIndexedGraph, _index_form, _require_int, component_index
 from .laurent import Laurent, MultiLaurent, divexact, laurent_gcd
 
 
@@ -116,10 +116,7 @@ def alexander_polynomial(g: Comte | SelfIndexedGraph, i: int) -> Laurent:
     if isinstance(g, Comte):
         g = g.graph
     _require_int(i, "index", 0)
-    # the conventions below answer without a lookup, so check the names here
-    if not validate_graph(g).ok:
-        raise _dangling(g)
-    nv = len(g.vertex_index())  # which rejects a duplicate name
+    nv = len(_index_form(g)[0])  # checked here: the conventions below answer without a lookup
     ne = len(g.arrows)
     r = nv - i
     if r <= 0:
@@ -138,15 +135,15 @@ def multivariable_relation_matrix(g: SelfIndexedGraph) -> list[list[MultiLaurent
     """
     cidx = component_index(g)
     n = len(set(cidx.values()))
-    vidx = g.vertex_index()
+    comp = [cidx[v] for v in g.vertices]
     rows = []
-    for a in g.arrows:
+    for s, t, l in _index_form(g)[1]:
         row = [MultiLaurent.zero(n)] * len(g.vertices)
         for v, entry in (
-            (a.source, MultiLaurent.var(n, cidx[a.label])),
-            (a.target, MultiLaurent.const(n, -1)),
-            (a.label, MultiLaurent.const(n, 1) - MultiLaurent.var(n, cidx[a.source])),
+            (s, MultiLaurent.var(n, comp[l])),
+            (t, MultiLaurent.const(n, -1)),
+            (l, MultiLaurent.const(n, 1) - MultiLaurent.var(n, comp[s])),
         ):
-            row[vidx[v]] = row[vidx[v]] + entry
+            row[v] = row[v] + entry
         rows.append(row)
     return rows

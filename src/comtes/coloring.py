@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Comte, GraphHomomorphism, SelfIndexedGraph, _dangling, _index_form, _require_int
+from .core import Comte, GraphHomomorphism, SelfIndexedGraph, _index_form, _require_int
 from .cubes import build_Yn
 from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow_index
 
@@ -39,19 +39,15 @@ def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
     dst_by_slt: dict[tuple[str, str, str], list[int]] = {}
     for j, b in enumerate(dst.arrows):
         dst_by_slt.setdefault((b.source, b.label, b.target), []).append(j)
-    index = src.vertex_index()
     touch = [0] * len(sv)
     completes = [0] * len(sv)
     shares = [0] * len(sv)
     ends = []  # the distinct vertex indices of each src arrow
     incident: list[list[int]] = [[] for _ in sv]  # arrows at each vertex, once each
-    for k, a in enumerate(src.arrows):
-        try:
-            e = {index[a.source], index[a.target], index[a.label]}
-        except KeyError as err:
-            raise _dangling(src) from err
-        for v in (a.source, a.target, a.label):
-            touch[index[v]] += 1
+    for k, triple in enumerate(_index_form(src)[1]):
+        e = set(triple)
+        for j in triple:
+            touch[j] += 1
         for j in e:
             incident[j].append(k)
             completes[j] += len(e) == 1
@@ -108,6 +104,7 @@ def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
 def graph_homomorphisms(src: SelfIndexedGraph, dst: SelfIndexedGraph) -> list[GraphHomomorphism]:
     """All homomorphisms src -> dst, in sorted order: by their vertex
     images and then their arrow images."""
+    _index_form(dst)  # which rejects a dangling arrow or a repeated name
     return sorted(
         GraphHomomorphism(tuple(vm[v] for v in src.vertices), am)
         for vm, cands in _vertex_maps(src, dst)

@@ -30,12 +30,6 @@ class SelfIndexedGraph:
     # again; not compared, hashed or shown, and not a constructor argument
     _key: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
-    def vertex_index(self) -> dict[str, int]:
-        idx = {v: i for i, v in enumerate(self.vertices)}
-        if len(idx) != len(self.vertices):
-            raise ValueError("'vertices' contains a duplicate")
-        return idx
-
 
 @dataclass(frozen=True, slots=True)
 class Comte:
@@ -119,15 +113,16 @@ class ValidationReport:
     dangling: tuple[tuple[int, str, str], ...]      # (arrow index, field, offending name)
     conservation: tuple[tuple[str, int, int], ...]  # (vertex, outgoing sum, incoming sum)
     flow_count_ok: bool = True
+    duplicate: bool = False  # a vertex name occurs twice
 
     @property
     def ok(self) -> bool:
-        return not self.dangling and not self.conservation and self.flow_count_ok
+        return not self.dangling and not self.conservation and self.flow_count_ok and not self.duplicate
 
     def describe(self) -> str:
         if self.ok:
             return "valid"
-        lines = []
+        lines = ["'vertices' contains a duplicate"] if self.duplicate else []
         if not self.flow_count_ok:
             lines.append("flow list length does not match arrow count")
         for i, fld, name in self.dangling:
@@ -138,7 +133,8 @@ class ValidationReport:
 
 
 def validate_graph(g: SelfIndexedGraph) -> ValidationReport:
-    """Report dangling arrow references (structure only, no flows)."""
+    """Report a repeated vertex name and the dangling arrow references
+    (structure only, no flows)."""
     vs = set(g.vertices)
     dangling = []
     for i, a in enumerate(g.arrows):
@@ -146,18 +142,12 @@ def validate_graph(g: SelfIndexedGraph) -> ValidationReport:
             name = getattr(a, fld)
             if name not in vs:
                 dangling.append((i, fld, name))
-    return ValidationReport(tuple(dangling), ())
-
-
-def _dangling(g: SelfIndexedGraph) -> ValueError:
-    """The error for a graph whose arrows name a vertex it lacks, naming
-    each such arrow and field; the routines that look names up raise it
-    from their ``KeyError``."""
-    return ValueError(validate_graph(g).describe())
+    return ValidationReport(tuple(dangling), (), duplicate=len(vs) != len(g.vertices))
 
 
 def validate(c: Comte) -> ValidationReport:
-    """Report every dangling arrow reference and every conservation violation.
+    """Report a repeated vertex name, every dangling arrow reference and
+    every conservation violation (once per name).
 
     An empty report means the comte is valid.  A loop adds its flow to both
     sides of the balance at its vertex, so it never violates conservation.
@@ -173,10 +163,10 @@ def validate(c: Comte) -> ValidationReport:
                 out[a.source] += f
             if a.target in inc:
                 inc[a.target] += f
-        for v in c.graph.vertices:
+        for v in out:
             if out[v] != inc[v]:
                 bad.append((v, out[v], inc[v]))
-    return ValidationReport(base.dangling, tuple(bad), flow_count_ok)
+    return ValidationReport(base.dangling, tuple(bad), flow_count_ok, base.duplicate)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +231,10 @@ def components(g: SelfIndexedGraph) -> tuple[tuple[str, ...], ...]:
     their earliest vertex in the graph's vertex order; each class lists its
     members in vertex order.
     """
-    uf = _UnionFind(g.vertex_index())  # which rejects a duplicate name
-    try:
-        for a in g.arrows:
-            uf.union(a.source, a.target)
-    except KeyError as e:
-        raise _dangling(g) from e
+    names = g.vertices
+    uf = _UnionFind(names)
+    for s, t, _ in _index_form(g)[1]:
+        uf.union(names[s], names[t])
     return tuple(tuple(c) for c in uf.classes())
 
 
@@ -269,16 +257,16 @@ def quotient(g: SelfIndexedGraph, pairs) -> tuple[SelfIndexedGraph, dict[str, st
     The representative of each class is its earliest member in vertex order.
     Arrow order is preserved; labels are rewritten through the map.
     """
-    uf = _UnionFind(g.vertex_index())  # which rejects a duplicate name
+    arrs = _index_form(g)[1]
+    uf = _UnionFind(g.vertices)
     try:
         for x, y in pairs:
             uf.union(x, y)
-        vmap = {v: group[0] for group in uf.classes() for v in group}
-        new_arrows = tuple(Arrow(vmap[a.source], vmap[a.target], vmap[a.label]) for a in g.arrows)
     except KeyError as e:
-        if validate_graph(g).ok:
-            raise ValueError(f"{e.args[0]!r} is not a vertex") from e
-        raise _dangling(g) from e
+        raise ValueError(f"{e.args[0]!r} is not a vertex") from e
+    vmap = {v: group[0] for group in uf.classes() for v in group}
+    rep = [vmap[v] for v in g.vertices]
+    new_arrows = tuple(Arrow(rep[s], rep[t], rep[l]) for s, t, l in arrs)
     new_vertices = tuple(v for v in g.vertices if vmap[v] == v)
     return SelfIndexedGraph(new_vertices, new_arrows), vmap
 
@@ -405,13 +393,16 @@ def _twins(arrs, u, v):
 
 def _index_form(g: SelfIndexedGraph) -> tuple[dict[str, int], tuple[tuple[int, int, int], ...]]:
     """The vertex index of ``g`` and its arrows as (source, target, label)
-    index triples; a repeated vertex name or an arrow to a missing vertex
-    is a ``ValueError``."""
-    idx = g.vertex_index()
-    try:
-        return idx, tuple([(idx[a.source], idx[a.target], idx[a.label]) for a in g.arrows])
-    except KeyError as e:
-        raise _dangling(g) from e
+    index triples.  This is the one place that turns names into indices
+    and checks them: a repeated vertex name or an arrow to a missing
+    vertex is a ``ValueError`` worded by ``validate_graph``."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    if len(idx) == len(g.vertices):
+        try:
+            return idx, tuple([(idx[a.source], idx[a.target], idx[a.label]) for a in g.arrows])
+        except KeyError:
+            pass
+    raise ValueError(validate_graph(g).describe())
 
 
 def canonical_labeling(obj: Comte | SelfIndexedGraph) -> CanonicalLabeling:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import graph_homomorphisms
-from .core import GraphHomomorphism, SelfIndexedGraph, _dangling, _require_int, _UnionFind, classify
+from .core import GraphHomomorphism, SelfIndexedGraph, _index_form, _require_int, _UnionFind, classify
 from .cubes import build_Yn
 from .linalg import kernel_mod, image_size_mod, smith_normal_form
 from .racks import AbelianGroup
@@ -51,14 +51,9 @@ class NotRGraphError(ValueError):
 def dot_table(g: SelfIndexedGraph) -> list[list[int]]:
     """dot[label][source] = target vertex index, or -1 when there is no such
     arrow.  Only graphs of the module's domain admit this table."""
-    idx = g.vertex_index()
     nv = len(g.vertices)
     dot = [[-1] * nv for _ in range(nv)]
-    for a in g.arrows:
-        try:
-            li, si, ti = idx[a.label], idx[a.source], idx[a.target]
-        except KeyError as e:
-            raise _dangling(g) from e
+    for a, (si, ti, li) in zip(g.arrows, _index_form(g)[1]):
         if dot[li][si] != -1:
             raise NotRGraphError(
                 f"two arrows share source {a.source!r} and label {a.label!r}"
@@ -345,8 +340,7 @@ def enumerate_homs(n: int, g: SelfIndexedGraph) -> list[GraphHomomorphism]:
         return graph_homomorphisms(cube.graph, g)
     codes, _ = _tuple_codes(dot, n, False)
     words = sorted(cube.vertex_words, key=len)  # S - min(S) before S
-    idx = g.vertex_index()
-    by_sl = {(idx[a.label], idx[a.source]): j for j, a in enumerate(g.arrows)}
+    by_sl = {(l, s): j for j, (s, _, l) in enumerate(_index_form(g)[1])}
     homs = []
     for code in codes[n]:
         t = _decode(code, n, len(dot))

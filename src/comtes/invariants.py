@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Comte, SelfIndexedGraph, _dangling, component_index, components
+from .core import Comte, SelfIndexedGraph, _index_form, component_index, components
 from .linalg import smith_normal_form
 
 
@@ -59,11 +59,7 @@ def abelianization_rank(g: SelfIndexedGraph) -> int:
     b = c, so the rank equals the number of components.  Computed honestly
     by integer reduction of the relation matrix, not by counting components.
     """
-    idx = g.vertex_index()
-    try:
-        rows = [{idx[a.source]: 1, idx[a.target]: -1} for a in g.arrows if a.source != a.target]
-    except KeyError as e:
-        raise _dangling(g) from e
+    rows = [{s: 1, t: -1} for s, t, _ in _index_form(g)[1] if s != t]
     return len(g.vertices) - smith_normal_form(rows).rank
 
 

@@ -11,7 +11,7 @@ from comtes.alexander import (
     multivariable_relation_matrix,
     relation_matrix,
 )
-from comtes.core import components, graph
+from comtes.core import _index_form, components, graph
 from comtes.laurent import Laurent, divexact, laurent_gcd
 from comtes.links import LinkCodeError, comte_of_gauss, parse_gauss_code
 from comtes.moves import SearchBudget, apply_move, enumerate_moves, inverse_instances
@@ -167,7 +167,7 @@ class TestMultivariable:
         multivariable matrix; check it against the one-variable rule itself:
         t at the source, -1 at the target, 1-t at the label, accumulated."""
         for g in _random_graphs(1919, 150):
-            idx = g.vertex_index()
+            idx = _index_form(g)[0]
             want = []
             for a in g.arrows:
                 row = [Laurent.zero()] * len(g.vertices)

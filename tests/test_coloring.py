@@ -19,7 +19,7 @@ from comtes.coloring import (
     state_sum,
 )
 from comtes.census import enumerate_q_graphs
-from comtes.core import GraphHomomorphism, SelfIndexedGraph, comte, graph
+from comtes.core import GraphHomomorphism, SelfIndexedGraph, _index_form, comte, graph
 from comtes.homology import q2_cocycles
 from comtes.links import CORPUS, comte_of_gauss, parse_gauss_code
 from comtes.racks import (
@@ -322,7 +322,7 @@ class TestMoveInvariance:
                     break
         assert vec is not None
         pos = {t: i for i, t in enumerate(res.basis)}
-        idx = exhoc.vertex_index()
+        idx = _index_form(exhoc)[0]
         values = {}
         for e, a in enumerate(exhoc.arrows):
             key = (idx[a.label], idx[a.source])

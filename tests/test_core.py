@@ -249,7 +249,7 @@ def _refine_colors_reference(n, arrs, colors):
 
 
 def _index_arrows(c):
-    idx = c.graph.vertex_index()
+    idx = core._index_form(c.graph)[0]
     return [(idx[a.source], idx[a.target], idx[a.label], f) for a, f in zip(c.arrows, c.flows)]
 
 

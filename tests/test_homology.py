@@ -17,7 +17,7 @@ from comtes.coloring import (
     graph_homomorphisms,
     state_sum,
 )
-from comtes.core import comte, components, graph
+from comtes.core import _index_form, comte, components, graph
 from comtes.cubes import build_Yn, face_map
 from comtes.homology import (
     HomologyGroup,
@@ -99,7 +99,7 @@ class TestHomEnumeration:
         sample = [graph_from_injections([rng.choice(injections) for _ in range(3)]) for _ in range(60)]
         graphs = list(enumerate_q_graphs(3)) + sample
         for g in graphs:
-            idx = g.vertex_index()
+            idx = _index_form(g)[0]
             for n in range(5):
                 homs = graph_homomorphisms(build_Yn(n).graph, g)
                 origins = sorted(tuple(idx[v] for v in origin_images(h, n)) for h in homs)
@@ -126,7 +126,7 @@ class TestHomEnumeration:
         sample = [graph_from_injections([rng.choice(injections) for _ in range(3)]) for _ in range(30)]
         racks = [graph_of_rack(x) for x in (trivial_quandle(2), dihedral_quandle(3), tetrahedron_quandle())]
         for g in list(enumerate_q_graphs(3)) + sample + racks:
-            idx = g.vertex_index()
+            idx = _index_form(g)[0]
             for n in range(5):
                 homs = enumerate_homs(n, g)
                 searched = graph_homomorphisms(build_Yn(n).graph, g)

@@ -10,7 +10,8 @@ arguments, and is accepted where it is a flow or a cyclic position.
 
 Every exported function that takes a graph is fed one with an arrow to a
 missing vertex and one with a repeated vertex name, built with
-``SelfIndexedGraph`` directly, and raises a ``ValueError``.  The
+``SelfIndexedGraph`` directly, and raises a ``ValueError``; a routine
+that takes a second graph is fed the bad one there too.  The
 exceptions are the routines that only report, serialize or list the
 names (``validate_graph``, ``encode``, ``classify`` and the two
 presentations), which return their result.
@@ -31,7 +32,7 @@ import pytest
 import comtes
 from comtes.census import partial_injections
 from comtes.coloring import cochain_from_cocycle2_on
-from comtes.core import SelfIndexedGraph, as_comte, graph
+from comtes.core import Arrow, SelfIndexedGraph, as_comte, graph
 from comtes.homology import hom_tuples
 from comtes.linalg import image_size_mod, integer_kernel_basis, kernel_mod
 from comtes.moves import MoveError
@@ -168,20 +169,36 @@ GRAPH_ARGUMENTS = [
     ("apply_move", lambda g: comtes.apply_move(as_comte(g), comtes.MoveInstance("R0inv", vertices=("a", "a"), flags=("target",)))),
     ("flow_to_cycle", lambda g: comtes.flow_to_cycle(as_comte(g))),
 ]
+# the graph as the second argument: these used to take a dangling target
+# as it came, and to list each homomorphism into a repeated name twice
+# (a loop into ("a", "a") with the loop a -> a labeled a gave two equal
+# entries, and state_sum {(0,): 2})
+TARGET_ARGUMENTS = [
+    ("graph_homomorphisms", lambda g: comtes.graph_homomorphisms(G, g)),
+    ("state_sum", lambda g: comtes.state_sum(G, comtes.Chain(2, ()), g, comtes.Cochain(2, {}), comtes.C2)),
+]
+GRAPH_IDS = [n for n, _ in GRAPH_ARGUMENTS] + [f"{n}-target" for n, _ in TARGET_ARGUMENTS]
 # routines that report, serialize or list the names and return a result
 NAME_READERS = ["validate_graph", "encode", "classify", "group_presentation", "quandle_presentation"]
 
 
-@pytest.mark.parametrize("name, call", GRAPH_ARGUMENTS, ids=[n for n, _ in GRAPH_ARGUMENTS])
+@pytest.mark.parametrize("name, call", GRAPH_ARGUMENTS + TARGET_ARGUMENTS, ids=GRAPH_IDS)
 def test_dangling_arrow_is_a_value_error(name, call):
     with pytest.raises(ValueError, match=r"^arrow 0: target 'b' is not a vertex$"):
         call(DANGLING)
 
 
-@pytest.mark.parametrize("name, call", GRAPH_ARGUMENTS, ids=[n for n, _ in GRAPH_ARGUMENTS])
+@pytest.mark.parametrize("name, call", GRAPH_ARGUMENTS + TARGET_ARGUMENTS, ids=GRAPH_IDS)
 def test_duplicate_vertex_is_a_value_error(name, call):
     with pytest.raises(ValueError, match="^'vertices' contains a duplicate$"):
         call(DUPLICATE)
+
+
+@pytest.mark.parametrize("name, call", GRAPH_ARGUMENTS + TARGET_ARGUMENTS, ids=GRAPH_IDS)
+def test_both_faults_are_worded_by_the_validator(name, call):
+    both = SelfIndexedGraph(("a", "a"), (Arrow("a", "b", "a"),))
+    with pytest.raises(ValueError, match="^'vertices' contains a duplicate\narrow 0: target 'b' is not a vertex$"):
+        call(both)
 
 
 @pytest.mark.parametrize("name", NAME_READERS)
@@ -189,6 +206,17 @@ def test_name_readers_return(name):
     for g in (DANGLING, DUPLICATE):
         getattr(comtes, name)(g)
     assert comtes.validate_graph(DANGLING).dangling == ((0, "target", "b"),)
+
+
+def test_a_repeated_name_does_not_validate():
+    # both reports used to be ok, although every reader rejects the graph
+    g = SelfIndexedGraph(("a", "b", "a"), (Arrow("a", "b", "a"),))
+    for report in (comtes.validate_graph(g), comtes.validate(as_comte(g))):
+        assert not report.ok
+        assert report.describe() == "'vertices' contains a duplicate"
+    # a conservation fault at the repeated name is reported once
+    report = comtes.validate(comtes.Comte(g, (1,)))
+    assert report.describe().splitlines()[1:] == ["vertex 'a': outgoing 1 != incoming 0", "vertex 'b': outgoing 0 != incoming 1"]
 
 
 def test_a_float_flow_is_not_added():

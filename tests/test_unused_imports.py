@@ -2,9 +2,11 @@
 module, each package module is imported by one statement per file, no
 package module is imported inside a function of the package, every
 module-level private name of the package is used in it, every
-module-level public name is used in it or named in README, and no
+module-level public name is used in it or named in README, no
 ``isinstance(x, bool)`` check sits outside ``core._require_int``,
-``core.decode`` and ``linalg._eliminate``."""
+``core.decode`` and ``linalg._eliminate``, and no vertex index
+``{v: i for i, v in enumerate(<x>.vertices)}`` is built outside
+``core._index_form``."""
 
 import ast
 import re
@@ -160,4 +162,27 @@ def test_integer_checks_live_in_one_helper():
     for path in sorted((ROOT / "src" / "comtes").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line}: {fn}" for fn, line in _bool_checks(tree) if (path.name, fn) not in allowed]
+    assert not found, found
+
+
+# ``{v: i for i, v in enumerate(<x>.vertices)}`` as ``ast.unparse`` writes it
+_VERTEX_INDEX = re.compile(r"\{(\w+): (\w+) for \2, \1 in enumerate\([\w.]+\.vertices\)\}")
+
+
+def _vertex_indexings(tree):
+    """(function, line) for each vertex-index comprehension, with the
+    top-level function that holds it."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.DictComp) and _VERTEX_INDEX.fullmatch(ast.unparse(node)):
+                yield getattr(top, "name", None), node.lineno
+
+
+def test_vertex_names_are_indexed_in_one_helper():
+    # core._index_form turns a graph's names into indices and checks them;
+    # every other reader of the structure reads its triples
+    found = []
+    for path in sorted((ROOT / "src" / "comtes").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}: {fn}" for fn, line in _vertex_indexings(tree) if (path.name, fn) != ("core.py", "_index_form")]
     assert not found, found
