@@ -281,14 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     mv.add_argument("--inverse", action="store_true", help="include inverse instances")
     mv.add_argument("--index", type=int, default=0, help="instance to apply")
     mv.add_argument("--target", help="target comte document (search)")
-    mv.add_argument("--max-states", type=_non_negative_int, default=SearchBudget.max_states)
-    mv.add_argument("--max-vertices", type=_non_negative_int, default=SearchBudget.max_vertices)
-    mv.add_argument("--max-arrows", type=_non_negative_int, default=SearchBudget.max_arrows)
-    mv.add_argument("--r3b-range", type=_non_negative_int, default=SearchBudget.r3b_range)
-    mv.add_argument("--flow-lo", type=int, default=SearchBudget.flow_lo)
-    mv.add_argument("--flow-hi", type=int, default=SearchBudget.flow_hi)
-    mv.add_argument("--max-split-slots", type=_non_negative_int, default=SearchBudget.max_split_slots,
-                    help="skip splits of vertices with more slots")
+    for f in fields(SearchBudget):
+        mv.add_argument("--" + f.name.replace("_", "-"), type=int if f.name in ("flow_lo", "flow_hi") else _non_negative_int,
+                        default=f.default, help="skip splits of vertices with more slots" if f.name == "max_split_slots" else None)
     mv.add_argument("--ignore-flows", action="store_true", help="zero the flows first (bare-graph mode)")
     mv.set_defaults(fn=cmd_moves)
 

@@ -36,6 +36,12 @@ class Comte:
     graph: SelfIndexedGraph
     flows: tuple[int, ...]
 
+    def __post_init__(self):
+        if len(self.flows) != len(self.graph.arrows):
+            raise ValueError("flow list length does not match arrow count")
+        for i, f in enumerate(self.flows):
+            _require_int(f, f"arrows[{i}].flow")
+
     @property
     def vertices(self) -> tuple[str, ...]:
         return self.graph.vertices
@@ -78,8 +84,7 @@ def comte(vertices, arrows=()) -> Comte:
     vertices = _vertex_names(vertices)
     arrows = tuple(arrows)  # read once: a generator would give no flows
     arrs = tuple(Arrow(s, t, l) for s, t, l, _ in arrows)
-    flows = tuple(_require_int(f, f"arrows[{i}].flow") for i, (_, _, _, f) in enumerate(arrows))
-    return Comte(SelfIndexedGraph(vertices, arrs), flows)
+    return Comte(SelfIndexedGraph(vertices, arrs), tuple(a[3] for a in arrows))
 
 
 def graph_from_injections(maps) -> SelfIndexedGraph:
@@ -112,19 +117,16 @@ def as_comte(obj: Comte | SelfIndexedGraph) -> Comte:
 class ValidationReport:
     dangling: tuple[tuple[int, str, str], ...]      # (arrow index, field, offending name)
     conservation: tuple[tuple[str, int, int], ...]  # (vertex, outgoing sum, incoming sum)
-    flow_count_ok: bool = True
     duplicate: bool = False  # a vertex name occurs twice
 
     @property
     def ok(self) -> bool:
-        return not self.dangling and not self.conservation and self.flow_count_ok and not self.duplicate
+        return not self.dangling and not self.conservation and not self.duplicate
 
     def describe(self) -> str:
         if self.ok:
             return "valid"
         lines = ["'vertices' contains a duplicate"] if self.duplicate else []
-        if not self.flow_count_ok:
-            lines.append("flow list length does not match arrow count")
         for i, fld, name in self.dangling:
             lines.append(f"arrow {i}: {fld} {name!r} is not a vertex")
         for v, out, inc in self.conservation:
@@ -153,20 +155,15 @@ def validate(c: Comte) -> ValidationReport:
     sides of the balance at its vertex, so it never violates conservation.
     """
     base = validate_graph(c.graph)
-    flow_count_ok = len(c.flows) == len(c.graph.arrows)
-    bad = []
-    if flow_count_ok:
-        out: dict[str, int] = {v: 0 for v in c.graph.vertices}
-        inc: dict[str, int] = {v: 0 for v in c.graph.vertices}
-        for a, f in zip(c.graph.arrows, c.flows):
-            if a.source in out:
-                out[a.source] += f
-            if a.target in inc:
-                inc[a.target] += f
-        for v in out:
-            if out[v] != inc[v]:
-                bad.append((v, out[v], inc[v]))
-    return ValidationReport(base.dangling, tuple(bad), flow_count_ok, base.duplicate)
+    out: dict[str, int] = {v: 0 for v in c.graph.vertices}
+    inc: dict[str, int] = {v: 0 for v in c.graph.vertices}
+    for a, f in zip(c.graph.arrows, c.flows):
+        if a.source in out:
+            out[a.source] += f
+        if a.target in inc:
+            inc[a.target] += f
+    bad = tuple((v, out[v], inc[v]) for v in out if out[v] != inc[v])
+    return ValidationReport(base.dangling, bad, base.duplicate)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +302,10 @@ def contract_with_map(g: SelfIndexedGraph, T) -> tuple[SelfIndexedGraph, dict[st
 #
 # Canonicalization has two steps.  The labeling step (``canonical_labeling``)
 # runs the tree search and yields the byte key with the winning bijection;
-# the build step (``build_canonical_form``) turns that labeling into named
-# vertices, arrows, flows and the maps from the input.  ``canonical_key``
-# runs the first step only, ``canonical_form`` both, and the move search
-# labels every child but builds a state only when it expands it or walks
-# it on the trace.
+# the build step turns that labeling into named vertices, arrows, flows and
+# the maps from the input.  ``canonical_key`` runs the first step only,
+# ``canonical_form`` both, and the move search keeps every state as its
+# labeling and builds it only while it expands it or walks it on the trace.
 
 
 @dataclass(frozen=True)
@@ -472,17 +468,6 @@ def _labeled_graph(lab: CanonicalLabeling, shared: dict | None = None) -> SelfIn
     return g
 
 
-def build_canonical_form(obj: Comte | SelfIndexedGraph, lab: CanonicalLabeling, shared: dict | None = None) -> CanonicalForm:
-    """The build step: the canonical form of ``obj`` under its labeling
-    ``lab``, which must be ``canonical_labeling(obj)``; ``shared`` as for
-    ``canonical_form``."""
-    g = obj.graph if isinstance(obj, Comte) else obj
-    new_graph = _labeled_graph(lab, shared)
-    vmap = {v: new_graph.vertices[r] for v, r in zip(g.vertices, lab.vertex_ranks)}
-    new_flows = tuple(e[3] for e in lab.arrows) if isinstance(obj, Comte) else None
-    return CanonicalForm(lab.key, vmap, tuple(lab.arrow_perm()), new_graph, new_flows)
-
-
 def canonical_form(obj: Comte | SelfIndexedGraph, shared: dict | None = None) -> CanonicalForm:
     """Canonical form of a graph or comte, exact under isomorphism: the
     labeling step, then the build step.
@@ -492,7 +477,12 @@ def canonical_form(obj: Comte | SelfIndexedGraph, shared: dict | None = None) ->
     at first and written only by these calls, share one vertex-name tuple
     per vertex count and one ``Arrow`` per canonical (source, target, label).
     """
-    return build_canonical_form(obj, canonical_labeling(obj), shared)
+    lab = canonical_labeling(obj)
+    g = obj.graph if isinstance(obj, Comte) else obj
+    new_graph = _labeled_graph(lab, shared)
+    vmap = {v: new_graph.vertices[r] for v, r in zip(g.vertices, lab.vertex_ranks)}
+    new_flows = tuple(e[3] for e in lab.arrows) if isinstance(obj, Comte) else None
+    return CanonicalForm(lab.key, vmap, tuple(lab.arrow_perm()), new_graph, new_flows)
 
 
 def canonical_key(obj: Comte | SelfIndexedGraph) -> bytes:

@@ -77,7 +77,8 @@ from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations
 
-from .core import Arrow, Comte, SelfIndexedGraph, _canonical_labeling, _index_form, _labeled_graph, _require_int, canonical_form
+from .core import (Arrow, Comte, SelfIndexedGraph, _canonical_labeling, _index_form, _labeled_graph, _require_int,
+                   canonical_form, canonical_labeling)
 
 class MoveError(ValueError):
     """Raised when a move instance does not apply to the given comte."""
@@ -729,62 +730,41 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
     None.  None is *not* a proof of inequivalence: the relation is only
     semi-decidable and the search is sound but incomplete.
     """
+    if not (isinstance(c1, Comte) and isinstance(c2, Comte)):
+        raise TypeError("equivalent_bounded takes two comtes; as_comte(g) is the bare graph g as one")
     budget = budget or SearchBudget()
-    start, goal = canonical_form(c1), canonical_form(c2)
+    start, goal = canonical_labeling(c1), canonical_labeling(c2)
     if start.key == goal.key:
         return MoveTrace(())
-    # visited[side][key] = (comte, labeling, parent_key, instance_on_parent,
-    # inverse_on_comte).  A kept child is stored unbuilt: no comte, its
-    # labeling (whose arrows are its canonical index state) and its inverse
-    # in index form; ``built`` names it and its inverse, with the labeling
-    # None, once the state is expanded or the trace reads its inverse.
-    visited = [
-        {start.key: (start.comte, None, None, None, None)},
-        {goal.key: (goal.comte, None, None, None, None)},
-    ]
+    # visited[side][key] = (labeling, parent_key, instance_on_parent,
+    # inverse_in_index_form); the labeling's arrows are the canonical index
+    # state, named only while it is expanded or a trace's backward half reads it
+    visited = [{start.key: (start, None, None, None)}, {goal.key: (goal, None, None, None)}]
     frontier = [[start.key], [goal.key]]
     n_states = 2
 
-    def built(side, key):
-        entry = _, lab, parent, inst, inv = visited[side][key]
-        if lab is not None:
-            g = _labeled_graph(lab)
-            inv = _named_instance(inv, [g.vertices[r] for r in lab.vertex_ranks], lab.arrow_perm())
-            entry = Comte(g, tuple(e[3] for e in lab.arrows)), None, parent, inst, inv
-            visited[side][key] = entry
-        return entry
+    def walk(side, k):
+        # each state from k back to the end of `side`, with its entry
+        while (entry := visited[side][k])[1] is not None:
+            yield k, entry
+            k = entry[1]
 
     def build_trace(meet_key, child_data, side):
         # child_data: the new edge discovered from `side` into the other side;
-        # the search ends here, so it is recorded in place.  The forward half
-        # reads only instances on parents, which were built to be expanded;
-        # the backward half reads each state's inverse, so it builds the
-        # meeting state
+        # the search ends here, so it is recorded in place
         visited[side][meet_key] = child_data
-        steps = []
-        k = meet_key
-        while True:
-            _, _, parent, inst, _ = visited[0][k]
-            if parent is None:
-                break
-            steps.append(TraceStep(inst, parent, k))
-            k = parent
-        steps.reverse()
-        k = meet_key
-        while True:
-            _, _, parent, _, inv = built(1, k)
-            if parent is None:
-                break
-            steps.append(TraceStep(inv, k, parent))
-            k = parent
+        steps = [TraceStep(inst, parent, k) for k, (_, parent, inst, _) in walk(0, meet_key)][::-1]
+        for k, (lab, parent, _, inv) in walk(1, meet_key):
+            names = _labeled_graph(lab).vertices
+            steps.append(TraceStep(_named_instance(inv, [names[r] for r in lab.vertex_ranks], lab.arrow_perm()), k, parent))
         return MoveTrace(tuple(steps))
 
     while frontier[0] and frontier[1] and n_states < budget.max_states:
         side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
-        other = 1 - side
         new_frontier = []
         for key in frontier[side]:
-            state = built(side, key)[0]
+            lab = visited[side][key][0]
+            state = Comte(_labeled_graph(lab), tuple(e[3] for e in lab.arrows))
             idx, arrs = _index_form(state.graph)
             index_state = (len(idx), arrs, state.flows)
             # no forward move grows a state and each inverse one adds an
@@ -803,11 +783,11 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
                         continue
                     if n > budget.max_vertices or len(child_arrs) > budget.max_arrows:
                         continue
-                    # every child is labeled; a new one is kept unbuilt
-                    lab = _canonical_labeling(n, [(s, t, l, f) for (s, t, l), f in zip(child_arrs, flows)], b"c")
-                    child_key = lab.key
-                    entry = (None, lab, key, inst, inv)
-                    if child_key in visited[other]:
+                    # every child is labeled, and kept as its labeling
+                    child = _canonical_labeling(n, [(s, t, l, f) for (s, t, l), f in zip(child_arrs, flows)], b"c")
+                    child_key = child.key
+                    entry = (child, key, inst, inv)
+                    if child_key in visited[1 - side]:
                         return build_trace(child_key, entry, side)
                     if child_key not in visited[side]:
                         visited[side][child_key] = entry

@@ -83,8 +83,8 @@ class TestValidate:
         assert validate(comte("a", [("a", "a", "a", 5)])).ok
 
     def test_flow_length_mismatch(self):
-        rep = validate(Comte(TREFOIL.graph, (1, 1)))
-        assert not rep.flow_count_ok
+        with pytest.raises(ValueError, match="^flow list length does not match arrow count$"):
+            Comte(TREFOIL.graph, (1, 1))
 
 
 class TestClassify:

@@ -17,10 +17,11 @@ names (``validate_graph``, ``encode``, ``classify`` and the two
 presentations), which return their result.
 
 ``apply_move`` checks the arrow indices and the parameters of its
-``MoveInstance`` the same way, and ``state_sum`` the degrees of its
-``Chain`` and ``Cochain`` and every chain coefficient.  The other value
-records that the library builds itself (``FiniteRack``, ``Comte``) are
-not swept.
+``MoveInstance`` the same way, ``state_sum`` the degrees of its ``Chain``
+and ``Cochain`` and every chain coefficient, and ``Comte`` every flow; a
+``Comte`` whose flow list is shorter or longer than its arrow list is a
+``ValueError``.  ``FiniteRack``, the other value record that the library
+builds itself, is not swept.
 """
 
 import dataclasses
@@ -51,6 +52,7 @@ NON_NEGATIVE, POSITIVE, RANGE, INDEX, VALID = "non-negative", "positive", ValueE
 # (exported name, call with the value, name in the message, what -1 gives)
 INTEGER_ARGUMENTS = [
     ("comte", lambda x: comtes.comte("a", [("a", "a", "a", x)]), "arrows[0].flow", VALID),
+    ("Comte", lambda x: comtes.Comte(graph("a", [("a", "a", "a")]), (x,)), "arrows[0].flow", VALID),
     ("contract", lambda x: comtes.contract(G, [x]), "arrow index", INDEX),
     *[
         ("SearchBudget", lambda x, f=f.name: comtes.SearchBudget(**{f: x}), f.name,
@@ -234,6 +236,15 @@ def test_a_float_coefficient_is_not_summed():
     cochain = cochain_from_cocycle2_on(s4, f)
     with pytest.raises(TypeError, match=r"^chain coefficient must be an integer, got 1\.5$"):
         comtes.state_sum(tre.graph, chain, comtes.graph_of_rack(s4), cochain, f.group)
+
+
+@pytest.mark.parametrize("flows", [(1,), (1, 1, 1)], ids=["short", "long"])
+def test_a_flow_list_of_the_wrong_length_is_refused(flows):
+    # one flow on the Hopf link's two arrows used to give the linking
+    # matrix {(0, 1): 0, (1, 0): -1}, and four on the trefoil's three an
+    # IndexError from phi_invariant
+    with pytest.raises(ValueError, match="^flow list length does not match arrow count$"):
+        comtes.Comte(C.graph, flows)
 
 
 def test_quotient_names_a_missing_pair_vertex():

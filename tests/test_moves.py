@@ -30,6 +30,7 @@ from comtes.moves import (
     replay_trace,
 )
 from comtes.coloring import coloring_count
+from comtes.links import REIDEMEISTER_PAIRS, comte_of_gauss, parse_gauss_code
 from comtes.racks import tetrahedron_quandle
 from reference import _incident_slots, _r2_split_flow, _slot, named_apply_move_detailed
 
@@ -387,30 +388,31 @@ class TestSearch:
         import comtes.moves
 
         flows = set()
-        real_form = comtes.moves.canonical_form
+        real_end = comtes.moves.canonical_labeling
         real_label = comtes.moves._canonical_labeling
 
-        def form(c):
+        def end(c):
             flows.update(c.flows)
-            return real_form(c)
+            return real_end(c)
 
         def label(n, arrs, tag):
             flows.update(f for *_, f in arrs)
             return real_label(n, arrs, tag)
 
-        # the ends go through canonical_form, every child through the index
-        # labeling core
-        monkeypatch.setattr(comtes.moves, "canonical_form", form)
+        # the ends go through canonical_labeling, every child through the
+        # index labeling core
+        monkeypatch.setattr(comtes.moves, "canonical_labeling", end)
         monkeypatch.setattr(comtes.moves, "_canonical_labeling", label)
         budget = SearchBudget(max_states=300, max_vertices=4, max_arrows=5, flow_lo=-1, flow_hi=2)
         assert equivalent_bounded(_zeroed(TREFOIL), comte("a", []), dataclasses.replace(budget, **BARE)) is None
         assert flows == {0}
 
     @pytest.mark.parametrize("name", ["figure_eight", "looped_trefoil", "g2_g3", "g2_g3_without_vertex_room"])
-    def test_each_kept_state_is_built_once(self, monkeypatch, name):
+    def test_each_expanded_state_is_built_once(self, monkeypatch, name):
         # counted from outside: one labeling per successful apply, since every
-        # child of a state within the budget fits; a kept state is built at
-        # most once, when it is expanded or when the trace reads its inverse
+        # child of a state within the budget fits; every state is kept as its
+        # labeling, built right before it is expanded, and built again only
+        # when the backward half of a found trace reads its inverse
         import comtes.moves
 
         start, target, budget = {
@@ -423,17 +425,17 @@ class TestSearch:
             "g2_g3": (G2, G3, G2G3_BUDGET),
             "g2_g3_without_vertex_room": (G2, G3, dataclasses.replace(G2G3_BUDGET, max_vertices=3, max_states=5000)),
         }[name]
-        ends, labeled, built, children, expanded = [], [], [], [], []
-        real_form = comtes.moves.canonical_form
+        ends, labeled, children, events = [], [], [], []
+        real_end = comtes.moves.canonical_labeling
         real_label = comtes.moves._canonical_labeling
         real_build = comtes.moves._labeled_graph
         real_apply = comtes.moves._apply_rule
         real_enumerate = comtes.moves.enumerate_moves
 
-        def form(c):
-            cf = real_form(c)
-            ends.append(cf.key)
-            return cf
+        def end(c):
+            lab = real_end(c)
+            ends.append(lab.key)
+            return lab
 
         def label(n, arrs, tag):
             lab = real_label(n, arrs, tag)
@@ -441,7 +443,7 @@ class TestSearch:
             return lab
 
         def build(lab):
-            built.append(lab.key)
+            events.append(("build", lab.key))
             return real_build(lab)
 
         def apply(state, m, names, idx):
@@ -451,28 +453,63 @@ class TestSearch:
 
         def enumerate_(c, budget):
             # each expansion enumerates the forward moves once
-            expanded.append(canonical_key(c))
+            events.append(("expand", canonical_key(c)))
             return real_enumerate(c, budget)
 
-        for attr, fn in (("canonical_form", form), ("_canonical_labeling", label), ("_labeled_graph", build),
+        for attr, fn in (("canonical_labeling", end), ("_canonical_labeling", label), ("_labeled_graph", build),
                          ("_apply_rule", apply), ("enumerate_moves", enumerate_)):
             monkeypatch.setattr(comtes.moves, attr, fn)
         trace = equivalent_bounded(start, target, budget)
         found = trace is not None
         assert found == (name != "figure_eight")
+        assert len(ends) == 2
         assert len(labeled) == len(children)
-        on_trace = {k for step in trace.steps for k in (step.before_key, step.after_key)} if found else set()
-        # the ends are canonical from the start; every other state is built
-        # once, and only when it is expanded or on the trace, where only the
-        # meeting state may be built without being expanded
+        expanded = [k for event, k in events if event == "expand"]
         assert len(set(expanded)) == len(expanded)
-        assert len(set(built)) == len(built)
-        assert set(expanded) - set(ends) <= set(built) <= (set(expanded) | on_trace) - set(ends)
-        assert len(set(built) - set(expanded)) <= found
+        # each expansion builds its state once, right before it, and builds
+        # nothing else
+        head, tail = events[: 2 * len(expanded)], events[2 * len(expanded) :]
+        assert head == [event for k in expanded for event in (("build", k), ("expand", k))]
+        # after the search, only the states whose inverses the trace reads
+        # are built, in trace order; these end at the target, unbuilt
+        backward = [k for _, k in tail]
+        assert all(event == "build" for event, _ in tail)
+        assert backward == ([step.before_key for step in trace.steps[len(trace) - len(backward) :]] if found else [])
+        if backward:
+            assert trace.steps[-1].after_key == ends[1] not in backward
         if not found:
             kept = set(labeled) - set(ends)
             assert len(kept) + len(ends) == budget.max_states
-            assert len(built) == 17
+            assert len(expanded) == 19
+
+    def test_a_bare_graph_end_is_a_type_error(self):
+        # the ends are labeled as they come, so a bare graph would be
+        # searched as a zero-flow comte under another key tag
+        for ends in ((TREFOIL.graph, TREFOIL.graph), (TREFOIL, FIGURE_EIGHT.graph)):
+            with pytest.raises(TypeError, match="^equivalent_bounded takes two comtes"):
+                equivalent_bounded(*ends)
+
+    @pytest.mark.parametrize("pair, calls", [("r1", []), ("r3", [94])], ids=["r1", "r3"])
+    def test_inverse_instances_are_listed_after_the_forward_children(self, monkeypatch, pair, calls):
+        # a state lists its inverse instances only once all of its forward
+        # children are applied and none met the other side: the R1 pair
+        # meets on a forward move of the first state expanded, and listing
+        # eagerly would list 120 instances there and 188 on the R3 pair
+        import comtes.moves
+
+        counts = []
+        real_inverse = comtes.moves.inverse_instances
+
+        def inverse(c, budget, **kw):
+            out = real_inverse(c, budget, **kw)
+            counts.append(len(out))
+            return out
+
+        monkeypatch.setattr(comtes.moves, "inverse_instances", inverse)
+        before, after = {name: codes for name, *codes in REIDEMEISTER_PAIRS}[pair]
+        trace = equivalent_bounded(comte_of_gauss(parse_gauss_code(before)), comte_of_gauss(parse_gauss_code(after)))
+        assert len(trace) == {"r1": 1, "r3": 2}[pair]
+        assert counts == calls
 
     def test_trace_format(self):
         c2 = apply_move(TREFOIL, MoveInstance("R1loopadd", vertices=("a",), params=(1,)))
@@ -657,20 +694,20 @@ class TestSizeChange:
         import comtes.moves
 
         sizes = []
-        real_form = comtes.moves.canonical_form
+        real_end = comtes.moves.canonical_labeling
         real_label = comtes.moves._canonical_labeling
 
-        def form(c):
+        def end(c):
             sizes.append((len(c.vertices), len(c.arrows)))
-            return real_form(c)
+            return real_end(c)
 
         def label(n, arrs, tag):
             sizes.append((n, len(arrs)))
             return real_label(n, arrs, tag)
 
-        # the ends go through canonical_form, every child through the index
-        # labeling core
-        monkeypatch.setattr(comtes.moves, "canonical_form", form)
+        # the ends go through canonical_labeling, every child through the
+        # index labeling core
+        monkeypatch.setattr(comtes.moves, "canonical_labeling", end)
         monkeypatch.setattr(comtes.moves, "_canonical_labeling", label)
         looped_kink = comte(
             "a b c d",
