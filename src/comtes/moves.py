@@ -77,8 +77,8 @@ from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations
 
-from .core import (Arrow, Comte, SelfIndexedGraph, _canonical_labeling, _index_form, _labeled_graph, _require_int,
-                   canonical_form, canonical_labeling)
+from .core import (Arrow, CanonicalLabeling, Comte, SelfIndexedGraph, _canonical_labeling, _index_form, _labeled_graph,
+                   _require_int, canonical_form, canonical_labeling)
 
 class MoveError(ValueError):
     """Raised when a move instance does not apply to the given comte."""
@@ -560,12 +560,19 @@ class SearchBudget:
             raise ValueError(f"empty flow window: flow_lo={self.flow_lo} > flow_hi={self.flow_hi}")
 
 
+def _require_budget(budget) -> SearchBudget:
+    if not isinstance(budget, SearchBudget):
+        raise TypeError(f"budget must be a SearchBudget, got {budget!r}")
+    return budget
+
+
 def enumerate_moves(c: Comte, budget: SearchBudget = SearchBudget()) -> list[MoveInstance]:
     """Complete list of applicable forward move instances.
 
     R3b instances are emitted for shifts J in +-``budget.r3b_range`` (the
     family is infinite; the window is a search parameter).
     """
+    _require_budget(budget)
     names, flows, arrs = c.graph.vertices, c.flows, _index_form(c.graph)[1]
     out: list[MoveInstance] = []
     # R0: the one arrow at p, if it is a site
@@ -634,7 +641,7 @@ def inverse_instances(
     instances (R0inv, R1split, fresh splits) and keeps the order of the
     rest.
     """
-    flow_lo, flow_hi = budget.flow_lo, budget.flow_hi
+    flow_lo, flow_hi = _require_budget(budget).flow_lo, budget.flow_hi
     names, flows, arrs = c.graph.vertices, c.flows, _index_form(c.graph)[1]
     out: list[MoveInstance] = []
     # the vertices a vertex-adding instance (R0inv, R1split) may start from
@@ -710,7 +717,7 @@ class MoveTrace:
 
 def replay_trace(c: Comte, trace: MoveTrace) -> Comte:
     """Replay a trace from ``c``, checking the recorded canonical keys; the
-    canonical form of the final comte is returned."""
+    canonical comte of the final state is returned."""
     cf = canonical_form(c)
     state, key = cf.comte, cf.key
     for step in trace.steps:
@@ -732,16 +739,34 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
     """
     if not (isinstance(c1, Comte) and isinstance(c2, Comte)):
         raise TypeError("equivalent_bounded takes two comtes; as_comte(g) is the bare graph g as one")
-    budget = budget or SearchBudget()
-    start, goal = canonical_labeling(c1), canonical_labeling(c2)
-    if start.key == goal.key:
+    budget = _require_budget(SearchBudget() if budget is None else budget)
+    ends = canonical_labeling(c1), canonical_labeling(c2)
+    if ends[0].key == ends[1].key:
         return MoveTrace(())
-    # visited[side][key] = (labeling, parent_key, instance_on_parent,
-    # inverse_in_index_form); the labeling's arrows are the canonical index
-    # state, named only while it is expanded or a trace's backward half reads it
-    visited = [{start.key: (start, None, None, None)}, {goal.key: (goal, None, None, None)}]
-    frontier = [[start.key], [goal.key]]
+    # one tuple per distinct canonical (source, target, label, flow) arrow;
+    # the builds share one vertex-name tuple and one Arrow the same way
+    arrow_tuples, shared = {}, {}
+
+    def kept(lab):
+        return len(lab.vertex_ranks), tuple([arrow_tuples.setdefault(a, a) for a in lab.arrows])
+
+    # visited[side][key] = ((n, arrows), parent_key, instance_on_parent): the
+    # vertex count and canonical arrows of the state, named only while it is
+    # expanded or while a trace's backward half applies its move again
+    visited = [{lab.key: (kept(lab), None, None)} for lab in ends]
+    frontier = [[lab.key] for lab in ends]
     n_states = 2
+
+    def build(side, key):
+        # the canonical comte, which the identity labels, and its index form
+        (n, arrows), _, _ = visited[side][key]
+        lab = CanonicalLabeling(key, range(n), range(len(arrows)), arrows)
+        state = Comte(_labeled_graph(lab, shared), tuple([a[3] for a in arrows]))
+        idx, arrs = _index_form(state.graph)
+        return state, idx, (n, arrs, state.flows)
+
+    def label(n, arrs, flows):
+        return _canonical_labeling(n, [(s, t, l, f) for (s, t, l), f in zip(arrs, flows)], b"c")
 
     def walk(side, k):
         # each state from k back to the end of `side`, with its entry
@@ -749,48 +774,48 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
             yield k, entry
             k = entry[1]
 
-    def build_trace(meet_key, child_data, side):
-        # child_data: the new edge discovered from `side` into the other side;
-        # the search ends here, so it is recorded in place
-        visited[side][meet_key] = child_data
-        steps = [TraceStep(inst, parent, k) for k, (_, parent, inst, _) in walk(0, meet_key)][::-1]
-        for k, (lab, parent, _, inv) in walk(1, meet_key):
-            names = _labeled_graph(lab).vertices
-            steps.append(TraceStep(_named_instance(inv, [names[r] for r in lab.vertex_ranks], lab.arrow_perm()), k, parent))
+    def build_trace(meet_key, child_entry, side):
+        # child_entry: the new edge discovered from `side` into the other
+        # side; the search ends here, so it is recorded in place
+        visited[side][meet_key] = child_entry
+        steps = [TraceStep(inst, parent, k) for k, (_, parent, inst) in walk(0, meet_key)][::-1]
+        for k, (_, parent, inst) in walk(1, meet_key):
+            # applying and labeling are deterministic, so this is the inverse
+            # and the labeling that the search saw; canonical vertex r is str(r)
+            state, idx, index_state = build(1, parent)
+            (n, arrs, flows), inv, _, _ = _apply_rule(index_state, inst, state.vertices, idx)
+            lab = label(n, arrs, flows)
+            steps.append(TraceStep(_named_instance(inv, [str(r) for r in lab.vertex_ranks], lab.arrow_perm()), k, parent))
         return MoveTrace(tuple(steps))
 
     while frontier[0] and frontier[1] and n_states < budget.max_states:
         side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
         new_frontier = []
         for key in frontier[side]:
-            lab = visited[side][key][0]
-            state = Comte(_labeled_graph(lab), tuple(e[3] for e in lab.arrows))
-            idx, arrs = _index_form(state.graph)
-            index_state = (len(idx), arrs, state.flows)
+            state, idx, index_state = build(side, key)
             # no forward move grows a state and each inverse one adds an
             # arrow, so inverse instances are generated only with arrow room
             # and vertex-adding ones only with vertex room; then only an end
             # state beyond the budget has children that do not fit
             enumerators = [enumerate_moves]
-            if len(arrs) < budget.max_arrows:
+            if len(state.arrows) < budget.max_arrows:
                 new_vertices = len(idx) < budget.max_vertices
                 enumerators.append(partial(inverse_instances, new_vertices=new_vertices))
             for enumerator in enumerators:
                 for inst in enumerator(state, budget):
                     try:
-                        (n, child_arrs, flows), inv, _, _ = _apply_rule(index_state, inst, state.vertices, idx)
+                        (n, child_arrs, flows), _, _, _ = _apply_rule(index_state, inst, state.vertices, idx)
                     except MoveError:
                         continue
                     if n > budget.max_vertices or len(child_arrs) > budget.max_arrows:
                         continue
-                    # every child is labeled, and kept as its labeling
-                    child = _canonical_labeling(n, [(s, t, l, f) for (s, t, l), f in zip(child_arrs, flows)], b"c")
+                    # every child is labeled, and kept as its canonical arrows
+                    child = label(n, child_arrs, flows)
                     child_key = child.key
-                    entry = (child, key, inst, inv)
                     if child_key in visited[1 - side]:
-                        return build_trace(child_key, entry, side)
+                        return build_trace(child_key, (kept(child), key, inst), side)
                     if child_key not in visited[side]:
-                        visited[side][child_key] = entry
+                        visited[side][child_key] = (kept(child), key, inst)
                         new_frontier.append(child_key)
                         n_states += 1
                         if n_states >= budget.max_states:

@@ -22,6 +22,10 @@ and ``Cochain`` and every chain coefficient, and ``Comte`` every flow; a
 ``Comte`` whose flow list is shorter or longer than its arrow list is a
 ``ValueError``.  ``FiniteRack``, the other value record that the library
 builds itself, is not swept.
+
+The move enumerators and the search take a ``SearchBudget`` and nothing
+else as their budget: any other value is a ``TypeError`` that names it,
+and ``None`` is the search's default budget alone.
 """
 
 import dataclasses
@@ -245,6 +249,33 @@ def test_a_flow_list_of_the_wrong_length_is_refused(flows):
     # IndexError from phi_invariant
     with pytest.raises(ValueError, match="^flow list length does not match arrow count$"):
         comtes.Comte(C.graph, flows)
+
+
+# what a budget that is not a SearchBudget used to give: 0 ran the
+# search's default budget, a dict an empty trace from the search of a
+# comte to itself and a list from enumerate_moves, which reads the budget
+# only at an R3 square, and inverse_instances an AttributeError
+BUDGET_ARGUMENTS = [
+    ("equivalent_bounded", lambda b: comtes.equivalent_bounded(C, C, b)),
+    ("equivalent_bounded", lambda b: comtes.equivalent_bounded(C, comtes.comte("a", []), b)),
+    ("enumerate_moves", lambda b: comtes.enumerate_moves(C, b)),
+    ("inverse_instances", lambda b: comtes.inverse_instances(C, b)),
+]
+
+
+@pytest.mark.parametrize("value", [0, 5000, {"max_states": 5}, (5000,)], ids=repr)
+@pytest.mark.parametrize("name, call", BUDGET_ARGUMENTS,
+                         ids=["equivalent_bounded-same-ends", "equivalent_bounded", "enumerate_moves", "inverse_instances"])
+def test_a_budget_that_is_not_a_search_budget_is_a_type_error(name, call, value):
+    with pytest.raises(TypeError, match=f"^budget must be a SearchBudget, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_none_is_the_default_budget_of_the_search_alone():
+    assert comtes.equivalent_bounded(C, C, None) == comtes.MoveTrace(())
+    for enumerator in (comtes.enumerate_moves, comtes.inverse_instances):
+        with pytest.raises(TypeError, match="^budget must be a SearchBudget, got None$"):
+            enumerator(C, None)
 
 
 def test_quotient_names_a_missing_pair_vertex():

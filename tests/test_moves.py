@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -411,8 +412,9 @@ class TestSearch:
     def test_each_expanded_state_is_built_once(self, monkeypatch, name):
         # counted from outside: one labeling per successful apply, since every
         # child of a state within the budget fits; every state is kept as its
-        # labeling, built right before it is expanded, and built again only
-        # when the backward half of a found trace reads its inverse
+        # canonical arrows and built right before it is expanded, and the
+        # backward half of a found trace builds the parent of each of its
+        # steps again, applies the step's move once more and labels the child
         import comtes.moves
 
         start, target, budget = {
@@ -425,7 +427,7 @@ class TestSearch:
             "g2_g3": (G2, G3, G2G3_BUDGET),
             "g2_g3_without_vertex_room": (G2, G3, dataclasses.replace(G2G3_BUDGET, max_vertices=3, max_states=5000)),
         }[name]
-        ends, labeled, children, events = [], [], [], []
+        ends, labeled, events = [], [], []
         real_end = comtes.moves.canonical_labeling
         real_label = comtes.moves._canonical_labeling
         real_build = comtes.moves._labeled_graph
@@ -440,15 +442,16 @@ class TestSearch:
         def label(n, arrs, tag):
             lab = real_label(n, arrs, tag)
             labeled.append(lab.key)
+            events.append(("label", lab.key))
             return lab
 
-        def build(lab):
+        def build(lab, shared=None):
             events.append(("build", lab.key))
-            return real_build(lab)
+            return real_build(lab, shared)
 
         def apply(state, m, names, idx):
             res = real_apply(state, m, names, idx)
-            children.append(res)
+            events.append(("apply", None))
             return res
 
         def enumerate_(c, budget):
@@ -463,24 +466,80 @@ class TestSearch:
         found = trace is not None
         assert found == (name != "figure_eight")
         assert len(ends) == 2
-        assert len(labeled) == len(children)
+        assert len(labeled) == sum(event == "apply" for event, _ in events)
         expanded = [k for event, k in events if event == "expand"]
         assert len(set(expanded)) == len(expanded)
+        # the search ends with the children of the last expansion; what
+        # comes after them is the backward half of the trace
+        last = max(i for i, (event, _) in enumerate(events) if event == "expand")
+        cut = next((i for i in range(last, len(events)) if events[i][0] == "build"), len(events))
+        search, tail = events[:cut], events[cut:]
         # each expansion builds its state once, right before it, and builds
         # nothing else
-        head, tail = events[: 2 * len(expanded)], events[2 * len(expanded) :]
-        assert head == [event for k in expanded for event in (("build", k), ("expand", k))]
-        # after the search, only the states whose inverses the trace reads
-        # are built, in trace order; these end at the target, unbuilt
-        backward = [k for _, k in tail]
-        assert all(event == "build" for event, _ in tail)
-        assert backward == ([step.before_key for step in trace.steps[len(trace) - len(backward) :]] if found else [])
+        assert [e for e in search if e[0] in ("build", "expand")] == [
+            event for k in expanded for event in (("build", k), ("expand", k))
+        ]
+        # after the search, only the parents of the backward-half steps are
+        # built, in trace order, and each applies one move and labels one child
+        backward = trace.steps[len(trace) - len(tail) // 3 :] if found else ()
+        assert tail == [
+            event for step in backward
+            for event in (("build", step.after_key), ("apply", None), ("label", step.before_key))
+        ]
         if backward:
-            assert trace.steps[-1].after_key == ends[1] not in backward
+            assert backward[-1].after_key == ends[1]
         if not found:
             kept = set(labeled) - set(ends)
             assert len(kept) + len(ends) == budget.max_states
             assert len(expanded) == 19
+
+    def test_an_exhausting_search_keeps_its_states_small(self):
+        # under tracemalloc, trefoil -> figure eight under 2,000 states
+        # peaked at 3.0 MiB while each state kept its labeling and its
+        # inverse move, and peaks at 1.3 MiB with its canonical arrows
+        # alone, one tuple per distinct arrow
+        tracemalloc.start()
+        try:
+            trace = equivalent_bounded(TREFOIL, FIGURE_EIGHT, SearchBudget(max_states=2000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace is None
+        assert peak < 2 * 2**20, peak
+
+    def test_found_traces_replay_through_their_backward_half(self, monkeypatch, make_comte, rng):
+        # each target is a random comte after one to three random moves,
+        # inverse ones included; a search in either direction that finds a
+        # trace must replay it to the target, the backward half's inverse
+        # moves, rebuilt from their parents, included
+        import comtes.moves
+
+        named = []
+        real_named = comtes.moves._named_instance
+
+        def name(*args):
+            # the search names the inverse of each backward-half step here
+            named.append(args)
+            return real_named(*args)
+
+        budget = SearchBudget(max_states=200, max_vertices=4, max_arrows=5, r3b_range=1, max_split_slots=4)
+        found = backward = 0
+        for _ in range(40):
+            start = target = make_comte(nmax=3, amax=3)
+            for _ in range(rng.randint(1, 3)):
+                pool = enumerate_moves(target, budget) + inverse_instances(target, budget)
+                target = apply_move(target, pool[rng.randrange(len(pool))])
+            for a, b in ((start, target), (target, start)):
+                named.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(comtes.moves, "_named_instance", name)
+                    trace = equivalent_bounded(a, b, budget)
+                if trace is None:
+                    continue
+                assert canonical_key(replay_trace(a, trace)) == canonical_key(b)
+                found += 1
+                backward += len(named)
+        assert found >= 40 and backward >= 20, (found, backward)
 
     def test_a_bare_graph_end_is_a_type_error(self):
         # the ends are labeled as they come, so a bare graph would be
