@@ -641,7 +641,8 @@ def inverse_instances(
     instances (R0inv, R1split, fresh splits) and keeps the order of the
     rest.
     """
-    flow_lo, flow_hi = _require_budget(budget).flow_lo, budget.flow_hi
+    _require_budget(budget)
+    flow_lo, flow_hi = budget.flow_lo, budget.flow_hi
     names, flows, arrs = c.graph.vertices, c.flows, _index_form(c.graph)[1]
     out: list[MoveInstance] = []
     # the vertices a vertex-adding instance (R0inv, R1split) may start from
