@@ -304,8 +304,10 @@ def contract_with_map(g: SelfIndexedGraph, T) -> tuple[SelfIndexedGraph, dict[st
 # runs the tree search and yields the byte key with the winning bijection;
 # the build step turns that labeling into named vertices, arrows, flows and
 # the maps from the input.  ``canonical_key`` runs the first step only,
-# ``canonical_form`` both, and the move search keeps every state as its
-# labeling and builds it only while it expands it or walks it on the trace.
+# ``canonical_form`` both.  The move search keeps every state as its vertex
+# count and canonical arrows and builds its comte only to expand it; on a
+# found trace's backward half it builds each parent again, applies the
+# stored move and labels the child, which names the inverse move.
 
 
 @dataclass(frozen=True)

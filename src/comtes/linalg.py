@@ -6,9 +6,10 @@ keyed by ``int`` columns (a row of another type, a dense list included,
 or a float or a ``bool`` is a ``TypeError``, a negative column a
 ``ValueError``); zero entries are ignored and the rows are never
 changed.  One sparse elimination serves every routine.  Its
-pivot is a smallest entry, from the shortest column.  The columns are kept
-in buckets by length, so a pick reads the entries of the shortest columns
-that hold a unit, not every nonzero.  A unit pivot is retired by row
+pivot is the least (|entry|, column length, column, row length, row).  The
+columns are kept in buckets by length, so a unit pick reads the shortest
+unit-holding bucket's columns in index order up to the first that holds a
+unit, not every nonzero.  A unit pivot is retired by row
 operations alone: its column is cleared, then its row is dropped.  A
 non-unit pivot reduces its column and row by floor division, and the least
 remainder left becomes the next pivot.  The elimination records the column
@@ -103,11 +104,14 @@ def _eliminate(matrix, ncols=None):
     that is not a ``dict``, or a column or an entry that is not an
     ``int`` (or is a ``bool``), is a ``TypeError``, and a negative column
     a ``ValueError``.  Each pick from
-    the matrix is the least (|entry|, column length, row length, column,
+    the matrix is the least (|entry|, column length, column, row length,
     row), so units in short columns go first and fill stays low on sparse
     boundary matrices.  The columns are kept in buckets by length, and a
-    pick reads the buckets in rising length up to the first that holds a
-    unit; only when no unit is left does it read every entry.
+    pick reads the buckets in rising length and each bucket's columns in
+    rising index up to the first column that holds a unit, whose unit of
+    least (row length, row) is the pivot.  It skips the columns an earlier
+    pick found without a unit until an operation writes into them; only
+    when no unit is left does it read every entry.
     """
     q = None if ncols is None else [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     rows: dict[int, dict[int, int]] = {}
@@ -135,10 +139,13 @@ def _eliminate(matrix, ncols=None):
                 cols.setdefault(c, set()).add(r)
     # The column-length index: by_length[n] holds the columns of length n
     # as of the last rebucket(); each column that gains or loses a row is
-    # noted in resized and moved once before the next pick.
+    # noted in resized and moved once before the next pick.  unitless holds
+    # the columns a pick found without a unit; only a write can put a unit
+    # in one, so each row or column operation takes out the columns it writes.
     by_length: dict[int, set[int]] = {}
     length_of: dict[int, int] = {}
     resized = set(cols)
+    unitless: set[int] = set()
 
     def rebucket():
         for c in resized:
@@ -163,6 +170,7 @@ def _eliminate(matrix, ncols=None):
         # row[dst] -= k * row[src], for two rows that hold entries; the
         # columns of src hold src, so none of them empties
         rd = rows[dst]
+        unitless.difference_update(rows[src])
         for c, v in rows[src].items():
             w = rd.get(c, 0) - k * v
             if w:
@@ -179,6 +187,7 @@ def _eliminate(matrix, ncols=None):
     def col_axpy(dst, src, k):
         # column[dst] -= k * column[src]; the rows of src hold src, so
         # none of them empties
+        unitless.discard(dst)
         for r in cols[src]:
             rd = rows[r]
             w = rd.get(dst, 0) - k * rd[src]
@@ -194,22 +203,23 @@ def _eliminate(matrix, ncols=None):
             q[dst] = [a - k * b for a, b in zip(q[dst], q[src])]
 
     def pick_pivot():
-        # The least (|entry|, column length, row length, column, row): a
+        # The least (|entry|, column length, column, row length, row): a
         # unit beats every larger entry, so it is the unit of least (row
-        # length, column, row) in the shortest columns that hold one, and
-        # the least entry overall only when no unit is left.
+        # length, row) in the first column, by length and then index, that
+        # holds one, and the least entry overall only when no unit is left.
         rebucket()
         for n in sorted(by_length):
-            best = None
-            for c in by_length[n]:
+            for c in sorted(by_length[n] - unitless):
+                best = None
                 for r in cols[c]:
                     rd = rows[r]
                     v = rd[c]
-                    if (v == 1 or v == -1) and (best is None or (len(rd), c, r) < best):
-                        best = (len(rd), c, r)
-            if best:
-                return best[2], best[1]
-        _, _, _, c, r = min((abs(rows[r][c]), len(cs), len(rows[r]), c, r) for c, cs in cols.items() for r in cs)
+                    if (v == 1 or v == -1) and (best is None or (len(rd), r) < best):
+                        best = (len(rd), r)
+                if best:
+                    return best[1], c
+                unitless.add(c)
+        _, _, c, _, r = min((abs(rows[r][c]), len(cs), c, len(rows[r]), r) for c, cs in cols.items() for r in cs)
         return r, c
 
     pivots = []

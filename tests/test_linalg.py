@@ -7,6 +7,7 @@ from math import gcd, prod
 
 import pytest
 
+from comtes.census import enumerate_q_graphs, enumerate_r_graphs
 from comtes.homology import boundary_matrix, homology_range
 from comtes.linalg import (
     SNFResult,
@@ -18,6 +19,7 @@ from comtes.linalg import (
     smith_normal_form,
 )
 from comtes.racks import dihedral_quandle, graph_of_rack, tetrahedron_quandle
+from reference import smith_normal_form as reference_smith_normal_form
 
 
 def sparse(m):
@@ -188,6 +190,9 @@ def test_pivots_are_pinned():
     # seeded sparse matrices with entries +-1, +-2, +-3 (so some picks are
     # not units), with and without ncols.  The pivot rule fixes every
     # kernel vector, so a faster pick must leave this digest unchanged.
+    # It changed when the pick key became (|entry|, column length, column,
+    # row length, row), the column ahead of the row length; that moves the
+    # pivots and Q but not the factors (see the reference tests below).
     h = hashlib.sha256()
     rng = random.Random(53)
     for _ in range(300):
@@ -195,7 +200,7 @@ def test_pivots_are_pinned():
         m = sparse(sparse_unit_matrix(rng, r, c))
         for ncols in (None, c):
             h.update(repr(_eliminate(m, ncols)).encode())
-    assert h.hexdigest() == "1375715a92d16414a7474990968f0439c0194a152c522a5bb85c42dd5e61c8c3"
+    assert h.hexdigest() == "e31139aa7593cdea05557e7176a7834c65f34b5374ba6d1e0e242feee469b288"
 
 
 def test_rack_pivots_are_pinned(monkeypatch):
@@ -203,7 +208,9 @@ def test_rack_pivots_are_pinned(monkeypatch):
     # cleared boundary matrix that homology_range eliminates for the
     # benchmark's racks and degrees, which fix every homology table.  d_2
     # is read off a spanning forest, so these are d_3 and up, with the rows
-    # of d_3 at the forest's columns cleared.
+    # of d_3 at the forest's columns cleared.  It changed with the pick key
+    # of test_pivots_are_pinned: the pivots and unit columns move, the
+    # homology tables do not.
     eliminated = []
 
     def recording(m):
@@ -219,7 +226,53 @@ def test_rack_pivots_are_pinned(monkeypatch):
     h = hashlib.sha256()
     for m in eliminated:
         h.update(repr(_eliminate(m)).encode())
-    assert h.hexdigest() == "b0d66be14cceb807b3e1efd7498cafd6ba495d9dd7660bed6b361fe262736db5"
+    assert h.hexdigest() == "daa46f7806cce072adfcbabdb0099a8e7a331e1fb848ddd037e09973ffe9119c"
+
+
+def assert_matches_reference(m, where):
+    new, old = smith_normal_form(m), reference_smith_normal_form(m)
+    assert (new.factors, new.rank) == (old.factors, old.rank), where
+
+
+def test_pick_matches_the_bucket_scan_on_seeded_matrices():
+    # reference.py keeps the elimination whose pick scanned every entry of
+    # the shortest unit-holding bucket for the least (row length, column,
+    # row); factors and rank must not depend on the pick order.  These are
+    # the matrices of test_pivots_are_pinned.
+    rng = random.Random(53)
+    for _ in range(300):
+        r, c = rng.randrange(1, 13), rng.randrange(1, 16)
+        m = sparse(sparse_unit_matrix(rng, r, c))
+        assert_matches_reference(m, m)
+
+
+@pytest.mark.parametrize(
+    "x, plain, quotient",
+    [(dihedral_quandle(3), 5, 5), (dihedral_quandle(5), 3, 4), (tetrahedron_quandle(), 4, 5)],
+    ids=["R3", "R5", "S4"],
+)
+def test_pick_matches_the_bucket_scan_on_rack_boundary_matrices(x, plain, quotient):
+    # every boundary matrix that homology_range reads up to the benchmark's
+    # plain and quotient degrees, as built, scrambled and transposed
+    rng = random.Random(59)
+    g = graph_of_rack(x)
+    for q, top in ((False, plain), (True, quotient)):
+        for n in range(2, top + 2):
+            m = boundary_matrix(n, g, q_quotient=q)
+            for form, copy in (("plain", m), ("scrambled", scrambled(rng, m)), ("transposed", transposed(m))):
+                assert_matches_reference(sparse(copy), (q, n, form))
+
+
+def test_homology_matches_the_bucket_scan_on_census_samples(monkeypatch):
+    # homology_range with the reference elimination in place of the
+    # package's, through the census degree; clearing reads unit_columns,
+    # which the pick order changes, so this checks clearing too
+    rng = random.Random(61)
+    cases = [(g, False) for g in rng.sample(enumerate_r_graphs(3), 1000)]
+    cases += [(g, q) for g in rng.sample(enumerate_q_graphs(3), 40) for q in (False, True)]
+    expected = [homology_range(g, 5, q_quotient=q) for g, q in cases]
+    monkeypatch.setattr(importlib.import_module("comtes.homology"), "smith_normal_form", reference_smith_normal_form)
+    assert [homology_range(g, 5, q_quotient=q) for g, q in cases] == expected
 
 
 @pytest.mark.parametrize("n, seed", [(44, 44003), (60, 60000)])
