@@ -257,8 +257,10 @@ def quotient(g: SelfIndexedGraph, pairs) -> tuple[SelfIndexedGraph, dict[str, st
     arrs = _index_form(g)[1]
     uf = _UnionFind(g.vertices)
     try:
-        for x, y in pairs:
-            uf.union(x, y)
+        for pair in pairs:
+            if isinstance(pair, str) or len(pair) != 2:
+                raise ValueError(f"{pair!r} is not a pair of vertices")
+            uf.union(*pair)
     except KeyError as e:
         raise ValueError(f"{e.args[0]!r} is not a vertex") from e
     vmap = {v: group[0] for group in uf.classes() for v in group}

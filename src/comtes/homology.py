@@ -164,10 +164,6 @@ def hom_tuples(n: int, g: SelfIndexedGraph) -> list[tuple[int, ...]]:
     return _basis_tuples(n, g, False)
 
 
-def _degenerate(t: tuple[int, ...]) -> bool:
-    return any(t[i] == t[i + 1] for i in range(len(t) - 1))
-
-
 def chain_basis(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> list[tuple[int, ...]]:
     """Ordered basis of C_n (or C_n^Q)."""
     return _basis_tuples(n, g, q_quotient)
@@ -186,22 +182,6 @@ def _bases_of(g: SelfIndexedGraph, top: int, q_quotient: bool):
 def _require_q_graph(g: SelfIndexedGraph):
     if classify(g) != "q":
         raise ValueError("the quandle quotient needs a q-graph (self-labeled loop at every vertex)")
-
-
-def boundary_terms(t: tuple[int, ...], dot, q_quotient: bool) -> dict[tuple[int, ...], int]:
-    """The boundary of one generator as {face tuple: coefficient}, without
-    zero coefficients; under the quotient, degenerate faces are left out.
-    This is the per-tuple formula; the matrices are built on codes by
-    ``_boundary``."""
-    terms: dict[tuple[int, ...], int] = {}
-    for s in range(1, len(t)):
-        sign = -1 if s % 2 else 1
-        act = dot[t[s - 1]]
-        d0 = t[: s - 1] + t[s:]
-        acts = t[: s - 1] + tuple([act[x] for x in t[s:]])
-        terms[d0] = terms.get(d0, 0) + sign
-        terms[acts] = terms.get(acts, 0) - sign
-    return {face: coeff for face, coeff in terms.items() if coeff and not (q_quotient and _degenerate(face))}
 
 
 def boundary_matrix(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> list[list[int]]:

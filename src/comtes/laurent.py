@@ -1,7 +1,8 @@
 """Exact integer Laurent polynomials in one variable t, plus a gcd.
 
 Values are dicts exponent -> coefficient with no zero entries; exponents
-may be negative.  Both are ``int``: a float or a ``bool`` is a TypeError.
+may be negative.  Both are ``int``: a float or a ``bool`` is a TypeError,
+as is an arithmetic operand of another class (an ``int`` factor scales).
 Results that are only defined up to units (+- t^k) are normalized by
 ``unit_normalize``: zero valuation, positive leading coefficient.
 
@@ -65,6 +66,8 @@ class Laurent:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
+        if not isinstance(other, Laurent):
+            return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
@@ -74,11 +77,15 @@ class Laurent:
         return Laurent({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, Laurent):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return Laurent({e: c * other for e, c in self.coeffs.items()})
+        if not isinstance(other, Laurent):
+            return NotImplemented
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -251,6 +258,8 @@ class MultiLaurent:
 
     @staticmethod
     def var(nvars: int, i: int, coeff: int = 1) -> "MultiLaurent":
+        if i not in range(nvars):
+            raise ValueError(f"variable index {i!r} is not in range({nvars})")
         exps = [0] * nvars
         exps[i] = 1
         return MultiLaurent(nvars, {tuple(exps): coeff})
@@ -269,6 +278,8 @@ class MultiLaurent:
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
     def __add__(self, other):
+        if not isinstance(other, MultiLaurent):
+            return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
@@ -278,6 +289,8 @@ class MultiLaurent:
         return MultiLaurent(self.nvars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, MultiLaurent):
+            return NotImplemented
         return self + (-other)
 
     def specialize(self) -> Laurent:

@@ -2,7 +2,8 @@
 
 Each one is an independent or inverse computation: a class count by
 Burnside's lemma, a homomorphism check, the boundary of a chain by face
-composition, the cocycle solve reshaped into ``Cocycle2`` objects, exact
+composition, the boundary of one origin tuple by the per-tuple formula
+(``homology._boundary`` computes it on integer codes), the cocycle solve reshaped into ``Cocycle2`` objects, exact
 divisibility of Laurent polynomials, the writers that match
 ``parse_rack_table`` and ``parse_cocycle``, and the move rules written on
 vertex names and ``Arrow`` objects, as ``comtes.moves`` applied them before
@@ -96,6 +97,26 @@ def chain_boundary(chain: Chain, g: SelfIndexedGraph) -> Chain:
                 key = after_sigma(face_map(n, s, eps))
                 out[key] = out.get(key, 0) + fsign * coeff
     return Chain.from_dict(n - 1, out)
+
+
+def _degenerate(t: tuple[int, ...]) -> bool:
+    return any(t[i] == t[i + 1] for i in range(len(t) - 1))
+
+
+def boundary_terms(t: tuple[int, ...], dot, q_quotient: bool) -> dict[tuple[int, ...], int]:
+    """The boundary of one generator as {face tuple: coefficient}, without
+    zero coefficients; under the quotient, degenerate faces are left out.
+    This is the per-tuple formula; the matrices are built on codes by
+    ``_boundary``."""
+    terms: dict[tuple[int, ...], int] = {}
+    for s in range(1, len(t)):
+        sign = -1 if s % 2 else 1
+        act = dot[t[s - 1]]
+        d0 = t[: s - 1] + t[s:]
+        acts = t[: s - 1] + tuple([act[x] for x in t[s:]])
+        terms[d0] = terms.get(d0, 0) + sign
+        terms[acts] = terms.get(acts, 0) - sign
+    return {face: coeff for face, coeff in terms.items() if coeff and not (q_quotient and _degenerate(face))}
 
 
 def q2_cocycles_of_quandle(x: FiniteRack, group: AbelianGroup):

@@ -5,6 +5,7 @@ or ``comtes paper-suite`` for the same checks from the command line.
 """
 
 import hashlib
+import importlib
 
 import pytest
 
@@ -72,6 +73,44 @@ def test_criterion_8c_q_quotient():
     ok, msg = acceptance.suite_8c_q_quotient()
     print("\n[%s] 8c %s" % ("PASS" if ok else "FAIL", msg))
     assert ok, msg
+
+
+def test_criteria_8b_and_8c_details_are_pinned():
+    assert acceptance.suite_8b_boundary_squares() == (True, "dd = 0 on 104612 generators across the census through degree 5")
+    assert acceptance.suite_8c_q_quotient() == (
+        True,
+        "degenerate subcomplex closed and quotient dd = 0 on all 70 q-graphs (4262 degenerate generators)",
+    )
+
+
+def test_criterion_8b_fails_on_a_negated_boundary_coefficient(monkeypatch):
+    # 8b reads the rows that homology eliminates, so a wrong sign there fails it
+    homology = importlib.import_module("comtes.homology")
+    boundary = homology._boundary
+
+    def negated(nv, codes, acted, n, cleared=frozenset()):
+        rows = boundary(nv, codes, acted, n, cleared)
+        for row in rows:
+            if row:
+                col = next(iter(row))
+                row[col] = -row[col]
+                break
+        return rows
+
+    monkeypatch.setattr(homology, "_boundary", negated)
+    monkeypatch.setattr(acceptance, "_boundary", negated, raising=False)
+    ok, msg = acceptance.suite_8b_boundary_squares()
+    assert not ok, msg
+
+
+def test_criterion_8c_fails_without_the_quotient_filter(monkeypatch):
+    # 8c reads degeneracy off the digits, so a quotient basis that keeps
+    # the degenerate tuples fails it
+    homology = importlib.import_module("comtes.homology")
+    extend = homology._extend
+    monkeypatch.setattr(homology, "_extend", lambda *args: extend(*args[:-1], False))
+    ok, msg = acceptance.suite_8c_q_quotient()
+    assert not ok, msg
 
 
 def test_criterion_8d_rack_agreement():

@@ -23,7 +23,6 @@ from comtes.homology import (
     HomologyGroup,
     NotRGraphError,
     boundary_matrix,
-    boundary_terms,
     chain_basis,
     dot_table,
     enumerate_homs,
@@ -35,7 +34,7 @@ from comtes.homology import (
 from comtes.linalg import smith_normal_form
 from comtes.links import comte_of_gauss, parse_gauss_code
 from comtes.racks import C2, AbelianGroup, check_cocycle, dihedral_quandle, graph_of_rack, tetrahedron_cocycle, tetrahedron_quandle, trivial_quandle
-from reference import chain_boundary, is_homomorphism, q2_cocycles_of_quandle
+from reference import boundary_terms, chain_boundary, is_homomorphism, q2_cocycles_of_quandle
 
 EXHOC = graph(
     "a b c",

@@ -283,6 +283,13 @@ def test_quotient_names_a_missing_pair_vertex():
         comtes.quotient(G, [("a", "c")])
 
 
+@pytest.mark.parametrize("pair", ["xy", ("x", "y", "xy"), ("x",), ()], ids=repr)
+def test_quotient_rejects_what_is_not_a_pair(pair):
+    # a two-character string would unpack as a pair and merge x and y
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(pair))} is not a pair of vertices$"):
+        comtes.quotient(graph("xy x y", []), [pair])
+
+
 def _exported_functions_taking(annotation):
     for name, obj in vars(comtes).items():
         if inspect.isfunction(obj) or inspect.isfunction(getattr(obj, "__wrapped__", None)):

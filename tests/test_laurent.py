@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -46,6 +47,30 @@ class TestArithmetic:
         # no truncation: 1.7 is not 1, and 0.5 is not a stored zero coefficient
         with pytest.raises(TypeError, match="must be integers"):
             Laurent(coeffs)
+
+    @pytest.mark.parametrize(
+        "op, left, right",
+        [
+            (operator.mul, T, 1.5),
+            (operator.mul, 1.5, T),
+            (operator.mul, T, True),
+            (operator.mul, True, T),
+            (operator.mul, T, "2"),
+            (operator.add, T, 1),
+            (operator.add, 1, T),
+            (operator.add, T, 1.5),
+            (operator.sub, T, 1),
+            (operator.sub, T, True),
+        ],
+        ids=lambda v: getattr(v, "__name__", repr(v)),
+    )
+    def test_operand_that_is_not_a_laurent_or_an_int_factor_is_a_type_error(self, op, left, right):
+        with pytest.raises(TypeError, match="'Laurent'"):
+            op(left, right)
+
+    def test_int_factor_scales(self):
+        assert T * 3 == 3 * T == Laurent.t(1, 3)
+        assert T * 0 == Laurent.zero()
 
     def test_str(self):
         assert str(T * T - T + ONE) == "t^2 - t + 1"
@@ -245,6 +270,17 @@ class TestMultiLaurent:
     def test_non_integer_entries_rejected(self, coeffs):
         with pytest.raises(TypeError, match="must be integers"):
             MultiLaurent(2, coeffs)
+
+    @pytest.mark.parametrize("i", [2, 5, -1])
+    def test_variable_index_out_of_range_rejected(self, i):
+        with pytest.raises(ValueError, match=rf"^variable index {i} is not in range\(2\)$"):
+            MultiLaurent.var(2, i)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    @pytest.mark.parametrize("other", [1, 1.5, T], ids=repr)
+    def test_operand_that_is_not_a_multilaurent_is_a_type_error(self, op, other):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(MultiLaurent.var(2, 0), other)
 
     def test_add_neg(self):
         p = MultiLaurent.var(2, 1)
