@@ -89,7 +89,8 @@ def cmd_invariants(args) -> int:
     for i, comp in enumerate(comps):
         print(f"  L{i + 1} = {{{', '.join(comp)}}}")
     print(f"abelianization rank: {abelianization_rank(c.graph)}")
-    print(f"class: {classify(c.graph)}-graph" if classify(c.graph) != "general" else "class: general")
+    kind = classify(c.graph)
+    print(f"class: {kind}-graph" if kind != "general" else "class: general")
     lk = linking_matrix(c)
     print("linking matrix:")
     for line in lk.format().splitlines():

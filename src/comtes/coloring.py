@@ -24,27 +24,31 @@ from .racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack, rack_arrow
 
 def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
     """All vertex maps f with: every src arrow has at least one dst arrow
-    over (f(source), f(label), f(target)).  Yields (f, cands), where
-    cands[k] lists the indices of those dst arrows for src arrow k.
+    over (f(source), f(target), f(label)).  Yields (f, cands), where f is
+    the tuple of dst vertex indices in src vertex order and cands[k] lists
+    the indices of those dst arrows for src arrow k.
 
-    Backtracks over the src vertices in a greedy order fixed before the
-    search.  The next vertex is the least by: minus the arrows it completes
-    (all their other ends placed), minus the arrows it shares with a placed
-    vertex, minus its touch count (the arrow ends at it), then its position
-    in src.vertices.  An arrow is checked as soon as its last end is
-    placed, so into a rack graph, where c = b |> a fixes one vertex from
-    the two others, only the free vertices branch.  The order of the
-    yields is not part of the contract."""
-    sv = list(src.vertices)
-    dst_by_slt: dict[tuple[str, str, str], list[int]] = {}
-    for j, b in enumerate(dst.arrows):
-        dst_by_slt.setdefault((b.source, b.label, b.target), []).append(j)
-    touch = [0] * len(sv)
-    completes = [0] * len(sv)
-    shares = [0] * len(sv)
+    Both graphs are read once through ``_index_form``, dst first, and the
+    search sees vertex indices alone.  It backtracks over the src vertices
+    in a greedy order fixed before the search.  The next vertex is the
+    least by: minus the arrows it completes (all their other ends placed),
+    minus the arrows it shares with a placed vertex, minus its touch count
+    (the arrow ends at it), then its position in src.vertices.  An arrow
+    is checked as soon as its last end is placed, so into a rack graph,
+    where c = b |> a fixes one vertex from the two others, only the free
+    vertices branch.  The order of the yields is not part of the
+    contract."""
+    dst_by_stl: dict[tuple[int, int, int], list[int]] = {}
+    for j, triple in enumerate(_index_form(dst)[1]):
+        dst_by_stl.setdefault(triple, []).append(j)
+    arrows = _index_form(src)[1]
+    n = len(src.vertices)
+    touch = [0] * n
+    completes = [0] * n
+    shares = [0] * n
     ends = []  # the distinct vertex indices of each src arrow
-    incident: list[list[int]] = [[] for _ in sv]  # arrows at each vertex, once each
-    for k, triple in enumerate(_index_form(src)[1]):
+    incident: list[list[int]] = [[] for _ in range(n)]  # arrows at each vertex, once each
+    for k, triple in enumerate(arrows):
         e = set(triple)
         for j in triple:
             touch[j] += 1
@@ -56,71 +60,64 @@ def _vertex_maps(src: SelfIndexedGraph, dst: SelfIndexedGraph):
     def key(i):
         return (-completes[i], -shares[i], -touch[i], i)
 
-    order: list[str] = []
-    arrows_ready: list[list[tuple[int, str, str, str]]] = []
-    unplaced = set(range(len(sv)))
+    order: list[int] = []
+    arrows_ready: list[list[tuple[int, int, int, int]]] = []
+    unplaced = set(range(n))
     while unplaced:
         i = min(unplaced, key=key)
         unplaced.remove(i)
-        order.append(sv[i])
+        order.append(i)
         ready = []
         for k in incident[i]:
             open_ends = [j for j in ends[k] if j in unplaced]
             if not open_ends:
-                a = src.arrows[k]
-                ready.append((k, a.source, a.label, a.target))
+                ready.append((k, *arrows[k]))
             first_end = len(open_ends) == len(ends[k]) - 1
             for j in open_ends:
                 shares[j] += first_end
                 completes[j] += len(open_ends) == 1
         arrows_ready.append(ready)
-    assignment: dict[str, str] = {}
-    cands: list[list[int] | None] = [None] * len(src.arrows)
-    # one iterator over dst.vertices per depth, on an explicit stack, so
+    f = [0] * n  # read only at placed vertices
+    cands: list[list[int] | None] = [None] * len(arrows)
+    images = range(len(dst.vertices))
+    # one iterator over the dst indices per depth, on an explicit stack, so
     # the depth is not bounded by the recursion limit
-    stack = [iter(dst.vertices)]
+    stack = [iter(images)]
     while stack:
         i = len(stack) - 1
-        if i == len(order):
-            yield dict(assignment), tuple(cands)
+        if i == n:
+            yield tuple(f), tuple(cands)
             stack.pop()
             continue
-        v = order[i]
         w = next(stack[i], None)
         if w is None:
-            assignment.pop(v, None)
             stack.pop()
             continue
-        assignment[v] = w
-        for k, s, l, t in arrows_ready[i]:
-            found = dst_by_slt.get((assignment[s], assignment[l], assignment[t]))
+        f[order[i]] = w
+        for k, s, t, l in arrows_ready[i]:
+            found = dst_by_stl.get((f[s], f[t], f[l]))
             if not found:
                 break
             cands[k] = found
         else:
-            stack.append(iter(dst.vertices))
+            stack.append(iter(images))
 
 
 def graph_homomorphisms(src: SelfIndexedGraph, dst: SelfIndexedGraph) -> list[GraphHomomorphism]:
     """All homomorphisms src -> dst, in sorted order: by their vertex
     images and then their arrow images."""
-    _index_form(dst)  # which rejects a dangling arrow or a repeated name
-    return sorted(
-        GraphHomomorphism(tuple(vm[v] for v in src.vertices), am)
-        for vm, cands in _vertex_maps(src, dst)
-        for am in product(*cands)
-    )
+    names = dst.vertices
+    named = ((tuple(names[w] for w in f), cands) for f, cands in _vertex_maps(src, dst))
+    return sorted(GraphHomomorphism(images, am) for images, cands in named for am in product(*cands))
 
 
 def colorings(g: SelfIndexedGraph, x: FiniteRack) -> list[dict[str, int]]:
     """All colorings of g by the rack x, as vertex -> element maps with
     their keys in vertex order, sorted by the tuple of element values."""
-    target = graph_of_rack(x)
-    # in a rack graph the arrow images are determined by the vertices, so
-    # every surviving vertex map is a coloring
-    out = [{v: int(vm[v]) for v in g.vertices} for vm, _ in _vertex_maps(g, target)]
-    out.sort(key=lambda c: tuple(c.values()))
-    return out
+    # vertex j of the rack graph is element j, and its arrow images are
+    # determined by the vertices, so every vertex map is a coloring
+    found = sorted(f for f, _ in _vertex_maps(g, graph_of_rack(x)))
+    return [dict(zip(g.vertices, f)) for f in found]
 
 
 def coloring_count(g: SelfIndexedGraph, x: FiniteRack) -> int:

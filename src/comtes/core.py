@@ -188,10 +188,8 @@ def classify(g: SelfIndexedGraph) -> str:
             return GENERAL
         by_sl.add((a.source, a.label))
         by_tl.add((a.target, a.label))
-    for v in g.vertices:
-        if not any(a.source == v and a.target == v and a.label == v for a in g.arrows):
-            return R_GRAPH
-    return Q_GRAPH
+    self_loops = {a.source for a in g.arrows if a.source == a.target == a.label}
+    return Q_GRAPH if self_loops.issuperset(g.vertices) else R_GRAPH
 
 
 class _UnionFind:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from math import gcd as _int_gcd
 
+from .core import _require_int
+
 
 def _signed_sum(terms) -> str:
     """Join (coefficient, body) terms, each body showing the coefficient's
@@ -258,7 +260,7 @@ class MultiLaurent:
 
     @staticmethod
     def var(nvars: int, i: int, coeff: int = 1) -> "MultiLaurent":
-        if i not in range(nvars):
+        if _require_int(i, "variable index") not in range(nvars):
             raise ValueError(f"variable index {i!r} is not in range({nvars})")
         exps = [0] * nvars
         exps[i] = 1

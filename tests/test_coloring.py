@@ -1,10 +1,10 @@
 import itertools
 import random
 from math import gcd
-from types import SimpleNamespace
 
 import pytest
 
+from comtes import coloring
 from comtes.coloring import (
     Chain,
     Cochain,
@@ -26,6 +26,7 @@ from comtes.racks import (
     C2,
     AbelianGroup,
     Cocycle2,
+    FiniteRack,
     dihedral_quandle,
     epsilon,
     graph_of_rack,
@@ -100,10 +101,14 @@ class TestColorings:
     def test_matches_brute_force(self, make_comte):
         # both lists come in vertex order: colorings sorts by the values in
         # vertex order, and brute_colorings walks the assignments in that order
+        # the last rack, x |> y = 1 - y, is not a quandle
         census = enumerate_q_graphs(2) + enumerate_q_graphs(3)
-        for x in (trivial_quandle(2), dihedral_quandle(3), tetrahedron_quandle(), dihedral_quandle(5)):
+        flip = FiniteRack.from_table([[1, 0], [1, 0]])
+        for x in (trivial_quandle(2), dihedral_quandle(3), tetrahedron_quandle(), dihedral_quandle(5), flip):
             for g in [make_comte(nmax=4, amax=6).graph for _ in range(25)] + census:
-                assert colorings(g, x) == brute_colorings(g, x), (g, x.n)
+                brute = brute_colorings(g, x)
+                assert colorings(g, x) == brute, (g, x.n)
+                assert coloring_count(g, x) == len(brute), (g, x.n)
 
 
 class TestHomomorphisms:
@@ -167,8 +172,6 @@ class TestPhi:
         assert phi_invariant(c, tetrahedron_quandle(), tetrahedron_cocycle()) == {(0,): 16}
 
     def test_requires_quandle(self):
-        from comtes.racks import FiniteRack
-
         cyc = FiniteRack.from_table([[(y + 1) % 3 for y in range(3)] for _ in range(3)])
         with pytest.raises(ValueError):
             phi_invariant(G1, cyc, tetrahedron_cocycle())
@@ -203,15 +206,15 @@ def _torus_diagrams():
             yield n, _relabeled(c, random.Random(100 * n + seed))
 
 
-class _CountingVertices:
-    """A target's vertex sequence that counts every value handed out."""
+class _CountingIter:
+    """A stand-in for ``iter`` in ``comtes.coloring`` that counts every
+    value the search's iterators hand out."""
 
-    def __init__(self, vertices):
-        self.vertices = vertices
+    def __init__(self):
         self.tried = 0
 
-    def __iter__(self):
-        for w in self.vertices:
+    def __call__(self, values):
+        for w in values:
             self.tried += 1
             yield w
 
@@ -229,16 +232,16 @@ class TestTorusKnots:
             assert coloring_count(c.graph, tetra) == tetra_count, n
             assert epsilon(phi_invariant(c, tetra, f)) == tetra_count, n
 
-    def test_work_stays_below_x_squared_n(self):
-        # every iterating call of the search tries all |X| values, and each
-        # call after the first follows a partial assignment that passed its
+    def test_work_stays_below_x_squared_n(self, monkeypatch):
+        # every iterator of the search hands out all |X| values, and each
+        # one after the first follows a partial assignment that passed its
         # arrow checks; complete assignments are yielded and do not iterate
         for x in (dihedral_quandle(3), dihedral_quandle(5), tetrahedron_quandle()):
             rack_graph = graph_of_rack(x)
             for n, c in _torus_diagrams():
-                values = _CountingVertices(rack_graph.vertices)
-                target = SimpleNamespace(vertices=values, arrows=rack_graph.arrows)
-                complete = sum(1 for _ in _vertex_maps(c.graph, target))
+                values = _CountingIter()
+                monkeypatch.setattr(coloring, "iter", values, raising=False)
+                complete = sum(1 for _ in _vertex_maps(c.graph, rack_graph))
                 passing = values.tried // x.n - 1 + complete
                 assert passing < x.n**2 * n, (x.n, n, passing)
 

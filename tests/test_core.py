@@ -105,6 +105,11 @@ class TestClassify:
     def test_r_graph_without_loops(self):
         assert classify(TREFOIL.graph) == "r"
 
+    def test_q_graph_needs_a_self_labeled_loop_at_every_vertex(self):
+        assert classify(graph("a b", [("a", "a", "a")])) == "r"
+        assert classify(graph("a b", [("a", "a", "a"), ("b", "b", "a")])) == "r"
+        assert classify(graph("a b", [("a", "a", "a"), ("b", "b", "b")])) == "q"
+
 
 class TestComponents:
     def test_trefoil_connected(self):

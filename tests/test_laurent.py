@@ -276,6 +276,14 @@ class TestMultiLaurent:
         with pytest.raises(ValueError, match=rf"^variable index {i} is not in range\(2\)$"):
             MultiLaurent.var(2, i)
 
+    @pytest.mark.parametrize("i", [True, 1.0], ids=repr)
+    def test_variable_index_that_is_not_an_int_rejected(self, i):
+        with pytest.raises(TypeError, match=rf"^variable index must be an integer, got {i!r}$"):
+            MultiLaurent.var(2, i)
+
+    def test_variable_index_one_is_the_second_variable(self):
+        assert MultiLaurent.var(2, 1) == MultiLaurent(2, {(0, 1): 1})
+
     @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
     @pytest.mark.parametrize("other", [1, 1.5, T], ids=repr)
     def test_operand_that_is_not_a_multilaurent_is_a_type_error(self, op, other):

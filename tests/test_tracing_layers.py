@@ -57,6 +57,21 @@ def test_traced_census_counts_one_canonical_form_per_class():
     assert metrics["census.enumerate.canonicalized"] == metrics["census.enumerate.classes"]
 
 
+def test_traced_colorings_count_one_call_and_its_colorings():
+    # the coloring counters read zero if colorings stops being called
+    # through the name the tracer wraps, or stops returning a list
+    trefoil = comtes.comte_of_gauss(comtes.parse_gauss_code("O1+U2+O3+U1+O2+U3+"))
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install(comtes)
+        comtes.colorings(trefoil.graph, comtes.dihedral_quandle(3))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["coloring.colorings.calls"] == 1
+    assert metrics["coloring.colorings.found"] == 9
+
+
 def test_traced_homology_counts_one_smith_form_per_boundary_matrix():
     # the linalg counters read zero if homology stops calling
     # smith_normal_form through the name the tracer wraps
