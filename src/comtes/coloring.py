@@ -140,9 +140,6 @@ class Chain:
     def from_dict(degree: int, d: dict) -> "Chain":
         return Chain(degree, tuple(sorted((k, v) for k, v in d.items() if v)))
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
 
 @dataclass(frozen=True)
 class Cochain:

@@ -1,5 +1,8 @@
 """Exact integer Laurent polynomials in one variable t, plus a gcd.
 
+``_monomial_sum`` writes this module's polynomials and the group-ring
+elements of ``racks`` as signed sums of monomials.
+
 Values are dicts exponent -> coefficient with no zero entries; exponents
 may be negative.  Both are ``int``: a float or a ``bool`` is a TypeError,
 as is an arithmetic operand of another class (an ``int`` factor scales).
@@ -18,14 +21,19 @@ from math import gcd as _int_gcd
 from .core import _require_int
 
 
-def _signed_sum(terms) -> str:
-    """Join (coefficient, body) terms, each body showing the coefficient's
-    absolute value, as "body + body - body" with the first sign attached;
-    "0" for no terms."""
+def _monomial_sum(terms, names) -> str:
+    """Write (coefficient, exponent tuple) terms, in the order given, as a
+    signed sum such as "t^2 - 3*t + 1" or "-1 + t1": one factor name^e per
+    nonzero exponent (the name alone for e = 1), a coefficient of absolute
+    value 1 left out before a factor, the first sign attached; "0" for no
+    terms."""
     parts = []
-    for c, body in terms:
-        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
-        parts.append(sign + body)
+    for c, exps in terms:
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps, strict=True) if e]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + "*".join(factors))
     return " ".join(parts) or "0"
 
 
@@ -113,9 +121,6 @@ class Laurent:
     def shift(self, k: int) -> "Laurent":
         return Laurent({e + k: c for e, c in self.coeffs.items()})
 
-    def evaluate_at_1(self) -> int:
-        return sum(self.coeffs.values())
-
     def unit_normalize(self) -> "Laurent":
         """Canonical representative of the orbit under multiplication by
         +- t^k: valuation zero, positive leading coefficient; 0 maps to 0."""
@@ -127,16 +132,7 @@ class Laurent:
         return p
 
     def __str__(self):
-        terms = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                power = "t" if e == 1 else f"t^{e}"
-                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-            terms.append((c, body))
-        return _signed_sum(terms)
+        return _monomial_sum(((self.coeffs[e], (e,)) for e in sorted(self.coeffs, reverse=True)), ("t",))
 
     __repr__ = __str__
 
@@ -237,7 +233,7 @@ class MultiLaurent:
     __slots__ = ("nvars", "coeffs")
 
     def __init__(self, nvars: int, coeffs=None):
-        self.nvars = nvars
+        self.nvars = _require_int(nvars, "variable count", 0)
         cleaned = {}
         if coeffs:
             for exps, c in coeffs.items():
@@ -256,11 +252,11 @@ class MultiLaurent:
 
     @staticmethod
     def const(nvars: int, n: int) -> "MultiLaurent":
-        return MultiLaurent(nvars, {(0,) * nvars: n})
+        return MultiLaurent(nvars, {(0,) * _require_int(nvars, "variable count", 0): n})
 
     @staticmethod
     def var(nvars: int, i: int, coeff: int = 1) -> "MultiLaurent":
-        if _require_int(i, "variable index") not in range(nvars):
+        if _require_int(i, "variable index") not in range(_require_int(nvars, "variable count", 0)):
             raise ValueError(f"variable index {i!r} is not in range({nvars})")
         exps = [0] * nvars
         exps[i] = 1
@@ -304,22 +300,7 @@ class MultiLaurent:
         return Laurent(out)
 
     def __str__(self):
-        terms = []
-        for exps in sorted(self.coeffs):
-            c = self.coeffs[exps]
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"t{i + 1}")
-                elif e:
-                    factors.append(f"t{i + 1}^{e}")
-            if not factors:
-                body = str(abs(c))
-            else:
-                body = "*".join(factors)
-                if abs(c) != 1:
-                    body = f"{abs(c)}*{body}"
-            terms.append((c, body))
-        return _signed_sum(terms)
+        names = [f"t{i + 1}" for i in range(self.nvars)]
+        return _monomial_sum(((self.coeffs[exps], exps) for exps in sorted(self.coeffs)), names)
 
     __repr__ = __str__

@@ -8,11 +8,10 @@ ring elements are sparse multiplicity maps keyed by A-elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 
 from .core import SelfIndexedGraph, _require_int, graph_from_injections
-from .laurent import _signed_sum
+from .laurent import _monomial_sum
 
 
 @dataclass(frozen=True)
@@ -146,9 +145,6 @@ class AbelianGroup:
     def scale(self, a, k: int):
         return tuple((x * k) % m for x, m in zip(a, self.orders))
 
-    def elements(self):
-        return list(product(*(range(m) for m in self.orders)))
-
     def order(self) -> int:
         return prod(self.orders)
 
@@ -166,30 +162,11 @@ def format_group_ring(r: dict, group: AbelianGroup) -> str:
     """Render e.g. {identity: 4, (1,): 12} over C2 as ``4 + 12*s``.
 
     Generators of the cyclic factors are named s for a single factor and
-    s1, s2, ... otherwise.
+    s1, s2, ... otherwise; a zero multiplicity is no term.
     """
     k = len(group.orders)
     names = ["s"] if k == 1 else [f"s{i + 1}" for i in range(k)]
-
-    def elt(g):
-        factors = []
-        for i, e in enumerate(g):
-            if e == 1:
-                factors.append(names[i])
-            elif e:
-                factors.append(f"{names[i]}^{e}")
-        return "*".join(factors)
-
-    terms = []
-    for g in sorted(r):
-        n = r[g]
-        body = elt(g)
-        if not body:
-            body = str(abs(n))
-        elif abs(n) != 1:
-            body = f"{abs(n)}*{body}"
-        terms.append((n, body))
-    return _signed_sum(terms)
+    return _monomial_sum(((r[g], g) for g in sorted(r) if r[g]), names)
 
 
 # ---------------------------------------------------------------------------

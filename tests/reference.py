@@ -4,7 +4,8 @@ Each one is an independent or inverse computation: a class count by
 Burnside's lemma, a homomorphism check, the boundary of a chain by face
 composition, the boundary of one origin tuple by the per-tuple formula
 (``homology._boundary`` computes it on integer codes), the cocycle solve reshaped into ``Cocycle2`` objects, exact
-divisibility of Laurent polynomials, the writers that match
+divisibility of Laurent polynomials, the three writers of signed sums of
+monomials that ``laurent._monomial_sum`` replaced, the writers that match
 ``parse_rack_table`` and ``parse_cocycle``, and the move rules written on
 vertex names and ``Arrow`` objects, as ``comtes.moves`` applied them before
 its rules moved to index states, and the Smith elimination as it picked
@@ -147,6 +148,80 @@ def divides(d: Laurent, p: Laurent) -> bool:
         return True
     except ArithmeticError:
         return False
+
+
+# ---------------------------------------------------------------------------
+# The three writers of signed sums of monomials as the package had them
+# before ``laurent._monomial_sum`` replaced them, on the coefficient maps.
+
+
+def _signed_sum(terms) -> str:
+    """Join (coefficient, body) terms, each body showing the coefficient's
+    absolute value, as "body + body - body" with the first sign attached;
+    "0" for no terms."""
+    parts = []
+    for c, body in terms:
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
+def laurent_text(coeffs: dict) -> str:
+    terms = []
+    for e in sorted(coeffs, reverse=True):
+        c = coeffs[e]
+        if e == 0:
+            body = str(abs(c))
+        else:
+            power = "t" if e == 1 else f"t^{e}"
+            body = power if abs(c) == 1 else f"{abs(c)}*{power}"
+        terms.append((c, body))
+    return _signed_sum(terms)
+
+
+def multi_laurent_text(nvars: int, coeffs: dict) -> str:
+    terms = []
+    for exps in sorted(coeffs):
+        c = coeffs[exps]
+        factors = []
+        for i, e in enumerate(exps):
+            if e == 1:
+                factors.append(f"t{i + 1}")
+            elif e:
+                factors.append(f"t{i + 1}^{e}")
+        if not factors:
+            body = str(abs(c))
+        else:
+            body = "*".join(factors)
+            if abs(c) != 1:
+                body = f"{abs(c)}*{body}"
+        terms.append((c, body))
+    return _signed_sum(terms)
+
+
+def group_ring_text(r: dict, group: AbelianGroup) -> str:
+    k = len(group.orders)
+    names = ["s"] if k == 1 else [f"s{i + 1}" for i in range(k)]
+
+    def elt(g):
+        factors = []
+        for i, e in enumerate(g):
+            if e == 1:
+                factors.append(names[i])
+            elif e:
+                factors.append(f"{names[i]}^{e}")
+        return "*".join(factors)
+
+    terms = []
+    for g in sorted(r):
+        n = r[g]
+        body = elt(g)
+        if not body:
+            body = str(abs(n))
+        elif abs(n) != 1:
+            body = f"{abs(n)}*{body}"
+        terms.append((n, body))
+    return _signed_sum(terms)
 
 
 def format_rack_table(x: FiniteRack) -> str:

@@ -104,7 +104,7 @@ class TestAlexanderPolynomial:
     def test_coefficient_sum(self, make_comte):
         for _ in range(80):
             g = make_comte(nmax=4, amax=7).graph
-            val = alexander_polynomial(g, 1).evaluate_at_1()
+            val = sum(alexander_polynomial(g, 1).coeffs.values())
             if len(components(g)) >= 2:
                 assert val == 0
             else:

@@ -2,7 +2,9 @@
 module, each package module is imported by one statement per file, no
 package module is imported inside a function of the package, every
 module-level private name of the package is used in it, every
-module-level public name is used in it or named in README, no
+module-level public name is used in it or named in README, every method
+of a package class is read in the package or the benchmark or named in
+README, no
 ``isinstance(x, bool)`` check sits outside ``core._require_int``,
 ``core.decode`` and ``linalg._eliminate``, and no vertex index
 ``{v: i for i, v in enumerate(<x>.vertices)}`` is built outside
@@ -129,15 +131,40 @@ def test_no_orphaned_private_helper():
     assert not orphans, orphans
 
 
+def _readme_words():
+    """Every word that README writes in backticks or a code block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"```(.*?)```|`([^`]*)`", readme, flags=re.S)
+    return {word for span in spans for word in re.findall(r"\w+", "".join(span))}
+
+
 def test_no_public_name_that_only_the_tests_use():
     # a public one is referenced in the package, or README names it in
     # backticks as part of the documented interface; test-only oracles
     # live in tests/reference.py
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    spans = re.findall(r"```(.*?)```|`([^`]*)`", readme, flags=re.S)
-    documented = {word for span in spans for word in re.findall(r"\w+", "".join(span))}
+    documented = _readme_words()
     orphans = [where for where, name in _orphans() if not name.startswith("_") and name not in documented]
     assert not orphans, orphans
+
+
+def test_no_public_method_that_only_the_tests_use():
+    # a method or property of a package class, other than a dunder, is
+    # read as ``.name`` somewhere in the package or the benchmark, or README
+    # names it in backticks
+    readers = sorted((ROOT / "src" / "comtes").glob("*.py")) + sorted((ROOT / "benchmarks").rglob("*.py"))
+    read = {node.attr for path in readers for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Attribute)}
+    documented = _readme_words()
+    unused = []
+    for path in sorted((ROOT / "src" / "comtes").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(cls, ast.ClassDef):
+                unused += [
+                    f"{path.name}:{node.lineno}: {cls.name}.{node.name}"
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in read and node.name not in documented
+                ]
+    assert not unused, unused
 
 
 def _bool_checks(tree):
