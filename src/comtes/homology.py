@@ -36,11 +36,12 @@ and the state sums) lives in ``comtes.coloring``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .coloring import graph_homomorphisms
 from .core import GraphHomomorphism, SelfIndexedGraph, _index_form, _require_int, _UnionFind, classify
 from .cubes import build_Yn
-from .linalg import kernel_mod, image_size_mod, smith_normal_form
+from .linalg import _divisibility_chain, image_size_mod, kernel_mod, smith_normal_form
 from .racks import AbelianGroup
 
 
@@ -268,9 +269,32 @@ def homology_range(
     d_k = [2 3] picks 2 and ends with the unit pivot 1 at column 1, and
     with d_{k+1} = (3, -2)^T clearing row 1 would give H_k = Z/3 instead of
     0.  Persistent homology calls this step clearing, or the twist (Chen &
-    Kerber, EuroCG 2011), over a field."""
+    Kerber, EuroCG 2011), over a field.
+
+    A quandle graph, one whose table is total, with a.a = a and no ``bad``
+    pair, eliminates only its quotient complex: its plain groups are
+    H_m = H^Q_m + sum_(p=1..m-1) [H^Q_p (x) H_(m-1-p) + Tor(H^Q_p, H_(m-2-p))]
+    with H_0 = Z.  The rack complex splits into the degenerate and the
+    normalized subcomplex (Litherland & Nelson, J. Pure Appl. Algebra 178,
+    2003), and the degenerate part follows from the normalized homology by
+    this Kunneth-type formula (Przytycki & Putyra, J. Eur. Math. Soc. 18,
+    2016)."""
     _require_int(max_degree, "max_degree", 0)
-    nv, codes, acted = _bases_of(g, max_degree + 1, q_quotient)
+    dot = dot_table(g)
+    if q_quotient:
+        _require_q_graph(g)
+    elif all(-1 not in row and row[a] == a for a, row in enumerate(dot)) and not any(
+        bad for _, bad in _distributivity_masks(dot)
+    ):
+        return _quandle_fold(dot, max_degree)
+    return _elimination_range(dot, max_degree, q_quotient)
+
+
+def _elimination_range(dot, max_degree: int, q_quotient: bool) -> tuple[HomologyGroup, ...]:
+    """``homology_range`` by eliminating the boundary matrices of the
+    graph with table ``dot``."""
+    nv = len(dot)
+    codes, acted = _tuple_codes(dot, max_degree + 1, q_quotient)
     sizes = [len(b) for b in codes]
     ranks = [0] * (max_degree + 2)
     torsions = [()] * (max_degree + 2)
@@ -290,6 +314,26 @@ def homology_range(
     for k in range(1, max_degree + 1):
         betti = sizes[k] - ranks[k] - ranks[k + 1]
         out.append(HomologyGroup(betti, torsions[k + 1]))
+    return tuple(out)
+
+
+def _quandle_fold(dot, max_degree: int) -> tuple[HomologyGroup, ...]:
+    """The plain H_1 .. H_max_degree of a quandle graph from its quotient
+    range by the formula of ``homology_range``.  A group is the list of
+    the orders of its cyclic summands, 0 for Z: Z/a (x) Z/b and
+    Tor(Z/a, Z/b) are Z/gcd(a, b), and Tor with Z is 0."""
+    quot = [[0] * h.betti + list(h.torsion) for h in _elimination_range(dot, max_degree, True)]
+    plain = [[0]]
+    out = []
+    for m in range(1, max_degree + 1):
+        orders = list(quot[m - 1])
+        for p in range(1, m):
+            orders += [gcd(a, b) for a in quot[p - 1] for b in plain[m - 1 - p]]
+            if p <= m - 2:
+                orders += [gcd(a, b) for a in quot[p - 1] if a for b in plain[m - 2 - p] if b]
+        plain.append(orders)
+        torsion = _divisibility_chain([d for d in orders if d])
+        out.append(HomologyGroup(orders.count(0), tuple(d for d in torsion if d > 1)))
     return tuple(out)
 
 

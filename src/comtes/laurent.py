@@ -278,6 +278,8 @@ class MultiLaurent:
     def __add__(self, other):
         if not isinstance(other, MultiLaurent):
             return NotImplemented
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable counts differ: {self.nvars} and {other.nvars}")
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c

@@ -136,14 +136,21 @@ class AbelianGroup:
     def identity(self) -> tuple[int, ...]:
         return (0,) * len(self.orders)
 
+    def _residues(self, a):
+        """``a`` itself, once it has one residue per cyclic factor."""
+        if len(a) != len(self.orders):
+            raise ValueError(f"residue tuple {a!r} does not have {len(self.orders)} entries")
+        return a
+
     def add(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
+        return tuple((x + y) % m for x, y, m in zip(self._residues(a), self._residues(b), self.orders))
 
     def neg(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.orders))
+        return tuple((-x) % m for x, m in zip(self._residues(a), self.orders))
 
     def scale(self, a, k: int):
-        return tuple((x * k) % m for x, m in zip(a, self.orders))
+        _require_int(k, "scale factor")
+        return tuple((x * k) % m for x, m in zip(self._residues(a), self.orders))
 
     def order(self) -> int:
         return prod(self.orders)

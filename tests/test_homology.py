@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import time
 import tracemalloc
 from math import gcd, prod
 
@@ -17,7 +18,7 @@ from comtes.coloring import (
     graph_homomorphisms,
     state_sum,
 )
-from comtes.core import _index_form, comte, components, graph
+from comtes.core import _index_form, canonical_key, classify, comte, components, graph
 from comtes.cubes import build_Yn, face_map
 from comtes.homology import (
     HomologyGroup,
@@ -33,8 +34,11 @@ from comtes.homology import (
 )
 from comtes.linalg import smith_normal_form
 from comtes.links import comte_of_gauss, parse_gauss_code
-from comtes.racks import C2, AbelianGroup, check_cocycle, dihedral_quandle, graph_of_rack, tetrahedron_cocycle, tetrahedron_quandle, trivial_quandle
+from comtes.racks import C2, AbelianGroup, FiniteRack, check_cocycle, check_rack, dihedral_quandle, graph_of_rack, tetrahedron_cocycle, tetrahedron_quandle, trivial_quandle
 from reference import boundary_terms, chain_boundary, is_homomorphism, q2_cocycles_of_quandle
+
+# the attribute comtes.homology is the re-exported function
+HOMOLOGY = importlib.import_module("comtes.homology")
 
 EXHOC = graph(
     "a b c",
@@ -116,6 +120,21 @@ class TestHomEnumeration:
         monkeypatch.setattr(homology_module, "_extend", counting)
         homology_range(EXHOC, 5)
         assert built == [1, 2, 3, 4, 5, 6]
+
+    def test_homology_range_builds_one_dot_table(self, monkeypatch):
+        # the quandle test and the fold read the one table the call built
+        calls = []
+        dot_table = HOMOLOGY.dot_table
+
+        def counting(g):
+            calls.append(g)
+            return dot_table(g)
+
+        monkeypatch.setattr(HOMOLOGY, "dot_table", counting)
+        for g in (EXHOC, graph_of_rack(dihedral_quandle(3)), graph_of_rack(FiniteRack.from_table([[1, 2, 0]] * 3))):
+            calls.clear()
+            homology_range(g, 3)
+            assert calls == [g]
 
     def test_enumerate_homs_are_the_searched_homs(self):
         # on r-graphs enumerate_homs reads homs off the origin tuples; the
@@ -339,10 +358,22 @@ class TestHomology:
     def test_r5_rack_homology_through_degree_five(self):
         # the rack (plain) complex: Betti numbers o^n = 1 (Etingof, Grana,
         # below), and the 5-torsion Z/5, (Z/5)^2, (Z/5)^4 in degrees 3..5.
-        # The cleared d_6 has 15,625 columns; the run takes about 1 s of
-        # processor time on a 2-vCPU machine
+        # R_5 is a quandle, so these are folded from the quotient range
+        # (TestQuandleFold): about 0.2 s of processor time on a 2-vCPU
+        # machine, where eliminating the cleared d_6 of the rack complex,
+        # 15,625 columns, took about 1 s
         hs = homology_range(graph_of_rack(dihedral_quandle(5)), 5)
         assert [h.format() for h in hs] == ["Z", "Z", "Z + Z/5", "Z + Z/5 + Z/5", "Z + Z/5 + Z/5 + Z/5 + Z/5"]
+
+    def test_r5_rack_homology_through_degree_six(self):
+        # folded from the quotient range through degree 6, whose Smith
+        # elimination carries the run (about 2 s of processor time on a
+        # 2-vCPU machine); eliminating the rack complex took about 19 s
+        start = time.process_time()
+        hs = homology_range(graph_of_rack(dihedral_quandle(5)), 6)
+        spent = time.process_time() - start
+        assert [h.format() for h in hs] == ["Z", "Z"] + ["Z + " + " + ".join(["Z/5"] * k) for k in (1, 2, 4, 7)]
+        assert spent < 6.0, spent
 
     def test_rack_and_quandle_betti_numbers(self):
         # Etingof, Grana, JPAA 177 (2003): with o orbits, the rack Betti
@@ -397,8 +428,11 @@ class TestClearing:
     @pytest.mark.parametrize("q", [False, True])
     def test_rack_graphs_match_the_uncleared_forms(self, q):
         for x in (dihedral_quandle(3), dihedral_quandle(5), tetrahedron_quandle()):
+            # the plain groups of these quandle graphs are folded, so the
+            # cleared elimination of the rack complex is checked on its own
             g = graph_of_rack(x)
-            assert homology_range(g, 4, q_quotient=q) == uncleared_homology_range(g, 4, q_quotient=q)
+            want = uncleared_homology_range(g, 4, q_quotient=q)
+            assert homology_range(g, 4, q_quotient=q) == HOMOLOGY._elimination_range(dot_table(g), 4, q) == want
 
     def test_seeded_four_vertex_r_graphs_match_the_uncleared_forms(self):
         # forests of several trees, a vertex that no arrow meets, and d_2
@@ -417,6 +451,70 @@ class TestClearing:
             trees.append(sum(1 for comp in components(g) if len(comp) > 1))
             assert homology_range(g, 3) == uncleared_homology_range(g, 3), g
         assert trees.count(0) >= 30 and trees.count(2) >= 10
+
+
+def spindle_classes(n, bijective):
+    """One graph per isomorphism class of the tables t[a][b] = a.b on n
+    elements with a.a = a and a.(x.y) = (a.x).(a.y): the spindles, or the
+    quandles when ``bijective`` keeps the tables with bijective rows."""
+    rows = list(itertools.permutations(range(n)) if bijective else itertools.product(range(n), repeat=n))
+    classes = {}
+    for t in itertools.product(*[[r for r in rows if r[a] == a] for a in range(n)]):
+        if all(t[a][t[x][y]] == t[t[a][x]][t[a][y]] for a, x, y in itertools.product(range(n), repeat=3)):
+            g = graph_from_injections(t)
+            classes.setdefault(canonical_key(g), g)
+    return list(classes.values())
+
+
+class TestQuandleFold:
+    """On a quandle graph, or any graph whose table is total, idempotent
+    and distributive, homology_range folds the plain groups from the
+    quotient range; ``_elimination_range`` eliminates the rack complex."""
+
+    @pytest.mark.parametrize(
+        "x, top", [(dihedral_quandle(3), 7), (dihedral_quandle(5), 5), (tetrahedron_quandle(), 6)], ids=["R3", "R5", "S4"]
+    )
+    def test_fold_matches_the_elimination_on_rack_graphs(self, x, top):
+        # S_4 in degree 6 is the first place where a Tor term is nonzero
+        g = graph_of_rack(x)
+        assert homology_range(g, top) == HOMOLOGY._elimination_range(dot_table(g), top, False)
+
+    @pytest.mark.parametrize("n, bijective, top, count", [(3, True, 6, 3), (3, False, 6, 17), (4, True, 5, 7)])
+    def test_fold_matches_the_elimination_on_small_spindles(self, n, bijective, top, count):
+        # 3 and 7 quandles of order 3 and 4, the quandles of the 3- and
+        # 4-vertex q censuses; the 3-element spindles add non-bijective rows
+        graphs = spindle_classes(n, bijective)
+        assert len(graphs) == count
+        for g in graphs:
+            assert homology_range(g, top) == HOMOLOGY._elimination_range(dot_table(g), top, False), g
+
+    def test_graphs_outside_the_precondition_are_eliminated(self, monkeypatch):
+        total = [g for g in enumerate_q_graphs(3) if all(-1 not in row for row in dot_table(g))]
+        nondistributive = [g for g in total if check_rack(dot_table(g)).kind != "quandle"]
+        assert len(total) == 4 and len(nondistributive) == 1
+        cyclic = graph_of_rack(FiniteRack.from_table([[(y + 1) % 3 for y in range(3)]] * 3))
+        assert classify(cyclic) == "r"
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return smith_normal_form(m)
+
+        monkeypatch.setattr(HOMOLOGY, "smith_normal_form", counting)
+
+        def eliminated(run):
+            calls.clear()
+            out = run()
+            return out, list(calls)
+
+        for g in (nondistributive[0], G2_BAR, cyclic):
+            dot = dot_table(g)
+            want = eliminated(lambda: HOMOLOGY._elimination_range(dot, 4, False))
+            assert want[1] and eliminated(lambda: homology_range(g, 4)) == want, g
+        # a quandle graph eliminates its quotient complex alone
+        g = graph_of_rack(dihedral_quandle(3))
+        quotient = eliminated(lambda: HOMOLOGY._elimination_range(dot_table(g), 4, True))[1]
+        assert eliminated(lambda: homology_range(g, 4))[1] == quotient
 
 
 class TestSpanningForest:

@@ -293,6 +293,14 @@ class TestMultiLaurent:
         with pytest.raises(ValueError, match=r"^variable count must be non-negative, got -2$"):
             MultiLaurent.const(-2, 1)
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    def test_sum_of_different_variable_counts_rejected(self, op):
+        two, three = MultiLaurent(2, {(1, 0): 1}), MultiLaurent(3)
+        with pytest.raises(ValueError, match=r"^variable counts differ: 2 and 3$"):
+            op(two, three)
+        with pytest.raises(ValueError, match=r"^variable counts differ: 3 and 2$"):
+            op(three, two)
+
     def test_variable_index_one_is_the_second_variable(self):
         assert MultiLaurent.var(2, 1) == MultiLaurent(2, {(0, 1): 1})
 

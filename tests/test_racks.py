@@ -139,6 +139,26 @@ class TestAbelianGroup:
         with pytest.raises(TypeError, match=f"^cyclic order must be an integer, got {re.escape(repr(order))}$"):
             AbelianGroup((3, order))
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda g: g.add((1, 2), (1,)),
+            lambda g: g.add((1,), (1, 2)),
+            lambda g: g.add((1, 2, 0), (1, 2)),
+            lambda g: g.neg((1,)),
+            lambda g: g.scale((1, 1, 1), 2),
+        ],
+        ids=["add-second-shorter", "add-first-shorter", "add-first-longer", "neg", "scale"],
+    )
+    def test_residue_tuple_of_another_length_rejected(self, op):
+        with pytest.raises(ValueError, match=r"^residue tuple \(.*\) does not have 2 entries$"):
+            op(AbelianGroup((2, 3)))
+
+    @pytest.mark.parametrize("k", [1.5, True, "2", None])
+    def test_non_integer_scale_factor(self, k):
+        with pytest.raises(TypeError, match=f"^scale factor must be an integer, got {re.escape(repr(k))}$"):
+            AbelianGroup((2, 3)).scale((1, 1), k)
+
 
 class TestConstructors:
     @pytest.mark.parametrize("n", [0, -3])
