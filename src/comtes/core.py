@@ -87,19 +87,36 @@ def comte(vertices, arrows=()) -> Comte:
     return Comte(SelfIndexedGraph(vertices, arrs), tuple(a[3] for a in arrows))
 
 
-def graph_from_injections(maps) -> SelfIndexedGraph:
+def graph_from_injections(maps, shared: dict | None = None) -> SelfIndexedGraph:
     """Build the r-graph with an arrow b --label--> maps[label][b] for every
     defined value (-1 marks an undefined one).  Vertices are 0..n-1 as
-    strings; arrows ordered by (label, source)."""
+    strings; arrows ordered by (label, source).  Graphs built with one
+    ``shared`` dict share their parts, as in ``canonical_form``.
+
+    ``maps`` is a square table: n lists or tuples of n ``int`` values
+    (not ``bool``) in -1..n-1, with the defined values of each row
+    distinct.  A row of another type or a value that is not such an
+    ``int`` is a ``TypeError``; a row of another length or a value out of
+    range or repeated a ``ValueError``.  The message names the label and,
+    for a value, the source."""
     n = len(maps)
-    verts = tuple(str(i) for i in range(n))
-    arrows = []
-    for lab in range(n):
-        for src in range(n):
-            tgt = maps[lab][src]
-            if tgt >= 0:
-                arrows.append(Arrow(str(src), str(tgt), str(lab)))
-    return SelfIndexedGraph(verts, tuple(arrows))
+    triples = []
+    for lab, row in enumerate(maps):
+        if not isinstance(row, (list, tuple)):
+            raise TypeError(f"label {lab}: row must be a list or tuple of targets, got {row!r}")
+        if len(row) != n:
+            raise ValueError(f"label {lab}: row has length {len(row)}, not {n}")
+        seen = set()
+        for src, tgt in enumerate(row):
+            if type(tgt) is not int:
+                _require_int(tgt, f"label {lab}, source {src}: target")
+            if tgt != -1:
+                if not 0 <= tgt < n or tgt in seen:
+                    what = "is repeated" if tgt in seen else f"is outside -1..{n - 1}"
+                    raise ValueError(f"label {lab}, source {src}: target {tgt} {what}")
+                seen.add(tgt)
+                triples.append((src, tgt, lab))
+    return _shared_graph(n, triples, shared)
 
 
 def as_comte(obj: Comte | SelfIndexedGraph) -> Comte:
@@ -445,26 +462,32 @@ def _canonical_labeling(n: int, arrs: list[tuple[int, int, int, int]], tag: byte
     return CanonicalLabeling(tag + repr((n, best)).encode(), *best_assign, best)
 
 
-def _labeled_graph(lab: CanonicalLabeling, shared: dict | None = None) -> SelfIndexedGraph:
-    """The canonical graph that ``lab`` labels: vertices "0".."n-1" and the
-    canonical arrows, in order.  Graphs built with one ``shared`` dict share
-    their equal parts: the dict keeps the names tuple under the vertex
-    count and one ``Arrow`` under each (source, target, label).  The graph
-    of a bare-graph labeling keeps its key, which ``canonical_key`` then
-    returns; a comte's key does not key its bare graph."""
+def _shared_graph(n: int, triples, shared: dict | None) -> SelfIndexedGraph:
+    """The graph on vertices "0".."n-1" with one arrow per (source, target,
+    label) index triple, in order.  Graphs built with one ``shared`` dict
+    share their equal parts: the dict keeps the names tuple under the
+    vertex count and one ``Arrow`` under each triple."""
     if shared is None:
         shared = {}
-    n = len(lab.vertex_ranks)
     names = shared.get(n)
     if names is None:
         names = shared[n] = tuple(str(i) for i in range(n))
     arrows = []
-    for s, t, l, _ in lab.arrows:
-        a = shared.get((s, t, l))
+    for st in triples:
+        a = shared.get(st)
         if a is None:
-            a = shared[s, t, l] = Arrow(names[s], names[t], names[l])
+            s, t, l = st
+            a = shared[st] = Arrow(names[s], names[t], names[l])
         arrows.append(a)
-    g = SelfIndexedGraph(names, tuple(arrows))
+    return SelfIndexedGraph(names, tuple(arrows))
+
+
+def _labeled_graph(lab: CanonicalLabeling, shared: dict | None = None) -> SelfIndexedGraph:
+    """The canonical graph that ``lab`` labels, its canonical arrows in
+    order, built by ``_shared_graph``.  The graph of a bare-graph labeling
+    keeps its key, which ``canonical_key`` then returns; a comte's key
+    does not key its bare graph."""
+    g = _shared_graph(len(lab.vertex_ranks), [a[:3] for a in lab.arrows], shared)
     if lab.key.startswith(b"g"):
         object.__setattr__(g, "_key", lab.key)
     return g

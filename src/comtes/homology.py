@@ -41,7 +41,7 @@ from math import gcd
 from .coloring import graph_homomorphisms
 from .core import GraphHomomorphism, SelfIndexedGraph, _index_form, _require_int, _UnionFind, classify
 from .cubes import build_Yn
-from .linalg import _divisibility_chain, image_size_mod, kernel_mod, smith_normal_form
+from .linalg import _BuiltRows, _divisibility_chain, image_size_mod, kernel_mod, smith_normal_form
 from .racks import AbelianGroup
 
 
@@ -198,31 +198,39 @@ def boundary_matrix(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> li
     return [[row.get(c, 0) for c in cols] for row in _boundary(nv, codes, acted, n)]
 
 
-def _boundary(nv: int, codes, acted, n: int, cleared=frozenset()) -> list[dict[int, int]]:
+def _boundary(nv: int, codes, acted, n: int, cleared=frozenset()) -> _BuiltRows:
     """The sparse rows of the boundary C_n -> C_{n-1}: one per code of
-    degree n-1, as {column in degree n: coefficient}.  The rows whose
-    positions are in ``cleared`` are left empty.
+    degree n-1, as {column in degree n: coefficient} in rising column
+    order, without zero entries.  The rows whose positions are in
+    ``cleared`` are left empty.
 
     With L = n - s entries after a_s and prefix = t // V^(L+1), the faces
     of the code t at s are prefix V^L + t mod V^L (drop a_s) and
-    prefix V^L + the acted tail of t mod V^(L+1) (act by a_s).  Under the
+    prefix V^L + the acted tail of t mod V^(L+1) (act by a_s).  When the
+    two are one code they cancel, and the pair is skipped.  Under the
     quotient the faces missing from the basis are exactly the degenerate
     ones, and they are left out."""
-    pos = {code: i for i, code in enumerate(codes[n - 1])}
-    rows: list[dict[int, int]] = [{} for _ in codes[n - 1]]
+    pos = {code: i for i, code in enumerate(codes[n - 1]) if i not in cleared}
+    rows = _BuiltRows([{} for _ in codes[n - 1]])
     faces = [(-1 if s % 2 else 1, nv ** (n - s), nv ** (n - s + 1), acted[n - s + 1]) for s in range(1, n)]
     for col, t in enumerate(codes[n]):
-        terms: dict[int, int] = {}
+        # each entry of column col is written while col is the row's last
+        # column, so the rows keep rising column order
         for sign, low, high, tails in faces:
             prefix = t // high * low
             d0 = prefix + t % low
             acts = prefix + tails[t % high]
-            terms[d0] = terms.get(d0, 0) + sign
-            terms[acts] = terms.get(acts, 0) - sign
-        for face, coeff in terms.items():
-            r = pos.get(face)
-            if coeff and r is not None and r not in cleared:
-                rows[r][col] = coeff
+            if d0 == acts:
+                continue
+            for face, coeff in ((d0, sign), (acts, -sign)):
+                r = pos.get(face)
+                if r is not None:
+                    row = rows[r]
+                    v = row.get(col, 0) + coeff
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
     return rows
 
 
@@ -283,11 +291,17 @@ def homology_range(
     dot = dot_table(g)
     if q_quotient:
         _require_q_graph(g)
-    elif all(-1 not in row and row[a] == a for a, row in enumerate(dot)) and not any(
-        bad for _, bad in _distributivity_masks(dot)
-    ):
-        return _quandle_fold(dot, max_degree)
+    elif _is_quandle(dot):
+        return _quandle_fold(_elimination_range(dot, max_degree, True))
     return _elimination_range(dot, max_degree, q_quotient)
+
+
+def _is_quandle(dot) -> bool:
+    """Whether the table ``dot`` is total, with a.a = a and no ``bad``
+    pair: the precondition of the fold in ``homology_range``."""
+    return all(-1 not in row and row[a] == a for a, row in enumerate(dot)) and not any(
+        bad for _, bad in _distributivity_masks(dot)
+    )
 
 
 def _elimination_range(dot, max_degree: int, q_quotient: bool) -> tuple[HomologyGroup, ...]:
@@ -303,10 +317,12 @@ def _elimination_range(dot, max_degree: int, q_quotient: bool) -> tuple[Homology
         cleared = _spanning_forest(nv, codes[2], acted[2])
         ranks[2] = len(cleared)
     for k in range(3, max_degree + 2):
-        if sizes[k] == 0 or sizes[k - 1] == 0:
+        rows = _boundary(nv, codes, acted, k, cleared) if sizes[k] else ()
+        if not any(rows):
+            # the Smith form of a zero matrix: rank 0, no torsion, no units
             cleared = frozenset()
             continue
-        snf = smith_normal_form(_boundary(nv, codes, acted, k, cleared))
+        snf = smith_normal_form(rows)
         ranks[k] = snf.rank
         torsions[k] = tuple(d for d in snf.factors if d > 1)
         cleared = frozenset(snf.unit_columns)
@@ -317,15 +333,15 @@ def _elimination_range(dot, max_degree: int, q_quotient: bool) -> tuple[Homology
     return tuple(out)
 
 
-def _quandle_fold(dot, max_degree: int) -> tuple[HomologyGroup, ...]:
-    """The plain H_1 .. H_max_degree of a quandle graph from its quotient
-    range by the formula of ``homology_range``.  A group is the list of
-    the orders of its cyclic summands, 0 for Z: Z/a (x) Z/b and
+def _quandle_fold(quotient) -> tuple[HomologyGroup, ...]:
+    """The plain H_1 .. H_n of a quandle graph from its quotient range
+    H^Q_1 .. H^Q_n by the formula of ``homology_range``.  A group is the
+    list of the orders of its cyclic summands, 0 for Z: Z/a (x) Z/b and
     Tor(Z/a, Z/b) are Z/gcd(a, b), and Tor with Z is 0."""
-    quot = [[0] * h.betti + list(h.torsion) for h in _elimination_range(dot, max_degree, True)]
+    quot = [[0] * h.betti + list(h.torsion) for h in quotient]
     plain = [[0]]
     out = []
-    for m in range(1, max_degree + 1):
+    for m in range(1, len(quot) + 1):
         orders = list(quot[m - 1])
         for p in range(1, m):
             orders += [gcd(a, b) for a in quot[p - 1] for b in plain[m - 1 - p]]

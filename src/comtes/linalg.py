@@ -5,7 +5,9 @@ a list of sparse rows, each a ``{column: value}`` dict of ``int`` values
 keyed by ``int`` columns (a row of another type, a dense list included,
 or a float or a ``bool`` is a ``TypeError``, a negative column a
 ``ValueError``); zero entries are ignored and the rows are never
-changed.  One sparse elimination serves every routine.  Its
+changed.  Every matrix a caller passes is checked so; the boundary rows
+that ``comtes.homology`` builds come as ``_BuiltRows`` and are taken as
+built.  One sparse elimination serves every routine.  Its
 pivot is the least (|entry|, column length, column, row length, row).  The
 columns are kept in buckets by length, so a unit pick reads the shortest
 unit-holding bucket's columns in index order up to the first that holds a
@@ -68,6 +70,13 @@ def _divisibility_chain(ds: list[int]) -> tuple[int, ...]:
     return tuple(ds)
 
 
+class _BuiltRows(list):
+    """A matrix whose rows the package built: dicts of nonzero ``int``
+    entries keyed by non-negative ``int`` columns in rising order, with
+    no column outside the matrix.  ``_eliminate`` copies them without
+    checking them again."""
+
+
 def smith_normal_form(matrix) -> SNFResult:
     """Invariant factors, rank and unit-pivot columns of an integer matrix."""
     pivots, _, units = _eliminate(matrix)
@@ -103,10 +112,11 @@ def _eliminate(matrix, ncols=None):
     Each row is copied in column order, without its zero entries; a row
     that is not a ``dict``, or a column or an entry that is not an
     ``int`` (or is a ``bool``), is a ``TypeError``, and a negative column
-    a ``ValueError``.  Each pick from
-    the matrix is the least (|entry|, column length, column, row length,
-    row), so units in short columns go first and fill stays low on sparse
-    boundary matrices.  The columns are kept in buckets by length, and a
+    a ``ValueError``.  The rows of a ``_BuiltRows`` matrix are copied as
+    they stand, without that check.  Each pick from the matrix is the
+    least (|entry|, column length, column, row length, row), so units in
+    short columns go first and fill stays low on sparse boundary
+    matrices.  The columns are kept in buckets by length, and a
     pick reads the buckets in rising length and each bucket's columns in
     rising index up to the first column that holds a unit, whose unit of
     least (row length, row) is the pivot.  It skips the columns an earlier
@@ -116,24 +126,28 @@ def _eliminate(matrix, ncols=None):
     q = None if ncols is None else [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
+    built = isinstance(matrix, _BuiltRows)
     for r, row in enumerate(matrix):
-        if not isinstance(row, dict):
-            raise TypeError(f"row {r} is not a {{column: value}} dict: {type(row).__name__}")
-        d = {}
-        for c in row:
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise TypeError(f"row {r} has a column that is not an integer: {c!r}")
-        for c in sorted(row):
-            v = row[c]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise TypeError(f"entry ({r}, {c}) is not an integer: {v!r}")
-            if v:
-                d[c] = v
-        if d:
-            if ncols is not None and not (0 <= min(d) and max(d) < ncols):
+        if built:
+            d = dict(row)
+        else:
+            if not isinstance(row, dict):
+                raise TypeError(f"row {r} is not a {{column: value}} dict: {type(row).__name__}")
+            d = {}
+            for c in row:
+                if isinstance(c, bool) or not isinstance(c, int):
+                    raise TypeError(f"row {r} has a column that is not an integer: {c!r}")
+            for c in sorted(row):
+                v = row[c]
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise TypeError(f"entry ({r}, {c}) is not an integer: {v!r}")
+                if v:
+                    d[c] = v
+            if d and ncols is not None and not (0 <= min(d) and max(d) < ncols):
                 raise ValueError(f"row {r} has a column outside range({ncols})")
-            if min(d) < 0:
+            if d and min(d) < 0:
                 raise ValueError(f"row {r} has a negative column: {min(d)}")
+        if d:
             rows[r] = d
             for c in d:
                 cols.setdefault(c, set()).add(r)

@@ -3,7 +3,9 @@
 Each one is an independent or inverse computation: a class count by
 Burnside's lemma, a homomorphism check, the boundary of a chain by face
 composition, the boundary of one origin tuple by the per-tuple formula
-(``homology._boundary`` computes it on integer codes), the cocycle solve reshaped into ``Cocycle2`` objects, exact
+(``homology._boundary`` computes it on integer codes), the code boundary
+as ``homology._boundary`` built it with one scratch dict of terms per
+column, the cocycle solve reshaped into ``Cocycle2`` objects, exact
 divisibility of Laurent polynomials, the three writers of signed sums of
 monomials that ``laurent._monomial_sum`` replaced, the writers that match
 ``parse_rack_table`` and ``parse_cocycle``, and the move rules written on
@@ -118,6 +120,28 @@ def boundary_terms(t: tuple[int, ...], dot, q_quotient: bool) -> dict[tuple[int,
         terms[d0] = terms.get(d0, 0) + sign
         terms[acts] = terms.get(acts, 0) - sign
     return {face: coeff for face, coeff in terms.items() if coeff and not (q_quotient and _degenerate(face))}
+
+
+def code_boundary(nv: int, codes, acted, n: int, cleared=frozenset()) -> list[dict[int, int]]:
+    """``homology._boundary`` before it wrote each face straight into its
+    row: the faces of each column are summed in a scratch dict first, and
+    the nonzero sums are written to the rows not in ``cleared``."""
+    pos = {code: i for i, code in enumerate(codes[n - 1])}
+    rows: list[dict[int, int]] = [{} for _ in codes[n - 1]]
+    faces = [(-1 if s % 2 else 1, nv ** (n - s), nv ** (n - s + 1), acted[n - s + 1]) for s in range(1, n)]
+    for col, t in enumerate(codes[n]):
+        terms: dict[int, int] = {}
+        for sign, low, high, tails in faces:
+            prefix = t // high * low
+            d0 = prefix + t % low
+            acts = prefix + tails[t % high]
+            terms[d0] = terms.get(d0, 0) + sign
+            terms[acts] = terms.get(acts, 0) - sign
+        for face, coeff in terms.items():
+            r = pos.get(face)
+            if coeff and r is not None and r not in cleared:
+                rows[r][col] = coeff
+    return rows
 
 
 def q2_cocycles_of_quandle(x: FiniteRack, group: AbelianGroup):

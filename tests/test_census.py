@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import pickle
 
@@ -15,6 +16,8 @@ from comtes.census import (
     signature_census,
 )
 from comtes.core import canonical_form, canonical_key, classify, graph, graph_from_injections, validate_graph
+from comtes.homology import homology_range
+from comtes.racks import dihedral_quandle, graph_of_rack
 from reference import burnside_class_count, count_labeled_structures
 
 
@@ -134,6 +137,23 @@ class TestSignatures:
         assert row.kind == "q"
         assert [h.format() for h in row.plain] == ["Z", "Z^2", "Z^4", "Z^7", "Z^11"]
         assert row.quotient is not None
+
+    def test_quandle_row_eliminates_its_quotient_complex_once(self, monkeypatch):
+        # the plain groups are folded from the row's own quotient groups
+        homology = importlib.import_module("comtes.homology")
+        elimination_range = homology._elimination_range
+        calls = []
+
+        def recording(dot, n, q_quotient):
+            calls.append((n, q_quotient))
+            return elimination_range(dot, n, q_quotient)
+
+        monkeypatch.setattr(homology, "_elimination_range", recording)
+        g = graph_of_rack(dihedral_quandle(3))
+        row = census_row(g, 5)
+        assert calls == [(5, True)]
+        monkeypatch.undo()
+        assert (row.plain, row.quotient) == (homology_range(g, 5), homology_range(g, 5, q_quotient=True))
 
     def test_census_report_shape(self):
         fam = enumerate_q_graphs(2)

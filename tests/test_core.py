@@ -111,6 +111,48 @@ class TestClassify:
         assert classify(graph("a b", [("a", "a", "a"), ("b", "b", "b")])) == "q"
 
 
+class TestGraphFromInjections:
+    def test_arrows_by_label_then_source(self):
+        g = core.graph_from_injections([[1, -1], (-1, 0)])
+        assert g == graph("0 1", [("0", "1", "0"), ("1", "0", "1")])
+        assert classify(g) == "r"
+
+    def test_graphs_of_one_shared_dict_share_their_parts(self):
+        shared = {}
+        g = core.graph_from_injections([[0, 1], [1, 0]], shared)
+        h = core.graph_from_injections([[0, -1], [-1, 1]], shared)
+        assert g.vertices is h.vertices and g.arrows[0] is h.arrows[0]
+        assert canonical_form(g, shared).graph.arrows[0] is g.arrows[0]
+
+    @pytest.mark.parametrize(
+        "maps, message",
+        [
+            ([[5]], "label 0, source 0: target 5 is outside -1..0"),
+            ([[-1, -2], [-1, -1]], "label 0, source 1: target -2 is outside -1..1"),
+            ([[0, 0], [-1, -1]], "label 0, source 1: target 0 is repeated"),
+            ([[-1, -1], [-1, -1, 0]], "label 1: row has length 3, not 2"),
+            ([[-1, -1], [-1]], "label 1: row has length 1, not 2"),
+        ],
+        ids=["dangling", "below -1", "repeated", "extra entry", "missing entry"],
+    )
+    def test_bad_value_or_row_length_rejected(self, maps, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            core.graph_from_injections(maps)
+
+    @pytest.mark.parametrize(
+        "maps, message",
+        [
+            ([[-1, True], [-1, -1]], "label 0, source 1: target must be an integer, got True"),
+            ([[-1, -1], [1.0, -1]], "label 1, source 0: target must be an integer, got 1.0"),
+            ([[-1, -1], "01"], "label 1: row must be a list or tuple of targets, got '01'"),
+        ],
+        ids=["bool", "float", "string row"],
+    )
+    def test_bad_type_rejected(self, maps, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            core.graph_from_injections(maps)
+
+
 class TestComponents:
     def test_trefoil_connected(self):
         assert len(components(TREFOIL.graph)) == 1
