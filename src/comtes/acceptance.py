@@ -9,7 +9,6 @@ run randomized batteries with a fixed default seed.
 
 from __future__ import annotations
 
-import inspect
 import random
 import time
 from dataclasses import dataclass
@@ -83,9 +82,9 @@ def _census_graphs():
 
 
 @lru_cache(maxsize=None)
-def _census_signatures(jobs: int = 1) -> tuple[SignatureCensus, SignatureCensus]:
+def _census_signatures() -> tuple[SignatureCensus, SignatureCensus]:
     r3, q3 = _census_graphs()
-    return signature_census(r3, 5, jobs=jobs), signature_census(q3, 5, jobs=jobs)
+    return signature_census(r3, 5), signature_census(q3, 5)
 
 
 def criterion_1_census_counts() -> CriterionResult:
@@ -241,9 +240,9 @@ def criterion_6_linking() -> CriterionResult:
     return _result("6", "linking numbers", t0, ok, detail)
 
 
-def criterion_7_signature_census(jobs: int = 1) -> CriterionResult:
+def criterion_7_signature_census() -> CriterionResult:
     t0 = time.time()
-    rcensus, qcensus = _census_signatures(jobs)
+    rcensus, qcensus = _census_signatures()
     rcounts = rcensus.distinct_counts()
     qcounts = qcensus.distinct_counts()
     r_hits = [k for k, v in rcounts.items() if v == 280]
@@ -519,20 +518,13 @@ class UnknownCriterionError(ValueError):
     """Raised by ``run_all`` for criterion ids that name no criterion."""
 
 
-def run_all(seed: int = DEFAULT_SEED, jobs: int = 1, only=None):
+def run_all(seed: int = DEFAULT_SEED, only=None):
     """Run the criteria in order, or only those whose ids are in ``only``;
     an id that names no criterion is an ``UnknownCriterionError``, raised
-    before any criterion runs.  Each criterion is passed those of ``seed``
-    and ``jobs`` that it takes."""
+    before any criterion runs.  Criterion 8 is passed ``seed``."""
     ids = [fn.__name__.split("_")[1] for fn in CRITERIA]
     unknown = sorted(set(only or ()) - set(ids))
     if unknown:
         raise UnknownCriterionError(f"unknown criterion id(s): {', '.join(map(repr, unknown))} (ids are {', '.join(ids)})")
-    given = {"seed": seed, "jobs": jobs}
-    results = []
-    for fn, fid in zip(CRITERIA, ids):
-        if only is not None and fid not in only:
-            continue
-        takes = inspect.signature(fn).parameters
-        results.append(fn(**{k: v for k, v in given.items() if k in takes}))
-    return results
+    return [fn(seed) if fn is criterion_8_property_suites else fn()
+            for fn, fid in zip(CRITERIA, ids) if only is None or fid in only]

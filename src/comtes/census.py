@@ -14,28 +14,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .core import SelfIndexedGraph, _require_int, canonical_form, canonical_key, classify, graph_from_injections
 from .homology import HomologyGroup, _is_quandle, _quandle_fold, dot_table, homology_range
 
 
 def partial_injections(n: int) -> list[tuple[int, ...]]:
-    """All partial injections on 0..n-1 as tuples with -1 for undefined."""
+    """All partial injections on 0..n-1 as tuples with -1 for undefined,
+    in lexicographic order."""
     _require_int(n, "vertex count", 0)
-    out = []
-
-    def rec(i, used, acc):
-        if i == n:
-            out.append(tuple(acc))
-            return
-        rec(i + 1, used, acc + [-1])
-        for v in range(n):
-            if v not in used:
-                rec(i + 1, used | {v}, acc + [v])
-
-    rec(0, frozenset(), [])
-    return out
+    return [t for t in product(range(-1, n), repeat=n) if len(set(t) - {-1}) == n - t.count(-1)]
 
 
 def _label_choices(n: int, q_only: bool) -> list[list[tuple[int, ...]]]:

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import acceptance
 from .alexander import alexander_polynomial
 from .census import enumerate_q_graphs, enumerate_r_graphs, signature_census
-from .coloring import colorings, phi_invariant
+from .coloring import coloring_count, colorings, phi_invariant
 from .core import Comte, DecodeError, as_comte, classify, components, decode, encode, validate
 from .finitetype import SemiVirtualGraph, bracket
 from .homology import homology_range
@@ -110,11 +110,13 @@ def cmd_invariants(args) -> int:
 def cmd_colorings(args) -> int:
     c = _load_comte(args.comte)
     x = _load_rack(args.quandle)
+    if not args.list:
+        print(f"{coloring_count(c.graph, x)} colorings")
+        return 0
     cols = colorings(c.graph, x)
     print(f"{len(cols)} colorings")
-    if args.list:
-        for col in cols:
-            print("  " + " ".join(f"{v}={col[v]}" for v in c.graph.vertices))
+    for col in cols:
+        print("  " + " ".join(f"{v}={col[v]}" for v in c.graph.vertices))
     return 0
 
 
@@ -216,7 +218,7 @@ def cmd_bracket(args) -> int:
 
 def cmd_paper_suite(args) -> int:
     only = set(args.only.split(",")) if args.only else None
-    results = acceptance.run_all(seed=args.seed, jobs=args.jobs, only=only)
+    results = acceptance.run_all(seed=args.seed, only=only)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]
@@ -304,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("paper-suite", help="run the acceptance criteria")
     ps.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    ps.add_argument("--jobs", type=_positive_int, default=1)
     ps.add_argument("--only", default="", help="comma-separated criterion ids, e.g. 1,4,5")
     ps.set_defaults(fn=cmd_paper_suite)
 

@@ -278,10 +278,7 @@ def apply_move(c: Comte, m: MoveInstance) -> Comte:
 
 
 def apply_move_detailed(c: Comte, m: MoveInstance) -> ApplyResult:
-    for i in (*m.arrows, *(j for j, _ in m.moved)):
-        _require_int(i, "arrow index")
-    for p in m.params:
-        _require_int(p, "move parameter")
+    _check_shape(m)
     g = c.graph
     idx, arrs = _index_form(g)
     (n, new_arrs, flows), inverse, vmap, stem = _apply_rule((len(g.vertices), arrs, c.flows), m, g.vertices, idx)
@@ -299,6 +296,50 @@ def apply_move_detailed(c: Comte, m: MoveInstance) -> ApplyResult:
     return ApplyResult(Comte(SelfIndexedGraph(tuple(names), arrows), flows), vertex_map, _named_instance(inverse, names))
 
 
+# The shape of an instance of each kind: how many arrows, vertices and
+# params it names, whether it may move slots, and the values each of its
+# flags may take.  ``apply_move_detailed`` checks it, so the rules need
+# not; the search applies only enumerated instances, which have it.
+_SHAPES = {
+    "R0": (1, 1, 0, False, ()),
+    "R0inv": (0, 2, 0, False, (("target", "source"),)),
+    "R1contract": (1, 0, 0, False, ()),
+    "R1split": (0, 1, 0, True, (("old_new", "new_old"), ("old", "new"))),
+    "R1loopdel": (1, 0, 0, False, ()),
+    "R1loopadd": (0, 1, 1, False, ()),
+    **{kind: (2, 0, 0, False, ()) for kind, _, _ in _R2.values()},
+    **{split_kind: (1, 0, 2, True, (("parallel", "fresh"),)) for _, split_kind, _ in _R2.values()},
+    "R3a_remove": (5, 0, 1, False, ()),
+    "R3a_add": (4, 0, 1, False, ()),
+    "R3b_shift": (5, 0, 1, False, ()),
+}
+
+
+def _check_shape(m: MoveInstance) -> None:
+    shape = _SHAPES.get(m.kind)
+    if shape is None:
+        raise MoveError(f"unknown move kind {m.kind!r}")
+    for i in m.arrows:
+        _require_int(i, "arrow index")
+    for j, role in m.moved:
+        _require_int(j, "arrow index")
+        if role not in ("s", "t", "l"):
+            raise MoveError(f"{m.kind}: bad slot role {role!r}")
+    for p in m.params:
+        _require_int(p, "move parameter")
+    *counts, moves, flags = shape
+    got = [len(m.arrows), len(m.vertices), len(m.params), len(m.flags)]
+    if got != [*counts, len(flags)]:
+        raise MoveError(f"{m.kind}: counts of arrows, vertices, params and flags are {got}, not {[*counts, len(flags)]}")
+    if m.moved and not moves:
+        raise MoveError(f"{m.kind}: moves no slots")
+    for flag, allowed in zip(m.flags, flags):
+        if flag not in allowed:
+            raise MoveError(f"{m.kind}: bad flag {flag!r}")
+    if m.kind.startswith("R3a") and m.params[0] not in range(4):
+        raise MoveError(f"{m.kind}: bad side position {m.params[0]}")
+
+
 def _named_instance(fields_, vertex_names, arrow_perm=None) -> MoveInstance:
     """The instance with the fields ``fields_``, its vertex indices named by
     ``vertex_names`` and its arrow indices sent through ``arrow_perm``."""
@@ -310,15 +351,13 @@ def _named_instance(fields_, vertex_names, arrow_perm=None) -> MoveInstance:
 
 
 def _apply_rule(state, m: MoveInstance, names, idx):
-    """Apply ``m`` to an index state, looking its vertex names up in ``idx``.
-    Returns the new state; the inverse as its ``MoveInstance`` fields, with
-    the new state's vertex indices; the vertex map (old index -> new index
-    or None) when a vertex goes, else None; and the stem of a fresh vertex's
-    name, None for "w"."""
-    rule = _APPLY.get(m.kind)
-    if rule is None:
-        raise MoveError(f"unknown move kind {m.kind!r}")
-    return rule(*state, m, names, idx)
+    """Apply ``m``, which has the shape of its kind (``_check_shape``), to an
+    index state, looking its vertex names up in ``idx``.  Returns the new
+    state; the inverse as its ``MoveInstance`` fields, with the new state's
+    vertex indices; the vertex map (old index -> new index or None) when a
+    vertex goes, else None; and the stem of a fresh vertex's name, None for
+    "w"."""
+    return _APPLY[m.kind](*state, m, names, idx)
 
 
 def _apply_r0(n, arrs, flows, m, names, idx):
@@ -339,13 +378,7 @@ def _apply_r0inv(n, arrs, flows, m, names, idx):
     attach, labelv = m.vertices
     attach = _check_vertex(idx, attach)
     labelv = _check_vertex(idx, labelv)
-    (flag,) = m.flags
-    if flag == "target":
-        new = (attach, n, labelv)
-    elif flag == "source":
-        new = (n, attach, labelv)
-    else:
-        raise MoveError(f"R0inv: bad direction flag {flag!r}")
+    new = (attach, n, labelv) if m.flags == ("target",) else (n, attach, labelv)
     return (n + 1, arrs + (new,), flows + (0,)), ("R0", (len(arrs),), (n,), (), frozenset(), ()), None, None
 
 
@@ -370,11 +403,9 @@ def _apply_r1split(n, arrs, flows, m, names, idx):
     flow = _moved_flow(flows, m.moved)
     if direction == "old_new":
         new = (v, n, v if label_half == "old" else n)
-    elif direction == "new_old":
+    else:
         new = (n, v, v if label_half == "old" else n)
         flow = -flow
-    else:
-        raise MoveError(f"R1split: bad direction flag {direction!r}")
     return (n + 1, (*arrows, new), flows + (flow,)), ("R1contract", (len(arrs),), (), (), frozenset(), ()), None, v
 
 
@@ -435,7 +466,7 @@ def _apply_r2_split(n, arrs, flows, m, names, idx, merge_role: str):
         if m.moved:
             raise MoveError("R2 split: parallel flavor moves no slots")
         out, stem = (n, arrs + (a,), new_flows), None
-    elif flavor == "fresh":
+    else:
         if (ei, merge_role) in m.moved:
             raise MoveError("R2 split: the split slot cannot be moved")
         # the split slot stays where it is on ei and is the fresh vertex on
@@ -445,8 +476,6 @@ def _apply_r2_split(n, arrs, flows, m, names, idx, merge_role: str):
         if i2 != _r2_split_flow(flows, m.moved, merge_role):
             raise MoveError("R2 split: flow split violates conservation")
         out = (n + 1, (*arrows, _with_slot(arrows[ei], merge_role, n)), new_flows)
-    else:
-        raise MoveError(f"R2 split: bad flavor {flavor!r}")
     return out, (_R2[merge_role][0], (ei, len(arrs)), (), (), frozenset(), ()), None, stem
 
 
@@ -466,8 +495,6 @@ def _apply_r3a_add(n, arrs, flows, m, names, idx):
     w, *sides = (_check_arrow(arrs, j) for j in m.arrows)
     if len(set(m.arrows)) != 4:
         raise MoveError("R3a_add: arrows must be distinct")
-    if pos not in range(4):
-        raise MoveError(f"R3a_add: bad side position {pos}")
     corners = _corners(w, dict(zip((p for p in range(4) if p != pos), sides)))
     if corners is None:
         raise MoveError("R3a_add: stale site, three-sided square relations fail")
@@ -804,10 +831,7 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
                 enumerators.append(partial(inverse_instances, new_vertices=new_vertices))
             for enumerator in enumerators:
                 for inst in enumerator(state, budget):
-                    try:
-                        (n, child_arrs, flows), _, _, _ = _apply_rule(index_state, inst, state.vertices, idx)
-                    except MoveError:
-                        continue
+                    (n, child_arrs, flows), _, _, _ = _apply_rule(index_state, inst, state.vertices, idx)
                     if n > budget.max_vertices or len(child_arrs) > budget.max_arrows:
                         continue
                     # every child is labeled, and kept as its canonical arrows

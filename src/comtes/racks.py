@@ -21,11 +21,14 @@ class RackCheck:
 
 
 def check_rack(table) -> RackCheck:
-    """Check the rack axioms; the witness names the first failing instance."""
+    """Check the rack axioms; the witness names the first failing instance.
+    An entry that is not an integer is a ``TypeError``."""
     n = len(table)
     for x, row in enumerate(table):
         if len(row) != n:
             return RackCheck("not_rack", f"row {x} has length {len(row)}, expected {n}")
+        for y, v in enumerate(row):
+            _require_int(v, f"rack table entry ({x}, {y})")
         if any(not 0 <= v < n for v in row):
             return RackCheck("not_rack", f"row {x} contains an out-of-range value")
         if len(set(row)) != n:

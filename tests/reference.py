@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the package against.
 
-Each one is an independent or inverse computation: a class count by
-Burnside's lemma, a homomorphism check, the boundary of a chain by face
+Each one is an independent or inverse computation: the partial
+injections by the recursion the census used, a class count by Burnside's
+lemma, a homomorphism check, the boundary of a chain by face
 composition, the boundary of one origin tuple by the per-tuple formula
 (``homology._boundary`` computes it on integer codes), the code boundary
 as ``homology._boundary`` built it with one scratch dict of terms per
@@ -32,6 +33,25 @@ from comtes.racks import AbelianGroup, Cocycle2, FiniteRack, graph_of_rack
 
 def count_labeled_structures(n_vertices: int, q_only: bool = False) -> int:
     return prod(len(c) for c in _label_choices(n_vertices, q_only))
+
+
+def recursive_partial_injections(n: int) -> list[tuple[int, ...]]:
+    """The partial injections on 0..n-1, -1 for undefined, as the census
+    built them by recursion before ``partial_injections`` filtered a
+    product: at each position -1 first, then each unused vertex in order."""
+    out = []
+
+    def rec(i, used, acc):
+        if i == n:
+            out.append(tuple(acc))
+            return
+        rec(i + 1, used, acc + [-1])
+        for v in range(n):
+            if v not in used:
+                rec(i + 1, used | {v}, acc + [v])
+
+    rec(0, frozenset(), [])
+    return out
 
 
 def burnside_class_count(n_vertices: int, q_only: bool = False) -> int:

@@ -137,6 +137,39 @@ def test_criterion_8g_reidemeister():
     assert ok, msg
 
 
+@pytest.mark.parametrize("failing", [None, *"abcdefg"])
+def test_criterion_8_joins_its_seven_suites(monkeypatch, failing):
+    seeds = []
+    for tag in "abcdefg":
+        name = next(n for n in dir(acceptance) if n.startswith(f"suite_8{tag}_"))
+
+        def suite(*seed, tag=tag):
+            seeds.extend(seed)
+            return tag != failing, f"msg {tag}"
+
+        monkeypatch.setattr(acceptance, name, suite)
+    result = acceptance.criterion_8_property_suites(seed=11)
+    assert seeds == [11, 11, 11]  # 8a, 8e and 8f take the seed
+    assert (result.ident, result.name, result.passed) == ("8", "property suites", failing is None)
+    assert result.detail == "; ".join(f"8{t} {'FAIL' if t == failing else 'ok'} (msg {t})" for t in "abcdefg")
+
+
+def test_run_all_passes_the_seed_to_criterion_8_alone(monkeypatch):
+    calls = []
+
+    def criterion_1_spy(*args):
+        calls.append((1, args))
+
+    def criterion_8_spy(*args):
+        calls.append((8, args))
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [criterion_1_spy, criterion_8_spy])
+    monkeypatch.setattr(acceptance, "criterion_8_property_suites", criterion_8_spy)
+    acceptance.run_all(seed=5)
+    acceptance.run_all(seed=6, only={"8"})
+    assert calls == [(1, ()), (8, (5,)), (8, (6,))]
+
+
 @pytest.mark.parametrize("only", [{"9"}, {"6", "x"}])
 def test_unknown_criterion_id_rejected_before_any_run(monkeypatch, only):
     ran = []

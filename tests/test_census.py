@@ -18,7 +18,7 @@ from comtes.census import (
 from comtes.core import canonical_form, canonical_key, classify, graph, graph_from_injections, validate_graph
 from comtes.homology import homology_range
 from comtes.racks import dihedral_quandle, graph_of_rack
-from reference import burnside_class_count, count_labeled_structures
+from reference import burnside_class_count, count_labeled_structures, recursive_partial_injections
 
 
 @functools.cache
@@ -40,6 +40,12 @@ class TestEnumeration:
         assert [len(partial_injections(n)) for n in range(4)] == [1, 2, 7, 34]
         assert count_labeled_structures(3) == 34 ** 3 == 39304
         assert count_labeled_structures(3, q_only=True) == 7 ** 3 == 343
+
+    def test_partial_injections_match_the_recursion(self):
+        # the same tuples in the same order, so every census code is unchanged
+        for n, count in enumerate([1, 2, 7, 34, 209, 1546, 13327]):
+            assert partial_injections(n) == recursive_partial_injections(n)
+            assert len(partial_injections(n)) == count
 
     @pytest.mark.parametrize(
         "count",

@@ -87,6 +87,32 @@ class TestColoringsAndStateSum:
         code, out, _ = run(capsys, "colorings", "--comte", str(p), "--quandle", "tetrahedron")
         assert code == 0 and out.splitlines()[0] == "16 colorings"
 
+    @pytest.mark.parametrize("quandle, listed", [
+        ("dihedral3", ["a=0 b=0 c=0", "a=0 b=1 c=2", "a=0 b=2 c=1", "a=1 b=0 c=2", "a=1 b=1 c=1",
+                       "a=1 b=2 c=0", "a=2 b=0 c=1", "a=2 b=1 c=0", "a=2 b=2 c=2"]),
+        ("trivial2", ["a=0 b=0 c=0", "a=1 b=1 c=1"]),
+    ])
+    def test_colorings_count_and_list(self, capsys, tmp_path, quandle, listed):
+        # the count alone, then the same count and each colouring in
+        # vertex order, sorted by the tuple of element values
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        head = f"{len(listed)} colorings"
+        assert run(capsys, "colorings", "--comte", str(p), "--quandle", quandle) == (0, head + "\n", "")
+        code, out, err = run(capsys, "colorings", "--comte", str(p), "--quandle", quandle, "--list")
+        assert (code, err) == (0, "") and out.splitlines() == [head, *("  " + line for line in listed)]
+
+    def test_colorings_count_builds_no_coloring(self, capsys, tmp_path, monkeypatch):
+        import comtes.cli
+
+        def refuse(*args):
+            raise AssertionError("colorings built without --list")
+
+        monkeypatch.setattr(comtes.cli, "colorings", refuse)
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        assert run(capsys, "colorings", "--comte", str(p), "--quandle", "tetrahedron") == (0, "16 colorings\n", "")
+
     def test_statesum_builtin(self, capsys, tmp_path):
         p = tmp_path / "t.json"
         p.write_text(encode(TREFOIL))
@@ -577,7 +603,7 @@ class TestUndecodableFiles:
 
 
 class TestJobsOption:
-    @pytest.mark.parametrize("argv", [["census", "--vertices", "1", "--max-degree", "1"], ["paper-suite", "--only", "6"]])
+    @pytest.mark.parametrize("argv", [["census", "--vertices", "1", "--max-degree", "1"]])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_exits_2(self, capsys, argv, jobs):
         with pytest.raises(SystemExit) as exc:
@@ -585,6 +611,14 @@ class TestJobsOption:
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == "" and "--jobs" in out.err and "must be positive" in out.err
+
+    def test_paper_suite_takes_no_jobs(self, capsys):
+        # the suite's census runs in one process; --jobs belongs to census
+        with pytest.raises(SystemExit) as exc:
+            main(["paper-suite", "--only", "6", "--jobs", "2"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "unrecognized arguments: --jobs 2" in out.err
 
 
 class TestPaperSuiteCommand:
@@ -604,6 +638,29 @@ class TestPaperSuiteCommand:
 
 
 class TestStateSumHardening:
+    def test_rack_that_is_not_a_quandle(self, capsys, tmp_path):
+        # x |> y = 1 - y on two elements is a rack, and 0 |> 0 = 1
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        rpath = tmp_path / "swap.rack"
+        rpath.write_text("2\n1 0\n1 0\n")
+        code, out, err = run(capsys, "statesum", "--comte", str(p), "--quandle", str(rpath), "--cocycle", "builtin")
+        assert (code, out) == (1, "") and "state sums need a quandle" in err
+
+    def test_builtin_cocycle_needs_four_elements(self, capsys, tmp_path):
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        code, out, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "dihedral3", "--cocycle", "builtin")
+        assert (code, out) == (1, "") and "the builtin cocycle is the tetrahedron one (4 elements)" in err
+
+    def test_cocycle_that_is_not_a_cocycle(self, capsys, tmp_path):
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        fpath = tmp_path / "f.cocycle"
+        fpath.write_text("A: 2\n1 1 -> 1\n")
+        code, out, err = run(capsys, "statesum", "--comte", str(p), "--quandle", "tetrahedron", "--cocycle", str(fpath))
+        assert (code, out) == (1, "") and "not a 2-cocycle: f(1,1) is not the identity" in err
+
     def test_cocycle_size_mismatch(self, capsys, tmp_path):
         from comtes.racks import C2, Cocycle2
         from reference import format_cocycle

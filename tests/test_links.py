@@ -116,6 +116,15 @@ class TestComteOfDiagram:
         c = comte_of_diagram(parse_pd_code("L"))
         assert len(c.vertices) == 1 and not c.arrows
 
+    @pytest.mark.parametrize("b, d, sign", [(3, 4, -1), (4, 3, 1), (3, 6, 1), (6, 3, -1), (8, 1, -1)])
+    def test_pd_sign(self, b, d, sign):
+        # consecutive over-edges give the direction; otherwise the
+        # over-strand is the wrap of a shorter component, which runs from
+        # its larger edge to its smaller one
+        from comtes.links import PDCrossing, _pd_sign
+
+        assert _pd_sign(PDCrossing(1, b, 2, d), 8) == sign
+
     def test_ill_formed(self):
         with pytest.raises(LinkCodeError, match="ill-formed"):
             parse_pd_code("X[1,2,3]")

@@ -196,6 +196,116 @@ class TestApply:
         )
 
 
+# One well-shaped instance of each kind on SQUARE0 (flows all 0).
+WELL_SHAPED = (
+    MoveInstance("R0", arrows=(0,), vertices=("b",)),
+    MoveInstance("R0inv", vertices=("a", "a"), flags=("target",)),
+    MoveInstance("R1contract", arrows=(0,)),
+    MoveInstance("R1split", vertices=("c",), moved=frozenset({(1, "s")}), flags=("old_new", "new")),
+    MoveInstance("R1loopdel", arrows=(0,)),
+    MoveInstance("R1loopadd", vertices=("a",), params=(1,)),
+    MoveInstance("R2a", arrows=(1, 3)),
+    MoveInstance("R2b", arrows=(2, 4)),
+    MoveInstance("R2a_split", arrows=(1,), params=(0, 0), flags=("parallel",)),
+    MoveInstance("R2b_split", arrows=(1,), params=(0, 0), moved=frozenset({(3, "s")}), flags=("fresh",)),
+    MoveInstance("R3a_remove", arrows=(0, 1, 2, 3, 4), params=(0,)),
+    MoveInstance("R3a_add", arrows=(0, 1, 2, 3), params=(3,)),
+    MoveInstance("R3b_shift", arrows=(0, 1, 2, 3, 4), params=(1,)),
+)
+
+
+class TestInstanceShape:
+    """``apply_move`` rejects an instance whose fields do not fit its kind
+    with a ``MoveError``, before any rule reads them."""
+
+    def test_every_kind_has_a_well_shaped_instance(self):
+        from comtes.moves import _APPLY
+
+        assert sorted(m.kind for m in WELL_SHAPED) == sorted(_APPLY)
+
+    @pytest.mark.parametrize("m", WELL_SHAPED, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("field", ["arrows", "vertices", "params", "flags"])
+    def test_a_field_one_too_long_or_short(self, m, field):
+        value = getattr(m, field)
+        extra = {"arrows": 0, "vertices": "a", "params": 0, "flags": value[-1] if value else "fresh"}[field]
+        for wrong in (value + (extra,), value[:-1]) if value else (value + (extra,),):
+            with pytest.raises(MoveError, match="counts of arrows, vertices, params and flags"):
+                apply_move(SQUARE0, dataclasses.replace(m, **{field: wrong}))
+
+    @pytest.mark.parametrize("pos", [-1, 4, 5, 6, 7])
+    def test_r3a_side_position_out_of_range(self, pos):
+        # position -1 used to delete the witness of an R3a_remove site
+        for m in (MoveInstance("R3a_remove", arrows=(0, 1, 2, 3, 4), params=(pos,)),
+                  MoveInstance("R3a_add", arrows=(0, 1, 2, 3), params=(pos,))):
+            with pytest.raises(MoveError, match=f"bad side position {pos}"):
+                apply_move(SQUARE0, m)
+
+    @pytest.mark.parametrize("m", [
+        MoveInstance("R0inv", vertices=("a", "a"), flags=("up",)),
+        MoveInstance("R1split", vertices=("c",), moved=frozenset({(1, "s")}), flags=("sideways", "old")),
+        MoveInstance("R1split", vertices=("c",), moved=frozenset({(1, "s")}), flags=("old_new", "banana")),
+        MoveInstance("R2a_split", arrows=(1,), params=(0, 0), flags=("split",)),
+    ], ids=["R0inv-direction", "R1split-direction", "R1split-label-half", "R2a_split-flavor"])
+    def test_bad_flag(self, m):
+        with pytest.raises(MoveError, match=f"{m.kind}: bad flag"):
+            apply_move(SQUARE0, m)
+
+    def test_bad_slot_role(self):
+        m = MoveInstance("R1split", vertices=("c",), moved=frozenset({(1, "x")}), flags=("old_new", "new"))
+        with pytest.raises(MoveError, match="bad slot role 'x'"):
+            apply_move(SQUARE0, m)
+
+    def test_slots_moved_by_a_kind_that_moves_none(self):
+        m = MoveInstance("R1loopadd", vertices=("c",), params=(0,), moved=frozenset({(1, "s")}))
+        with pytest.raises(MoveError, match="R1loopadd: moves no slots"):
+            apply_move(SQUARE0, m)
+
+    def test_well_shaped_instances_reach_their_rules(self):
+        # the R0, R1contract, R1loopdel, R2a and R2b instances fail a site
+        # check of SQUARE0, which is a rule fault, not a shape fault
+        for m in WELL_SHAPED:
+            try:
+                apply_move(SQUARE0, m)
+            except MoveError as e:
+                assert "counts of" not in str(e) and "bad " not in str(e), (m, e)
+
+
+class TestRuleRejections:
+    """The site checks of the rules, each on an instance of the right
+    shape."""
+
+    def test_r0_pendant_flow(self):
+        # a pendant arrow with a flow is not conserved, but apply_move takes
+        # any comte
+        c = Comte(comte("a b t", [("a", "b", "t", 0)]).graph, (1,))
+        with pytest.raises(MoveError, match="R0: pendant arrow flow is nonzero"):
+            apply_move(c, MoveInstance("R0", arrows=(0,), vertices=("b",)))
+
+    def test_r2_arrows_distinct(self):
+        c = comte("a s", [("a", "s", "a", 2), ("a", "s", "a", 3), ("s", "a", "a", 5)])
+        with pytest.raises(MoveError, match="R2: arrows must be distinct"):
+            apply_move(c, MoveInstance("R2a", arrows=(0, 0)))
+
+    @pytest.mark.parametrize("m, error", [
+        (MoveInstance("R2a_split", arrows=(1,), params=(1, 0), flags=("parallel",)), "flows do not sum"),
+        (MoveInstance("R2a_split", arrows=(1,), params=(0, 0), moved=frozenset({(3, "s")}), flags=("parallel",)),
+         "parallel flavor moves no slots"),
+        (MoveInstance("R2b_split", arrows=(1,), params=(0, 0), moved=frozenset({(1, "s")}), flags=("fresh",)),
+         "the split slot cannot be moved"),
+    ], ids=["sum", "parallel-moves", "split-slot-moved"])
+    def test_r2_split_faults(self, m, error):
+        with pytest.raises(MoveError, match=f"R2 split: {error}"):
+            apply_move(SQUARE0, m)
+
+    def test_r3a_removed_side_carries_flow(self):
+        with pytest.raises(MoveError, match="R3a: the removed side must carry flow 0"):
+            apply_move(SQUARE, MoveInstance("R3a_remove", arrows=(0, 1, 2, 3, 4), params=(0,)))
+
+    def test_r3a_add_arrows_distinct(self):
+        with pytest.raises(MoveError, match="R3a_add: arrows must be distinct"):
+            apply_move(SQUARE0, MoveInstance("R3a_add", arrows=(0, 1, 1, 2), params=(3,)))
+
+
 class TestInverseEnumeration:
     def test_single_vertex_r0inv(self):
         c = comte("a", [])
@@ -364,6 +474,20 @@ class TestSearch:
     def test_self_is_equivalent_with_empty_trace(self):
         trace = equivalent_bounded(TREFOIL, TREFOIL)
         assert trace is not None and len(trace) == 0
+
+    def test_an_instance_that_does_not_apply_raises_from_the_search(self, monkeypatch):
+        # every enumerated instance applies, so the search catches nothing:
+        # a fault in an enumerator is an error, not a smaller search
+        import comtes.moves
+
+        real = comtes.moves.enumerate_moves
+
+        def faulty(c, budget):
+            return [*real(c, budget), MoveInstance("R1contract", arrows=(len(c.arrows),))]
+
+        monkeypatch.setattr(comtes.moves, "enumerate_moves", faulty)
+        with pytest.raises(MoveError, match="stale site"):
+            equivalent_bounded(TREFOIL, FIGURE_EIGHT, SearchBudget(max_states=50))
 
     def test_one_step_search_and_replay(self):
         c2 = apply_move(TREFOIL, MoveInstance("R1loopadd", vertices=("a",), params=(1,)))
@@ -714,10 +838,7 @@ class TestSizeChange:
         seen = set()
         for c, budget in self._sample(make_comte, ignore_flows):
             for m in enumerate_moves(c, budget):
-                try:
-                    dv, da = self._change(c, m)
-                except MoveError:
-                    continue
+                dv, da = self._change(c, m)  # every enumerated instance applies
                 assert dv <= 0 and da <= 0, (c, m)
                 seen.add((m.kind, dv))
         forward = {"R0", "R1contract", "R1loopdel", "R2a", "R2b", "R3a_remove", "R3b_shift"}

@@ -11,6 +11,7 @@ from comtes.racks import (
     C2,
     Cocycle2,
     FiniteRack,
+    RackCheck,
     builtin_rack,
     check_cocycle,
     check_rack,
@@ -48,6 +49,29 @@ class TestCheckRack:
         table = [[(y + 1) % 3 for y in range(3)] for _ in range(3)]
         assert check_rack(table).kind == "rack"
         assert not FiniteRack.from_table(table).quandle
+
+
+    def test_row_length_witness(self):
+        chk = check_rack([[0, 1], [1]])
+        assert chk == RackCheck("not_rack", "row 1 has length 1, expected 2")
+
+    def test_out_of_range_witness(self):
+        assert check_rack([[0, 2], [0, 1]]) == RackCheck("not_rack", "row 0 contains an out-of-range value")
+        assert check_rack([[-1, 0], [0, 1]]) == RackCheck("not_rack", "row 0 contains an out-of-range value")
+
+    def test_from_table_rejects_what_is_not_a_rack(self):
+        with pytest.raises(ValueError, match=r"^not a rack: row 0 \(the map 0 \|> \?\) is not a bijection$"):
+            FiniteRack.from_table([[0, 0], [0, 1]])
+
+    @pytest.mark.parametrize("entry", [False, True, 0.5, "0", None])
+    def test_entry_that_is_not_an_integer(self, entry):
+        # a bool used to pass as 0 or 1, and the rest failed inside
+        for table in ([[entry]], [[0, 1], [1, entry]]):
+            at = "(0, 0)" if len(table) == 1 else "(1, 1)"
+            with pytest.raises(TypeError, match=re.escape(f"rack table entry {at} must be an integer, got {entry!r}")):
+                FiniteRack.from_table(table)
+            with pytest.raises(TypeError, match="must be an integer"):
+                check_rack(table)
 
 
 class TestTetrahedron:
@@ -94,6 +118,12 @@ class TestTetrahedron:
         vals[1][2] = (0,)
         bad = Cocycle2(C2, tuple(tuple(r) for r in vals))
         assert check_cocycle(x, bad) is not None
+
+    def test_cocycle_off_the_identity_on_the_diagonal_witnessed(self):
+        # a constant f = s meets the cocycle condition (s + s on each
+        # side), so only the identity check catches it
+        f = Cocycle2(C2, (((1,),) * 4,) * 4)
+        assert check_cocycle(tetrahedron_quandle(), f) == "f(0,0) is not the identity"
 
 
 class TestGraphOfRack:
@@ -212,6 +242,11 @@ class TestTextFormats:
             assert parse_rack_table(format_rack_table(x)) == x
         with pytest.raises(ValueError):
             parse_rack_table("2\n0 1\n")
+
+    @pytest.mark.parametrize("text", ["", " \n\t"])
+    def test_rack_table_empty_text_rejected(self, text):
+        with pytest.raises(ValueError, match="^empty rack table$"):
+            parse_rack_table(text)
 
     def test_rack_table_negative_size_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
