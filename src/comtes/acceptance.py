@@ -447,10 +447,7 @@ def suite_8f_routes_and_swaps(seed: int, cases: int = 500) -> tuple[bool, str]:
     done = 0
     while done < cases:
         code = random_gauss_diagram(rng)
-        try:
-            d = parse_gauss_code(code)
-        except Exception:
-            continue
+        d = parse_gauss_code(code)
         c = comte_of_gauss(d)
         if not validate(c).ok:
             return False, f"invalid comte from random diagram {code}"

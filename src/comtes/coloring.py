@@ -180,7 +180,10 @@ def flow_to_cycle(c: Comte) -> Chain:
 def cochain_from_cocycle2_on(x: FiniteRack, f: Cocycle2) -> Cochain:
     """Reshape a quandle 2-cocycle into a degree-2 cochain on the graph of
     the quandle: f(a, b) sits on the basis homomorphism of the arrow with
-    label a and source b."""
+    label a and source b.  A table that is not x.n by x.n is a
+    ``ValueError``."""
+    if f.n != x.n or any(len(row) != x.n for row in f.values):
+        raise ValueError(f"cocycle table is not {x.n} by {x.n}, the size of the rack")
     g = graph_of_rack(x)
     return Cochain(
         2, {degree2_signature(g, rack_arrow_index(x, a, b)): f.value(a, b) for a in range(x.n) for b in range(x.n)}
@@ -200,12 +203,17 @@ def state_sum(
     For the cycle of a comte's flow, a quandle-graph target and the
     cochain of a quandle 2-cocycle, this is ``phi_invariant``.  The two
     degrees and every chain coefficient must be integers, the degrees
-    non-negative.
+    non-negative, and every chain term must map into gsrc: a vertex image
+    that is not a vertex of gsrc, or an arrow image out of range, is a
+    ``ValueError`` that names the term.
     """
     _require_int(chain.degree, "chain degree", 0)
     _require_int(cochain.degree, "cochain degree", 0)
-    for _, coeff in chain.coeffs:
+    vertices = set(gsrc.vertices)
+    for h, coeff in chain.coeffs:
         _require_int(coeff, "chain coefficient")
+        if not vertices.issuperset(h.vertex_images) or not all(0 <= j < len(gsrc.arrows) for j in h.arrow_map):
+            raise ValueError(f"chain term {h} does not map into the source graph")
     if chain.degree != cochain.degree:
         raise ValueError(
             f"degree mismatch: chain has degree {chain.degree}, cochain {cochain.degree}"
@@ -225,8 +233,13 @@ def state_sum(
 def phi_invariant(c: Comte, x: FiniteRack, f: Cocycle2) -> dict:
     """The cocycle state sum over colorings, in the group ring Z[A]:
     each coloring C contributes the product over arrows b --a,I--> c of
-    f(C(a), C(b))^I.  Requires a quandle and a 2-cocycle on it; the
-    augmentation of the result is the number of colorings.
+    f(C(a), C(b))^I.  Requires a quandle; the augmentation of the result
+    is the number of colorings.
+
+    Any table f of the quandle's size is taken, cocycle or not, and the
+    sum is computed all the same.  It is an invariant of the comte only
+    when f is a 2-cocycle, so a caller with a table of unknown standing
+    checks it first with ``check_cocycle``, as ``comtes statesum`` does.
 
     This is the degree-2 specialization of ``state_sum``: the colorings
     are the homomorphisms into the graph of x, and pairing the flow cycle

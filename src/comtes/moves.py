@@ -138,16 +138,8 @@ def _with_slot(a: tuple[int, int, int], role: str, value: int) -> tuple[int, int
     return a[:k] + (value,) + a[k + 1 :]
 
 
-def _check_arrow(arrs, i: int) -> tuple[int, int, int]:
-    if not 0 <= i < len(arrs):
-        raise MoveError(f"stale site: arrow index {i} not present")
-    return arrs[i]
-
-
-def _check_vertex(idx: dict[str, int], v: str) -> int:
-    if v not in idx:
-        raise MoveError(f"stale site: vertex {v!r} not present")
-    return idx[v]
+def _stale_arrow(i: int) -> MoveError:
+    return MoveError(f"stale site: arrow index {i} not present")
 
 
 # The R3 square of the module docstring: each side, in position order, as
@@ -178,7 +170,7 @@ def _corners(w, sides: dict) -> dict[str, int] | None:
 def _check_full_square(arrs, idxs) -> None:
     if len(set(idxs)) != 5:
         raise MoveError("square arrows must be distinct")
-    w, *sides = (_check_arrow(arrs, i) for i in idxs)
+    w, *sides = (arrs[i] for i in idxs)
     if _corners(w, dict(enumerate(sides))) is None:
         raise MoveError("stale site: square relations do not hold")
 
@@ -260,7 +252,8 @@ def _split_off(arrs, names, v: int, moved, kind: str) -> list:
     bad = [(j, role) for j, role in moved if not 0 <= j < len(arrs) or _slot(arrs[j], role) != v]
     if bad:
         j, role = min(bad)
-        _check_arrow(arrs, j)  # a missing arrow is a stale site
+        if not 0 <= j < len(arrs):
+            raise _stale_arrow(j)
         raise MoveError(f"{kind}: slot ({j},{role}) is not attached to {names[v]!r}")
     w = len(names)
     for j, role in moved:
@@ -282,42 +275,22 @@ def apply_move_detailed(c: Comte, m: MoveInstance) -> ApplyResult:
     g = c.graph
     idx, arrs = _index_form(g)
     (n, new_arrs, flows), inverse, vmap, stem = _apply_rule((len(g.vertices), arrs, c.flows), m, g.vertices, idx)
-    known = {}
-    if vmap is None:  # no vertex moves, so an arrow that the move left alone keeps its object
-        vmap, known = range(len(g.vertices)), dict(zip(arrs, g.arrows))
+    if vmap is None:  # no vertex moves
+        vmap = range(len(g.vertices))
     names = [None] * n  # the old vertices keep their names; a fresh one comes last
     for v, j in zip(g.vertices, vmap):
         if j is not None and names[j] is None:
             names[j] = v
     if n > len(g.vertices):
         names[-1] = _fresh_name(g.vertices, "w" if stem is None else g.vertices[stem])
-    arrows = tuple([known.get(a) or Arrow(names[a[0]], names[a[1]], names[a[2]]) for a in new_arrs])
+    arrows = tuple([Arrow(names[s], names[t], names[l]) for s, t, l in new_arrs])
     vertex_map = {v: None if j is None else names[j] for v, j in zip(g.vertices, vmap)}
     return ApplyResult(Comte(SelfIndexedGraph(tuple(names), arrows), flows), vertex_map, _named_instance(inverse, names))
 
 
-# The shape of an instance of each kind: how many arrows, vertices and
-# params it names, whether it may move slots, and the values each of its
-# flags may take.  ``apply_move_detailed`` checks it, so the rules need
-# not; the search applies only enumerated instances, which have it.
-_SHAPES = {
-    "R0": (1, 1, 0, False, ()),
-    "R0inv": (0, 2, 0, False, (("target", "source"),)),
-    "R1contract": (1, 0, 0, False, ()),
-    "R1split": (0, 1, 0, True, (("old_new", "new_old"), ("old", "new"))),
-    "R1loopdel": (1, 0, 0, False, ()),
-    "R1loopadd": (0, 1, 1, False, ()),
-    **{kind: (2, 0, 0, False, ()) for kind, _, _ in _R2.values()},
-    **{split_kind: (1, 0, 2, True, (("parallel", "fresh"),)) for _, split_kind, _ in _R2.values()},
-    "R3a_remove": (5, 0, 1, False, ()),
-    "R3a_add": (4, 0, 1, False, ()),
-    "R3b_shift": (5, 0, 1, False, ()),
-}
-
-
 def _check_shape(m: MoveInstance) -> None:
-    shape = _SHAPES.get(m.kind)
-    if shape is None:
+    entry = _KINDS.get(m.kind)
+    if entry is None:
         raise MoveError(f"unknown move kind {m.kind!r}")
     for i in m.arrows:
         _require_int(i, "arrow index")
@@ -327,7 +300,7 @@ def _check_shape(m: MoveInstance) -> None:
             raise MoveError(f"{m.kind}: bad slot role {role!r}")
     for p in m.params:
         _require_int(p, "move parameter")
-    *counts, moves, flags = shape
+    _, *counts, moves, flags = entry
     got = [len(m.arrows), len(m.vertices), len(m.params), len(m.flags)]
     if got != [*counts, len(flags)]:
         raise MoveError(f"{m.kind}: counts of arrows, vertices, params and flags are {got}, not {[*counts, len(flags)]}")
@@ -352,19 +325,25 @@ def _named_instance(fields_, vertex_names, arrow_perm=None) -> MoveInstance:
 
 def _apply_rule(state, m: MoveInstance, names, idx):
     """Apply ``m``, which has the shape of its kind (``_check_shape``), to an
-    index state, looking its vertex names up in ``idx``.  Returns the new
-    state; the inverse as its ``MoveInstance`` fields, with the new state's
-    vertex indices; the vertex map (old index -> new index or None) when a
-    vertex goes, else None; and the stem of a fresh vertex's name, None for
-    "w"."""
-    return _APPLY[m.kind](*state, m, names, idx)
+    index state.  This checks that its site is present, the one check of
+    every rule, and hands the rule its vertices as indices looked up in
+    ``idx``.  Returns the new state; the inverse as its ``MoveInstance``
+    fields, with the new state's vertex indices; the vertex map (old index
+    -> new index or None) when a vertex goes, else None; and the stem of a
+    fresh vertex's name, None for "w"."""
+    for i in m.arrows:
+        if not 0 <= i < len(state[1]):
+            raise _stale_arrow(i)
+    for v in m.vertices:
+        if v not in idx:
+            raise MoveError(f"stale site: vertex {v!r} not present")
+    return _KINDS[m.kind][0](*state, m, names, tuple([idx[v] for v in m.vertices]))
 
 
-def _apply_r0(n, arrs, flows, m, names, idx):
+def _apply_r0(n, arrs, flows, m, names, vs):
     (ei,) = m.arrows
-    (p,) = m.vertices
-    a = _check_arrow(arrs, ei)
-    p = _check_vertex(idx, p)
+    (p,) = vs
+    a = arrs[ei]
     error = _r0_site_error(arrs, flows, ei, p)
     if error:
         raise MoveError(error)
@@ -374,17 +353,15 @@ def _apply_r0(n, arrs, flows, m, names, idx):
     return (n - 1, new, flows[:ei] + flows[ei + 1 :]), inverse, vmap, None
 
 
-def _apply_r0inv(n, arrs, flows, m, names, idx):
-    attach, labelv = m.vertices
-    attach = _check_vertex(idx, attach)
-    labelv = _check_vertex(idx, labelv)
+def _apply_r0inv(n, arrs, flows, m, names, vs):
+    attach, labelv = vs
     new = (attach, n, labelv) if m.flags == ("target",) else (n, attach, labelv)
     return (n + 1, arrs + (new,), flows + (0,)), ("R0", (len(arrs),), (n,), (), frozenset(), ()), None, None
 
 
-def _apply_r1contract(n, arrs, flows, m, names, idx):
+def _apply_r1contract(n, arrs, flows, m, names, vs):
     (ei,) = m.arrows
-    a = _check_arrow(arrs, ei)
+    a = arrs[ei]
     if _r1_kind(a) != "R1contract":
         raise MoveError("R1: arrow is not contractible")
     kept, vanished = sorted(a[:2])
@@ -395,9 +372,8 @@ def _apply_r1contract(n, arrs, flows, m, names, idx):
     return (n - 1, new, flows[:ei] + flows[ei + 1 :]), inverse, vmap, None
 
 
-def _apply_r1split(n, arrs, flows, m, names, idx):
-    (v,) = m.vertices
-    v = _check_vertex(idx, v)
+def _apply_r1split(n, arrs, flows, m, names, vs):
+    (v,) = vs
     direction, label_half = m.flags
     arrows = _split_off(arrs, names, v, m.moved, "R1split")
     flow = _moved_flow(flows, m.moved)
@@ -409,26 +385,24 @@ def _apply_r1split(n, arrs, flows, m, names, idx):
     return (n + 1, (*arrows, new), flows + (flow,)), ("R1contract", (len(arrs),), (), (), frozenset(), ()), None, v
 
 
-def _apply_r1loopdel(n, arrs, flows, m, names, idx):
+def _apply_r1loopdel(n, arrs, flows, m, names, vs):
     (ei,) = m.arrows
-    a = _check_arrow(arrs, ei)
+    a = arrs[ei]
     if _r1_kind(a) != "R1loopdel":
         raise MoveError("R1: arrow is not a self-labeled loop")
     inverse = ("R1loopadd", (), (a[0],), (flows[ei],), frozenset(), ())
     return (n, arrs[:ei] + arrs[ei + 1 :], flows[:ei] + flows[ei + 1 :]), inverse, None, None
 
 
-def _apply_r1loopadd(n, arrs, flows, m, names, idx):
-    (v,) = m.vertices
-    v = _check_vertex(idx, v)
+def _apply_r1loopadd(n, arrs, flows, m, names, vs):
+    (v,) = vs
     (flow,) = m.params
     return (n, arrs + ((v, v, v),), flows + (flow,)), ("R1loopdel", (len(arrs),), (), (), frozenset(), ()), None, None
 
 
-def _apply_r2(n, arrs, flows, m, names, idx, merge_role: str):
+def _apply_r2(n, arrs, flows, m, names, vs, merge_role: str):
     e1, e2 = m.arrows
-    a1 = _check_arrow(arrs, e1)
-    a2 = _check_arrow(arrs, e2)
+    a1, a2 = arrs[e1], arrs[e2]
     if e1 == e2:
         raise MoveError("R2: arrows must be distinct")
     _, split_kind, shared = _R2[merge_role]
@@ -454,9 +428,9 @@ def _apply_r2(n, arrs, flows, m, names, idx, merge_role: str):
     return (n, arrows, tuple(new_flows)), inverse, vmap, None
 
 
-def _apply_r2_split(n, arrs, flows, m, names, idx, merge_role: str):
+def _apply_r2_split(n, arrs, flows, m, names, vs, merge_role: str):
     (ei,) = m.arrows
-    a = _check_arrow(arrs, ei)
+    a = arrs[ei]
     i1, i2 = m.params
     if i1 + i2 != flows[ei]:
         raise MoveError("R2 split: flows do not sum to the arrow's flow")
@@ -479,7 +453,7 @@ def _apply_r2_split(n, arrs, flows, m, names, idx, merge_role: str):
     return out, (_R2[merge_role][0], (ei, len(arrs)), (), (), frozenset(), ()), None, stem
 
 
-def _apply_r3a_remove(n, arrs, flows, m, names, idx):
+def _apply_r3a_remove(n, arrs, flows, m, names, vs):
     _check_full_square(arrs, m.arrows)
     (pos,) = m.params
     doomed = m.arrows[1 + pos]
@@ -490,9 +464,9 @@ def _apply_r3a_remove(n, arrs, flows, m, names, idx):
     return (n, arrs[:doomed] + arrs[doomed + 1 :], flows[:doomed] + flows[doomed + 1 :]), inverse, None, None
 
 
-def _apply_r3a_add(n, arrs, flows, m, names, idx):
+def _apply_r3a_add(n, arrs, flows, m, names, vs):
     (pos,) = m.params
-    w, *sides = (_check_arrow(arrs, j) for j in m.arrows)
+    w, *sides = (arrs[j] for j in m.arrows)
     if len(set(m.arrows)) != 4:
         raise MoveError("R3a_add: arrows must be distinct")
     corners = _corners(w, dict(zip((p for p in range(4) if p != pos), sides)))
@@ -503,25 +477,31 @@ def _apply_r3a_add(n, arrs, flows, m, names, idx):
     return (n, arrs + ((corners[src], corners[tgt], _slot(w, role)),), flows + (0,)), inverse, None, None
 
 
-def _apply_r3b(n, arrs, flows, m, names, idx):
+def _apply_r3b(n, arrs, flows, m, names, vs):
     _check_full_square(arrs, m.arrows)
     (j,) = m.params
     shift = dict(zip(m.arrows[1:], (j, j, -j, -j)))  # left and bottom gain J, top and right lose it
     return (n, arrs, tuple(f + shift.get(k, 0) for k, f in enumerate(flows))), ("R3b_shift", m.arrows, (), (-j,), frozenset(), ()), None, None
 
 
-_APPLY = {
-    "R0": _apply_r0,
-    "R0inv": _apply_r0inv,
-    "R1contract": _apply_r1contract,
-    "R1split": _apply_r1split,
-    "R1loopdel": _apply_r1loopdel,
-    "R1loopadd": _apply_r1loopadd,
-    **{kind: partial(_apply_r2, merge_role=role) for role, (kind, _, _) in _R2.items()},
-    **{split_kind: partial(_apply_r2_split, merge_role=role) for role, (_, split_kind, _) in _R2.items()},
-    "R3a_remove": _apply_r3a_remove,
-    "R3a_add": _apply_r3a_add,
-    "R3b_shift": _apply_r3b,
+# Each kind's rule, then the shape of its instances: how many arrows,
+# vertices and params it names, whether it may move slots, and the values
+# each of its flags may take.  ``apply_move_detailed`` checks the shape, so
+# the rules need not; the search applies only enumerated instances, which
+# have it.
+_KINDS = {
+    "R0": (_apply_r0, 1, 1, 0, False, ()),
+    "R0inv": (_apply_r0inv, 0, 2, 0, False, (("target", "source"),)),
+    "R1contract": (_apply_r1contract, 1, 0, 0, False, ()),
+    "R1split": (_apply_r1split, 0, 1, 0, True, (("old_new", "new_old"), ("old", "new"))),
+    "R1loopdel": (_apply_r1loopdel, 1, 0, 0, False, ()),
+    "R1loopadd": (_apply_r1loopadd, 0, 1, 1, False, ()),
+    **{kind: (partial(_apply_r2, merge_role=role), 2, 0, 0, False, ()) for role, (kind, _, _) in _R2.items()},
+    **{split_kind: (partial(_apply_r2_split, merge_role=role), 1, 0, 2, True, (("parallel", "fresh"),))
+       for role, (_, split_kind, _) in _R2.items()},
+    "R3a_remove": (_apply_r3a_remove, 5, 0, 1, False, ()),
+    "R3a_add": (_apply_r3a_add, 4, 0, 1, False, ()),
+    "R3b_shift": (_apply_r3b, 5, 0, 1, False, ()),
 }
 
 # ---------------------------------------------------------------------------

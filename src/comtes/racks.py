@@ -200,11 +200,15 @@ class Cocycle2:
 
 
 def check_cocycle(rack: FiniteRack, f: Cocycle2) -> str | None:
-    """None when f is a quandle 2-cocycle, else a witness description.
-    Raises ValueError when f and the rack differ in size."""
+    """None when f is a quandle 2-cocycle, else a witness description; a
+    ragged table's witness names its first short or long row.  Raises
+    ValueError when f and the rack differ in size."""
     n = rack.n
     if f.n != n:
         raise ValueError(f"cocycle size {f.n} does not match the rack size {n}")
+    for x, row in enumerate(f.values):
+        if len(row) != n:
+            return f"row {x} has length {len(row)}, expected {n}"
     g = f.group
     for x in range(n):
         if f.value(x, x) != g.identity:

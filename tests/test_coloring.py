@@ -293,6 +293,28 @@ class TestStateSum:
         with pytest.raises(ValueError, match="degree mismatch"):
             state_sum(G1.graph, Chain.from_dict(3, {}), gt, fc, C2)
 
+    @pytest.mark.parametrize("values", [((C2.identity,) * 5,) * 5, ((C2.identity,) * 3,) * 3, ((C2.identity,),) * 4],
+                             ids=["5x5", "3x3", "ragged"])
+    def test_cochain_of_a_table_of_another_size(self, values):
+        # on S_4, a 5x5 table used to be cut down to a 16-entry cochain and
+        # a 3x3 one to raise a bare IndexError
+        with pytest.raises(ValueError, match="cocycle table is not 4 by 4, the size of the rack"):
+            cochain_from_cocycle2_on(tetrahedron_quandle(), Cocycle2(C2, values))
+
+    @pytest.mark.parametrize("fault", [{"vertex_images": ("z", "b", "a")}, {"arrow_map": (3,)}, {"arrow_map": (-1,)}],
+                             ids=["vertex", "arrow-past-end", "arrow-negative"])
+    def test_chain_term_outside_the_source(self, fault):
+        # a vertex image outside gsrc used to raise a bare KeyError, an arrow
+        # image past the end a bare IndexError, and a negative one read the
+        # arrows from the end
+        x = tetrahedron_quandle()
+        term = degree2_signature(G1.graph, 0)._replace(**fault)
+        chain = Chain.from_dict(2, {term: 1})
+        fc = cochain_from_cocycle2_on(x, tetrahedron_cocycle())
+        with pytest.raises(ValueError) as err:
+            state_sum(G1.graph, chain, graph_of_rack(x), fc, C2)
+        assert str(err.value) == f"chain term {term} does not map into the source graph"
+
 
 class TestMoveInvariance:
     def test_phi_invariant_under_all_moves_for_quandle_target(self, make_comte, rng):

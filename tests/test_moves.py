@@ -219,9 +219,9 @@ class TestInstanceShape:
     with a ``MoveError``, before any rule reads them."""
 
     def test_every_kind_has_a_well_shaped_instance(self):
-        from comtes.moves import _APPLY
+        from comtes.moves import _KINDS
 
-        assert sorted(m.kind for m in WELL_SHAPED) == sorted(_APPLY)
+        assert sorted(m.kind for m in WELL_SHAPED) == sorted(_KINDS)
 
     @pytest.mark.parametrize("m", WELL_SHAPED, ids=lambda m: m.kind)
     @pytest.mark.parametrize("field", ["arrows", "vertices", "params", "flags"])

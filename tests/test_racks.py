@@ -125,6 +125,15 @@ class TestTetrahedron:
         f = Cocycle2(C2, (((1,),) * 4,) * 4)
         assert check_cocycle(tetrahedron_quandle(), f) == "f(0,0) is not the identity"
 
+    def test_ragged_cocycle_witnessed(self):
+        # a ragged table used to raise a bare IndexError; its witness is
+        # worded as check_rack words a ragged rack table
+        x = tetrahedron_quandle()
+        assert check_cocycle(x, Cocycle2(C2, (((0,),),) * 4)) == "row 0 has length 1, expected 4"
+        rows = list(tetrahedron_cocycle().values)
+        rows[2] += ((0,),)
+        assert check_cocycle(x, Cocycle2(C2, tuple(rows))) == "row 2 has length 5, expected 4"
+
 
 class TestGraphOfRack:
     def test_tetrahedron_counts(self):

@@ -6,9 +6,10 @@ module-level public name is used in it or named in README, every method
 of a package class is read in the package or the benchmark or named in
 README, no
 ``isinstance(x, bool)`` check sits outside ``core._require_int``,
-``core.decode`` and ``linalg._eliminate``, and no vertex index
+``core.decode`` and ``linalg._eliminate``, no vertex index
 ``{v: i for i, v in enumerate(<x>.vertices)}`` is built outside
-``core._index_form``."""
+``core._index_form``, and no handler of the package catches every
+error."""
 
 import ast
 import re
@@ -212,4 +213,19 @@ def test_vertex_names_are_indexed_in_one_helper():
     for path in sorted((ROOT / "src" / "comtes").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line}: {fn}" for fn, line in _vertex_indexings(tree) if (path.name, fn) != ("core.py", "_index_form")]
+    assert not found, found
+
+
+def test_no_handler_catches_every_error():
+    # a bare ``except:``, ``except Exception`` or ``except BaseException``
+    # would hide a fault as a quieter result; each handler names what it
+    # expects
+    catch_all = {"Exception", "BaseException"}
+    found = []
+    for path in sorted((ROOT / "src" / "comtes").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler):
+                kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if node.type is None or any(isinstance(k, ast.Name) and k.id in catch_all for k in kinds):
+                    found.append(f"{path.name}:{node.lineno}")
     assert not found, found
