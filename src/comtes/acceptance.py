@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, pairwise, product
+from typing import NamedTuple
 
 from .alexander import alexander_polynomial
 from .census import SignatureCensus, enumerate_q_graphs, enumerate_r_graphs, signature_census
@@ -36,8 +36,8 @@ G2 = comte("a b c", [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "a", "b", 1),
 G3 = comte("a b c", [("a", "b", "c", 1), ("b", "a", "c", 1), ("c", "a", "b", 0), ("a", "c", "b", 0)])
 
 _LOOPS = [("a", "a", "a"), ("b", "b", "b"), ("c", "c", "c")]
-G2_BAR = graph("a b c", _LOOPS + [(a.source, a.target, a.label) for a in G2.graph.arrows])
-G3_BAR = graph("a b c", _LOOPS + [(a.source, a.target, a.label) for a in G3.graph.arrows])
+G2_BAR = graph("a b c", _LOOPS + list(G2.graph.arrows))
+G3_BAR = graph("a b c", _LOOPS + list(G3.graph.arrows))
 
 # The three-vertex q-graph whose Betti numbers grow quadratically.
 EXAMPLE_QGRAPH = graph(
@@ -59,8 +59,7 @@ EXAMPLE_QGRAPH = graph(
 LINKING_EXAMPLE = comte("a b c d", [("a", "b", "c", 1), ("b", "a", "c", 1)])
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     ident: str
     name: str
     passed: bool

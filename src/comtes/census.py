@@ -13,8 +13,8 @@ each isomorphism class costs one canonical form.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .core import SelfIndexedGraph, _require_int, canonical_form, canonical_key, classify, graph_from_injections
 from .homology import HomologyGroup, _is_quandle, _quandle_fold, dot_table, homology_range
@@ -140,8 +140,7 @@ def enumerate_q_graphs(n_vertices: int, include_arrowless: bool = False) -> list
     return _enumerate(n_vertices, q_only=True, include_arrowless=include_arrowless)
 
 
-@dataclass(frozen=True, slots=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     key: bytes
     graph: SelfIndexedGraph
     kind: str  # "r" or "q"
@@ -170,8 +169,7 @@ def _betti_str(groups) -> str:
     return ",".join(str(h.betti) for h in groups)
 
 
-@dataclass(frozen=True)
-class SignatureCensus:
+class SignatureCensus(NamedTuple):
     rows: tuple[CensusRow, ...]
     max_degree: int
 
@@ -211,9 +209,6 @@ def signature_census(graphs, max_degree: int = 5, jobs: int = 1) -> SignatureCen
     else:
         rows = (census_row(g, max_degree) for g in graphs)
     sigs: dict = {}
-    rows = [
-        CensusRow(r.key, r.graph, r.kind, sigs.setdefault(r.plain, r.plain), sigs.setdefault(r.quotient, r.quotient))
-        for r in rows
-    ]
+    rows = [r._replace(plain=sigs.setdefault(r.plain, r.plain), quotient=sigs.setdefault(r.quotient, r.quotient)) for r in rows]
     rows.sort(key=lambda r: r.key)
     return SignatureCensus(tuple(rows), max_degree)

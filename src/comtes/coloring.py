@@ -14,8 +14,8 @@ invariant Phi is its degree-2 specialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .core import Comte, GraphHomomorphism, SelfIndexedGraph, _index_form, _require_int
 from .cubes import build_Yn
@@ -131,8 +131,7 @@ def coloring_count(g: SelfIndexedGraph, x: FiniteRack) -> int:
 # degree-n cochain on G assigns A-elements to them.
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     degree: int
     coeffs: tuple[tuple[GraphHomomorphism, int], ...]
 
@@ -141,8 +140,7 @@ class Chain:
         return Chain(degree, tuple(sorted((k, v) for k, v in d.items() if v)))
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(NamedTuple):
     degree: int
     values: dict  # GraphHomomorphism -> A element; missing keys read as identity
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Arrow:
+class Arrow(NamedTuple):
     source: str
     target: str
     label: str
@@ -23,6 +22,8 @@ class Arrow:
 
 @dataclass(frozen=True, slots=True)
 class SelfIndexedGraph:
+    """Vertex names and the arrows among them."""
+
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
     # the bare-graph canonical key, set only on a graph that
@@ -33,6 +34,8 @@ class SelfIndexedGraph:
 
 @dataclass(frozen=True, slots=True)
 class Comte:
+    """A graph with one integer flow per arrow; ``validate`` checks conservation."""
+
     graph: SelfIndexedGraph
     flows: tuple[int, ...]
 
@@ -130,8 +133,7 @@ def as_comte(obj: Comte | SelfIndexedGraph) -> Comte:
 # Validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     dangling: tuple[tuple[int, str, str], ...]      # (arrow index, field, offending name)
     conservation: tuple[tuple[str, int, int], ...]  # (vertex, outgoing sum, incoming sum)
     duplicate: bool = False  # a vertex name occurs twice
@@ -157,8 +159,7 @@ def validate_graph(g: SelfIndexedGraph) -> ValidationReport:
     vs = set(g.vertices)
     dangling = []
     for i, a in enumerate(g.arrows):
-        for fld in ("source", "target", "label"):
-            name = getattr(a, fld)
+        for fld, name in zip(Arrow._fields, a):
             if name not in vs:
                 dangling.append((i, fld, name))
     return ValidationReport(tuple(dangling), (), duplicate=len(vs) != len(g.vertices))
@@ -180,7 +181,7 @@ def validate(c: Comte) -> ValidationReport:
         if a.target in inc:
             inc[a.target] += f
     bad = tuple((v, out[v], inc[v]) for v in out if out[v] != inc[v])
-    return ValidationReport(base.dangling, bad, base.duplicate)
+    return base._replace(conservation=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +330,8 @@ def contract_with_map(g: SelfIndexedGraph, T) -> tuple[SelfIndexedGraph, dict[st
 
 @dataclass(frozen=True)
 class CanonicalForm:
+    """A canonical comte or graph, its key and the maps from the input."""
+
     key: bytes
     vertex_map: dict[str, str] = field(compare=False)
     arrow_perm: tuple[int, ...] = field(compare=False)  # old index -> new index
@@ -414,7 +417,7 @@ def _index_form(g: SelfIndexedGraph) -> tuple[dict[str, int], tuple[tuple[int, i
     idx = {v: i for i, v in enumerate(g.vertices)}
     if len(idx) == len(g.vertices):
         try:
-            return idx, tuple([(idx[a.source], idx[a.target], idx[a.label]) for a in g.arrows])
+            return idx, tuple([(idx[s], idx[t], idx[l]) for s, t, l in g.arrows])
         except KeyError:
             pass
     raise ValueError(validate_graph(g).describe())
@@ -543,13 +546,10 @@ class DecodeError(ValueError):
 def encode(obj: Comte | SelfIndexedGraph) -> str:
     """Serialize to the canonical document form (fixed field order)."""
     if isinstance(obj, Comte):
-        arrows = [
-            {"source": a.source, "target": a.target, "label": a.label, "flow": f}
-            for a, f in zip(obj.graph.arrows, obj.flows)
-        ]
+        arrows = [{**a._asdict(), "flow": f} for a, f in zip(obj.graph.arrows, obj.flows)]
         vertices = list(obj.graph.vertices)
     else:
-        arrows = [{"source": a.source, "target": a.target, "label": a.label} for a in obj.arrows]
+        arrows = [a._asdict() for a in obj.arrows]
         vertices = list(obj.vertices)
     return json.dumps({"vertices": vertices, "arrows": arrows}, indent=2) + "\n"
 

@@ -15,8 +15,8 @@ one and, for D_s^1, inserts s.  Cubes y_m with m < s map identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import Arrow, GraphHomomorphism, SelfIndexedGraph, _require_int
 
@@ -27,8 +27,7 @@ def word_name(word: Word) -> str:
     return ".".join(map(str, word))
 
 
-@dataclass(frozen=True)
-class CubeGraph:
+class CubeGraph(NamedTuple):
     n: int
     graph: SelfIndexedGraph
     vertex_words: tuple[Word, ...]           # aligned with graph.vertices

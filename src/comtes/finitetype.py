@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import SelfIndexedGraph, _require_int, canonical_form, contract
 
 
 @dataclass(frozen=True)
 class SemiVirtualGraph:
+    """A graph with the indices of its semi-virtual arrows."""
+
     graph: SelfIndexedGraph
     semivirtual: frozenset[int]
 
@@ -116,8 +119,7 @@ def evaluate(nu, fs: GraphFormalSum, zero=0):
     return total
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     vanishes: bool
     counterexample: SemiVirtualGraph | None = None
 

@@ -35,8 +35,8 @@ and the state sums) lives in ``comtes.coloring``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .coloring import graph_homomorphisms
 from .core import GraphHomomorphism, SelfIndexedGraph, _index_form, _require_int, _UnionFind, classify
@@ -234,8 +234,7 @@ def _boundary(nv: int, codes, acted, n: int, cleared=frozenset()) -> _BuiltRows:
     return rows
 
 
-@dataclass(frozen=True, slots=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     betti: int
     torsion: tuple[int, ...]
 
@@ -397,8 +396,7 @@ def enumerate_homs(n: int, g: SelfIndexedGraph) -> list[GraphHomomorphism]:
 # Quandle 2-cocycles by linear algebra
 
 
-@dataclass(frozen=True)
-class Q2Cocycles:
+class Q2Cocycles(NamedTuple):
     basis: tuple[tuple[int, ...], ...]  # C_2^Q basis tuples (vertex indices)
     group: AbelianGroup
     # per cyclic factor: independent generators (vector over basis, order)

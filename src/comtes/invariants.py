@@ -7,14 +7,13 @@ presentations are exported as data and compared through computable proxies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Comte, SelfIndexedGraph, _index_form, component_index, components
 from .linalg import smith_normal_form
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(NamedTuple):
     generators: tuple[str, ...]
     # one relation per arrow b --a--> c, as the word pair (a*b, c*a)
     relations: tuple[tuple[tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]], ...]
@@ -28,8 +27,7 @@ class GroupPresentation:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class QuandlePresentation:
+class QuandlePresentation(NamedTuple):
     generators: tuple[str, ...]
     # one relation per arrow b --a--> c: a |> b = c
     relations: tuple[tuple[tuple[str, str], str], ...]
@@ -63,8 +61,7 @@ def abelianization_rank(g: SelfIndexedGraph) -> int:
     return len(g.vertices) - smith_normal_form(rows).rank
 
 
-@dataclass(frozen=True)
-class LinkingMatrix:
+class LinkingMatrix(NamedTuple):
     components: tuple[tuple[str, ...], ...]
     entries: dict[tuple[int, int], int]  # (i, j) -> lk_ij for i != j, 0-based
 

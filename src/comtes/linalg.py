@@ -25,14 +25,13 @@ be positive").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .core import _require_int
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     """Invariant factors and rank, plus the unit-pivot columns.
 
     ``unit_columns`` are the columns of the leading pivots that were picked

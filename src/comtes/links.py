@@ -26,33 +26,29 @@ positive crossing and against it at a negative one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Comte, _UnionFind, _require_int, comte
 
 
-@dataclass(frozen=True)
-class ChordEnd:
+class ChordEnd(NamedTuple):
     chord: int
     end: str  # "head" (underpass) or "tail" (overpass)
     sign: int
 
 
-@dataclass(frozen=True)
-class GaussDiagram:
+class GaussDiagram(NamedTuple):
     circles: tuple[tuple[ChordEnd, ...], ...]
 
 
-@dataclass(frozen=True)
-class PDCrossing:
+class PDCrossing(NamedTuple):
     a: int  # incoming under-edge
     b: int
     c: int  # outgoing under-edge
     d: int
 
 
-@dataclass(frozen=True)
-class PlanarDiagram:
+class PlanarDiagram(NamedTuple):
     crossings: tuple[PDCrossing, ...]
     free_loops: int = 0
 
@@ -244,8 +240,7 @@ def comte_of_diagram(d: PlanarDiagram) -> Comte:
 # Bundled diagram corpus
 
 
-@dataclass(frozen=True)
-class LinkCode:
+class LinkCode(NamedTuple):
     name: str
     gauss: str
     pd: str

@@ -76,6 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations
+from typing import NamedTuple
 
 from .core import (Arrow, CanonicalLabeling, Comte, SelfIndexedGraph, _canonical_labeling, _index_form, _labeled_graph,
                    _require_int, canonical_form, canonical_labeling)
@@ -84,8 +85,7 @@ class MoveError(ValueError):
     """Raised when a move instance does not apply to the given comte."""
 
 
-@dataclass(frozen=True)
-class MoveInstance:
+class MoveInstance(NamedTuple):
     kind: str
     arrows: tuple[int, ...] = ()
     vertices: tuple[str, ...] = ()
@@ -111,8 +111,7 @@ class MoveInstance:
         return out
 
 
-@dataclass(frozen=True)
-class ApplyResult:
+class ApplyResult(NamedTuple):
     comte: Comte
     vertex_map: dict[str, str | None]  # old vertex -> new vertex (None: deleted)
     inverse: MoveInstance              # applies to ``comte``, undoes the move
@@ -294,7 +293,13 @@ def _check_shape(m: MoveInstance) -> None:
         raise MoveError(f"unknown move kind {m.kind!r}")
     for i in m.arrows:
         _require_int(i, "arrow index")
-    for j, role in m.moved:
+    for v in m.vertices:
+        if not isinstance(v, str):
+            raise MoveError(f"{m.kind}: vertices entry {v!r} is not a vertex name")
+    for slot in m.moved:
+        if not (isinstance(slot, tuple) and len(slot) == 2):
+            raise MoveError(f"{m.kind}: moved entry {slot!r} is not an (arrow index, role) pair")
+        j, role = slot
         _require_int(j, "arrow index")
         if role not in ("s", "t", "l"):
             raise MoveError(f"{m.kind}: bad slot role {role!r}")
@@ -313,22 +318,20 @@ def _check_shape(m: MoveInstance) -> None:
         raise MoveError(f"{m.kind}: bad side position {m.params[0]}")
 
 
-def _named_instance(fields_, vertex_names, arrow_perm=None) -> MoveInstance:
-    """The instance with the fields ``fields_``, its vertex indices named by
+def _named_instance(m: MoveInstance, vertex_names, arrow_perm=None) -> MoveInstance:
+    """``m``, whose vertices are indices, with them named by
     ``vertex_names`` and its arrow indices sent through ``arrow_perm``."""
-    kind, arrows, vertices, params, moved, flags = fields_
     if arrow_perm is not None:
-        arrows = tuple(arrow_perm[i] for i in arrows)
-        moved = frozenset((arrow_perm[j], role) for j, role in moved)
-    return MoveInstance(kind, arrows, tuple([vertex_names[v] for v in vertices]), params, moved, flags)
+        m = m._replace(arrows=tuple(arrow_perm[i] for i in m.arrows), moved=frozenset((arrow_perm[j], role) for j, role in m.moved))
+    return m._replace(vertices=tuple([vertex_names[v] for v in m.vertices]))
 
 
 def _apply_rule(state, m: MoveInstance, names, idx):
     """Apply ``m``, which has the shape of its kind (``_check_shape``), to an
     index state.  This checks that its site is present, the one check of
     every rule, and hands the rule its vertices as indices looked up in
-    ``idx``.  Returns the new state; the inverse as its ``MoveInstance``
-    fields, with the new state's vertex indices; the vertex map (old index
+    ``idx``.  Returns the new state; the inverse ``MoveInstance``, its
+    vertices given as the new state's vertex indices; the vertex map (old index
     -> new index or None) when a vertex goes, else None; and the stem of a
     fresh vertex's name, None for "w"."""
     for i in m.arrows:
@@ -349,14 +352,14 @@ def _apply_r0(n, arrs, flows, m, names, vs):
         raise MoveError(error)
     new, vmap = _merge(arrs[:ei] + arrs[ei + 1 :], n, p, None)
     attach = a[1] if a[0] == p else a[0]
-    inverse = ("R0inv", (), (vmap[attach], vmap[a[2]]), (), frozenset(), ("target" if a[1] == p else "source",))
+    inverse = MoveInstance("R0inv", vertices=(vmap[attach], vmap[a[2]]), flags=("target" if a[1] == p else "source",))
     return (n - 1, new, flows[:ei] + flows[ei + 1 :]), inverse, vmap, None
 
 
 def _apply_r0inv(n, arrs, flows, m, names, vs):
     attach, labelv = vs
     new = (attach, n, labelv) if m.flags == ("target",) else (n, attach, labelv)
-    return (n + 1, arrs + (new,), flows + (0,)), ("R0", (len(arrs),), (n,), (), frozenset(), ()), None, None
+    return (n + 1, arrs + (new,), flows + (0,)), MoveInstance("R0", (len(arrs),), (n,)), None, None
 
 
 def _apply_r1contract(n, arrs, flows, m, names, vs):
@@ -368,7 +371,7 @@ def _apply_r1contract(n, arrs, flows, m, names, vs):
     new, vmap = _merge(arrs[:ei] + arrs[ei + 1 :], n, vanished, kept)
     direction = "old_new" if a[1] == vanished else "new_old"
     label_half = "new" if a[2] == vanished else "old"
-    inverse = ("R1split", (), (kept,), (), _slots_after_drop(arrs, vanished, ei), (direction, label_half))
+    inverse = MoveInstance("R1split", vertices=(kept,), moved=_slots_after_drop(arrs, vanished, ei), flags=(direction, label_half))
     return (n - 1, new, flows[:ei] + flows[ei + 1 :]), inverse, vmap, None
 
 
@@ -382,7 +385,7 @@ def _apply_r1split(n, arrs, flows, m, names, vs):
     else:
         new = (n, v, v if label_half == "old" else n)
         flow = -flow
-    return (n + 1, (*arrows, new), flows + (flow,)), ("R1contract", (len(arrs),), (), (), frozenset(), ()), None, v
+    return (n + 1, (*arrows, new), flows + (flow,)), MoveInstance("R1contract", (len(arrs),)), None, v
 
 
 def _apply_r1loopdel(n, arrs, flows, m, names, vs):
@@ -390,14 +393,14 @@ def _apply_r1loopdel(n, arrs, flows, m, names, vs):
     a = arrs[ei]
     if _r1_kind(a) != "R1loopdel":
         raise MoveError("R1: arrow is not a self-labeled loop")
-    inverse = ("R1loopadd", (), (a[0],), (flows[ei],), frozenset(), ())
+    inverse = MoveInstance("R1loopadd", vertices=(a[0],), params=(flows[ei],))
     return (n, arrs[:ei] + arrs[ei + 1 :], flows[:ei] + flows[ei + 1 :]), inverse, None, None
 
 
 def _apply_r1loopadd(n, arrs, flows, m, names, vs):
     (v,) = vs
     (flow,) = m.params
-    return (n, arrs + ((v, v, v),), flows + (flow,)), ("R1loopdel", (len(arrs),), (), (), frozenset(), ()), None, None
+    return (n, arrs + ((v, v, v),), flows + (flow,)), MoveInstance("R1loopdel", (len(arrs),)), None, None
 
 
 def _apply_r2(n, arrs, flows, m, names, vs, merge_role: str):
@@ -424,7 +427,7 @@ def _apply_r2(n, arrs, flows, m, names, vs, merge_role: str):
         n -= 1
         # the merged slot of e1 is handled structurally by the split
         moved, flavor = _slots_after_drop(arrs, vanished, e2, skip=(e1, merge_role)), "fresh"
-    inverse = (split_kind, (e1 - (e1 > e2),), (), params, moved, (flavor,))
+    inverse = MoveInstance(split_kind, (e1 - (e1 > e2),), params=params, moved=moved, flags=(flavor,))
     return (n, arrows, tuple(new_flows)), inverse, vmap, None
 
 
@@ -450,7 +453,7 @@ def _apply_r2_split(n, arrs, flows, m, names, vs, merge_role: str):
         if i2 != _r2_split_flow(flows, m.moved, merge_role):
             raise MoveError("R2 split: flow split violates conservation")
         out = (n + 1, (*arrows, _with_slot(arrows[ei], merge_role, n)), new_flows)
-    return out, (_R2[merge_role][0], (ei, len(arrs)), (), (), frozenset(), ()), None, stem
+    return out, MoveInstance(_R2[merge_role][0], (ei, len(arrs))), None, stem
 
 
 def _apply_r3a_remove(n, arrs, flows, m, names, vs):
@@ -460,7 +463,7 @@ def _apply_r3a_remove(n, arrs, flows, m, names, vs):
     if flows[doomed] != 0:
         raise MoveError("R3a: the removed side must carry flow 0")
     remaining = tuple(j - (j > doomed) for k, j in enumerate(m.arrows) if k != 1 + pos)
-    inverse = ("R3a_add", remaining, (), (pos,), frozenset(), ())
+    inverse = MoveInstance("R3a_add", remaining, params=(pos,))
     return (n, arrs[:doomed] + arrs[doomed + 1 :], flows[:doomed] + flows[doomed + 1 :]), inverse, None, None
 
 
@@ -473,7 +476,7 @@ def _apply_r3a_add(n, arrs, flows, m, names, vs):
     if corners is None:
         raise MoveError("R3a_add: stale site, three-sided square relations fail")
     src, tgt, role = _SIDES[pos]
-    inverse = ("R3a_remove", (*m.arrows[: 1 + pos], len(arrs), *m.arrows[1 + pos :]), (), (pos,), frozenset(), ())
+    inverse = MoveInstance("R3a_remove", (*m.arrows[: 1 + pos], len(arrs), *m.arrows[1 + pos :]), params=(pos,))
     return (n, arrs + ((corners[src], corners[tgt], _slot(w, role)),), flows + (0,)), inverse, None, None
 
 
@@ -481,7 +484,7 @@ def _apply_r3b(n, arrs, flows, m, names, vs):
     _check_full_square(arrs, m.arrows)
     (j,) = m.params
     shift = dict(zip(m.arrows[1:], (j, j, -j, -j)))  # left and bottom gain J, top and right lose it
-    return (n, arrs, tuple(f + shift.get(k, 0) for k, f in enumerate(flows))), ("R3b_shift", m.arrows, (), (-j,), frozenset(), ()), None, None
+    return (n, arrs, tuple(f + shift.get(k, 0) for k, f in enumerate(flows))), MoveInstance("R3b_shift", m.arrows, params=(-j,)), None, None
 
 
 # Each kind's rule, then the shape of its instances: how many arrows,
@@ -552,6 +555,8 @@ def _square_join(arrs, orders: dict):
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """The limits of a bounded search and the windows of its instances."""
+
     max_states: int = 5000
     max_vertices: int = 8
     max_arrows: int = 12
@@ -705,8 +710,7 @@ def inverse_instances(
 # Bounded equivalence search
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     instance: MoveInstance
     before_key: bytes
     after_key: bytes
@@ -714,6 +718,8 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class MoveTrace:
+    """The steps of a move sequence, each with the keys around it."""
+
     steps: tuple[TraceStep, ...]
 
     def __len__(self):

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .core import SelfIndexedGraph, _require_int, graph_from_injections
 from .laurent import _monomial_sum
 
 
-@dataclass(frozen=True)
-class RackCheck:
+class RackCheck(NamedTuple):
     kind: str                 # "not_rack" | "rack" | "quandle"
     witness: str | None = None
 
@@ -46,8 +46,7 @@ def check_rack(table) -> RackCheck:
     return RackCheck("rack")
 
 
-@dataclass(frozen=True)
-class FiniteRack:
+class FiniteRack(NamedTuple):
     n: int
     table: tuple[tuple[int, ...], ...]
     quandle: bool
@@ -183,8 +182,7 @@ def format_group_ring(r: dict, group: AbelianGroup) -> str:
 # 2-cocycles
 
 
-@dataclass(frozen=True)
-class Cocycle2:
+class Cocycle2(NamedTuple):
     """A quandle 2-cocycle with values in A: f(x|>y, x|>z) + f(x, z) =
     f(x, y|>z) + f(y, z) and f(x, x) = 0 (written additively)."""
 

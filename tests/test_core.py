@@ -312,9 +312,15 @@ def _seeded_pool():
 class TestRecords:
     def test_arrow_is_slotted_and_frozen(self):
         a = Arrow("a", "b", "c")
-        assert not hasattr(a, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert a == ("a", "b", "c") and not hasattr(a, "__dict__")
+        with pytest.raises(AttributeError, match="can't set attribute"):
             a.source = "x"
+
+    def test_kept_dataclasses_stay_frozen(self):
+        c = comte("a", [("a", "a", "a", 1)])
+        for obj in (c.graph, c):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, dataclasses.fields(obj)[0].name, None)
 
     def test_records_survive_pickling(self):
         # the census with jobs > 1 sends graphs to its workers by pickle
@@ -331,8 +337,8 @@ class TestRecords:
         for obj in (row, row.plain[0]):
             assert not hasattr(obj, "__dict__")
             assert pickle.loads(pickle.dumps(obj)) == obj
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, dataclasses.fields(obj)[0].name, None)
+            with pytest.raises(AttributeError, match="can't set attribute"):
+                setattr(obj, obj._fields[0], None)
 
 
 class TestHeldKey:

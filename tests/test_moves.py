@@ -18,6 +18,7 @@ from comtes.moves import (
     _JOIN_ORDER,
     _R2,
     _SIDES,
+    ApplyResult,
     MoveError,
     MoveInstance,
     SearchBudget,
@@ -230,7 +231,7 @@ class TestInstanceShape:
         extra = {"arrows": 0, "vertices": "a", "params": 0, "flags": value[-1] if value else "fresh"}[field]
         for wrong in (value + (extra,), value[:-1]) if value else (value + (extra,),):
             with pytest.raises(MoveError, match="counts of arrows, vertices, params and flags"):
-                apply_move(SQUARE0, dataclasses.replace(m, **{field: wrong}))
+                apply_move(SQUARE0, m._replace(**{field: wrong}))
 
     @pytest.mark.parametrize("pos", [-1, 4, 5, 6, 7])
     def test_r3a_side_position_out_of_range(self, pos):
@@ -253,6 +254,17 @@ class TestInstanceShape:
     def test_bad_slot_role(self):
         m = MoveInstance("R1split", vertices=("c",), moved=frozenset({(1, "x")}), flags=("old_new", "new"))
         with pytest.raises(MoveError, match="bad slot role 'x'"):
+            apply_move(SQUARE0, m)
+
+    def test_vertex_name_that_is_not_a_string(self):
+        m = MoveInstance("R1loopadd", vertices=(["a"],), params=(1,))
+        with pytest.raises(MoveError, match=r"R1loopadd: vertices entry \['a'\] is not a vertex name"):
+            apply_move(SQUARE0, m)
+
+    @pytest.mark.parametrize("entry", [(0, "s", "x"), (0,), "0s"])
+    def test_moved_entry_that_is_not_a_pair(self, entry):
+        m = MoveInstance("R1split", vertices=("c",), moved=frozenset({entry}), flags=("old_new", "new"))
+        with pytest.raises(MoveError, match="R1split: moved entry .* is not an \\(arrow index, role\\) pair"):
             apply_move(SQUARE0, m)
 
     def test_slots_moved_by_a_kind_that_moves_none(self):
@@ -389,7 +401,7 @@ class TestRandomizedBattery:
                     continue
                 flow = c.flows[m.arrows[0]]
                 for i1 in range(-8, 9):
-                    other = dataclasses.replace(m, params=(i1, flow - i1))
+                    other = m._replace(params=(i1, flow - i1))
                     if other.params == m.params:
                         assert validate(apply_move(c, other)).ok, (c, other)
                         checked += 1
@@ -464,7 +476,7 @@ class TestAgainstTheNamedRules:
             for m in own + cross:
                 got, want = _outcome(apply_move_detailed, c, m), _outcome(named_apply_move_detailed, c, m)
                 assert got == want, (c, m)
-                outcomes[re.sub(r"\d+|'.*'", "_", want[1]) if isinstance(want, tuple) else "applied"] += 1
+                outcomes["applied" if isinstance(want, ApplyResult) else re.sub(r"\d+|'.*'", "_", want[1])] += 1
         assert outcomes.pop("applied") > 20000 and sum(outcomes.values()) > 5000
         # the cross-applied instances meet most of the site checks
         assert len(outcomes) >= 20, sorted(outcomes)
@@ -1048,13 +1060,13 @@ def _mirror(c, m, slots):
     the set of its slots."""
     if m.kind == "R1split":
         (v,) = m.vertices
-        return dataclasses.replace(m, moved=slots[v] - m.moved, flags=tuple(_FLIP[f] for f in m.flags))
+        return m._replace(moved=slots[v] - m.moved, flags=tuple(_FLIP[f] for f in m.flags))
     if m.flags == ("parallel",):
         return MoveInstance("R2a_split", arrows=m.arrows, params=tuple(sorted(m.params)), flags=m.flags)
     (ei,) = m.arrows
     merge_role = "t" if m.kind == "R2a_split" else "s"
     rest = slots[_slot(c.graph.arrows[ei], merge_role)] - m.moved - {(ei, merge_role)}
-    return dataclasses.replace(m, moved=rest, params=m.params[::-1])
+    return m._replace(moved=rest, params=m.params[::-1])
 
 
 def _pendant_r0inv(c, m):
