@@ -27,7 +27,7 @@ class SelfIndexedGraph:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
     # the bare-graph canonical key, set only on a graph that
-    # ``_labeled_graph`` builds, so that ``canonical_key`` need not label it
+    # ``canonical_form`` builds, so that ``canonical_key`` need not label it
     # again; not compared, hashed or shown, and not a constructor argument
     _key: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -72,22 +72,46 @@ def _vertex_names(vertices) -> tuple[str, ...]:
     return names
 
 
+def _arrow_rows(arrows, fields: tuple[str, ...]) -> list[tuple]:
+    """``arrows`` read once as tuples of the ``fields``, (source, target,
+    label) and for a comte the flow.  A row of another length is a
+    ``ValueError``, and one that is not iterable or has an unhashable end a
+    ``TypeError``, each naming ``arrows[i]``; an end that is not a vertex is
+    left to ``validate``."""
+    rows = []
+    for i, arrow in enumerate(arrows):
+        try:
+            row = tuple(arrow)
+        except TypeError:
+            row = None
+        if row is None or len(row) != len(fields):
+            error = TypeError if row is None else ValueError
+            raise error(f"arrows[{i}] must be a ({', '.join(fields)}) tuple, got {arrow!r}")
+        for field_name, end in zip(fields[:3], row):
+            try:
+                hash(end)
+            except TypeError:
+                raise TypeError(f"arrows[{i}].{field_name} must be hashable, got {end!r}") from None
+        rows.append(row)
+    return rows
+
+
 def graph(vertices, arrows=()) -> SelfIndexedGraph:
     """Build a graph from vertex names and (source, target, label) triples.
 
     ``vertices`` may be an iterable of names or a whitespace-separated
     string; a repeated name is a ``ValueError``.
     """
-    return SelfIndexedGraph(_vertex_names(vertices), tuple(Arrow(s, t, l) for s, t, l in arrows))
+    vertices = _vertex_names(vertices)
+    return SelfIndexedGraph(vertices, tuple(map(Arrow._make, _arrow_rows(arrows, Arrow._fields))))
 
 
 def comte(vertices, arrows=()) -> Comte:
     """Build a comte from vertex names, as ``graph`` takes them, and
     (source, target, label, flow) tuples."""
     vertices = _vertex_names(vertices)
-    arrows = tuple(arrows)  # read once: a generator would give no flows
-    arrs = tuple(Arrow(s, t, l) for s, t, l, _ in arrows)
-    return Comte(SelfIndexedGraph(vertices, arrs), tuple(a[3] for a in arrows))
+    rows = _arrow_rows(arrows, (*Arrow._fields, "flow"))
+    return Comte(SelfIndexedGraph(vertices, tuple([Arrow._make(r[:3]) for r in rows])), tuple([r[3] for r in rows]))
 
 
 def graph_from_injections(maps, shared: dict | None = None) -> SelfIndexedGraph:
@@ -322,10 +346,10 @@ def contract_with_map(g: SelfIndexedGraph, T) -> tuple[SelfIndexedGraph, dict[st
 # runs the tree search and yields the byte key with the winning bijection;
 # the build step turns that labeling into named vertices, arrows, flows and
 # the maps from the input.  ``canonical_key`` runs the first step only,
-# ``canonical_form`` both.  The move search keeps every state as its vertex
-# count and canonical arrows and builds its comte only to expand it; on a
-# found trace's backward half it builds each parent again, applies the
-# stored move and labels the child, which names the inverse move.
+# ``canonical_form`` both.  The move search runs the labeling step alone: it
+# keeps every state as its vertex count and canonical arrows and expands it
+# as an index state; on a found trace's backward half it applies each stored
+# move again and labels the child, which names the inverse move.
 
 
 @dataclass(frozen=True)
@@ -485,17 +509,6 @@ def _shared_graph(n: int, triples, shared: dict | None) -> SelfIndexedGraph:
     return SelfIndexedGraph(names, tuple(arrows))
 
 
-def _labeled_graph(lab: CanonicalLabeling, shared: dict | None = None) -> SelfIndexedGraph:
-    """The canonical graph that ``lab`` labels, its canonical arrows in
-    order, built by ``_shared_graph``.  The graph of a bare-graph labeling
-    keeps its key, which ``canonical_key`` then returns; a comte's key
-    does not key its bare graph."""
-    g = _shared_graph(len(lab.vertex_ranks), [a[:3] for a in lab.arrows], shared)
-    if lab.key.startswith(b"g"):
-        object.__setattr__(g, "_key", lab.key)
-    return g
-
-
 def canonical_form(obj: Comte | SelfIndexedGraph, shared: dict | None = None) -> CanonicalForm:
     """Canonical form of a graph or comte, exact under isomorphism: the
     labeling step, then the build step.
@@ -506,10 +519,13 @@ def canonical_form(obj: Comte | SelfIndexedGraph, shared: dict | None = None) ->
     per vertex count and one ``Arrow`` per canonical (source, target, label).
     """
     lab = canonical_labeling(obj)
-    g = obj.graph if isinstance(obj, Comte) else obj
-    new_graph = _labeled_graph(lab, shared)
+    new_graph = _shared_graph(len(lab.vertex_ranks), [a[:3] for a in lab.arrows], shared)
+    if isinstance(obj, Comte):
+        g, new_flows = obj.graph, tuple(e[3] for e in lab.arrows)
+    else:  # a bare graph keeps its key, which ``canonical_key`` then returns
+        g, new_flows = obj, None
+        object.__setattr__(new_graph, "_key", lab.key)
     vmap = {v: new_graph.vertices[r] for v, r in zip(g.vertices, lab.vertex_ranks)}
-    new_flows = tuple(e[3] for e in lab.arrows) if isinstance(obj, Comte) else None
     return CanonicalForm(lab.key, vmap, tuple(lab.arrow_perm()), new_graph, new_flows)
 
 

@@ -46,7 +46,6 @@ def build_Yn(n: int) -> CubeGraph:
             word = tuple(j for j in range(1, m) if mask >> (j - 1) & 1) + (m,)
             layer.append(word)
         vwords.extend(sorted(layer))
-    vindex = {w: i for i, w in enumerate(vwords)}
     arrows = []
     adata = []
     awords = []

@@ -59,12 +59,12 @@ from top and right.  The full move R3 is the composition R3b_shift (drive
 the doomed side's flow to 0) followed by R3a_remove.  Sites may share
 vertices freely, but arrows referenced as distinct must be distinct.
 
-Each move rule has one implementation, on index states (n, arrows, flows)
-with vertices 0..n-1 and (source, target, label) index arrows.  A fresh
-vertex comes last; R0 drops its vertex, and a merge keeps the earlier one
-and shifts the later ones down, as ``core.quotient`` does.  ``apply_move``
-names the result: a fresh vertex after the one it splits off (``w`` for
-R0inv) with primes added.  The search labels each child unnamed.
+The enumerators and rules work on index states (n, arrows, flows) with
+vertices 0..n-1, (source, target, label) index arrows and instances whose
+vertices are indices.  A fresh vertex comes last; R0 drops its vertex, and
+a merge keeps the earlier one and shifts the later ones down, as
+``core.quotient`` does.  The public functions name the result: a fresh
+vertex after the one it splits off (``w`` for R0inv) with primes added.
 
 Bare-graph mode is the zero-flow comte ``as_comte(g)`` under
 ``SearchBudget(r3b_range=0, flow_lo=0, flow_hi=0)``, where no move creates a
@@ -78,8 +78,8 @@ from functools import partial
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import (Arrow, CanonicalLabeling, Comte, SelfIndexedGraph, _canonical_labeling, _index_form, _labeled_graph,
-                   _require_int, canonical_form, canonical_labeling)
+from .core import (Arrow, Comte, SelfIndexedGraph, _canonical_labeling, _index_form, _require_int, canonical_form,
+                   canonical_labeling)
 
 class MoveError(ValueError):
     """Raised when a move instance does not apply to the given comte."""
@@ -271,20 +271,27 @@ def apply_move(c: Comte, m: MoveInstance) -> Comte:
 
 def apply_move_detailed(c: Comte, m: MoveInstance) -> ApplyResult:
     _check_shape(m)
-    g = c.graph
-    idx, arrs = _index_form(g)
-    (n, new_arrs, flows), inverse, vmap, stem = _apply_rule((len(g.vertices), arrs, c.flows), m, g.vertices, idx)
+    old, idx, state = _index_state(c, "apply_move")
+    (n, new_arrs, flows), inverse, vmap, stem = _apply_rule(state, m, old, idx)
     if vmap is None:  # no vertex moves
-        vmap = range(len(g.vertices))
+        vmap = range(len(old))
     names = [None] * n  # the old vertices keep their names; a fresh one comes last
-    for v, j in zip(g.vertices, vmap):
+    for v, j in zip(old, vmap):
         if j is not None and names[j] is None:
             names[j] = v
-    if n > len(g.vertices):
-        names[-1] = _fresh_name(g.vertices, "w" if stem is None else g.vertices[stem])
+    if n > len(old):
+        names[-1] = _fresh_name(old, "w" if stem is None else old[stem])
     arrows = tuple([Arrow(names[s], names[t], names[l]) for s, t, l in new_arrs])
-    vertex_map = {v: None if j is None else names[j] for v, j in zip(g.vertices, vmap)}
-    return ApplyResult(Comte(SelfIndexedGraph(tuple(names), arrows), flows), vertex_map, _named_instance(inverse, names))
+    vertex_map = {v: None if j is None else names[j] for v, j in zip(old, vmap)}
+    return ApplyResult(Comte(SelfIndexedGraph(tuple(names), arrows), flows), vertex_map, _named_instance(inverse, names.__getitem__))
+
+
+def _index_state(c: Comte, caller: str):
+    """The vertex names, vertex index and index state of the comte ``c``."""
+    if not isinstance(c, Comte):
+        raise TypeError(f"{caller} takes a comte; as_comte(g) is the bare graph g as one")
+    idx, arrs = _index_form(c.graph)
+    return c.vertices, idx, (len(idx), arrs, c.flows)
 
 
 def _check_shape(m: MoveInstance) -> None:
@@ -318,12 +325,12 @@ def _check_shape(m: MoveInstance) -> None:
         raise MoveError(f"{m.kind}: bad side position {m.params[0]}")
 
 
-def _named_instance(m: MoveInstance, vertex_names, arrow_perm=None) -> MoveInstance:
-    """``m``, whose vertices are indices, with them named by
-    ``vertex_names`` and its arrow indices sent through ``arrow_perm``."""
+def _named_instance(m: MoveInstance, name, arrow_perm=None) -> MoveInstance:
+    """``m``, whose vertices are indices, with each vertex ``v`` named
+    ``name(v)`` and its arrow indices sent through ``arrow_perm``."""
     if arrow_perm is not None:
         m = m._replace(arrows=tuple(arrow_perm[i] for i in m.arrows), moved=frozenset((arrow_perm[j], role) for j, role in m.moved))
-    return m._replace(vertices=tuple([vertex_names[v] for v in m.vertices]))
+    return m._replace(vertices=tuple(map(name, m.vertices)))
 
 
 def _apply_rule(state, m: MoveInstance, names, idx):
@@ -584,14 +591,18 @@ def enumerate_moves(c: Comte, budget: SearchBudget = SearchBudget()) -> list[Mov
     R3b instances are emitted for shifts J in +-``budget.r3b_range`` (the
     family is infinite; the window is a search parameter).
     """
-    _require_budget(budget)
-    names, flows, arrs = c.graph.vertices, c.flows, _index_form(c.graph)[1]
+    names, _, state = _index_state(c, "enumerate_moves")
+    return [_named_instance(m, names.__getitem__) for m in _enumerate_moves(*state, _require_budget(budget))]
+
+
+def _enumerate_moves(n: int, arrs, flows, budget: SearchBudget) -> list[MoveInstance]:
+    """``enumerate_moves`` on an index state."""
     out: list[MoveInstance] = []
     # R0: the one arrow at p, if it is a site
-    for p, name in enumerate(names):
+    for p in range(n):
         i = next((i for i, a in enumerate(arrs) if p in a[:2]), None)
         if i is not None and _r0_site_error(arrs, flows, i, p) is None:
-            out.append(MoveInstance("R0", arrows=(i,), vertices=(name,)))
+            out.append(MoveInstance("R0", arrows=(i,), vertices=(p,)))
     # R1
     for i, a in enumerate(arrs):
         kind = _r1_kind(a)
@@ -632,9 +643,7 @@ def _split_sets(arrs, v: int, budget: SearchBudget, keep=None):
             yield frozenset(s for k, s in enumerate(slots) if mask >> k & 1)
 
 
-def inverse_instances(
-    c: Comte, budget: SearchBudget = SearchBudget(), *, new_vertices: bool = True
-) -> list[MoveInstance]:
+def inverse_instances(c: Comte, budget: SearchBudget = SearchBudget()) -> list[MoveInstance]:
     """Enumerate inverse moves with bounded nondeterminism.
 
     Each inverse split is listed once per outcome (see the module
@@ -649,32 +658,35 @@ def inverse_instances(
     old half, and every fresh R2 split.  Splits whose conservation-forced
     flow falls outside the window are not emitted, so every instance
     applies to a valid comte and yields a valid comte.  Each instance adds
-    one arrow.  ``new_vertices=False`` leaves out the vertex-adding
-    instances (R0inv, R1split, fresh splits) and keeps the order of the
-    rest.
+    one arrow.
     """
-    _require_budget(budget)
+    names, _, state = _index_state(c, "inverse_instances")
+    return [_named_instance(m, names.__getitem__) for m in _inverse_instances(*state, _require_budget(budget), True)]
+
+
+def _inverse_instances(n: int, arrs, flows, budget: SearchBudget, new_vertices: bool) -> list[MoveInstance]:
+    """``inverse_instances`` on an index state, less the vertex-adding
+    instances (R0inv, R1split, fresh splits) when ``new_vertices`` is false."""
     flow_lo, flow_hi = budget.flow_lo, budget.flow_hi
-    names, flows, arrs = c.graph.vertices, c.flows, _index_form(c.graph)[1]
     out: list[MoveInstance] = []
     # the vertices a vertex-adding instance (R0inv, R1split) may start from
-    growing = names if new_vertices else ()
+    growing = range(n) if new_vertices else ()
     # inverse R0: attach a pendant vertex, either direction, any label, flow 0
     for u in growing:
-        for labelv in names:
+        for labelv in range(n):
             for flag in ("target", "source"):
                 out.append(MoveInstance("R0inv", vertices=(u, labelv), flags=(flag,)))
     # inverse R1 (loop deletion): add a self-labeled loop with any flow in range
-    for v in names:
+    for v in range(n):
         for j in range(flow_lo, flow_hi + 1):
             out.append(MoveInstance("R1loopadd", vertices=(v,), params=(j,)))
     # inverse R1 (contraction): split a vertex
-    for v, name in enumerate(growing):
+    for v in growing:
         for moved in _split_sets(arrs, v, budget):
             for direction in ("old_new", "new_old"):
                 # moving no slot, with the label on the old half, is R0inv(v, v)
                 for label_half in ("old", "new") if moved else ("new",):
-                    out.append(MoveInstance("R1split", vertices=(name,), moved=moved, flags=(direction, label_half)))
+                    out.append(MoveInstance("R1split", vertices=(v,), moved=moved, flags=(direction, label_half)))
     # inverse R2: split one arrow into two
     for ei, a in enumerate(arrs):
         flow = flows[ei]
@@ -757,27 +769,23 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
     ends = canonical_labeling(c1), canonical_labeling(c2)
     if ends[0].key == ends[1].key:
         return MoveTrace(())
-    # one tuple per distinct canonical (source, target, label, flow) arrow;
-    # the builds share one vertex-name tuple and one Arrow the same way
-    arrow_tuples, shared = {}, {}
+    # one tuple per distinct canonical (source, target, label, flow) arrow
+    arrow_tuples = {}
 
     def kept(lab):
         return len(lab.vertex_ranks), tuple([arrow_tuples.setdefault(a, a) for a in lab.arrows])
 
     # visited[side][key] = ((n, arrows), parent_key, instance_on_parent): the
-    # vertex count and canonical arrows of the state, named only while it is
-    # expanded or while a trace's backward half applies its move again
+    # vertex count and canonical arrows of the state; the instance names
+    # vertices by index, as every instance inside the search does
     visited = [{lab.key: (kept(lab), None, None)} for lab in ends]
     frontier = [[lab.key] for lab in ends]
     n_states = 2
 
-    def build(side, key):
-        # the canonical comte, which the identity labels, and its index form
+    def index_state(side, key):
+        # the canonical comte and its vertex index, where a vertex is its key
         (n, arrows), _, _ = visited[side][key]
-        lab = CanonicalLabeling(key, range(n), range(len(arrows)), arrows)
-        state = Comte(_labeled_graph(lab, shared), tuple([a[3] for a in arrows]))
-        idx, arrs = _index_form(state.graph)
-        return state, idx, (n, arrs, state.flows)
+        return (n, tuple([a[:3] for a in arrows]), tuple([a[3] for a in arrows])), range(n)
 
     def label(n, arrs, flows):
         return _canonical_labeling(n, [(s, t, l, f) for (s, t, l), f in zip(arrs, flows)], b"c")
@@ -790,34 +798,34 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
 
     def build_trace(meet_key, child_entry, side):
         # child_entry: the new edge discovered from `side` into the other
-        # side; the search ends here, so it is recorded in place
+        # side; the search ends here, so it is recorded in place.  Canonical
+        # vertex r is named str(r)
         visited[side][meet_key] = child_entry
-        steps = [TraceStep(inst, parent, k) for k, (_, parent, inst) in walk(0, meet_key)][::-1]
+        steps = [TraceStep(_named_instance(inst, str), parent, k) for k, (_, parent, inst) in walk(0, meet_key)][::-1]
         for k, (_, parent, inst) in walk(1, meet_key):
             # applying and labeling are deterministic, so this is the inverse
-            # and the labeling that the search saw; canonical vertex r is str(r)
-            state, idx, index_state = build(1, parent)
-            (n, arrs, flows), inv, _, _ = _apply_rule(index_state, inst, state.vertices, idx)
+            # and the labeling that the search saw
+            state, idx = index_state(1, parent)
+            (n, arrs, flows), inv, _, _ = _apply_rule(state, inst, idx, idx)
             lab = label(n, arrs, flows)
-            steps.append(TraceStep(_named_instance(inv, [str(r) for r in lab.vertex_ranks], lab.arrow_perm()), k, parent))
+            steps.append(TraceStep(_named_instance(inv, lambda v: str(lab.vertex_ranks[v]), lab.arrow_perm()), k, parent))
         return MoveTrace(tuple(steps))
 
     while frontier[0] and frontier[1] and n_states < budget.max_states:
         side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
         new_frontier = []
         for key in frontier[side]:
-            state, idx, index_state = build(side, key)
+            state, idx = index_state(side, key)
             # no forward move grows a state and each inverse one adds an
             # arrow, so inverse instances are generated only with arrow room
             # and vertex-adding ones only with vertex room; then only an end
             # state beyond the budget has children that do not fit
-            enumerators = [enumerate_moves]
-            if len(state.arrows) < budget.max_arrows:
-                new_vertices = len(idx) < budget.max_vertices
-                enumerators.append(partial(inverse_instances, new_vertices=new_vertices))
+            enumerators = [_enumerate_moves]
+            if len(state[1]) < budget.max_arrows:
+                enumerators.append(partial(_inverse_instances, new_vertices=len(idx) < budget.max_vertices))
             for enumerator in enumerators:
-                for inst in enumerator(state, budget):
-                    (n, child_arrs, flows), _, _, _ = _apply_rule(index_state, inst, state.vertices, idx)
+                for inst in enumerator(*state, budget):
+                    (n, child_arrs, flows), _, _, _ = _apply_rule(state, inst, idx, idx)
                     if n > budget.max_vertices or len(child_arrs) > budget.max_arrows:
                         continue
                     # every child is labeled, and kept as its canonical arrows

@@ -20,7 +20,10 @@ presentations), which return their result.
 ``MoveInstance`` the same way, ``state_sum`` the degrees of its ``Chain``
 and ``Cochain`` and every chain coefficient, and ``Comte`` every flow; a
 ``Comte`` whose flow list is shorter or longer than its arrow list is a
-``ValueError``.  ``FiniteRack``, the other value record that the library
+``ValueError``.  ``graph`` and ``comte`` check each arrow they are given:
+one of the wrong length is a ``ValueError``, and one that is not iterable
+or has an unhashable end a ``TypeError``, each naming the arrow; an end
+that is not a vertex is left to ``validate``.  ``FiniteRack``, the other value record that the library
 builds itself, is not swept.
 
 The move enumerators and the search take a ``SearchBudget`` and nothing
@@ -240,6 +243,43 @@ def test_a_float_coefficient_is_not_summed():
     cochain = cochain_from_cocycle2_on(s4, f)
     with pytest.raises(TypeError, match=r"^chain coefficient must be an integer, got 1\.5$"):
         comtes.state_sum(tre.graph, chain, comtes.graph_of_rack(s4), cochain, f.group)
+
+
+# these used to raise "not enough values to unpack" or "too many values to
+# unpack", naming neither the arrow nor its shape
+@pytest.mark.parametrize("build, arrow, shape", [
+    (graph, ("a", "a"), "(source, target, label)"),
+    (graph, ("a", "a", "a", 0), "(source, target, label)"),
+    (comtes.comte, ("a", "a", "a"), "(source, target, label, flow)"),
+    (comtes.comte, ("a", "a", "a", 0, 0), "(source, target, label, flow)"),
+], ids=["graph-short", "graph-long", "comte-short", "comte-long"])
+def test_an_arrow_of_the_wrong_length_is_a_value_error(build, arrow, shape):
+    with pytest.raises(ValueError, match=f"^arrows\\[1\\] must be a {re.escape(shape)} tuple, got {re.escape(repr(arrow))}$"):
+        build("a", [("a", "a", "a", 0)[: len(shape.split(","))], arrow])
+
+
+@pytest.mark.parametrize("build, shape", [(graph, "(source, target, label)"), (comtes.comte, "(source, target, label, flow)")],
+                         ids=["graph", "comte"])
+def test_an_arrow_that_is_not_iterable_is_a_type_error(build, shape):
+    # this used to raise "'int' object is not iterable"
+    with pytest.raises(TypeError, match=f"^arrows\\[0\\] must be a {re.escape(shape)} tuple, got 5$"):
+        build("a", [5])
+
+
+# these used to build a graph or comte with a list as an end
+@pytest.mark.parametrize("build", [graph, lambda vs, arrows: comtes.comte(vs, [(*a, 0) for a in arrows])],
+                         ids=["graph", "comte"])
+@pytest.mark.parametrize("position, field", enumerate(["source", "target", "label"]))
+def test_an_unhashable_end_is_a_type_error(build, position, field):
+    arrow = ["a", "a", "a"]
+    arrow[position] = ["x"]
+    with pytest.raises(TypeError, match=f"^arrows\\[0\\]\\.{field} must be hashable, got \\['x'\\]$"):
+        build("a", [arrow])
+
+
+def test_a_dangling_name_is_built_and_reported():
+    g = graph("a", [("a", "b", ("c", 1))])
+    assert comtes.validate_graph(g).dangling == ((0, "target", "b"), (0, "label", ("c", 1)))
 
 
 @pytest.mark.parametrize("flows", [(1,), (1, 1, 1)], ids=["short", "long"])

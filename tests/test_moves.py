@@ -23,6 +23,7 @@ from comtes.moves import (
     MoveInstance,
     SearchBudget,
     _apply_rule,
+    _inverse_instances,
     _square_join,
     apply_move,
     apply_move_detailed,
@@ -492,12 +493,12 @@ class TestSearch:
         # a fault in an enumerator is an error, not a smaller search
         import comtes.moves
 
-        real = comtes.moves.enumerate_moves
+        real = comtes.moves._enumerate_moves
 
-        def faulty(c, budget):
-            return [*real(c, budget), MoveInstance("R1contract", arrows=(len(c.arrows),))]
+        def faulty(n, arrs, flows, budget):
+            return [*real(n, arrs, flows, budget), MoveInstance("R1contract", arrows=(len(arrs),))]
 
-        monkeypatch.setattr(comtes.moves, "enumerate_moves", faulty)
+        monkeypatch.setattr(comtes.moves, "_enumerate_moves", faulty)
         with pytest.raises(MoveError, match="stale site"):
             equivalent_bounded(TREFOIL, FIGURE_EIGHT, SearchBudget(max_states=50))
 
@@ -548,7 +549,8 @@ class TestSearch:
     def test_each_expanded_state_is_built_once(self, monkeypatch, name):
         # counted from outside: one labeling per successful apply, since every
         # child of a state within the budget fits; every state is kept as its
-        # canonical arrows and built right before it is expanded, and the
+        # canonical arrows and built as one index state right before it is
+        # expanded, which every apply of the expansion reads, and the
         # backward half of a found trace builds the parent of each of its
         # steps again, applies the step's move once more and labels the child
         import comtes.moves
@@ -566,9 +568,17 @@ class TestSearch:
         ends, labeled, events = [], [], []
         real_end = comtes.moves.canonical_labeling
         real_label = comtes.moves._canonical_labeling
-        real_build = comtes.moves._labeled_graph
         real_apply = comtes.moves._apply_rule
-        real_enumerate = comtes.moves.enumerate_moves
+        real_enumerate = comtes.moves._enumerate_moves
+        real_inverse = comtes.moves._inverse_instances
+
+        def key_of(state):
+            n, arrs, flows = state
+            return real_label(n, [(*a, f) for a, f in zip(arrs, flows)], b"c").key
+
+        def same(state, other):
+            # the same arrow and flow tuples, not equal copies of them
+            return state[1] is other[1] and state[2] is other[2]
 
         def end(c):
             lab = real_end(c)
@@ -581,46 +591,50 @@ class TestSearch:
             events.append(("label", lab.key))
             return lab
 
-        def build(lab, shared=None):
-            events.append(("build", lab.key))
-            return real_build(lab, shared)
-
         def apply(state, m, names, idx):
             res = real_apply(state, m, names, idx)
-            events.append(("apply", None))
+            events.append(("apply", state))
             return res
 
-        def enumerate_(c, budget):
+        def enumerate_(*state_and_budget):
             # each expansion enumerates the forward moves once
-            events.append(("expand", canonical_key(c)))
-            return real_enumerate(c, budget)
+            events.append(("expand", state_and_budget[:3]))
+            return real_enumerate(*state_and_budget)
 
-        for attr, fn in (("canonical_labeling", end), ("_canonical_labeling", label), ("_labeled_graph", build),
-                         ("_apply_rule", apply), ("enumerate_moves", enumerate_)):
+        def inverse(*state_and_budget, **kw):
+            events.append(("inverse", state_and_budget[:3]))
+            return real_inverse(*state_and_budget, **kw)
+
+        for attr, fn in (("canonical_labeling", end), ("_canonical_labeling", label), ("_apply_rule", apply),
+                         ("_enumerate_moves", enumerate_), ("_inverse_instances", inverse)):
             monkeypatch.setattr(comtes.moves, attr, fn)
         trace = equivalent_bounded(start, target, budget)
         found = trace is not None
         assert found == (name != "figure_eight")
         assert len(ends) == 2
         assert len(labeled) == sum(event == "apply" for event, _ in events)
-        expanded = [k for event, k in events if event == "expand"]
+        expanded = [key_of(state) for event, state in events if event == "expand"]
         assert len(set(expanded)) == len(expanded)
         # the search ends with the children of the last expansion; what
-        # comes after them is the backward half of the trace
+        # comes after them is the backward half of the trace, which builds
+        # its own states
         last = max(i for i, (event, _) in enumerate(events) if event == "expand")
-        cut = next((i for i in range(last, len(events)) if events[i][0] == "build"), len(events))
+        cut = next((i for i in range(last, len(events)) if events[i][0] == "apply" and not same(events[i][1], events[last][1])),
+                   len(events))
         search, tail = events[:cut], events[cut:]
-        # each expansion builds its state once, right before it, and builds
-        # nothing else
-        assert [e for e in search if e[0] in ("build", "expand")] == [
-            event for k in expanded for event in (("build", k), ("expand", k))
-        ]
+        # each expansion builds its state once, right before it: both
+        # enumerators and every apply of the expansion read the same tuples
+        current = None
+        for event, state in search:
+            if event == "expand":
+                current = state
+            elif event != "label":
+                assert same(state, current), event
         # after the search, only the parents of the backward-half steps are
         # built, in trace order, and each applies one move and labels one child
-        backward = trace.steps[len(trace) - len(tail) // 3 :] if found else ()
-        assert tail == [
-            event for step in backward
-            for event in (("build", step.after_key), ("apply", None), ("label", step.before_key))
+        backward = trace.steps[len(trace) - len(tail) // 2 :] if found else ()
+        assert [(event, x if event == "label" else key_of(x)) for event, x in tail] == [
+            event for step in backward for event in (("apply", step.after_key), ("label", step.before_key))
         ]
         if backward:
             assert backward[-1].after_key == ends[1]
@@ -683,6 +697,49 @@ class TestSearch:
         for ends in ((TREFOIL.graph, TREFOIL.graph), (TREFOIL, FIGURE_EIGHT.graph)):
             with pytest.raises(TypeError, match="^equivalent_bounded takes two comtes"):
                 equivalent_bounded(*ends)
+        # the enumerators and apply_move used to fail inside, with an
+        # AttributeError for the graph's missing 'graph' field
+        loop = MoveInstance("R1loopadd", vertices=("a",), params=(1,))
+        for name, call in (
+            ("enumerate_moves", enumerate_moves),
+            ("inverse_instances", inverse_instances),
+            ("apply_move", lambda g: apply_move(g, loop)),
+            ("apply_move", lambda g: apply_move_detailed(g, loop)),
+        ):
+            with pytest.raises(TypeError, match=f"^{name} takes a comte; as_comte\\(g\\) is the bare graph g as one$"):
+                call(TREFOIL.graph)
+
+    def test_the_search_builds_no_named_state(self, monkeypatch):
+        # between labeling its ends and returning, the search works on index
+        # states: it constructs no graph or comte, not even on the backward
+        # half of a found trace
+        import comtes.moves
+
+        ends, built = [], []
+        real_end = comtes.moves.canonical_labeling
+
+        def end(c):
+            ends.append(c)
+            return real_end(c)
+
+        monkeypatch.setattr(comtes.moves, "canonical_labeling", end)
+        for cls in (SelfIndexedGraph, Comte):
+            def init(self, *args, real=cls.__init__, **kw):
+                if len(ends) == 2:
+                    built.append(type(self).__name__)
+                real(self, *args, **kw)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        bare = dataclasses.replace(G2G3_BUDGET, **BARE)
+        for start, target, budget, found in (
+            (G2, G3, G2G3_BUDGET, True),
+            (_zeroed(G2), _zeroed(G3), bare, True),
+            (TREFOIL, FIGURE_EIGHT, SearchBudget(max_states=500), False),
+        ):
+            ends.clear()
+            trace = equivalent_bounded(start, target, budget)
+            assert (trace is not None) == found and len(ends) == 2
+        assert built == []
 
     @pytest.mark.parametrize("pair, calls", [("r1", []), ("r3", [94])], ids=["r1", "r3"])
     def test_inverse_instances_are_listed_after_the_forward_children(self, monkeypatch, pair, calls):
@@ -693,14 +750,14 @@ class TestSearch:
         import comtes.moves
 
         counts = []
-        real_inverse = comtes.moves.inverse_instances
+        real_inverse = comtes.moves._inverse_instances
 
-        def inverse(c, budget, **kw):
-            out = real_inverse(c, budget, **kw)
+        def inverse(*args, **kw):
+            out = real_inverse(*args, **kw)
             counts.append(len(out))
             return out
 
-        monkeypatch.setattr(comtes.moves, "inverse_instances", inverse)
+        monkeypatch.setattr(comtes.moves, "_inverse_instances", inverse)
         before, after = {name: codes for name, *codes in REIDEMEISTER_PAIRS}[pair]
         trace = equivalent_bounded(comte_of_gauss(parse_gauss_code(before)), comte_of_gauss(parse_gauss_code(after)))
         assert len(trace) == {"r1": 1, "r3": 2}[pair]
@@ -874,10 +931,13 @@ class TestSizeChange:
 
     @pytest.mark.parametrize("ignore_flows", [False, True])
     def test_pruned_generation_leaves_out_only_vertex_adding_instances(self, make_comte, ignore_flows):
+        # on the index states that the search expands
         for c, budget in self._sample(make_comte, ignore_flows):
-            full = inverse_instances(c, budget)
-            kept = inverse_instances(c, budget, new_vertices=False)
-            assert kept == [m for m in full if self._change(c, m)[0] == 0], c
+            state = (len(c.vertices), _index_form(c.graph)[1], c.flows)
+            idx = range(state[0])
+            full = _inverse_instances(*state, budget, True)
+            kept = _inverse_instances(*state, budget, False)
+            assert kept == [m for m in full if _apply_rule(state, m, idx, idx)[0][0] == state[0]], c
 
     @pytest.mark.parametrize("max_vertices, max_arrows", [(3, 5), (4, 3)])
     def test_search_canonicalizes_no_oversize_child(self, monkeypatch, max_vertices, max_arrows):
