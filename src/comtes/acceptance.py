@@ -28,6 +28,8 @@ from .moves import SearchBudget, apply_move_detailed, enumerate_moves, equivalen
 from .racks import C2, Cocycle2, dihedral_quandle, epsilon, format_group_ring, graph_of_rack, tetrahedron_cocycle, tetrahedron_quandle
 
 DEFAULT_SEED = 20240
+# the random cases that each of suites 8a, 8e and 8f runs
+SUITE_CASES = 500
 
 # The worked trio: the right-trefoil comte, the same plus a zero-flow
 # chord, and the third comte reached from the second by moves.
@@ -288,12 +290,12 @@ def _matched_linking(lk1, lk2, comp_match):
     return True
 
 
-def suite_8a_move_invariance(seed: int, cases: int = 500) -> tuple[bool, str]:
+def suite_8a_move_invariance(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     tetra = tetrahedron_quandle()
     budget = SearchBudget(max_split_slots=6)
     done = 0
-    while done < cases:
+    while done < SUITE_CASES:
         c = random_comte(rng)
         pool = enumerate_moves(c, budget) + inverse_instances(c, budget)
         if not pool:
@@ -400,12 +402,12 @@ def suite_8d_rack_agreement() -> tuple[bool, str]:
     return True, "chain bases and boundaries match the direct rack complex through degree 4"
 
 
-def suite_8e_coboundary_invariance(seed: int, cases: int = 500) -> tuple[bool, str]:
+def suite_8e_coboundary_invariance(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed + 1)
     x = tetrahedron_quandle()
     f = tetrahedron_cocycle()
     done = 0
-    while done < cases:
+    while done < SUITE_CASES:
         c = random_comte(rng, nmax=4, amax=6)
         # f plus the coboundary of a random 1-cochain g: (a, b) -> g(a |> b) - g(b)
         g = [rng.randrange(2) for _ in range(x.n)]
@@ -433,7 +435,7 @@ def random_gauss_diagram(rng: random.Random):
     return "/".join("".join(c) for c in comps)
 
 
-def suite_8f_routes_and_swaps(seed: int, cases: int = 500) -> tuple[bool, str]:
+def suite_8f_routes_and_swaps(seed: int) -> tuple[bool, str]:
     for code in CORPUS:
         via_gauss = comte_of_gauss(parse_gauss_code(code.gauss))
         via_pd = comte_of_diagram(parse_pd_code(code.pd))
@@ -444,7 +446,7 @@ def suite_8f_routes_and_swaps(seed: int, cases: int = 500) -> tuple[bool, str]:
     rng = random.Random(seed + 2)
     swaps = 0
     done = 0
-    while done < cases:
+    while done < SUITE_CASES:
         code = random_gauss_diagram(rng)
         d = parse_gauss_code(code)
         c = comte_of_gauss(d)

@@ -22,8 +22,6 @@ def relation_matrix(g: SelfIndexedGraph) -> list[list[Laurent]]:
 def _det(matrix: list[list[Laurent]]) -> Laurent:
     """Fraction-free (Bareiss) determinant over the Laurent ring."""
     n = len(matrix)
-    if n == 0:
-        return Laurent.one()
     m = [row[:] for row in matrix]
     sign = 1
     prev = Laurent.one()
@@ -83,6 +81,8 @@ def _eliminate_units(matrix: list[list[Laurent]], r: int) -> tuple[list[list[Lau
 
 def minors_gcd(matrix: list[list[Laurent]], r: int) -> Laurent:
     """Unit-normalized gcd of all r x r minors; zero when all minors vanish.
+    The empty minor makes it 1 at r = 0, and it is 0 when r exceeds the
+    rows or the columns, so that no r x r minor exists.
 
     Unit pivots are eliminated first, which leaves the gcd unchanged and
     shrinks both the matrix and r.  Over the residual, the running gcd
@@ -107,23 +107,15 @@ def minors_gcd(matrix: list[list[Laurent]], r: int) -> Laurent:
 
 
 def alexander_polynomial(g: Comte | SelfIndexedGraph, i: int) -> Laurent:
-    """Delta_i: gcd of the rank (#V - i) minors of the relation matrix.
-
-    Conventions: Delta_i = 1 when #V - i <= 0, and Delta_i = 0 when
-    #V - i >= #E + 1.  The result is unit-normalized, so equality is exact.
-    A comte's Delta_i is that of its graph; the flows do not enter.
+    """Delta_i: ``minors_gcd`` of the relation matrix at rank #V - i, so 1
+    when #V - i <= 0 and 0 when #V - i exceeds the arrow count.  The result
+    is unit-normalized, so equality is exact.  A comte's Delta_i is that
+    of its graph; the flows do not enter.
     """
     if isinstance(g, Comte):
         g = g.graph
     _require_int(i, "index", 0)
-    nv = len(_index_form(g)[0])  # checked here: the conventions below answer without a lookup
-    ne = len(g.arrows)
-    r = nv - i
-    if r <= 0:
-        return Laurent.one()
-    if r >= ne + 1:
-        return Laurent.zero()
-    return minors_gcd(relation_matrix(g), r)
+    return minors_gcd(relation_matrix(g), max(len(g.vertices) - i, 0))
 
 
 def multivariable_relation_matrix(g: SelfIndexedGraph) -> list[list[MultiLaurent]]:

@@ -17,7 +17,7 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 from .core import SelfIndexedGraph, _require_int, canonical_form, canonical_key, classify, graph_from_injections
-from .homology import HomologyGroup, _is_quandle, _quandle_fold, dot_table, homology_range
+from .homology import HomologyGroup, homology_range
 
 
 def partial_injections(n: int) -> list[tuple[int, ...]]:
@@ -150,14 +150,10 @@ class CensusRow(NamedTuple):
 
 def census_row(g: SelfIndexedGraph, max_degree: int) -> CensusRow:
     """The row of ``g``: its plain homology and, for a q-graph, its
-    quotient homology, through ``max_degree``.  The plain groups of a
-    quandle graph are folded from the quotient groups of the row."""
+    quotient homology, through ``max_degree``."""
     kind = classify(g)
     quot = homology_range(g, max_degree, q_quotient=True) if kind == "q" else None
-    if quot is not None and _is_quandle(dot_table(g)):
-        plain = _quandle_fold(quot)
-    else:
-        plain = homology_range(g, max_degree)
+    plain = homology_range(g, max_degree)
     return CensusRow(canonical_key(g), g, kind, plain, quot)
 
 

@@ -65,8 +65,22 @@ def _require_int(value, what: str, low: int | None = None) -> int:
     return value
 
 
+def _require_hashable(values, what: str) -> None:
+    """A ``TypeError`` naming ``what[i]`` for the first entry of ``values`` that does not hash."""
+    for i, v in enumerate(values):
+        try:
+            hash(v)
+        except TypeError:
+            raise TypeError(f"{what}[{i}] must be hashable, got {v!r}") from None
+
+
 def _vertex_names(vertices) -> tuple[str, ...]:
-    names = tuple(vertices.split() if isinstance(vertices, str) else vertices)
+    try:
+        names = iter(vertices.split() if isinstance(vertices, str) else vertices)
+    except TypeError:
+        raise TypeError(f"vertices must be a string or an iterable of names, got {vertices!r}") from None
+    names = tuple(names)
+    _require_hashable(names, "vertices")
     if len(set(names)) != len(names):
         raise ValueError("'vertices' contains a duplicate")
     return names
@@ -297,9 +311,10 @@ def quotient(g: SelfIndexedGraph, pairs) -> tuple[SelfIndexedGraph, dict[str, st
     arrs = _index_form(g)[1]
     uf = _UnionFind(g.vertices)
     try:
-        for pair in pairs:
+        for i, pair in enumerate(pairs):
             if isinstance(pair, str) or len(pair) != 2:
                 raise ValueError(f"{pair!r} is not a pair of vertices")
+            _require_hashable(pair, f"pairs[{i}]")
             uf.union(*pair)
     except KeyError as e:
         raise ValueError(f"{e.args[0]!r} is not a vertex") from e
@@ -315,17 +330,12 @@ def contract(g: SelfIndexedGraph, T) -> SelfIndexedGraph:
     and target and delete the arrow.  Contracting a loop deletes it without
     merging anything.  The result does not depend on the contraction order.
     """
-    return contract_with_map(g, T)[0]
-
-
-def contract_with_map(g: SelfIndexedGraph, T) -> tuple[SelfIndexedGraph, dict[str, str]]:
     T = set(T)
     for i in T:
         if not 0 <= _require_int(i, "arrow index") < len(g.arrows):
             raise IndexError(f"arrow index {i} out of range")
-    q, vmap = quotient(g, [(g.arrows[i].source, g.arrows[i].target) for i in T])
-    kept = tuple(a for i, a in enumerate(q.arrows) if i not in T)
-    return SelfIndexedGraph(q.vertices, kept), vmap
+    q, _ = quotient(g, [(g.arrows[i].source, g.arrows[i].target) for i in T])
+    return SelfIndexedGraph(q.vertices, tuple(a for i, a in enumerate(q.arrows) if i not in T))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ class SemiVirtualGraph:
     semivirtual: frozenset[int]
 
     def __post_init__(self):
+        if not isinstance(self.semivirtual, frozenset):
+            raise TypeError(f"semivirtual must be a frozenset of arrow indices, got {self.semivirtual!r}")
         for i in self.semivirtual:
             if not 0 <= _require_int(i, "semi-virtual arrow index") < len(self.graph.arrows):
                 raise ValueError(f"semi-virtual arrow index {i} out of range")

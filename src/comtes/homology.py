@@ -153,21 +153,17 @@ def _decode(code: int, n: int, nv: int) -> tuple[int, ...]:
     return tuple(code // nv**k % nv for k in reversed(range(n)))
 
 
-def _basis_tuples(n: int, g: SelfIndexedGraph, q_quotient: bool) -> list[tuple[int, ...]]:
-    nv, codes, _ = _bases_of(g, n, q_quotient)
-    return [_decode(code, n, nv) for code in codes[n]]
-
-
 def hom_tuples(n: int, g: SelfIndexedGraph) -> list[tuple[int, ...]]:
     """Tuples (a_1..a_n) of vertex indices that define homomorphisms
     Y_n -> g, in lexicographic order.  Degree n is built from degree n-1
     by prepending a_1, under the two mask tests of ``_extend``."""
-    return _basis_tuples(n, g, False)
+    return chain_basis(n, g)
 
 
 def chain_basis(n: int, g: SelfIndexedGraph, q_quotient: bool = False) -> list[tuple[int, ...]]:
     """Ordered basis of C_n (or C_n^Q)."""
-    return _basis_tuples(n, g, q_quotient)
+    nv, codes, _ = _bases_of(g, n, q_quotient)
+    return [_decode(code, n, nv) for code in codes[n]]
 
 
 def _bases_of(g: SelfIndexedGraph, top: int, q_quotient: bool):

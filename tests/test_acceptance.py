@@ -12,42 +12,54 @@ import pytest
 from comtes import acceptance
 
 
-def _check(result):
+def _check(result, detail):
     print()
     print(result.line())
     assert result.passed, result.detail
+    assert result.detail == detail  # the text of ``comtes paper-suite``
 
 
 def test_criterion_1_census_counts():
     result = acceptance.criterion_1_census_counts()
-    _check(result)
+    _check(result, "r-graphs(3) = 6663, q-graphs(3) = 70 (complete enumeration incl. the arrowless class: 6664)")
     assert result.seconds < 60  # stated runtime target
 
 
 def test_criterion_2_example_homology():
     result = acceptance.criterion_2_example_homology()
-    _check(result)
+    _check(result, "H1..H5 = Z, Z^2, Z^4, Z^7, Z^11")
     assert result.seconds < 30  # stated runtime target
 
 
 def test_criterion_3_noninvariance_pair():
-    _check(acceptance.criterion_3_noninvariance_pair())
+    _check(
+        acceptance.criterion_3_noninvariance_pair(),
+        "H3 = Z^4 vs Z^5; move trace = R1split R3a_add R3b_shift R3a_remove R0 (length 5)",
+    )
 
 
 def test_criterion_4_state_sums():
-    _check(acceptance.criterion_4_state_sums())
+    _check(acceptance.criterion_4_state_sums(), "4 + 12*s; 4; 4; coloring counts [16, 4, 4]")
 
 
 def test_criterion_5_alexander():
-    _check(acceptance.criterion_5_alexander())
+    _check(
+        acceptance.criterion_5_alexander(),
+        "Delta_1(example) = t - 2; Delta_1(trefoil) = t^2 - t + 1; Fox oracle agrees",
+    )
 
 
 def test_criterion_6_linking():
-    _check(acceptance.criterion_6_linking())
+    _check(acceptance.criterion_6_linking(), "lk[2][1] = 2, all other entries zero")
 
 
 def test_criterion_7_signature_census():
-    _check(acceptance.criterion_7_signature_census())
+    _check(
+        acceptance.criterion_7_signature_census(),
+        "r distinct counts {'plain/torsion': 280, 'plain/betti': 279} (280 under: ['plain/torsion']); "
+        "q distinct counts {'plain/torsion': 28, 'plain/betti': 27, 'quotient/torsion': 26, 'quotient/betti': 25} "
+        "(28 under: ['plain/torsion'])",
+    )
 
 
 def test_census_signature_tables_are_pinned():
@@ -61,6 +73,7 @@ def test_criterion_8a_move_invariance():
     ok, msg = acceptance.suite_8a_move_invariance(acceptance.DEFAULT_SEED)
     print("\n[%s] 8a %s" % ("PASS" if ok else "FAIL", msg))
     assert ok, msg
+    assert msg == "500 randomized move applications preserved all invariants"
 
 
 def test_criterion_8b_boundary_squares():
@@ -117,24 +130,28 @@ def test_criterion_8d_rack_agreement():
     ok, msg = acceptance.suite_8d_rack_agreement()
     print("\n[%s] 8d %s" % ("PASS" if ok else "FAIL", msg))
     assert ok, msg
+    assert msg == "chain bases and boundaries match the direct rack complex through degree 4"
 
 
 def test_criterion_8e_coboundary_invariance():
     ok, msg = acceptance.suite_8e_coboundary_invariance(acceptance.DEFAULT_SEED)
     print("\n[%s] 8e %s" % ("PASS" if ok else "FAIL", msg))
     assert ok, msg
+    assert msg == "500 randomized coboundary perturbations left state sums unchanged"
 
 
 def test_criterion_8f_routes_and_swaps():
     ok, msg = acceptance.suite_8f_routes_and_swaps(acceptance.DEFAULT_SEED)
     print("\n[%s] 8f %s" % ("PASS" if ok else "FAIL", msg))
     assert ok, msg
+    assert msg == "corpus routes agree on 5 links; 500 random diagrams valid, 659 arrowtail swaps preserved the comte"
 
 
 def test_criterion_8g_reidemeister():
     ok, msg = acceptance.suite_8g_reidemeister()
     print("\n[%s] 8g %s" % ("PASS" if ok else "FAIL", msg))
     assert ok, msg
+    assert msg == "traces found for all bundled pairs (r1:1, r2:2, r3:2)"
 
 
 @pytest.mark.parametrize("failing", [None, *"abcdefg"])

@@ -1,5 +1,4 @@
 import functools
-import importlib
 import itertools
 import pickle
 
@@ -144,21 +143,10 @@ class TestSignatures:
         assert [h.format() for h in row.plain] == ["Z", "Z^2", "Z^4", "Z^7", "Z^11"]
         assert row.quotient is not None
 
-    def test_quandle_row_eliminates_its_quotient_complex_once(self, monkeypatch):
-        # the plain groups are folded from the row's own quotient groups
-        homology = importlib.import_module("comtes.homology")
-        elimination_range = homology._elimination_range
-        calls = []
-
-        def recording(dot, n, q_quotient):
-            calls.append((n, q_quotient))
-            return elimination_range(dot, n, q_quotient)
-
-        monkeypatch.setattr(homology, "_elimination_range", recording)
+    def test_quandle_row_takes_both_groups_from_homology_range(self):
+        # homology_range alone decides when the plain groups are folded
         g = graph_of_rack(dihedral_quandle(3))
         row = census_row(g, 5)
-        assert calls == [(5, True)]
-        monkeypatch.undo()
         assert (row.plain, row.quotient) == (homology_range(g, 5), homology_range(g, 5, q_quotient=True))
 
     def test_census_report_shape(self):

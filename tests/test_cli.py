@@ -538,6 +538,15 @@ class TestBracketCommand:
         coeffs = sorted(int(ln.split("\t")[0]) for ln in lines)
         assert coeffs == [-1, 1]
 
+    @pytest.mark.parametrize("semivirtual, message", [
+        ("x", "bad arrow index list 'x'"),
+        ("0,3", "semi-virtual arrow index 3 out of range"),
+    ], ids=["not-an-index", "out-of-range"])
+    def test_a_bad_index_list_is_an_error(self, capsys, tmp_path, semivirtual, message):
+        p = tmp_path / "t.json"
+        p.write_text(encode(TREFOIL))
+        assert run(capsys, "bracket", "--graph", str(p), "--semivirtual", semivirtual) == (1, "", f"error: {message}\n")
+
 
 class TestUsage:
     def test_usage_error_exits_2(self):

@@ -176,6 +176,10 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi_invariant(G1, cyc, tetrahedron_cocycle())
 
+    def test_cocycle_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="^cocycle size does not match the quandle$"):
+            phi_invariant(G1, dihedral_quandle(3), tetrahedron_cocycle())
+
 
 TORUS_N = (3, 5, 9, 15, 21, 31, 51)
 

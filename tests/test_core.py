@@ -21,10 +21,10 @@ from comtes.core import (
     components,
     comte,
     contract,
-    contract_with_map,
     decode,
     encode,
     graph,
+    quotient,
     validate,
 )
 from comtes.acceptance import random_comte
@@ -369,6 +369,12 @@ class TestHeldKey:
         assert form.key.startswith(b"c") and form.graph._key is None
         assert canonical_key(form.graph) == canonical_key(TREFOIL.graph) != form.key
 
+    def test_a_bare_graph_form_has_no_comte(self):
+        form = canonical_form(EXHOC)
+        assert form.flows is None
+        with pytest.raises(ValueError, match="^canonical form was computed without flows$"):
+            form.comte
+
     def test_the_key_survives_pickling(self):
         g = canonical_form(EXHOC).graph
         copy = pickle.loads(pickle.dumps(g))
@@ -507,8 +513,8 @@ class TestContract:
 
     def test_labels_rewritten_through_quotient(self):
         g = graph("a b c", [("a", "b", "x") for x in ()] + [("a", "b", "b"), ("c", "c", "b")])
-        out, vmap = contract_with_map(g, [0])
-        assert vmap["b"] == "a"
+        out = contract(g, [0])
+        assert quotient(g, [("a", "b")])[1]["b"] == "a"
         assert out.arrows == (Arrow("c", "c", "a"),)
 
     def test_bad_index(self):
@@ -530,6 +536,11 @@ class TestDocuments:
     def test_unknown_label_named(self):
         bad = '{"vertices": ["a"], "arrows": [{"source":"a","target":"a","label":"x","flow":1}]}'
         with pytest.raises(DecodeError, match=r"label.*'x'"):
+            decode(bad)
+
+    def test_missing_label_named(self):
+        bad = '{"vertices": ["a"], "arrows": [{"source":"a","target":"a","label":"a"}, {"source":"a","target":"a"}]}'
+        with pytest.raises(DecodeError, match=r"^arrows\[1\]: missing field 'label'$"):
             decode(bad)
 
     def test_non_integer_flow(self):

@@ -84,6 +84,13 @@ class TestBracket:
         with pytest.raises(TypeError, match=rf"^semi-virtual arrow index must be an integer, got {re.escape(repr(index))}$"):
             SemiVirtualGraph(G, frozenset({index}))
 
+    @pytest.mark.parametrize("semivirtual", [(0, 0), [0], {0}], ids=repr)
+    def test_semivirtual_must_be_a_frozenset(self, semivirtual):
+        # (0, 0) used to pass as two semi-virtual arrows, so that
+        # is_degree_at_most(nu, 2, ...) evaluated the one-arrow bracket
+        with pytest.raises(TypeError, match=rf"^semivirtual must be a frozenset of arrow indices, got {re.escape(repr(semivirtual))}$"):
+            SemiVirtualGraph(G, semivirtual)
+
 
 class TestEvaluate:
     def test_vertex_count_single(self):
@@ -109,6 +116,21 @@ class TestEvaluate:
         with pytest.raises(MissingClassError) as err:
             evaluate({}, fs)
         assert err.value.representative is not None
+
+    def test_a_callable_that_raises_key_error_names_the_class(self):
+        fs = bracket(SemiVirtualGraph(G, frozenset({0})))
+
+        def nu(key):
+            raise KeyError(key)
+
+        with pytest.raises(MissingClassError) as err:
+            evaluate(nu, fs)
+        assert err.value.key == b"g(3, ((1, 0, 1, 0), (2, 1, 2, 0)))"
+        assert str(err.value) == (
+            "invariant not defined on class 'g(3, ((1, 0, 1, 0), (2, 1, 2, 0)))' (representative: "
+            "SelfIndexedGraph(vertices=('0', '1', '2'), arrows=(Arrow(source='1', target='0', label='1'), "
+            "Arrow(source='2', target='1', label='2'))))"
+        )
 
 
 class TestDegree:

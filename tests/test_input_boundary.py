@@ -20,10 +20,13 @@ presentations), which return their result.
 ``MoveInstance`` the same way, ``state_sum`` the degrees of its ``Chain``
 and ``Cochain`` and every chain coefficient, and ``Comte`` every flow; a
 ``Comte`` whose flow list is shorter or longer than its arrow list is a
-``ValueError``.  ``graph`` and ``comte`` check each arrow they are given:
-one of the wrong length is a ``ValueError``, and one that is not iterable
-or has an unhashable end a ``TypeError``, each naming the arrow; an end
-that is not a vertex is left to ``validate``.  ``FiniteRack``, the other value record that the library
+``ValueError``.  ``graph`` and ``comte`` check each vertex and arrow they are given:
+vertices that are not iterable or an unhashable vertex are a
+``TypeError`` naming ``vertices`` or the entry; an arrow of the wrong
+length is a ``ValueError``, and one that is not iterable or has an
+unhashable end a ``TypeError``, each naming the arrow; an end that is not
+a vertex is left to ``validate``.  ``quotient`` names an unhashable entry
+of its pairs the same way.  ``FiniteRack``, the other value record that the library
 builds itself, is not swept.
 
 The move enumerators and the search take a ``SearchBudget`` and nothing
@@ -277,6 +280,23 @@ def test_an_unhashable_end_is_a_type_error(build, position, field):
         build("a", [arrow])
 
 
+# these used to raise "unhashable type: 'list'", naming neither the
+# argument nor the entry
+@pytest.mark.parametrize("build", [graph, comtes.comte], ids=["graph", "comte"])
+def test_an_unhashable_vertex_is_a_type_error(build):
+    with pytest.raises(TypeError, match="^vertices\\[1\\] must be hashable, got \\['b'\\]$"):
+        build(["a", ["b"]], [])
+
+
+# these used to raise "'NoneType' object is not iterable" and "'int'
+# object is not iterable", without naming vertices
+@pytest.mark.parametrize("build", [graph, comtes.comte], ids=["graph", "comte"])
+@pytest.mark.parametrize("vertices", [None, 5], ids=repr)
+def test_vertices_that_are_not_iterable_are_a_type_error(build, vertices):
+    with pytest.raises(TypeError, match=f"^vertices must be a string or an iterable of names, got {vertices!r}$"):
+        build(vertices)
+
+
 def test_a_dangling_name_is_built_and_reported():
     g = graph("a", [("a", "b", ("c", 1))])
     assert comtes.validate_graph(g).dangling == ((0, "target", "b"), (0, "label", ("c", 1)))
@@ -321,6 +341,14 @@ def test_none_is_the_default_budget_of_the_search_alone():
 def test_quotient_names_a_missing_pair_vertex():
     with pytest.raises(ValueError, match="^'c' is not a vertex$"):
         comtes.quotient(G, [("a", "c")])
+
+
+@pytest.mark.parametrize("pair, position", [((["a"], "b"), 0), (("a", ["b"]), 1)], ids=["first", "second"])
+def test_quotient_names_an_unhashable_pair_entry(pair, position):
+    # this used to raise "unhashable type: 'list'", naming neither the
+    # argument nor the entry
+    with pytest.raises(TypeError, match=f"^pairs\\[1\\]\\[{position}\\] must be hashable, got {re.escape(repr(pair[position]))}$"):
+        comtes.quotient(G, [("a", "b"), pair])
 
 
 @pytest.mark.parametrize("pair", ["xy", ("x", "y", "xy"), ("x",), ()], ids=repr)

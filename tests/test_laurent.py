@@ -152,6 +152,12 @@ class TestDivisionDifferential:
         with pytest.raises(ArithmeticError):
             divexact(ONE, T - ONE)  # degree too small: nonzero remainder
 
+    def test_zero_has_no_degree_or_valuation(self):
+        with pytest.raises(ValueError, match="^zero polynomial has no degree$"):
+            Laurent.zero().degree()
+        with pytest.raises(ValueError, match="^zero polynomial has no valuation$"):
+            Laurent.zero().valuation()
+
 
 def _subresultant_gcd_reference(p, q):
     """The subresultant gcd that ``laurent_gcd`` replaced: integer gcd of

@@ -4,6 +4,7 @@ from comtes.core import canonical_key, components, comte, encode, validate
 from comtes.links import (
     CORPUS,
     REIDEMEISTER_PAIRS,
+    GaussDiagram,
     LinkCodeError,
     comte_of_diagram,
     comte_of_gauss,
@@ -69,6 +70,11 @@ class TestGaussParsing:
     def test_double_head(self):
         with pytest.raises(LinkCodeError, match="two head"):
             parse_gauss_code("U1+U1+")
+
+    @pytest.mark.parametrize("code", ["O1+U1+O1+", "O1+U1+/U1+"])
+    def test_chord_occurring_three_times(self, code):
+        with pytest.raises(LinkCodeError, match="^chord 1 occurs more than twice$"):
+            parse_gauss_code(code)
 
     def test_garbage(self):
         with pytest.raises(LinkCodeError, match="bad token"):
@@ -225,6 +231,11 @@ class TestArrowtailSwap:
             swap_arrowtails(d, 0, 2)
         with pytest.raises(LinkCodeError, match="no circle"):
             swap_arrowtails(d, 5, 0)
+
+    def test_rejects_empty_circle(self):
+        # the parser never makes one, but a diagram may be built directly
+        with pytest.raises(LinkCodeError, match="^empty circle$"):
+            swap_arrowtails(GaussDiagram(((),)), 0, 0)
 
     def test_rejects_negative_circle(self):
         # a negative index does not count from the end

@@ -508,6 +508,18 @@ class TestSearch:
         assert trace is not None and len(trace) == 1
         assert canonical_key(replay_trace(TREFOIL, trace)) == canonical_key(c2)
 
+    @pytest.mark.parametrize("field, message", [
+        ("before_key", "^trace replay: state key mismatch$"),
+        ("after_key", "^trace replay: step produced an unexpected state$"),
+    ], ids=["before_key", "after_key"])
+    def test_replay_checks_each_recorded_key(self, field, message):
+        c2 = apply_move(TREFOIL, MoveInstance("R1loopadd", vertices=("a",), params=(1,)))
+        trace = equivalent_bounded(TREFOIL, c2, SearchBudget(max_states=2000, max_vertices=4, max_arrows=5))
+        (step,) = trace.steps
+        wrong = dataclasses.replace(trace, steps=(step._replace(**{field: canonical_key(FIGURE_EIGHT)}),))
+        with pytest.raises(MoveError, match=message):
+            replay_trace(TREFOIL, wrong)
+
     def test_unknown_with_coloring_certificate(self):
         dot = comte("a", [])
         tetra = tetrahedron_quandle()
