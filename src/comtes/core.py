@@ -74,12 +74,16 @@ def _require_hashable(values, what: str) -> None:
             raise TypeError(f"{what}[{i}] must be hashable, got {v!r}") from None
 
 
-def _vertex_names(vertices) -> tuple[str, ...]:
+def _iterate(values, what: str, kind: str):
+    """``iter(values)``, or a ``TypeError`` saying that ``what`` must be ``kind``."""
     try:
-        names = iter(vertices.split() if isinstance(vertices, str) else vertices)
+        return iter(values)
     except TypeError:
-        raise TypeError(f"vertices must be a string or an iterable of names, got {vertices!r}") from None
-    names = tuple(names)
+        raise TypeError(f"{what} must be {kind}, got {values!r}") from None
+
+
+def _vertex_names(vertices) -> tuple[str, ...]:
+    names = tuple(_iterate(vertices.split() if isinstance(vertices, str) else vertices, "vertices", "a string or an iterable of names"))
     _require_hashable(names, "vertices")
     if len(set(names)) != len(names):
         raise ValueError("'vertices' contains a duplicate")
@@ -89,18 +93,13 @@ def _vertex_names(vertices) -> tuple[str, ...]:
 def _arrow_rows(arrows, fields: tuple[str, ...]) -> list[tuple]:
     """``arrows`` read once as tuples of the ``fields``, (source, target,
     label) and for a comte the flow.  A row of another length is a
-    ``ValueError``, and one that is not iterable or has an unhashable end a
-    ``TypeError``, each naming ``arrows[i]``; an end that is not a vertex is
-    left to ``validate``."""
-    rows = []
-    for i, arrow in enumerate(arrows):
-        try:
-            row = tuple(arrow)
-        except TypeError:
-            row = None
-        if row is None or len(row) != len(fields):
-            error = TypeError if row is None else ValueError
-            raise error(f"arrows[{i}] must be a ({', '.join(fields)}) tuple, got {arrow!r}")
+    ``ValueError``; ``arrows`` or a row that are not iterable, or an unhashable
+    end, a ``TypeError`` naming them; an end that is not a vertex is left to ``validate``."""
+    rows, shape = [], f"a ({', '.join(fields)}) tuple"
+    for i, arrow in enumerate(_iterate(arrows, "arrows", "an iterable of arrows")):
+        row = tuple(_iterate(arrow, f"arrows[{i}]", shape))
+        if len(row) != len(fields):
+            raise ValueError(f"arrows[{i}] must be {shape}, got {arrow!r}")
         for field_name, end in zip(fields[:3], row):
             try:
                 hash(end)
@@ -311,11 +310,12 @@ def quotient(g: SelfIndexedGraph, pairs) -> tuple[SelfIndexedGraph, dict[str, st
     arrs = _index_form(g)[1]
     uf = _UnionFind(g.vertices)
     try:
-        for i, pair in enumerate(pairs):
-            if isinstance(pair, str) or len(pair) != 2:
+        for i, pair in enumerate(_iterate(pairs, "pairs", "an iterable of vertex pairs")):
+            ends = tuple(_iterate(pair, f"pairs[{i}]", "a pair of vertices"))
+            if isinstance(pair, str) or len(ends) != 2:
                 raise ValueError(f"{pair!r} is not a pair of vertices")
-            _require_hashable(pair, f"pairs[{i}]")
-            uf.union(*pair)
+            _require_hashable(ends, f"pairs[{i}]")
+            uf.union(*ends)
     except KeyError as e:
         raise ValueError(f"{e.args[0]!r} is not a vertex") from e
     vmap = {v: group[0] for group in uf.classes() for v in group}
@@ -330,9 +330,9 @@ def contract(g: SelfIndexedGraph, T) -> SelfIndexedGraph:
     and target and delete the arrow.  Contracting a loop deletes it without
     merging anything.  The result does not depend on the contraction order.
     """
-    T = set(T)
+    T = {_require_int(i, f"T[{k}]") for k, i in enumerate(_iterate(T, "T", "an iterable of arrow indices"))}
     for i in T:
-        if not 0 <= _require_int(i, "arrow index") < len(g.arrows):
+        if not 0 <= i < len(g.arrows):
             raise IndexError(f"arrow index {i} out of range")
     q, _ = quotient(g, [(g.arrows[i].source, g.arrows[i].target) for i in T])
     return SelfIndexedGraph(q.vertices, tuple(a for i, a in enumerate(q.arrows) if i not in T))
@@ -353,13 +353,13 @@ def contract(g: SelfIndexedGraph, T) -> SelfIndexedGraph:
 # discrete colouring cannot split further.
 #
 # Canonicalization has two steps.  The labeling step (``canonical_labeling``)
-# runs the tree search and yields the byte key with the winning bijection;
+# runs the tree search (``_canonical_leaf``) for the best leaf's arrows and
+# bijection, and ``_key_bytes`` alone writes the byte key from those arrows;
 # the build step turns that labeling into named vertices, arrows, flows and
 # the maps from the input.  ``canonical_key`` runs the first step only,
-# ``canonical_form`` both.  The move search runs the labeling step alone: it
-# keeps every state as its vertex count and canonical arrows and expands it
-# as an index state; on a found trace's backward half it applies each stored
-# move again and labels the child, which names the inverse move.
+# ``canonical_form`` both.  The move search runs the tree search alone: a
+# state's vertex count and canonical arrows stand one-to-one for its key, so
+# it writes byte keys only for its two ends and the steps of a found trace.
 
 
 @dataclass(frozen=True)
@@ -464,17 +464,15 @@ def canonical_labeling(obj: Comte | SelfIndexedGraph) -> CanonicalLabeling:
     if isinstance(obj, Comte):
         g, flows, tag = obj.graph, obj.flows, b"c"
     else:
-        g, tag = obj, b"g"
-        flows = (0,) * len(g.arrows)
-    arrs = _index_form(g)[1]
-    return _canonical_labeling(len(g.vertices), [(s, t, l, f) for (s, t, l), f in zip(arrs, flows, strict=True)], tag)
+        g, flows, tag = obj, (0,) * len(obj.arrows), b"g"
+    leaf = _canonical_leaf(len(g.vertices), _index_form(g)[1], flows)
+    return CanonicalLabeling(_key_bytes(tag, (len(g.vertices), leaf[-1])), *leaf)
 
 
-def _canonical_labeling(n: int, arrs: list[tuple[int, int, int, int]], tag: bytes) -> CanonicalLabeling:
-    """``canonical_labeling`` of ``n`` vertices 0..n-1 and the arrows
-    ``arrs``, (source, target, label, flow) index tuples; ``tag`` starts
-    the key (b"c" for a comte, b"g" for a bare graph)."""
-    m = len(arrs)
+def _canonical_leaf(n: int, triples, flows):
+    """The tree search of ``canonical_labeling`` on vertices 0..n-1, the index ``triples``
+    and their ``flows``: the best leaf's vertex ranks, arrow order and canonical arrows."""
+    arrs = [(s, t, l, f) for (s, t, l), f in zip(triples, flows, strict=True)]
     best = best_assign = None
     stack = [[0] * n]
     while stack:
@@ -486,7 +484,7 @@ def _canonical_labeling(n: int, arrs: list[tuple[int, int, int, int]], tag: byte
         if cell is None:
             # a stable sort, so equal arrows keep their input order
             enc = [(colors[s], colors[t], colors[l], f) for s, t, l, f in arrs]
-            order = sorted(range(m), key=enc.__getitem__)
+            order = sorted(range(len(arrs)), key=enc.__getitem__)
             enc_key = tuple([enc[i] for i in order])
             if best is None or enc_key < best:
                 best, best_assign = enc_key, (colors, tuple(order))
@@ -496,7 +494,12 @@ def _canonical_labeling(n: int, arrs: list[tuple[int, int, int, int]], tag: byte
             if colors[v] == cell and not any(_twins(arrs, u, v) for u in tried):
                 tried.append(v)
                 stack.append([2 * c + (c == cell and u != v) for u, c in enumerate(colors)])
-    return CanonicalLabeling(tag + repr((n, best)).encode(), *best_assign, best)
+    return *best_assign, best
+
+
+def _key_bytes(tag: bytes, state) -> bytes:
+    """The byte key of ``state``, (vertex count, canonical arrows), after ``tag``: b"c" comte, b"g" graph."""
+    return tag + repr(state).encode()
 
 
 def _shared_graph(n: int, triples, shared: dict | None) -> SelfIndexedGraph:

@@ -78,8 +78,8 @@ from functools import partial
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import (Arrow, Comte, SelfIndexedGraph, _canonical_labeling, _index_form, _require_int, canonical_form,
-                   canonical_labeling)
+from .core import (Arrow, CanonicalLabeling, Comte, SelfIndexedGraph, _canonical_leaf, _index_form, _key_bytes, _require_int,
+                   canonical_form, canonical_labeling)
 
 class MoveError(ValueError):
     """Raised when a move instance does not apply to the given comte."""
@@ -772,50 +772,48 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
     # one tuple per distinct canonical (source, target, label, flow) arrow
     arrow_tuples = {}
 
-    def kept(lab):
-        return len(lab.vertex_ranks), tuple([arrow_tuples.setdefault(a, a) for a in lab.arrows])
+    def kept(n, arrows):
+        return n, tuple([arrow_tuples.setdefault(a, a) for a in arrows])
 
-    # visited[side][key] = ((n, arrows), parent_key, instance_on_parent): the
-    # vertex count and canonical arrows of the state; the instance names
-    # vertices by index, as every instance inside the search does
-    visited = [{lab.key: (kept(lab), None, None)} for lab in ends]
-    frontier = [[lab.key] for lab in ends]
-    n_states = 2
+    # visited[side][state] = (parent state, instance on the parent): a state is
+    # its vertex count and canonical arrows, one-to-one with its byte key; the
+    # instance names vertices by index, as every instance inside the search does
+    visited = [{kept(len(lab.vertex_ranks), lab.arrows): (None, None)} for lab in ends]
+    frontier = [list(v) for v in visited]
 
-    def index_state(side, key):
-        # the canonical comte and its vertex index, where a vertex is its key
-        (n, arrows), _, _ = visited[side][key]
+    def index_state(state):
+        # the canonical comte and its vertex index, where a vertex is its own index
+        n, arrows = state
         return (n, tuple([a[:3] for a in arrows]), tuple([a[3] for a in arrows])), range(n)
 
-    def label(n, arrs, flows):
-        return _canonical_labeling(n, [(s, t, l, f) for (s, t, l), f in zip(arrs, flows)], b"c")
+    key = partial(_key_bytes, b"c")
 
-    def walk(side, k):
-        # each state from k back to the end of `side`, with its entry
-        while (entry := visited[side][k])[1] is not None:
-            yield k, entry
-            k = entry[1]
+    def walk(side, state):
+        # each state from `state` back to the end of `side`, with its entry
+        while (entry := visited[side][state])[0] is not None:
+            yield state, entry
+            state = entry[0]
 
-    def build_trace(meet_key, child_entry, side):
+    def build_trace(meet, child_entry, side):
         # child_entry: the new edge discovered from `side` into the other
         # side; the search ends here, so it is recorded in place.  Canonical
         # vertex r is named str(r)
-        visited[side][meet_key] = child_entry
-        steps = [TraceStep(_named_instance(inst, str), parent, k) for k, (_, parent, inst) in walk(0, meet_key)][::-1]
-        for k, (_, parent, inst) in walk(1, meet_key):
+        visited[side][meet] = child_entry
+        steps = [TraceStep(_named_instance(inst, str), key(parent), key(child)) for child, (parent, inst) in walk(0, meet)][::-1]
+        for child, (parent, inst) in walk(1, meet):
             # applying and labeling are deterministic, so this is the inverse
             # and the labeling that the search saw
-            state, idx = index_state(1, parent)
+            state, idx = index_state(parent)
             (n, arrs, flows), inv, _, _ = _apply_rule(state, inst, idx, idx)
-            lab = label(n, arrs, flows)
-            steps.append(TraceStep(_named_instance(inv, lambda v: str(lab.vertex_ranks[v]), lab.arrow_perm()), k, parent))
+            lab = CanonicalLabeling(key(child), *_canonical_leaf(n, arrs, flows))
+            steps.append(TraceStep(_named_instance(inv, lambda v: str(lab.vertex_ranks[v]), lab.arrow_perm()), lab.key, key(parent)))
         return MoveTrace(tuple(steps))
 
-    while frontier[0] and frontier[1] and n_states < budget.max_states:
+    while frontier[0] and frontier[1] and len(visited[0]) + len(visited[1]) < budget.max_states:
         side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
         new_frontier = []
-        for key in frontier[side]:
-            state, idx = index_state(side, key)
+        for parent in frontier[side]:
+            state, idx = index_state(parent)
             # no forward move grows a state and each inverse one adds an
             # arrow, so inverse instances are generated only with arrow room
             # and vertex-adding ones only with vertex room; then only an end
@@ -829,15 +827,14 @@ def equivalent_bounded(c1: Comte, c2: Comte, budget: SearchBudget | None = None)
                     if n > budget.max_vertices or len(child_arrs) > budget.max_arrows:
                         continue
                     # every child is labeled, and kept as its canonical arrows
-                    child = label(n, child_arrs, flows)
-                    child_key = child.key
-                    if child_key in visited[1 - side]:
-                        return build_trace(child_key, (kept(child), key, inst), side)
-                    if child_key not in visited[side]:
-                        visited[side][child_key] = (kept(child), key, inst)
-                        new_frontier.append(child_key)
-                        n_states += 1
-                        if n_states >= budget.max_states:
+                    child = n, _canonical_leaf(n, child_arrs, flows)[-1]
+                    if child in visited[1 - side]:
+                        return build_trace(child, (parent, inst), side)
+                    if child not in visited[side]:
+                        child = kept(*child)
+                        visited[side][child] = (parent, inst)
+                        new_frontier.append(child)
+                        if len(visited[0]) + len(visited[1]) >= budget.max_states:
                             return None
         frontier[side] = new_frontier
     return None

@@ -20,14 +20,16 @@ presentations), which return their result.
 ``MoveInstance`` the same way, ``state_sum`` the degrees of its ``Chain``
 and ``Cochain`` and every chain coefficient, and ``Comte`` every flow; a
 ``Comte`` whose flow list is shorter or longer than its arrow list is a
-``ValueError``.  ``graph`` and ``comte`` check each vertex and arrow they are given:
-vertices that are not iterable or an unhashable vertex are a
-``TypeError`` naming ``vertices`` or the entry; an arrow of the wrong
-length is a ``ValueError``, and one that is not iterable or has an
-unhashable end a ``TypeError``, each naming the arrow; an end that is not
-a vertex is left to ``validate``.  ``quotient`` names an unhashable entry
-of its pairs the same way.  ``FiniteRack``, the other value record that the library
-builds itself, is not swept.
+``ValueError``.  ``graph`` and ``comte`` check each vertex and arrow they
+are given: vertices or arrows that are not iterable or an unhashable
+vertex are a ``TypeError`` naming ``vertices``, ``arrows`` or the entry;
+an arrow of the wrong length is a ``ValueError``, and one that is not
+iterable or has an unhashable end a ``TypeError``, each naming the arrow;
+an end that is not a vertex is left to ``validate``.  ``quotient`` names
+an unhashable entry of its pairs the same way; ``quotient`` and
+``contract`` name pairs or indices that are not iterable and an entry
+that is not a pair or an index.  ``FiniteRack``, the other value record
+that the library builds itself, is not swept.
 
 The move enumerators and the search take a ``SearchBudget`` and nothing
 else as their budget: any other value is a ``TypeError`` that names it,
@@ -63,7 +65,7 @@ NON_NEGATIVE, POSITIVE, RANGE, INDEX, VALID = "non-negative", "positive", ValueE
 INTEGER_ARGUMENTS = [
     ("comte", lambda x: comtes.comte("a", [("a", "a", "a", x)]), "arrows[0].flow", VALID),
     ("Comte", lambda x: comtes.Comte(graph("a", [("a", "a", "a")]), (x,)), "arrows[0].flow", VALID),
-    ("contract", lambda x: comtes.contract(G, [x]), "arrow index", INDEX),
+    ("contract", lambda x: comtes.contract(G, [x]), "T[0]", INDEX),
     *[
         ("SearchBudget", lambda x, f=f.name: comtes.SearchBudget(**{f: x}), f.name,
          VALID if f.name in ("flow_lo", "flow_hi") else NON_NEGATIVE)
@@ -356,6 +358,36 @@ def test_quotient_rejects_what_is_not_a_pair(pair):
     # a two-character string would unpack as a pair and merge x and y
     with pytest.raises(ValueError, match=f"^{re.escape(repr(pair))} is not a pair of vertices$"):
         comtes.quotient(graph("xy x y", []), [pair])
+
+
+# each of these used to raise a bare TypeError ("object of type 'int' has
+# no len()", "'int' object is not iterable", "unhashable type: 'list'")
+# that named neither the argument nor the entry
+def test_quotient_names_a_pair_that_has_no_length():
+    with pytest.raises(TypeError, match="^pairs\\[0\\] must be a pair of vertices, got 5$"):
+        comtes.quotient(G, [5])
+
+
+def test_quotient_names_pairs_that_are_not_iterable():
+    with pytest.raises(TypeError, match="^pairs must be an iterable of vertex pairs, got 5$"):
+        comtes.quotient(G, 5)
+
+
+def test_contract_names_indices_that_are_not_iterable():
+    with pytest.raises(TypeError, match="^T must be an iterable of arrow indices, got 5$"):
+        comtes.contract(G, 5)
+
+
+def test_contract_names_an_unhashable_index():
+    with pytest.raises(TypeError, match="^T\\[0\\] must be an integer, got \\[0\\]$"):
+        comtes.contract(G, [[0]])
+
+
+# this used to raise "'int' object is not iterable", without naming arrows
+@pytest.mark.parametrize("build", [graph, comtes.comte], ids=["graph", "comte"])
+def test_arrows_that_are_not_iterable_are_a_type_error(build):
+    with pytest.raises(TypeError, match="^arrows must be an iterable of arrows, got 5$"):
+        build("a", 5)
 
 
 def _exported_functions_taking(annotation):

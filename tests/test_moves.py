@@ -13,7 +13,8 @@ import pytest
 
 import comtes
 from comtes.acceptance import G2, G2G3_BUDGET, G3
-from comtes.core import Arrow, Comte, SelfIndexedGraph, _canonical_labeling, _index_form, canonical_key, comte, validate
+from comtes.core import (Arrow, Comte, SelfIndexedGraph, _canonical_leaf, _index_form, _key_bytes, canonical_form, canonical_key,
+                         comte, validate)
 from comtes.moves import (
     _JOIN_ORDER,
     _R2,
@@ -539,20 +540,20 @@ class TestSearch:
 
         flows = set()
         real_end = comtes.moves.canonical_labeling
-        real_label = comtes.moves._canonical_labeling
+        real_label = comtes.moves._canonical_leaf
 
         def end(c):
             flows.update(c.flows)
             return real_end(c)
 
-        def label(n, arrs, tag):
-            flows.update(f for *_, f in arrs)
-            return real_label(n, arrs, tag)
+        def label(n, arrs, arrow_flows):
+            flows.update(arrow_flows)
+            return real_label(n, arrs, arrow_flows)
 
         # the ends go through canonical_labeling, every child through the
-        # index labeling core
+        # tree search alone
         monkeypatch.setattr(comtes.moves, "canonical_labeling", end)
-        monkeypatch.setattr(comtes.moves, "_canonical_labeling", label)
+        monkeypatch.setattr(comtes.moves, "_canonical_leaf", label)
         budget = SearchBudget(max_states=300, max_vertices=4, max_arrows=5, flow_lo=-1, flow_hi=2)
         assert equivalent_bounded(_zeroed(TREFOIL), comte("a", []), dataclasses.replace(budget, **BARE)) is None
         assert flows == {0}
@@ -579,14 +580,14 @@ class TestSearch:
         }[name]
         ends, labeled, events = [], [], []
         real_end = comtes.moves.canonical_labeling
-        real_label = comtes.moves._canonical_labeling
+        real_label = comtes.moves._canonical_leaf
         real_apply = comtes.moves._apply_rule
         real_enumerate = comtes.moves._enumerate_moves
         real_inverse = comtes.moves._inverse_instances
 
         def key_of(state):
             n, arrs, flows = state
-            return real_label(n, [(*a, f) for a, f in zip(arrs, flows)], b"c").key
+            return _key_bytes(b"c", (n, real_label(n, arrs, flows)[-1]))
 
         def same(state, other):
             # the same arrow and flow tuples, not equal copies of them
@@ -597,11 +598,12 @@ class TestSearch:
             ends.append(lab.key)
             return lab
 
-        def label(n, arrs, tag):
-            lab = real_label(n, arrs, tag)
-            labeled.append(lab.key)
-            events.append(("label", lab.key))
-            return lab
+        def label(n, arrs, flows):
+            leaf = real_label(n, arrs, flows)
+            key = _key_bytes(b"c", (n, leaf[-1]))
+            labeled.append(key)
+            events.append(("label", key))
+            return leaf
 
         def apply(state, m, names, idx):
             res = real_apply(state, m, names, idx)
@@ -617,7 +619,7 @@ class TestSearch:
             events.append(("inverse", state_and_budget[:3]))
             return real_inverse(*state_and_budget, **kw)
 
-        for attr, fn in (("canonical_labeling", end), ("_canonical_labeling", label), ("_apply_rule", apply),
+        for attr, fn in (("canonical_labeling", end), ("_canonical_leaf", label), ("_apply_rule", apply),
                          ("_enumerate_moves", enumerate_), ("_inverse_instances", inverse)):
             monkeypatch.setattr(comtes.moves, attr, fn)
         trace = equivalent_bounded(start, target, budget)
@@ -753,6 +755,54 @@ class TestSearch:
             assert (trace is not None) == found and len(ends) == 2
         assert built == []
 
+    @pytest.mark.parametrize("name", ["exhausting", "found"])
+    def test_byte_keys_are_written_only_for_the_ends_and_the_trace(self, monkeypatch, name):
+        # the search keys its states by their vertex count and canonical
+        # arrows, so the one key writer runs once per end and twice per
+        # trace step, and never for a child
+        import comtes.core
+        import comtes.moves
+
+        written = []
+        real_key = comtes.core._key_bytes
+
+        def key(tag, state):
+            written.append(state)
+            return real_key(tag, state)
+
+        for module in (comtes.core, comtes.moves):
+            monkeypatch.setattr(module, "_key_bytes", key)
+        start, target, budget = {
+            "exhausting": (TREFOIL, FIGURE_EIGHT, SearchBudget(max_states=10000)),
+            "found": (G2, G3, G2G3_BUDGET),
+        }[name]
+        trace = equivalent_bounded(start, target, budget)
+        assert (trace is not None) == (name == "found")
+        steps = len(trace) if trace is not None else 0
+        assert len(written) == 2 + 2 * steps
+        if trace is not None:
+            assert steps == 5
+            assert Counter(real_key(b"c", state) for state in written[2:]) == Counter(
+                k for step in trace.steps for k in (step.before_key, step.after_key)
+            )
+
+    def test_the_state_key_is_the_key_of_the_canonical_comte(self, make_comte):
+        # the search keeps a state as (vertex count, canonical arrows) off
+        # the tree search alone; the key written from that tuple is the
+        # canonical key of the named canonical comte, and of the bare graph
+        # as a zero-flow comte
+        for _ in range(300):
+            c = make_comte(nmax=5, amax=7)
+            for d in (c, _zeroed(c)):
+                idx, arrs = _index_form(d.graph)
+                state = len(idx), _canonical_leaf(len(idx), arrs, d.flows)[-1]
+                assert _key_bytes(b"c", state) == canonical_key(canonical_form(d).comte) == canonical_key(d), d
+            # a canonical graph holds its key, so the named one is built afresh
+            named = canonical_form(c.graph).graph
+            idx, arrs = _index_form(c.graph)
+            state = len(idx), _canonical_leaf(len(idx), arrs, (0,) * len(arrs))[-1]
+            assert _key_bytes(b"g", state) == canonical_key(SelfIndexedGraph(named.vertices, named.arrows)), c
+
     @pytest.mark.parametrize("pair, calls", [("r1", []), ("r3", [94])], ids=["r1", "r3"])
     def test_inverse_instances_are_listed_after_the_forward_children(self, monkeypatch, pair, calls):
         # a state lists its inverse instances only once all of its forward
@@ -791,19 +841,20 @@ def test_exploration_is_pinned(monkeypatch):
 
     seen = set()
     digest = hashlib.sha256()
-    real_label = comtes.moves._canonical_labeling
+    real_label = comtes.moves._canonical_leaf
     first = 0
 
-    def label(n, arrs, tag):
+    def label(n, arrs, flows):
         nonlocal first
-        lab = real_label(n, arrs, tag)
-        if lab.key not in seen:
-            seen.add(lab.key)
+        leaf = real_label(n, arrs, flows)
+        key = _key_bytes(b"c", (n, leaf[-1]))
+        if key not in seen:
+            seen.add(key)
             first += 1
-            digest.update(lab.key)
-        return lab
+            digest.update(key)
+        return leaf
 
-    monkeypatch.setattr(comtes.moves, "_canonical_labeling", label)
+    monkeypatch.setattr(comtes.moves, "_canonical_leaf", label)
     for start, target, budget in (
         (G2, G3, G2G3_BUDGET),
         (_zeroed(G2), _zeroed(G3), dataclasses.replace(G2G3_BUDGET, **BARE)),
@@ -959,20 +1010,20 @@ class TestSizeChange:
 
         sizes = []
         real_end = comtes.moves.canonical_labeling
-        real_label = comtes.moves._canonical_labeling
+        real_label = comtes.moves._canonical_leaf
 
         def end(c):
             sizes.append((len(c.vertices), len(c.arrows)))
             return real_end(c)
 
-        def label(n, arrs, tag):
+        def label(n, arrs, flows):
             sizes.append((n, len(arrs)))
-            return real_label(n, arrs, tag)
+            return real_label(n, arrs, flows)
 
         # the ends go through canonical_labeling, every child through the
-        # index labeling core
+        # tree search alone
         monkeypatch.setattr(comtes.moves, "canonical_labeling", end)
-        monkeypatch.setattr(comtes.moves, "_canonical_labeling", label)
+        monkeypatch.setattr(comtes.moves, "_canonical_leaf", label)
         looped_kink = comte(
             "a b c d",
             [("a", "b", "c", 1), ("b", "c", "a", 1), ("c", "d", "b", 1), ("d", "a", "d", 1), ("a", "a", "a", 0)],
@@ -1210,12 +1261,13 @@ class TestEachSplitOncePerOutcome:
                 c = _zeroed(c)
             old = _inverse_instances_with_mirrors(c, budget)
             new = inverse_instances(c, budget)
-            # each child is applied and labeled on index states, as the search does
+            # each child is applied and labeled on index states, as the search
+            # does; its vertex count and canonical arrows stand for its key
             names = c.graph.vertices
             idx, arrs = _index_form(c.graph)
             children = (_apply_rule((len(names), arrs, c.flows), m, names, idx)[0] for m in old)
             keys = {
-                m: _canonical_labeling(n, [(*a, f) for a, f in zip(arrows, flows)], b"c").key
+                m: (n, _canonical_leaf(n, arrows, flows)[-1])
                 for m, (n, arrows, flows) in zip(old, children)
             }
             assert len(keys) == len(old)
