@@ -6,8 +6,8 @@ partial injection per label vertex (sending sources to targets); q-graphs
 additionally fix the label vertex itself.  Enumeration is orderly
 (Read 1978; McKay 1998): a labeled structure is coded by its choice of
 injection at each label, and only the structure whose code is least in
-its orbit under the vertex permutations is kept and canonicalized, so
-each isomorphism class costs one canonical form.
+its orbit under the vertex permutations is kept and labeled, so each
+isomorphism class costs one labeling.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import os
 from itertools import permutations, product
 from typing import NamedTuple
 
-from .core import SelfIndexedGraph, _require_int, canonical_form, canonical_key, classify, graph_from_injections
+from .core import (Comte, SelfIndexedGraph, _canonical_leaf, _iterate, _key_bytes, _require_int, _shared_graph, canonical_key,
+                   classify)
 from .homology import HomologyGroup, homology_range
 
 
@@ -103,19 +104,20 @@ def _least_codes(choices):
 
 
 def _enumerate(n_vertices: int, q_only: bool, include_arrowless: bool) -> list[SelfIndexedGraph]:
-    """The canonical graph of each least code, sorted by key.  The input
-    graphs and the canonical ones share one names tuple and one ``Arrow``
-    per (source, target, label), and each canonical graph holds its key,
-    which ``census_row`` reads back without labeling it again."""
+    """The canonical graph of each least code, sorted by key.  Each code is
+    labeled from its index triples, by label then source; only the canonical
+    graphs are built, sharing one names tuple and one ``Arrow`` per triple,
+    and each holds its key, which ``census_row`` reads back without labeling."""
     choices = _label_choices(n_vertices, q_only)
-    reps: dict[bytes, SelfIndexedGraph] = {}
+    triples = [[[(b, t, lab) for b, t in enumerate(inj) if t >= 0] for inj in c] for lab, c in enumerate(choices)]
+    reps = []
     shared: dict = {}
     for code in _least_codes(choices):
-        g = graph_from_injections([c[i] for c, i in zip(choices, code)], shared)
-        if include_arrowless or g.arrows:
-            cf = canonical_form(g, shared)
-            reps[cf.key] = cf.graph
-    return [reps[k] for k in sorted(reps)]
+        arrs = [st for at_label, i in zip(triples, code) for st in at_label[i]]
+        if include_arrowless or arrs:
+            arrows = _canonical_leaf(n_vertices, arrs, (0,) * len(arrs))[-1]
+            reps.append(_shared_graph(n_vertices, [a[:3] for a in arrows], shared, _key_bytes(b"g", (n_vertices, arrows))))
+    return sorted(reps, key=canonical_key)
 
 
 def enumerate_r_graphs(n_vertices: int, include_arrowless: bool = False) -> list[SelfIndexedGraph]:
@@ -135,7 +137,7 @@ def enumerate_q_graphs(n_vertices: int, include_arrowless: bool = False) -> list
     """Canonical representatives of the q-graphs (every vertex carries its
     self-labeled loop, so the arrowless flag only matters for n = 0).
     Practical through n = 4: the 56,185 classes there (34^4 labeled
-    structures) took 3.1 to 3.3 s of processor time and 42 MiB peak
+    structures) took 1.8 to 1.9 s of processor time and 41 MiB peak
     memory on a shared 2-vCPU virtual machine with Python 3.11."""
     return _enumerate(n_vertices, q_only=True, include_arrowless=include_arrowless)
 
@@ -197,6 +199,11 @@ def signature_census(graphs, max_degree: int = 5, jobs: int = 1) -> SignatureCen
     share one tuple."""
     _require_int(max_degree, "max_degree", 0)
     jobs = min(_require_int(jobs, "jobs", 1), os.cpu_count() or 1)
+    graphs = list(_iterate(graphs, "graphs", "an iterable of graphs"))
+    for i, g in enumerate(graphs):
+        if not isinstance(g, SelfIndexedGraph):
+            hint = "; pass c.graph for the graph of a comte c" if isinstance(g, Comte) else ""
+            raise TypeError(f"graphs[{i}] must be a SelfIndexedGraph, got {type(g).__name__}{hint}")
     if jobs > 1:
         from multiprocessing import Pool
 

@@ -26,8 +26,8 @@ class SelfIndexedGraph:
 
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
-    # the bare-graph canonical key, set only on a graph that
-    # ``canonical_form`` builds, so that ``canonical_key`` need not label it
+    # the bare-graph canonical key, set only on a canonical graph that
+    # ``_shared_graph`` builds, so that ``canonical_key`` need not label it
     # again; not compared, hashed or shown, and not a constructor argument
     _key: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
@@ -127,11 +127,10 @@ def comte(vertices, arrows=()) -> Comte:
     return Comte(SelfIndexedGraph(vertices, tuple([Arrow._make(r[:3]) for r in rows])), tuple([r[3] for r in rows]))
 
 
-def graph_from_injections(maps, shared: dict | None = None) -> SelfIndexedGraph:
+def graph_from_injections(maps) -> SelfIndexedGraph:
     """Build the r-graph with an arrow b --label--> maps[label][b] for every
     defined value (-1 marks an undefined one).  Vertices are 0..n-1 as
-    strings; arrows ordered by (label, source).  Graphs built with one
-    ``shared`` dict share their parts, as in ``canonical_form``.
+    strings; arrows ordered by (label, source).
 
     ``maps`` is a square table: n lists or tuples of n ``int`` values
     (not ``bool``) in -1..n-1, with the defined values of each row
@@ -156,7 +155,7 @@ def graph_from_injections(maps, shared: dict | None = None) -> SelfIndexedGraph:
                     raise ValueError(f"label {lab}, source {src}: target {tgt} {what}")
                 seen.add(tgt)
                 triples.append((src, tgt, lab))
-    return _shared_graph(n, triples, shared)
+    return _shared_graph(n, triples, {})
 
 
 def as_comte(obj: Comte | SelfIndexedGraph) -> Comte:
@@ -212,11 +211,11 @@ def validate(c: Comte) -> ValidationReport:
     base = validate_graph(c.graph)
     out: dict[str, int] = {v: 0 for v in c.graph.vertices}
     inc: dict[str, int] = {v: 0 for v in c.graph.vertices}
-    for a, f in zip(c.graph.arrows, c.flows):
-        if a.source in out:
-            out[a.source] += f
-        if a.target in inc:
-            inc[a.target] += f
+    for (s, t, _), f in zip(c.graph.arrows, c.flows):
+        if s in out:
+            out[s] += f
+        if t in inc:
+            inc[t] += f
     bad = tuple((v, out[v], inc[v]) for v in out if out[v] != inc[v])
     return base._replace(conservation=bad)
 
@@ -236,14 +235,13 @@ def classify(g: SelfIndexedGraph) -> str:
     share (target, label).  A q-graph additionally carries, at every vertex
     a, a loop a -> a labeled a.
     """
-    by_sl = set()
-    by_tl = set()
-    for a in g.arrows:
-        if (a.source, a.label) in by_sl or (a.target, a.label) in by_tl:
+    by_sl, by_tl = set(), set()
+    for s, t, l in g.arrows:
+        if (s, l) in by_sl or (t, l) in by_tl:
             return GENERAL
-        by_sl.add((a.source, a.label))
-        by_tl.add((a.target, a.label))
-    self_loops = {a.source for a in g.arrows if a.source == a.target == a.label}
+        by_sl.add((s, l))
+        by_tl.add((t, l))
+    self_loops = {s for s, t, l in g.arrows if s == t == l}
     return Q_GRAPH if self_loops.issuperset(g.vertices) else R_GRAPH
 
 
@@ -360,6 +358,8 @@ def contract(g: SelfIndexedGraph, T) -> SelfIndexedGraph:
 # ``canonical_form`` both.  The move search runs the tree search alone: a
 # state's vertex count and canonical arrows stand one-to-one for its key, so
 # it writes byte keys only for its two ends and the steps of a found trace.
+# The census labels the index triples of its injections and builds only the
+# canonical graph, holding its key.
 
 
 @dataclass(frozen=True)
@@ -502,13 +502,11 @@ def _key_bytes(tag: bytes, state) -> bytes:
     return tag + repr(state).encode()
 
 
-def _shared_graph(n: int, triples, shared: dict | None) -> SelfIndexedGraph:
+def _shared_graph(n: int, triples, shared: dict, key: bytes | None = None) -> SelfIndexedGraph:
     """The graph on vertices "0".."n-1" with one arrow per (source, target,
-    label) index triple, in order.  Graphs built with one ``shared`` dict
-    share their equal parts: the dict keeps the names tuple under the
-    vertex count and one ``Arrow`` under each triple."""
-    if shared is None:
-        shared = {}
+    label) index triple, in order, holding ``key`` as its canonical key.
+    Graphs built with one ``shared`` dict share their equal parts: the dict
+    keeps the names tuple under the vertex count and one ``Arrow`` per triple."""
     names = shared.get(n)
     if names is None:
         names = shared[n] = tuple(str(i) for i in range(n))
@@ -519,25 +517,23 @@ def _shared_graph(n: int, triples, shared: dict | None) -> SelfIndexedGraph:
             s, t, l = st
             a = shared[st] = Arrow(names[s], names[t], names[l])
         arrows.append(a)
-    return SelfIndexedGraph(names, tuple(arrows))
+    g = SelfIndexedGraph(names, tuple(arrows))
+    object.__setattr__(g, "_key", key)
+    return g
 
 
-def canonical_form(obj: Comte | SelfIndexedGraph, shared: dict | None = None) -> CanonicalForm:
+def canonical_form(obj: Comte | SelfIndexedGraph) -> CanonicalForm:
     """Canonical form of a graph or comte, exact under isomorphism: the
     labeling step, then the build step.
 
     Isomorphisms of comtes preserve flows; pass ``c.graph`` to canonicalize
-    the underlying graph alone.  Calls that pass one ``shared`` dict, empty
-    at first and written only by these calls, share one vertex-name tuple
-    per vertex count and one ``Arrow`` per canonical (source, target, label).
+    the underlying graph alone.  The canonical graph of a bare graph holds
+    its key, which ``canonical_key`` then returns.
     """
     lab = canonical_labeling(obj)
-    new_graph = _shared_graph(len(lab.vertex_ranks), [a[:3] for a in lab.arrows], shared)
-    if isinstance(obj, Comte):
-        g, new_flows = obj.graph, tuple(e[3] for e in lab.arrows)
-    else:  # a bare graph keeps its key, which ``canonical_key`` then returns
-        g, new_flows = obj, None
-        object.__setattr__(new_graph, "_key", lab.key)
+    is_comte = isinstance(obj, Comte)
+    new_graph = _shared_graph(len(lab.vertex_ranks), [a[:3] for a in lab.arrows], {}, None if is_comte else lab.key)
+    g, new_flows = (obj.graph, tuple(e[3] for e in lab.arrows)) if is_comte else (obj, None)
     vmap = {v: new_graph.vertices[r] for v, r in zip(g.vertices, lab.vertex_ranks)}
     return CanonicalForm(lab.key, vmap, tuple(lab.arrow_perm()), new_graph, new_flows)
 

@@ -40,15 +40,13 @@ class QuandlePresentation(NamedTuple):
 
 def group_presentation(g: SelfIndexedGraph) -> GroupPresentation:
     """Generators are the vertices; each arrow b --a--> c imposes a*b = c*a."""
-    rels = tuple(
-        (((a.label, 1), (a.source, 1)), ((a.target, 1), (a.label, 1))) for a in g.arrows
-    )
+    rels = tuple((((l, 1), (s, 1)), ((t, 1), (l, 1))) for s, t, l in g.arrows)
     return GroupPresentation(g.vertices, rels)
 
 
 def quandle_presentation(g: SelfIndexedGraph) -> QuandlePresentation:
     """Free quandle on the vertices modulo a |> b = c per arrow b --a--> c."""
-    rels = tuple(((a.label, a.source), a.target) for a in g.arrows)
+    rels = tuple(((l, s), t) for s, t, l in g.arrows)
     return QuandlePresentation(g.vertices, rels)
 
 
@@ -90,9 +88,8 @@ def linking_matrix(c: Comte) -> LinkingMatrix:
     entries = {
         (i, j): 0 for i in range(len(comps)) for j in range(len(comps)) if i != j
     }
-    for a, f in zip(c.graph.arrows, c.flows):
-        i = cidx[a.label]
-        j = cidx[a.source]
+    for (s, _, l), f in zip(c.graph.arrows, c.flows):
+        i, j = cidx[l], cidx[s]
         if i != j:
             entries[(i, j)] += f
     return LinkingMatrix(comps, entries)

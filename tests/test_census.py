@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import pickle
 
@@ -14,7 +15,8 @@ from comtes.census import (
     partial_injections,
     signature_census,
 )
-from comtes.core import canonical_form, canonical_key, classify, graph, graph_from_injections, validate_graph
+from comtes.core import (SelfIndexedGraph, _canonical_leaf, as_comte, canonical_form, canonical_key, classify, graph, graph_from_injections,
+                         validate_graph)
 from comtes.homology import homology_range
 from comtes.racks import dihedral_quandle, graph_of_rack
 from reference import burnside_class_count, count_labeled_structures, recursive_partial_injections
@@ -100,14 +102,36 @@ class TestOrderlyGeneration:
             want = [g for g in want if g.arrows]
         calls = []
 
-        def counting(g, shared=None):
-            calls.append(g)
-            return canonical_form(g, shared)
+        def counting(*args):
+            calls.append(args)
+            return _canonical_leaf(*args)
 
-        monkeypatch.setattr(census, "canonical_form", counting)
+        monkeypatch.setattr(census, "_canonical_leaf", counting)
         assert enumerate_graphs(n, include_arrowless=include_arrowless) == want
-        # one canonical form per class returned
+        # one labeling per class returned
         assert len(calls) == len(want)
+
+    @pytest.mark.parametrize("enumerate_graphs, classes", [(enumerate_r_graphs, 6663), (enumerate_q_graphs, 70)])
+    def test_builds_one_graph_per_class(self, monkeypatch, enumerate_graphs, classes):
+        # only the representatives are built: no input graph per least code
+        built = []
+        init = SelfIndexedGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SelfIndexedGraph, "__init__", counting)
+        assert len(enumerate_graphs(3)) == classes
+        assert len(built) == classes
+
+    def test_four_vertex_q_graph_keys_are_pinned(self):
+        # the aim-1 workload, byte for byte: every key, in order
+        keys = [canonical_key(g) for g in enumerate_q_graphs(4)]
+        assert len(keys) == 56185
+        assert hashlib.sha256(b"\n".join(keys)).hexdigest() == (
+            "b2bb72e3c1f6eae39751d9bb07e449a87e9e225f5ca1089720c776613fb338d4"
+        )
 
     @pytest.mark.parametrize("n, q_only", [(0, False), (1, False), (2, False), (1, True), (2, True), (3, True)])
     def test_keeps_the_first_structure_of_each_class(self, n, q_only):
@@ -178,6 +202,27 @@ class TestSignatures:
         for field in ("plain", "quotient"):
             sigs = [getattr(r, field) for r in rows]
             assert len({id(s) for s in sigs}) == len(set(sigs)) < len(rows)
+
+    def test_graphs_that_are_not_iterable_are_a_type_error(self):
+        with pytest.raises(TypeError, match="graphs must be an iterable of graphs, got 5"):
+            signature_census(5)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_entry_that_is_not_a_graph_is_named_before_any_row(self, monkeypatch, jobs):
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(census, "census_row", no_rows)
+        monkeypatch.setattr("multiprocessing.Pool", no_rows)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        fam = enumerate_q_graphs(1)
+        with pytest.raises(TypeError, match=r"graphs\[1\] must be a SelfIndexedGraph, got int$"):
+            signature_census(iter([*fam, 5]), max_degree=2, jobs=jobs)
+
+    def test_a_comte_points_to_its_graph(self):
+        g = enumerate_q_graphs(1)[0]
+        with pytest.raises(TypeError, match=r"graphs\[0\] must be a SelfIndexedGraph, got Comte; pass c.graph"):
+            signature_census([as_comte(g)], max_degree=2)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_must_be_positive(self, jobs):

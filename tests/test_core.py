@@ -117,13 +117,6 @@ class TestGraphFromInjections:
         assert g == graph("0 1", [("0", "1", "0"), ("1", "0", "1")])
         assert classify(g) == "r"
 
-    def test_graphs_of_one_shared_dict_share_their_parts(self):
-        shared = {}
-        g = core.graph_from_injections([[0, 1], [1, 0]], shared)
-        h = core.graph_from_injections([[0, -1], [-1, 1]], shared)
-        assert g.vertices is h.vertices and g.arrows[0] is h.arrows[0]
-        assert canonical_form(g, shared).graph.arrows[0] is g.arrows[0]
-
     @pytest.mark.parametrize(
         "maps, message",
         [

@@ -9,7 +9,7 @@ from math import gcd, prod
 import pytest
 
 from comtes.acceptance import EXAMPLE_QGRAPH
-from comtes.census import enumerate_q_graphs, enumerate_r_graphs, graph_from_injections, partial_injections, signature_census
+from comtes.census import enumerate_q_graphs, enumerate_r_graphs, partial_injections, signature_census
 from comtes.coloring import (
     Chain,
     Cochain,
@@ -19,7 +19,7 @@ from comtes.coloring import (
     graph_homomorphisms,
     state_sum,
 )
-from comtes.core import _index_form, canonical_key, classify, comte, components, graph
+from comtes.core import _index_form, canonical_key, classify, comte, components, graph, graph_from_injections
 from comtes.cubes import build_Yn, face_map
 from comtes.homology import (
     HomologyGroup,

@@ -3,8 +3,7 @@ import re
 
 import pytest
 
-from comtes.census import graph_from_injections
-from comtes.core import classify
+from comtes.core import classify, graph_from_injections
 from comtes.racks import (
     BUILTIN_RACKS,
     AbelianGroup,
