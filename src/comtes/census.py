@@ -16,8 +16,8 @@ import os
 from itertools import permutations, product
 from typing import NamedTuple
 
-from .core import (Comte, SelfIndexedGraph, _canonical_leaf, _iterate, _key_bytes, _require_int, _shared_graph, canonical_key,
-                   classify)
+from .core import (GENERAL, Comte, SelfIndexedGraph, _canonical_leaf, _index_form, _iterate, _key_bytes, _require_int,
+                   _shared_graph, canonical_key, classify)
 from .homology import HomologyGroup, homology_range
 
 
@@ -145,18 +145,31 @@ def enumerate_q_graphs(n_vertices: int, include_arrowless: bool = False) -> list
 class CensusRow(NamedTuple):
     key: bytes
     graph: SelfIndexedGraph
-    kind: str  # "r" or "q"
+    kind: str  # classify(graph): "r" or "q" for a census graph
     plain: tuple[HomologyGroup, ...]
     quotient: tuple[HomologyGroup, ...] | None  # q-graphs only
+
+
+def _require_graph(g, what: str) -> None:
+    """A ``TypeError`` naming ``what`` unless ``g`` is a ``SelfIndexedGraph``."""
+    if not isinstance(g, SelfIndexedGraph):
+        hint = "; pass c.graph for the graph of a comte c" if isinstance(g, Comte) else ""
+        raise TypeError(f"{what} must be a SelfIndexedGraph, got {type(g).__name__}{hint}")
+
+
+def _groups(g: SelfIndexedGraph, kind: str, max_degree: int):
+    """The plain groups of ``g``, of kind ``kind``, through ``max_degree``,
+    and its quotient groups if it is a q-graph, else None."""
+    quot = homology_range(g, max_degree, q_quotient=True) if kind == "q" else None
+    return homology_range(g, max_degree), quot
 
 
 def census_row(g: SelfIndexedGraph, max_degree: int) -> CensusRow:
     """The row of ``g``: its plain homology and, for a q-graph, its
     quotient homology, through ``max_degree``."""
+    _require_graph(g, "g")
     kind = classify(g)
-    quot = homology_range(g, max_degree, q_quotient=True) if kind == "q" else None
-    plain = homology_range(g, max_degree)
-    return CensusRow(canonical_key(g), g, kind, plain, quot)
+    return CensusRow(canonical_key(g), g, kind, *_groups(g, kind, max_degree))
 
 
 def _sig_str(groups) -> str:
@@ -196,22 +209,58 @@ def signature_census(graphs, max_degree: int = 5, jobs: int = 1) -> SignatureCen
     """Homology signatures (degrees 1..max_degree) for a family of census
     representatives, by at most ``jobs`` processes and no more than the CPUs;
     deterministic row order by canonical key.  Rows with equal signatures
-    share one tuple."""
+    share one tuple.
+
+    The groups are computed once per pair of opposite graphs.  G^op reverses
+    every arrow of G: x .op y = z exactly when x . z = y.  One scan of
+    ``graphs``, in input order and before any group is computed, labels each
+    r-graph whose groups are to be computed on its reversed index triples
+    (t, s, l), for the key of its opposite; a later graph with that key takes
+    those groups, and keeps its own key, graph and kind.
+
+    This is exact over Z.  Let c complement each cube y_m of Y_n, sending
+    the vertex S + {m} to ({1..m-1} - S) + {m}.  c sends the arrow from v to
+    v + {d} labeled L to the arrow from c(v + {d}) to c(v) labeled c(L), so
+    it is an isomorphism from Y_n to its opposite, and c D_s^eps =
+    D_s^(1-eps) c, since complementing swaps the inserted 0 and 1.  So
+    psi: h -> h c, on origin tuples psi(a_1..a_n) = (b_1..b_n) with b_m =
+    a_1.(a_2.( ... a_m)), is a bijection from the homomorphisms Y_n -> G
+    onto those Y_n -> G^op (c is an involution), and psi d = -d^op psi.  It
+    carries cycles onto cycles and boundaries onto boundaries, so
+    H_n(G^op) = H_n(G).  In a q-graph a.a = a and each a.- is injective, so
+    a_i = a_(i+1) exactly when b_i = b_(i+1): psi carries the degenerate
+    tuples onto the degenerate ones, and the quotient groups agree as well.
+    Only r-graphs are paired: the opposite of another graph of the homology
+    domain need not have distinct (label, source) pairs."""
     _require_int(max_degree, "max_degree", 0)
     jobs = min(_require_int(jobs, "jobs", 1), os.cpu_count() or 1)
     graphs = list(_iterate(graphs, "graphs", "an iterable of graphs"))
     for i, g in enumerate(graphs):
-        if not isinstance(g, SelfIndexedGraph):
-            hint = "; pass c.graph for the graph of a comte c" if isinstance(g, Comte) else ""
-            raise TypeError(f"graphs[{i}] must be a SelfIndexedGraph, got {type(g).__name__}{hint}")
+        _require_graph(g, f"graphs[{i}]")
+    reps = []  # the arguments of _groups, one per graph whose groups are computed
+    rows = []  # per graph: its key, itself, its kind and the index of its groups, until they are computed
+    opposites = {}  # the opposite key of a representative r-graph not yet met -> its index
+    for g in graphs:
+        key, kind = canonical_key(g), classify(g)
+        i = opposites.pop(key, None)
+        if i is None:
+            i = len(reps)
+            reps.append((g, kind, max_degree))
+            if kind != GENERAL:
+                n, triples = len(g.vertices), _index_form(g)[1]
+                arrows = _canonical_leaf(n, [(t, s, l) for s, t, l in triples], (0,) * len(triples))[-1]
+                opposites[_key_bytes(b"g", (n, arrows))] = i
+        rows.append((key, g, kind, i))
     if jobs > 1:
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            rows = pool.starmap(census_row, [(g, max_degree) for g in graphs], chunksize=8)
+            groups = pool.starmap(_groups, reps, chunksize=8)
     else:
-        rows = (census_row(g, max_degree) for g in graphs)
+        groups = (_groups(*r) for r in reps)
     sigs: dict = {}
-    rows = [r._replace(plain=sigs.setdefault(r.plain, r.plain), quotient=sigs.setdefault(r.quotient, r.quotient)) for r in rows]
+    groups = [tuple([sigs.setdefault(s, s) for s in pair]) for pair in groups]
+    for j, (key, g, kind, i) in enumerate(rows):
+        rows[j] = CensusRow(key, g, kind, *groups[i])
     rows.sort(key=lambda r: r.key)
     return SignatureCensus(tuple(rows), max_degree)

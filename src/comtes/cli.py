@@ -320,6 +320,8 @@ def main(argv=None) -> int:
             parser.error("moves search requires --target")
         if args.flow_lo > args.flow_hi and not args.ignore_flows:  # bare-graph mode ignores the window
             parser.error(f"empty flow window: --flow-lo {args.flow_lo} > --flow-hi {args.flow_hi}")
+    if getattr(args, "command", None) == "census" and args.table and not args.max_degree:
+        parser.error("census --table needs a positive --max-degree: the table lists the homology signatures")
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit

@@ -2,10 +2,11 @@ import functools
 import hashlib
 import itertools
 import pickle
+import random
 
 import pytest
 
-from comtes import census
+from comtes import census, core
 from comtes.census import (
     _label_choices,
     _least_codes,
@@ -15,9 +16,9 @@ from comtes.census import (
     partial_injections,
     signature_census,
 )
-from comtes.core import (SelfIndexedGraph, _canonical_leaf, as_comte, canonical_form, canonical_key, classify, graph, graph_from_injections,
-                         validate_graph)
-from comtes.homology import homology_range
+from comtes.core import (SelfIndexedGraph, _canonical_leaf, as_comte, canonical_form, canonical_key, classify, comte, graph,
+                         graph_from_injections, validate_graph)
+from comtes.homology import NotRGraphError, boundary_matrix, chain_basis, dot_table, homology_range
 from comtes.racks import dihedral_quandle, graph_of_rack
 from reference import burnside_class_count, count_labeled_structures, recursive_partial_injections
 
@@ -212,7 +213,7 @@ class TestSignatures:
         def no_rows(*args):
             raise AssertionError("a row was built")
 
-        monkeypatch.setattr(census, "census_row", no_rows)
+        monkeypatch.setattr(census, "_groups", no_rows)
         monkeypatch.setattr("multiprocessing.Pool", no_rows)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         fam = enumerate_q_graphs(1)
@@ -223,6 +224,12 @@ class TestSignatures:
         g = enumerate_q_graphs(1)[0]
         with pytest.raises(TypeError, match=r"graphs\[0\] must be a SelfIndexedGraph, got Comte; pass c.graph"):
             signature_census([as_comte(g)], max_degree=2)
+
+    @pytest.mark.parametrize("entry, got", [(comte("a", [("a", "a", "a", 1)]), "Comte; pass c.graph"), (5, "int")])
+    def test_a_row_is_of_a_graph_alone(self, entry, got):
+        # a comte used to get a row keyed by its comte key, and 5 a raw AttributeError
+        with pytest.raises(TypeError, match=f"^g must be a SelfIndexedGraph, got {got}"):
+            census_row(entry, 2)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_must_be_positive(self, jobs):
@@ -254,6 +261,118 @@ class TestSignatures:
         cens = signature_census(fam, max_degree=2, jobs=jobs)
         assert made == ([] if workers is None else [workers])
         assert cens.table() == signature_census(fam, max_degree=2).table()
+
+
+def opposite(g):
+    """G^op, on the same vertices in the same order: every arrow reversed."""
+    return graph(g.vertices, [(t, s, l) for s, t, l in g.arrows])
+
+
+def psi(dot, a):
+    """(b_1..b_n) with b_m = a_1.(a_2.( ... a_m)): the origin tuple of h c,
+    for c the complement of each cube, when a is that of h."""
+    out = []
+    for m in range(len(a)):
+        b = a[m]
+        for x in reversed(a[:m]):
+            b = dot[x][b]
+        out.append(b)
+    return tuple(out)
+
+
+def counted(name, calls, fn, *args):
+    calls[name] += 1
+    return fn(*args)
+
+
+def seeded_graphs(seed, count):
+    """``count`` random r-graphs and ``count`` random q-graphs, on three and
+    four vertices alternately, none holding its key."""
+    rng = random.Random(seed)
+    out = []
+    for q_only in (False, True):
+        for i in range(count):
+            out.append(graph_from_injections([rng.choice(c) for c in _label_choices(3 + i % 2, q_only)]))
+    return out
+
+
+class TestOppositeGraphs:
+    """Reversing every arrow is a chain isomorphism: psi carries the basis of
+    C_n(G) onto that of C_n(G^op), the quotient bases too for a q-graph, and
+    anticommutes with the boundaries, so ``signature_census`` computes the
+    groups of one graph of each opposite pair."""
+
+    def test_psi_maps_the_basis_onto_the_opposite_basis_and_anticommutes(self):
+        boundaries = 0
+        for g in seeded_graphs(47, 50):
+            gop, dot = opposite(g), dot_table(g)
+            for q in (False, True) if classify(g) == "q" else (False,):
+                below = below_op = None
+                for n in range(1, 5):
+                    basis, basis_op = chain_basis(n, g, q), chain_basis(n, gop, q)
+                    images = [psi(dot, a) for a in basis]
+                    assert sorted(images) == basis_op and len(set(images)) == len(images)
+                    if n > 1:
+                        d, d_op = boundary_matrix(n, g, q), boundary_matrix(n, gop, q)
+                        col_op = {a: j for j, a in enumerate(basis_op)}
+                        for j, a in enumerate(images):
+                            image_of_d = {psi(dot, below[r]): -row[j] for r, row in enumerate(d) if row[j]}
+                            d_op_of_image = {below_op[r]: row[col_op[a]] for r, row in enumerate(d_op) if row[col_op[a]]}
+                            assert d_op_of_image == image_of_d, (g, q, n, a)
+                        boundaries += 1
+                    below, below_op = basis, basis_op
+        assert boundaries >= 450
+
+    @pytest.mark.parametrize("enumerate_graphs, reps", [(enumerate_r_graphs, 3681), (enumerate_q_graphs, 55)])
+    def test_one_computation_per_pair_of_opposites(self, monkeypatch, enumerate_graphs, reps):
+        # the classes hold their keys, so the only labelings are of the
+        # opposites of the representatives, which are all r-graphs
+        fam = enumerate_graphs(3)
+        calls = {"_groups": 0, "_canonical_leaf": 0}
+        for name in calls:
+            monkeypatch.setattr(census, name, functools.partial(counted, name, calls, getattr(census, name)))
+        signature_census(fam, 2)
+        assert calls == {"_groups": reps, "_canonical_leaf": reps}
+
+    @pytest.mark.parametrize("enumerate_graphs", [enumerate_r_graphs, enumerate_q_graphs])
+    def test_rows_are_those_of_each_class(self, enumerate_graphs):
+        fam = enumerate_graphs(3)
+        assert signature_census(fam, 5).rows == tuple(census_row(g, 5) for g in fam)
+
+    def test_two_jobs_give_the_rows_of_one(self):
+        fam = enumerate_r_graphs(3)
+        assert signature_census(fam, 3, jobs=2) == signature_census(fam, 3, jobs=1)
+
+    @pytest.mark.parametrize("family", ["not closed", "duplicates", "one-sided"])
+    def test_other_families_get_the_rows_of_each_graph(self, monkeypatch, family):
+        rng = random.Random(11)
+        if family == "not closed":
+            # a sample of the classes, in which most opposites are missing
+            fam = [g for g in enumerate_r_graphs(3) if rng.random() < 0.05]
+        elif family == "duplicates":
+            # graphs without held keys, with isomorphic copies and opposites
+            base = seeded_graphs(5, 20)
+            fam = base + [opposite(g) for g in base] + [graph(list(reversed(g.vertices)), g.arrows[::-1]) for g in base]
+            rng.shuffle(fam)
+        else:
+            # in the homology domain, but its opposite is not
+            fam = [graph("a b", [("a", "b", "a"), ("b", "b", "a")]), *enumerate_q_graphs(2)]
+        calls = {"canonical_labeling": 0}
+        monkeypatch.setattr(core, "canonical_labeling", functools.partial(counted, "canonical_labeling", calls, core.canonical_labeling))
+        rows = signature_census(fam, 4).rows
+        # each graph that holds no key is labeled once for its own key
+        assert calls["canonical_labeling"] == sum(1 for g in fam if g._key is None)
+        monkeypatch.undo()
+        assert rows == tuple(sorted((census_row(g, 4) for g in fam), key=lambda r: r.key))
+
+    def test_a_graph_outside_the_domain_is_the_error_of_its_row(self):
+        one_sided = graph("a b", [("a", "b", "a"), ("b", "b", "a")])
+        for g in (opposite(one_sided), graph("a b", [("a", "a", "a"), ("a", "b", "a")])):
+            with pytest.raises(NotRGraphError) as row:
+                census_row(g, 3)
+            with pytest.raises(NotRGraphError) as cens:
+                signature_census([one_sided, g], 3)
+            assert str(cens.value) == str(row.value)
 
 
 class TestThreeVertexInvariants:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -213,6 +214,16 @@ class TestCensusCommand:
         code, out, _ = run(capsys, "census", "--class", "q", "--vertices", "2", "--max-degree", "3", "--table")
         assert code == 0
         assert "classes" in out and "distinct signatures [plain/torsion]" in out
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--vertices", "3", "--max-degree", "5", "--table"], "5895c1254d73ac5c038793642c4820ee91369134cbbe159e602457ad631d13c1"),
+        (["--vertices", "3", "--class", "q", "--max-degree", "5", "--table", "--jobs", "2"],
+         "9e76e214332287bb5d5c83e8ea41f157cadde177a4e02eb2ed9f1b283aaa7703"),
+    ], ids=["r3", "q3-two-jobs"])
+    def test_signature_tables_are_pinned(self, capsys, argv, digest):
+        # stdout byte for byte: the class count, every row and the distinct counts
+        code, out, _ = run(capsys, "census", *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "census", "--class", "q", "--vertices", "2", "--max-degree", "2")
@@ -577,6 +588,15 @@ class TestUsage:
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == "" and "must be non-negative" in out.err
+
+    @pytest.mark.parametrize("degree", [[], ["--max-degree", "0"]], ids=["absent", "zero"])
+    def test_census_table_without_a_degree_exits_2(self, capsys, degree):
+        # it used to print "27 classes" and drop the table
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--vertices", "2", "--table", *degree])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--table needs a positive --max-degree" in out.err
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

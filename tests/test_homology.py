@@ -9,7 +9,7 @@ from math import gcd, prod
 import pytest
 
 from comtes.acceptance import EXAMPLE_QGRAPH
-from comtes.census import enumerate_q_graphs, enumerate_r_graphs, partial_injections, signature_census
+from comtes.census import census_row, enumerate_q_graphs, enumerate_r_graphs, partial_injections, signature_census
 from comtes.coloring import (
     Chain,
     Cochain,
@@ -456,9 +456,10 @@ class TestClearing:
 
 @functools.cache
 def checked_boundaries():
-    """One pass over every boundary that the three-vertex r- and q-graph
-    signature censuses through degree 5 and the benchmark's rack ranges
-    build, checked as it is built.  Per source: the boundaries built, the
+    """One pass over every boundary that the rows of the three-vertex r- and
+    q-graph classes through degree 5, their signature censuses (which
+    compute one row of each pair of opposite graphs) and the benchmark's
+    rack ranges build, checked as it is built.  Per source: the boundaries built, the
     degrees of those whose rows differ from ``code_boundary`` on the same
     arguments (as dicts or in column order) or that are not ``_BuiltRows``,
     the Smith calls, those that get no nonzero row, and those whose
@@ -480,8 +481,10 @@ def checked_boundaries():
         return snf(m)
 
     runs = {
-        "r3": lambda: signature_census(enumerate_r_graphs(3), 5),
-        "q3": lambda: signature_census(enumerate_q_graphs(3), 5),
+        "r3": lambda: [census_row(g, 5) for g in enumerate_r_graphs(3)],
+        "q3": lambda: [census_row(g, 5) for g in enumerate_q_graphs(3)],
+        "r3 census": lambda: signature_census(enumerate_r_graphs(3), 5),
+        "q3 census": lambda: signature_census(enumerate_q_graphs(3), 5),
         "racks": lambda: [
             (HOMOLOGY._elimination_range(dot_table(graph_of_rack(x)), plain, False),
              homology_range(graph_of_rack(x), quotient, q_quotient=True))
@@ -515,14 +518,18 @@ class TestBuiltBoundaries:
 
     def test_census_smith_calls_are_pinned(self):
         # (boundaries built, Smith calls, Smith calls without a nonzero
-        # row): 6,936 of the census boundaries clear to zero and take no
-        # Smith form; every rack boundary takes one.  The row of each of
-        # the 3 quandle classes eliminates its quotient complex twice, once
-        # per call of homology_range
+        # row): 6,936 of the boundaries of the class rows clear to zero and
+        # take no Smith form; every rack boundary takes one.  The row of
+        # each of the 3 quandle classes eliminates its quotient complex
+        # twice, once per call of homology_range.  The censuses compute the
+        # groups of one class of each pair of opposite graphs: 3,681 of the
+        # 6,663 r3 classes and 55 of the 70 q3 classes
         stats = checked_boundaries()
         assert {source: (s["built"], s["smith"], s["zero"]) for source, s in stats.items()} == {
             "r3": (15569, 8744, 0),
             "q3": (369, 258, 0),
+            "r3 census": (8834, 4957, 0),
+            "q3 census": (299, 191, 0),
             "racks": (20, 20, 0),
         }
 
